@@ -28,6 +28,7 @@ from .priors import (
     PriorTables,
     bayes_greedy,
     canonical_posterior,
+    normalized_weights,
 )
 
 
@@ -71,7 +72,7 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
     total = sum(raw)
     if not total:
         raise ZeroEvidence("revealed ledger impossible under both branches")
-    weights = tuple(v / total for v in raw)
+    weights = normalized_weights(raw, total, exact)
     hon_mass = sum(w * b for w, b in zip(can_cens.weights, B))
     denom = p0n * A + (one - p0n) * hon_mass
     p_hal = (p0n * A / denom) if denom else one * 0
@@ -140,7 +141,7 @@ class AgentSpec:
 
     def _rational_fast(self, ell: int, counts: np.ndarray, ctx: PhaseContext) -> Posterior:
         p0 = float(hallucination_prior_prob(self.config, ell))
-        can = np.asarray(ctx.fast.cens_posterior().weights)
+        can = ctx.fast.cens_posterior().weights
         logB = ctx.fast.reward_loglik(counts)
         logB = logB - logB[np.isfinite(logB)].max(initial=0.0)
         B = np.exp(logB)
@@ -151,7 +152,7 @@ class AgentSpec:
         total = w.sum()
         if total <= 0:
             raise ZeroEvidence("revealed ledger impossible under both branches")
-        return Posterior(self.prior, tuple((w / total).tolist()), {"signal": "mechanism-fast"})
+        return Posterior(self.prior, w / total, {"signal": "mechanism-fast"})
 
 
 def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig,

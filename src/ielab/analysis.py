@@ -12,7 +12,9 @@ from .mdp import (
     MarkovPolicy,
     TabularModel,
     TripleSet,
+    absorbing_steps,
     as_fraction,
+    complement_triples,
     enumerate_policies,
     event_visit_probability,
 )
@@ -72,29 +74,10 @@ def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleS
     ``rtilde`` maps (x,a,h) to [0,1]; the step-h term is still counted
     when the U-visit happens at step h itself.
     """
-    S = model.S
-    zero = Fraction(0) if exact else 0.0
-
-    def num(v):
-        return v if exact else float(v)
-
-    alpha = {x: num(model.init[x - 1]) for x in range(1, S + 1)}
-    total = zero
-    for h in range(1, model.H + 1):
-        nxt = {x: zero for x in range(1, S + 1)}
-        for x, mass in alpha.items():
-            if not mass:
-                continue
-            a = policy.action(x, h)
-            total += mass * num(as_fraction(rtilde((x, a, h))))
-            if (x, a, h) in U:
-                continue
-            if h < model.H:
-                row = model.transition(x, a, h)
-                for y in range(S):
-                    if row[y]:
-                        nxt[y + 1] += mass * num(row[y])
-        alpha = nxt
+    total = Fraction(0) if exact else 0.0
+    for x, a, h, mass in absorbing_steps(model, policy, U, exact):
+        r = as_fraction(rtilde((x, a, h)))
+        total += mass * (r if exact else float(r))
     return total
 
 
@@ -107,9 +90,7 @@ def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
     pair is eps-similar on the complement of U.
     """
     eps = as_fraction(eps)
-    fully_explored = frozenset(
-        t for t in _triples_of(model) if t not in U
-    )
+    fully_explored = complement_triples(U, model.S, model.A, model.H)
     rep = similarity(model, model_star, fully_explored)
     if not rep.is_similar(eps):
         raise PreconditionViolated(
@@ -122,15 +103,6 @@ def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
     )
     bound = float(eps) * math.comb(model.H, 2)
     return lhs, bound
-
-
-def _triples_of(model: TabularModel):
-    return (
-        (x, a, h)
-        for x in range(1, model.S + 1)
-        for a in range(1, model.A + 1)
-        for h in range(1, model.H + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +196,7 @@ def mrp_of(model: TabularModel, policy: MarkovPolicy) -> tuple[MRP, object]:
 
 def good_model_predicate(model, model_star, U, eps_pun, eps_r, eps_p) -> bool:
     """(eps_pun + 2 eps_r)-punished on U^c and 2 eps_p-similar to the truth there."""
-    S, A, H = model.S, model.A, model.H
-    from .mdp import complement_triples
-
-    explored = complement_triples(U, S, A, H)
+    explored = complement_triples(U, model.S, model.A, model.H)
     if not is_punished(model, explored, as_fraction(eps_pun) + 2 * as_fraction(eps_r)):
         return False
     return similarity(model, model_star, explored).is_similar(2 * as_fraction(eps_p))

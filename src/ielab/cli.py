@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: run-det | run-prob | verify | params | sweep.
+Subcommands: run-det | run-prob | verify | params.
 Exit codes: 0 ok, 1 infrastructure/config error, 2 assumption violated,
 3 verification assertion failed. IE_SEED supplies the master seed when
 no --seed / --seeds / config seeds are given.
@@ -16,7 +16,6 @@ from .harness import (
     cmd_params,
     cmd_run_det,
     cmd_run_prob,
-    cmd_sweep,
     cmd_verify,
     load_config,
 )
@@ -26,7 +25,6 @@ _COMMANDS = {
     "run-prob": (cmd_run_prob, {"kind": "prob-run"}),
     "verify": (cmd_verify, {}),
     "params": (cmd_params, {"kind": "params"}),
-    "sweep": (cmd_sweep, {}),
 }
 
 

@@ -45,7 +45,7 @@ from .oracle import (
     p_hal_audit,
     policy_selection_case,
 )
-from .priors import PriorTables
+from .priors import shared_tables
 from .serialize import prior_from_dict
 
 DET_SUMMARY_COLUMNS = [
@@ -64,7 +64,7 @@ _KNOWN_KEYS = {
     "episode_log", "rho", "delta", "suite", "overrides", "phase_cap",
     "sim_pairs", "perf_pairs",
 }
-_KINDS = {"det-theorem", "prob-run", "hygiene", "one-step", "sim-lemma", "params", "sweep"}
+_KINDS = {"det-theorem", "prob-run", "hygiene", "one-step", "sim-lemma", "params"}
 
 
 @dataclass
@@ -203,7 +203,7 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
         raise AssumptionViolated("det-theorem runs need a reward-independent prior")
     base, info = det_parameters(factored)
     config = _apply_mechanism_overrides(cfg, base)
-    tables = PriorTables(prior)
+    tables = shared_tables(prior)
     agent_mode = cfg.get("agent", {}).get("mode", "fully_rational")
     episode_log = cfg.get("episode_log", "hallucination")
     out_dir = cfg.get("out")
@@ -255,7 +255,7 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     phase_cap = int(cfg.get("phase_cap", config.total_phases))
     config = MechanismConfig(config.n_phase, config.n_lrn, config.eps_pun,
                              min(config.total_phases, phase_cap), config.rho)
-    tables = PriorTables(prior)
+    tables = shared_tables(prior)
     agent_mode = cfg.get("agent", {}).get("mode", "canonical_truster")
     exact = bool(cfg.get("exact", False))
     out_dir = cfg.get("out")
@@ -479,13 +479,3 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if not ok:
         raise VerificationFailure(f"{sum(not c['ok'] for c in checks)} checks failed")
     return 0
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    """Seed fan-out over run-det or run-prob (each run in its own dir)."""
-    kind = cfg.get("kind", "det-theorem")
-    if kind == "det-theorem":
-        return cmd_run_det(cfg)
-    if kind == "prob-run":
-        return cmd_run_prob(cfg)
-    raise ConfigError(f"sweep supports det-theorem / prob-run, not {kind!r}")

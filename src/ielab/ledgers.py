@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mdp import MarkovPolicy, Step, TabularModel, TripleSet, all_triples
+from .mdp import MarkovPolicy, Step, TabularModel, TripleSet, all_triples, path_mass
 
 
 class LedgerKind(enum.Enum):
@@ -45,14 +45,10 @@ def censor_trajectory(traj, U: TripleSet) -> CensoredTrajectory:
     Accepts a raw Trajectory or an already-censored one whose censor set
     is contained in U (censoring is absorbing; rewards cannot be revealed).
     """
-    if isinstance(traj, CensoredTrajectory):
-        if not traj.censor_set <= U:
-            raise ValueError("cannot un-censor: new set must contain the old one")
-        steps = traj.steps
-    else:
-        steps = traj.steps
+    if isinstance(traj, CensoredTrajectory) and not traj.censor_set <= U:
+        raise ValueError("cannot un-censor: new set must contain the old one")
     out = tuple(
-        Step(s.x, s.a, s.h, None if (s.x, s.a, s.h) in U else s.r) for s in steps
+        Step(s.x, s.a, s.h, None if (s.x, s.a, s.h) in U else s.r) for s in traj.steps
     )
     return CensoredTrajectory(out, U)
 
@@ -126,26 +122,6 @@ def totally_censor(ledger: Ledger) -> Ledger:
     return censor_ledger(ledger, all_triples(ledger.S, ledger.A, ledger.H))
 
 
-def _entry_probability(model: TabularModel, traj: CensoredTrajectory, exact: bool):
-    """Mass of one censored entry: path mass x revealed-reward mass."""
-    one = Fraction(1) if exact else 1.0
-    prob = one
-
-    def num(v):
-        return v if exact else float(v)
-
-    steps = traj.steps
-    prob *= num(model.init[steps[0].x - 1])
-    for i, s in enumerate(steps):
-        if s.r is not None:
-            prob *= num(model.reward_dist(s.x, s.a, s.h).mass(s.r))
-        if i + 1 < len(steps):
-            prob *= num(model.transition(s.x, s.a, s.h)[steps[i + 1].x - 1])
-        if not prob:
-            return prob
-    return prob
-
-
 def ledger_probability(model: TabularModel, ledger: Ledger, exact: bool = False):
     """Canonical ledger mass: product of i.i.d. censored-entry masses.
 
@@ -155,7 +131,7 @@ def ledger_probability(model: TabularModel, ledger: Ledger, exact: bool = False)
     """
     prob = Fraction(1) if exact else 1.0
     for _, traj in ledger.entries:
-        prob *= _entry_probability(model, traj, exact)
+        prob *= path_mass(model, traj.steps, exact)
         if not prob:
             return prob
     return prob

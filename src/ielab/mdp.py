@@ -9,7 +9,6 @@ arithmetic (for the oracle) or float arithmetic (for simulation, with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -261,17 +260,6 @@ class TabularModel:
             self._cache["trans_f"] = t
         return self._cache["trans_f"]
 
-    def mean_rewards_f(self) -> np.ndarray:
-        """Float mean-reward tensor, shape (S, A, H)."""
-        if "mr_f" not in self._cache:
-            r = np.empty((self.S, self.A, self.H))
-            for x in range(self.S):
-                for a in range(self.A):
-                    for h in range(self.H):
-                        r[x, a, h] = float(self.rewards[x][a][h].mean())
-            self._cache["mr_f"] = r
-        return self._cache["mr_f"]
-
 
 def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_state=1):
     """Construct a TabularModel from 1-based mappings.
@@ -362,19 +350,31 @@ def optimal_value(model: TabularModel, exact: bool = False):
 
 def trajectory_probability(model, policy, trajectory: Trajectory, exact: bool = False):
     """Exact mass of a raw trajectory under P^pi; 0 if inconsistent with pi."""
-    prob = _num(Fraction(1), exact)
     steps = trajectory.steps
     if len(steps) != model.H:
         raise ValueError("trajectory length != H")
-    prob *= _num(model.init[steps[0].x - 1], exact)
     for i, s in enumerate(steps):
         if s.h != i + 1:
             raise ValueError("stages must be 1..H in order")
         if policy.action(s.x, s.h) != s.a:
             return _zero(exact)
-        prob *= _num(model.reward_dist(s.x, s.a, s.h).mass(s.r), exact)
+    return path_mass(model, steps, exact)
+
+
+def path_mass(model, steps, exact: bool = False):
+    """Initial, reward and transition mass of a step sequence, in step order.
+
+    A step whose reward is None (censored) contributes no reward factor:
+    censored rewards marginalize out.
+    """
+    prob = _num(model.init[steps[0].x - 1], exact)
+    for i, s in enumerate(steps):
+        if s.r is not None:
+            prob *= _num(model.reward_dist(s.x, s.a, s.h).mass(s.r), exact)
         if i + 1 < len(steps):
             prob *= _num(model.transition(s.x, s.a, s.h)[steps[i + 1].x - 1], exact)
+        if not prob:
+            return prob
     return prob
 
 
@@ -396,11 +396,7 @@ def enumerate_policies(S: int, A: int, H: int, cap: int = POLICY_CAP) -> list[Ma
     n = A ** (S * H)
     if n > cap:
         raise CapExceeded(f"policy space {A}^{S * H} = {n} exceeds cap {cap}")
-    out = []
-    for digits in itertools.product(range(1, A + 1), repeat=S * H):
-        table = tuple(tuple(digits[x * H + h] for h in range(H)) for x in range(S))
-        out.append(MarkovPolicy(table, A))
-    return out
+    return [MarkovPolicy.from_encoding(code, S, A, H) for code in range(n)]
 
 
 def enumerate_trajectories(model, policy, cap: int = TRAJECTORY_CAP) -> Iterator[tuple[Trajectory, Fraction]]:
@@ -468,27 +464,39 @@ def reach_set(model, rho) -> TripleSet:
     return frozenset(out)
 
 
-def event_visit_probability(model, policy, U: TripleSet, exact: bool = False):
-    """P^pi[some step's (x,a,h) lands in U], via an absorbing visited flag."""
+def absorbing_steps(model, policy, U: TripleSet, exact: bool = False) -> list:
+    """Every step pi takes up to and including its first U-visit, with its mass.
+
+    Returns (x, a, h, mass) in stage order, where mass = P^pi[x_h = x, no
+    U-visit strictly before h]; a U-visit absorbs its mass. Steps of zero
+    mass are left out.
+    """
     S = model.S
-    # alpha[x] = P[x_h = x, no U-visit strictly before h]
-    alpha = {x: _num(model.init[x - 1], exact) for x in range(1, S + 1)}
-    hit = _zero(exact)
+    alpha = [_num(p, exact) for p in model.init]
+    steps = []
     for h in range(1, model.H + 1):
-        nxt = {x: _zero(exact) for x in range(1, S + 1)}
-        for x, mass in alpha.items():
+        nxt = [_zero(exact)] * S
+        for x, mass in enumerate(alpha, 1):
             if not mass:
                 continue
             a = policy.action(x, h)
-            if (x, a, h) in U:
-                hit += mass
+            steps.append((x, a, h, mass))
+            if (x, a, h) in U or h == model.H:
                 continue
-            if h < model.H:
-                row = model.transition(x, a, h)
-                for y in range(S):
-                    if row[y]:
-                        nxt[y + 1] += mass * _num(row[y], exact)
+            row = model.transition(x, a, h)
+            for y in range(S):
+                if row[y]:
+                    nxt[y] += mass * _num(row[y], exact)
         alpha = nxt
+    return steps
+
+
+def event_visit_probability(model, policy, U: TripleSet, exact: bool = False):
+    """P^pi[some step's (x,a,h) lands in U], via an absorbing visited flag."""
+    hit = _zero(exact)
+    for x, a, h, mass in absorbing_steps(model, policy, U, exact):
+        if (x, a, h) in U:
+            hit += mass
     return hit
 
 
@@ -497,25 +505,11 @@ def occupancy_omega(model, policy, U: TripleSet, exact: bool = False) -> dict:
 
     Summing the mapping over U reproduces event_visit_probability.
     """
-    S = model.S
-    alpha = {x: _num(model.init[x - 1], exact) for x in range(1, S + 1)}
-    omega = {}
-    for h in range(1, model.H + 1):
-        nxt = {x: _zero(exact) for x in range(1, S + 1)}
-        for x, mass in alpha.items():
-            if not mass:
-                continue
-            a = policy.action(x, h)
-            if (x, a, h) in U:
-                omega[(x, a, h)] = omega.get((x, a, h), _zero(exact)) + mass
-                continue
-            if h < model.H:
-                row = model.transition(x, a, h)
-                for y in range(S):
-                    if row[y]:
-                        nxt[y + 1] += mass * _num(row[y], exact)
-        alpha = nxt
-    return omega
+    return {
+        (x, a, h): mass
+        for x, a, h, mass in absorbing_steps(model, policy, U, exact)
+        if (x, a, h) in U
+    }
 
 
 def deterministic_trajectory(model, policy) -> Trajectory:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rngmod
-from .analysis import eps_p_bound, eps_r_bound
+from .analysis import eps_p_bound, eps_r_bound, is_punished
 from .errors import AssumptionViolated, CapExceeded, ZeroEvidence
 from .ledgers import (
     CensoredTrajectory,
@@ -47,6 +47,7 @@ from .priors import (
     PriorTables,
     Posterior,
     canonical_posterior,
+    shared_tables,
 )
 
 
@@ -95,30 +96,28 @@ def hallucination_prior_prob(config: MechanismConfig, ell: int) -> Fraction:
 
 def punish_event(prior: DiscretePrior, U_complement: TripleSet, eps_pun) -> ModelEvent:
     """Atoms whose mean reward is <= eps_pun on every fully-explored triple."""
-    eps = as_fraction(eps_pun)
-    out = []
-    for i, m in enumerate(prior.atoms):
-        if all(m.mean_reward(x, a, h) <= eps for (x, a, h) in U_complement):
-            out.append(i)
-    return frozenset(out)
+    return frozenset(i for i, m in enumerate(prior.atoms) if is_punished(m, U_complement, eps_pun))
 
 
-def sample_hallucinated_model(prior, lam_cens: Ledger, punish: ModelEvent, rng,
-                              exact: bool = False):
-    """Draw one atom from the punish-conditioned canonical posterior.
+def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent,
+                            exact: bool = False) -> Posterior:
+    """The punish-conditioned canonical posterior of the censored ledger.
 
-    Returns (atom index, model). ZeroEvidence from the posterior is
-    re-raised with the offending fully-explored triples attached.
+    ZeroEvidence is re-raised naming the violated assumption.
     """
     try:
-        post = canonical_posterior(prior, lam_cens, punish, exact=exact)
+        return canonical_posterior(prior, lam_cens, punish, exact=exact)
     except ZeroEvidence as e:
         raise ZeroEvidence(
             f"punish event has zero posterior mass given the censored ledger; "
             f"f_min/q_pun assumption violated ({e})"
         ) from e
-    idx = rngmod.sample_index(post.weights, rng)
-    return idx, prior.atoms[idx]
+
+
+def sample_hallucinated_model(posterior: Posterior, rng):
+    """Draw one atom from a hallucination posterior; returns (atom index, model)."""
+    idx = rngmod.sample_index(posterior.weights, rng)
+    return idx, posterior.prior.atoms[idx]
 
 
 def hallucinate_ledger(lam_cens: Ledger, mu_hal: TabularModel, U: TripleSet, rng) -> Ledger:
@@ -458,19 +457,14 @@ def _traj_to_json(traj: Trajectory) -> list:
     return [[s.x, s.a, s.h, str(s.r)] for s in traj.steps]
 
 
-_digest_memo: dict = {}
-
-
 def prior_digest(prior: DiscretePrior) -> str:
-    memo = _digest_memo.get(id(prior))
-    if memo is not None and memo[0] is prior:
-        return memo[1]
-    from .serialize import prior_to_dict
+    """SHA-256 of the prior's canonical JSON, computed once and kept on the prior."""
+    if "digest" not in prior._cache:
+        from .serialize import prior_to_dict
 
-    blob = json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    _digest_memo[id(prior)] = (prior, digest)
-    return digest
+        blob = json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",", ":"))
+        prior._cache["digest"] = hashlib.sha256(blob.encode()).hexdigest()
+    return prior._cache["digest"]
 
 
 class _FastState:
@@ -574,11 +568,14 @@ def _draw_hallucinated(fast: _FastState, tables: PriorTables, hal_atom: int,
     if m == 0:
         return counts, values
     u = rng.random(m)
-    cum = tables.reward_cum[hal_atom][xs[sel] - 1, as_[sel] - 1, hs[sel] - 1]  # (m, V)
+    occ = (xs[sel] - 1, as_[sel] - 1, hs[sel] - 1)
+    cum = tables.reward_cum[hal_atom][occ]  # (m, V)
     idx = (u[:, None] >= cum).sum(axis=1)
-    idx = np.minimum(idx, cum.shape[1] - 1)
+    # u can reach past the float cumulative sum, which may end just below 1:
+    # fall back to the last support value with positive mass
+    idx = np.minimum(idx, tables.reward_last[hal_atom][occ])
     values[sel] = idx
-    np.add.at(counts, (xs[sel] - 1, as_[sel] - 1, hs[sel] - 1, idx), 1)
+    np.add.at(counts, (*occ, idx), 1)
     return counts, values
 
 
@@ -601,7 +598,7 @@ def _hh_condition_in_run(config, tables, fast, true_model, U, ell, punish_prob,
     if inside.all() or not inside.any():
         return None
     post = fast.revealed_posterior(hal_counts, "hh-check")
-    vals = np.asarray(post.weights) @ tables.value_matrix
+    vals = post.weights @ tables.value_matrix
     gap = vals[inside].max() - vals[~inside].max()
     p0 = float(hallucination_prior_prob(config, ell))
     lhs = p0
@@ -650,7 +647,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
     if tables is None:
-        tables = PriorTables(prior)
+        tables = shared_tables(prior)
     S, A, H = prior.shape
     eps = config.eps_pun
 
@@ -691,13 +688,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             if (x, a, h) not in U:
                 explored_mask[x - 1, a - 1, h - 1] = True
 
-        punish_mask = np.all(
-            np.where(explored_mask[None, :, :, :],
-                     tables.mean_r <= float(eps) + 1e-12, True),
-            axis=(1, 2, 3),
-        )
+        punish_mask = np.all(tables.low_reward(eps) | ~explored_mask, axis=(1, 2, 3))
         cens_post = fast.cens_posterior()
-        punish_prob = float(np.asarray(cens_post.weights)[punish_mask].sum())
+        punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
             hal_post = fast.masked_posterior(punish_mask, "hallucination")
         except ZeroEvidence as e:
@@ -738,37 +731,21 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         if len(episodes) > 1:
             pi_hon = agent.choose_signal(episodes[0], ell, "honest", ctx)
 
-        tau_star = None
-        if episode_log == "full":
-            for k in episodes:
-                is_hal = k == k_star
-                pi_k = pi_hal if is_hal else pi_hon
-                stream_name = f"episode:{k}:traj"
-                tau = sample_trajectory(true_model, pi_k, rngmod.stream(seed, stream_name))
-                if is_hal:
-                    tau_star = tau
-                log.episodes.append(
-                    EpisodeRecord(
-                        k=k,
-                        ell=ell,
-                        is_hallucination=is_hal,
-                        revealed_kind="hallucinated" if is_hal else "honest",
-                        policy=pi_k.encoding,
-                        trajectory=_traj_to_json(tau),
-                        traj_stream=stream_name,
-                    )
-                )
-        if tau_star is None:  # hallucination episode not yet simulated
-            stream_name = f"episode:{k_star}:traj"
-            tau_star = sample_trajectory(true_model, pi_hal, rngmod.stream(seed, stream_name))
+        for k in episodes if episode_log == "full" else [k_star]:
+            is_hal = k == k_star
+            pi_k = pi_hal if is_hal else pi_hon
+            stream_name = f"episode:{k}:traj"
+            tau = sample_trajectory(true_model, pi_k, rngmod.stream(seed, stream_name))
+            if is_hal:
+                tau_star = tau
             log.episodes.append(
                 EpisodeRecord(
-                    k=k_star,
+                    k=k,
                     ell=ell,
-                    is_hallucination=True,
-                    revealed_kind="hallucinated",
-                    policy=pi_hal.encoding,
-                    trajectory=_traj_to_json(tau_star),
+                    is_hallucination=is_hal,
+                    revealed_kind="hallucinated" if is_hal else "honest",
+                    policy=pi_k.encoding,
+                    trajectory=_traj_to_json(tau),
                     traj_stream=stream_name,
                 )
             )

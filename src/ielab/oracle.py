@@ -17,13 +17,19 @@ from itertools import product
 
 from .agents import make_agent, mechanism_posterior
 from .errors import CapExceeded, DegenerateSplit
-from .ledgers import CensoredTrajectory, Ledger, censor_ledger, raw_ledger, totally_censor
+from .ledgers import (
+    CensoredTrajectory,
+    Ledger,
+    censor_ledger,
+    raw_ledger,
+    totally_censor,
+    underexplored_set,
+)
 from .mdp import (
     MarkovPolicy,
     Step,
     Trajectory,
     TripleSet,
-    all_triples,
     complement_triples,
     enumerate_trajectories,
 )
@@ -36,8 +42,9 @@ from .mechanism import (
 )
 from .priors import (
     DiscretePrior,
+    canonical_gap,
     canonical_posterior,
-    conditional_value,
+    policy_encodings,
     shared_tables,
 )
 
@@ -173,15 +180,9 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         n_nodes += 1
         if n_nodes > cap:
             raise CapExceeded(f"game tree exceeds {cap} nodes")
-        counts: dict = {}
-        for _, traj in history:
-            for t in set(traj.triples()):
-                counts[t] = counts.get(t, 0) + 1
-        U = frozenset(
-            t for t in all_triples(S, A, H) if counts.get(t, 0) < config.n_lrn
-        )
-        explored = complement_triples(U, S, A, H)
         lam_raw = raw_ledger(S, A, H, history)
+        U = underexplored_set(lam_raw, config.n_lrn)
+        explored = complement_triples(U, S, A, H)
         lam_cens = totally_censor(lam_raw)
         lam_hon = censor_ledger(lam_raw, U)
         punish = punish_event(prior, explored, config.eps_pun)
@@ -237,22 +238,11 @@ def hygiene_tv(table: JointTable, ledger_kind: str, ell: int) -> Fraction:
     """max over realizable ledgers of TV(true posterior, canonical posterior)."""
     if ledger_kind not in ("censored", "honest"):
         raise ValueError("ledger_kind must be 'censored' or 'honest'")
-    groups: dict = {}
-    reps: dict = {}
-    for node in table.nodes[ell]:
-        led = node.lam_cens if ledger_kind == "censored" else node.lam_hon
-        key = led.key()
-        reps[key] = led
-        acc = groups.setdefault(key, {})
-        for i, w in node.weights.items():
-            acc[i] = acc.get(i, Fraction(0)) + w
-    worst = Fraction(0)
-    for key, joint in groups.items():
-        true_post = _normalize(joint)
-        can = canonical_posterior(table.prior, reps[key], exact=True)
-        can_d = {i: w for i, w in enumerate(can.weights) if w}
-        worst = max(worst, _tv(true_post, can_d))
-    return worst
+    return hygiene_tv_pairs(table.prior, [
+        (w, i, node.lam_cens if ledger_kind == "censored" else node.lam_hon)
+        for node in table.nodes[ell]
+        for i, w in node.weights.items()
+    ])
 
 
 def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
@@ -309,7 +299,7 @@ class OneStepReport:
         return not self.violations
 
 
-def _mech_joint(table, nodes, p0, value_ledger_key_hal=True):
+def _mech_joint(nodes) -> dict:
     """Per revealed-ledger value v: (joint over atoms, Pr[hal=v], Pr[hon=v])."""
     group_mass = sum(n.mass() for n in nodes)
     out: dict = {}
@@ -328,7 +318,17 @@ def _mech_joint(table, nodes, p0, value_ledger_key_hal=True):
         ent["hon"] += node.mass() / group_mass
         for i, w in node.weights.items():
             ent["hon_atoms"][i] = ent["hon_atoms"].get(i, Fraction(0)) + w
-    return out, group_mass
+    return out
+
+
+def _mech_masses(ent: dict, p0) -> dict:
+    """Unnormalized exact mechanism posterior of one revealed-ledger value:
+    p0 x (hallucination-branch joint) + (1 - p0) x (honest-branch joint)."""
+    return {
+        i: p0 * ent["hal_atoms"].get(i, Fraction(0))
+        + (1 - p0) * ent["hon_atoms"].get(i, Fraction(0))
+        for i in set(ent["hal_atoms"]) | set(ent["hon_atoms"])
+    }
 
 
 def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
@@ -342,13 +342,11 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
     tables = shared_tables(table.prior)
     p0 = hallucination_prior_prob(table.config, ell)
     H = table.prior.shape[2]
+    n_all = len(tables.policies)
     entries = []
     explicit = None
     if not callable(target):
-        explicit = frozenset(
-            p.encoding if isinstance(p, MarkovPolicy) else int(p) for p in target
-        )
-        n_all = len(tables.policies)
+        explicit = policy_encodings(target)
         if not explicit or len(explicit) >= n_all:
             raise DegenerateSplit("target must be a nonempty strict policy subset")
 
@@ -356,26 +354,14 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
         if explicit is not None:
             enc = explicit
         else:
-            got = target(nodes[0].U, nodes)
-            enc = frozenset(
-                p.encoding if isinstance(p, MarkovPolicy) else int(p) for p in got
-            )
-        n_all = len(tables.policies)
+            enc = policy_encodings(target(nodes[0].U, nodes))
         vacuous = not enc or len(enc) >= n_all
         q = nodes[0].pr_punish_given_cens
-        joint, group_mass = _mech_joint(table, nodes, p0)
-        for key, ent in joint.items():
+        for key, ent in _mech_joint(nodes).items():
             if ent["hal"] == 0:
                 continue  # not a realizable hallucinated ledger
             # exact mechanism posterior at an episode of this phase
-            mech = {}
-            atoms = set(ent["hal_atoms"]) | set(ent["hon_atoms"])
-            for i in atoms:
-                mech[i] = (
-                    p0 * ent["hal_atoms"].get(i, Fraction(0))
-                    + (1 - p0) * ent["hon_atoms"].get(i, Fraction(0))
-                )
-            mech = _normalize(mech)
+            mech = _normalize(_mech_masses(ent, p0))
             best = None
             arg = []
             for pol in tables.policies:
@@ -392,15 +378,7 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             holds = False
             if not vacuous:
                 can = canonical_posterior(table.prior, ent["ledger"], exact=True)
-                vin = max(
-                    conditional_value(can, p, tables) for p in tables.policies
-                    if p.encoding in enc
-                )
-                vout = max(
-                    conditional_value(can, p, tables) for p in tables.policies
-                    if p.encoding not in enc
-                )
-                gap = vin - vout
+                gap = canonical_gap(can, enc, tables)
                 rhs = q * gap / (3 * H)
                 holds = p0 <= rhs
             entries.append(
@@ -431,8 +409,7 @@ def p_hal_audit(table: JointTable, ell: int) -> list:
     k_agent = phase_episodes(table.config, ell)[0]
     for _, nodes in table.groups_by_cens(ell).items():
         q = nodes[0].pr_punish_given_cens
-        joint, _ = _mech_joint(table, nodes, p0)
-        for key, ent in joint.items():
+        for key, ent in _mech_joint(nodes).items():
             if ent["hal"] == 0:
                 continue
             denom = p0 * ent["hal"] + (1 - p0) * ent["hon"]
@@ -460,15 +437,9 @@ def mechanism_posterior_from_table(table: JointTable, ell: int, revealed: Ledger
     p0 = hallucination_prior_prob(table.config, ell)
     key = revealed.key()
     for _, nodes in table.groups_by_cens(ell).items():
-        joint, _ = _mech_joint(table, nodes, p0)
+        joint = _mech_joint(nodes)
         if key in joint:
-            ent = joint[key]
-            mech = {}
-            for i in set(ent["hal_atoms"]) | set(ent["hon_atoms"]):
-                mech[i] = (
-                    p0 * ent["hal_atoms"].get(i, Fraction(0))
-                    + (1 - p0) * ent["hon_atoms"].get(i, Fraction(0))
-                )
+            mech = _mech_masses(joint[key], p0)
             if sum(mech.values()):
                 return _normalize(mech)
     raise ValueError("revealed ledger is not realizable at this phase")

@@ -37,6 +37,7 @@ class DiscretePrior:
 
     atoms: tuple[TabularModel, ...]
     weights: tuple[Fraction, ...]
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.atoms) != len(self.weights) or not self.atoms:
@@ -67,26 +68,33 @@ class DiscretePrior:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized weights over a prior's atoms, plus conditioning provenance."""
+    """Normalized weights over a prior's atoms, plus conditioning provenance.
+
+    ``weights`` is aligned to prior.atoms: a tuple of Fractions on exact
+    paths, a float ndarray on float paths.
+    """
 
     prior: DiscretePrior
-    weights: tuple  # Fractions (exact) or floats, aligned to prior.atoms
+    weights: tuple | np.ndarray = field(compare=False)
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        total = sum(self.weights)
-        if isinstance(total, Fraction):
-            if total != 1:
+        if self.exact:
+            if sum(self.weights) != 1:
                 raise ValueError("posterior weights must sum to 1")
-        elif abs(total - 1.0) > 1e-9:
+        elif abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("posterior weights must sum to 1")
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.weights, np.ndarray)
 
     def support(self) -> ModelEvent:
         return frozenset(i for i, w in enumerate(self.weights) if w > 0)
 
 
 def prior_as_posterior(prior: DiscretePrior, exact: bool = False) -> Posterior:
-    ws = prior.weights if exact else tuple(float(w) for w in prior.weights)
+    ws = prior.weights if exact else np.array([float(w) for w in prior.weights])
     return Posterior(prior, ws, {"conditioning": "none"})
 
 
@@ -249,20 +257,25 @@ def canonical_posterior(
             f"ledger/event inconsistent with the prior "
             f"(|entries|={len(ledger)}, |event|={len(event)})"
         )
-    ws = tuple(v / total for v in raw)
-    return Posterior(prior, ws, {"ledger": ledger.key(), "event": event, "exact": exact})
+    return Posterior(prior, normalized_weights(raw, total, exact),
+                     {"ledger": ledger.key(), "event": event, "exact": exact})
+
+
+def normalized_weights(raw: list, total, exact: bool):
+    """Posterior weights raw / total: Fractions in a tuple, or a float ndarray."""
+    return tuple(v / total for v in raw) if exact else np.array(raw) / total
 
 
 def conditional_value(posterior: Posterior, policy: MarkovPolicy, tables: "PriorTables | None" = None):
     """E over posterior atoms of policy_value(atom, policy)."""
-    exact = bool(posterior.weights) and isinstance(posterior.weights[0], Fraction)
+    exact = posterior.exact
     if tables is not None:
         if exact:
             return sum(
                 w * tables.exact_value(i, policy)
                 for i, w in enumerate(posterior.weights) if w
             )
-        return float(np.dot(np.asarray(posterior.weights),
+        return float(np.dot(posterior.weights,
                             tables.value_matrix[:, tables.policy_col(policy)]))
     total = Fraction(0) if exact else 0.0
     for w, m in zip(posterior.weights, posterior.prior.atoms):
@@ -279,7 +292,7 @@ def canonical_gap(posterior: Posterior, Pi, tables: "PriorTables | None" = None)
     """
     S, A, H = posterior.prior.shape
     policies = tables.policies if tables is not None else enumerate_policies(S, A, H)
-    enc = frozenset(p.encoding if isinstance(p, MarkovPolicy) else int(p) for p in Pi)
+    enc = policy_encodings(Pi)
     inside = [p for p in policies if p.encoding in enc]
     outside = [p for p in policies if p.encoding not in enc]
     if not inside or not outside:
@@ -287,6 +300,11 @@ def canonical_gap(posterior: Posterior, Pi, tables: "PriorTables | None" = None)
     vin = max(conditional_value(posterior, p, tables) for p in inside)
     vout = max(conditional_value(posterior, p, tables) for p in outside)
     return vin - vout
+
+
+def policy_encodings(Pi) -> frozenset:
+    """Canonical encodings of a collection of MarkovPolicy objects or ints."""
+    return frozenset(p.encoding if isinstance(p, MarkovPolicy) else int(p) for p in Pi)
 
 
 GREEDY_TIE_TOL = 1e-9
@@ -301,9 +319,9 @@ def bayes_greedy(posterior: Posterior, tables: "PriorTables | None" = None) -> M
     posteriors compare exactly.
     """
     S, A, H = posterior.prior.shape
-    exact = isinstance(posterior.weights[0], Fraction)
+    exact = posterior.exact
     if tables is not None and not exact:
-        vals = np.asarray(posterior.weights) @ tables.value_matrix
+        vals = posterior.weights @ tables.value_matrix
         vmax = float(vals.max())
         tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
         return tables.policies[int(np.flatnonzero(vals >= vmax - tol)[0])]
@@ -322,21 +340,20 @@ class PriorTables:
     """numpy caches over a prior's atoms for the simulation fast paths.
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
-    trans (n, S, A, H, S); mean_r (n, S, A, H); and per-support reward
-    log-masses for likelihood accumulation. Also memoizes exact policy
-    values for the oracle.
+    trans (n, S, A, H, S); and per-support reward log-masses for
+    likelihood accumulation. Also memoizes exact policy values for the
+    oracle and exact low-reward tables per threshold.
     """
 
-    def __init__(self, prior: DiscretePrior, policy_cap: int = 10**6):
+    def __init__(self, prior: DiscretePrior):
         self.prior = prior
         S, A, H = prior.shape
         self.S, self.A, self.H = S, A, H
-        self.policies = enumerate_policies(S, A, H, cap=policy_cap)
+        self.policies = enumerate_policies(S, A, H)
         self._policy_col = {p.encoding: j for j, p in enumerate(self.policies)}
         n = prior.n
         self.init = np.stack([m.init_f() for m in prior.atoms])
         self.trans = np.stack([m.trans_f() for m in prior.atoms])
-        self.mean_r = np.stack([m.mean_rewards_f() for m in prior.atoms])
         self.support = prior.atoms[0].reward_support
         self._support_ix = {v: k for k, v in enumerate(self.support)}
         # reward log-mass: (n, S, A, H, |support|), -inf where mass is 0
@@ -352,12 +369,15 @@ class PriorTables:
         with np.errstate(divide="ignore"):
             self.reward_logmass = np.log(mass)
         self.reward_cum = np.cumsum(mass, axis=-1)
+        # index of the last support value with positive mass: (n, S, A, H)
+        self.reward_last = len(self.support) - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1)
         self.log_weights = np.log(np.array([float(w) for w in prior.weights]))
         self.value_matrix = np.empty((n, len(self.policies)))
         for i, m in enumerate(prior.atoms):
             for j, p in enumerate(self.policies):
                 self.value_matrix[i, j] = policy_value(m, p)
         self._exact_values: dict = {}
+        self._low_reward: dict = {}
 
     def policy_col(self, policy: MarkovPolicy) -> int:
         return self._policy_col[policy.encoding]
@@ -369,6 +389,18 @@ class PriorTables:
                 self.prior.atoms[atom_index], policy, exact=True
             )
         return self._exact_values[key]
+
+    def low_reward(self, eps: Fraction) -> np.ndarray:
+        """(n, S, A, H) booleans: the atom's mean reward at the triple is
+        <= eps, compared exactly. Built once per eps."""
+        if eps not in self._low_reward:
+            S, A, H = self.S, self.A, self.H
+            self._low_reward[eps] = np.array([
+                [[[m.mean_reward(x, a, h) <= eps for h in range(1, H + 1)]
+                  for a in range(1, A + 1)] for x in range(1, S + 1)]
+                for m in self.prior.atoms
+            ], dtype=bool)
+        return self._low_reward[eps]
 
     def support_index(self, value: Fraction) -> int:
         return self._support_ix[value]
@@ -393,17 +425,12 @@ class PriorTables:
             raise ZeroEvidence("all atoms have zero likelihood")
         w = np.exp(ll - top)
         w /= w.sum()
-        return Posterior(self.prior, tuple(w.tolist()), provenance or {})
-
-
-_tables_memo: dict = {}
+        return Posterior(self.prior, w, provenance or {})
 
 
 def shared_tables(prior: DiscretePrior) -> PriorTables:
-    """Memoized PriorTables per prior object (caches exact values too)."""
-    memo = _tables_memo.get(id(prior))
-    if memo is not None and memo[0] is prior:
-        return memo[1]
-    tables = PriorTables(prior)
-    _tables_memo[id(prior)] = (prior, tables)
-    return tables
+    """The prior's PriorTables (exact-value memo included), built once and
+    kept on the prior."""
+    if "tables" not in prior._cache:
+        prior._cache["tables"] = PriorTables(prior)
+    return prior._cache["tables"]

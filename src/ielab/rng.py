@@ -33,14 +33,14 @@ def sample_index(probs, rng: np.random.Generator) -> int:
     """Sample an index from a probability vector (floats or Fractions).
 
     Uses a single uniform draw against cumulative sums so the stream
-    consumption is one value per call regardless of the outcome.
+    consumption is one value per call regardless of the outcome. The float
+    sum can end just below 1, so a draw past it falls back to the last
+    index with positive mass; a zero-mass index is never returned.
     """
     u = rng.random()
     acc = 0.0
-    last = 0
     for i, p in enumerate(probs):
         acc += float(p)
-        last = i
         if u < acc:
             return i
-    return last
+    return max(i for i, p in enumerate(probs) if p > 0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ielab import det_parameters, micro_det_1, micro_stoch_1
@@ -40,3 +41,16 @@ def stoch_prior(stoch_factored):
 @pytest.fixture(scope="session")
 def stoch_tables(stoch_prior):
     return PriorTables(stoch_prior)
+
+
+class TopDrawGenerator:
+    """Stub generator whose uniform draws are all the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1 - 2**-53
+        return u if size is None else np.full(size, u)
+
+
+@pytest.fixture
+def top_draw_rng():
+    return TopDrawGenerator()

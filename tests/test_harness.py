@@ -148,17 +148,3 @@ def test_cli_params_bandit_case(tmp_path, capsys):
     text = capsys.readouterr().out
     # r_min = 0.4, eps_pun = 0.2, C = 1/2, SAH = 2: n_phase = ceil(6/(0.4/4)) = 60
     assert "det.n_phase,60" in text
-
-
-def test_cli_sweep(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    code = main([
-        "sweep", "--seeds", "0..1", "--out", str(out),
-        "--override", "kind=det-theorem",
-        "--override", "mechanism.total_phases=2",
-        "--override", "mechanism.n_phase=5",
-    ])
-    assert code == 0
-    assert (out / "run-0" / "game.jsonl").exists()
-    assert (out / "run-1" / "game.jsonl").exists()
-    capsys.readouterr()

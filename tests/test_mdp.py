@@ -281,3 +281,11 @@ def test_occupancy_decomposition_random(master, S, H):
     U = frozenset(t for t in all_triples(S, 2, H) if rng.random() < 0.4)
     omega = occupancy_omega(m, pol, U, exact=True)
     assert sum(omega.values(), Fraction(0)) == event_visit_probability(m, pol, U, exact=True)
+
+
+def test_sample_index_never_returns_zero_mass(top_draw_rng):
+    # ten float 0.1s sum to 1 - 2**-53, so the top draw lies past the sum
+    from ielab.rng import sample_index
+
+    assert sample_index([0.1] * 10 + [0.0], top_draw_rng) == 9
+    assert sample_index([Fraction(1, 10)] * 10 + [Fraction(0)], top_draw_rng) == 9

@@ -19,6 +19,7 @@ from ielab import (
     enumerate_trajectories,
     eps_r_bound,
     hallucinate_ledger,
+    hallucination_posterior,
     hh_condition_holds,
     honest_ledger,
     make_agent,
@@ -60,7 +61,8 @@ def test_punish_event_extremes(det_prior):
 
 def test_sample_hallucinated_model_point_mass(det_prior):
     lam = totally_censor(raw_ledger(2, 2, 2, []))
-    idx, model = sample_hallucinated_model(det_prior, lam, frozenset({123}), stream(0, "x"))
+    post = hallucination_posterior(det_prior, lam, frozenset({123}))
+    idx, model = sample_hallucinated_model(post, stream(0, "x"))
     assert idx == 123 and model is det_prior.atoms[123]
 
 
@@ -68,11 +70,12 @@ def test_sample_hallucinated_model_frequencies(det_prior):
     lam = totally_censor(raw_ledger(2, 2, 2, []))
     punish = punish_event(det_prior, frozenset({(1, 1, 1), (1, 1, 2)}), "0.1")
     post = canonical_posterior(det_prior, lam, punish, exact=True)
+    hal_post = hallucination_posterior(det_prior, lam, punish)
     rng = stream(11, "freq")
     n = 100_000
     counts: dict = {}
     for _ in range(n):
-        idx, _ = sample_hallucinated_model(det_prior, lam, punish, rng)
+        idx, _ = sample_hallucinated_model(hal_post, rng)
         counts[idx] = counts.get(idx, 0) + 1
     for i, w in enumerate(post.weights):
         p = float(w)
@@ -92,7 +95,7 @@ def test_sample_hallucinated_model_zero_evidence(det_prior):
     # totally censored ledgers are never inconsistent for this class; force a
     # contradiction through an impossible event instead
     with pytest.raises(ZeroEvidence):
-        sample_hallucinated_model(det_prior, bad, frozenset(), stream(0, "x"))
+        hallucination_posterior(det_prior, bad, frozenset())
 
 
 def test_hallucinate_ledger_deterministic_model(det_prior):
@@ -331,3 +334,42 @@ def test_run_game_hh_condition_and_U_monotone(det_prior, det_config, det_tables)
             prev_U = U
             assert p.hh_condition in (None, True)
         assert any(p.hh_condition is True for p in log.phases)
+
+
+def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
+    """A reward law of ten 1/10 masses plus a zero-mass support value: the
+    top uniform draw lies past the float cumulative sum and must fall back
+    to the last value with positive mass."""
+    import numpy as np
+
+    from ielab import DiscretePrior, DiscreteDist, Step, Trajectory, build_model
+    from ielab.mechanism import _draw_hallucinated, _FastState
+    from ielab.priors import PriorTables
+
+    support = [Fraction(v, 10) for v in range(11)]
+    law = DiscreteDist(tuple(support[:10]), (Fraction(1, 10),) * 10)
+    model = build_model(1, 1, 1, [1], {}, {(1, 1, 1): law}, reward_support=support)
+    tables = PriorTables(DiscretePrior((model,), (Fraction(1),)))
+    fast = _FastState(tables)
+    fast.push_entry(tables.policies[0], Trajectory((Step(1, 1, 1, Fraction(0)),)))
+    counts, values = _draw_hallucinated(fast, tables, 0, np.ones((1, 1, 1), dtype=bool),
+                                        top_draw_rng)
+    assert values.tolist() == [9]
+    assert counts[0, 0, 0, 9] == 1 and counts.sum() == 1
+
+
+def test_punish_mask_compares_mean_rewards_exactly():
+    """An atom whose mean reward exceeds eps_pun by 1e-13 is not punished:
+    the logged punish size agrees with punish_event."""
+    from ielab import DiscretePrior, build_model
+
+    eps = Fraction(1, 10)
+    means = (Fraction(0), eps + Fraction(1, 10**13))
+    atoms = tuple(build_model(1, 1, 1, [1], {}, {(1, 1, 1): v}, reward_support=means)
+                  for v in means)
+    prior = DiscretePrior(atoms, (Fraction(1, 2), Fraction(1, 2)))
+    cfg = MechanismConfig(2, 1, eps, 2)
+    log = run_game(cfg, prior, make_agent("canonical_truster", prior, cfg), seed=0,
+                   true_model=atoms[0])
+    assert len(punish_event(prior, all_triples(1, 1, 1), eps)) == 1
+    assert [p.punish_size for p in log.phases] == [2, 1]
