@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, OracleUnavailable, ZeroEvidence
-from .ledgers import Ledger, ledger_reward_mass, totally_censor
+from .ledgers import Ledger, count_signature, ledger_reward_mass, totally_censor
 from .mdp import MarkovPolicy, complement_triples
 from .mechanism import (
     MechanismConfig,
@@ -28,6 +28,7 @@ from .priors import (
     PriorTables,
     bayes_greedy,
     canonical_posterior,
+    exact_lattice,
     normalized_weights,
 )
 
@@ -55,32 +56,63 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
         p0 = hallucination_prior_prob(config, ell)
     else:
         p0 = Fraction(p0) if exact else float(p0)
-    lam_cens = totally_censor(revealed)
     U = revealed.censor_set
-    can_cens = canonical_posterior(prior, lam_cens, exact=exact)
     punish = punish_event(prior, complement_triples(U, *prior.shape), config.eps_pun)
+    if exact:
+        weights, p_hal = _mechanism_weights_exact(prior, revealed, punish, p0)
+    else:
+        weights, p_hal = _mechanism_weights_float(prior, revealed, punish, float(p0))
+    post = Posterior(
+        prior, weights,
+        {"signal": "mechanism", "episode": k, "phase": ell, "p_hal": p_hal},
+    )
+    return post, p_hal
 
-    one = Fraction(1) if exact else 1.0
-    p0n = p0 if exact else float(p0)
-    B = [ledger_reward_mass(m, revealed, exact=exact) for m in prior.atoms]
+
+def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
+    """The mechanism posterior on the prior's lattice.
+
+    With C the censored-ledger canonical numerators, b the revealed-reward
+    numerators (both over denominators shared by every atom) and
+    p0 = P/Q, the weight of atom i is proportional to
+    C_i (P Sb + (Q - P) Sp b_i), where Sp and Sb sum C_i and C_i b_i over
+    the punish event; (Sb, Sp) is taken as (0, 1) when Sp = 0, i.e. when
+    the hallucination branch is impossible.
+    """
+    lattice = exact_lattice(prior)
+    signature = count_signature(revealed)
+    rewards = [item for item in signature if item[0][0] == "reward"]
+    C = lattice.masses(lattice.weights, [item for item in signature if item[0][0] != "reward"])
+    b = lattice.masses([1] * prior.n, rewards)
+    Sp = sum(C[i] for i in punish)
+    Sb, Sp = (sum(C[i] * b[i] for i in punish), Sp) if Sp else (0, 1)
+    P, Q = p0.numerator, p0.denominator
+    raw = [c * (P * Sb + (Q - P) * Sp * bi) for c, bi in zip(C, b)]
+    total = sum(raw)
+    if not total:
+        raise ZeroEvidence("revealed ledger impossible under both branches")
+    # p_hal = p0 A / (p0 A + (1 - p0) Pr[honest ledger]), A = Sb / Sp
+    hal = P * Sb * sum(C)
+    denom = hal + (Q - P) * Sp * sum(c * bi for c, bi in zip(C, b))
+    return normalized_weights(raw, total, True), Fraction(hal, denom) if denom else Fraction(0)
+
+
+def _mechanism_weights_float(prior, revealed: Ledger, punish, p0: float):
+    can_cens = canonical_posterior(prior, totally_censor(revealed))
+    B = [ledger_reward_mass(m, revealed) for m in prior.atoms]
     pun_mass = sum(can_cens.weights[i] for i in punish)
     if pun_mass:
         A = sum(can_cens.weights[i] * B[i] for i in punish) / pun_mass
     else:
-        A = one * 0  # hallucination branch impossible
-    raw = [w * (p0n * A + (one - p0n) * b) for w, b in zip(can_cens.weights, B)]
+        A = 0.0  # hallucination branch impossible
+    raw = [w * (p0 * A + (1.0 - p0) * b) for w, b in zip(can_cens.weights, B)]
     total = sum(raw)
     if not total:
         raise ZeroEvidence("revealed ledger impossible under both branches")
-    weights = normalized_weights(raw, total, exact)
     hon_mass = sum(w * b for w, b in zip(can_cens.weights, B))
-    denom = p0n * A + (one - p0n) * hon_mass
-    p_hal = (p0n * A / denom) if denom else one * 0
-    post = Posterior(
-        can_cens.prior, weights,
-        {"signal": "mechanism", "episode": k, "phase": ell, "p_hal": p_hal},
-    )
-    return post, p_hal
+    denom = p0 * A + (1.0 - p0) * hon_mass
+    p_hal = (p0 * A / denom) if denom else 0.0
+    return normalized_weights(raw, total, False), p_hal
 
 
 @dataclass
@@ -102,7 +134,10 @@ class AgentSpec:
     def choose(self, k: int, ell: int, revealed: Ledger,
                is_known_hallucination: bool = False) -> MarkovPolicy:
         """Bayes-greedy policy for a revealed ledger (standalone route)."""
-        key = (ell, is_known_hallucination and self.mode == "fully_rational", revealed.key())
+        # a canonical ledger mass is a product of i.i.d. entry masses, so both
+        # modes' posteriors depend on the ledger only through U and its counts
+        key = (ell, is_known_hallucination and self.mode == "fully_rational",
+               revealed.censor_set, count_signature(revealed))
         if key in self._cache:
             return self._cache[key]
         if self.mode == "canonical_truster":

@@ -312,15 +312,14 @@ def cmd_params(cfg: ExperimentConfig) -> int:
 # verifier suites
 
 
-def _det_oracle_inputs(cfg: ExperimentConfig, phases: int):
+def _det_oracle_inputs(cfg: ExperimentConfig):
+    """(expanded prior, mechanism config) shared by the oracle suites."""
     factored, prior = load_prior(cfg)
     base, _ = det_parameters(factored)
-    config = _apply_mechanism_overrides(cfg, base)
-    return prior, config, phases
+    return prior, _apply_mechanism_overrides(cfg, base)
 
 
-def verify_hygiene(cfg: ExperimentConfig) -> list[dict]:
-    prior, config, phases = _det_oracle_inputs(cfg, 2)
+def verify_hygiene(prior, config, phases: int = 2) -> list[dict]:
     table = enumerate_game(config, prior, phases)
     checks = []
     for ell in range(1, phases + 1):
@@ -353,8 +352,7 @@ def _det_target_provider(prior):
     return provider
 
 
-def verify_one_step(cfg: ExperimentConfig, phases: int = 3) -> list[dict]:
-    prior, config, phases = _det_oracle_inputs(cfg, phases)
+def verify_one_step(prior, config, phases: int = 3) -> list[dict]:
     table = enumerate_game(config, prior, phases)
     provider = _det_target_provider(prior)
     checks = []
@@ -376,8 +374,7 @@ def verify_one_step(cfg: ExperimentConfig, phases: int = 3) -> list[dict]:
     return checks
 
 
-def verify_dist_equality(cfg: ExperimentConfig, phases: int = 2) -> list[dict]:
-    prior, config, phases = _det_oracle_inputs(cfg, phases)
+def verify_dist_equality(prior, config, phases: int = 2) -> list[dict]:
     table = enumerate_game(config, prior, phases)
     mutated = enumerate_game(config, prior, phases, variant="hallucinate_unconditioned")
     checks = []
@@ -457,6 +454,8 @@ _SUITES = {
     "sim-lemma": verify_sim_lemma,
     "dist-equality": verify_dist_equality,
 }
+# suites that take the det (prior, config) instead of the experiment config
+_ORACLE_SUITES = ("hygiene", "one-step", "dist-equality")
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
@@ -464,9 +463,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     names = list(_SUITES) if suite == "all" else [suite]
     if any(n not in _SUITES for n in names):
         raise ConfigError(f"unknown verify suite {suite!r}")
+    det = None
+    if any(n in _ORACLE_SUITES for n in names):
+        det = _det_oracle_inputs(cfg)  # one prior, so the suites share its lattice
     checks = []
     for n in names:
-        checks.extend(_SUITES[n](cfg))
+        checks.extend(_SUITES[n](*det) if n in _ORACLE_SUITES else _SUITES[n](cfg))
     ok = all(c["ok"] for c in checks)
     report = {"suites": names, "checks": checks, "ok": ok}
     out_dir = cfg.get("out")

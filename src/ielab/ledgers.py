@@ -137,6 +137,26 @@ def ledger_probability(model: TabularModel, ledger: Ledger, exact: bool = False)
     return prob
 
 
+def count_signature(ledger: Ledger) -> frozenset:
+    """The ledger's canonical mass as counts: (feature, count) pairs.
+
+    A feature is ("init", x), ("trans", x, a, h, y) or ("reward", x, a, h, r)
+    for a revealed reward r. ledger_probability is the product over the
+    pairs of the model's mass of the feature raised to the count, so every
+    canonical posterior depends on a ledger only through this signature.
+    """
+    counts: dict = {}
+    for _, traj in ledger.entries:
+        steps = traj.steps
+        feats = [("init", steps[0].x)]
+        for s, nxt in zip(steps, steps[1:]):
+            feats.append(("trans", s.x, s.a, s.h, nxt.x))
+        feats.extend(("reward", s.x, s.a, s.h, s.r) for s in steps if s.r is not None)
+        for f in feats:
+            counts[f] = counts.get(f, 0) + 1
+    return frozenset(counts.items())
+
+
 def ledger_reward_mass(model: TabularModel, ledger: Ledger, exact: bool = False):
     """Only the revealed-reward factors of ledger_probability."""
     prob = Fraction(1) if exact else 1.0

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rngmod
-from .analysis import eps_p_bound, eps_r_bound, is_punished
+from .analysis import eps_p_bound, eps_r_bound
 from .errors import AssumptionViolated, CapExceeded, ZeroEvidence
 from .ledgers import (
     CensoredTrajectory,
@@ -47,6 +47,7 @@ from .priors import (
     PriorTables,
     Posterior,
     canonical_posterior,
+    low_reward_table,
     shared_tables,
 )
 
@@ -95,8 +96,16 @@ def hallucination_prior_prob(config: MechanismConfig, ell: int) -> Fraction:
 
 
 def punish_event(prior: DiscretePrior, U_complement: TripleSet, eps_pun) -> ModelEvent:
-    """Atoms whose mean reward is <= eps_pun on every fully-explored triple."""
-    return frozenset(i for i, m in enumerate(prior.atoms) if is_punished(m, U_complement, eps_pun))
+    """Atoms whose mean reward is <= eps_pun on every fully-explored triple.
+
+    Reads the prior's exact low-reward table, the punish-mask source
+    run_game uses too.
+    """
+    low = low_reward_table(prior, eps_pun)
+    if not U_complement:
+        return prior.full_event()
+    xs, as_, hs = (np.array(c) - 1 for c in zip(*U_complement))
+    return frozenset(np.flatnonzero(low[:, xs, as_, hs].all(axis=1)).tolist())
 
 
 def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent,
@@ -688,7 +697,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             if (x, a, h) not in U:
                 explored_mask[x - 1, a - 1, h - 1] = True
 
-        punish_mask = np.all(tables.low_reward(eps) | ~explored_mask, axis=(1, 2, 3))
+        punish_mask = np.all(low_reward_table(prior, eps) | ~explored_mask, axis=(1, 2, 3))
         cens_post = fast.cens_posterior()
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:

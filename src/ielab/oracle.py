@@ -1,6 +1,9 @@
 """Exact brute-force enumeration of the game measure on micro instances.
 
-Everything here runs in rational arithmetic. The joint table enumerates,
+Everything here runs in exact arithmetic: posteriors, branch masses,
+agent choices and argmax sets on the prior's integer lattice
+(``priors.ExactLattice``), with Fractions only where a mass or a value
+enters the table or a query result. The joint table enumerates,
 phase by phase, every realizable combination of (true model, raw
 hallucination-episode history, hallucinated-ledger realization), and the
 query helpers marginalize it to verify hygiene, the honest/hallucinated
@@ -11,6 +14,7 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -42,10 +46,12 @@ from .mechanism import (
 )
 from .priors import (
     DiscretePrior,
+    Posterior,
     canonical_gap,
     canonical_posterior,
+    exact_lattice,
+    greedy_set,
     policy_encodings,
-    shared_tables,
 )
 
 ORACLE_LEAF_CAP = 10**6
@@ -126,16 +132,13 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 
     k_agent = phase_episodes(config, ell)[0]
+    lattice = exact_lattice(prior)
+    nums, den = post.numerators
     branches = []
     for assignment in product(*cand) if occurrences else [()]:
-        prob = Fraction(0)
-        for i in support_atoms:
-            mass = post.weights[i]
-            for (_, _, t), v in zip(occurrences, assignment):
-                mass *= prior.atoms[i].reward_dist(*t).mass(v)
-                if not mass:
-                    break
-            prob += mass
+        rewards = Counter(("reward", *t, v) for (_, _, t), v in zip(occurrences, assignment))
+        prob = Fraction(sum(lattice.masses(nums, rewards.items())),
+                        den * lattice.den ** len(occurrences))
         if not prob:
             continue
         entries = []
@@ -165,18 +168,15 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     if variant not in ("standard", "hallucinate_unconditioned"):
         raise ValueError(f"unknown variant {variant!r}")
     S, A, H = prior.shape
-    tables = shared_tables(prior)
-    agent = make_agent(agent_mode, prior, config, exact=True, tables=tables)
+    agent = make_agent(agent_mode, prior, config, exact=True)
     table = JointTable(prior, config, agent_mode, phases, variant)
     table.nodes = {ell: [] for ell in range(1, phases + 1)}
     n_nodes = 0
 
+    marginal = table.model_marginal
+
     def recurse(weights: dict, history: list, ell: int):
         nonlocal n_nodes
-        if ell > phases:
-            for i, w in weights.items():
-                table.model_marginal[i] = table.model_marginal.get(i, Fraction(0)) + w
-            return
         n_nodes += 1
         if n_nodes > cap:
             raise CapExceeded(f"game tree exceeds {cap} nodes")
@@ -201,22 +201,28 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
                       branches, exploit_policy)
         )
         for br in branches:
-            traj_masses: dict = {}
-            traj_objs: dict = {}
+            children: dict = {}  # steps -> (trajectory, {atom: joint mass})
             for i, w in weights.items():
                 if not w:
                     continue
-                for traj, p in enumerate_trajectories(prior.atoms[i], br.policy):
-                    key = tuple(traj.steps)
-                    traj_objs[key] = traj
-                    traj_masses.setdefault(key, {})[i] = (
-                        traj_masses.get(key, {}).get(i, Fraction(0)) + w * br.prob * p
-                    )
-            for key, atom_masses in traj_masses.items():
-                recurse(atom_masses, history + [(br.policy, traj_objs[key])], ell + 1)
+                mass = w * br.prob
+                trajectories = enumerate_trajectories(prior.atoms[i], br.policy)
+                if ell == phases:  # the last phase's trajectories only feed the marginal
+                    marginal[i] = marginal.get(i, 0) + mass * sum(p for _, p in trajectories)
+                    continue
+                # an atom yields each trajectory once, so its mass is set, not summed
+                for traj, p in trajectories:
+                    child = children.get(traj.steps)
+                    if child is None:
+                        child = children[traj.steps] = (traj, {})
+                    child[1][i] = mass * p
+            for traj, atom_masses in children.values():
+                recurse(atom_masses, history + [(br.policy, traj)], ell + 1)
 
-    init_weights = {i: w for i, w in enumerate(prior.weights)}
-    recurse(init_weights, [], 1)
+    if phases:
+        recurse(dict(enumerate(prior.weights)), [], 1)
+    else:
+        marginal.update(enumerate(prior.weights))
     return table
 
 
@@ -339,10 +345,10 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
     every realizable hallucinated ledger: if the phase-length condition
     holds, every exact-mechanism-posterior argmax must lie in the target.
     """
-    tables = shared_tables(table.prior)
+    prior = table.prior
     p0 = hallucination_prior_prob(table.config, ell)
-    H = table.prior.shape[2]
-    n_all = len(tables.policies)
+    H = prior.shape[2]
+    n_all = len(exact_lattice(prior).policies)
     entries = []
     explicit = None
     if not callable(target):
@@ -362,14 +368,8 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
                 continue  # not a realizable hallucinated ledger
             # exact mechanism posterior at an episode of this phase
             mech = _normalize(_mech_masses(ent, p0))
-            best = None
-            arg = []
-            for pol in tables.policies:
-                v = sum(w * tables.exact_value(i, pol) for i, w in mech.items())
-                if best is None or v > best:
-                    best, arg = v, [pol.encoding]
-                elif v == best:
-                    arg.append(pol.encoding)
+            arg = greedy_set(Posterior(prior, tuple(mech.get(i, Fraction(0))
+                                                    for i in range(prior.n))))
             denom = p0 * ent["hal"] + (1 - p0) * ent["hon"]
             p_hal = p0 * ent["hal"] / denom
             limit = p_hal_bound(p0, q)
@@ -377,8 +377,8 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             rhs = None
             holds = False
             if not vacuous:
-                can = canonical_posterior(table.prior, ent["ledger"], exact=True)
-                gap = canonical_gap(can, enc, tables)
+                can = canonical_posterior(prior, ent["ledger"], exact=True)
+                gap = canonical_gap(can, enc)
                 rhs = q * gap / (3 * H)
                 holds = p0 <= rhs
             entries.append(
@@ -388,8 +388,8 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
                     condition_lhs=p0,
                     condition_rhs=rhs,
                     gap=gap,
-                    argmax=frozenset(arg),
-                    in_target=None if vacuous else frozenset(arg) <= enc,
+                    argmax=arg,
+                    in_target=None if vacuous else arg <= enc,
                     vacuous=vacuous,
                     p_hal=p_hal,
                     p_hal_limit=limit,

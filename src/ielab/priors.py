@@ -2,12 +2,18 @@
 
 All Bayesian computation is exact enumeration over a weighted finite
 atom set. ``PriorTables`` carries the float/numpy caches (value matrix,
-reward/transition tensors) that the simulation fast paths use; the
-Fraction route stays available everywhere via ``exact=True``.
+reward/transition tensors) that the simulation fast paths use. The exact
+route (``exact=True``) runs on the prior's ``ExactLattice``: masses and
+policy values as Python ints over per-prior common denominators, so
+posteriors, conditional values and greedy choices are integer products
+and dot products. Fractions appear only at the boundary, in the
+weights, values and gaps these functions return.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -15,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapExceeded, DegenerateSplit, ZeroEvidence
-from .ledgers import Ledger, ledger_probability
+from .ledgers import Ledger, count_signature, ledger_probability
 from .mdp import (
     DiscreteDist,
     MarkovPolicy,
@@ -71,17 +77,23 @@ class Posterior:
     """Normalized weights over a prior's atoms, plus conditioning provenance.
 
     ``weights`` is aligned to prior.atoms: a tuple of Fractions on exact
-    paths, a float ndarray on float paths.
+    paths, a float ndarray on float paths. Exact posteriors also carry
+    ``numerators`` = (ints, den) with weights[i] == ints[i] / den, the
+    form the lattice's integer dot products take.
     """
 
     prior: DiscretePrior
     weights: tuple | np.ndarray = field(compare=False)
     provenance: dict = field(default_factory=dict, compare=False)
+    numerators: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.exact:
-            if sum(self.weights) != 1:
+            den = math.lcm(*(w.denominator for w in self.weights))
+            nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+            if sum(nums) != den:
                 raise ValueError("posterior weights must sum to 1")
+            object.__setattr__(self, "numerators", (nums, den))
         elif abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("posterior weights must sum to 1")
 
@@ -239,18 +251,20 @@ def canonical_posterior(
     """Posterior treating the ledger's policies and censor set as fixed.
 
     Atom weight is proportional to prior weight times the canonical
-    ledger mass under the atom, restricted to the event. Raises
-    ZeroEvidence when the conditioning is impossible.
+    ledger mass under the atom, restricted to the event. The exact route
+    raises the lattice numerators to the ledger's count signature; the
+    common denominator cancels. Raises ZeroEvidence when the
+    conditioning is impossible.
     """
     if event is None:
         event = prior.full_event()
-    raw = []
-    for i, (m, w) in enumerate(zip(prior.atoms, prior.weights)):
-        if i not in event:
-            raw.append(Fraction(0) if exact else 0.0)
-            continue
-        lp = ledger_probability(m, ledger, exact=exact)
-        raw.append((w if exact else float(w)) * lp)
+    if exact:
+        lattice = exact_lattice(prior)
+        base = [w if i in event else 0 for i, w in enumerate(lattice.weights)]
+        raw = lattice.masses(base, count_signature(ledger))
+    else:
+        raw = [float(w) * ledger_probability(m, ledger) if i in event else 0.0
+               for i, (m, w) in enumerate(zip(prior.atoms, prior.weights))]
     total = sum(raw)
     if not total:
         raise ZeroEvidence(
@@ -263,24 +277,34 @@ def canonical_posterior(
 
 def normalized_weights(raw: list, total, exact: bool):
     """Posterior weights raw / total: Fractions in a tuple, or a float ndarray."""
-    return tuple(v / total for v in raw) if exact else np.array(raw) / total
+    return tuple(Fraction(v, total) for v in raw) if exact else np.array(raw) / total
+
+
+def exact_policy_values(posterior: Posterior) -> tuple[list[int], int]:
+    """Conditional values of every policy, in encoding order, of an exact
+    posterior: integer numerators over one positive denominator."""
+    lattice = exact_lattice(posterior.prior)
+    nums, den = posterior.numerators
+    return lattice.policy_values(nums), den * lattice.value_den
 
 
 def conditional_value(posterior: Posterior, policy: MarkovPolicy, tables: "PriorTables | None" = None):
-    """E over posterior atoms of policy_value(atom, policy)."""
-    exact = posterior.exact
+    """E over posterior atoms of policy_value(atom, policy).
+
+    Exact posteriors read the lattice's value matrix; ``tables`` serves
+    the float route.
+    """
+    if posterior.exact:
+        lattice = exact_lattice(posterior.prior)
+        nums, den = posterior.numerators
+        return Fraction(lattice.policy_value(nums, policy.encoding), den * lattice.value_den)
     if tables is not None:
-        if exact:
-            return sum(
-                w * tables.exact_value(i, policy)
-                for i, w in enumerate(posterior.weights) if w
-            )
         return float(np.dot(posterior.weights,
                             tables.value_matrix[:, tables.policy_col(policy)]))
-    total = Fraction(0) if exact else 0.0
+    total = 0.0
     for w, m in zip(posterior.weights, posterior.prior.atoms):
         if w:
-            total += w * policy_value(m, policy, exact=exact)
+            total += w * policy_value(m, policy)
     return total
 
 
@@ -288,18 +312,22 @@ def canonical_gap(posterior: Posterior, Pi, tables: "PriorTables | None" = None)
     """Best conditional value inside Pi minus best outside it.
 
     Pi is a collection of MarkovPolicy or encodings; must be a nonempty
-    strict subset of the enumerated policy space.
+    strict subset of the enumerated policy space. Exact posteriors compare
+    integer conditional values and return the gap as a Fraction.
     """
-    S, A, H = posterior.prior.shape
-    policies = tables.policies if tables is not None else enumerate_policies(S, A, H)
+    if posterior.exact:
+        vals, den = exact_policy_values(posterior)
+    else:
+        S, A, H = posterior.prior.shape
+        policies = tables.policies if tables is not None else enumerate_policies(S, A, H)
+        vals, den = [conditional_value(posterior, p, tables) for p in policies], None
     enc = policy_encodings(Pi)
-    inside = [p for p in policies if p.encoding in enc]
-    outside = [p for p in policies if p.encoding not in enc]
+    inside = [v for j, v in enumerate(vals) if j in enc]
+    outside = [v for j, v in enumerate(vals) if j not in enc]
     if not inside or not outside:
         raise DegenerateSplit("gap needs a nonempty strict subset of policies")
-    vin = max(conditional_value(posterior, p, tables) for p in inside)
-    vout = max(conditional_value(posterior, p, tables) for p in outside)
-    return vin - vout
+    gap = max(inside) - max(outside)
+    return gap if den is None else Fraction(gap, den)
 
 
 def policy_encodings(Pi) -> frozenset:
@@ -313,27 +341,30 @@ GREEDY_TIE_TOL = 1e-9
 def bayes_greedy(posterior: Posterior, tables: "PriorTables | None" = None) -> MarkovPolicy:
     """argmax of conditional value; ties broken by smallest encoding.
 
-    Float paths treat values within GREEDY_TIE_TOL (relative) of the max
-    as tied, so that mathematically tied policies resolve to the same
-    canonical winner regardless of summation order; exact (Fraction)
-    posteriors compare exactly.
+    Exact posteriors compare integer conditional values exactly. Float
+    paths treat values within GREEDY_TIE_TOL (relative) of the max as
+    tied, so that mathematically tied policies resolve to the same
+    canonical winner regardless of summation order.
     """
-    S, A, H = posterior.prior.shape
-    exact = posterior.exact
-    if tables is not None and not exact:
+    if posterior.exact:
+        vals, _ = exact_policy_values(posterior)
+        return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
+    if tables is not None:
         vals = posterior.weights @ tables.value_matrix
-        vmax = float(vals.max())
-        tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-        return tables.policies[int(np.flatnonzero(vals >= vmax - tol)[0])]
-    policies = tables.policies if tables is not None else enumerate_policies(S, A, H)
-    vals = [conditional_value(posterior, p, tables) for p in policies]
-    vmax = max(vals)
-    if exact:
-        idx = next(i for i, v in enumerate(vals) if v == vmax)
+        policies = tables.policies
     else:
-        tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-        idx = next(i for i, v in enumerate(vals) if v >= vmax - tol)
-    return policies[idx]
+        policies = enumerate_policies(*posterior.prior.shape)
+        vals = np.array([conditional_value(posterior, p) for p in policies])
+    vmax = float(vals.max())
+    tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
+    return policies[int(np.flatnonzero(vals >= vmax - tol)[0])]
+
+
+def greedy_set(posterior: Posterior) -> frozenset:
+    """Encodings of every exact maximizer of an exact posterior's conditional value."""
+    vals, _ = exact_policy_values(posterior)
+    best = max(vals)
+    return frozenset(j for j, v in enumerate(vals) if v == best)
 
 
 class PriorTables:
@@ -341,8 +372,7 @@ class PriorTables:
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
     trans (n, S, A, H, S); and per-support reward log-masses for
-    likelihood accumulation. Also memoizes exact policy values for the
-    oracle and exact low-reward tables per threshold.
+    likelihood accumulation.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -376,31 +406,14 @@ class PriorTables:
         for i, m in enumerate(prior.atoms):
             for j, p in enumerate(self.policies):
                 self.value_matrix[i, j] = policy_value(m, p)
-        self._exact_values: dict = {}
-        self._low_reward: dict = {}
 
     def policy_col(self, policy: MarkovPolicy) -> int:
         return self._policy_col[policy.encoding]
 
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
-        key = (atom_index, policy.encoding)
-        if key not in self._exact_values:
-            self._exact_values[key] = policy_value(
-                self.prior.atoms[atom_index], policy, exact=True
-            )
-        return self._exact_values[key]
-
-    def low_reward(self, eps: Fraction) -> np.ndarray:
-        """(n, S, A, H) booleans: the atom's mean reward at the triple is
-        <= eps, compared exactly. Built once per eps."""
-        if eps not in self._low_reward:
-            S, A, H = self.S, self.A, self.H
-            self._low_reward[eps] = np.array([
-                [[[m.mean_reward(x, a, h) <= eps for h in range(1, H + 1)]
-                  for a in range(1, A + 1)] for x in range(1, S + 1)]
-                for m in self.prior.atoms
-            ], dtype=bool)
-        return self._low_reward[eps]
+        """policy_value(atom, policy, exact=True), read off the prior's lattice."""
+        lattice = exact_lattice(self.prior)
+        return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
 
     def support_index(self, value: Fraction) -> int:
         return self._support_ix[value]
@@ -429,8 +442,121 @@ class PriorTables:
 
 
 def shared_tables(prior: DiscretePrior) -> PriorTables:
-    """The prior's PriorTables (exact-value memo included), built once and
-    kept on the prior."""
+    """The prior's PriorTables, built once and kept on the prior."""
     if "tables" not in prior._cache:
         prior._cache["tables"] = PriorTables(prior)
     return prior._cache["tables"]
+
+
+def low_reward_table(prior: DiscretePrior, eps) -> np.ndarray:
+    """(n, S, A, H) booleans: the atom's mean reward at the triple is
+    <= eps, compared exactly. Built once per eps and kept on the prior."""
+    eps = as_fraction(eps)
+    key = ("low_reward", eps)
+    if key not in prior._cache:
+        S, A, H = prior.shape
+        prior._cache[key] = np.array([
+            [[[m.mean_reward(x, a, h) <= eps for h in range(1, H + 1)]
+              for a in range(1, A + 1)] for x in range(1, S + 1)]
+            for m in prior.atoms
+        ], dtype=bool)
+    return prior._cache[key]
+
+
+def _over_common_den(fracs) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+class ExactLattice:
+    """A prior's exact masses and policy values as Python ints.
+
+    - ``weights[i]``: prior weight numerators over their common denominator.
+    - ``columns[feature][i]``: atom i's mass of a count-signature feature
+      (``ledgers.count_signature``) over one per-prior denominator ``den``:
+      every init, transition and reward mass of every atom.
+    - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
+      over ``value_den``, filled by one integer backward DP per policy,
+      vectorized over atoms.
+
+    Products and sums of masses then stay integers, with no gcd
+    normalization per operation; callers convert to Fraction once, at the
+    boundary. Built on first exact use (``exact_lattice``), never by
+    PriorTables or the float run path.
+    """
+
+    def __init__(self, prior: DiscretePrior):
+        S, A, H = prior.shape
+        self.n = prior.n
+        self.policies = enumerate_policies(S, A, H)
+        self.weights, _ = _over_common_den(prior.weights)
+        triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
+                   for h in range(1, H + 1)]
+        masses = {("init", x): [m.init[x - 1] for m in prior.atoms] for x in range(1, S + 1)}
+        for t in triples:
+            for y in range(1, S + 1):
+                masses[("trans", *t, y)] = [m.transition(*t)[y - 1] for m in prior.atoms]
+            for v in prior.atoms[0].reward_support:
+                masses[("reward", *t, v)] = [m.reward_dist(*t).mass(v) for m in prior.atoms]
+        flat, self.den = _over_common_den([p for col in masses.values() for p in col])
+        self.columns = {f: tuple(flat[k * self.n:(k + 1) * self.n])
+                        for k, f in enumerate(masses)}
+        flat, mean_den = _over_common_den([m.mean_reward(*t) for t in triples
+                                           for m in prior.atoms])
+        means = {t: flat[k * self.n:(k + 1) * self.n] for k, t in enumerate(triples)}
+        self.value_den = mean_den * self.den ** H
+        self.value_cols = [self._values(pol, means, H) for pol in self.policies]
+
+    def _values(self, policy: MarkovPolicy, means: dict, H: int) -> tuple:
+        """policy_value(atom, policy) over value_den for every atom: one
+        integer backward DP over stages, vectorized over atoms. The
+        value-to-go from stage h is over mean_den * den^(H-h)."""
+        S = len(policy.actions)
+        col = self.columns
+        togo = [[0] * self.n for _ in range(S)]
+        for h in range(H, 0, -1):
+            nxt = []
+            for x in range(1, S + 1):
+                a = policy.action(x, h)
+                scale = self.den ** (H - h)
+                v = [r * scale for r in means[(x, a, h)]]
+                for y in range(1, S + 1) if h < H else ():
+                    row = col[("trans", x, a, h, y)]
+                    v = [acc + p * g for acc, p, g in zip(v, row, togo[y - 1])]
+                nxt.append(v)
+            togo = nxt
+        out = [0] * self.n
+        for x in range(1, S + 1):
+            out = [acc + p * g for acc, p, g in zip(out, col[("init", x)], togo[x - 1])]
+        return tuple(out)
+
+    def masses(self, base: list, signature) -> list:
+        """Per atom: base[i] times the atom's mass numerators raised to the
+        signature's counts. The result is over base's denominator times
+        den ** (total count)."""
+        out = list(base)
+        for feature, count in signature:
+            col = self.columns.get(feature)
+            if col is None:  # a reward value outside the support: mass 0
+                return [0] * self.n
+            if count == 1:
+                out = [o * c for o, c in zip(out, col)]
+            else:
+                out = [o * c ** count for o, c in zip(out, col)]
+        return out
+
+    def policy_value(self, nums, encoding: int) -> int:
+        """sum_i nums[i] * value of the policy under atom i."""
+        return sum(map(operator.mul, nums, self.value_cols[encoding]))
+
+    def policy_values(self, nums) -> list[int]:
+        """policy_value for every policy, in encoding order."""
+        return [sum(map(operator.mul, nums, col)) for col in self.value_cols]
+
+
+def exact_lattice(prior: DiscretePrior) -> ExactLattice:
+    """The prior's ExactLattice, built on first use and kept on the prior."""
+    if "lattice" not in prior._cache:
+        prior._cache["lattice"] = ExactLattice(prior)
+    return prior._cache["lattice"]
