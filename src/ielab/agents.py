@@ -81,8 +81,9 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
     """
     lattice = exact_lattice(prior)
     signature = count_signature(revealed)
+    paths = [item for item in signature if item[0][0] != "reward"]
     rewards = [item for item in signature if item[0][0] == "reward"]
-    C = lattice.masses(lattice.weights, [item for item in signature if item[0][0] != "reward"])
+    C = lattice.masses(lattice.weights, paths)
     b = lattice.masses([1] * prior.n, rewards)
     Sp = sum(C[i] for i in punish)
     Sb, Sp = (sum(C[i] * b[i] for i in punish), Sp) if Sp else (0, 1)
