@@ -12,6 +12,14 @@ class CapExceeded(IELabError):
     """
 
 
+class IncompleteEnumeration(IELabError):
+    """An exact enumeration's masses do not sum to exactly 1 under some model.
+
+    Means the enumeration or the lattice it reads dropped or invented mass;
+    the oracle refuses to build a table on it.
+    """
+
+
 class ZeroEvidence(IELabError):
     """A conditioning event has zero mass under the prior/posterior.
 

@@ -312,15 +312,18 @@ def cmd_params(cfg: ExperimentConfig) -> int:
 # verifier suites
 
 
-def _det_oracle_inputs(cfg: ExperimentConfig):
-    """(expanded prior, mechanism config) shared by the oracle suites."""
+def _det_oracle_table(cfg: ExperimentConfig, phases: int):
+    """The standard det game table the oracle suites share, enumerated once.
+
+    Its phase-ell nodes are the same for any ``phases`` >= ell, so each
+    suite reads the phases up to its own depth.
+    """
     factored, prior = load_prior(cfg)
     base, _ = det_parameters(factored)
-    return prior, _apply_mechanism_overrides(cfg, base)
+    return enumerate_game(_apply_mechanism_overrides(cfg, base), prior, phases)
 
 
-def verify_hygiene(prior, config, phases: int = 2) -> list[dict]:
-    table = enumerate_game(config, prior, phases)
+def verify_hygiene(table, phases: int) -> list[dict]:
     checks = []
     for ell in range(1, phases + 1):
         for kind in ("censored", "honest"):
@@ -352,9 +355,8 @@ def _det_target_provider(prior):
     return provider
 
 
-def verify_one_step(prior, config, phases: int = 3) -> list[dict]:
-    table = enumerate_game(config, prior, phases)
-    provider = _det_target_provider(prior)
+def verify_one_step(table, phases: int) -> list[dict]:
+    provider = _det_target_provider(table.prior)
     checks = []
     for ell in range(1, phases + 1):
         rep = one_step_audit(table, ell, provider)
@@ -374,9 +376,9 @@ def verify_one_step(prior, config, phases: int = 3) -> list[dict]:
     return checks
 
 
-def verify_dist_equality(prior, config, phases: int = 2) -> list[dict]:
-    table = enumerate_game(config, prior, phases)
-    mutated = enumerate_game(config, prior, phases, variant="hallucinate_unconditioned")
+def verify_dist_equality(table, phases: int) -> list[dict]:
+    mutated = enumerate_game(table.config, table.prior, phases,
+                             variant="hallucinate_unconditioned")
     checks = []
     for ell in range(2, phases + 1):
         tv = hallucination_distribution_check(table, ell)
@@ -394,7 +396,7 @@ def verify_dist_equality(prior, config, phases: int = 2) -> list[dict]:
 def sample_similar_pair(rng: np.random.Generator):
     """(model, perturbed model, U, reward fn, policy, tight eps) for the lemma."""
     from .analysis import similarity
-    from .mdp import complement_triples, enumerate_policies
+    from .mdp import MarkovPolicy, complement_triples
 
     S = int(rng.integers(2, 4))
     A = int(rng.integers(1, 3))
@@ -402,8 +404,7 @@ def sample_similar_pair(rng: np.random.Generator):
     base = random_model(rng, S, A, H)
     other = perturb_model(rng, base, Fraction(1, 8))
     U = frozenset(t for t in all_triples(S, A, H) if rng.random() < 0.3)
-    pols = enumerate_policies(S, A, H)
-    pol = pols[int(rng.integers(0, len(pols)))]
+    pol = MarkovPolicy.from_encoding(int(rng.integers(0, A ** (S * H))), S, A, H)
     rt = {t: Fraction(int(rng.integers(0, 5)), 4) for t in all_triples(S, A, H)}
     rep = similarity(base, other, complement_triples(U, S, A, H))
     eps = rep.max_distance()
@@ -454,8 +455,9 @@ _SUITES = {
     "sim-lemma": verify_sim_lemma,
     "dist-equality": verify_dist_equality,
 }
-# suites that take the det (prior, config) instead of the experiment config
-_ORACLE_SUITES = ("hygiene", "one-step", "dist-equality")
+# suites that read the det game table instead of the experiment config,
+# with the number of phases each checks
+_ORACLE_DEPTH = {"hygiene": 2, "one-step": 3, "dist-equality": 2}
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
@@ -463,12 +465,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     names = list(_SUITES) if suite == "all" else [suite]
     if any(n not in _SUITES for n in names):
         raise ConfigError(f"unknown verify suite {suite!r}")
-    det = None
-    if any(n in _ORACLE_SUITES for n in names):
-        det = _det_oracle_inputs(cfg)  # one prior, so the suites share its lattice
+    depths = [_ORACLE_DEPTH[n] for n in names if n in _ORACLE_DEPTH]
+    table = _det_oracle_table(cfg, max(depths)) if depths else None
     checks = []
     for n in names:
-        checks.extend(_SUITES[n](*det) if n in _ORACLE_SUITES else _SUITES[n](cfg))
+        checks.extend(_SUITES[n](table, _ORACLE_DEPTH[n]) if n in _ORACLE_DEPTH
+                      else _SUITES[n](cfg))
     ok = all(c["ok"] for c in checks)
     report = {"suites": names, "checks": checks, "ok": ok}
     out_dir = cfg.get("out")

@@ -1,9 +1,13 @@
 """Exact brute-force enumeration of the game measure on micro instances.
 
 Everything here runs in exact arithmetic: posteriors, branch masses,
-agent choices and argmax sets on the prior's integer lattice
-(``priors.ExactLattice``), with Fractions only where a mass or a value
-enters the table or a query result. The joint table enumerates,
+agent choices, argmax sets and trajectory masses on the prior's integer
+lattice (``priors.ExactLattice``), with Fractions only where a mass or a
+value enters the table or a query result. Each policy's trajectories are
+enumerated once for all atoms and checked, in integers, to carry every
+atom's full mass; so the last phase, whose trajectories only feed the
+model marginal, adds each branch's mass without listing them. The joint
+table enumerates,
 phase by phase, every realizable combination of (true model, raw
 hallucination-episode history, hallucinated-ledger realization), and the
 query helpers marginalize it to verify hygiene, the honest/hallucinated
@@ -35,7 +39,6 @@ from .mdp import (
     Trajectory,
     TripleSet,
     complement_triples,
-    enumerate_trajectories,
 )
 from .mechanism import (
     MechanismConfig,
@@ -169,6 +172,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         raise ValueError(f"unknown variant {variant!r}")
     S, A, H = prior.shape
     agent = make_agent(agent_mode, prior, config, exact=True)
+    lattice = exact_lattice(prior)
     table = JointTable(prior, config, agent_mode, phases, variant)
     table.nodes = {ell: [] for ell in range(1, phases + 1)}
     n_nodes = 0
@@ -201,23 +205,26 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
                       branches, exploit_policy)
         )
         for br in branches:
-            children: dict = {}  # steps -> (trajectory, {atom: joint mass})
+            # building the policy's paths checks that, under every atom,
+            # its trajectory masses sum to exactly 1
+            paths = lattice.paths(br.policy)
+            if ell == phases:  # the last phase's trajectories only feed the marginal
+                for i, w in weights.items():
+                    marginal[i] = marginal.get(i, 0) + w * br.prob
+                continue
+            children: dict = {}  # path index -> {atom: joint mass}, atom-major order
             for i, w in weights.items():
                 if not w:
                     continue
                 mass = w * br.prob
-                trajectories = enumerate_trajectories(prior.atoms[i], br.policy)
-                if ell == phases:  # the last phase's trajectories only feed the marginal
-                    marginal[i] = marginal.get(i, 0) + mass * sum(p for _, p in trajectories)
-                    continue
                 # an atom yields each trajectory once, so its mass is set, not summed
-                for traj, p in trajectories:
-                    child = children.get(traj.steps)
+                for k in paths.of_atom[i]:
+                    child = children.get(k)
                     if child is None:
-                        child = children[traj.steps] = (traj, {})
-                    child[1][i] = mass * p
-            for traj, atom_masses in children.values():
-                recurse(atom_masses, history + [(br.policy, traj)], ell + 1)
+                        child = children[k] = {}
+                    child[i] = mass * Fraction(paths.masses[k][i], paths.den)
+            for k, atom_masses in children.items():
+                recurse(atom_masses, history + [(br.policy, paths.trajectories[k])], ell + 1)
 
     if phases:
         recurse(dict(enumerate(prior.weights)), [], 1)

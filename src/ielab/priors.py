@@ -6,8 +6,10 @@ reward/transition tensors) that the simulation fast paths use. The exact
 route (``exact=True``) runs on the prior's ``ExactLattice``: masses and
 policy values as Python ints over per-prior common denominators, so
 posteriors, conditional values and greedy choices are integer products
-and dot products. Fractions appear only at the boundary, in the
-weights, values and gaps these functions return.
+and dot products. The lattice also lists each policy's trajectories once
+over the atoms' union support, with every atom's path masses as ints, for
+the oracle's game enumeration. Fractions appear only at the boundary, in
+the weights, values and gaps these functions return.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateSplit, ZeroEvidence
+from .errors import CapExceeded, DegenerateSplit, IncompleteEnumeration, ZeroEvidence
 from .ledgers import Ledger, count_signature, ledger_probability
 from .mdp import (
+    TRAJECTORY_CAP,
     DiscreteDist,
     MarkovPolicy,
+    Step,
     TabularModel,
+    Trajectory,
     as_fraction,
     build_model,
     enumerate_policies,
@@ -132,16 +138,19 @@ class FactoredRewardPrior:
             return DiscreteDist.point(mean)
         return self.dist_of_mean(mean)
 
-    def global_support(self) -> tuple[Fraction, ...]:
+    def _lifted(self) -> dict:
+        """triple -> [(mean, prior mass, reward law)], each mean lifted once."""
+        return {t: [(m, p, self._lift(m)) for m, p in zip(d.support, d.probs)]
+                for t, d in self.reward_marginals.items()}
+
+    def global_support(self, lifted: dict | None = None) -> tuple[Fraction, ...]:
         if self.reward_support is not None:
             return tuple(sorted(as_fraction(v) for v in self.reward_support))
         vals = set()
-        for dist in self.reward_marginals.values():
-            for m, p in zip(dist.support, dist.probs):
+        for choices in (lifted or self._lifted()).values():
+            for _, p, law in choices:
                 if p > 0:
-                    vals.update(
-                        v for v, q in zip(self._lift(m).support, self._lift(m).probs) if q > 0
-                    )
+                    vals.update(v for v, q in zip(law.support, law.probs) if q > 0)
         return tuple(sorted(vals))
 
     def f_min(self, eps) -> Fraction:
@@ -179,19 +188,17 @@ class FactoredRewardPrior:
             n *= s
         if n > cap:
             raise CapExceeded(f"factored expansion {n} exceeds cap {cap}")
-        support = self.global_support()
+        lifted = self._lifted()
+        support = self.global_support(lifted)
         atoms, weights = [], []
-        choice_sets = [
-            list(zip(self.reward_marginals[t].support, self.reward_marginals[t].probs))
-            for t in triples
-        ]
+        choice_sets = [lifted[t] for t in triples]
         for init, transitions, tw in self.transition_atoms:
             for combo in product(*choice_sets):
                 w = as_fraction(tw)
                 rewards = {}
-                for t, (mean, p) in zip(triples, combo):
+                for t, (_, p, law) in zip(triples, combo):
                     w *= p
-                    rewards[t] = self._lift(mean)
+                    rewards[t] = law
                 if w == 0:
                     continue
                 atoms.append(
@@ -469,6 +476,35 @@ def _over_common_den(fracs) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+class LatticePaths(NamedTuple):
+    """Every trajectory of one policy with positive mass under some atom.
+
+    ``masses[k][i]`` is the mass of ``trajectories[k]`` under atom i over
+    ``den``; ``of_atom[i]`` lists the k with positive mass under atom i,
+    in the order ``mdp.enumerate_trajectories`` yields them for the atom.
+    """
+
+    trajectories: list
+    masses: list
+    den: int
+    of_atom: list
+
+
+def _reward_ranks(model: TabularModel) -> dict | None:
+    """(x, a, h, v) -> position of reward value v among the positive-mass
+    values of the model's law at (x, a, h), or None when every law lists
+    them in increasing order, the order the lattice enumerates them in."""
+    positive = {
+        (x, a, h): [v for v, p in zip(d.support, d.probs) if p]
+        for x, by_a in enumerate(model.rewards, 1)
+        for a, by_h in enumerate(by_a, 1)
+        for h, d in enumerate(by_h, 1)
+    }
+    if all(len(vals) < 2 or vals == sorted(vals) for vals in positive.values()):
+        return None
+    return {(*t, v): r for t, vals in positive.items() for r, v in enumerate(vals)}
+
+
 class ExactLattice:
     """A prior's exact masses and policy values as Python ints.
 
@@ -479,6 +515,8 @@ class ExactLattice:
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
       over ``value_den``, filled by one integer backward DP per policy,
       vectorized over atoms.
+    - ``paths(policy)``: the policy's trajectories over the atoms' union
+      support with their masses over den ** (2H), built on first use.
 
     Products and sums of masses then stay integers, with no gcd
     normalization per operation; callers convert to Fraction once, at the
@@ -489,7 +527,11 @@ class ExactLattice:
     def __init__(self, prior: DiscretePrior):
         S, A, H = prior.shape
         self.n = prior.n
+        self.S, self.H = S, H
+        self.support = prior.atoms[0].reward_support
         self.policies = enumerate_policies(S, A, H)
+        self._paths: dict = {}
+        self._ranks = [_reward_ranks(m) for m in prior.atoms]
         self.weights, _ = _over_common_den(prior.weights)
         triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
                    for h in range(1, H + 1)]
@@ -530,6 +572,64 @@ class ExactLattice:
         for x in range(1, S + 1):
             out = [acc + p * g for acc, p, g in zip(out, col[("init", x)], togo[x - 1])]
         return tuple(out)
+
+    def paths(self, policy: MarkovPolicy) -> LatticePaths:
+        """The policy's LatticePaths, built on first use and kept.
+
+        One depth-first walk in the order and with the zero-mass skips of
+        ``mdp.enumerate_trajectories``, multiplying init, reward and
+        transition columns over all atoms at once. Raises CapExceeded past
+        TRAJECTORY_CAP trajectories, and IncompleteEnumeration unless every
+        atom's masses sum to exactly den ** (2H).
+        """
+        if policy.encoding not in self._paths:
+            self._paths[policy.encoding] = self._build_paths(policy)
+        return self._paths[policy.encoding]
+
+    def _build_paths(self, policy: MarkovPolicy) -> LatticePaths:
+        col, S, H = self.columns, self.S, self.H
+        trajectories, masses = [], []
+
+        def rec(h: int, x: int, mass: list, steps: list):
+            a = policy.action(x, h)
+            for v in self.support:
+                m1 = [p * r for p, r in zip(mass, col[("reward", x, a, h, v)])]
+                if not any(m1):
+                    continue
+                new_steps = steps + [Step(x, a, h, v)]
+                if h == H:
+                    if len(trajectories) >= TRAJECTORY_CAP:
+                        raise CapExceeded(
+                            f"trajectory enumeration exceeds cap {TRAJECTORY_CAP}")
+                    trajectories.append(Trajectory(tuple(new_steps)))
+                    masses.append(tuple(m1))
+                    continue
+                for y in range(1, S + 1):
+                    m2 = [p * t for p, t in zip(m1, col[("trans", x, a, h, y)])]
+                    if any(m2):
+                        rec(h + 1, y, m2, new_steps)
+
+        for x in range(1, S + 1):
+            if any(col[("init", x)]):
+                rec(1, x, col[("init", x)], [])
+        den = self.den ** (2 * H)
+        totals = [sum(c) for c in zip(*masses)] or [0] * self.n
+        bad = [i for i, t in enumerate(totals) if t != den]
+        if bad:
+            raise IncompleteEnumeration(
+                f"trajectories of policy {policy.encoding} carry mass "
+                f"{Fraction(totals[bad[0]], den)} under atom {bad[0]} "
+                f"({len(bad)} atoms off 1)")
+        of_atom = [[] for _ in range(self.n)]
+        for k, ms in enumerate(masses):
+            for i, m in enumerate(ms):
+                if m:
+                    of_atom[i].append(k)
+        for i, ranks in enumerate(self._ranks):
+            if ranks is not None:  # the atom lists reward values out of increasing order
+                of_atom[i].sort(key=lambda k: [(s.x, ranks[(s.x, s.a, s.h, s.r)])
+                                               for s in trajectories[k].steps])
+        return LatticePaths(trajectories, masses, den, of_atom)
 
     def masses(self, base: list, signature) -> list:
         """Per atom: base[i] times the atom's mass numerators raised to the

@@ -8,11 +8,15 @@ Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
 - one_step_audit's argmax sets vs the Fraction argmax of the table's
   mechanism posterior;
 - the float fast route AgentSpec._rational_fast vs
-  mechanism_posterior(exact=True).
+  mechanism_posterior(exact=True);
+- the lattice's per-policy trajectory lists vs
+  mdp.enumerate_trajectories, atom by atom, on the micro instances too;
+and a corrupted lattice column must stop enumerate_game.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +26,11 @@ from hypothesis import strategies as st
 
 from ielab import (
     AgentSpec,
+    CapExceeded,
     DiscreteDist,
     DiscretePrior,
     FactoredRewardPrior,
+    IncompleteEnumeration,
     MechanismConfig,
     ZeroEvidence,
     all_triples,
@@ -46,6 +52,7 @@ from ielab import (
 )
 from ielab.analysis import sufficiently_visiting_policies
 from ielab.oracle import _mech_joint, mechanism_posterior_from_table
+from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set
 
 MAX_ATOMS = 64
@@ -264,3 +271,71 @@ def test_rational_fast_matches_exact_mechanism_posterior(prior, seed, n_lrn, n_p
     agent.errors = []
     run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
     assert agent.errors and max(agent.errors) <= 1e-12
+
+
+def assert_paths_match(prior):
+    """Every policy's lattice list, restricted to each atom, is that atom's
+    enumerate_trajectories output: same trajectories, order and masses."""
+    lattice = exact_lattice(prior)
+    for pol in lattice.policies:
+        paths = lattice.paths(pol)
+        assert paths.den == lattice.den ** (2 * prior.shape[2])
+        for i, atom in enumerate(prior.atoms):
+            restricted = [(paths.trajectories[k], Fraction(paths.masses[k][i], paths.den))
+                          for k in paths.of_atom[i]]
+            assert restricted == list(enumerate_trajectories(atom, pol))
+
+
+def test_lattice_paths_match_enumerate_trajectories_det(det_prior):
+    assert_paths_match(det_prior)
+
+
+def test_lattice_paths_match_enumerate_trajectories_stoch(stoch_prior):
+    assert_paths_match(stoch_prior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_priors())
+def test_lattice_paths_match_enumerate_trajectories_random(prior):
+    assert_paths_match(prior)
+
+
+def test_lattice_paths_keep_each_atoms_reward_order():
+    """One atom lists its Bernoulli reward law as (1, 0), the other as
+    (0, 1): each atom's list still follows its own order."""
+    support = (Fraction(0), Fraction(1))
+
+    def atom(pairs):
+        law = DiscreteDist.of(pairs)
+        rewards = {t: law for t in all_triples(2, 1, 2)}
+        return build_model(2, 1, 2, [Fraction(1, 2), Fraction(1, 2)],
+                           {(1, 1, 1): [Fraction(1, 4), Fraction(3, 4)],
+                            (2, 1, 1): [1, 0]}, rewards, reward_support=support)
+
+    prior = DiscretePrior((atom([(1, Fraction(1, 3)), (0, Fraction(2, 3))]),
+                           atom([(0, Fraction(1, 2)), (1, Fraction(1, 2))])),
+                          (Fraction(1, 2), Fraction(1, 2)))
+    assert_paths_match(prior)
+
+
+def test_corrupted_lattice_column_stops_enumerate_game(det_prior, det_config):
+    """A copy of the lattice whose init column gives the last atom mass 2:
+    the trajectory completeness check must raise instead of returning a table."""
+    lattice = copy.copy(exact_lattice(det_prior))
+    lattice.columns = dict(lattice.columns)
+    lattice._paths = {}
+    x = next(x for x in (1, 2) if lattice.columns[("init", x)][-1])
+    col = lattice.columns[("init", x)]
+    lattice.columns[("init", x)] = col[:-1] + (2 * col[-1],)
+    prior = DiscretePrior(det_prior.atoms, det_prior.weights)
+    prior._cache["lattice"] = lattice
+    with pytest.raises(IncompleteEnumeration):
+        enumerate_game(det_config, prior, 2)
+
+
+def test_lattice_paths_cap(det_prior, det_config, monkeypatch):
+    """Past TRAJECTORY_CAP trajectories of one policy, enumerate_game raises
+    CapExceeded (det has four trajectories per policy)."""
+    monkeypatch.setattr(priors, "TRAJECTORY_CAP", 2)
+    with pytest.raises(CapExceeded, match="trajectory enumeration exceeds cap 2"):
+        enumerate_game(det_config, DiscretePrior(det_prior.atoms, det_prior.weights), 2)
