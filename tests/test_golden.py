@@ -5,7 +5,10 @@ of each run's summary CSV. ``golden/verify_checks.json`` holds every
 ``verify --suite all`` check as (name, value, ok), the exact values of
 the 2-phase micro_stoch_1 oracle table, and the node-level content of
 three oracle tables: every agent choice, branch mass and one-step audit
-entry. A changed golden is either a bug
+entry. ``golden/stoch_full_log.json`` holds the digests of full-log
+``run_game`` runs on micro_stoch_1, whose stochastic transitions and
+Bernoulli rewards exercise every branch of trajectory sampling. A
+changed golden is either a bug
 or a declared format change; regenerate the files only for the latter,
 with
 
@@ -26,11 +29,14 @@ from fractions import Fraction
 import pytest
 
 from ielab import det_parameters, instances, mechanism, oracle
+from ielab.agents import make_agent
 from ielab.cli import main
 from ielab.harness import _det_target_provider
+from ielab.priors import shared_tables
 
 GOLDEN = Path(__file__).parent / "golden" / "log_digests.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_checks.json"
+STOCH_FULL_GOLDEN = Path(__file__).parent / "golden" / "stoch_full_log.json"
 
 _STOCH = ["--override", 'prior={"micro":"stoch1"}', "--override", "mechanism.n_lrn=8",
           "--override", "mechanism.total_phases=40", "--seeds", "0..4"]
@@ -70,6 +76,25 @@ def test_golden_float_and_exact_det_agree():
     golden = json.loads(GOLDEN.read_text())
     exact = golden["det-exact"]["digests"]
     assert exact == {s: golden["det"]["digests"][s] for s in exact}
+
+
+def stoch_full_log_digests() -> dict:
+    """agent mode -> seed -> digest of a full-log micro_stoch_1 run
+    (2 single-episode phases, then 4 phases of 64 episodes)."""
+    prior = instances.micro_stoch_1().expand()
+    cfg = mechanism.MechanismConfig(64, 2, Fraction(7, 2880), 6, rho=Fraction(1, 4))
+    out = {}
+    for mode in ("canonical_truster", "fully_rational"):
+        out[mode] = {}
+        for seed in range(3):
+            agent = make_agent(mode, prior, cfg, tables=shared_tables(prior))
+            log = mechanism.run_game(cfg, prior, agent, seed, episode_log="full")
+            out[mode][str(seed)] = log.digest()
+    return out
+
+
+def test_golden_stoch_full_log():
+    assert stoch_full_log_digests() == json.loads(STOCH_FULL_GOLDEN.read_text())
 
 
 def verify_checks(out_dir) -> list[list]:
@@ -143,6 +168,8 @@ if __name__ == "__main__":
 
     doc = {name: {"argv": argv, "digests": log_digests(argv)} for name, argv in RUNS.items()}
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    STOCH_FULL_GOLDEN.write_text(
+        json.dumps(stoch_full_log_digests(), indent=2, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"verify": verify_checks(tmp), "stoch_table": stoch_table_values(),
                "tables": oracle_tables()}
