@@ -9,6 +9,7 @@ documented column orders (never reordered within a major version).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -171,15 +172,16 @@ def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> 
 
 
 def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> dict:
-    row_digest = log.digest()
+    """Serialize the log once; its digest is the SHA-256 of the bytes written."""
+    data = log.to_jsonl().encode()
     if out_dir:
         run_dir = os.path.join(out_dir, f"run-{seed}")
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
-        with open(os.path.join(run_dir, "game.jsonl"), "w") as f:
-            f.write(log.to_jsonl())
-    return {"digest": row_digest}
+        with open(os.path.join(run_dir, "game.jsonl"), "wb") as f:
+            f.write(data)
+    return {"digest": hashlib.sha256(data).hexdigest()}
 
 
 def _write_csv(out_dir: str | None, name: str, columns: list[str], rows: list[dict]) -> str:

@@ -9,6 +9,7 @@ arithmetic (for the oracle) or float arithmetic (for simulation, with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -378,17 +379,64 @@ def path_mass(model, steps, exact: bool = False):
     return prob
 
 
-def sample_trajectory(model, policy, rng) -> Trajectory:
-    """Roll out one trajectory; identical streams give identical output."""
+def _cumulative_row(probs) -> list[float]:
+    """Float cumulative sums for sampling, as ``rng.sample_index`` forms them.
+
+    The sums accumulate left to right in floats and may end just below 1.
+    From the last positive-mass index on they are raised to infinity, so
+    a draw past the float sum lands on that index, as in ``sample_index``,
+    and a zero-mass index is never drawn.
+    """
+    cum, acc = [], 0.0
+    for p in probs:
+        acc += float(p)
+        cum.append(acc)
+    last = max(i for i, p in enumerate(probs) if p > 0)
+    cum[last:] = [float("inf")] * (len(cum) - last)
+    return cum
+
+
+def _sampling_rows(model: TabularModel):
+    """The float cumulative init row and, per (x, a, h), the Step of each
+    reward value with the reward and transition rows; built once per model."""
+    if "sampling" not in model._cache:
+        rows = {}
+        for x in range(1, model.S + 1):
+            for a in range(1, model.A + 1):
+                for h in range(1, model.H + 1):
+                    dist = model.reward_dist(x, a, h)
+                    rows[x, a, h] = (
+                        tuple(Step(x, a, h, v) for v in dist.support),
+                        _cumulative_row(dist.probs),
+                        _cumulative_row(model.transition(x, a, h)),
+                    )
+        model._cache["sampling"] = (_cumulative_row(model.init), rows)
+    return model._cache["sampling"]
+
+
+def rollout(model, policy, u) -> tuple[Step, ...]:
+    """The steps of one trajectory, driven by 2H uniforms in [0, 1).
+
+    ``u[0]`` draws the initial state; stage h draws its reward with
+    ``u[2h-1]`` and, below stage H, its next state with ``u[2h]``.
+    """
+    init, rows = _sampling_rows(model)
+    actions, H = policy.actions, model.H
+    x = 1 + bisect_right(init, u[0])
     steps = []
-    x = 1 + sample_index(model.init, rng)
-    for h in range(1, model.H + 1):
-        a = policy.action(x, h)
-        r = model.reward_dist(x, a, h).sample(rng)
-        steps.append(Step(x, a, h, r))
-        if h < model.H:
-            x = 1 + sample_index(model.transition(x, a, h), rng)
-    return Trajectory(tuple(steps))
+    for h in range(1, H + 1):
+        a = actions[x - 1][h - 1]
+        reward_steps, reward_row, trans_row = rows[x, a, h]
+        steps.append(reward_steps[bisect_right(reward_row, u[2 * h - 1])])
+        if h < H:
+            x = 1 + bisect_right(trans_row, u[2 * h])
+    return tuple(steps)
+
+
+def sample_trajectory(model, policy, rng) -> Trajectory:
+    """Roll out one trajectory from 2H draws of ``rng``; identical streams
+    give identical output (``rng.random(n)`` equals n single draws)."""
+    return Trajectory(rollout(model, policy, rng.random(2 * model.H)))
 
 
 def enumerate_policies(S: int, A: int, H: int, cap: int = POLICY_CAP) -> list[MarkovPolicy]:

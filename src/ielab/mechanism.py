@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .mdp import (
     all_triples,
     as_fraction,
     reach_set,
-    sample_trajectory,
+    rollout,
 )
 from .priors import (
     DiscretePrior,
@@ -358,7 +359,10 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 # game loop
 
 
-@dataclass
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
+@dataclass(slots=True)
 class EpisodeRecord:
     k: int
     ell: int
@@ -379,6 +383,27 @@ class EpisodeRecord:
             "trajectory": self.trajectory,
             "traj_stream": self.traj_stream,
         }
+
+    def to_line(self) -> str:
+        """The JSONL line of this record, written field by field.
+
+        Equals ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))`` byte for byte; the full log writes one
+        line per episode, so the generic encoder is skipped.
+        """
+        if self.trajectory is None:
+            traj = "null"
+        else:
+            traj = "[" + ",".join(
+                f"[{x},{a},{h},{_json_str(r)}]" for x, a, h, r in self.trajectory
+            ) + "]"
+        flag = "true" if self.is_hallucination else "false"
+        return (
+            f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{self.k},'
+            f'"policy":{self.policy},"revealed_kind":{_json_str(self.revealed_kind)},'
+            f'"traj_stream":{_json_str(self.traj_stream)},"trajectory":{traj},'
+            f'"type":"episode"}}'
+        )
 
 
 @dataclass
@@ -441,14 +466,16 @@ class GameLog:
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header(), sort_keys=True, separators=(",", ":"))]
         records = sorted(
-            [(p.ell, 0, p.to_dict()) for p in self.phases]
-            + [(e.ell, e.k, e.to_dict()) for e in self.episodes],
-            key=lambda t: (t[0], t[1]),
+            [(p.ell, 0, json.dumps(p.to_dict(), sort_keys=True, separators=(",", ":")))
+             for p in self.phases]
+            + [(e.ell, e.k, e.to_line()) for e in self.episodes],
+            key=itemgetter(0, 1),
         )
-        lines.extend(json.dumps(r, sort_keys=True, separators=(",", ":")) for _, _, r in records)
+        lines.extend(line for _, _, line in records)
         lines.append(json.dumps({"type": "summary", **self.summary},
                                 sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the trailing newline, without copying the joined text
+        return "\n".join(lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
@@ -462,8 +489,8 @@ class GameLog:
         return out
 
 
-def _traj_to_json(traj: Trajectory) -> list:
-    return [[s.x, s.a, s.h, str(s.r)] for s in traj.steps]
+def _steps_to_json(steps) -> list:
+    return [[s.x, s.a, s.h, str(s.r)] for s in steps]
 
 
 def prior_digest(prior: DiscretePrior) -> str:
@@ -686,6 +713,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     covered_at = None
     new_triple_flags = []
     triple_list = sorted(all_triples(S, A, H))
+    n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
 
     for ell in range(1, config.total_phases + 1):
         episodes = phase_episodes(config, ell)
@@ -736,25 +764,27 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             ctx.signals = _signals_from_state(fast, hal_entries, U, hal_values)
             log.signals[ell] = ctx.signals
         pi_hal = agent.choose_signal(k_star, ell, "hallucinated", ctx)
-        pi_hon = None
+        pi_hon = hon_code = None
         if len(episodes) > 1:
             pi_hon = agent.choose_signal(episodes[0], ell, "honest", ctx)
+            hon_code = pi_hon.encoding
+        hal_code = pi_hal.encoding
 
         for k in episodes if episode_log == "full" else [k_star]:
             is_hal = k == k_star
-            pi_k = pi_hal if is_hal else pi_hon
             stream_name = f"episode:{k}:traj"
-            tau = sample_trajectory(true_model, pi_k, rngmod.stream(seed, stream_name))
+            steps = rollout(true_model, pi_hal if is_hal else pi_hon,
+                            rngmod.uniforms(seed, stream_name, n_uniforms))
             if is_hal:
-                tau_star = tau
+                tau_star = Trajectory(steps)
             log.episodes.append(
                 EpisodeRecord(
                     k=k,
                     ell=ell,
                     is_hallucination=is_hal,
                     revealed_kind="hallucinated" if is_hal else "honest",
-                    policy=pi_k.encoding,
-                    trajectory=_traj_to_json(tau),
+                    policy=hal_code if is_hal else hon_code,
+                    trajectory=_steps_to_json(steps),
                     traj_stream=stream_name,
                 )
             )
@@ -783,8 +813,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 punish_prob=punish_prob,
                 punish_size=int(punish_mask.sum()),
                 hal_atom=hal_atom,
-                hal_policy=pi_hal.encoding,
-                honest_policy=None if pi_hon is None else pi_hon.encoding,
+                hal_policy=hal_code,
+                honest_policy=hon_code,
                 new_triples=new_triples,
                 hh_condition=hh_holds,
             )

@@ -24,7 +24,8 @@ from ielab import (
     trajectory_probability,
 )
 from ielab.instances import random_model
-from ielab.rng import stream
+from ielab.mdp import rollout
+from ielab.rng import sample_index, stream
 
 
 def constant_reward_model(S, A, H, value):
@@ -285,7 +286,43 @@ def test_occupancy_decomposition_random(master, S, H):
 
 def test_sample_index_never_returns_zero_mass(top_draw_rng):
     # ten float 0.1s sum to 1 - 2**-53, so the top draw lies past the sum
-    from ielab.rng import sample_index
-
     assert sample_index([0.1] * 10 + [0.0], top_draw_rng) == 9
     assert sample_index([Fraction(1, 10)] * 10 + [Fraction(0)], top_draw_rng) == 9
+
+
+def test_sample_trajectory_never_returns_zero_mass(top_draw_rng):
+    """Init, transition rows and reward laws of ten 1/10 masses plus a
+    trailing zero-mass entry: the top draw lies past every float sum, and
+    each draw falls back to the last positive-mass index, as sample_index's."""
+    tenth = [Fraction(1, 10)] * 10 + [Fraction(0)]
+    support = [Fraction(v, 10) for v in range(11)]
+    law = DiscreteDist(tuple(support), tuple(tenth))
+    S, H = 11, 2
+    model = build_model(
+        S, 1, H, tenth,
+        {(x, 1, h): tenth for x in range(1, S + 1) for h in range(1, H + 1)},
+        {(x, 1, h): law for x in range(1, S + 1) for h in range(1, H + 1)},
+        reward_support=support,
+    )
+    pol = MarkovPolicy(((1, 1),) * S, 1)
+    assert sample_index(tenth, top_draw_rng) == 9
+    tau = sample_trajectory(model, pol, top_draw_rng)
+    assert [tuple(s) for s in tau.steps] == [(10, 1, 1, support[9]), (10, 1, 2, support[9])]
+    assert rollout(model, pol, [1 - 2**-53] * (2 * H)) == tau.steps
+
+
+def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
+    """rollout reads the draws as sequential sample_index calls would."""
+    m = stoch_prior.atoms[300]
+    for pol in enumerate_policies(2, 2, 2):
+        for seed in range(8):
+            rng = stream(seed, "order")
+            x = 1 + sample_index(m.init, rng)
+            steps = []
+            for h in (1, 2):
+                a = pol.action(x, h)
+                steps.append((x, a, h, m.reward_dist(x, a, h).sample(rng)))
+                if h < 2:
+                    x = 1 + sample_index(m.transition(x, a, h), rng)
+            u = stream(seed, "order").random(4)
+            assert [tuple(s) for s in rollout(m, pol, u)] == steps

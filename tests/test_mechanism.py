@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ielab import (
     AssumptionViolated,
@@ -33,7 +36,7 @@ from ielab import (
     sample_hallucinated_model,
     totally_censor,
 )
-from ielab.mechanism import hallucination_prior_prob
+from ielab.mechanism import EpisodeRecord, hallucination_prior_prob
 from ielab.rng import stream
 
 
@@ -373,3 +376,25 @@ def test_punish_mask_compares_mean_rewards_exactly():
                    true_model=atoms[0])
     assert len(punish_event(prior, all_triples(1, 1, 1), eps)) == 1
     assert [p.punish_size for p in log.phases] == [2, 1]
+
+
+_steps = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
+              st.fractions().map(str)).map(list),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 2**40), ell=st.integers(0, 2**20), is_hal=st.booleans(),
+    kind=st.sampled_from(["honest", "hallucinated"]), policy=st.integers(0, 2**64),
+    trajectory=st.none() | _steps, stream_name=st.text(max_size=30),
+)
+@example(k=7, ell=2, is_hal=True, kind="hallucinated", policy=5,
+         trajectory=[[1, 2, 1, "7/10"], [2, 1, 2, "0"]], stream_name="episode:7:traj")
+def test_episode_line_matches_json_dumps(k, ell, is_hal, kind, policy, trajectory,
+                                         stream_name):
+    rec = EpisodeRecord(k, ell, is_hal, kind, policy, trajectory, stream_name)
+    expected = json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert rec.to_line() == expected
