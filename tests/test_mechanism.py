@@ -380,7 +380,7 @@ def test_punish_mask_compares_mean_rewards_exactly():
 
 _steps = st.lists(
     st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
-              st.fractions().map(str)).map(list),
+              st.fractions().map(str) | st.text(max_size=6)).map(list),
     max_size=4,
 )
 
