@@ -7,14 +7,8 @@ from ielab.rng import stream, uniforms
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**40), name=st.text(max_size=40), n=st.integers(1, 12))
+@given(seed=st.integers(0, 2**40), name=st.text(max_size=40), n=st.integers(0, 12))
 def test_uniforms_match_stream(seed, name, n):
     """Direct Philox draws equal the named Generator's, across the
     4-double block boundary."""
     assert uniforms(seed, name, n) == stream(seed, name).random(n).tolist()
-
-
-def test_uniforms_prefix_and_empty():
-    assert uniforms(3, "episode:1:traj", 0) == []
-    long = uniforms(3, "episode:1:traj", 9)
-    assert [uniforms(3, "episode:1:traj", n) for n in (1, 4, 5)] == [long[:1], long[:4], long[:5]]
