@@ -52,6 +52,11 @@ RUNS = {
                      "--override", 'agent={"mode":"canonical_truster"}'],
     "prob-rational": ["run-prob", *_STOCH,
                       "--override", 'agent={"mode":"fully_rational"}'],
+    # criterion 9(a)'s shape: n_lrn 64, 320 phases, canonical truster
+    "prob-truster-9a": ["run-prob", "--override", 'prior={"micro":"stoch1"}',
+                        "--override", "mechanism.n_lrn=64",
+                        "--override", "mechanism.total_phases=320", "--seeds", "0..1",
+                        "--override", 'agent={"mode":"canonical_truster"}'],
 }
 
 
