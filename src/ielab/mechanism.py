@@ -507,53 +507,48 @@ class _FastState:
     """Incremental per-run likelihood state over the prior's atoms.
 
     Keeps the accumulated log transition mass of the hallucination
-    entries, per-(triple, support value) reward counts, and flat arrays
-    of every ledger occurrence, so each phase's posteriors and
-    hallucinated-reward draws are small vectorized operations.
+    entries, per-(triple, support value) reward counts, and the flat
+    triple index of every ledger occurrence in entry order, so each
+    phase's posteriors and hallucinated-reward draws are small vectorized
+    operations.
     """
 
     def __init__(self, tables: PriorTables):
         self.tables = tables
         self.translog = np.zeros(tables.prior.n)
-        n_support = len(tables.support)
         S, A, H = tables.S, tables.A, tables.H
-        self.reward_counts = np.zeros((S, A, H, n_support))
-        self.occ_x: list[int] = []  # one row per ledger occurrence, entry order
-        self.occ_a: list[int] = []
-        self.occ_h: list[int] = []
-        self.cens_entries: list = []  # totally censored copies, built once
+        self.reward_counts = np.zeros((S, A, H, len(tables.support)), dtype=int)
+        # (x-1, a-1, h-1) as one index into an (S, A, H) array; the buffer
+        # doubles when full, and occurrences() is its filled prefix
+        self._occ = np.empty(4 * H, dtype=np.intp)
+        self._n_occ = 0
 
-    def push_entry(self, policy, traj: Trajectory) -> None:
-        self.translog += self.tables.entry_translog(traj.steps)
+    def push_entry(self, traj: Trajectory) -> None:
+        tables = self.tables
+        self.translog += tables.entry_translog(traj.steps)
+        n = self._n_occ
+        if n + len(traj.steps) > len(self._occ):
+            self._occ = np.concatenate([self._occ, np.empty_like(self._occ)])
+        A, H = tables.A, tables.H
         for s in traj.steps:
-            self.reward_counts[s.x - 1, s.a - 1, s.h - 1, self.tables.support_index(s.r)] += 1
-            self.occ_x.append(s.x)
-            self.occ_a.append(s.a)
-            self.occ_h.append(s.h)
-        self.cens_entries.append(
-            (policy, CensoredTrajectory(
-                tuple(Step(s.x, s.a, s.h, None) for s in traj.steps),
-                all_triples(self.tables.S, self.tables.A, self.tables.H),
-            ))
-        )
+            self.reward_counts[s.x - 1, s.a - 1, s.h - 1, tables.support_index(s.r)] += 1
+            self._occ[n] = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
+            n += 1
+        self._n_occ = n
 
-    def occurrence_arrays(self):
-        return (
-            np.asarray(self.occ_x, dtype=int),
-            np.asarray(self.occ_a, dtype=int),
-            np.asarray(self.occ_h, dtype=int),
-        )
+    def occurrences(self) -> np.ndarray:
+        return self._occ[:self._n_occ]
 
     def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
-        """Per-atom log reward mass for occurrence counts (same shape as counts)."""
+        """Per-atom log reward mass for occurrence counts (same shape as counts).
+
+        A zero mass gives -inf, and -inf times a positive count stays -inf.
+        """
         lm = self.tables.reward_logmass  # (n, S, A, H, V)
         active = counts > 0
         if not active.any():
             return np.zeros(lm.shape[0])
-        c = counts[active]  # (m,)
-        lv = lm[:, active]  # (n, m)
-        contrib = np.where(np.isneginf(lv), -np.inf, lv * c)
-        return contrib.sum(axis=1)
+        return (lm[:, active] * counts[active]).sum(axis=1)
 
     def cens_posterior(self) -> Posterior:
         return self.tables.posterior_from_loglik(self.translog, provenance={"signal": "censored"})
@@ -594,24 +589,25 @@ def _draw_hallucinated(fast: _FastState, tables: PriorTables, hal_atom: int,
     ``values`` holds one support index per occurrence (-1 when censored),
     in ledger entry order, so keep_signals can materialize the ledger.
     """
-    xs, as_, hs = fast.occurrence_arrays()
+    occ = fast.occurrences()
+    n_support = len(tables.support)
     counts = np.zeros_like(fast.reward_counts)
-    values = np.full(len(xs), -1, dtype=int)
-    if len(xs) == 0:
+    values = np.full(len(occ), -1, dtype=int)
+    if len(occ) == 0:
         return counts, values
-    sel = explored_mask[xs - 1, as_ - 1, hs - 1]
+    sel = explored_mask.ravel()[occ]
     m = int(sel.sum())
     if m == 0:
         return counts, values
     u = rng.random(m)
-    occ = (xs[sel] - 1, as_[sel] - 1, hs[sel] - 1)
-    cum = tables.reward_cum[hal_atom][occ]  # (m, V)
+    occ = occ[sel]
+    cum = tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
     idx = (u[:, None] >= cum).sum(axis=1)
     # u can reach past the float cumulative sum, which may end just below 1:
     # fall back to the last support value with positive mass
-    idx = np.minimum(idx, tables.reward_last[hal_atom][occ])
+    idx = np.minimum(idx, tables.reward_last[hal_atom].ravel()[occ])
     values[sel] = idx
-    np.add.at(counts, (*occ, idx), 1)
+    counts = np.bincount(occ * n_support + idx, minlength=counts.size).reshape(counts.shape)
     return counts, values
 
 
@@ -688,8 +684,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     eps = config.eps_pun
 
     if true_model is None:
-        truth_rng = rngmod.stream(seed, "truth")
-        true_atom = rngmod.sample_index(prior.weights, truth_rng)
+        true_atom = rngmod.index_from_uniform(prior.weights,
+                                              rngmod.uniforms(seed, "truth", 1)[0])
         true_model = prior.atoms[true_atom]
     else:
         true_atom = next(
@@ -714,18 +710,20 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     new_triple_flags = []
     triple_list = sorted(all_triples(S, A, H))
     n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
+    low = low_reward_table(prior, eps)
+    U = None
 
     for ell in range(1, config.total_phases + 1):
         episodes = phase_episodes(config, ell)
-        U = frozenset(
+        prev_U, U = U, frozenset(
             t for t in triple_list if counts_by_triple.get(t, 0) < config.n_lrn
         )
-        explored_mask = np.zeros((S, A, H), dtype=bool)
-        for (x, a, h) in triple_list:
-            if (x, a, h) not in U:
-                explored_mask[x - 1, a - 1, h - 1] = True
-
-        punish_mask = np.all(low_reward_table(prior, eps) | ~explored_mask, axis=(1, 2, 3))
+        if U != prev_U:  # U only shrinks, at most SAH times a run
+            explored_mask = np.ones((S, A, H), dtype=bool)
+            for (x, a, h) in U:
+                explored_mask[x - 1, a - 1, h - 1] = False
+            punish_mask = np.all(low | ~explored_mask, axis=(1, 2, 3))
+            punish_size = int(punish_mask.sum())
         cens_post = fast.cens_posterior()
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
@@ -736,8 +734,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 f"{sorted(t for t in triple_list if t not in U)} at eps_pun={eps} ({e})"
             ) from e
 
-        hal_rng = rngmod.stream(seed, f"phase:{ell}:hal-model")
-        hal_atom = rngmod.sample_index(hal_post.weights, hal_rng)
+        hal_atom = rngmod.index_from_uniform(
+            hal_post.weights, rngmod.uniforms(seed, f"phase:{ell}:hal-model", 1)[0])
         hal_counts, hal_values = _draw_hallucinated(
             fast, tables, hal_atom, explored_mask,
             rngmod.stream(seed, f"phase:{ell}:hal-rewards"),
@@ -747,8 +745,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         if ell <= config.n_lrn:
             k_star = episodes[0]
         else:
-            kstar_rng = rngmod.stream(seed, f"phase:{ell}:kstar")
-            k_star = episodes[0] + int(kstar_rng.integers(0, config.n_phase))
+            k_star = episodes[0] + rngmod.integer_below(seed, f"phase:{ell}:kstar",
+                                                        config.n_phase)
 
         ctx = PhaseContext(
             ell=ell,
@@ -800,7 +798,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         for t in set(tau_star.triples()):
             counts_by_triple[t] = counts_by_triple.get(t, 0) + 1
         hal_entries.append((pi_hal, tau_star))
-        fast.push_entry(pi_hal, tau_star)
+        fast.push_entry(tau_star)
         new_triple_flags.append(bool(new_triples))
 
         log.phases.append(
@@ -811,7 +809,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 k_star=k_star,
                 U=sorted(U),
                 punish_prob=punish_prob,
-                punish_size=int(punish_mask.sum()),
+                punish_size=punish_size,
                 hal_atom=hal_atom,
                 hal_policy=hal_code,
                 honest_policy=hon_code,

@@ -4,21 +4,26 @@ Every stochastic operation draws from a stream addressed by
 (master seed, stream name). Streams are Philox generators keyed by a
 hash of the pair, so any subset of streams can be re-derived in any
 order and still produce bit-identical output. Standard names used by
-the game loop:
+the game loop, and how each is read:
 
-    "truth"                 draw of the true model from the prior
-    "phase:{l}:kstar"       hallucination-episode position in phase l
-    "phase:{l}:hal-model"   hallucinated-model draw
-    "phase:{l}:hal-rewards" hallucinated reward draws
-    "episode:{k}:traj"      trajectory rollout of episode k
+    "truth"                 draw of the true model from the prior: one uniform
+    "phase:{l}:kstar"       hallucination-episode position in phase l:
+                            ``integer_below`` (Lemire rejection)
+    "phase:{l}:hal-model"   hallucinated-model draw: one uniform
+    "phase:{l}:hal-rewards" hallucinated reward draws: numpy, one uniform
+                            per explored ledger occurrence
+    "episode:{k}:traj"      trajectory rollout of episode k: 2H uniforms
 
 A rollout consumes ``episode:{k}:traj`` as exactly 2H uniforms: the
 initial state, then per stage its reward and, below stage H, its
 transition. ``uniforms(seed, name, n)`` returns those draws directly,
-bit for bit equal to ``stream(seed, name).random(n)``, by evaluating
-Philox4x64-10 on the stream's key in Python ints; Philox is
-counter-based, so block b of a stream is a pure function of (key, b)
-and no numpy Generator needs to be built for a short read.
+bit for bit equal to ``stream(seed, name).random(n)``, and
+``integer_below(seed, name, n)`` equals ``stream(seed, name).integers(0,
+n)``. Both evaluate Philox4x64-10 on the stream's key in Python ints;
+Philox is counter-based, so block b of a stream is a pure function of
+(key, b) and no numpy Generator needs to be built for a short read. A
+uniform becomes an index of a probability vector through
+``index_from_uniform``, the one inverse-CDF rule of the package.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 # Philox4x64 multipliers, and the round keys' offsets from the key
 # (rounds r = 0..9 add r times the Weyl constants)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -48,17 +54,17 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(master_seed, name)))
 
 
-def uniforms(master_seed: int, name: str, n: int) -> list[float]:
-    """``stream(master_seed, name).random(n)`` as a list, bit for bit.
+def _blocks(key: int):
+    """The 4-word Philox4x64-10 output blocks of a key, in stream order.
 
     numpy's Philox starts at counter 0 and increments it before each
-    4-word block, and a double is the top 53 bits of one word.
+    block, so the stream's blocks have counters 1, 2, ...
     """
-    key = _key(master_seed, name)
     k0, k1 = key & _MASK64, key >> 64
-    m0, m1, mask, scale = _PHILOX_M0, _PHILOX_M1, _MASK64, _DOUBLE_SCALE
-    out: list[float] = []
-    for block in range(1, (n + 3) // 4 + 1):
+    m0, m1, mask = _PHILOX_M0, _PHILOX_M1, _MASK64
+    block = 0
+    while True:
+        block += 1
         c0, c1, c2, c3 = block, 0, 0, 0
         for d0, d1 in _ROUND_KEY_OFFSETS:
             p0 = m0 * c0
@@ -67,23 +73,63 @@ def uniforms(master_seed: int, name: str, n: int) -> list[float]:
             c1 = p1 & mask
             c2 = ((p0 >> 64) ^ c3 ^ (k1 + d1)) & mask
             c3 = p0 & mask
+        yield c0, c1, c2, c3
+
+
+def uniforms(master_seed: int, name: str, n: int) -> list[float]:
+    """``stream(master_seed, name).random(n)`` as a list, bit for bit.
+
+    A double is the top 53 bits of one word.
+    """
+    scale = _DOUBLE_SCALE
+    out: list[float] = []
+    for _, (c0, c1, c2, c3) in zip(range((n + 3) // 4), _blocks(_key(master_seed, name))):
         out += ((c0 >> 11) * scale, (c1 >> 11) * scale, (c2 >> 11) * scale, (c3 >> 11) * scale)
     del out[n:]
     return out
 
 
-def sample_index(probs, rng: np.random.Generator) -> int:
-    """Sample an index from a probability vector (floats or Fractions).
+def integer_below(master_seed: int, name: str, n: int) -> int:
+    """``int(stream(master_seed, name).integers(0, n))``, bit for bit.
 
-    Uses a single uniform draw against cumulative sums so the stream
-    consumption is one value per call regardless of the outcome. The float
-    sum can end just below 1, so a draw past it falls back to the last
-    index with positive mass; a zero-mass index is never returned.
+    Below 2**32 numpy draws by Lemire's multiply-shift rejection on
+    32-bit words (Lemire, ACM TOMACS 2019): a word w is accepted when the
+    low half of w * n is at least 2**32 mod n, and the draw is the high
+    half. Philox hands out each 64-bit word low half first, then high
+    half. n == 1 consumes nothing; wider ranges go through numpy.
     """
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if u < acc:
-            return i
+    if not 1 <= n < 1 << 32:
+        if n < 1:
+            raise ValueError("integer_below needs n >= 1")
+        return int(stream(master_seed, name).integers(0, n))
+    if n == 1:
+        return 0
+    threshold = (1 << 32) % n
+    for block in _blocks(_key(master_seed, name)):
+        for word in block:
+            for half in (word & _MASK32, word >> 32):
+                m = half * n
+                if m & _MASK32 >= threshold:
+                    return m >> 32
+
+
+def index_from_uniform(probs, u: float) -> int:
+    """The index a uniform u in [0, 1) selects from a probability vector
+    (floats or Fractions): the first i with u < p[0] + ... + p[i].
+
+    The float sums accumulate left to right (``np.cumsum`` adds in
+    sequence). They can end just below 1, so a u past them falls back to
+    the last index with positive mass; a zero-mass index is never
+    returned.
+    """
+    cum = np.cumsum(probs if isinstance(probs, np.ndarray) else [float(p) for p in probs])
+    i = int(cum.searchsorted(u, side="right"))
+    if i < len(cum):
+        return i
     return max(i for i, p in enumerate(probs) if p > 0)
+
+
+def sample_index(probs, rng: np.random.Generator) -> int:
+    """Sample an index from a probability vector with one uniform draw of
+    ``rng``, whatever the outcome (``index_from_uniform``)."""
+    return index_from_uniform(probs, rng.random())

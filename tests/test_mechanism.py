@@ -354,7 +354,7 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     model = build_model(1, 1, 1, [1], {}, {(1, 1, 1): law}, reward_support=support)
     tables = PriorTables(DiscretePrior((model,), (Fraction(1),)))
     fast = _FastState(tables)
-    fast.push_entry(tables.policies[0], Trajectory((Step(1, 1, 1, Fraction(0)),)))
+    fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(0)),)))
     counts, values = _draw_hallucinated(fast, tables, 0, np.ones((1, 1, 1), dtype=bool),
                                         top_draw_rng)
     assert values.tolist() == [9]
