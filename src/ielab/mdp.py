@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import CapExceeded
 from .rng import sample_index
 
@@ -245,22 +243,6 @@ class TabularModel:
             self._cache["det"] = det
         return self._cache["det"]
 
-    def init_f(self) -> np.ndarray:
-        if "init_f" not in self._cache:
-            self._cache["init_f"] = np.array([float(p) for p in self.init])
-        return self._cache["init_f"]
-
-    def trans_f(self) -> np.ndarray:
-        """Float transition tensor, shape (S, A, H, S)."""
-        if "trans_f" not in self._cache:
-            t = np.empty((self.S, self.A, self.H, self.S))
-            for x in range(self.S):
-                for a in range(self.A):
-                    for h in range(self.H):
-                        t[x, a, h] = [float(p) for p in self.trans[x][a][h]]
-            self._cache["trans_f"] = t
-        return self._cache["trans_f"]
-
 
 def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_state=1):
     """Construct a TabularModel from 1-based mappings.
@@ -269,14 +251,26 @@ def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_s
     and default to a point mass on ``sink_state``. ``rewards``:
     {(x,a,h): DiscreteDist | value} (bare values become point masses).
     """
+    init_t, trans = transition_table(S, A, H, init, transitions, sink_state)
+    rews = reward_table(S, A, H, rewards)
+    if reward_support is None:
+        reward_support = tuple(sorted({v for by_a in rews for by_h in by_a for d in by_h
+                                       for v, p in zip(d.support, d.probs) if p > 0}))
+    else:
+        reward_support = tuple(sorted(as_fraction(v) for v in reward_support))
+    return TabularModel(S, A, H, init_t, trans, rews, reward_support)
+
+
+def transition_table(S, A, H, init, transitions, sink_state=1) -> tuple:
+    """The (init, trans) fields of ``build_model``'s TabularModel, as
+    Fractions; models that share them can share these tuples."""
     init_t = tuple(as_fraction(p) for p in init)
     sink = tuple(Fraction(1) if i == sink_state - 1 else Fraction(0) for i in range(S))
-    trans, rews = [], []
-    support = set()
+    trans = []
     for x in range(1, S + 1):
-        tx, rx = [], []
+        tx = []
         for a in range(1, A + 1):
-            ta, ra = [], []
+            ta = []
             for h in range(1, H + 1):
                 vec = transitions.get((x, a, h))
                 if vec is None:
@@ -285,20 +279,18 @@ def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_s
                     ta.append(sink)
                 else:
                     ta.append(tuple(as_fraction(p) for p in vec))
-                dist = rewards[(x, a, h)]
-                if not isinstance(dist, DiscreteDist):
-                    dist = DiscreteDist.point(dist)
-                ra.append(dist)
-                support.update(v for v, p in zip(dist.support, dist.probs) if p > 0)
             tx.append(tuple(ta))
-            rx.append(tuple(ra))
         trans.append(tuple(tx))
-        rews.append(tuple(rx))
-    if reward_support is None:
-        reward_support = tuple(sorted(support))
-    else:
-        reward_support = tuple(sorted(as_fraction(v) for v in reward_support))
-    return TabularModel(S, A, H, init_t, tuple(trans), tuple(rews), reward_support)
+    return init_t, tuple(trans)
+
+
+def reward_table(S, A, H, rewards) -> tuple:
+    """The rewards field of ``build_model``'s TabularModel."""
+    def law(d) -> DiscreteDist:
+        return d if isinstance(d, DiscreteDist) else DiscreteDist.point(d)
+
+    return tuple(tuple(tuple(law(rewards[(x, a, h)]) for h in range(1, H + 1))
+                       for a in range(1, A + 1)) for x in range(1, S + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +305,18 @@ def _num(v: Fraction, exact: bool):
     return v if exact else float(v)
 
 
+def _weighted_sum(weights, values, exact: bool):
+    """sum of w * v over the pairs, accumulated left to right from zero.
+
+    ``sum()`` of floats is compensated from Python 3.12 on; this is the
+    order ``PriorTables``' float DP repeats on every version.
+    """
+    total = _zero(exact)
+    for w, v in zip(weights, values):
+        total = total + _num(w, exact) * v
+    return total
+
+
 def policy_value(model: TabularModel, policy: MarkovPolicy, exact: bool = False):
     """E^pi[sum of rewards] by backward DP over mean rewards; in [0, H]."""
     S, H = model.S, model.H
@@ -323,11 +327,10 @@ def policy_value(model: TabularModel, policy: MarkovPolicy, exact: bool = False)
             a = policy.action(x, h)
             v = _num(model.mean_reward(x, a, h), exact)
             if h < H:
-                row = model.transition(x, a, h)
-                v = v + sum(_num(row[y], exact) * value[y] for y in range(S))
+                v = v + _weighted_sum(model.transition(x, a, h), value, exact)
             nxt.append(v)
         value = nxt
-    return sum(_num(model.init[x], exact) * value[x] for x in range(S))
+    return _weighted_sum(model.init, value, exact)
 
 
 def optimal_value(model: TabularModel, exact: bool = False):

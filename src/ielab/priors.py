@@ -33,9 +33,10 @@ from .mdp import (
     TabularModel,
     Trajectory,
     as_fraction,
-    build_model,
     enumerate_policies,
     policy_value,
+    reward_table,
+    transition_table,
 )
 
 FACTORED_EXPANSION_CAP = 10**5
@@ -189,10 +190,13 @@ class FactoredRewardPrior:
         if n > cap:
             raise CapExceeded(f"factored expansion {n} exceeds cap {cap}")
         lifted = self._lifted()
-        support = self.global_support(lifted)
+        support = tuple(sorted(as_fraction(v) for v in self.global_support(lifted)))
+        S, A, H = self.S, self.A, self.H
         atoms, weights = [], []
         choice_sets = [lifted[t] for t in triples]
         for init, transitions, tw in self.transition_atoms:
+            # coerced once per transition atom; its reward combinations share them
+            init_t, trans = transition_table(S, A, H, init, transitions)
             for combo in product(*choice_sets):
                 w = as_fraction(tw)
                 rewards = {}
@@ -201,12 +205,8 @@ class FactoredRewardPrior:
                     rewards[t] = law
                 if w == 0:
                     continue
-                atoms.append(
-                    build_model(
-                        self.S, self.A, self.H, init, transitions, rewards,
-                        reward_support=support,
-                    )
-                )
+                atoms.append(TabularModel(S, A, H, init_t, trans,
+                                          reward_table(S, A, H, rewards), support))
                 weights.append(w)
         return DiscretePrior(tuple(atoms), tuple(weights))
 
@@ -389,30 +389,47 @@ class PriorTables:
         self.policies = enumerate_policies(S, A, H)
         self._policy_col = {p.encoding: j for j, p in enumerate(self.policies)}
         n = prior.n
-        self.init = np.stack([m.init_f() for m in prior.atoms])
-        self.trans = np.stack([m.trans_f() for m in prior.atoms])
         self.support = prior.atoms[0].reward_support
         self._support_ix = {v: k for k, v in enumerate(self.support)}
+        floats = _float_vector
+        self.init = _float_rows([m.init for m in prior.atoms], floats)
+        self.trans = _float_rows([vec for m in prior.atoms for by_a in m.trans
+                                  for by_h in by_a for vec in by_h],
+                                 floats).reshape(n, S, A, H, S)
+        laws = [d for m in prior.atoms for by_a in m.rewards for by_h in by_a for d in by_h]
+
+        def law_masses(d: DiscreteDist) -> list[float]:
+            row = [0.0] * len(self.support)
+            for v, p in zip(d.support, d.probs):
+                row[self._support_ix[v]] = float(p)
+            return row
+
         # reward log-mass: (n, S, A, H, |support|), -inf where mass is 0
-        mass = np.zeros((n, S, A, H, len(self.support)))
-        for i, m in enumerate(prior.atoms):
-            for x in range(1, S + 1):
-                for a in range(1, A + 1):
-                    for h in range(1, H + 1):
-                        for v, p in zip(
-                            m.reward_dist(x, a, h).support, m.reward_dist(x, a, h).probs
-                        ):
-                            mass[i, x - 1, a - 1, h - 1, self._support_ix[v]] = float(p)
+        mass = _float_rows(laws, law_masses).reshape(n, S, A, H, len(self.support))
         with np.errstate(divide="ignore"):
             self.reward_logmass = np.log(mass)
         self.reward_cum = np.cumsum(mass, axis=-1)
         # index of the last support value with positive mass: (n, S, A, H)
         self.reward_last = len(self.support) - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1)
         self.log_weights = np.log(np.array([float(w) for w in prior.weights]))
-        self.value_matrix = np.empty((n, len(self.policies)))
-        for i, m in enumerate(prior.atoms):
-            for j, p in enumerate(self.policies):
-                self.value_matrix[i, j] = policy_value(m, p)
+        means = _float_rows(laws, lambda d: float(d.mean())).reshape(n, S, A, H)
+        self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
+
+    def _values(self, policy: MarkovPolicy, means: np.ndarray) -> np.ndarray:
+        """policy_value(atom, policy) for every atom: the float backward DP
+        of ``mdp.policy_value``, vectorized over atoms, with the same
+        operations in the same order, so every entry is bit for bit equal."""
+        togo = []
+        for h in range(self.H - 1, -1, -1):
+            nxt = []
+            for x, row in enumerate(policy.actions):
+                a = row[h] - 1
+                v = means[:, x, a, h]
+                if togo:
+                    v = v + _weighted_columns(self.trans[:, x, a, h], togo)
+                nxt.append(v)
+            togo = nxt
+        return _weighted_columns(self.init, togo)
 
     def policy_col(self, policy: MarkovPolicy) -> int:
         return self._policy_col[policy.encoding]
@@ -446,6 +463,39 @@ class PriorTables:
         w = np.exp(ll - top)
         w /= w.sum()
         return Posterior(self.prior, w, provenance or {})
+
+
+def _float_vector(vec) -> list[float]:
+    return [float(p) for p in vec]
+
+
+def _float_rows(items: list, convert) -> np.ndarray:
+    """np.array([convert(item) for item in items]), converting each
+    distinct object once.
+
+    The atoms of an expanded factored prior share their init and
+    transition vectors and their reward laws. Identity picks the distinct
+    objects, because hashing tuples of Fractions costs more than
+    converting them; every item stays alive through the call.
+    """
+    first: dict[int, int] = {}
+    rows, index = [], []
+    for item in items:
+        k = first.get(id(item))
+        if k is None:
+            k = first[id(item)] = len(rows)
+            rows.append(convert(item))
+        index.append(k)
+    return np.array(rows)[index]
+
+
+def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
+    """Per row i, the sum over y of weights[i, y] * values[y][i],
+    accumulated left to right as ``mdp.policy_value`` does per atom."""
+    total = weights[:, 0] * values[0]
+    for y in range(1, len(values)):
+        total = total + weights[:, y] * values[y]
+    return total
 
 
 def shared_tables(prior: DiscretePrior) -> PriorTables:

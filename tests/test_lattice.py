@@ -193,6 +193,24 @@ def test_lattice_value_matrix_matches_policy_value(stoch_prior):
                 policy_value(stoch_prior.atoms[i], pol, exact=True)
 
 
+def scalar_value_matrix(prior, tables) -> np.ndarray:
+    return np.array([[policy_value(m, pol) for pol in tables.policies] for m in prior.atoms])
+
+
+def test_value_matrix_equals_policy_value(det_prior, det_tables, stoch_prior, stoch_tables):
+    """PriorTables' vectorized DP reproduces the float policy_value of every
+    (atom, policy) entry bit for bit."""
+    for prior, tables in ((det_prior, det_tables), (stoch_prior, stoch_tables)):
+        assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_priors())
+def test_value_matrix_equals_policy_value_on_random_priors(prior):
+    tables = priors.PriorTables(prior)
+    assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
+
+
 def test_greedy_exact_tie_constructed():
     """E[r(a1)] = E[r(a2)] = 1/3 exactly: both actions are maximizers and the
     smaller encoding wins."""

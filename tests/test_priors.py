@@ -12,6 +12,7 @@ from ielab import (
     MarkovPolicy,
     ZeroEvidence,
     bayes_greedy,
+    build_model,
     canonical_gap,
     canonical_posterior,
     conditional_value,
@@ -61,6 +62,24 @@ def test_factored_expansion_consistency(stoch_factored, stoch_prior):
     for eps in ("0.1", "0.7", "0.05"):
         assert stoch_factored.f_min(eps) == f_min(stoch_prior, eps)
     assert stoch_factored.r_min() == r_min(stoch_prior)
+
+
+def test_expansion_atoms_equal_build_model(det_factored, det_prior, stoch_factored,
+                                           stoch_prior):
+    """expand coerces each transition atom's vectors once and shares them
+    across its reward combinations; every atom equals the build_model of
+    its transition atom and reward laws."""
+    for fp, prior in ((det_factored, det_prior), (stoch_factored, stoch_prior)):
+        support = fp.global_support()
+        for atom in prior.atoms:
+            rewards = {t: atom.reward_dist(*t) for t in fp.reward_marginals}
+            assert any(
+                build_model(fp.S, fp.A, fp.H, init, transitions, rewards,
+                            reward_support=support) == atom
+                for init, transitions, _ in fp.transition_atoms
+            )
+        per_transition_atom = {id(atom.trans) for atom in prior.atoms}
+        assert len(per_transition_atom) == len(fp.transition_atoms)
 
 
 def test_canonical_posterior_empty_ledger_is_prior(det_prior):
