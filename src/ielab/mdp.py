@@ -383,12 +383,13 @@ def path_mass(model, steps, exact: bool = False):
 
 
 def _cumulative_row(probs) -> list[float]:
-    """Float cumulative sums for sampling, as ``rng.sample_index`` forms them.
+    """Float cumulative sums for sampling, as ``rng.index_from_uniform``
+    forms them.
 
     The sums accumulate left to right in floats and may end just below 1.
     From the last positive-mass index on they are raised to infinity, so
-    a draw past the float sum lands on that index, as in ``sample_index``,
-    and a zero-mass index is never drawn.
+    a draw past the float sum lands on that index, as in
+    ``index_from_uniform``, and a zero-mass index is never drawn.
     """
     cum, acc = [], 0.0
     for p in probs:

@@ -391,11 +391,10 @@ class PriorTables:
         n = prior.n
         self.support = prior.atoms[0].reward_support
         self._support_ix = {v: k for k, v in enumerate(self.support)}
-        floats = _float_vector
-        self.init = _float_rows([m.init for m in prior.atoms], floats)
+        self.init = _float_rows([m.init for m in prior.atoms], _float_vector)
         self.trans = _float_rows([vec for m in prior.atoms for by_a in m.trans
                                   for by_h in by_a for vec in by_h],
-                                 floats).reshape(n, S, A, H, S)
+                                 _float_vector).reshape(n, S, A, H, S)
         laws = [d for m in prior.atoms for by_a in m.rewards for by_h in by_a for d in by_h]
 
         def law_masses(d: DiscreteDist) -> list[float]:

@@ -211,6 +211,19 @@ def test_value_matrix_equals_policy_value_on_random_priors(prior):
     assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
 
 
+def test_value_matrix_equals_policy_value_off_the_dyadic_grid():
+    """Three states and stages, rewards in thirds and sevenths: unlike on
+    the micro instances, the DP's float sums here depend on their order."""
+    from ielab.instances import random_model
+
+    rng = np.random.default_rng(7)
+    support = (0, Fraction(1, 3), Fraction(5, 7), 1)
+    atoms = tuple(random_model(rng, 3, 2, 3, support=support) for _ in range(6))
+    prior = DiscretePrior(atoms, (Fraction(1, 6),) * 6)
+    tables = priors.PriorTables(prior)
+    assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
+
+
 def test_greedy_exact_tie_constructed():
     """E[r(a1)] = E[r(a2)] = 1/3 exactly: both actions are maximizers and the
     smaller encoding wins."""

@@ -361,6 +361,46 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     assert counts[0, 0, 0, 9] == 1 and counts.sum() == 1
 
 
+def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_tables):
+    """One uniform per explored occurrence, in entry order, picks a value of
+    the hallucinated atom's reward law at that triple; censored occurrences
+    get -1, and the counts tally the drawn values per triple."""
+    import numpy as np
+
+    from ielab import sample_trajectory
+    from ielab.mechanism import _draw_hallucinated, _FastState
+    from ielab.rng import index_from_uniform
+
+    fast = _FastState(stoch_tables)
+    steps = []
+    for k in range(12):
+        traj = sample_trajectory(stoch_prior.atoms[37 * k], stoch_tables.policies[k],
+                                 stream(k, "entries"))
+        fast.push_entry(traj)
+        steps += traj.steps
+    explored = np.ones((2, 2, 2), dtype=bool)
+    explored[1, 1, 0] = explored[0, 0, 1] = False
+    hal = stoch_prior.atoms[511]  # Bernoulli(7/10) rewards on every triple
+    counts, values = _draw_hallucinated(fast, stoch_tables, 511, explored, stream(0, "hal"))
+
+    support = stoch_tables.support
+    n_explored = sum(bool(explored[s.x - 1, s.a - 1, s.h - 1]) for s in steps)
+    u = iter(stream(0, "hal").random(n_explored))
+    expected = np.zeros_like(counts)
+    expected_values = []
+    for s in steps:
+        if not explored[s.x - 1, s.a - 1, s.h - 1]:
+            expected_values.append(-1)
+            continue
+        law = hal.reward_dist(s.x, s.a, s.h)
+        i = index_from_uniform([law.mass(v) for v in support], next(u))
+        expected_values.append(i)
+        expected[s.x - 1, s.a - 1, s.h - 1, i] += 1
+    assert values.tolist() == expected_values
+    assert np.array_equal(counts, expected)
+    assert len(set(expected_values) - {-1}) == 2  # both reward values drawn
+
+
 def test_punish_mask_compares_mean_rewards_exactly():
     """An atom whose mean reward exceeds eps_pun by 1e-13 is not punished:
     the logged punish size agrees with punish_event."""
