@@ -197,29 +197,26 @@ def scalar_value_matrix(prior, tables) -> np.ndarray:
     return np.array([[policy_value(m, pol) for pol in tables.policies] for m in prior.atoms])
 
 
-def test_value_matrix_equals_policy_value(det_prior, det_tables, stoch_prior, stoch_tables):
+def test_value_matrix_equals_policy_value(det_prior, stoch_prior):
     """PriorTables' vectorized DP reproduces the float policy_value of every
-    (atom, policy) entry bit for bit."""
-    for prior, tables in ((det_prior, det_tables), (stoch_prior, stoch_tables)):
+    (atom, policy) entry bit for bit: on the micro instances, and on random
+    models with three states and stages and rewards in thirds and sevenths,
+    where unlike on the micro instances the float sums depend on their
+    order."""
+    from ielab.instances import random_model
+
+    rng = np.random.default_rng(7)
+    support = (0, Fraction(1, 3), Fraction(5, 7), 1)
+    off_grid = DiscretePrior(tuple(random_model(rng, 3, 2, 3, support=support)
+                                   for _ in range(6)), (Fraction(1, 6),) * 6)
+    for prior in (det_prior, stoch_prior, off_grid):
+        tables = priors.PriorTables(prior)
         assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_priors())
 def test_value_matrix_equals_policy_value_on_random_priors(prior):
-    tables = priors.PriorTables(prior)
-    assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
-
-
-def test_value_matrix_equals_policy_value_off_the_dyadic_grid():
-    """Three states and stages, rewards in thirds and sevenths: unlike on
-    the micro instances, the DP's float sums here depend on their order."""
-    from ielab.instances import random_model
-
-    rng = np.random.default_rng(7)
-    support = (0, Fraction(1, 3), Fraction(5, 7), 1)
-    atoms = tuple(random_model(rng, 3, 2, 3, support=support) for _ in range(6))
-    prior = DiscretePrior(atoms, (Fraction(1, 6),) * 6)
     tables = priors.PriorTables(prior)
     assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
 
