@@ -24,11 +24,9 @@ from ielab import (
     underexplored_set,
     visit_counts,
 )
-from ielab.priors import shared_tables
 from ielab.serialize import ledger_to_jsonl
 
 prior = micro_det_1().expand()
-tables = shared_tables(prior)
 pols = enumerate_policies(2, 2, 2)
 
 # build a raw single-entry ledger from the true model's trajectory
@@ -51,15 +49,15 @@ post = canonical_posterior(prior, lam_hon, exact=True)
 print(f"canonical posterior support: {len(post.support())} of {prior.n} atoms "
       f"(those agreeing with the two revealed rewards)")
 
-greedy = bayes_greedy(post, tables)
+greedy = bayes_greedy(post)
 print(f"Bayes-greedy policy: encoding {greedy.encoding}, "
-      f"posterior value {conditional_value(post, greedy, tables)}")
+      f"posterior value {conditional_value(post, greedy)}")
 
 # canonical gap between "explore" and "stay" policy sets
 explorers = {p for p in pols if p.action(1, 1) == 2}  # leave state 1 immediately
-gap = canonical_gap(post, explorers, tables)
+gap = canonical_gap(post, explorers)
 print(f"canonical gap of the switch-at-start policies: {gap} "
-      f"(= {float(gap):.4f}); the complement's gap is {canonical_gap(post, set(pols) - explorers, tables)}")
+      f"(= {float(gap):.4f}); the complement's gap is {canonical_gap(post, set(pols) - explorers)}")
 
 # censoring coarsens: a totally censored ledger carries no reward evidence
 lam_cens = censor_ledger(lam_raw, all_triples(2, 2, 2))

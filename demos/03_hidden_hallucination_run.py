@@ -9,7 +9,6 @@ until everything reachable is covered.
 """
 
 from ielab import det_parameters, make_agent, micro_det_1, run_game
-from ielab.priors import shared_tables
 
 factored = micro_det_1()
 prior = factored.expand()
@@ -20,10 +19,8 @@ print(f"  r_min = {info['r_min']}, eps_pun = {info['eps_pun']}, "
 print(f"  phase length n_phase = {info['n_phase']}, n_lrn = 1, "
       f"{config.total_phases} phases, at most {info['episodes_bound']} episodes\n")
 
-tables = shared_tables(prior)
-agent = make_agent("fully_rational", prior, config, tables=tables)
-log = run_game(config, prior, agent, seed=0, episode_log="hallucination",
-               tables=tables)
+agent = make_agent("fully_rational", prior, config)
+log = run_game(config, prior, agent, seed=0, episode_log="hallucination")
 
 print(f"true model: atom {log.true_atom}")
 print(f"{'phase':>5} {'k*':>7} {'|U|':>4} {'punish prob':>12} {'new triples'}")
@@ -37,6 +34,6 @@ print(f"new-triple indicator per phase: {log.summary['new_triple_flags']}")
 
 # replay contract: the log is a pure function of (config, prior, seed)
 again = run_game(config, prior,
-                 make_agent("fully_rational", prior, config, tables=tables),
-                 seed=0, episode_log="hallucination", tables=tables)
+                 make_agent("fully_rational", prior, config),
+                 seed=0, episode_log="hallucination")
 print(f"replay digest match: {log.digest() == again.digest()}")

@@ -24,11 +24,9 @@ from ielab import (
 from ielab.analysis import empirical_estimators, eps_p_bound, eps_r_bound, mrp_of
 from ielab.harness import sample_similar_pair
 from ielab.instances import random_model
-from ielab.priors import shared_tables
 
 factored = micro_stoch_1()
 prior = factored.expand()
-tables = shared_tables(prior)
 
 config, report = prob_parameters(factored, Fraction(1, 4), 0.1, n_lrn_override=4,
                                  total_phases_override=200)
@@ -65,8 +63,8 @@ print(f"performance difference identity: lhs = {lhs:.12f}, rhs = {rhs:.12f}, "
 n_lrn, delta = 64, 0.1
 cfg = MechanismConfig(report["n_phase_theory"], n_lrn, config.eps_pun, 320,
                       rho=Fraction(1, 4))
-agent = make_agent("canonical_truster", prior, cfg, tables=tables)
-log = run_game(cfg, prior, agent, seed=3, episode_log="hallucination", tables=tables)
+agent = make_agent("canonical_truster", prior, cfg)
+log = run_game(cfg, prior, agent, seed=3, episode_log="hallucination")
 est = empirical_estimators(log, n_lrn)
 truth = prior.atoms[log.true_atom]
 er, ep = eps_r_bound(delta, n_lrn), eps_p_bound(delta, n_lrn, 2)
@@ -84,9 +82,9 @@ cfg4 = MechanismConfig(report["n_phase_theory"], 4, config.eps_pun, 400,
                        rho=Fraction(1, 4))
 phases = []
 for seed in range(20):
-    a = make_agent("canonical_truster", prior, cfg4, tables=tables)
+    a = make_agent("canonical_truster", prior, cfg4)
     out = run_game(cfg4, prior, a, seed=seed, episode_log="hallucination",
-                   tables=tables, phase_hook=lambda ctx, log: ctx.covered_at is not None)
+                   phase_hook=lambda ctx, log: ctx.covered_at is not None)
     phases.append(out.summary["phases_to_coverage"])
 print(f"\n(rho=1/4, n_lrn=4)-exploration over 20 seeds: "
       f"phases needed = {sorted(phases)}")

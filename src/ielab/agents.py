@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, OracleUnavailable, ZeroEvidence
-from .ledgers import Ledger, count_signature, ledger_reward_mass, totally_censor
+from .ledgers import Ledger, count_signature
 from .mdp import MarkovPolicy, complement_triples
 from .mechanism import (
     MechanismConfig,
@@ -30,6 +30,7 @@ from .priors import (
     canonical_posterior,
     exact_lattice,
     normalized_weights,
+    shared_tables,
 )
 
 
@@ -54,14 +55,16 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
     ell = episode_phase(config, k)
     if p0 is None:
         p0 = hallucination_prior_prob(config, ell)
-    else:
-        p0 = Fraction(p0) if exact else float(p0)
+    p0 = Fraction(p0) if exact else float(p0)
     U = revealed.censor_set
     punish = punish_event(prior, complement_triples(U, *prior.shape), config.eps_pun)
     if exact:
         weights, p_hal = _mechanism_weights_exact(prior, revealed, punish, p0)
     else:
-        weights, p_hal = _mechanism_weights_float(prior, revealed, punish, float(p0))
+        tables = shared_tables(prior)
+        translog, counts = tables.ledger_loglik(revealed)
+        weights, p_hal = _mechanism_weights_float(tables, translog, counts,
+                                                  tables.event_mask(punish), p0)
     post = Posterior(
         prior, weights,
         {"signal": "mechanism", "episode": k, "phase": ell, "p_hal": p_hal},
@@ -95,37 +98,43 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
     # p_hal = p0 A / (p0 A + (1 - p0) Pr[honest ledger]), A = Sb / Sp
     hal = P * Sb * sum(C)
     denom = hal + (Q - P) * Sp * sum(c * bi for c, bi in zip(C, b))
-    return normalized_weights(raw, total, True), Fraction(hal, denom) if denom else Fraction(0)
+    return normalized_weights(raw, total), Fraction(hal, denom) if denom else Fraction(0)
 
 
-def _mechanism_weights_float(prior, revealed: Ledger, punish, p0: float):
-    can_cens = canonical_posterior(prior, totally_censor(revealed))
-    B = [ledger_reward_mass(m, revealed) for m in prior.atoms]
-    pun_mass = sum(can_cens.weights[i] for i in punish)
-    if pun_mass:
-        A = sum(can_cens.weights[i] * B[i] for i in punish) / pun_mass
-    else:
-        A = 0.0  # hallucination branch impossible
-    raw = [w * (p0 * A + (1.0 - p0) * b) for w, b in zip(can_cens.weights, B)]
-    total = sum(raw)
-    if not total:
+def _mechanism_weights_float(tables: PriorTables, translog: np.ndarray, counts: np.ndarray,
+                             punish: np.ndarray, p0: float):
+    """The mechanism posterior weights and p_hal on the prior's PriorTables.
+
+    ``translog`` and ``counts`` are the revealed ledger's per-atom log
+    transition mass and revealed-reward counts; ``punish`` is the punish
+    event as a boolean mask. The same closed form as the exact route,
+    with B the revealed-reward masses: the log-masses are shifted by
+    their largest finite value first, which cancels in the weights and
+    p_hal and keeps B from underflowing on long ledgers.
+    """
+    can = tables.posterior_from_loglik(translog).weights
+    logB = tables.reward_loglik(counts)
+    finite = logB[np.isfinite(logB)]
+    B = np.exp(logB - finite.max()) if finite.size else np.zeros_like(logB)
+    pun_mass = float(can[punish].sum())
+    A = float((can[punish] * B[punish]).sum()) / pun_mass if pun_mass > 0 else 0.0
+    w = can * (p0 * A + (1.0 - p0) * B)
+    total = w.sum()
+    if total <= 0:
         raise ZeroEvidence("revealed ledger impossible under both branches")
-    hon_mass = sum(w * b for w, b in zip(can_cens.weights, B))
-    denom = p0 * A + (1.0 - p0) * hon_mass
-    p_hal = (p0 * A / denom) if denom else 0.0
-    return normalized_weights(raw, total, False), p_hal
+    denom = p0 * A + (1.0 - p0) * float((can * B).sum())
+    return w / total, (p0 * A / denom) if denom else 0.0
 
 
 @dataclass
 class AgentSpec:
     """mode is "canonical_truster" or "fully_rational"; both know the
-    mechanism config and prior. ``tables`` enables the numpy fast paths."""
+    mechanism config and prior."""
 
     mode: str
     prior: DiscretePrior
     config: MechanismConfig
     exact: bool = False
-    tables: PriorTables | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -143,12 +152,12 @@ class AgentSpec:
             return self._cache[key]
         if self.mode == "canonical_truster":
             post = canonical_posterior(self.prior, revealed, exact=self.exact)
-            pol = bayes_greedy(post, self.tables)
+            pol = bayes_greedy(post)
         else:
             try:
                 post, _ = mechanism_posterior(self.prior, self.config, k, revealed,
                                               exact=self.exact)
-                pol = bayes_greedy(post, self.tables)
+                pol = bayes_greedy(post)
             except CapExceeded as e:
                 raise OracleUnavailable(
                     f"instance beyond exact-posterior scale: {e}"
@@ -167,33 +176,20 @@ class AgentSpec:
                 raise ValueError("exact agents need run_game(keep_signals=True)")
             return self.choose(k, ell, ctx.signals[kind],
                                is_known_hallucination=ell <= self.config.n_lrn)
-        tables = self.tables if self.tables is not None else ctx.fast.tables
         counts = ctx.counts_of(kind)
         if self.mode == "canonical_truster":
             post = ctx.fast.revealed_posterior(counts, kind)
         else:
-            post = self._rational_fast(ell, counts, ctx)
-        return bayes_greedy(post, tables)
-
-    def _rational_fast(self, ell: int, counts: np.ndarray, ctx: PhaseContext) -> Posterior:
-        p0 = float(hallucination_prior_prob(self.config, ell))
-        can = ctx.fast.cens_posterior().weights
-        logB = ctx.fast.reward_loglik(counts)
-        logB = logB - logB[np.isfinite(logB)].max(initial=0.0)
-        B = np.exp(logB)
-        mask = ctx.punish_mask
-        pun_mass = float(can[mask].sum())
-        A = float((can[mask] * B[mask]).sum()) / pun_mass if pun_mass > 0 else 0.0
-        w = can * (p0 * A + (1.0 - p0) * B)
-        total = w.sum()
-        if total <= 0:
-            raise ZeroEvidence("revealed ledger impossible under both branches")
-        return Posterior(self.prior, w / total, {"signal": "mechanism-fast"})
+            p0 = float(hallucination_prior_prob(self.config, ell))
+            weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog, counts,
+                                                  ctx.punish_mask, p0)
+            post = Posterior(self.prior, weights, {"signal": "mechanism-fast"})
+        return bayes_greedy(post)
 
 
 def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig,
-               exact: bool = False, tables: PriorTables | None = None) -> AgentSpec:
-    return AgentSpec(mode, prior, config, exact, tables)
+               exact: bool = False) -> AgentSpec:
+    return AgentSpec(mode, prior, config, exact)
 
 
 def choose_policy(agent: AgentSpec, k: int, revealed: Ledger) -> MarkovPolicy:

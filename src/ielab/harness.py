@@ -213,9 +213,9 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
     track_hh = prior.n * len(tables.policies) <= 10**5
     rows = []
     for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config, exact=exact, tables=tables)
+        agent = make_agent(agent_mode, prior, config, exact=exact)
         log = run_game(config, prior, agent, seed, episode_log=episode_log,
-                       tables=tables, track_hh=track_hh, keep_signals=exact)
+                       track_hh=track_hh, keep_signals=exact)
         covered = log.summary["phases_to_coverage"]
         flags = log.summary["new_triple_flags"]
         until = covered if covered is not None else len(flags)
@@ -257,15 +257,14 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     phase_cap = int(cfg.get("phase_cap", config.total_phases))
     config = MechanismConfig(config.n_phase, config.n_lrn, config.eps_pun,
                              min(config.total_phases, phase_cap), config.rho)
-    tables = shared_tables(prior)
     agent_mode = cfg.get("agent", {}).get("mode", "canonical_truster")
     exact = bool(cfg.get("exact", False))
     out_dir = cfg.get("out")
     rows = []
     for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config, exact=exact, tables=tables)
+        agent = make_agent(agent_mode, prior, config, exact=exact)
         log = run_game(config, prior, agent, seed, episode_log="hallucination",
-                       tables=tables, keep_signals=exact)
+                       keep_signals=exact)
         manifest = {
             "version": __version__, "seed": seed, "config": config.to_dict(),
             "agent_mode": agent_mode, "episode_log": "hallucination",

@@ -38,6 +38,7 @@ from .mdp import (
     TripleSet,
     all_triples,
     as_fraction,
+    event_visit_probability,
     reach_set,
     rollout,
 )
@@ -47,6 +48,7 @@ from .priors import (
     ModelEvent,
     PriorTables,
     Posterior,
+    canonical_gap,
     canonical_posterior,
     low_reward_table,
     shared_tables,
@@ -539,17 +541,6 @@ class _FastState:
     def occurrences(self) -> np.ndarray:
         return self._occ[:self._n_occ]
 
-    def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
-        """Per-atom log reward mass for occurrence counts (same shape as counts).
-
-        A zero mass gives -inf, and -inf times a positive count stays -inf.
-        """
-        lm = self.tables.reward_logmass  # (n, S, A, H, V)
-        active = counts > 0
-        if not active.any():
-            return np.zeros(lm.shape[0])
-        return (lm[:, active] * counts[active]).sum(axis=1)
-
     def cens_posterior(self) -> Posterior:
         return self.tables.posterior_from_loglik(self.translog, provenance={"signal": "censored"})
 
@@ -558,7 +549,7 @@ class _FastState:
                                                  provenance={"signal": what})
 
     def revealed_posterior(self, counts: np.ndarray, what: str) -> Posterior:
-        ll = self.translog + self.reward_loglik(counts)
+        ll = self.translog + self.tables.reward_loglik(counts)
         return self.tables.posterior_from_loglik(ll, provenance={"signal": what})
 
 
@@ -570,7 +561,6 @@ class PhaseContext:
     config: MechanismConfig
     fast: _FastState
     punish_mask: np.ndarray
-    punish_prob_float: float
     hon_counts: np.ndarray
     hal_counts: np.ndarray
     U: TripleSet
@@ -582,24 +572,25 @@ class PhaseContext:
         return self.hal_counts if kind == "hallucinated" else self.hon_counts
 
 
-def _draw_hallucinated(fast: _FastState, tables: PriorTables, hal_atom: int,
-                       explored_mask: np.ndarray, rng):
+def _draw_hallucinated(fast: _FastState, hal_atom: int, explored_mask: np.ndarray,
+                       make_rng):
     """Vectorized reward draws at explored occurrences; returns (counts, values).
 
-    ``values`` holds one support index per occurrence (-1 when censored),
-    in ledger entry order, so keep_signals can materialize the ledger.
+    The uniforms come from the generator ``make_rng()``, called only when
+    some occurrence is explored. ``values`` holds one support index per
+    occurrence (-1 when censored), in ledger entry order, so keep_signals
+    can materialize the ledger.
     """
+    tables = fast.tables
     occ = fast.occurrences()
     n_support = len(tables.support)
     counts = np.zeros_like(fast.reward_counts)
     values = np.full(len(occ), -1, dtype=int)
-    if len(occ) == 0:
-        return counts, values
     sel = explored_mask.ravel()[occ]
     m = int(sel.sum())
     if m == 0:
         return counts, values
-    u = rng.random(m)
+    u = make_rng().random(m)
     occ = occ[sel]
     cum = tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
     idx = (u[:, None] >= cum).sum(axis=1)
@@ -611,30 +602,27 @@ def _draw_hallucinated(fast: _FastState, tables: PriorTables, hal_atom: int,
     return counts, values
 
 
-def _hh_condition_in_run(config, tables, fast, true_model, U, ell, punish_prob,
-                         hal_counts, rho_0=None):
-    """Evaluate the phase-length condition against the exploring-policy set.
+def _hh_exploring_policies(tables: PriorTables, true_model: TabularModel,
+                           U: TripleSet) -> frozenset | None:
+    """Encodings of the policies that visit U under the true model with
+    positive probability (the deterministic-class reading of the rho_0
+    target), or None when that splits the policy space degenerately."""
+    inside = frozenset(pol.encoding for pol in tables.policies
+                       if event_visit_probability(true_model, pol, U) >= 1e-12)
+    return inside if 0 < len(inside) < len(tables.policies) else None
 
-    The target is the set of policies visiting U under the true model with
-    probability at least rho_0 (any positive probability by default, which
-    is the deterministic-class reading). Returns None when the policy
+
+def _hh_condition_in_run(config, fast, inside, ell, punish_prob, hal_counts):
+    """Evaluate the phase-length condition against the exploring-policy set
+    ``inside`` of ``_hh_exploring_policies``. Returns None when the policy
     split degenerates.
     """
-    from .mdp import event_visit_probability
-
-    threshold = max(float(rho_0 or 0.0), 1e-12)
-    inside = np.array([
-        event_visit_probability(true_model, pol, U) >= threshold
-        for pol in tables.policies
-    ])
-    if inside.all() or not inside.any():
+    if inside is None:
         return None
-    post = fast.revealed_posterior(hal_counts, "hh-check")
-    vals = post.weights @ tables.value_matrix
-    gap = vals[inside].max() - vals[~inside].max()
+    gap = canonical_gap(fast.revealed_posterior(hal_counts, "hh-check"), inside)
     p0 = float(hallucination_prior_prob(config, ell))
     lhs = p0
-    rhs = punish_prob * float(gap) / (3.0 * tables.H)
+    rhs = punish_prob * float(gap) / (3.0 * fast.tables.H)
     return bool(lhs <= rhs)
 
 
@@ -661,8 +649,8 @@ def _signals_from_state(fast: _FastState, hal_entries, U, hal_values) -> dict:
 
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
              true_model: TabularModel | None = None, episode_log: str = "full",
-             tables: PriorTables | None = None, keep_signals: bool = False,
-             phase_hook=None, track_hh: bool = False, hh_rho0=None) -> GameLog:
+             keep_signals: bool = False, phase_hook=None,
+             track_hh: bool = False) -> GameLog:
     """Execute the phase loop and emit a replayable GameLog.
 
     ``agent`` follows the agents.AgentSpec protocol. ``episode_log`` is
@@ -678,8 +666,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     """
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
-    if tables is None:
-        tables = shared_tables(prior)
+    tables = shared_tables(prior)
     S, A, H = prior.shape
     eps = config.eps_pun
 
@@ -724,6 +711,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 explored_mask[x - 1, a - 1, h - 1] = False
             punish_mask = np.all(low | ~explored_mask, axis=(1, 2, 3))
             punish_size = int(punish_mask.sum())
+            if track_hh:
+                hh_inside = _hh_exploring_policies(tables, true_model, U)
         cens_post = fast.cens_posterior()
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
@@ -737,9 +726,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         hal_atom = rngmod.index_from_uniform(
             hal_post.weights, rngmod.uniforms(seed, f"phase:{ell}:hal-model", 1)[0])
         hal_counts, hal_values = _draw_hallucinated(
-            fast, tables, hal_atom, explored_mask,
-            rngmod.stream(seed, f"phase:{ell}:hal-rewards"),
-        )
+            fast, hal_atom, explored_mask,
+            lambda: rngmod.stream(seed, f"phase:{ell}:hal-rewards"))
         hon_counts = fast.reward_counts * explored_mask[..., None]
 
         if ell <= config.n_lrn:
@@ -753,7 +741,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             config=config,
             fast=fast,
             punish_mask=punish_mask,
-            punish_prob_float=punish_prob,
             hon_counts=hon_counts,
             hal_counts=hal_counts,
             U=U,
@@ -789,10 +776,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         hh_holds = None
         if track_hh:
-            hh_holds = _hh_condition_in_run(
-                config, tables, fast, true_model, U, ell, punish_prob, hal_counts,
-                rho_0=hh_rho0,
-            )
+            hh_holds = _hh_condition_in_run(config, fast, hh_inside, ell, punish_prob,
+                                            hal_counts)
 
         new_triples = sorted(set(tau_star.triples()) - set(counts_by_triple))
         for t in set(tau_star.triples()):

@@ -1,8 +1,10 @@
 """Finite discrete priors, exact canonical posteriors, gaps, Bayes-greedy.
 
 All Bayesian computation is exact enumeration over a weighted finite
-atom set. ``PriorTables`` carries the float/numpy caches (value matrix,
-reward/transition tensors) that the simulation fast paths use. The exact
+atom set. The float route (``exact=False``) runs on the prior's
+``PriorTables`` (``shared_tables``): a ledger becomes per-atom log-masses
+plus reward counts, and policy values are one product with the float
+value matrix, the arithmetic the run loop uses. The exact
 route (``exact=True``) runs on the prior's ``ExactLattice``: masses and
 policy values as Python ints over per-prior common denominators, so
 posteriors, conditional values and greedy choices are integer products
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, DegenerateSplit, IncompleteEnumeration, ZeroEvidence
-from .ledgers import Ledger, count_signature, ledger_probability
+from .ledgers import Ledger, count_signature
 from .mdp import (
     TRAJECTORY_CAP,
     DiscreteDist,
@@ -34,7 +36,6 @@ from .mdp import (
     Trajectory,
     as_fraction,
     enumerate_policies,
-    policy_value,
     reward_table,
     transition_table,
 )
@@ -260,74 +261,66 @@ def canonical_posterior(
     Atom weight is proportional to prior weight times the canonical
     ledger mass under the atom, restricted to the event. The exact route
     raises the lattice numerators to the ledger's count signature; the
-    common denominator cancels. Raises ZeroEvidence when the
+    common denominator cancels. The float route adds the ledger's
+    transition log-mass and reward log-likelihood on the prior's
+    PriorTables, as the run loop does. Raises ZeroEvidence when the
     conditioning is impossible.
     """
     if event is None:
         event = prior.full_event()
-    if exact:
-        lattice = exact_lattice(prior)
-        base = [w if i in event else 0 for i, w in enumerate(lattice.weights)]
-        raw = lattice.masses(base, count_signature(ledger))
-    else:
-        raw = [float(w) * ledger_probability(m, ledger) if i in event else 0.0
-               for i, (m, w) in enumerate(zip(prior.atoms, prior.weights))]
+    provenance = {"ledger": ledger.key(), "event": event, "exact": exact}
+    if not exact:
+        tables = shared_tables(prior)
+        translog, counts = tables.ledger_loglik(ledger)
+        return tables.posterior_from_loglik(translog + tables.reward_loglik(counts),
+                                            tables.event_mask(event), provenance)
+    lattice = exact_lattice(prior)
+    base = [w if i in event else 0 for i, w in enumerate(lattice.weights)]
+    raw = lattice.masses(base, count_signature(ledger))
     total = sum(raw)
     if not total:
         raise ZeroEvidence(
             f"ledger/event inconsistent with the prior "
             f"(|entries|={len(ledger)}, |event|={len(event)})"
         )
-    return Posterior(prior, normalized_weights(raw, total, exact),
-                     {"ledger": ledger.key(), "event": event, "exact": exact})
+    return Posterior(prior, normalized_weights(raw, total), provenance)
 
 
-def normalized_weights(raw: list, total, exact: bool):
-    """Posterior weights raw / total: Fractions in a tuple, or a float ndarray."""
-    return tuple(Fraction(v, total) for v in raw) if exact else np.array(raw) / total
+def normalized_weights(raw: list, total) -> tuple:
+    """Exact posterior weights raw / total, as Fractions."""
+    return tuple(Fraction(v, total) for v in raw)
 
 
-def exact_policy_values(posterior: Posterior) -> tuple[list[int], int]:
-    """Conditional values of every policy, in encoding order, of an exact
-    posterior: integer numerators over one positive denominator."""
-    lattice = exact_lattice(posterior.prior)
-    nums, den = posterior.numerators
-    return lattice.policy_values(nums), den * lattice.value_den
+def policy_values(posterior: Posterior) -> tuple:
+    """(vals, den): the conditional value of every policy, in encoding order.
 
-
-def conditional_value(posterior: Posterior, policy: MarkovPolicy, tables: "PriorTables | None" = None):
-    """E over posterior atoms of policy_value(atom, policy).
-
-    Exact posteriors read the lattice's value matrix; ``tables`` serves
-    the float route.
+    An exact posterior gives integer numerators on its lattice over one
+    positive denominator; a float posterior gives its weights times the
+    PriorTables value matrix, with den None.
     """
     if posterior.exact:
         lattice = exact_lattice(posterior.prior)
         nums, den = posterior.numerators
-        return Fraction(lattice.policy_value(nums, policy.encoding), den * lattice.value_den)
-    if tables is not None:
-        return float(np.dot(posterior.weights,
-                            tables.value_matrix[:, tables.policy_col(policy)]))
-    total = 0.0
-    for w, m in zip(posterior.weights, posterior.prior.atoms):
-        if w:
-            total += w * policy_value(m, policy)
-    return total
+        return lattice.policy_values(nums), den * lattice.value_den
+    return posterior.weights @ shared_tables(posterior.prior).value_matrix, None
 
 
-def canonical_gap(posterior: Posterior, Pi, tables: "PriorTables | None" = None):
+def conditional_value(posterior: Posterior, policy: MarkovPolicy):
+    """E over posterior atoms of policy_value(atom, policy): the policy's
+    entry of the posterior's policy values."""
+    vals, den = policy_values(posterior)
+    v = vals[policy.encoding]
+    return float(v) if den is None else Fraction(v, den)
+
+
+def canonical_gap(posterior: Posterior, Pi):
     """Best conditional value inside Pi minus best outside it.
 
     Pi is a collection of MarkovPolicy or encodings; must be a nonempty
     strict subset of the enumerated policy space. Exact posteriors compare
     integer conditional values and return the gap as a Fraction.
     """
-    if posterior.exact:
-        vals, den = exact_policy_values(posterior)
-    else:
-        S, A, H = posterior.prior.shape
-        policies = tables.policies if tables is not None else enumerate_policies(S, A, H)
-        vals, den = [conditional_value(posterior, p, tables) for p in policies], None
+    vals, den = policy_values(posterior)
     enc = policy_encodings(Pi)
     inside = [v for j, v in enumerate(vals) if j in enc]
     outside = [v for j, v in enumerate(vals) if j not in enc]
@@ -345,7 +338,7 @@ def policy_encodings(Pi) -> frozenset:
 GREEDY_TIE_TOL = 1e-9
 
 
-def bayes_greedy(posterior: Posterior, tables: "PriorTables | None" = None) -> MarkovPolicy:
+def bayes_greedy(posterior: Posterior) -> MarkovPolicy:
     """argmax of conditional value; ties broken by smallest encoding.
 
     Exact posteriors compare integer conditional values exactly. Float
@@ -353,29 +346,24 @@ def bayes_greedy(posterior: Posterior, tables: "PriorTables | None" = None) -> M
     tied, so that mathematically tied policies resolve to the same
     canonical winner regardless of summation order.
     """
+    vals, _ = policy_values(posterior)
     if posterior.exact:
-        vals, _ = exact_policy_values(posterior)
         return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
-    if tables is not None:
-        vals = posterior.weights @ tables.value_matrix
-        policies = tables.policies
-    else:
-        policies = enumerate_policies(*posterior.prior.shape)
-        vals = np.array([conditional_value(posterior, p) for p in policies])
     vmax = float(vals.max())
     tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-    return policies[int(np.flatnonzero(vals >= vmax - tol)[0])]
+    best = int(np.flatnonzero(vals >= vmax - tol)[0])
+    return shared_tables(posterior.prior).policies[best]
 
 
 def greedy_set(posterior: Posterior) -> frozenset:
     """Encodings of every exact maximizer of an exact posterior's conditional value."""
-    vals, _ = exact_policy_values(posterior)
+    vals, _ = policy_values(posterior)
     best = max(vals)
     return frozenset(j for j, v in enumerate(vals) if v == best)
 
 
 class PriorTables:
-    """numpy caches over a prior's atoms for the simulation fast paths.
+    """numpy caches over a prior's atoms: the float posterior route.
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
     trans (n, S, A, H, S); and per-support reward log-masses for
@@ -387,7 +375,6 @@ class PriorTables:
         S, A, H = prior.shape
         self.S, self.A, self.H = S, A, H
         self.policies = enumerate_policies(S, A, H)
-        self._policy_col = {p.encoding: j for j, p in enumerate(self.policies)}
         n = prior.n
         self.support = prior.atoms[0].reward_support
         self._support_ix = {v: k for k, v in enumerate(self.support)}
@@ -430,9 +417,6 @@ class PriorTables:
             togo = nxt
         return _weighted_columns(self.init, togo)
 
-    def policy_col(self, policy: MarkovPolicy) -> int:
-        return self._policy_col[policy.encoding]
-
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
         """policy_value(atom, policy, exact=True), read off the prior's lattice."""
         lattice = exact_lattice(self.prior)
@@ -450,6 +434,42 @@ class PriorTables:
                 nxt = traj_steps[i + 1]
                 out = out + np.log(self.trans[:, s.x - 1, s.a - 1, s.h - 1, nxt.x - 1])
         return out
+
+    def ledger_loglik(self, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
+        """A ledger as (per-atom log transition mass, revealed-reward counts).
+
+        The log-masses are summed entry by entry, as the run loop sums
+        them; the counts have reward_logmass's (S, A, H, |support|) shape.
+        A revealed reward outside the support has mass 0 under every atom.
+        """
+        translog = np.zeros(self.prior.n)
+        counts = np.zeros((self.S, self.A, self.H, len(self.support)), dtype=int)
+        for _, traj in ledger.entries:
+            translog += self.entry_translog(traj.steps)
+            for s in traj.steps:
+                if s.r is None:
+                    continue
+                if s.r not in self._support_ix:
+                    translog[:] = -np.inf
+                    continue
+                counts[s.x - 1, s.a - 1, s.h - 1, self._support_ix[s.r]] += 1
+        return translog, counts
+
+    def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
+        """Per-atom log reward mass for occurrence counts (same shape as counts).
+
+        A zero mass gives -inf, and -inf times a positive count stays -inf.
+        """
+        active = counts > 0
+        if not active.any():
+            return np.zeros(self.prior.n)
+        return (self.reward_logmass[:, active] * counts[active]).sum(axis=1)
+
+    def event_mask(self, event: ModelEvent) -> np.ndarray:
+        """The event as a boolean vector over the atoms."""
+        mask = np.zeros(self.prior.n, dtype=bool)
+        mask[list(event)] = True
+        return mask
 
     def posterior_from_loglik(self, loglik: np.ndarray, mask=None, provenance=None) -> Posterior:
         """Normalize prior-weighted log-likelihoods into a float Posterior."""
@@ -694,10 +714,6 @@ class ExactLattice:
             else:
                 out = [o * c ** count for o, c in zip(out, col)]
         return out
-
-    def policy_value(self, nums, encoding: int) -> int:
-        """sum_i nums[i] * value of the policy under atom i."""
-        return sum(map(operator.mul, nums, self.value_cols[encoding]))
 
     def policy_values(self, nums) -> list[int]:
         """policy_value for every policy, in encoding order."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ielab import det_parameters, micro_det_1, micro_stoch_1
-from ielab.priors import PriorTables
+from ielab.priors import shared_tables
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def det_config(det_factored):
 
 @pytest.fixture(scope="session")
 def det_tables(det_prior):
-    return PriorTables(det_prior)
+    return shared_tables(det_prior)
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def stoch_prior(stoch_factored):
 
 @pytest.fixture(scope="session")
 def stoch_tables(stoch_prior):
-    return PriorTables(stoch_prior)
+    return shared_tables(stoch_prior)
 
 
 class TopDrawGenerator:

@@ -56,7 +56,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_deterministic_exploration(det_factored, det_prior, det_tables):
+def test_criterion_1_deterministic_exploration(det_factored, det_prior):
     """100/100 seeded runs cover the reachable set within |Reach| phases,
     visiting a new triple in every phase until coverage."""
     t0 = time.time()
@@ -64,9 +64,9 @@ def test_criterion_1_deterministic_exploration(det_factored, det_prior, det_tabl
     assert cfg.eps_pun == Fraction(1, 10) and cfg.n_phase == 7680
     failures = []
     for seed in range(100):
-        agent = make_agent("fully_rational", det_prior, cfg, tables=det_tables)
+        agent = make_agent("fully_rational", det_prior, cfg)
         log = run_game(cfg, det_prior, agent, seed=seed,
-                       episode_log="hallucination", tables=det_tables)
+                       episode_log="hallucination")
         covered = log.summary["phases_to_coverage"]
         reach = log.summary["reach_size"]
         flags = log.summary["new_triple_flags"]
@@ -229,7 +229,7 @@ def test_criterion_8_oracle_equivalence(stoch_prior):
                    f"<= 1e-10; canonical posterior equals brute-force Bayes exactly")
 
 
-def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior, stoch_tables):
+def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
     """The theory-scale constants are not desk-reproducible (reported below);
     substitute property checks (a), (b), (c)."""
     eps_pun = Fraction(7, 2880)
@@ -243,9 +243,9 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior, stoch
                           rho=Fraction(1, 4))
     good = 0
     for seed in range(500):
-        agent = make_agent("canonical_truster", stoch_prior, cfg, tables=stoch_tables)
+        agent = make_agent("canonical_truster", stoch_prior, cfg)
         log = run_game(cfg, stoch_prior, agent, seed=seed,
-                       episode_log="hallucination", tables=stoch_tables)
+                       episode_log="hallucination")
         est = empirical_estimators(log, n_lrn)
         m = stoch_prior.atoms[log.true_atom]
         ok = all(
@@ -263,7 +263,7 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior, stoch
     def good_mass(n, seed, er_fix=0.25, ep_fix=0.2):
         cfg_n = MechanismConfig(theory["n_phase_theory"], n, eps_pun,
                                 6 * n + 40, rho=Fraction(1, 4))
-        agent = make_agent("canonical_truster", stoch_prior, cfg_n, tables=stoch_tables)
+        agent = make_agent("canonical_truster", stoch_prior, cfg_n)
         out = {}
 
         def hook(ctx, log):
@@ -279,7 +279,7 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior, stoch
             return False
 
         run_game(cfg_n, stoch_prior, agent, seed=seed,
-                 episode_log="hallucination", tables=stoch_tables, phase_hook=hook)
+                 episode_log="hallucination", phase_hook=hook)
         return out.get("mass", 0.0)
 
     grid = (1, 4, 16, 64)
@@ -292,9 +292,8 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior, stoch
     cfg4 = MechanismConfig(rep4["n_phase_theory"], 4, eps_pun, cap, rho=Fraction(1, 4))
     explored = []
     for seed in range(100):
-        agent = make_agent("canonical_truster", stoch_prior, cfg4, tables=stoch_tables)
+        agent = make_agent("canonical_truster", stoch_prior, cfg4)
         log = run_game(cfg4, stoch_prior, agent, seed=seed, episode_log="hallucination",
-                       tables=stoch_tables,
                        phase_hook=lambda ctx, log: ctx.covered_at is not None)
         explored.append(log.summary["phases_to_coverage"])
     frac = sum(1 for e in explored if e is not None and e <= 3 * rep4["L_0"]) / len(explored)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ielab import (
+    AgentSpec,
     MechanismConfig,
     OracleUnavailable,
     bayes_greedy,
@@ -15,12 +17,14 @@ from ielab import (
     make_agent,
     mechanism_posterior,
     prior_as_posterior,
+    prob_parameters,
     raw_ledger,
     run_game,
     totally_censor,
 )
-from ielab.agents import episode_phase
+from ielab.agents import _mechanism_weights_float, episode_phase
 from ielab.mdp import DiscreteDist
+from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import mechanism_posterior_from_table, p_hal_audit
 from ielab.priors import DiscretePrior
 
@@ -34,20 +38,20 @@ def test_episode_phase_inverse():
             assert episode_phase(cfg, k) == ell
 
 
-def test_empty_ledger_both_modes_prior_greedy(det_prior, det_config, det_tables):
+def test_empty_ledger_both_modes_prior_greedy(det_prior, det_config):
     empty_hal = raw_ledger(2, 2, 2, [])
     from ielab.mdp import all_triples
     from ielab.ledgers import Ledger
 
     empty = Ledger(2, 2, 2, all_triples(2, 2, 2), ())
-    prior_pol = bayes_greedy(prior_as_posterior(det_prior), det_tables)
+    prior_pol = bayes_greedy(prior_as_posterior(det_prior))
     for mode in ("canonical_truster", "fully_rational"):
-        agent = make_agent(mode, det_prior, det_config, tables=det_tables)
+        agent = make_agent(mode, det_prior, det_config)
         assert choose_policy(agent, 1, empty) == prior_pol
     assert empty_hal.entries == ()
 
 
-def test_mechanism_posterior_weights_and_limit(det_prior, det_config, det_tables):
+def test_mechanism_posterior_weights_and_limit(det_prior, det_config):
     """p0 = 0 collapses the mixture onto the honest branch, i.e. the
     canonical posterior of the revealed ledger."""
     table = enumerate_game(det_config, det_prior, 2)
@@ -87,11 +91,11 @@ def test_hallucination_episode_choice_lands_in_target(det_prior, det_config, det
     an unexplored triple (the audited one-step conclusion, asserted in-run)."""
     from ielab.analysis import first_unexplored_stage
 
-    agent = make_agent("fully_rational", det_prior, det_config, tables=det_tables)
+    agent = make_agent("fully_rational", det_prior, det_config)
     for seed in range(8):
-        fresh = make_agent("fully_rational", det_prior, det_config, tables=det_tables)
+        fresh = make_agent("fully_rational", det_prior, det_config)
         log = run_game(det_config, det_prior, fresh, seed=seed,
-                       episode_log="hallucination", tables=det_tables)
+                       episode_log="hallucination")
         m_true = det_prior.atoms[log.true_atom]
         for p in log.phases:
             U = frozenset(tuple(t) for t in p.U)
@@ -108,14 +112,14 @@ def test_hallucination_episode_choice_lands_in_target(det_prior, det_config, det
     assert agent.mode == "fully_rational"
 
 
-def test_exploitation_agreement_theory_scale(stoch_prior, stoch_tables):
+def test_exploitation_agreement_theory_scale(stoch_prior):
     big = MechanismConfig(n_phase=70218, n_lrn=2, eps_pun=Fraction(7, 2880),
                           total_phases=8, rho=Fraction(1, 4))
     for seed in range(4):
-        a_c = make_agent("canonical_truster", stoch_prior, big, tables=stoch_tables)
+        a_c = make_agent("canonical_truster", stoch_prior, big)
         log = run_game(big, stoch_prior, a_c, seed=seed, episode_log="hallucination",
-                       tables=stoch_tables, keep_signals=True)
-        a_r = make_agent("fully_rational", stoch_prior, big, tables=stoch_tables)
+                       keep_signals=True)
+        a_r = make_agent("fully_rational", stoch_prior, big)
         for p in log.phases:
             if p.honest_policy is None:
                 continue
@@ -142,3 +146,53 @@ def test_fully_rational_oracle_unavailable():
     lam = totally_censor(raw_ledger(S, A, H, []))
     with pytest.raises(OracleUnavailable):
         choose_policy(agent, 2, lam)
+
+
+class PosteriorRecorder(AgentSpec):
+    """A float fully rational agent that keeps, for every in-run choice,
+    the revealed ledger and the run loop's canonical and mechanism
+    posteriors of it."""
+
+    def choose_signal(self, k, ell, kind, ctx):
+        counts = ctx.counts_of(kind)
+        p0 = float(hallucination_prior_prob(self.config, ell))
+        mech, p_hal = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog, counts,
+                                               ctx.punish_mask, p0)
+        can = ctx.fast.revealed_posterior(counts, kind).weights
+        self.seen.append((k, ctx.signals[kind], can, mech, p_hal))
+        return super().choose_signal(k, ell, kind, ctx)
+
+
+@pytest.mark.parametrize("instance", ["det", "stoch"])
+def test_standalone_float_posteriors_equal_in_run(instance, det_prior, det_config,
+                                                  stoch_factored, stoch_prior):
+    """Standalone float canonical_posterior and mechanism_posterior of each
+    materialized signal ledger equal the run loop's posteriors bit for bit."""
+    if instance == "det":
+        prior, cfg, seeds = det_prior, det_config, range(10)
+    else:
+        cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                                 n_lrn_override=8, total_phases_override=40)
+        prior, seeds = stoch_prior, range(5)
+    for seed in seeds:
+        agent = PosteriorRecorder("fully_rational", prior, cfg)
+        agent.seen = []
+        run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
+        # one choice per single-episode phase, two per later phase
+        assert len(agent.seen) == cfg.n_lrn + 2 * (cfg.total_phases - cfg.n_lrn)
+        for k, ledger, can, mech, p_hal in agent.seen:
+            assert np.array_equal(canonical_posterior(prior, ledger).weights, can)
+            post, p = mechanism_posterior(prior, cfg, k, ledger)
+            assert np.array_equal(post.weights, mech) and p == p_hal
+
+
+def test_fully_rational_long_run_no_false_zero_evidence(stoch_prior):
+    """Deep into a long run every atom's revealed-reward log-mass is far
+    below 0 (the largest finite one falls below -800 here). The mechanism
+    posterior shifts by that largest value, so exp() cannot underflow to
+    an all-zero likelihood and report the ledger impossible."""
+    cfg = MechanismConfig(70218, 256, Fraction(7, 2880), 1200, rho=Fraction(1, 4))
+    agent = make_agent("fully_rational", stoch_prior, cfg)
+    log = run_game(cfg, stoch_prior, agent, seed=0, episode_log="hallucination",
+                   phase_hook=lambda ctx, log: ctx.covered_at is not None)
+    assert log.summary["phases_to_coverage"] == 1085

@@ -175,10 +175,9 @@ def test_error_bound_formulas():
     )
 
 
-def test_empirical_estimators_deterministic(det_prior, det_config, det_tables):
-    agent = make_agent("fully_rational", det_prior, det_config, tables=det_tables)
-    log = run_game(det_config, det_prior, agent, seed=2, episode_log="hallucination",
-                   tables=det_tables)
+def test_empirical_estimators_deterministic(det_prior, det_config):
+    agent = make_agent("fully_rational", det_prior, det_config)
+    log = run_game(det_config, det_prior, agent, seed=2, episode_log="hallucination")
     est = empirical_estimators(log, n_lrn=1)
     m = det_prior.atoms[log.true_atom]
     for t, val in est.theta_r.items():
@@ -223,9 +222,9 @@ def test_deterministic_simulation_lemma_invariant(det_prior, det_config, det_tab
     """Atoms in the support of the posterior given the hallucinated ledger
     agree with the truth up to the first unexplored stage and are punished
     before it."""
-    agent = make_agent("fully_rational", det_prior, det_config, tables=det_tables)
+    agent = make_agent("fully_rational", det_prior, det_config)
     log = run_game(det_config, det_prior, agent, seed=6, episode_log="hallucination",
-                   tables=det_tables, keep_signals=True)
+                   keep_signals=True)
     m_star = det_prior.atoms[log.true_atom]
     from ielab.mdp import deterministic_trajectory
 
@@ -253,9 +252,9 @@ def test_value_bounds_on_good_models(stoch_prior, stoch_tables):
     """Posterior atoms given a hallucinated ledger obey the good-model value
     bounds at generous tolerances."""
     cfg = MechanismConfig(70218, 4, Fraction(7, 2880), 60, rho=Fraction(1, 4))
-    agent = make_agent("canonical_truster", stoch_prior, cfg, tables=stoch_tables)
+    agent = make_agent("canonical_truster", stoch_prior, cfg)
     log = run_game(cfg, stoch_prior, agent, seed=8, episode_log="hallucination",
-                   tables=stoch_tables, keep_signals=True)
+                   keep_signals=True)
     m_star = stoch_prior.atoms[log.true_atom]
     eps_r, eps_p = 0.25, 0.2
     checked = 0
@@ -272,7 +271,7 @@ def test_value_bounds_on_good_models(stoch_prior, stoch_tables):
                 continue
             checked += 1
             for pol in stoch_tables.policies[::5]:
-                value = float(stoch_tables.value_matrix[i, stoch_tables.policy_col(pol)])
+                value = float(stoch_tables.value_matrix[i, pol.encoding])
                 p_star = event_visit_probability(m_star, pol, U)
                 upper = (H * p_star + H * (2 * eps_r + float(cfg.eps_pun))
                          + H * (H - 1) * eps_p)

@@ -32,7 +32,6 @@ from ielab import det_parameters, instances, mechanism, oracle
 from ielab.agents import make_agent
 from ielab.cli import main
 from ielab.harness import _det_target_provider
-from ielab.priors import shared_tables
 
 GOLDEN = Path(__file__).parent / "golden" / "log_digests.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_checks.json"
@@ -92,7 +91,7 @@ def stoch_full_log_digests() -> dict:
     for mode in ("canonical_truster", "fully_rational"):
         out[mode] = {}
         for seed in range(3):
-            agent = make_agent(mode, prior, cfg, tables=shared_tables(prior))
+            agent = make_agent(mode, prior, cfg)
             log = mechanism.run_game(cfg, prior, agent, seed, episode_log="full")
             out[mode][str(seed)] = log.digest()
     return out

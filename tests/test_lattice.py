@@ -7,8 +7,8 @@ Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
   Fraction sums of policy_value(exact=True), ties included;
 - one_step_audit's argmax sets vs the Fraction argmax of the table's
   mechanism posterior;
-- the float fast route AgentSpec._rational_fast vs
-  mechanism_posterior(exact=True);
+- the float mechanism posterior of the run loop
+  (agents._mechanism_weights_float) vs mechanism_posterior(exact=True);
 - the lattice's per-policy trajectory lists vs
   mdp.enumerate_trajectories, atom by atom, on the micro instances too;
 and a corrupted lattice column must stop enumerate_game.
@@ -50,7 +50,9 @@ from ielab import (
     raw_ledger,
     run_game,
 )
+from ielab.agents import _mechanism_weights_float
 from ielab.analysis import sufficiently_visiting_policies
+from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import _mech_joint, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set
@@ -282,11 +284,13 @@ class RecordingAgent(AgentSpec):
     materialized ledger."""
 
     def choose_signal(self, k, ell, kind, ctx):
-        fast = self._rational_fast(ell, ctx.counts_of(kind), ctx)
+        p0 = float(hallucination_prior_prob(self.config, ell))
+        fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog,
+                                           ctx.counts_of(kind), ctx.punish_mask, p0)
         exact, _ = mechanism_posterior(self.prior, self.config, k, ctx.signals[kind],
                                        exact=True)
         want = np.array([float(w) for w in exact.weights])
-        self.errors.append(float(np.abs(fast.weights - want).max()))
+        self.errors.append(float(np.abs(fast - want).max()))
         return super().choose_signal(k, ell, kind, ctx)
 
 

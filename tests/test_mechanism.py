@@ -271,24 +271,23 @@ def test_hh_condition():
     assert not holds
 
 
-def test_run_game_zero_phases(det_prior, det_config, det_tables):
-    agent = make_agent("canonical_truster", det_prior, det_config, tables=det_tables)
+def test_run_game_zero_phases(det_prior, det_config):
+    agent = make_agent("canonical_truster", det_prior, det_config)
     cfg = MechanismConfig(det_config.n_phase, 1, det_config.eps_pun, 0)
-    log = run_game(cfg, det_prior, agent, seed=0, tables=det_tables)
+    log = run_game(cfg, det_prior, agent, seed=0)
     assert log.phases == [] and log.episodes == []
     assert log.summary["phases_to_coverage"] is None
 
 
-def test_run_game_replay_and_modes(det_prior, det_config, det_tables):
+def test_run_game_replay_and_modes(det_prior, det_config):
     small = MechanismConfig(5, 1, det_config.eps_pun, 4)
-    a1 = make_agent("fully_rational", det_prior, small, tables=det_tables)
-    full = run_game(small, det_prior, a1, seed=21, episode_log="full", tables=det_tables)
-    a2 = make_agent("fully_rational", det_prior, small, tables=det_tables)
-    again = run_game(small, det_prior, a2, seed=21, episode_log="full", tables=det_tables)
+    a1 = make_agent("fully_rational", det_prior, small)
+    full = run_game(small, det_prior, a1, seed=21, episode_log="full")
+    a2 = make_agent("fully_rational", det_prior, small)
+    again = run_game(small, det_prior, a2, seed=21, episode_log="full")
     assert full.to_jsonl() == again.to_jsonl()
-    a3 = make_agent("fully_rational", det_prior, small, tables=det_tables)
-    lean = run_game(small, det_prior, a3, seed=21, episode_log="hallucination",
-                    tables=det_tables)
+    a3 = make_agent("fully_rational", det_prior, small)
+    lean = run_game(small, det_prior, a3, seed=21, episode_log="hallucination")
     # phase records identical across modes; episode records are a subset
     assert [p.to_dict() for p in full.phases] == [p.to_dict() for p in lean.phases]
     full_hal = [e.to_dict() for e in full.episodes if e.is_hallucination]
@@ -314,21 +313,21 @@ def test_run_game_zero_evidence_context():
         run_game(cfg, prior, agent, seed=0)
 
 
-def test_run_game_explicit_true_model(det_prior, det_config, det_tables):
+def test_run_game_explicit_true_model(det_prior, det_config):
     small = MechanismConfig(6, 1, det_config.eps_pun, 3)
-    agent = make_agent("canonical_truster", det_prior, small, tables=det_tables)
+    agent = make_agent("canonical_truster", det_prior, small)
     log = run_game(small, det_prior, agent, seed=4, true_model=det_prior.atoms[19],
-                   tables=det_tables, episode_log="hallucination")
+                   episode_log="hallucination")
     assert log.true_atom == 19
 
 
-def test_run_game_hh_condition_and_U_monotone(det_prior, det_config, det_tables):
+def test_run_game_hh_condition_and_U_monotone(det_prior, det_config):
     """With the certified schedule the phase-length condition holds at every
     phase with a non-degenerate policy split, and U never grows."""
     for seed in range(10):
-        agent = make_agent("fully_rational", det_prior, det_config, tables=det_tables)
+        agent = make_agent("fully_rational", det_prior, det_config)
         log = run_game(det_config, det_prior, agent, seed=seed,
-                       episode_log="hallucination", tables=det_tables, track_hh=True)
+                       episode_log="hallucination", track_hh=True)
         prev_U = None
         for p in log.phases:
             U = frozenset(tuple(t) for t in p.U)
@@ -355,8 +354,8 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     tables = PriorTables(DiscretePrior((model,), (Fraction(1),)))
     fast = _FastState(tables)
     fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(0)),)))
-    counts, values = _draw_hallucinated(fast, tables, 0, np.ones((1, 1, 1), dtype=bool),
-                                        top_draw_rng)
+    counts, values = _draw_hallucinated(fast, 0, np.ones((1, 1, 1), dtype=bool),
+                                        lambda: top_draw_rng)
     assert values.tolist() == [9]
     assert counts[0, 0, 0, 9] == 1 and counts.sum() == 1
 
@@ -364,7 +363,8 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
 def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_tables):
     """One uniform per explored occurrence, in entry order, picks a value of
     the hallucinated atom's reward law at that triple; censored occurrences
-    get -1, and the counts tally the drawn values per triple."""
+    get -1, and the counts tally the drawn values per triple. With no
+    explored occurrence no generator is built."""
     import numpy as np
 
     from ielab import sample_trajectory
@@ -381,7 +381,7 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     explored = np.ones((2, 2, 2), dtype=bool)
     explored[1, 1, 0] = explored[0, 0, 1] = False
     hal = stoch_prior.atoms[511]  # Bernoulli(7/10) rewards on every triple
-    counts, values = _draw_hallucinated(fast, stoch_tables, 511, explored, stream(0, "hal"))
+    counts, values = _draw_hallucinated(fast, 511, explored, lambda: stream(0, "hal"))
 
     support = stoch_tables.support
     n_explored = sum(bool(explored[s.x - 1, s.a - 1, s.h - 1]) for s in steps)
@@ -399,6 +399,12 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     assert values.tolist() == expected_values
     assert np.array_equal(counts, expected)
     assert len(set(expected_values) - {-1}) == 2  # both reward values drawn
+
+    def no_stream():
+        raise AssertionError("a generator was built with nothing to draw")
+
+    counts, values = _draw_hallucinated(fast, 511, np.zeros((2, 2, 2), dtype=bool), no_stream)
+    assert not counts.any() and (values == -1).all()
 
 
 def test_punish_mask_compares_mean_rewards_exactly():

@@ -139,7 +139,7 @@ def test_zero_evidence(det_prior):
         canonical_posterior(det_prior, lam, exact=True)
 
 
-def test_conditional_value_linearity(det_prior, det_tables):
+def test_conditional_value_linearity(det_prior):
     pol = enumerate_policies(2, 2, 2)[4]
     point = canonical_posterior(
         det_prior,
@@ -154,25 +154,25 @@ def test_conditional_value_linearity(det_prior, det_tables):
     expected = (policy_value(det_prior.atoms[10], pol, exact=True)
                 + policy_value(det_prior.atoms[20], pol, exact=True)) / 2
     assert v == expected
-    # float route with tables agrees
+    # the float route agrees
     two_f = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []), event=frozenset({10, 20}))
-    assert conditional_value(two_f, pol, det_tables) == pytest.approx(float(expected), abs=1e-12)
+    assert conditional_value(two_f, pol) == pytest.approx(float(expected), abs=1e-12)
 
 
 def test_canonical_gap_properties(stoch_prior, stoch_tables):
     post = prior_as_posterior(stoch_prior, exact=True)
     pols = stoch_tables.policies
-    vals = [conditional_value(post, p, stoch_tables) for p in pols]
+    vals = [conditional_value(post, p) for p in pols]
     best = max(range(len(pols)), key=lambda i: vals[i])
     Pi = {pols[best]}
-    g = canonical_gap(post, Pi, stoch_tables)
+    g = canonical_gap(post, Pi)
     assert g >= 0
     comp = set(pols) - Pi
-    assert canonical_gap(post, comp, stoch_tables) == -g
+    assert canonical_gap(post, comp) == -g
     with pytest.raises(DegenerateSplit):
-        canonical_gap(post, set(), stoch_tables)
+        canonical_gap(post, set())
     with pytest.raises(DegenerateSplit):
-        canonical_gap(post, set(pols), stoch_tables)
+        canonical_gap(post, set(pols))
 
 
 def test_canonical_gap_symmetric_split_is_zero(det_prior, det_tables):
@@ -187,27 +187,27 @@ def test_canonical_gap_symmetric_split_is_zero(det_prior, det_tables):
     rest = set(pols) - half
     # prior is symmetric in rewards, transitions are not; use a reward-only
     # value comparison: under the flat prior all policies have equal value.
-    g = canonical_gap(post, half, det_tables)
+    g = canonical_gap(post, half)
     assert g == 0
-    assert canonical_gap(post, rest, det_tables) == 0
+    assert canonical_gap(post, rest) == 0
 
 
-def test_bayes_greedy_point_mass_matches_dp(det_prior, det_tables):
+def test_bayes_greedy_point_mass_matches_dp(det_prior):
     for idx in (0, 77, 255):
         point = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []),
                                     event=frozenset({idx}), exact=True)
-        pol = bayes_greedy(point, det_tables)
+        pol = bayes_greedy(point)
         m = det_prior.atoms[idx]
         assert policy_value(m, pol, exact=True) == optimal_value(m, exact=True)
 
 
-def test_bayes_greedy_tie_break_smallest_encoding(det_prior, det_tables):
+def test_bayes_greedy_tie_break_smallest_encoding(det_prior):
     # flat prior: every policy has conditional value 0.8, so the canonical
     # tie-break must return encoding 0
     post = prior_as_posterior(det_prior, exact=True)
-    assert bayes_greedy(post, det_tables).encoding == 0
+    assert bayes_greedy(post).encoding == 0
     post_f = prior_as_posterior(det_prior)
-    assert bayes_greedy(post_f, det_tables).encoding == 0
+    assert bayes_greedy(post_f).encoding == 0
 
 
 def test_bayes_greedy_brute_force(stoch_prior, stoch_tables):
@@ -216,15 +216,15 @@ def test_bayes_greedy_brute_force(stoch_prior, stoch_tables):
     traj = list(enumerate_trajectories(m, pol0))[3][0]
     lam = raw_ledger(2, 2, 2, [(pol0, traj)])
     post = canonical_posterior(stoch_prior, lam, exact=True)
-    got = bayes_greedy(post, stoch_tables)
-    vals = {p.encoding: conditional_value(post, p, stoch_tables)
+    got = bayes_greedy(post)
+    vals = {p.encoding: conditional_value(post, p)
             for p in stoch_tables.policies}
     vmax = max(vals.values())
     winners = [e for e, v in vals.items() if v == vmax]
     assert got.encoding == min(winners)
 
 
-def test_bayes_greedy_rescaling_invariance(stoch_prior, stoch_tables):
+def test_bayes_greedy_rescaling_invariance(stoch_prior):
     """Scaling all unnormalized weights by a positive constant cannot change
     the argmax; normalization makes the two posteriors literally equal."""
     pol0 = enumerate_policies(2, 2, 2)[1]
@@ -238,7 +238,7 @@ def test_bayes_greedy_rescaling_invariance(stoch_prior, stoch_tables):
     from ielab.priors import Posterior
 
     scaled = Posterior(stoch_prior, tuple(v / total for v in raw))
-    assert bayes_greedy(scaled, stoch_tables) == bayes_greedy(post, stoch_tables)
+    assert bayes_greedy(scaled) == bayes_greedy(post)
 
 
 def test_expansion_cap():
