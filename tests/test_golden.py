@@ -26,12 +26,14 @@ from pathlib import Path
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ielab import det_parameters, instances, mechanism, oracle
 from ielab.agents import make_agent
 from ielab.cli import main
 from ielab.harness import _det_target_provider
+from ielab.priors import shared_tables
 
 GOLDEN = Path(__file__).parent / "golden" / "log_digests.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_checks.json"
@@ -39,6 +41,9 @@ STOCH_FULL_GOLDEN = Path(__file__).parent / "golden" / "stoch_full_log.json"
 
 _STOCH = ["--override", 'prior={"micro":"stoch1"}', "--override", "mechanism.n_lrn=8",
           "--override", "mechanism.total_phases=40", "--seeds", "0..4"]
+_STOCH_HAL = ["--override", 'prior={"micro":"stoch1"}', "--override", "mechanism.n_lrn=8",
+              "--override", "mechanism.total_phases=40", "--override", "mechanism.eps_pun=3/4",
+              "--seeds", "0..2"]
 
 RUNS = {
     "det": ["run-det", "--seeds", "0..9"],
@@ -56,6 +61,12 @@ RUNS = {
                         "--override", "mechanism.n_lrn=64",
                         "--override", "mechanism.total_phases=320", "--seeds", "0..1",
                         "--override", 'agent={"mode":"canonical_truster"}'],
+    # eps_pun 3/4 puts atoms with nonzero mean rewards in the punish event,
+    # so hallucinated ledgers carry nonzero rewards
+    "prob-truster-hal-rewards": ["run-prob", *_STOCH_HAL,
+                                 "--override", 'agent={"mode":"canonical_truster"}'],
+    "prob-rational-hal-rewards": ["run-prob", *_STOCH_HAL,
+                                  "--override", 'agent={"mode":"fully_rational"}'],
 }
 
 
@@ -80,6 +91,30 @@ def test_golden_float_and_exact_det_agree():
     golden = json.loads(GOLDEN.read_text())
     exact = golden["det-exact"]["digests"]
     assert exact == {s: golden["det"]["digests"][s] for s in exact}
+
+
+def test_hal_rewards_golden_draws_nonzero_rewards():
+    """The hal-rewards goldens see nonzero hallucinated rewards: at least
+    one explored occurrence of some phase's hallucinated ledger draws a
+    positive reward, so a wrong draw or a misattributed count changes
+    their digests."""
+    prior = instances.micro_stoch_1().expand()
+    support = np.array([float(v) for v in shared_tables(prior).support])
+    base, _ = mechanism.prob_parameters(instances.micro_stoch_1(), Fraction(1, 4), 0.1,
+                                        n_lrn_override=8, total_phases_override=40)
+    cfg = mechanism.MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
+    drawn = nonzero = 0
+
+    def hook(ctx, log):
+        nonlocal drawn, nonzero
+        drawn += int(ctx.hal_counts.sum())
+        nonzero += int(ctx.hal_counts[..., support != 0].sum())
+
+    for mode in ("canonical_truster", "fully_rational"):
+        for seed in range(3):
+            mechanism.run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                               episode_log="hallucination", phase_hook=hook)
+    assert 0 < nonzero < drawn
 
 
 def stoch_full_log_digests() -> dict:
