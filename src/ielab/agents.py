@@ -63,7 +63,8 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
     else:
         tables = shared_tables(prior)
         translog, counts = tables.ledger_loglik(revealed)
-        weights, p_hal = _mechanism_weights_float(tables, translog, counts,
+        can = tables.posterior_from_loglik(translog).weights
+        weights, p_hal = _mechanism_weights_float(tables, can, counts,
                                                   tables.event_mask(punish), p0)
     post = Posterior(
         prior, weights,
@@ -101,18 +102,18 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
     return normalized_weights(raw, total), Fraction(hal, denom) if denom else Fraction(0)
 
 
-def _mechanism_weights_float(tables: PriorTables, translog: np.ndarray, counts: np.ndarray,
+def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.ndarray,
                              punish: np.ndarray, p0: float):
     """The mechanism posterior weights and p_hal on the prior's PriorTables.
 
-    ``translog`` and ``counts`` are the revealed ledger's per-atom log
-    transition mass and revealed-reward counts; ``punish`` is the punish
-    event as a boolean mask. The same closed form as the exact route,
-    with B the revealed-reward masses: the log-masses are shifted by
-    their largest finite value first, which cancels in the weights and
-    p_hal and keeps B from underflowing on long ledgers.
+    ``can`` is the canonical posterior of the censored ledger (the
+    normalized weights of its per-atom log transition mass), ``counts``
+    the revealed-reward counts and ``punish`` the punish event as a
+    boolean mask. The same closed form as the exact route, with B the
+    revealed-reward masses: the log-masses are shifted by their largest
+    finite value first, which cancels in the weights and p_hal and keeps
+    B from underflowing on long ledgers.
     """
-    can = tables.posterior_from_loglik(translog).weights
     logB = tables.reward_loglik(counts)
     finite = logB[np.isfinite(logB)]
     B = np.exp(logB - finite.max()) if finite.size else np.zeros_like(logB)
@@ -181,7 +182,7 @@ class AgentSpec:
             post = ctx.fast.revealed_posterior(counts, kind)
         else:
             p0 = float(hallucination_prior_prob(self.config, ell))
-            weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog, counts,
+            weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
                                                   ctx.punish_mask, p0)
             post = Posterior(self.prior, weights, {"signal": "mechanism-fast"})
         return bayes_greedy(post)

@@ -364,6 +364,13 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
+def _trajectory_text(trajectory: list | None) -> str:
+    """``json.dumps`` of an episode record's trajectory, compact."""
+    if trajectory is None:
+        return "null"
+    return "[" + ",".join(f"[{x},{a},{h},{_json_str(r)}]" for x, a, h, r in trajectory) + "]"
+
+
 @dataclass(slots=True)
 class EpisodeRecord:
     k: int
@@ -386,19 +393,16 @@ class EpisodeRecord:
             "traj_stream": self.traj_stream,
         }
 
-    def to_line(self) -> str:
+    def to_line(self, traj: str | None = None) -> str:
         """The JSONL line of this record, written field by field.
 
         Equals ``json.dumps(self.to_dict(), sort_keys=True,
         separators=(",", ":"))`` byte for byte; the full log writes one
-        line per episode, so the generic encoder is skipped.
+        line per episode, so the generic encoder is skipped. ``traj`` is
+        ``_trajectory_text(self.trajectory)`` when the caller has it.
         """
-        if self.trajectory is None:
-            traj = "null"
-        else:
-            traj = "[" + ",".join(
-                f"[{x},{a},{h},{_json_str(r)}]" for x, a, h, r in self.trajectory
-            ) + "]"
+        if traj is None:
+            traj = _trajectory_text(self.trajectory)
         flag = "true" if self.is_hallucination else "false"
         return (
             f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{self.k},'
@@ -467,10 +471,17 @@ class GameLog:
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header(), sort_keys=True, separators=(",", ":"))]
+        # records that share one trajectory list (run_game's) share its text
+        texts: dict[int, str] = {}
+        episode_lines = []
+        for e in self.episodes:
+            traj = texts.get(id(e.trajectory))
+            if traj is None:
+                traj = texts[id(e.trajectory)] = _trajectory_text(e.trajectory)
+            episode_lines.append((e.ell, e.k, e.to_line(traj)))
         records = sorted(
             [(p.ell, 0, json.dumps(p.to_dict(), sort_keys=True, separators=(",", ":")))
-             for p in self.phases]
-            + [(e.ell, e.k, e.to_line()) for e in self.episodes],
+             for p in self.phases] + episode_lines,
             key=itemgetter(0, 1),
         )
         lines.extend(line for _, _, line in records)
@@ -560,6 +571,7 @@ class PhaseContext:
     ell: int
     config: MechanismConfig
     fast: _FastState
+    cens_weights: np.ndarray  # the censored ledger's canonical posterior
     punish_mask: np.ndarray
     hon_counts: np.ndarray
     hal_counts: np.ndarray
@@ -697,6 +709,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     new_triple_flags = []
     triple_list = sorted(all_triples(S, A, H))
     n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
+    # step identities -> the trajectory's JSON list, shared read-only by
+    # every record with that trajectory
+    traj_json: dict[tuple, list] = {}
     low = low_reward_table(prior, eps)
     U = None
 
@@ -740,6 +755,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             ell=ell,
             config=config,
             fast=fast,
+            cens_weights=cens_post.weights,
             punish_mask=punish_mask,
             hon_counts=hon_counts,
             hal_counts=hal_counts,
@@ -755,13 +771,22 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             hon_code = pi_hon.encoding
         hal_code = pi_hal.encoding
 
-        for k in episodes if episode_log == "full" else [k_star]:
+        simulated = episodes if episode_log == "full" else [k_star]
+        stream_names = [f"episode:{k}:traj" for k in simulated]
+        if len(stream_names) == 1:
+            draws = [rngmod.uniforms(seed, stream_names[0], n_uniforms)]
+        else:
+            draws = rngmod.uniform_rows(seed, stream_names, n_uniforms).tolist()
+        for k, stream_name, u in zip(simulated, stream_names, draws):
             is_hal = k == k_star
-            stream_name = f"episode:{k}:traj"
-            steps = rollout(true_model, pi_hal if is_hal else pi_hon,
-                            rngmod.uniforms(seed, stream_name, n_uniforms))
+            steps = rollout(true_model, pi_hal if is_hal else pi_hon, u)
             if is_hal:
                 tau_star = Trajectory(steps)
+            # rollout hands out the Step objects of the model's sampling rows,
+            # so their identities name the trajectory without hashing Fractions
+            key = tuple(map(id, steps))
+            if key not in traj_json:
+                traj_json[key] = _steps_to_json(steps)
             log.episodes.append(
                 EpisodeRecord(
                     k=k,
@@ -769,7 +794,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                     is_hallucination=is_hal,
                     revealed_kind="hallucinated" if is_hal else "honest",
                     policy=hal_code if is_hal else hon_code,
-                    trajectory=_steps_to_json(steps),
+                    trajectory=traj_json[key],
                     traj_stream=stream_name,
                 )
             )

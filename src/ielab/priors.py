@@ -382,7 +382,7 @@ class PriorTables:
         self.trans = _float_rows([vec for m in prior.atoms for by_a in m.trans
                                   for by_h in by_a for vec in by_h],
                                  _float_vector).reshape(n, S, A, H, S)
-        laws = [d for m in prior.atoms for by_a in m.rewards for by_h in by_a for d in by_h]
+        laws = _reward_laws(prior)
 
         def law_masses(d: DiscreteDist) -> list[float]:
             row = [0.0] * len(self.support)
@@ -508,6 +508,11 @@ def _float_rows(items: list, convert) -> np.ndarray:
     return np.array(rows)[index]
 
 
+def _reward_laws(prior: DiscretePrior) -> list:
+    """Every atom's reward laws, in (atom, x, a, h) order."""
+    return [d for m in prior.atoms for by_a in m.rewards for by_h in by_a for d in by_h]
+
+
 def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
     """Per row i, the sum over y of weights[i, y] * values[y][i],
     accumulated left to right as ``mdp.policy_value`` does per atom."""
@@ -526,16 +531,14 @@ def shared_tables(prior: DiscretePrior) -> PriorTables:
 
 def low_reward_table(prior: DiscretePrior, eps) -> np.ndarray:
     """(n, S, A, H) booleans: the atom's mean reward at the triple is
-    <= eps, compared exactly. Built once per eps and kept on the prior."""
+    <= eps, compared exactly, once per distinct reward law. Built once per
+    eps and kept on the prior."""
     eps = as_fraction(eps)
     key = ("low_reward", eps)
     if key not in prior._cache:
-        S, A, H = prior.shape
-        prior._cache[key] = np.array([
-            [[[m.mean_reward(x, a, h) <= eps for h in range(1, H + 1)]
-              for a in range(1, A + 1)] for x in range(1, S + 1)]
-            for m in prior.atoms
-        ], dtype=bool)
+        laws = _reward_laws(prior)
+        prior._cache[key] = _float_rows(laws, lambda d: d.mean() <= eps).reshape(
+            prior.n, *prior.shape)
     return prior._cache[key]
 
 

@@ -21,9 +21,14 @@ bit for bit equal to ``stream(seed, name).random(n)``, and
 ``integer_below(seed, name, n)`` equals ``stream(seed, name).integers(0,
 n)``. Both evaluate Philox4x64-10 on the stream's key in Python ints;
 Philox is counter-based, so block b of a stream is a pure function of
-(key, b) and no numpy Generator needs to be built for a short read. A
-uniform becomes an index of a probability vector through
-``index_from_uniform``, the one inverse-CDF rule of the package.
+(key, b) and no numpy Generator needs to be built for a short read.
+The batch reader ``uniform_rows(seed, names, n)`` returns a
+(len(names), n) float64 array whose row i is bit for bit
+``stream(seed, names[i]).random(n)``: it evaluates the same Philox
+blocks of every name's key as one uint64 array operation, so a phase
+reads all its episode streams in one call. A uniform becomes an index of
+a probability vector through ``index_from_uniform``, the one inverse-CDF
+rule of the package.
 """
 
 from __future__ import annotations
@@ -43,10 +48,14 @@ _ROUND_KEY_OFFSETS = tuple(
 _DOUBLE_SCALE = 2.0**-53
 
 
+def _key_bytes(master_seed: int, name: str) -> bytes:
+    """The 16 little-endian bytes of a named stream's Philox key."""
+    return hashlib.sha256(f"{master_seed}:{name}".encode()).digest()[:16]
+
+
 def _key(master_seed: int, name: str) -> int:
     """The 128-bit Philox key of a named stream."""
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:16], "little")
+    return int.from_bytes(_key_bytes(master_seed, name), "little")
 
 
 def stream(master_seed: int, name: str) -> np.random.Generator:
@@ -87,6 +96,45 @@ def uniforms(master_seed: int, name: str, n: int) -> list[float]:
         out += ((c0 >> 11) * scale, (c1 >> 11) * scale, (c2 >> 11) * scale, (c3 >> 11) * scale)
     del out[n:]
     return out
+
+
+def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products m * c, for a 64-bit
+    constant m and uint64 words c, from 32-bit limbs (numpy has no
+    64x64->128-bit multiply)."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    lo32, shift = np.uint64(_MASK32), np.uint64(32)
+    c_lo, c_hi = c & lo32, c >> shift
+    ll, lh, hl = m_lo * c_lo, m_lo * c_hi, m_hi * c_lo
+    # the carry out of the middle 32-bit column
+    mid = (ll >> shift) + (lh & lo32) + (hl & lo32)
+    return m_hi * c_hi + (lh >> shift) + (hl >> shift) + (mid >> shift)
+
+
+def uniform_rows(master_seed: int, names, n: int) -> np.ndarray:
+    """The (len(names), n) float64 array whose row i equals
+    ``stream(master_seed, names[i]).random(n)`` bit for bit.
+
+    The same Philox4x64-10 evaluation as ``uniforms``, over all rows at
+    once in uint64 arithmetic: one SHA-256 key per name, the blocks of
+    every key at counters 1, 2, ..., and a double from the top 53 bits of
+    each word.
+    """
+    keys = np.frombuffer(b"".join(_key_bytes(master_seed, nm) for nm in names),
+                         dtype="<u8").reshape(-1, 2)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    counters = np.arange(1, (n + 3) // 4 + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(counters, (len(keys), len(counters)))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for d0, d1 in _ROUND_KEY_OFFSETS:
+        c0, c1, c2, c3 = (
+            _mulhi(_PHILOX_M1, c2) ^ c1 ^ (k0 + np.uint64(d0 & _MASK64)),
+            c2 * np.uint64(_PHILOX_M1),
+            _mulhi(_PHILOX_M0, c0) ^ c3 ^ (k1 + np.uint64(d1 & _MASK64)),
+            c0 * np.uint64(_PHILOX_M0),
+        )
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * len(counters))[:, :n]
+    return (words >> np.uint64(11)) * _DOUBLE_SCALE
 
 
 def integer_below(master_seed: int, name: str, n: int) -> int:

@@ -156,7 +156,7 @@ class PosteriorRecorder(AgentSpec):
     def choose_signal(self, k, ell, kind, ctx):
         counts = ctx.counts_of(kind)
         p0 = float(hallucination_prior_prob(self.config, ell))
-        mech, p_hal = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog, counts,
+        mech, p_hal = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
                                                ctx.punish_mask, p0)
         can = ctx.fast.revealed_posterior(counts, kind).weights
         self.seen.append((k, ctx.signals[kind], can, mech, p_hal))

@@ -9,6 +9,7 @@ Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
   mechanism posterior;
 - the float mechanism posterior of the run loop
   (agents._mechanism_weights_float) vs mechanism_posterior(exact=True);
+- low_reward_table vs per-atom exact mean rewards;
 - the lattice's per-policy trajectory lists vs
   mdp.enumerate_trajectories, atom by atom, on the micro instances too;
 and a corrupted lattice column must stop enumerate_game.
@@ -223,6 +224,23 @@ def test_value_matrix_equals_policy_value_on_random_priors(prior):
     assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_low_reward_table_matches_per_atom_means(data):
+    """One exact comparison per distinct reward law gives the per-atom,
+    per-triple table, also when eps equals some atom's mean reward."""
+    prior = data.draw(small_priors())
+    S, A, H = prior.shape
+    triples = sorted(all_triples(S, A, H))
+    means = sorted({m.mean_reward(*t) for m in prior.atoms for t in triples})
+    eps = data.draw(st.sampled_from(means) | st.fractions(0, 1, max_denominator=16))
+    expected = np.array([[[[m.mean_reward(x, a, h) <= eps for h in range(1, H + 1)]
+                           for a in range(1, A + 1)] for x in range(1, S + 1)]
+                         for m in prior.atoms], dtype=bool)
+    table = priors.low_reward_table(prior, eps)
+    assert table.dtype == bool and np.array_equal(table, expected)
+
+
 def test_greedy_exact_tie_constructed():
     """E[r(a1)] = E[r(a2)] = 1/3 exactly: both actions are maximizers and the
     smaller encoding wins."""
@@ -285,7 +303,7 @@ class RecordingAgent(AgentSpec):
 
     def choose_signal(self, k, ell, kind, ctx):
         p0 = float(hallucination_prior_prob(self.config, ell))
-        fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.fast.translog,
+        fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
                                            ctx.counts_of(kind), ctx.punish_mask, p0)
         exact, _ = mechanism_posterior(self.prior, self.config, k, ctx.signals[kind],
                                        exact=True)

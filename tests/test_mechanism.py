@@ -296,6 +296,39 @@ def test_run_game_replay_and_modes(det_prior, det_config):
     assert len(full.episodes) == sum(len(phase_episodes(small, ell)) for ell in range(1, 5))
 
 
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_stoch_full_log_matches_hallucination_mode(stoch_prior, mode):
+    """On stochastic transitions and rewards too, a full-log run (its
+    multi-episode phases read their streams as one batch) has the phase
+    records and hallucination episodes of the hallucination-mode run."""
+    cfg = MechanismConfig(6, 2, Fraction(7, 2880), 5, rho=Fraction(1, 4))
+    for seed in range(4):
+        full = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
+                        episode_log="full")
+        lean = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
+                        episode_log="hallucination")
+        assert [p.to_dict() for p in full.phases] == [p.to_dict() for p in lean.phases]
+        assert ([e.to_dict() for e in full.episodes if e.is_hallucination]
+                == [e.to_dict() for e in lean.episodes])
+        assert len(full.episodes) == 2 + 3 * 6
+
+
+def test_full_log_lines_with_shared_trajectories(det_prior, det_config):
+    """Records with equal trajectories share one list, and every episode
+    line of the log still equals the generic encoder's output."""
+    cfg = MechanismConfig(40, 1, det_config.eps_pun, 3)
+    log = run_game(cfg, det_prior, make_agent("fully_rational", det_prior, cfg), seed=3,
+                   episode_log="full")
+    lists_of = {}
+    for e in log.episodes:
+        lists_of.setdefault(json.dumps(e.trajectory), set()).add(id(e.trajectory))
+    assert all(len(ids) == 1 for ids in lists_of.values())
+    assert len(lists_of) < len(log.episodes)
+    lines = [line for line in log.to_jsonl().splitlines() if '"type":"episode"' in line]
+    assert lines == [json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
+                     for e in log.episodes]
+
+
 def test_run_game_zero_evidence_context():
     """A class whose rewards cannot be punished trips ZeroEvidence with the
     offending phase in the message."""

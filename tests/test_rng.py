@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ielab import rng
-from ielab.rng import index_from_uniform, integer_below, stream, uniforms
+from ielab.rng import index_from_uniform, integer_below, stream, uniform_rows, uniforms
 
 
 @settings(max_examples=300, deadline=None)
@@ -17,6 +17,21 @@ def test_uniforms_match_stream(seed, name, n):
     """Direct Philox draws equal the named Generator's, across the
     4-double block boundary."""
     assert uniforms(seed, name, n) == stream(seed, name).random(n).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**40), names=st.lists(st.text(max_size=40), max_size=6),
+       n=st.integers(0, 12))
+@example(seed=0, names=[], n=5)
+@example(seed=2**40, names=["episode:7:traj", "é漢\x00", ""], n=12)
+def test_uniform_rows_match_streams(seed, names, n):
+    """Row i of the batch reader is stream i's draws, bit for bit, across
+    several 4-double blocks and for an empty list of names."""
+    rows = uniform_rows(seed, names, n)
+    assert rows.shape == (len(names), n) and rows.dtype == np.float64
+    reference = np.array([stream(seed, nm).random(n) for nm in names]).reshape(len(names), n)
+    assert rows.tobytes() == reference.tobytes()
+    assert rows.tolist() == [uniforms(seed, nm, n) for nm in names]
 
 
 # 2**31 + 1 rejects almost half of all 32-bit words
