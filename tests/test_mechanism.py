@@ -440,6 +440,33 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     assert not counts.any() and (values == -1).all()
 
 
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factored,
+                                                              stoch_prior):
+    """Every phase's in-run hallucinated ledger equals the ledger-level
+    ``hallucinate_ledger`` of its censored ledger, fed the phase's
+    hal-rewards stream: the vectorized draw indexes the global reward
+    support while ``DiscreteDist.sample`` indexes each law's own values,
+    and the two agree because every reward law lists its values in
+    increasing order. The config is the hal-rewards goldens' (eps_pun 3/4),
+    so the ledgers carry nonzero rewards."""
+    base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                              n_lrn_override=8, total_phases_override=40)
+    cfg = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
+    nonzero = 0
+    for seed in range(3):
+        log = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
+                       episode_log="hallucination", keep_signals=True)
+        for p in log.phases:
+            signals = log.signals[p.ell]
+            U = frozenset(map(tuple, p.U))
+            want = hallucinate_ledger(signals["censored"], stoch_prior.atoms[p.hal_atom], U,
+                                      stream(seed, f"phase:{p.ell}:hal-rewards"))
+            assert signals["hallucinated"] == want
+            nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
+    assert nonzero > 0
+
+
 def test_punish_mask_compares_mean_rewards_exactly():
     """An atom whose mean reward exceeds eps_pun by 1e-13 is not punished:
     the logged punish size agrees with punish_event."""
