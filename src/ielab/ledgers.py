@@ -93,10 +93,6 @@ class Ledger:
         return [pol for pol, _ in self.entries]
 
 
-def empty_ledger(S: int, A: int, H: int, U: TripleSet = frozenset()) -> Ledger:
-    return Ledger(S, A, H, U, ())
-
-
 def raw_ledger(S, A, H, entries) -> Ledger:
     """Ledger with U = {} from (policy, raw Trajectory) pairs."""
     made = tuple(

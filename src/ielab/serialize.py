@@ -82,28 +82,6 @@ def prior_to_dict(prior: DiscretePrior) -> dict:
     }
 
 
-def factored_to_dict(fp: FactoredRewardPrior) -> dict:
-    return {
-        "factored": {
-            "S": fp.S, "A": fp.A, "H": fp.H,
-            "transition_prior": [
-                {
-                    "init": [_num_out(as_fraction(p)) for p in init],
-                    "transitions": {
-                        _triple_key(t): [_num_out(as_fraction(p)) for p in vec]
-                        for t, vec in sorted(trans.items())
-                    },
-                    "weight": _num_out(as_fraction(w)),
-                }
-                for init, trans, w in fp.transition_atoms
-            ],
-            "reward_marginals": {
-                _triple_key(t): dist_to_dict(d) for t, d in sorted(fp.reward_marginals.items())
-            },
-        }
-    }
-
-
 def prior_from_dict(d: dict, dist_of_mean=None) -> DiscretePrior | FactoredRewardPrior:
     if "atoms" in d:
         support = set()
