@@ -142,13 +142,12 @@ class AgentSpec:
         if self.mode not in ("canonical_truster", "fully_rational"):
             raise ValueError(f"unknown agent mode {self.mode!r}")
 
-    def choose(self, k: int, ell: int, revealed: Ledger,
-               is_known_hallucination: bool = False) -> MarkovPolicy:
+    def choose(self, k: int, ell: int, revealed: Ledger) -> MarkovPolicy:
         """Bayes-greedy policy for a revealed ledger (standalone route)."""
         # a canonical ledger mass is a product of i.i.d. entry masses, so both
-        # modes' posteriors depend on the ledger only through U and its counts
-        key = (ell, is_known_hallucination and self.mode == "fully_rational",
-               revealed.censor_set, count_signature(revealed))
+        # modes' posteriors depend on the ledger only through U and its counts;
+        # ell fixes the fully rational agent's hallucination prior p0
+        key = (ell, revealed.censor_set, count_signature(revealed))
         if key in self._cache:
             return self._cache[key]
         if self.mode == "canonical_truster":
@@ -175,8 +174,7 @@ class AgentSpec:
         if self.exact:
             if ctx.signals is None:
                 raise ValueError("exact agents need run_game(keep_signals=True)")
-            return self.choose(k, ell, ctx.signals[kind],
-                               is_known_hallucination=ell <= self.config.n_lrn)
+            return self.choose(k, ell, ctx.signals[kind])
         counts = ctx.counts_of(kind)
         if self.mode == "canonical_truster":
             post = ctx.fast.revealed_posterior(counts, kind)

@@ -93,6 +93,22 @@ class Ledger:
         return [pol for pol, _ in self.entries]
 
 
+def reveal_rewards(ledger: Ledger, U: TripleSet, rewards) -> Ledger:
+    """The U-ledger over the ledger's entries that reveals ``rewards``, in
+    entry order, at the occurrences outside U and censors those in U.
+
+    ``rewards`` is consumed lazily, one value per revealed occurrence.
+    """
+    rewards = iter(rewards)
+    entries = tuple(
+        (pol, CensoredTrajectory(tuple(
+            Step(s.x, s.a, s.h, None if (s.x, s.a, s.h) in U else next(rewards))
+            for s in traj.steps), U))
+        for pol, traj in ledger.entries
+    )
+    return Ledger(ledger.S, ledger.A, ledger.H, U, entries)
+
+
 def raw_ledger(S, A, H, entries) -> Ledger:
     """Ledger with U = {} from (policy, raw Trajectory) pairs."""
     made = tuple(

@@ -25,19 +25,19 @@ from . import rng as rngmod
 from .analysis import eps_p_bound, eps_r_bound
 from .errors import AssumptionViolated, CapExceeded, ZeroEvidence
 from .ledgers import (
-    CensoredTrajectory,
     Ledger,
     censor_ledger,
     raw_ledger,
+    reveal_rewards,
     totally_censor,
 )
 from .mdp import (
-    Step,
     TabularModel,
     Trajectory,
     TripleSet,
     all_triples,
     as_fraction,
+    complement_triples,
     event_visit_probability,
     reach_set,
     rollout,
@@ -45,6 +45,7 @@ from .mdp import (
 from .priors import (
     DiscretePrior,
     FactoredRewardPrior,
+    LedgerState,
     ModelEvent,
     PriorTables,
     Posterior,
@@ -93,9 +94,7 @@ def phase_episodes(config: MechanismConfig, ell: int) -> range:
 
 def hallucination_prior_prob(config: MechanismConfig, ell: int) -> Fraction:
     """Pr[a given episode of phase ell is the hallucination episode]."""
-    if ell <= config.n_lrn:
-        return Fraction(1)
-    return Fraction(1, config.n_phase)
+    return Fraction(1, len(phase_episodes(config, ell)))
 
 
 def punish_event(prior: DiscretePrior, U_complement: TripleSet, eps_pun) -> ModelEvent:
@@ -133,22 +132,15 @@ def sample_hallucinated_model(posterior: Posterior, rng):
 
 
 def hallucinate_ledger(lam_cens: Ledger, mu_hal: TabularModel, U: TripleSet, rng) -> Ledger:
-    """Insert rewards drawn from mu_hal at every fully-explored occurrence.
+    """Insert rewards drawn from mu_hal at every fully-explored occurrence,
+    one draw per occurrence in entry order.
 
     Under-explored triples (those in U) stay censored; the output is a
     U-ledger over the same entries.
     """
-    entries = []
-    for pol, traj in lam_cens.entries:
-        steps = []
-        for s in traj.steps:
-            t = (s.x, s.a, s.h)
-            if t in U:
-                steps.append(Step(s.x, s.a, s.h, None))
-            else:
-                steps.append(Step(s.x, s.a, s.h, mu_hal.reward_dist(*t).sample(rng)))
-        entries.append((pol, CensoredTrajectory(tuple(steps), U)))
-    return Ledger(lam_cens.S, lam_cens.A, lam_cens.H, U, tuple(entries))
+    draws = (mu_hal.reward_dist(s.x, s.a, s.h).sample(rng)
+             for _, traj in lam_cens.entries for s in traj.steps if (s.x, s.a, s.h) not in U)
+    return reveal_rewards(lam_cens, U, draws)
 
 
 def honest_ledger(lam_raw: Ledger, U: TripleSet) -> Ledger:
@@ -168,23 +160,29 @@ def p_hal_bound(p0, q):
     return 1.0 / (1.0 + q * (1.0 - p0) / p0)
 
 
-def hh_condition_holds(n_phase: int, punish_prob, gap, horizon: int):
-    """Evaluate 1/n_phase <= punish_prob * gap / (3 H).
+def hh_condition_holds(n_episodes: int, punish_prob, gap, horizon: int):
+    """Evaluate 1/n_episodes <= punish_prob * gap / (3 H).
 
-    Returns (holds, lhs, rhs) so callers can log both sides.
+    ``n_episodes`` is the phase's episode count (1 up to n_lrn, else
+    n_phase), so lhs is the hallucination prior p0; the float branch
+    computes it as 1.0 / n_episodes, which equals float(p0). Returns
+    (holds, lhs, rhs) so callers can log both sides.
     """
     exact = isinstance(punish_prob, Fraction) and isinstance(gap, Fraction)
     if exact:
-        lhs = Fraction(1, n_phase)
+        lhs = Fraction(1, n_episodes)
         rhs = punish_prob * gap / (3 * horizon)
     else:
-        lhs = 1.0 / n_phase
+        lhs = 1.0 / n_episodes
         rhs = float(punish_prob) * float(gap) / (3.0 * horizon)
     return lhs <= rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # parameter calculators
+
+
+C1 = 192  # the constant of the theory-scale n_lrn closed form
 
 
 def _ceil_fraction(f: Fraction) -> int:
@@ -231,7 +229,7 @@ def det_parameters(prior: FactoredRewardPrior):
 
 def prob_parameters(prior, rho, delta, *, r_alt=None, q_pun=None,
                     n_lrn_override=None, n_phase_override=None,
-                    total_phases_override=None, c1: int = 192):
+                    total_phases_override=None):
     """Probabilistic-class schedule and its derived report.
 
     With a reward-independent prior, r_alt reduces to r_min and q_pun is
@@ -271,13 +269,13 @@ def prob_parameters(prior, rho, delta, *, r_alt=None, q_pun=None,
     rho_0 = delta0_gap / (3 * H)
     rho_prog = delta0_gap**2 / (6 * H**2)
 
-    # theory-scale n_lrn from the closed form (constant c1, default 192)
+    # theory-scale n_lrn from the closed form with constant C1
     iota = 4.0 * math.log(
         20.0 * S * A * H * H / float(rho * q_pun * eps_pun * r_alt)
     )
     n_lrn_theory = max(
         math.ceil(
-            c1 * H**4 * (S * math.log(5.0) + math.log(1.0 / delta) + iota)
+            C1 * H**4 * (S * math.log(5.0) + math.log(1.0 / delta) + iota)
             / float(delta0_gap) ** 2
         ),
         math.ceil(math.log(2.0 / delta)),
@@ -312,7 +310,7 @@ def prob_parameters(prior, rho, delta, *, r_alt=None, q_pun=None,
         "n_phase": n_phase,
         "L_0": L0,
         "K": K,
-        "c1": c1,
+        "c1": C1,
         "c2_effective": 1728,
     }
     cfg = MechanismConfig(
@@ -516,61 +514,13 @@ def prior_digest(prior: DiscretePrior) -> str:
     return prior._cache["digest"]
 
 
-class _FastState:
-    """Incremental per-run likelihood state over the prior's atoms.
-
-    Keeps the accumulated log transition mass of the hallucination
-    entries, per-(triple, support value) reward counts, and the flat
-    triple index of every ledger occurrence in entry order, so each
-    phase's posteriors and hallucinated-reward draws are small vectorized
-    operations.
-    """
-
-    def __init__(self, tables: PriorTables):
-        self.tables = tables
-        self.translog = np.zeros(tables.prior.n)
-        S, A, H = tables.S, tables.A, tables.H
-        self.reward_counts = np.zeros((S, A, H, len(tables.support)), dtype=int)
-        # (x-1, a-1, h-1) as one index into an (S, A, H) array; the buffer
-        # doubles when full, and occurrences() is its filled prefix
-        self._occ = np.empty(4 * H, dtype=np.intp)
-        self._n_occ = 0
-
-    def push_entry(self, traj: Trajectory) -> None:
-        tables = self.tables
-        self.translog += tables.entry_translog(traj.steps)
-        n = self._n_occ
-        if n + len(traj.steps) > len(self._occ):
-            self._occ = np.concatenate([self._occ, np.empty_like(self._occ)])
-        A, H = tables.A, tables.H
-        for s in traj.steps:
-            self.reward_counts[s.x - 1, s.a - 1, s.h - 1, tables.support_index(s.r)] += 1
-            self._occ[n] = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
-            n += 1
-        self._n_occ = n
-
-    def occurrences(self) -> np.ndarray:
-        return self._occ[:self._n_occ]
-
-    def cens_posterior(self) -> Posterior:
-        return self.tables.posterior_from_loglik(self.translog, provenance={"signal": "censored"})
-
-    def masked_posterior(self, mask: np.ndarray, what: str) -> Posterior:
-        return self.tables.posterior_from_loglik(self.translog, mask=mask,
-                                                 provenance={"signal": what})
-
-    def revealed_posterior(self, counts: np.ndarray, what: str) -> Posterior:
-        ll = self.translog + self.tables.reward_loglik(counts)
-        return self.tables.posterior_from_loglik(ll, provenance={"signal": what})
-
-
 @dataclass
 class PhaseContext:
     """Per-phase quantities the fast agents reuse instead of recomputing."""
 
     ell: int
     config: MechanismConfig
-    fast: _FastState
+    fast: LedgerState
     cens_weights: np.ndarray  # the censored ledger's canonical posterior
     punish_mask: np.ndarray
     hon_counts: np.ndarray
@@ -584,7 +534,7 @@ class PhaseContext:
         return self.hal_counts if kind == "hallucinated" else self.hon_counts
 
 
-def _draw_hallucinated(fast: _FastState, hal_atom: int, explored_mask: np.ndarray,
+def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarray,
                        make_rng):
     """Vectorized reward draws at explored occurrences; returns (counts, values).
 
@@ -618,9 +568,14 @@ def _hh_exploring_policies(tables: PriorTables, true_model: TabularModel,
                            U: TripleSet) -> frozenset | None:
     """Encodings of the policies that visit U under the true model with
     positive probability (the deterministic-class reading of the rho_0
-    target), or None when that splits the policy space degenerately."""
+    target), or None when that splits the policy space degenerately.
+
+    The float visit mass has the sign of the exact one: it is a sum of
+    products of positive entries, zero-mass rows are skipped, so only an
+    underflow could make it 0.
+    """
     inside = frozenset(pol.encoding for pol in tables.policies
-                       if event_visit_probability(true_model, pol, U) >= 1e-12)
+                       if event_visit_probability(true_model, pol, U) > 0)
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
@@ -632,31 +587,19 @@ def _hh_condition_in_run(config, fast, inside, ell, punish_prob, hal_counts):
     if inside is None:
         return None
     gap = canonical_gap(fast.revealed_posterior(hal_counts, "hh-check"), inside)
-    p0 = float(hallucination_prior_prob(config, ell))
-    lhs = p0
-    rhs = punish_prob * float(gap) / (3.0 * fast.tables.H)
-    return bool(lhs <= rhs)
+    holds, _, _ = hh_condition_holds(len(phase_episodes(config, ell)), punish_prob, gap,
+                                     fast.tables.H)
+    return holds
 
 
-def _signals_from_state(fast: _FastState, hal_entries, U, hal_values) -> dict:
+def _signals_from_state(fast: LedgerState, hal_entries, U, hal_values) -> dict:
     """Materialize the censored / honest / hallucinated ledgers (micro scale)."""
     S, A, H = fast.tables.S, fast.tables.A, fast.tables.H
     lam_raw = raw_ledger(S, A, H, hal_entries)
-    lam_cens = totally_censor(lam_raw)
-    lam_hon = honest_ledger(lam_raw, U)
     support = fast.tables.support
-    entries = []
-    pos = 0
-    for pol, traj in lam_raw.entries:
-        steps = []
-        for s in traj.steps:
-            v = hal_values[pos]
-            steps.append(Step(s.x, s.a, s.h, None if v < 0 else support[v]))
-            pos += 1
-        entries.append((pol, CensoredTrajectory(tuple(steps), U)))
-    lam_hal = Ledger(S, A, H, U, tuple(entries))
-    return {"censored": lam_cens, "honest": lam_hon, "hallucinated": lam_hal,
-            "raw": lam_raw}
+    lam_hal = reveal_rewards(lam_raw, U, (support[v] for v in hal_values if v >= 0))
+    return {"censored": totally_censor(lam_raw), "honest": honest_ledger(lam_raw, U),
+            "hallucinated": lam_hal, "raw": lam_raw}
 
 
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
@@ -695,7 +638,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     target = reach_set(true_model, rho)
     counts_by_triple: dict = {}
     hal_entries: list = []
-    fast = _FastState(tables)
+    fast = LedgerState(tables)
     log = GameLog(
         seed=seed,
         agent_mode=agent.mode,
@@ -712,7 +655,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     # step identities -> the trajectory's JSON list, shared read-only by
     # every record with that trajectory
     traj_json: dict[tuple, list] = {}
-    low = low_reward_table(prior, eps)
     U = None
 
     for ell in range(1, config.total_phases + 1):
@@ -721,21 +663,22 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             t for t in triple_list if counts_by_triple.get(t, 0) < config.n_lrn
         )
         if U != prev_U:  # U only shrinks, at most SAH times a run
+            explored = complement_triples(U, S, A, H)
             explored_mask = np.ones((S, A, H), dtype=bool)
             for (x, a, h) in U:
                 explored_mask[x - 1, a - 1, h - 1] = False
-            punish_mask = np.all(low | ~explored_mask, axis=(1, 2, 3))
+            punish_mask = tables.event_mask(punish_event(prior, explored, eps))
             punish_size = int(punish_mask.sum())
             if track_hh:
                 hh_inside = _hh_exploring_policies(tables, true_model, U)
-        cens_post = fast.cens_posterior()
+        cens_post = fast.posterior("censored")
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
-            hal_post = fast.masked_posterior(punish_mask, "hallucination")
+            hal_post = fast.posterior("hallucination", punish_mask)
         except ZeroEvidence as e:
             raise ZeroEvidence(
                 f"phase {ell}: punish event empty on fully-explored set "
-                f"{sorted(t for t in triple_list if t not in U)} at eps_pun={eps} ({e})"
+                f"{sorted(explored)} at eps_pun={eps} ({e})"
             ) from e
 
         hal_atom = rngmod.index_from_uniform(

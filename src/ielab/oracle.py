@@ -18,6 +18,7 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,10 +27,10 @@ from itertools import product
 from .agents import make_agent, mechanism_posterior
 from .errors import CapExceeded, DegenerateSplit
 from .ledgers import (
-    CensoredTrajectory,
     Ledger,
     censor_ledger,
     raw_ledger,
+    reveal_rewards,
     totally_censor,
     underexplored_set,
 )
@@ -43,6 +44,7 @@ from .mdp import (
 from .mechanism import (
     MechanismConfig,
     hallucination_prior_prob,
+    hh_condition_holds,
     p_hal_bound,
     phase_episodes,
     punish_event,
@@ -114,23 +116,18 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
     """Enumerate realizable hallucinated-ledger values with exact masses."""
     post = canonical_posterior(prior, lam_cens, punish, exact=True)
     support_atoms = [i for i, w in enumerate(post.weights) if w > 0]
-    occurrences = []  # (entry index, step index, triple)
-    for ei, (_, traj) in enumerate(lam_cens.entries):
-        for si, s in enumerate(traj.steps):
-            t = (s.x, s.a, s.h)
-            if t not in U:
-                occurrences.append((ei, si, t))
+    # the triples of the revealed occurrences, in entry order
+    occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
+                   if (s.x, s.a, s.h) not in U]
     # candidate reward values per occurrence
     cand = []
-    for _, _, t in occurrences:
+    for t in occurrences:
         vals = set()
         for i in support_atoms:
             d = prior.atoms[i].reward_dist(*t)
             vals.update(v for v, p in zip(d.support, d.probs) if p > 0)
         cand.append(sorted(vals))
-    n_assign = 1
-    for c in cand:
-        n_assign *= len(c)
+    n_assign = math.prod(map(len, cand))
     if n_assign > cap:
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 
@@ -139,23 +136,13 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
     nums, den = post.numerators
     branches = []
     for assignment in product(*cand) if occurrences else [()]:
-        rewards = Counter(("reward", *t, v) for (_, _, t), v in zip(occurrences, assignment))
+        rewards = Counter(("reward", *t, v) for t, v in zip(occurrences, assignment))
         prob = Fraction(sum(lattice.masses(nums, rewards.items())),
                         den * lattice.den ** len(occurrences))
         if not prob:
             continue
-        entries = []
-        for ei, (pol, traj) in enumerate(lam_cens.entries):
-            steps = list(traj.steps)
-            for oi, (ej, sj, t) in enumerate(occurrences):
-                if ej == ei:
-                    s = steps[sj]
-                    steps[sj] = Step(s.x, s.a, s.h, assignment[oi])
-            entries.append((pol, CensoredTrajectory(tuple(steps), U)))
-        lam_hal = Ledger(lam_cens.S, lam_cens.A, lam_cens.H, U, tuple(entries))
-        policy = agent.choose(k_agent, ell, lam_hal,
-                              is_known_hallucination=ell <= config.n_lrn)
-        branches.append(HalBranch(lam_hal, prob, policy))
+        lam_hal = reveal_rewards(lam_cens, U, assignment)
+        branches.append(HalBranch(lam_hal, prob, agent.choose(k_agent, ell, lam_hal)))
     return branches
 
 
@@ -198,8 +185,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         exploit_policy = None
         episodes = phase_episodes(config, ell)
         if len(episodes) > 1:
-            exploit_policy = agent.choose(episodes[0], ell, lam_hon,
-                                          is_known_hallucination=False)
+            exploit_policy = agent.choose(episodes[0], ell, lam_hon)
         table.nodes[ell].append(
             PhaseNode(ell, dict(weights), U, lam_cens, lam_hon, punish, q,
                       branches, exploit_policy)
@@ -344,6 +330,23 @@ def _mech_masses(ent: dict, p0) -> dict:
     }
 
 
+def _hal_ledgers(table: JointTable, ell: int):
+    """Per censored-ledger group of phase ell: its nodes and, for every
+    realizable hallucinated ledger value, (key, joint entry, p_hal, bound)
+    with the exact p_hal = Pr[hallucination episode | ledger] and the
+    bound p_hal_bound(p0, Pr[punish | censored ledger])."""
+    p0 = hallucination_prior_prob(table.config, ell)
+    for nodes in table.groups_by_cens(ell).values():
+        q = nodes[0].pr_punish_given_cens
+        rows = []
+        for key, ent in _mech_joint(nodes).items():
+            if ent["hal"] == 0:
+                continue  # not a realizable hallucinated ledger
+            p_hal = p0 * ent["hal"] / (p0 * ent["hal"] + (1 - p0) * ent["hon"])
+            rows.append((key, ent, p_hal, p_hal_bound(p0, q)))
+        yield nodes, rows
+
+
 def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
     """Audit the one-step incentive guarantee at phase ell.
 
@@ -354,6 +357,7 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
     """
     prior = table.prior
     p0 = hallucination_prior_prob(table.config, ell)
+    n_episodes = len(phase_episodes(table.config, ell))
     H = prior.shape[2]
     n_all = len(exact_lattice(prior).policies)
     entries = []
@@ -363,31 +367,25 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
         if not explicit or len(explicit) >= n_all:
             raise DegenerateSplit("target must be a nonempty strict policy subset")
 
-    for _, nodes in table.groups_by_cens(ell).items():
+    for nodes, rows in _hal_ledgers(table, ell):
         if explicit is not None:
             enc = explicit
         else:
             enc = policy_encodings(target(nodes[0].U, nodes))
         vacuous = not enc or len(enc) >= n_all
         q = nodes[0].pr_punish_given_cens
-        for key, ent in _mech_joint(nodes).items():
-            if ent["hal"] == 0:
-                continue  # not a realizable hallucinated ledger
+        for key, ent, p_hal, limit in rows:
             # exact mechanism posterior at an episode of this phase
             mech = _normalize(_mech_masses(ent, p0))
             arg = greedy_set(Posterior(prior, tuple(mech.get(i, Fraction(0))
                                                     for i in range(prior.n))))
-            denom = p0 * ent["hal"] + (1 - p0) * ent["hon"]
-            p_hal = p0 * ent["hal"] / denom
-            limit = p_hal_bound(p0, q)
             gap = None
             rhs = None
             holds = False
             if not vacuous:
                 can = canonical_posterior(prior, ent["ledger"], exact=True)
                 gap = canonical_gap(can, enc)
-                rhs = q * gap / (3 * H)
-                holds = p0 <= rhs
+                holds, _, rhs = hh_condition_holds(n_episodes, q, gap, H)
             entries.append(
                 OneStepEntry(
                     lam_hal_key=key,
@@ -411,20 +409,13 @@ def p_hal_audit(table: JointTable, ell: int) -> list:
     Also cross-checks the agent-side mechanism_posterior p_hal, which is
     computed by an independent formula; exact agreement is required.
     """
-    p0 = hallucination_prior_prob(table.config, ell)
     out = []
     k_agent = phase_episodes(table.config, ell)[0]
-    for _, nodes in table.groups_by_cens(ell).items():
-        q = nodes[0].pr_punish_given_cens
-        for key, ent in _mech_joint(nodes).items():
-            if ent["hal"] == 0:
-                continue
-            denom = p0 * ent["hal"] + (1 - p0) * ent["hon"]
-            p_hal = p0 * ent["hal"] / denom
+    for _, rows in _hal_ledgers(table, ell):
+        for key, ent, p_hal, limit in rows:
             _, p_hal_agent = mechanism_posterior(
                 table.prior, table.config, k_agent, ent["ledger"], exact=True
             )
-            limit = p_hal_bound(p0, q)
             out.append({
                 "ledger_key": key,
                 "p_hal": p_hal,

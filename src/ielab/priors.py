@@ -34,6 +34,7 @@ from .mdp import (
     Step,
     TabularModel,
     Trajectory,
+    all_triples,
     as_fraction,
     enumerate_policies,
     reward_table,
@@ -216,38 +217,18 @@ def f_min(prior, eps) -> Fraction:
     """min over (x,a,h) of Pr_{mu ~ prior}[mean reward <= eps]."""
     if isinstance(prior, FactoredRewardPrior):
         return prior.f_min(eps)
-    eps = as_fraction(eps)
-    if eps < 0:
+    if as_fraction(eps) < 0:
         raise ValueError("eps must be >= 0")
-    S, A, H = prior.shape
-    best = None
-    for x in range(1, S + 1):
-        for a in range(1, A + 1):
-            for h in range(1, H + 1):
-                p = sum(
-                    w
-                    for m, w in zip(prior.atoms, prior.weights)
-                    if m.mean_reward(x, a, h) <= eps
-                )
-                best = p if best is None or p < best else best
-    return best
+    low = low_reward_table(prior, eps).reshape(prior.n, -1)
+    return min(sum(w for w, is_low in zip(prior.weights, col) if is_low) for col in low.T)
 
 
 def r_min(prior) -> Fraction:
     """min over (x,a,h) of the prior-mean reward."""
     if isinstance(prior, FactoredRewardPrior):
         return prior.r_min()
-    S, A, H = prior.shape
-    best = None
-    for x in range(1, S + 1):
-        for a in range(1, A + 1):
-            for h in range(1, H + 1):
-                mean = sum(
-                    w * m.mean_reward(x, a, h)
-                    for m, w in zip(prior.atoms, prior.weights)
-                )
-                best = mean if best is None or mean < best else best
-    return best
+    return min(sum(w * m.mean_reward(*t) for m, w in zip(prior.atoms, prior.weights))
+               for t in sorted(all_triples(*prior.shape)))
 
 
 def canonical_posterior(
@@ -422,8 +403,9 @@ class PriorTables:
         lattice = exact_lattice(self.prior)
         return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
 
-    def support_index(self, value: Fraction) -> int:
-        return self._support_ix[value]
+    def support_index(self, value: Fraction) -> int | None:
+        """The value's position in the support, None outside it."""
+        return self._support_ix.get(value)
 
     def entry_translog(self, traj_steps) -> np.ndarray:
         """log init+path mass per atom for one entry's transition content."""
@@ -436,24 +418,13 @@ class PriorTables:
         return out
 
     def ledger_loglik(self, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
-        """A ledger as (per-atom log transition mass, revealed-reward counts).
-
-        The log-masses are summed entry by entry, as the run loop sums
-        them; the counts have reward_logmass's (S, A, H, |support|) shape.
-        A revealed reward outside the support has mass 0 under every atom.
-        """
-        translog = np.zeros(self.prior.n)
-        counts = np.zeros((self.S, self.A, self.H, len(self.support)), dtype=int)
+        """A ledger as (per-atom log transition mass, revealed-reward counts):
+        the LedgerState of its entries, pushed in order as the run loop
+        pushes them."""
+        state = LedgerState(self)
         for _, traj in ledger.entries:
-            translog += self.entry_translog(traj.steps)
-            for s in traj.steps:
-                if s.r is None:
-                    continue
-                if s.r not in self._support_ix:
-                    translog[:] = -np.inf
-                    continue
-                counts[s.x - 1, s.a - 1, s.h - 1, self._support_ix[s.r]] += 1
-        return translog, counts
+            state.push_entry(traj)
+        return state.translog, state.reward_counts
 
     def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
         """Per-atom log reward mass for occurrence counts (same shape as counts).
@@ -482,6 +453,57 @@ class PriorTables:
         w = np.exp(ll - top)
         w /= w.sum()
         return Posterior(self.prior, w, provenance or {})
+
+
+class LedgerState:
+    """A ledger's float likelihood state over the prior's atoms, built entry
+    by entry: the accumulated log transition mass, per-(triple, support
+    value) revealed-reward counts, and the flat triple index of every
+    occurrence in entry order, so each phase's posteriors and
+    hallucinated-reward draws are small vectorized operations.
+    """
+
+    def __init__(self, tables: PriorTables):
+        self.tables = tables
+        self.translog = np.zeros(tables.prior.n)
+        S, A, H = tables.S, tables.A, tables.H
+        self.reward_counts = np.zeros((S, A, H, len(tables.support)), dtype=int)
+        # (x-1, a-1, h-1) as one index into an (S, A, H) array; the buffer
+        # doubles when full, and occurrences() is its filled prefix
+        self._occ = np.empty(4 * H, dtype=np.intp)
+        self._n_occ = 0
+
+    def push_entry(self, traj) -> None:
+        """Add one entry's trajectory. Censored rewards (None) are skipped;
+        a revealed reward outside the support has mass 0 under every atom."""
+        tables = self.tables
+        self.translog += tables.entry_translog(traj.steps)
+        n = self._n_occ
+        if n + len(traj.steps) > len(self._occ):
+            self._occ = np.concatenate([self._occ, np.empty_like(self._occ)])
+        A, H = tables.A, tables.H
+        for s in traj.steps:
+            if s.r is not None:
+                k = tables.support_index(s.r)
+                if k is None:
+                    self.translog[:] = -np.inf
+                else:
+                    self.reward_counts[s.x - 1, s.a - 1, s.h - 1, k] += 1
+            self._occ[n] = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
+            n += 1
+        self._n_occ = n
+
+    def occurrences(self) -> np.ndarray:
+        return self._occ[:self._n_occ]
+
+    def posterior(self, what: str, mask: np.ndarray | None = None) -> Posterior:
+        """The canonical posterior of the entries' transitions alone (the
+        censored ledger's), restricted to ``mask`` when one is given."""
+        return self.tables.posterior_from_loglik(self.translog, mask, {"signal": what})
+
+    def revealed_posterior(self, counts: np.ndarray, what: str) -> Posterior:
+        ll = self.translog + self.tables.reward_loglik(counts)
+        return self.tables.posterior_from_loglik(ll, provenance={"signal": what})
 
 
 def _float_vector(vec) -> list[float]:

@@ -378,14 +378,14 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     import numpy as np
 
     from ielab import DiscretePrior, DiscreteDist, Step, Trajectory, build_model
-    from ielab.mechanism import _draw_hallucinated, _FastState
-    from ielab.priors import PriorTables
+    from ielab.mechanism import _draw_hallucinated
+    from ielab.priors import LedgerState, PriorTables
 
     support = [Fraction(v, 10) for v in range(11)]
     law = DiscreteDist(tuple(support[:10]), (Fraction(1, 10),) * 10)
     model = build_model(1, 1, 1, [1], {}, {(1, 1, 1): law}, reward_support=support)
     tables = PriorTables(DiscretePrior((model,), (Fraction(1),)))
-    fast = _FastState(tables)
+    fast = LedgerState(tables)
     fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(0)),)))
     counts, values = _draw_hallucinated(fast, 0, np.ones((1, 1, 1), dtype=bool),
                                         lambda: top_draw_rng)
@@ -401,10 +401,11 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     import numpy as np
 
     from ielab import sample_trajectory
-    from ielab.mechanism import _draw_hallucinated, _FastState
+    from ielab.mechanism import _draw_hallucinated
+    from ielab.priors import LedgerState
     from ielab.rng import index_from_uniform
 
-    fast = _FastState(stoch_tables)
+    fast = LedgerState(stoch_tables)
     steps = []
     for k in range(12):
         traj = sample_trajectory(stoch_prior.atoms[37 * k], stoch_tables.policies[k],
