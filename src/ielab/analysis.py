@@ -268,13 +268,9 @@ def first_unexplored_stage(model: TabularModel, policy: MarkovPolicy, U: TripleS
     return model.H + 1
 
 
-def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet, rho_0,
-                                   exact: bool = True) -> list[MarkovPolicy]:
-    """Policies whose probability of visiting U is at least rho_0."""
+def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet,
+                                   rho_0) -> list[MarkovPolicy]:
+    """Policies whose exact probability of visiting U is at least rho_0."""
     rho_0 = as_fraction(rho_0)
-    out = []
-    for pol in enumerate_policies(model_star.S, model_star.A, model_star.H):
-        p = event_visit_probability(model_star, pol, U, exact=exact)
-        if (p >= rho_0) if exact else (p >= float(rho_0) - 1e-12):
-            out.append(pol)
-    return out
+    return [pol for pol in enumerate_policies(model_star.S, model_star.A, model_star.H)
+            if event_visit_probability(model_star, pol, U, exact=True) >= rho_0]

@@ -171,8 +171,8 @@ def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> 
     )
 
 
-def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> dict:
-    """Serialize the log once; its digest is the SHA-256 of the bytes written."""
+def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> str:
+    """Serialize the log once; returns the SHA-256 of the bytes written."""
     data = log.to_jsonl().encode()
     if out_dir:
         run_dir = os.path.join(out_dir, f"run-{seed}")
@@ -181,7 +181,7 @@ def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> dict
             json.dump(manifest, f, sort_keys=True, indent=2)
         with open(os.path.join(run_dir, "game.jsonl"), "wb") as f:
             f.write(data)
-    return {"digest": hashlib.sha256(data).hexdigest()}
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_csv(out_dir: str | None, name: str, columns: list[str], rows: list[dict]) -> str:
@@ -198,6 +198,40 @@ def _write_csv(out_dir: str | None, name: str, columns: list[str], rows: list[di
     return text
 
 
+def _run_seeds(cfg: ExperimentConfig, prior, config: MechanismConfig, kind: str,
+               agent_mode: str, episode_log: str, columns: list[str], row,
+               **run_options) -> None:
+    """Play one run per configured seed, write each run's artifact and print
+    the summary CSV. ``row(summary)`` gives a run's columns besides its
+    seed and log digest; ``run_options`` go to run_game."""
+    exact = bool(cfg.get("exact", False))
+    out_dir = cfg.get("out")
+    rows = []
+    for seed in cfg.seeds():
+        agent = make_agent(agent_mode, prior, config, exact=exact)
+        log = run_game(config, prior, agent, seed, episode_log=episode_log,
+                       keep_signals=exact, **run_options)
+        manifest = {
+            "version": __version__, "seed": seed, "config": config.to_dict(),
+            "agent_mode": agent_mode, "episode_log": episode_log,
+            "prior_digest": prior_digest(prior), "kind": kind,
+        }
+        digest = _write_artifact(out_dir, seed, manifest, log)
+        rows.append({"seed": seed, **row(log.summary), "log_digest": digest})
+    print(_write_csv(out_dir, "summary", columns, rows), end="")
+
+
+def _det_row(summary: dict) -> dict:
+    covered = summary["phases_to_coverage"]
+    flags = summary["new_triple_flags"]
+    return {
+        "phases_to_coverage": covered,
+        "reach_size": summary["reach_size"],
+        "new_triple_until_coverage": all(flags[:covered if covered is not None else len(flags)]),
+        "episodes_simulated": summary["episodes_simulated"],
+    }
+
+
 def cmd_run_det(cfg: ExperimentConfig) -> int:
     """Deterministic-class exploration runs with the certified schedule."""
     factored, prior = load_prior(cfg)
@@ -205,36 +239,11 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
         raise AssumptionViolated("det-theorem runs need a reward-independent prior")
     base, info = det_parameters(factored)
     config = _apply_mechanism_overrides(cfg, base)
-    tables = shared_tables(prior)
-    agent_mode = cfg.get("agent", {}).get("mode", "fully_rational")
-    episode_log = cfg.get("episode_log", "hallucination")
-    out_dir = cfg.get("out")
-    exact = bool(cfg.get("exact", False))
-    track_hh = prior.n * len(tables.policies) <= 10**5
-    rows = []
-    for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config, exact=exact)
-        log = run_game(config, prior, agent, seed, episode_log=episode_log,
-                       track_hh=track_hh, keep_signals=exact)
-        covered = log.summary["phases_to_coverage"]
-        flags = log.summary["new_triple_flags"]
-        until = covered if covered is not None else len(flags)
-        manifest = {
-            "version": __version__, "seed": seed, "config": config.to_dict(),
-            "agent_mode": agent_mode, "episode_log": episode_log,
-            "prior_digest": prior_digest(prior), "kind": "det-theorem",
-        }
-        art = _write_artifact(out_dir, seed, manifest, log)
-        rows.append({
-            "seed": seed,
-            "phases_to_coverage": covered,
-            "reach_size": log.summary["reach_size"],
-            "new_triple_until_coverage": all(flags[:until]),
-            "episodes_simulated": log.summary["episodes_simulated"],
-            "log_digest": art["digest"],
-        })
-    text = _write_csv(out_dir, "summary", DET_SUMMARY_COLUMNS, rows)
-    print(text, end="")
+    track_hh = prior.n * len(shared_tables(prior).policies) <= 10**5
+    _run_seeds(cfg, prior, config, "det-theorem",
+               cfg.get("agent", {}).get("mode", "fully_rational"),
+               cfg.get("episode_log", "hallucination"), DET_SUMMARY_COLUMNS, _det_row,
+               track_hh=track_hh)
     print(f"# schedule: n_phase={info['n_phase']} eps_pun={info['eps_pun']} "
           f"f_min={info['f_min']} SAH={info['SAH']}")
     return 0
@@ -257,29 +266,14 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     phase_cap = int(cfg.get("phase_cap", config.total_phases))
     config = MechanismConfig(config.n_phase, config.n_lrn, config.eps_pun,
                              min(config.total_phases, phase_cap), config.rho)
-    agent_mode = cfg.get("agent", {}).get("mode", "canonical_truster")
-    exact = bool(cfg.get("exact", False))
-    out_dir = cfg.get("out")
-    rows = []
-    for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config, exact=exact)
-        log = run_game(config, prior, agent, seed, episode_log="hallucination",
-                       keep_signals=exact)
-        manifest = {
-            "version": __version__, "seed": seed, "config": config.to_dict(),
-            "agent_mode": agent_mode, "episode_log": "hallucination",
-            "prior_digest": prior_digest(prior), "kind": "prob-run",
-        }
-        art = _write_artifact(out_dir, seed, manifest, log)
-        rows.append({
-            "seed": seed,
-            "phases_to_exploration": log.summary["phases_to_coverage"],
-            "phase_cap": config.total_phases,
-            "reach_size": log.summary["reach_size"],
-            "log_digest": art["digest"],
-        })
-    text = _write_csv(out_dir, "summary", PROB_SUMMARY_COLUMNS, rows)
-    print(text, end="")
+
+    def row(summary: dict) -> dict:
+        return {"phases_to_exploration": summary["phases_to_coverage"],
+                "phase_cap": config.total_phases, "reach_size": summary["reach_size"]}
+
+    _run_seeds(cfg, prior, config, "prob-run",
+               cfg.get("agent", {}).get("mode", "canonical_truster"), "hallucination",
+               PROB_SUMMARY_COLUMNS, row)
     print(f"# theory scale: n_lrn={report['n_lrn_theory']} "
           f"n_phase={report['n_phase_theory']} L_0={report['L_0']} K={report['K']}")
     return 0
@@ -351,7 +345,7 @@ def _det_target_provider(prior):
     model0 = prior.atoms[0]
 
     def provider(U, _nodes):
-        return sufficiently_visiting_policies(model0, U, 1, exact=True)
+        return sufficiently_visiting_policies(model0, U, 1)
 
     return provider
 

@@ -3,8 +3,7 @@
 States, actions and stages are 1-based everywhere (x in [S], a in [A],
 h in [H]). All probabilities and reward values are stored as exact
 `Fraction`s; every operation takes an ``exact`` flag selecting Fraction
-arithmetic (for the oracle) or float arithmetic (for simulation, with
-1e-12 tolerances).
+arithmetic (for the oracle) or float arithmetic (for simulation).
 """
 
 from __future__ import annotations

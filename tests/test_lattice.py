@@ -278,7 +278,7 @@ def test_one_step_argmax_matches_fraction_reference(det_prior, det_config):
     model0 = det_prior.atoms[0]
 
     def target(U, _nodes):
-        return sufficiently_visiting_policies(model0, U, 1, exact=True)
+        return sufficiently_visiting_policies(model0, U, 1)
 
     for ell in (1, 2, 3):
         _audit_against_reference(table, ell, target)
