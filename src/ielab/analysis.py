@@ -272,5 +272,8 @@ def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet,
                                    rho_0) -> list[MarkovPolicy]:
     """Policies whose exact probability of visiting U is at least rho_0."""
     rho_0 = as_fraction(rho_0)
-    return [pol for pol in enumerate_policies(model_star.S, model_star.A, model_star.H)
-            if event_visit_probability(model_star, pol, U, exact=True) >= rho_0]
+    out = []
+    for pol in enumerate_policies(model_star.S, model_star.A, model_star.H):
+        if event_visit_probability(model_star, pol, U, exact=True) >= rho_0:
+            out.append(pol)
+    return out

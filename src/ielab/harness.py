@@ -224,10 +224,11 @@ def _run_seeds(cfg: ExperimentConfig, prior, config: MechanismConfig, kind: str,
 def _det_row(summary: dict) -> dict:
     covered = summary["phases_to_coverage"]
     flags = summary["new_triple_flags"]
+    until = covered if covered is not None else len(flags)
     return {
         "phases_to_coverage": covered,
         "reach_size": summary["reach_size"],
-        "new_triple_until_coverage": all(flags[:covered if covered is not None else len(flags)]),
+        "new_triple_until_coverage": all(flags[:until]),
         "episodes_simulated": summary["episodes_simulated"],
     }
 

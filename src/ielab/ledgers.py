@@ -89,9 +89,6 @@ class Ledger:
             ),
         )
 
-    def policies(self) -> list[MarkovPolicy]:
-        return [pol for pol, _ in self.entries]
-
 
 def reveal_rewards(ledger: Ledger, U: TripleSet, rewards) -> Ledger:
     """The U-ledger over the ledger's entries that reveals ``rewards``, in

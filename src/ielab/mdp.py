@@ -114,10 +114,6 @@ class Trajectory:
         if any(s.r is None for s in self.steps):
             raise ValueError("raw trajectory has no censored rewards")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
-
     def triples(self) -> list[Triple]:
         return [(s.x, s.a, s.h) for s in self.steps]
 

@@ -519,7 +519,6 @@ class PhaseContext:
     """Per-phase quantities the fast agents reuse instead of recomputing."""
 
     ell: int
-    config: MechanismConfig
     fast: LedgerState
     cens_weights: np.ndarray  # the censored ledger's canonical posterior
     punish_mask: np.ndarray
@@ -527,7 +526,6 @@ class PhaseContext:
     hal_counts: np.ndarray
     U: TripleSet
     signals: dict | None = None  # kind -> Ledger, only with keep_signals
-    visit_totals: dict | None = None  # set before phase_hook runs
     covered_at: int | None = None
 
     def counts_of(self, kind: str) -> np.ndarray:
@@ -596,10 +594,12 @@ def _signals_from_state(fast: LedgerState, hal_entries, U, hal_values) -> dict:
     """Materialize the censored / honest / hallucinated ledgers (micro scale)."""
     S, A, H = fast.tables.S, fast.tables.A, fast.tables.H
     lam_raw = raw_ledger(S, A, H, hal_entries)
+    lam_cens = totally_censor(lam_raw)
+    lam_hon = honest_ledger(lam_raw, U)
     support = fast.tables.support
     lam_hal = reveal_rewards(lam_raw, U, (support[v] for v in hal_values if v >= 0))
-    return {"censored": totally_censor(lam_raw), "honest": honest_ledger(lam_raw, U),
-            "hallucinated": lam_hal, "raw": lam_raw}
+    return {"censored": lam_cens, "honest": lam_hon, "hallucinated": lam_hal,
+            "raw": lam_raw}
 
 
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
@@ -696,7 +696,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         ctx = PhaseContext(
             ell=ell,
-            config=config,
             fast=fast,
             cens_weights=cens_post.weights,
             punish_mask=punish_mask,
@@ -775,7 +774,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         ):
             covered_at = ell
         if phase_hook is not None:
-            ctx.visit_totals = counts_by_triple
             ctx.covered_at = covered_at
             if phase_hook(ctx, log):
                 break

@@ -18,7 +18,6 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,7 +126,9 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
             d = prior.atoms[i].reward_dist(*t)
             vals.update(v for v, p in zip(d.support, d.probs) if p > 0)
         cand.append(sorted(vals))
-    n_assign = math.prod(map(len, cand))
+    n_assign = 1
+    for c in cand:
+        n_assign *= len(c)
     if n_assign > cap:
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 

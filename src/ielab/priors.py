@@ -34,7 +34,6 @@ from .mdp import (
     Step,
     TabularModel,
     Trajectory,
-    all_triples,
     as_fraction,
     enumerate_policies,
     reward_table,
@@ -227,8 +226,17 @@ def r_min(prior) -> Fraction:
     """min over (x,a,h) of the prior-mean reward."""
     if isinstance(prior, FactoredRewardPrior):
         return prior.r_min()
-    return min(sum(w * m.mean_reward(*t) for m, w in zip(prior.atoms, prior.weights))
-               for t in sorted(all_triples(*prior.shape)))
+    S, A, H = prior.shape
+    best = None
+    for x in range(1, S + 1):
+        for a in range(1, A + 1):
+            for h in range(1, H + 1):
+                mean = sum(
+                    w * m.mean_reward(x, a, h)
+                    for m, w in zip(prior.atoms, prior.weights)
+                )
+                best = mean if best is None or mean < best else best
+    return best
 
 
 def canonical_posterior(
