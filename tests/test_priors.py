@@ -139,6 +139,32 @@ def test_zero_evidence(det_prior):
         canonical_posterior(det_prior, lam, exact=True)
 
 
+def test_out_of_support_reward_has_mass_zero_on_both_routes(det_prior):
+    """A revealed reward outside the support has mass 0 under every atom:
+    the exact and the float canonical posterior both raise ZeroEvidence.
+    Censoring that occurrence leaves a consistent ledger whose reward
+    counts skip it."""
+    import numpy as np
+
+    from ielab import Step, Trajectory, censor_ledger
+    from ielab.priors import shared_tables
+
+    pol = enumerate_policies(2, 2, 2)[0]
+    traj = next(iter(enumerate_trajectories(det_prior.atoms[5], pol)))[0]
+    s = traj.steps[0]
+    odd = Trajectory((Step(s.x, s.a, s.h, Fraction(1, 3)), *traj.steps[1:]))
+    lam = raw_ledger(2, 2, 2, [(pol, traj), (pol, odd)])
+    for exact in (True, False):
+        with pytest.raises(ZeroEvidence):
+            canonical_posterior(det_prior, lam, exact=exact)
+    censored = censor_ledger(lam, frozenset({(s.x, s.a, s.h)}))
+    translog, counts = shared_tables(det_prior).ledger_loglik(censored)
+    assert not counts[s.x - 1, s.a - 1, s.h - 1].any() and np.isfinite(translog).any()
+    exact = canonical_posterior(det_prior, censored, exact=True).weights
+    assert canonical_posterior(det_prior, censored).weights == pytest.approx(
+        [float(w) for w in exact], abs=1e-12)
+
+
 def test_conditional_value_linearity(det_prior):
     pol = enumerate_policies(2, 2, 2)[4]
     point = canonical_posterior(
