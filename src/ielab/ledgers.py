@@ -97,13 +97,12 @@ def reveal_rewards(ledger: Ledger, U: TripleSet, rewards) -> Ledger:
     ``rewards`` is consumed lazily, one value per revealed occurrence.
     """
     rewards = iter(rewards)
-    entries = tuple(
-        (pol, CensoredTrajectory(tuple(
-            Step(s.x, s.a, s.h, None if (s.x, s.a, s.h) in U else next(rewards))
-            for s in traj.steps), U))
-        for pol, traj in ledger.entries
-    )
-    return Ledger(ledger.S, ledger.A, ledger.H, U, entries)
+    entries = []
+    for pol, traj in ledger.entries:
+        steps = tuple(Step(s.x, s.a, s.h, None if (s.x, s.a, s.h) in U else next(rewards))
+                      for s in traj.steps)
+        entries.append((pol, CensoredTrajectory(steps, U)))
+    return Ledger(ledger.S, ledger.A, ledger.H, U, tuple(entries))
 
 
 def raw_ledger(S, A, H, entries) -> Ledger:
