@@ -37,7 +37,11 @@ def is_punished(model: TabularModel, fully_explored: TripleSet, eps) -> bool:
 
 
 def _l1(p, q) -> Fraction:
-    return sum(abs(a - b) for a, b in zip(p, q))
+    """sum |p_i - q_i| as integer numerators over the lcm of the denominators."""
+    den = math.lcm(*[v.denominator for v in (*p, *q)])
+    return Fraction(sum([abs(a.numerator * (den // a.denominator)
+                             - b.numerator * (den // b.denominator)) for a, b in zip(p, q)]),
+                    den)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ arithmetic (for the oracle) or float arithmetic (for simulation).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,10 +63,8 @@ class DiscreteDist:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support/probs length mismatch")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative probability")
-        if sum(self.probs) != 1:
-            raise ValueError("probabilities must sum to 1 exactly")
+        check_prob_vector(self.probs, "negative probability",
+                           "probabilities must sum to 1 exactly")
         if len(set(self.support)) != len(self.support):
             raise ValueError("duplicate support values")
 
@@ -121,11 +120,20 @@ class Trajectory:
         return sum(s.r for s in self.steps)
 
 
-def _check_prob_vector(vec: tuple[Fraction, ...], what: str) -> None:
-    if any(p < 0 for p in vec):
-        raise ValueError(f"{what}: negative entry")
-    if sum(vec) != 1:
-        raise ValueError(f"{what}: does not sum to 1")
+def check_prob_vector(vec, negative: str, not_one: str, zero_ok: bool = True) -> None:
+    """Raise ValueError(negative) on an entry below 0 (or at 0 unless
+    zero_ok), else ValueError(not_one) unless the entries sum to exactly 1.
+
+    Exact on Fractions and ints without Fraction arithmetic: signs are read
+    from the numerators, and the sum is taken as integer numerators over the
+    lcm of the denominators, which must equal that lcm.
+    """
+    lowest = 0 if zero_ok else 1
+    if any(p.numerator < lowest for p in vec):
+        raise ValueError(negative)
+    den = math.lcm(*[p.denominator for p in vec])
+    if sum([p.numerator * (den // p.denominator) for p in vec]) != den:
+        raise ValueError(not_one)
 
 
 @dataclass(frozen=True)
@@ -196,19 +204,22 @@ class TabularModel:
             raise ValueError("S, A, H must be positive")
         if len(self.init) != self.S:
             raise ValueError("init length != S")
-        _check_prob_vector(self.init, "init")
+        check_prob_vector(self.init, "init: negative entry", "init: does not sum to 1")
+        support = set(self.reward_support)
         for x in range(self.S):
             for a in range(self.A):
                 for h in range(self.H):
                     vec = self.trans[x][a][h]
                     if len(vec) != self.S:
                         raise ValueError("transition row length != S")
-                    _check_prob_vector(vec, f"transitions({x+1},{a+1},{h+1})")
+                    what = f"transitions({x+1},{a+1},{h+1})"
+                    check_prob_vector(vec, f"{what}: negative entry",
+                                       f"{what}: does not sum to 1")
                     dist = self.rewards[x][a][h]
                     for v, p in zip(dist.support, dist.probs):
-                        if not 0 <= v <= 1:
+                        if not 0 <= v.numerator <= v.denominator:
                             raise ValueError("reward support outside [0,1]")
-                        if p > 0 and v not in self.reward_support:
+                        if p.numerator > 0 and v not in support:
                             raise ValueError("reward value outside global support")
 
     def transition(self, x: int, a: int, h: int) -> tuple[Fraction, ...]:

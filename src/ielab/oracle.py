@@ -18,16 +18,18 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .agents import make_agent, mechanism_posterior
-from .errors import CapExceeded, DegenerateSplit
+from .errors import CapExceeded, DegenerateSplit, ZeroEvidence
 from .ledgers import (
     Ledger,
     censor_ledger,
+    count_signature,
     raw_ledger,
     reveal_rewards,
     totally_censor,
@@ -42,6 +44,7 @@ from .mdp import (
 )
 from .mechanism import (
     MechanismConfig,
+    hallucination_posterior,
     hallucination_prior_prob,
     hh_condition_holds,
     p_hal_bound,
@@ -113,7 +116,7 @@ class JointTable:
 def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
                   cap) -> list[HalBranch]:
     """Enumerate realizable hallucinated-ledger values with exact masses."""
-    post = canonical_posterior(prior, lam_cens, punish, exact=True)
+    post = hallucination_posterior(prior, lam_cens, punish, exact=True)
     support_atoms = [i for i, w in enumerate(post.weights) if w > 0]
     # the triples of the revealed occurrences, in entry order
     occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
@@ -453,21 +456,40 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
 
     ``pairs`` is a list of (probability, atom index, revealed Ledger)
     covering the joint law of (true model, revealed ledger) under some
-    mechanism.
+    mechanism. Per ledger, the true joint is taken as ints n over its lcm
+    and the canonical posterior as lattice numerators c, one per count
+    signature, so TV = sum_i |n_i T_c - c_i T_n| / (2 T_n T_c) with T the
+    totals; Fractions appear only in the returned maximum. Raises
+    ZeroEvidence when a ledger has zero canonical mass.
     """
     groups: dict = {}
     reps: dict = {}
     for prob, atom, ledger in pairs:
         key = ledger.key()
         reps[key] = ledger
-        acc = groups.setdefault(key, {})
-        acc[atom] = acc.get(atom, Fraction(0)) + prob
-    worst = Fraction(0)
-    for key, joint in groups.items():
-        true_post = _normalize(joint)
-        can = canonical_posterior(prior, reps[key], exact=True)
-        worst = max(worst, _tv(true_post, {i: w for i, w in enumerate(can.weights) if w}))
-    return worst
+        groups.setdefault(key, []).append((atom, prob))
+    lattice = exact_lattice(prior)
+    canonical: dict = {}
+    worst, worst_den = 0, 1
+    for key, members in groups.items():
+        sig = count_signature(reps[key])
+        if sig not in canonical:
+            can = lattice.masses(lattice.weights, sig)
+            if not any(can):
+                raise ZeroEvidence(f"ledger/event inconsistent with the prior "
+                                   f"(|entries|={len(reps[key])}, |event|={prior.n})")
+            canonical[sig] = can, sum(can)
+        can, t_can = canonical[sig]
+        lcm = math.lcm(*(prob.denominator for _, prob in members))
+        joint = [0] * lattice.n
+        for atom, prob in members:
+            joint[atom] += prob.numerator * (lcm // prob.denominator)
+        t_joint = sum(joint)
+        diff = sum(abs(n * t_can - c * t_joint) for n, c in zip(joint, can))
+        den = 2 * t_joint * t_can
+        if diff * worst_den > worst * den:
+            worst, worst_den = diff, den
+    return Fraction(worst, worst_den)
 
 
 def fabricated_rewards_case():

@@ -35,6 +35,7 @@ from .mdp import (
     TabularModel,
     Trajectory,
     as_fraction,
+    check_prob_vector,
     enumerate_policies,
     reward_table,
     transition_table,
@@ -56,10 +57,8 @@ class DiscretePrior:
     def __post_init__(self):
         if len(self.atoms) != len(self.weights) or not self.atoms:
             raise ValueError("atoms/weights mismatch")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if sum(self.weights) != 1:
-            raise ValueError("weights must sum to 1 exactly")
+        check_prob_vector(self.weights, "weights must be positive",
+                          "weights must sum to 1 exactly", zero_ok=False)
         first = self.atoms[0]
         for m in self.atoms:
             if (m.S, m.A, m.H) != (first.S, first.A, first.H):
@@ -592,19 +591,19 @@ class LatticePaths(NamedTuple):
     of_atom: list
 
 
-def _reward_ranks(model: TabularModel) -> dict | None:
-    """(x, a, h, v) -> position of reward value v among the positive-mass
-    values of the model's law at (x, a, h), or None when every law lists
-    them in increasing order, the order the lattice enumerates them in."""
-    positive = {
-        (x, a, h): [v for v, p in zip(d.support, d.probs) if p]
-        for x, by_a in enumerate(model.rewards, 1)
-        for a, by_h in enumerate(by_a, 1)
-        for h, d in enumerate(by_h, 1)
-    }
-    if all(len(vals) < 2 or vals == sorted(vals) for vals in positive.values()):
-        return None
-    return {(*t, v): r for t, vals in positive.items() for r, v in enumerate(vals)}
+def _reward_ranks(atoms, triples: list, laws: dict) -> list:
+    """Per atom: (x, a, h, v) -> position of reward value v among the
+    positive-mass values of the atom's law at (x, a, h), or None when every
+    law of the atom lists them in increasing order, the order the lattice
+    enumerates them in. ``laws`` maps id to each distinct law of the atoms."""
+    positive = {k: [v for v, p in zip(d.support, d.probs) if p] for k, d in laws.items()}
+    unordered = {k for k, vals in positive.items() if vals != sorted(vals)}
+    out = []
+    for m in atoms:
+        ids = [id(m.reward_dist(*t)) for t in triples]
+        out.append(None if unordered.isdisjoint(ids) else
+                   {(*t, v): r for t, k in zip(triples, ids) for r, v in enumerate(positive[k])})
+    return out
 
 
 class ExactLattice:
@@ -633,22 +632,37 @@ class ExactLattice:
         self.support = prior.atoms[0].reward_support
         self.policies = enumerate_policies(S, A, H)
         self._paths: dict = {}
-        self._ranks = [_reward_ranks(m) for m in prior.atoms]
         self.weights, _ = _over_common_den(prior.weights)
+        atoms = prior.atoms
         triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
                    for h in range(1, H + 1)]
-        masses = {("init", x): [m.init[x - 1] for m in prior.atoms] for x in range(1, S + 1)}
+        # Expanded priors share init vectors, transition rows and reward laws
+        # between atoms, so each distinct object is converted once, keyed by
+        # its id while the prior holds it, and then looked up per atom.
+        laws, vecs = {}, {}
+        for m in atoms:
+            vecs[id(m.init)] = m.init
+            for t in triples:
+                vecs[id(m.transition(*t))] = m.transition(*t)
+                laws[id(m.reward_dist(*t))] = m.reward_dist(*t)
+        vecs.update((k, [d.mass(v) for v in self.support]) for k, d in laws.items())
+        flat, self.den = _over_common_den([p for vec in vecs.values() for p in vec])
+        flat = iter(flat)
+        nums = {k: [next(flat) for _ in vec] for k, vec in vecs.items()}
+        mean_nums, mean_den = _over_common_den([d.mean() for d in laws.values()])
+        law_means = dict(zip(laws, mean_nums))
+        self.columns = {("init", x + 1): tuple(nums[id(m.init)][x] for m in atoms)
+                        for x in range(S)}
+        means = {}
         for t in triples:
-            for y in range(1, S + 1):
-                masses[("trans", *t, y)] = [m.transition(*t)[y - 1] for m in prior.atoms]
-            for v in prior.atoms[0].reward_support:
-                masses[("reward", *t, v)] = [m.reward_dist(*t).mass(v) for m in prior.atoms]
-        flat, self.den = _over_common_den([p for col in masses.values() for p in col])
-        self.columns = {f: tuple(flat[k * self.n:(k + 1) * self.n])
-                        for k, f in enumerate(masses)}
-        flat, mean_den = _over_common_den([m.mean_reward(*t) for t in triples
-                                           for m in prior.atoms])
-        means = {t: flat[k * self.n:(k + 1) * self.n] for k, t in enumerate(triples)}
+            rows = [nums[id(m.transition(*t))] for m in atoms]
+            for y in range(S):
+                self.columns[("trans", *t, y + 1)] = tuple(r[y] for r in rows)
+            law_ids = [id(m.reward_dist(*t)) for m in atoms]
+            for k, v in enumerate(self.support):
+                self.columns[("reward", *t, v)] = tuple(nums[i][k] for i in law_ids)
+            means[t] = [law_means[i] for i in law_ids]
+        self._ranks = _reward_ranks(atoms, triples, laws)
         self.value_den = mean_den * self.den ** H
         self.value_cols = [self._values(pol, means, H) for pol in self.policies]
 

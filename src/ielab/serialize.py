@@ -43,22 +43,35 @@ def dist_from_dict(d: dict) -> DiscreteDist:
     return DiscreteDist.of(zip(d["support"], d["probs"]))
 
 
-def model_to_dict(m: TabularModel) -> dict:
+def model_to_dict(m: TabularModel, rendered: dict | None = None) -> dict:
+    """The model's JSON form. ``rendered`` maps id to the JSON form of each
+    init vector, transition row and reward law already rendered, so a
+    caller walking many atoms that share them renders each once."""
+    if rendered is None:
+        rendered = {}
+
+    def once(obj, render):
+        if id(obj) not in rendered:
+            rendered[id(obj)] = render(obj)
+        return rendered[id(obj)]
+
+    def vector(vec):
+        return [_num_out(p) for p in vec]
+
     out = {
         "S": m.S,
         "A": m.A,
         "H": m.H,
-        "init": [_num_out(p) for p in m.init],
+        "init": once(m.init, vector),
         "transitions": {},
         "rewards": {},
     }
     for x in range(1, m.S + 1):
         for a in range(1, m.A + 1):
             for h in range(1, m.H + 1):
-                out["transitions"][_triple_key((x, a, h))] = [
-                    _num_out(p) for p in m.transition(x, a, h)
-                ]
-                out["rewards"][_triple_key((x, a, h))] = dist_to_dict(m.reward_dist(x, a, h))
+                key = _triple_key((x, a, h))
+                out["transitions"][key] = once(m.transition(x, a, h), vector)
+                out["rewards"][key] = once(m.reward_dist(x, a, h), dist_to_dict)
     return out
 
 
@@ -74,9 +87,12 @@ def model_from_dict(d: dict, reward_support=None) -> TabularModel:
 
 
 def prior_to_dict(prior: DiscretePrior) -> dict:
+    """The prior's JSON form. Atoms share the rendered lists and dicts of the
+    objects they share, so treat the result as read-only."""
+    rendered: dict = {}
     return {
         "atoms": [
-            {"model": model_to_dict(m), "weight": _num_out(w)}
+            {"model": model_to_dict(m, rendered), "weight": _num_out(w)}
             for m, w in zip(prior.atoms, prior.weights)
         ]
     }

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ielab import (
     MechanismConfig,
@@ -26,7 +28,7 @@ from ielab import (
     sufficiently_visiting_policies,
     truncated_expected_sum,
 )
-from ielab.analysis import eps_p_bound, eps_r_bound, mrp_of
+from ielab.analysis import _l1, eps_p_bound, eps_r_bound, mrp_of
 from ielab.harness import sample_similar_pair
 from ielab.instances import random_model
 
@@ -284,3 +286,11 @@ def test_value_bounds_on_good_models(stoch_prior, stoch_tables):
                 ) - H * (H - 1) * eps_p
                 assert value >= lower - 1e-9
     assert checked > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(max_denominator=40), st.fractions(max_denominator=40)
+                          | st.integers(-3, 3)), max_size=6))
+def test_l1_over_common_denominator_matches_fraction_sum(pairs):
+    p, q = [a for a, _ in pairs], [b for _, b in pairs]
+    assert _l1(p, q) == sum((abs(Fraction(a) - Fraction(b)) for a, b in pairs), Fraction(0))

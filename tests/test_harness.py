@@ -130,6 +130,30 @@ def test_prior_json_roundtrip(tmp_path, det_prior):
     assert again.atoms[13] == det_prior.atoms[13]
 
 
+def test_prior_to_dict_renders_shared_objects_as_each_atom_alone(stoch_prior):
+    """Rendering each shared row and law once gives every atom the JSON a
+    field-by-field rendering of the atom alone gives."""
+    from ielab.serialize import prior_to_dict
+
+    def num(v):
+        return v.numerator if v.denominator == 1 else str(v)
+
+    def alone(m):
+        keys = [(x, a, h) for x in range(1, m.S + 1) for a in range(1, m.A + 1)
+                for h in range(1, m.H + 1)]
+        return {
+            "S": m.S, "A": m.A, "H": m.H, "init": [num(p) for p in m.init],
+            "transitions": {f"{x},{a},{h}": [num(p) for p in m.transition(x, a, h)]
+                            for x, a, h in keys},
+            "rewards": {f"{x},{a},{h}": {"support": [num(v) for v in d.support],
+                                         "probs": [num(p) for p in d.probs]}
+                        for x, a, h in keys for d in [m.reward_dist(x, a, h)]},
+        }
+
+    doc = prior_to_dict(stoch_prior)
+    assert [entry["model"] for entry in doc["atoms"]] == [alone(m) for m in stoch_prior.atoms]
+
+
 def test_cli_params_bandit_case(tmp_path, capsys):
     """Horizon-1 priors degenerate to the bandit schedule."""
     prior_doc = {

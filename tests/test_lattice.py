@@ -18,6 +18,7 @@ and a corrupted lattice column must stop enumerate_game.
 from __future__ import annotations
 
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,10 @@ from ielab import (
     DiscretePrior,
     FactoredRewardPrior,
     IncompleteEnumeration,
+    MarkovPolicy,
     MechanismConfig,
+    Step,
+    Trajectory,
     ZeroEvidence,
     all_triples,
     bayes_greedy,
@@ -44,9 +48,12 @@ from ielab import (
     enumerate_game,
     enumerate_policies,
     enumerate_trajectories,
+    fabricated_rewards_case,
+    hygiene_tv_pairs,
     ledger_probability,
     mechanism_posterior,
     one_step_audit,
+    policy_selection_case,
     policy_value,
     raw_ledger,
     run_game,
@@ -54,7 +61,7 @@ from ielab import (
 from ielab.agents import _mechanism_weights_float
 from ielab.analysis import sufficiently_visiting_policies
 from ielab.mechanism import hallucination_prior_prob
-from ielab.oracle import _mech_joint, mechanism_posterior_from_table
+from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set
 
@@ -350,9 +357,9 @@ def test_lattice_paths_match_enumerate_trajectories_random(prior):
     assert_paths_match(prior)
 
 
-def test_lattice_paths_keep_each_atoms_reward_order():
+def mixed_reward_order_prior() -> DiscretePrior:
     """One atom lists its Bernoulli reward law as (1, 0), the other as
-    (0, 1): each atom's list still follows its own order."""
+    (0, 1); each atom uses one law object at every triple."""
     support = (Fraction(0), Fraction(1))
 
     def atom(pairs):
@@ -362,10 +369,128 @@ def test_lattice_paths_keep_each_atoms_reward_order():
                            {(1, 1, 1): [Fraction(1, 4), Fraction(3, 4)],
                             (2, 1, 1): [1, 0]}, rewards, reward_support=support)
 
-    prior = DiscretePrior((atom([(1, Fraction(1, 3)), (0, Fraction(2, 3))]),
-                           atom([(0, Fraction(1, 2)), (1, Fraction(1, 2))])),
-                          (Fraction(1, 2), Fraction(1, 2)))
+    return DiscretePrior((atom([(1, Fraction(1, 3)), (0, Fraction(2, 3))]),
+                          atom([(0, Fraction(1, 2)), (1, Fraction(1, 2))])),
+                         (Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_lattice_paths_keep_each_atoms_reward_order():
+    """Each atom's list follows its own reward order."""
+    assert_paths_match(mixed_reward_order_prior())
+
+
+def per_atom_columns(prior) -> tuple[dict, int]:
+    """(columns, den) as a per-atom build takes them: every atom's init,
+    transition and reward masses read one by one, over their lcm."""
+    S, A, H = prior.shape
+    masses = {("init", x): [m.init[x - 1] for m in prior.atoms] for x in range(1, S + 1)}
+    for t in sorted(all_triples(S, A, H)):
+        for y in range(1, S + 1):
+            masses[("trans", *t, y)] = [m.transition(*t)[y - 1] for m in prior.atoms]
+        for v in prior.atoms[0].reward_support:
+            masses[("reward", *t, v)] = [m.reward_dist(*t).mass(v) for m in prior.atoms]
+    den = math.lcm(*(p.denominator for col in masses.values() for p in col))
+    return {f: tuple(p.numerator * (den // p.denominator) for p in col)
+            for f, col in masses.items()}, den
+
+
+def assert_lattice_matches_per_atom_build(prior, values: bool = True):
+    """The lattice, built once per distinct row and law, has the columns,
+    values and paths of a per-atom build."""
+    lattice = exact_lattice(prior)
+    columns, den = per_atom_columns(prior)
+    assert lattice.den == den
+    assert list(lattice.columns.items()) == list(columns.items())
+    if values:
+        for pol, col in zip(lattice.policies, lattice.value_cols):
+            assert [Fraction(v, lattice.value_den) for v in col] == [
+                policy_value(m, pol, exact=True) for m in prior.atoms]
     assert_paths_match(prior)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_priors())
+def test_lattice_per_object_build_matches_per_atom_build(prior):
+    assert_lattice_matches_per_atom_build(prior)
+
+
+def test_lattice_per_object_build_matches_per_atom_build_fixed(det_prior, stoch_prior):
+    """Expanded micro priors share rows and laws between hundreds of atoms;
+    the hand-built mixed-order prior shares one law per atom."""
+    assert_lattice_matches_per_atom_build(mixed_reward_order_prior())
+    assert_lattice_matches_per_atom_build(det_prior)
+    assert_lattice_matches_per_atom_build(stoch_prior, values=False)  # values: see
+    # test_lattice_value_matrix_matches_policy_value
+
+
+def fraction_hygiene_tvs(prior, pairs) -> dict:
+    """Per revealed ledger key: TV(true posterior, canonical posterior) in
+    Fractions, normalizing the joint and the exact canonical posterior."""
+    groups, reps = {}, {}
+    for prob, atom, ledger in pairs:
+        reps[ledger.key()] = ledger
+        acc = groups.setdefault(ledger.key(), {})
+        acc[atom] = acc.get(atom, Fraction(0)) + prob
+    out = {}
+    for key, joint in groups.items():
+        try:
+            can = canonical_posterior(prior, reps[key], exact=True)
+        except ZeroEvidence:
+            out[key] = None
+            continue
+        out[key] = _tv(_normalize(joint), {i: w for i, w in enumerate(can.weights) if w})
+    return out
+
+
+def assert_hygiene_matches_fraction_reference(prior, pairs):
+    """hygiene_tv_pairs equals the Fraction TV ledger by ledger, and its
+    maximum over all of them; where the reference finds a ledger
+    impossible, it raises ZeroEvidence."""
+    reference = fraction_hygiene_tvs(prior, pairs)
+    by_key = {}
+    for pair in pairs:
+        by_key.setdefault(pair[2].key(), []).append(pair)
+    for key, group in [*by_key.items(), (None, pairs)]:
+        expected = reference[key] if key else (
+            None if None in reference.values() else max(reference.values()))
+        if expected is None:
+            with pytest.raises(ZeroEvidence):
+                hygiene_tv_pairs(prior, group)
+        else:
+            assert hygiene_tv_pairs(prior, group) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_hygiene_tv_matches_fraction_reference_random(data):
+    """Arbitrary joints over drawn ledgers, so most TVs are nonzero; an atom
+    may appear several times under one ledger."""
+    prior = data.draw(small_priors())
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        ledger = draw_ledger(data.draw, prior)
+        for i in data.draw(st.lists(st.integers(0, prior.n - 1), min_size=1, max_size=6)):
+            prob = Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+            pairs.append((prob, i, ledger))
+    assert_hygiene_matches_fraction_reference(prior, pairs)
+
+
+def test_integer_hygiene_tv_matches_fraction_reference_counterexamples():
+    for prior, pairs in (fabricated_rewards_case(), policy_selection_case()):
+        assert_hygiene_matches_fraction_reference(prior, pairs)
+        assert hygiene_tv_pairs(prior, pairs) > 0
+
+
+def test_integer_hygiene_tv_impossible_ledger():
+    """A ledger no atom can produce, or one with a reward outside the
+    support, raises ZeroEvidence."""
+    prior, _ = fabricated_rewards_case()
+    pol = MarkovPolicy(((1,),), 1)
+    for rewards in ([Fraction(0), Fraction(9, 10)], [Fraction(1, 2)]):
+        ledger = raw_ledger(1, 1, 1, [(pol, Trajectory((Step(1, 1, 1, r),)))
+                                      for r in rewards])
+        with pytest.raises(ZeroEvidence):
+            hygiene_tv_pairs(prior, [(Fraction(1), 0, ledger)])
 
 
 def test_corrupted_lattice_column_stops_enumerate_game(det_prior, det_config):
@@ -389,3 +514,22 @@ def test_lattice_paths_cap(det_prior, det_config, monkeypatch):
     monkeypatch.setattr(priors, "TRAJECTORY_CAP", 2)
     with pytest.raises(CapExceeded, match="trajectory enumeration exceeds cap 2"):
         enumerate_game(det_config, DiscretePrior(det_prior.atoms, det_prior.weights), 2)
+
+
+def _table_pairs(table, kind: str, ell: int) -> list:
+    """hygiene_tv's (probability, atom, revealed ledger) list for one phase."""
+    return [(w, i, node.lam_cens if kind == "censored" else node.lam_hon)
+            for node in table.nodes[ell] for i, w in node.weights.items()]
+
+
+def test_integer_hygiene_tv_matches_fraction_reference_tables(det_prior, det_config,
+                                                             stoch_prior):
+    """Ledger by ledger on the det 3-phase and the stoch 2-phase tables."""
+    stoch_cfg = MechanismConfig(40, 1, Fraction(7, 2880), 2, rho=Fraction(1, 4))
+    for prior, table in ((det_prior, enumerate_game(det_config, det_prior, 3)),
+                         (stoch_prior, enumerate_game(stoch_cfg, stoch_prior, 2,
+                                                      cap=40_000))):
+        for ell in table.nodes:
+            for kind in ("censored", "honest"):
+                assert_hygiene_matches_fraction_reference(prior,
+                                                          _table_pairs(table, kind, ell))

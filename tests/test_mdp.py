@@ -326,3 +326,134 @@ def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
                     x = 1 + sample_index(m.transition(x, a, h), rng)
             u = stream(seed, "order").random(4)
             assert [tuple(s) for s in rollout(m, pol, u)] == steps
+
+
+# ---------------------------------------------------------------------------
+# The integer validator against the Fraction checks it replaced
+
+
+def _fraction_vector_check(vec, negative, not_one, zero_ok=True):
+    if any(p < 0 if zero_ok else p <= 0 for p in vec):
+        raise ValueError(negative)
+    if sum(vec) != 1:
+        raise ValueError(not_one)
+
+
+def fraction_dist_check(support, probs):
+    if len(support) != len(probs) or not support:
+        raise ValueError("support/probs length mismatch")
+    _fraction_vector_check(probs, "negative probability",
+                           "probabilities must sum to 1 exactly")
+    if len(set(support)) != len(support):
+        raise ValueError("duplicate support values")
+
+
+def fraction_model_check(S, A, H, init, trans, rewards, reward_support):
+    if len(init) != S:
+        raise ValueError("init length != S")
+    _fraction_vector_check(init, "init: negative entry", "init: does not sum to 1")
+    for x in range(S):
+        for a in range(A):
+            for h in range(H):
+                vec = trans[x][a][h]
+                if len(vec) != S:
+                    raise ValueError("transition row length != S")
+                what = f"transitions({x+1},{a+1},{h+1})"
+                _fraction_vector_check(vec, f"{what}: negative entry",
+                                       f"{what}: does not sum to 1")
+                dist = rewards[x][a][h]
+                for v, p in zip(dist.support, dist.probs):
+                    if not 0 <= v <= 1:
+                        raise ValueError("reward support outside [0,1]")
+                    if p > 0 and v not in reward_support:
+                        raise ValueError("reward value outside global support")
+
+
+def fraction_prior_check(weights):
+    _fraction_vector_check(weights, "weights must be positive",
+                           "weights must sum to 1 exactly", zero_ok=False)
+
+
+def outcome(check, *args):
+    """None when the check passes, else the raised (type, message)."""
+    try:
+        check(*args)
+    except Exception as e:  # noqa: BLE001 - the type is part of the outcome
+        return type(e), str(e)
+    return None
+
+
+# reward values: inside and outside [0, 1], ints and Fractions
+VALUES = [0, 1, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3),
+          Fraction(3, 2), Fraction(-1, 4), 2, -1]
+
+
+@st.composite
+def prob_vectors(draw, n=None):
+    """A vector on a 1/den grid that sums to 1, or one with an entry pushed
+    below 0 (the sum kept), or one whose sum is off by 1/d; whole entries
+    are plain ints half the time."""
+    n = n if n is not None else draw(st.integers(1, 4))
+    den = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+    vec = [Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+    kind = draw(st.sampled_from(["ok", "ok", "negative", "off"]))
+    if kind == "negative" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        shift = vec[i] + Fraction(1, draw(st.integers(1, 3 * den)))
+        vec[i] -= shift
+        vec[j] += shift
+    elif kind == "off":
+        vec[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, -1])) * Fraction(
+            1, draw(st.integers(1, 3 * den)))
+    if draw(st.booleans()):
+        vec = [int(p) if p.denominator == 1 else p for p in vec]
+    return tuple(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_dist_check_matches_fraction_check(data):
+    n = data.draw(st.integers(1, 4))
+    support = tuple(data.draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)))
+    if data.draw(st.integers(0, 9)) == 0:  # a length mismatch
+        support = support[1:]
+    probs = data.draw(prob_vectors(n))
+    assert outcome(DiscreteDist, support, probs) == outcome(fraction_dist_check, support, probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_prior_check_matches_fraction_check(data):
+    from ielab import DiscretePrior
+
+    weights = data.draw(prob_vectors())
+    atoms = (constant_reward_model(1, 1, 1, 0),) * len(weights)
+    assert outcome(DiscretePrior, atoms, weights) == outcome(fraction_prior_check, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_model_check_matches_fraction_check(data):
+    from ielab import TabularModel
+
+    S, A, H = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(
+        st.integers(1, 2))
+    reward_support = tuple(data.draw(st.lists(st.sampled_from(VALUES), min_size=1,
+                                              max_size=4, unique=True)))
+    init = data.draw(prob_vectors(S))
+    trans = tuple(tuple(tuple(data.draw(prob_vectors(S)) for _ in range(H))
+                        for _ in range(A)) for _ in range(S))
+
+    def law():
+        k = data.draw(st.integers(1, 3))
+        support = data.draw(st.lists(st.sampled_from(VALUES), min_size=k, max_size=k,
+                                     unique=True))
+        probs = data.draw(prob_vectors(k).filter(
+            lambda v: outcome(fraction_dist_check, support, v) is None))
+        return DiscreteDist(tuple(support), probs)
+
+    rewards = tuple(tuple(tuple(law() for _ in range(H)) for _ in range(A))
+                    for _ in range(S))
+    args = (S, A, H, init, trans, rewards, reward_support)
+    assert outcome(TabularModel, *args) == outcome(fraction_model_check, *args)

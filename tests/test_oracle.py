@@ -7,7 +7,10 @@ import pytest
 from ielab import (
     CapExceeded,
     DegenerateSplit,
+    DiscreteDist,
+    FactoredRewardPrior,
     MechanismConfig,
+    ZeroEvidence,
     enumerate_game,
     fabricated_rewards_case,
     hallucination_distribution_check,
@@ -147,3 +150,17 @@ def test_stochastic_micro_table(stoch_prior):
     assert hallucination_distribution_check(table, 2) == 0
     with pytest.raises(CapExceeded):
         enumerate_game(cfg, stoch_prior, 3, cap=60)
+
+
+def test_enumerate_game_zero_evidence_names_the_assumption():
+    """A class whose rewards cannot be punished: the oracle's hallucination
+    posterior raises the ledger API's ZeroEvidence text."""
+    marginals = {
+        (1, 1, h): DiscreteDist.of([("0.5", "0.5"), ("0.8", "0.5")]) for h in (1, 2)
+    }
+    fp = FactoredRewardPrior(
+        1, 1, 2, transition_atoms=(([1], {(1, 1, 1): [1]}, 1),),
+        reward_marginals=marginals,
+    )
+    with pytest.raises(ZeroEvidence, match="punish event has zero posterior mass"):
+        enumerate_game(MechanismConfig(4, 1, "0.1", 3), fp.expand(), 3)
