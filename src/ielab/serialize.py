@@ -43,12 +43,10 @@ def dist_from_dict(d: dict) -> DiscreteDist:
     return DiscreteDist.of(zip(d["support"], d["probs"]))
 
 
-def model_to_dict(m: TabularModel, rendered: dict | None = None) -> dict:
+def _model_to_dict(m: TabularModel, rendered: dict) -> dict:
     """The model's JSON form. ``rendered`` maps id to the JSON form of each
     init vector, transition row and reward law already rendered, so a
     caller walking many atoms that share them renders each once."""
-    if rendered is None:
-        rendered = {}
 
     def once(obj, render):
         if id(obj) not in rendered:
@@ -92,7 +90,7 @@ def prior_to_dict(prior: DiscretePrior) -> dict:
     rendered: dict = {}
     return {
         "atoms": [
-            {"model": model_to_dict(m, rendered), "weight": _num_out(w)}
+            {"model": _model_to_dict(m, rendered), "weight": _num_out(w)}
             for m, w in zip(prior.atoms, prior.weights)
         ]
     }
