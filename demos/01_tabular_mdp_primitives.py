@@ -33,7 +33,7 @@ print(f"policy space: {len(pols)} deterministic Markov policies "
 # --- values, exactly and by brute force ------------------------------------
 m = stoch.atoms[123]
 pol = pols[10]
-v_dp = policy_value(m, pol, exact=True)
+v_dp = policy_value(m, pol)
 v_brute = sum(p * t.reward_sum() for t, p in enumerate_trajectories(m, pol))
 print(f"\npolicy {pol.encoding}: DP value = {v_dp} = enumeration value = {v_brute}")
 
@@ -48,15 +48,15 @@ m_det = det.atoms[0]
 print(f"\nreachable triples of the deterministic instance (rho = 1):")
 print(f"  {sorted(reach_set(m_det, 1))}")
 print(f"state 2 at stage 1 is unreachable: "
-      f"max visit probability = {reach_probability(m_det, 2, 1, exact=True)}")
+      f"max visit probability = {reach_probability(m_det, 2, 1)}")
 print(f"under the stochastic instance, every (x,h) is 1/4-reachable: "
       f"{reach_set(m, Fraction(1, 4)) == all_triples(2, 2, 2)}")
 
 # --- occupancy decomposition -------------------------------------------------
 U = frozenset({(1, 2, 1), (2, 1, 2)})
-omega = occupancy_omega(m, pol, U, exact=True)
+omega = occupancy_omega(m, pol, U)
 print(f"\noccupancy weights on U = {sorted(U)}:")
 for t, w in sorted(omega.items()):
     print(f"  omega{t} = {w}")
 print(f"their sum equals the U-visit probability: "
-      f"{sum(omega.values())} = {event_visit_probability(m, pol, U, exact=True)}")
+      f"{sum(omega.values())} = {event_visit_probability(m, pol, U)}")

@@ -43,7 +43,7 @@ print(f"under-explored set with n_lrn = 1 has {len(U)} of 8 triples\n")
 
 lam_hon = censor_ledger(lam_raw, U)
 print(f"probability of the honest ledger under the truth: "
-      f"{ledger_probability(truth, lam_hon, exact=True)}")
+      f"{ledger_probability(truth, lam_hon)}")
 
 post = canonical_posterior(prior, lam_hon, exact=True)
 print(f"canonical posterior support: {len(post.support())} of {prior.n} atoms "

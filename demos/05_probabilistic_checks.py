@@ -21,7 +21,7 @@ from ielab import (
     run_game,
     simulation_gap,
 )
-from ielab.analysis import empirical_estimators, eps_p_bound, eps_r_bound, mrp_of
+from ielab.analysis import empirical_estimators, eps_p_bound, eps_r_bound
 from ielab.harness import sample_similar_pair
 from ielab.instances import random_model
 
@@ -39,7 +39,7 @@ print("     runs below override n_lrn downward and keep the exact n_phase.\n")
 
 # --- simulation lemma on random similar pairs -------------------------------
 rng = np.random.default_rng(1)
-worst_ratio = 0.0
+worst_ratio = Fraction(0)
 for _ in range(50):
     base, other, U, rt, pol, eps = sample_similar_pair(rng)
     if eps == 0:
@@ -48,16 +48,16 @@ for _ in range(50):
     if bound:
         worst_ratio = max(worst_ratio, lhs / bound)
 print(f"simulation lemma on 50 random eps-similar pairs: "
-      f"worst lhs/bound = {worst_ratio:.3f} (<= 1)")
+      f"worst lhs/bound = {float(worst_ratio):.3f} (<= 1)")
 
 # --- performance-difference identity ----------------------------------------
 m1, m2 = random_model(rng, 3, 1, 3), random_model(rng, 3, 1, 3)
 pol = enumerate_policies(3, 1, 3)[0]
-mrp1, reward = mrp_of(m1, pol)
-mrp2, _ = mrp_of(m2, pol)
-lhs, rhs, parts = performance_difference(mrp1, mrp2, reward)
-print(f"performance difference identity: lhs = {lhs:.12f}, rhs = {rhs:.12f}, "
-      f"|lhs - rhs| = {abs(lhs - rhs):.2e}")
+lhs, rhs, parts = performance_difference(m1, m2, pol)
+print(f"performance difference identity: lhs = V1 - V2 = {lhs}, rhs = {rhs}, "
+      f"exactly equal: {lhs == rhs}")
+print(f"  rhs = init term {parts['init_term']} + reward terms "
+      f"{sum(parts['reward_terms'])} + transition terms {sum(parts['transition_terms'])}")
 
 # --- estimator concentration -------------------------------------------------
 n_lrn, delta = 64, 0.1

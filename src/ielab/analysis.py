@@ -12,11 +12,13 @@ from .mdp import (
     MarkovPolicy,
     TabularModel,
     TripleSet,
+    _stage_values,
     absorbing_steps,
     as_fraction,
     complement_triples,
     enumerate_policies,
     event_visit_probability,
+    policy_value,
 )
 
 
@@ -28,12 +30,6 @@ def eps_r_bound(delta: float, n_lrn: int) -> float:
 def eps_p_bound(delta: float, n_lrn: int, S: int) -> float:
     """l1 transition radius 2 sqrt(2 (S log 5 + log(1/delta)) / n_lrn)."""
     return 2.0 * math.sqrt(2.0 * (S * math.log(5.0) + math.log(1.0 / delta)) / n_lrn)
-
-
-def is_punished(model: TabularModel, fully_explored: TripleSet, eps) -> bool:
-    """All mean rewards on the fully-explored set are <= eps."""
-    eps = as_fraction(eps)
-    return all(model.mean_reward(x, a, h) <= eps for (x, a, h) in fully_explored)
 
 
 def _l1(p, q) -> Fraction:
@@ -72,26 +68,23 @@ def similarity(model1: TabularModel, model2: TabularModel, fully_explored: Tripl
 
 
 def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleSet,
-                           rtilde, exact: bool = False):
+                           rtilde) -> Fraction:
     """E^pi[ sum_h rtilde(x_h,a_h,h) * 1{no U-visit strictly before h} ].
 
     ``rtilde`` maps (x,a,h) to [0,1]; the step-h term is still counted
     when the U-visit happens at step h itself.
     """
-    total = Fraction(0) if exact else 0.0
-    for x, a, h, mass in absorbing_steps(model, policy, U, exact):
-        r = as_fraction(rtilde((x, a, h)))
-        total += mass * (r if exact else float(r))
-    return total
+    return sum((mass * as_fraction(rtilde((x, a, h)))
+                for x, a, h, mass in absorbing_steps(model, policy, U)), Fraction(0))
 
 
 def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
-                   rtilde, policy: MarkovPolicy, eps):
+                   rtilde, policy: MarkovPolicy, eps) -> tuple[Fraction, Fraction]:
     """(lhs, bound) for the truncated-reward comparison of similar models.
 
-    lhs is the exact-DP absolute difference of the truncated expected
-    sums; bound is C(H,2) * eps. Raises PreconditionViolated unless the
-    pair is eps-similar on the complement of U.
+    lhs is the exact absolute difference of the truncated expected sums;
+    bound is C(H,2) * eps, also exact. Raises PreconditionViolated unless
+    the pair is eps-similar on the complement of U.
     """
     eps = as_fraction(eps)
     fully_explored = complement_triples(U, model.S, model.A, model.H)
@@ -105,93 +98,37 @@ def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
         truncated_expected_sum(model, policy, U, rtilde)
         - truncated_expected_sum(model_star, policy, U, rtilde)
     )
-    bound = float(eps) * math.comb(model.H, 2)
-    return lhs, bound
+    return lhs, eps * math.comb(model.H, 2)
 
 
-# ---------------------------------------------------------------------------
-# Markov reward processes and the performance-difference identity
+def performance_difference(model1: TabularModel, model2: TabularModel, policy: MarkovPolicy):
+    """Both sides of the performance-difference identity for pi, exactly.
 
-
-@dataclass(frozen=True)
-class MRP:
-    """Finite-horizon Markov reward process (dynamics only; reward shared)."""
-
-    S: int
-    H: int
-    init: tuple  # length S
-    trans: tuple  # [h][x] -> row over next states, for h in 1..H-1
-
-    def transition(self, x: int, h: int):
-        return self.trans[h - 1][x - 1]
-
-
-def mrp_value_functions(mrp: MRP, reward) -> list:
-    """V_h(x) = E[sum_{tau=h..H} r(x_tau,tau) | x_h = x], h = 1..H+1."""
-    V = [[0.0] * mrp.S for _ in range(mrp.H + 2)]
-    for h in range(mrp.H, 0, -1):
-        for x in range(1, mrp.S + 1):
-            v = float(as_fraction(reward((x, h))))
-            if h < mrp.H:
-                row = mrp.transition(x, h)
-                v += sum(float(row[y]) * V[h + 1][y] for y in range(mrp.S))
-            V[h][x - 1] = v
-    return V
-
-
-def mrp_expected_sum(mrp: MRP, reward) -> float:
-    V = mrp_value_functions(mrp, reward)
-    return sum(float(mrp.init[x]) * V[1][x] for x in range(mrp.S))
-
-
-def performance_difference(mrp1: MRP, mrp2: MRP, reward):
-    """Both sides of the MRP performance-difference identity.
-
-    lhs = E_1[sum r] - E_2[sum r];
-    rhs = (init_1 - init_2) . V2_1 + sum_h E_1[(P1 - P2)(.|x_h,h) . V2_{h+1}].
-    Returns (lhs, rhs, decomposition dict).
+    With V2_h model2's value-to-go under pi at stage h, d1_h model1's
+    state occupancy at stage h, and r_i, P_i model i's mean rewards and
+    transition rows at (x, pi(x, h), h):
+    lhs = V^pi(model1) - V^pi(model2);
+    rhs = (init_1 - init_2) . V2_1 + sum_h E_{d1_h}[r_1 - r_2]
+          + sum_{h<H} E_{d1_h}[(P_1 - P_2)(.|x_h, h) . V2_{h+1}].
+    Models that share rewards have every reward term 0. Returns (lhs, rhs,
+    decomposition dict) with per-stage reward and transition terms.
     """
-    V2 = mrp_value_functions(mrp2, reward)
-    lhs = mrp_expected_sum(mrp1, reward) - mrp_expected_sum(mrp2, reward)
-    init_term = sum(
-        (float(mrp1.init[x]) - float(mrp2.init[x])) * V2[1][x] for x in range(mrp1.S)
-    )
-    # occupancy of mrp1 at each (x, h)
-    occ = [float(p) for p in mrp1.init]
-    trans_terms = []
-    for h in range(1, mrp1.H):
-        term = 0.0
-        nxt = [0.0] * mrp1.S
-        for x in range(1, mrp1.S + 1):
-            mass = occ[x - 1]
-            if not mass:
-                continue
-            row1 = mrp1.transition(x, h)
-            row2 = mrp2.transition(x, h)
-            term += mass * sum(
-                (float(row1[y]) - float(row2[y])) * V2[h + 1][y] for y in range(mrp1.S)
-            )
-            for y in range(mrp1.S):
-                nxt[y] += mass * float(row1[y])
-        trans_terms.append(term)
-        occ = nxt
-    rhs = init_term + sum(trans_terms)
-    return lhs, rhs, {"init_term": init_term, "transition_terms": trans_terms}
-
-
-def mrp_of(model: TabularModel, policy: MarkovPolicy) -> tuple[MRP, object]:
-    """Collapse (model, policy) into an MRP plus its reward function."""
-    trans = tuple(
-        tuple(model.transition(x, policy.action(x, h), h) for x in range(1, model.S + 1))
-        for h in range(1, model.H)
-    )
-    mrp = MRP(model.S, model.H, model.init, trans)
-
-    def reward(key):
-        x, h = key
-        return model.mean_reward(x, policy.action(x, h), h)
-
-    return mrp, reward
+    H = model1.H
+    V2 = _stage_values(model2, policy)
+    lhs = policy_value(model1, policy) - policy_value(model2, policy)
+    init_term = sum((p1 - p2) * v for p1, p2, v in zip(model1.init, model2.init, V2[0]))
+    reward_terms = [Fraction(0)] * H
+    trans_terms = [Fraction(0)] * (H - 1)
+    # with no absorbing set, the masses are model1's state occupancies
+    for x, a, h, mass in absorbing_steps(model1, policy, frozenset()):
+        reward_terms[h - 1] += mass * (model1.mean_reward(x, a, h)
+                                       - model2.mean_reward(x, a, h))
+        if h < H:
+            rows = zip(model1.transition(x, a, h), model2.transition(x, a, h), V2[h])
+            trans_terms[h - 1] += mass * sum((p1 - p2) * v for p1, p2, v in rows)
+    rhs = init_term + sum(reward_terms) + sum(trans_terms)
+    return lhs, rhs, {"init_term": init_term, "reward_terms": reward_terms,
+                      "transition_terms": trans_terms}
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +138,8 @@ def mrp_of(model: TabularModel, policy: MarkovPolicy) -> tuple[MRP, object]:
 def good_model_predicate(model, model_star, U, eps_pun, eps_r, eps_p) -> bool:
     """(eps_pun + 2 eps_r)-punished on U^c and 2 eps_p-similar to the truth there."""
     explored = complement_triples(U, model.S, model.A, model.H)
-    if not is_punished(model, explored, as_fraction(eps_pun) + 2 * as_fraction(eps_r)):
+    eps = as_fraction(eps_pun) + 2 * as_fraction(eps_r)
+    if any(model.mean_reward(*t) > eps for t in explored):
         return False
     return similarity(model, model_star, explored).is_similar(2 * as_fraction(eps_p))
 
@@ -278,6 +216,6 @@ def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet,
     rho_0 = as_fraction(rho_0)
     out = []
     for pol in enumerate_policies(model_star.S, model_star.A, model_star.H):
-        if event_visit_probability(model_star, pol, U, exact=True) >= rho_0:
+        if event_visit_probability(model_star, pol, U) >= rho_0:
             out.append(pol)
     return out

@@ -21,14 +21,14 @@ import numpy as np
 from . import __version__
 from .agents import make_agent
 from .analysis import (
-    mrp_of,
     performance_difference,
+    similarity,
     simulation_gap,
     sufficiently_visiting_policies,
 )
 from .errors import AssumptionViolated, ConfigError, VerificationFailure
 from .instances import micro_det_1, micro_stoch_1, perturb_model, random_model
-from .mdp import all_triples, as_fraction
+from .mdp import MarkovPolicy, all_triples, as_fraction, complement_triples, enumerate_policies
 from .mechanism import (
     MechanismConfig,
     det_parameters,
@@ -391,9 +391,6 @@ def verify_dist_equality(table, phases: int) -> list[dict]:
 
 def sample_similar_pair(rng: np.random.Generator):
     """(model, perturbed model, U, reward fn, policy, tight eps) for the lemma."""
-    from .analysis import similarity
-    from .mdp import MarkovPolicy, complement_triples
-
     S = int(rng.integers(2, 4))
     A = int(rng.integers(1, 3))
     H = int(rng.integers(2, 4))
@@ -419,28 +416,24 @@ def verify_sim_lemma(cfg: ExperimentConfig) -> list[dict]:
             continue
         tested += 1
         lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
-        if lhs > bound + 1e-12:
+        if lhs > bound:
             violations += 1
     checks = [{
         "name": "sim_lemma.bound", "value": f"{violations}/{tested} violations",
         "ok": violations == 0,
     }]
-    worst = 0.0
+    worst = Fraction(0)
     for _ in range(n_perf):
-        from .mdp import enumerate_policies
-
         S = int(rng.integers(2, 4))
         H = int(rng.integers(2, 4))
         m1 = random_model(rng, S, 1, H)
         m2 = random_model(rng, S, 1, H)
         pol = enumerate_policies(S, 1, H)[0]
-        mrp1, r1 = mrp_of(m1, pol)
-        mrp2, _ = mrp_of(m2, pol)
-        lhs, rhs, _ = performance_difference(mrp1, mrp2, r1)
+        lhs, rhs, _ = performance_difference(m1, m2, pol)
         worst = max(worst, abs(lhs - rhs))
     checks.append({
-        "name": "perf_diff.identity", "value": f"max |lhs-rhs| = {worst:.3g}",
-        "ok": worst <= 1e-10,
+        "name": "perf_diff.identity", "value": f"max |lhs-rhs| = {worst}",
+        "ok": worst == 0,
     })
     return checks
 

@@ -130,16 +130,16 @@ def totally_censor(ledger: Ledger) -> Ledger:
     return censor_ledger(ledger, all_triples(ledger.S, ledger.A, ledger.H))
 
 
-def ledger_probability(model: TabularModel, ledger: Ledger, exact: bool = False):
+def ledger_probability(model: TabularModel, ledger: Ledger) -> Fraction:
     """Canonical ledger mass: product of i.i.d. censored-entry masses.
 
     Censored rewards contribute a factor of 1 (they marginalize out);
     revealed rewards contribute their reward mass, transitions their
     path mass.
     """
-    prob = Fraction(1) if exact else 1.0
+    prob = Fraction(1)
     for _, traj in ledger.entries:
-        prob *= path_mass(model, traj.steps, exact)
+        prob *= path_mass(model, traj.steps)
         if not prob:
             return prob
     return prob
@@ -165,14 +165,13 @@ def count_signature(ledger: Ledger) -> frozenset:
     return frozenset(counts.items())
 
 
-def ledger_reward_mass(model: TabularModel, ledger: Ledger, exact: bool = False):
+def ledger_reward_mass(model: TabularModel, ledger: Ledger) -> Fraction:
     """Only the revealed-reward factors of ledger_probability."""
-    prob = Fraction(1) if exact else 1.0
+    prob = Fraction(1)
     for _, traj in ledger.entries:
         for s in traj.steps:
             if s.r is not None:
-                m = model.reward_dist(s.x, s.a, s.h).mass(s.r)
-                prob *= m if exact else float(m)
+                prob *= model.reward_dist(s.x, s.a, s.h).mass(s.r)
                 if not prob:
                     return prob
     return prob
@@ -203,5 +202,5 @@ def consistent_models(prior, ledger: Ledger) -> frozenset:
     return frozenset(
         i
         for i, model in enumerate(prior.atoms)
-        if ledger_probability(model, ledger, exact=True) > 0
+        if ledger_probability(model, ledger) > 0
     )

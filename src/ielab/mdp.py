@@ -2,8 +2,9 @@
 
 States, actions and stages are 1-based everywhere (x in [S], a in [A],
 h in [H]). All probabilities and reward values are stored as exact
-`Fraction`s; every operation takes an ``exact`` flag selecting Fraction
-arithmetic (for the oracle) or float arithmetic (for simulation).
+`Fraction`s, and every DP primitive computes in them. Sampling reads
+float cumulative rows built once per model; the float posterior route
+lives in ``priors.PriorTables``.
 """
 
 from __future__ import annotations
@@ -303,62 +304,53 @@ def reward_table(S, A, H, rewards) -> tuple:
 # exact DP primitives
 
 
-def _zero(exact: bool):
-    return Fraction(0) if exact else 0.0
+def _stage_values(model: TabularModel, policy: MarkovPolicy) -> list[list[Fraction]]:
+    """pi's value-to-go vectors by backward DP over mean rewards.
 
-
-def _num(v: Fraction, exact: bool):
-    return v if exact else float(v)
-
-
-def _weighted_sum(weights, values, exact: bool):
-    """sum of w * v over the pairs, accumulated left to right from zero.
-
-    ``sum()`` of floats is compensated from Python 3.12 on; this is the
-    order ``PriorTables``' float DP repeats on every version.
+    Entry h-1 holds E^pi[sum of rewards from stage h on | x_h = x] over
+    the states x, for h = 1..H+1; the stage-(H+1) vector is all zeros.
     """
-    total = _zero(exact)
-    for w, v in zip(weights, values):
-        total = total + _num(w, exact) * v
-    return total
-
-
-def policy_value(model: TabularModel, policy: MarkovPolicy, exact: bool = False):
-    """E^pi[sum of rewards] by backward DP over mean rewards; in [0, H]."""
     S, H = model.S, model.H
-    value = [_zero(exact)] * S  # value-to-go from stage h
+    values = [[Fraction(0)] * S]
     for h in range(H, 0, -1):
+        togo = values[-1]
         nxt = []
         for x in range(1, S + 1):
             a = policy.action(x, h)
-            v = _num(model.mean_reward(x, a, h), exact)
+            v = model.mean_reward(x, a, h)
             if h < H:
-                v = v + _weighted_sum(model.transition(x, a, h), value, exact)
+                v += sum(p * g for p, g in zip(model.transition(x, a, h), togo))
             nxt.append(v)
-        value = nxt
-    return _weighted_sum(model.init, value, exact)
+        values.append(nxt)
+    values.reverse()
+    return values
 
 
-def optimal_value(model: TabularModel, exact: bool = False):
+def policy_value(model: TabularModel, policy: MarkovPolicy) -> Fraction:
+    """E^pi[sum of rewards] by backward DP over mean rewards; in [0, H]."""
+    return sum(p * v for p, v in zip(model.init, _stage_values(model, policy)[0]))
+
+
+def optimal_value(model: TabularModel) -> Fraction:
     """max over Markov policies of policy_value, by backward max-DP."""
     S, A, H = model.S, model.A, model.H
-    value = [_zero(exact)] * S
+    value = [Fraction(0)] * S
     for h in range(H, 0, -1):
         nxt = []
         for x in range(1, S + 1):
             best = None
             for a in range(1, A + 1):
-                v = _num(model.mean_reward(x, a, h), exact)
+                v = model.mean_reward(x, a, h)
                 if h < H:
                     row = model.transition(x, a, h)
-                    v = v + sum(_num(row[y], exact) * value[y] for y in range(S))
+                    v = v + sum(row[y] * value[y] for y in range(S))
                 best = v if best is None or v > best else best
             nxt.append(best)
         value = nxt
-    return sum(_num(model.init[x], exact) * value[x] for x in range(S))
+    return sum(model.init[x] * value[x] for x in range(S))
 
 
-def trajectory_probability(model, policy, trajectory: Trajectory, exact: bool = False):
+def trajectory_probability(model, policy, trajectory: Trajectory) -> Fraction:
     """Exact mass of a raw trajectory under P^pi; 0 if inconsistent with pi."""
     steps = trajectory.steps
     if len(steps) != model.H:
@@ -367,22 +359,22 @@ def trajectory_probability(model, policy, trajectory: Trajectory, exact: bool = 
         if s.h != i + 1:
             raise ValueError("stages must be 1..H in order")
         if policy.action(s.x, s.h) != s.a:
-            return _zero(exact)
-    return path_mass(model, steps, exact)
+            return Fraction(0)
+    return path_mass(model, steps)
 
 
-def path_mass(model, steps, exact: bool = False):
+def path_mass(model, steps) -> Fraction:
     """Initial, reward and transition mass of a step sequence, in step order.
 
     A step whose reward is None (censored) contributes no reward factor:
     censored rewards marginalize out.
     """
-    prob = _num(model.init[steps[0].x - 1], exact)
+    prob = model.init[steps[0].x - 1]
     for i, s in enumerate(steps):
         if s.r is not None:
-            prob *= _num(model.reward_dist(s.x, s.a, s.h).mass(s.r), exact)
+            prob *= model.reward_dist(s.x, s.a, s.h).mass(s.r)
         if i + 1 < len(steps):
-            prob *= _num(model.transition(s.x, s.a, s.h)[steps[i + 1].x - 1], exact)
+            prob *= model.transition(s.x, s.a, s.h)[steps[i + 1].x - 1]
         if not prob:
             return prob
     return prob
@@ -488,21 +480,21 @@ def enumerate_trajectories(model, policy, cap: int = TRAJECTORY_CAP) -> Iterator
         yield from rec(1, x0 + 1, model.init[x0], [])
 
 
-def reach_probability(model, x: int, h: int, exact: bool = True):
+def reach_probability(model, x: int, h: int) -> Fraction:
     """max over policies of P^pi[x_h = x], by backward max-DP."""
     S = model.S
-    g = [_num(Fraction(1 if y == x - 1 else 0), exact) for y in range(S)]
+    g = [Fraction(1 if y == x - 1 else 0) for y in range(S)]
     for tau in range(h - 1, 0, -1):
         nxt = []
         for s in range(1, S + 1):
             best = None
             for a in range(1, model.A + 1):
                 row = model.transition(s, a, tau)
-                v = sum(_num(row[y], exact) * g[y] for y in range(S))
+                v = sum(row[y] * g[y] for y in range(S))
                 best = v if best is None or v > best else best
             nxt.append(best)
         g = nxt
-    return sum(_num(model.init[y], exact) * g[y] for y in range(S))
+    return sum(model.init[y] * g[y] for y in range(S))
 
 
 def reach_set(model, rho) -> TripleSet:
@@ -517,12 +509,12 @@ def reach_set(model, rho) -> TripleSet:
     out = set()
     for x in range(1, model.S + 1):
         for h in range(1, model.H + 1):
-            if reach_probability(model, x, h, exact=True) >= rho:
+            if reach_probability(model, x, h) >= rho:
                 out.update((x, a, h) for a in range(1, model.A + 1))
     return frozenset(out)
 
 
-def absorbing_steps(model, policy, U: TripleSet, exact: bool = False) -> list:
+def absorbing_steps(model, policy, U: TripleSet) -> list:
     """Every step pi takes up to and including its first U-visit, with its mass.
 
     Returns (x, a, h, mass) in stage order, where mass = P^pi[x_h = x, no
@@ -530,10 +522,12 @@ def absorbing_steps(model, policy, U: TripleSet, exact: bool = False) -> list:
     mass are left out.
     """
     S = model.S
-    alpha = [_num(p, exact) for p in model.init]
+    alpha = model.init
     steps = []
     for h in range(1, model.H + 1):
-        nxt = [_zero(exact)] * S
+        # int zeros, cheaper than Fraction(0): a state no mass reaches is
+        # skipped, and mass that reaches one makes its entry a Fraction
+        nxt = [0] * S
         for x, mass in enumerate(alpha, 1):
             if not mass:
                 continue
@@ -544,28 +538,25 @@ def absorbing_steps(model, policy, U: TripleSet, exact: bool = False) -> list:
             row = model.transition(x, a, h)
             for y in range(S):
                 if row[y]:
-                    nxt[y] += mass * _num(row[y], exact)
+                    nxt[y] += mass * row[y]
         alpha = nxt
     return steps
 
 
-def event_visit_probability(model, policy, U: TripleSet, exact: bool = False):
+def event_visit_probability(model, policy, U: TripleSet) -> Fraction:
     """P^pi[some step's (x,a,h) lands in U], via an absorbing visited flag."""
-    hit = _zero(exact)
-    for x, a, h, mass in absorbing_steps(model, policy, U, exact):
-        if (x, a, h) in U:
-            hit += mass
-    return hit
+    return sum((mass for x, a, h, mass in absorbing_steps(model, policy, U)
+                if (x, a, h) in U), Fraction(0))
 
 
-def occupancy_omega(model, policy, U: TripleSet, exact: bool = False) -> dict:
+def occupancy_omega(model, policy, U: TripleSet) -> dict:
     """For each (x,a,h) in U: P[visit (x,a,h) at h, staying in U^c before h].
 
     Summing the mapping over U reproduces event_visit_probability.
     """
     return {
         (x, a, h): mass
-        for x, a, h, mass in absorbing_steps(model, policy, U, exact)
+        for x, a, h, mass in absorbing_steps(model, policy, U)
         if (x, a, h) in U
     }
 

@@ -567,10 +567,6 @@ def _hh_exploring_policies(tables: PriorTables, true_model: TabularModel,
     """Encodings of the policies that visit U under the true model with
     positive probability (the deterministic-class reading of the rho_0
     target), or None when that splits the policy space degenerately.
-
-    The float visit mass has the sign of the exact one: it is a sum of
-    products of positive entries, zero-mass rows are skipped, so only an
-    underflow could make it 0.
     """
     inside = frozenset(pol.encoding for pol in tables.policies
                        if event_visit_probability(true_model, pol, U) > 0)
@@ -636,7 +632,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
     rho = config.rho if config.rho is not None else Fraction(1)
     target = reach_set(true_model, rho)
-    counts_by_triple: dict = {}
     hal_entries: list = []
     fast = LedgerState(tables)
     log = GameLog(
@@ -656,12 +651,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     # every record with that trajectory
     traj_json: dict[tuple, list] = {}
     U = None
+    visits = dict.fromkeys(triple_list, 0)  # fast.visits by triple, refreshed per push
 
     for ell in range(1, config.total_phases + 1):
         episodes = phase_episodes(config, ell)
-        prev_U, U = U, frozenset(
-            t for t in triple_list if counts_by_triple.get(t, 0) < config.n_lrn
-        )
+        prev_U, U = U, frozenset(t for t, c in visits.items() if c < config.n_lrn)
         if U != prev_U:  # U only shrinks, at most SAH times a run
             explored = complement_triples(U, S, A, H)
             explored_mask = np.ones((S, A, H), dtype=bool)
@@ -746,11 +740,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             hh_holds = _hh_condition_in_run(config, fast, hh_inside, ell, punish_prob,
                                             hal_counts)
 
-        new_triples = sorted(set(tau_star.triples()) - set(counts_by_triple))
-        for t in set(tau_star.triples()):
-            counts_by_triple[t] = counts_by_triple.get(t, 0) + 1
+        new_triples = sorted(t for t in tau_star.triples() if not visits[t])
         hal_entries.append((pi_hal, tau_star))
         fast.push_entry(tau_star)
+        # fast.visits flattened in C order runs through the sorted triple_list
+        visits = dict(zip(triple_list, fast.visits.ravel().tolist()))
         new_triple_flags.append(bool(new_triples))
 
         log.phases.append(
@@ -769,9 +763,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 hh_condition=hh_holds,
             )
         )
-        if covered_at is None and all(
-            counts_by_triple.get(t, 0) >= config.n_lrn for t in target
-        ):
+        if covered_at is None and all(visits[t] >= config.n_lrn for t in target):
             covered_at = ell
         if phase_hook is not None:
             ctx.covered_at = covered_at
@@ -783,7 +775,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         "reach_size": len(target),
         "rho": str(rho),
         "new_triple_flags": new_triple_flags,
-        "visit_counts": {f"{x},{a},{h}": c for (x, a, h), c in sorted(counts_by_triple.items())},
+        "visit_counts": {f"{x},{a},{h}": c for (x, a, h), c in visits.items() if c},
         "episodes_simulated": len(log.episodes),
     }
     return log

@@ -101,7 +101,7 @@ class Posterior:
             if sum(nums) != den:
                 raise ValueError("posterior weights must sum to 1")
             object.__setattr__(self, "numerators", (nums, den))
-        elif abs(self.weights.sum() - 1.0) > 1e-9:
+        elif abs(self.weights.sum() - 1.0) > _sum_error_bound(len(self.weights)):
             raise ValueError("posterior weights must sum to 1")
 
     @property
@@ -110,6 +110,24 @@ class Posterior:
 
     def support(self) -> ModelEvent:
         return frozenset(i for i, w in enumerate(self.weights) if w > 0)
+
+
+def _sum_error_bound(n: int) -> float:
+    """Largest |fl(sum w) - 1| for n float weights normalized as v / fl(sum v).
+
+    Every float posterior is made that way from nonnegative v
+    (``posterior_from_loglik``, the float mechanism weights), or is the
+    correctly rounded prior weights. With unit roundoff u = 2**-53, a sum
+    of n nonnegative floats in any order, numpy's pairwise one included,
+    carries relative error at most gamma(n-1), gamma(k) = k u / (1 - k u),
+    and each quotient at most u. So the normalizing sum, the quotients
+    and the check's own sum together stay within gamma(2n - 1) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2
+    and Lemma 3.3); a quotient that underflows adds at most 2**-1075 more.
+    A weight vector that was never normalized misses 1 by far more.
+    """
+    k = (2 * n - 1) * 2.0 ** -53
+    return k / (1 - k)
 
 
 def prior_as_posterior(prior: DiscretePrior, exact: bool = False) -> Posterior:
@@ -390,9 +408,10 @@ class PriorTables:
         self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
 
     def _values(self, policy: MarkovPolicy, means: np.ndarray) -> np.ndarray:
-        """policy_value(atom, policy) for every atom: the float backward DP
-        of ``mdp.policy_value``, vectorized over atoms, with the same
-        operations in the same order, so every entry is bit for bit equal."""
+        """policy_value(atom, policy) in floats for every atom: the backward
+        DP of ``mdp.policy_value``, vectorized over atoms, with every
+        weighted sum accumulated left to right, so every entry is the same
+        float whatever numpy's own summation order."""
         togo = []
         for h in range(self.H - 1, -1, -1):
             nxt = []
@@ -406,7 +425,7 @@ class PriorTables:
         return _weighted_columns(self.init, togo)
 
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
-        """policy_value(atom, policy, exact=True), read off the prior's lattice."""
+        """policy_value(atom, policy), read off the prior's lattice."""
         lattice = exact_lattice(self.prior)
         return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
 
@@ -465,9 +484,9 @@ class PriorTables:
 class LedgerState:
     """A ledger's float likelihood state over the prior's atoms, built entry
     by entry: the accumulated log transition mass, per-(triple, support
-    value) revealed-reward counts, and the flat triple index of every
-    occurrence in entry order, so each phase's posteriors and
-    hallucinated-reward draws are small vectorized operations.
+    value) revealed-reward counts, per-triple visit counts, and the flat
+    triple index of every occurrence in entry order, so each phase's
+    posteriors and hallucinated-reward draws are small vectorized operations.
     """
 
     def __init__(self, tables: PriorTables):
@@ -475,6 +494,9 @@ class LedgerState:
         self.translog = np.zeros(tables.prior.n)
         S, A, H = tables.S, tables.A, tables.H
         self.reward_counts = np.zeros((S, A, H, len(tables.support)), dtype=int)
+        # entries visiting each (x, a, h): a trajectory visits each stage
+        # once, so these are also its occurrence counts
+        self.visits = np.zeros((S, A, H), dtype=int)
         # (x-1, a-1, h-1) as one index into an (S, A, H) array; the buffer
         # doubles when full, and occurrences() is its filled prefix
         self._occ = np.empty(4 * H, dtype=np.intp)
@@ -496,6 +518,7 @@ class LedgerState:
                     self.translog[:] = -np.inf
                 else:
                     self.reward_counts[s.x - 1, s.a - 1, s.h - 1, k] += 1
+            self.visits[s.x - 1, s.a - 1, s.h - 1] += 1
             self._occ[n] = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
             n += 1
         self._n_occ = n
@@ -544,7 +567,7 @@ def _reward_laws(prior: DiscretePrior) -> list:
 
 def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
     """Per row i, the sum over y of weights[i, y] * values[y][i],
-    accumulated left to right as ``mdp.policy_value`` does per atom."""
+    accumulated left to right."""
     total = weights[:, 0] * values[0]
     for y in range(1, len(values)):
         total = total + weights[:, y] * values[y]

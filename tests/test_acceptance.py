@@ -45,7 +45,6 @@ from ielab.analysis import (
     eps_p_bound,
     eps_r_bound,
     good_model_predicate,
-    mrp_of,
 )
 from ielab.harness import _det_target_provider, sample_similar_pair
 from ielab.instances import random_model
@@ -127,20 +126,20 @@ def test_criterion_3_one_step_guarantee(det_table3, det_prior):
 def test_criterion_4_p_hal_bound(det_table3):
     worst_slack = None
     count = 0
-    float_ok = True
+    exact_ok = True
     for ell in (1, 2, 3):
         for audit in p_hal_audit(det_table3, ell):
             count += 1
             slack = audit["slack"]
             worst_slack = slack if worst_slack is None or slack < worst_slack else worst_slack
-            if float(audit["bound"]) - float(audit["p_hal"]) < -1e-12:
-                float_ok = False
+            if audit["bound"] < audit["p_hal"]:
+                exact_ok = False
             if audit["p_hal_agent"] != audit["p_hal"]:
-                float_ok = False
-    ok = worst_slack is not None and worst_slack >= 0 and float_ok
+                exact_ok = False
+    ok = worst_slack is not None and worst_slack >= 0 and exact_ok
     _report(4, ok,
             f"{count} realizable hallucinated ledgers; exact slack >= 0 "
-            f"(min slack {worst_slack}); float slack >= -1e-12; agent formula exact-equal")
+            f"(min slack {worst_slack}); p_hal <= bound exactly; agent formula exact-equal")
 
 
 def test_criterion_5_distribution_equality(det_table3):
@@ -160,24 +159,22 @@ def test_criterion_6_simulation_and_performance_difference():
             continue
         tested += 1
         lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
-        if lhs > bound + 1e-12:
+        if lhs > bound:
             sim_violations += 1
-    worst = 0.0
+    worst = Fraction(0)
     for _ in range(100):
         S = int(rng.integers(2, 4))
         H = int(rng.integers(2, 4))
         m1 = random_model(rng, S, 1, H)
         m2 = random_model(rng, S, 1, H)
         pol = enumerate_policies(S, 1, H)[0]
-        mrp1, reward = mrp_of(m1, pol)
-        mrp2, _ = mrp_of(m2, pol)
-        lhs, rhs, _ = performance_difference(mrp1, mrp2, reward)
+        lhs, rhs, _ = performance_difference(m1, m2, pol)
         worst = max(worst, abs(lhs - rhs))
-    ok = sim_violations == 0 and worst <= 1e-10
+    ok = sim_violations == 0 and worst == 0
     _report(6, ok,
-            f"simulation bound held in 200/200 randomized eps-similar pairs "
+            f"exact simulation bound held in 200/200 randomized eps-similar pairs "
             f"({sim_violations} violations); performance-difference identity "
-            f"max |lhs-rhs| = {worst:.2e} <= 1e-10 on 100 pairs")
+            f"max |lhs-rhs| = {worst} (exactly 0) on 100 pairs")
 
 
 def test_criterion_7_occupancy_identity(det_prior, stoch_prior):
@@ -189,7 +186,7 @@ def test_criterion_7_occupancy_identity(det_prior, stoch_prior):
         all_triples(2, 2, 2),
     ]
     pols = enumerate_policies(2, 2, 2)
-    worst = 0.0
+    worst = Fraction(0)
     checked = 0
     for prior in (det_prior, stoch_prior):
         for atom in prior.atoms:
@@ -199,19 +196,19 @@ def test_criterion_7_occupancy_identity(det_prior, stoch_prior):
                     gap = abs(sum(omega.values()) - event_visit_probability(atom, pol, U))
                     worst = max(worst, gap)
                     checked += 1
-    ok = worst <= 1e-12
+    ok = worst == 0
     _report(7, ok, f"sum of occupancy weights equals the U-visit probability "
                    f"in all {checked} (model, policy, U) combinations "
-                   f"(max gap {worst:.2e} <= 1e-12)")
+                   f"(max gap {worst}, exactly 0)")
 
 
 def test_criterion_8_oracle_equivalence(stoch_prior):
     pols = enumerate_policies(2, 2, 2)
-    worst = 0.0
+    worst = Fraction(0)
     for atom in stoch_prior.atoms:
         for pol in pols[::2]:
             brute = sum(p * t.reward_sum() for t, p in enumerate_trajectories(atom, pol))
-            worst = max(worst, abs(policy_value(atom, pol) - float(brute)))
+            worst = max(worst, abs(policy_value(atom, pol) - brute))
     bayes_exact = True
     for seed, pol_idx, traj_idx in ((0, 3, 0), (1, 9, 2), (2, 14, 3)):
         m = stoch_prior.atoms[(seed * 131 + 17) % stoch_prior.n]
@@ -219,14 +216,14 @@ def test_criterion_8_oracle_equivalence(stoch_prior):
         traj = list(enumerate_trajectories(m, pol))[traj_idx][0]
         lam = raw_ledger(2, 2, 2, [(pol, traj)])
         post = canonical_posterior(stoch_prior, lam, exact=True)
-        raw = [w * ledger_probability(a, lam, exact=True)
+        raw = [w * ledger_probability(a, lam)
                for a, w in zip(stoch_prior.atoms, stoch_prior.weights)]
         total = sum(raw)
         if post.weights != tuple(v / total for v in raw):
             bayes_exact = False
-    ok = worst <= 1e-10 and bayes_exact
-    _report(8, ok, f"policy_value vs trajectory enumeration max gap {worst:.2e} "
-                   f"<= 1e-10; canonical posterior equals brute-force Bayes exactly")
+    ok = worst == 0 and bayes_exact
+    _report(8, ok, f"policy_value vs trajectory enumeration max gap {worst} "
+                   f"(exactly 0); canonical posterior equals brute-force Bayes exactly")
 
 
 def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):

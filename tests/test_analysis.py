@@ -12,6 +12,7 @@ from ielab import (
     MechanismConfig,
     PreconditionViolated,
     all_triples,
+    build_model,
     canonical_posterior,
     complement_triples,
     empirical_estimators,
@@ -19,26 +20,31 @@ from ielab import (
     event_visit_probability,
     first_unexplored_stage,
     good_model_predicate,
-    is_punished,
     make_agent,
     performance_difference,
+    policy_value,
     run_game,
     similarity,
     simulation_gap,
     sufficiently_visiting_policies,
     truncated_expected_sum,
 )
-from ielab.analysis import _l1, eps_p_bound, eps_r_bound, mrp_of
+from ielab.analysis import _l1, eps_p_bound, eps_r_bound
 from ielab.harness import sample_similar_pair
 from ielab.instances import random_model
 
 
 def test_is_punished(det_prior):
+    """The punish half of good_model_predicate: a model compared with itself
+    is similar, so the predicate holds exactly when every mean reward on the
+    fully-explored complement of U is at most eps_pun."""
     m_high = det_prior.atoms[255]  # reward 0.8 everywhere
-    assert is_punished(m_high, frozenset(), "0.1")
-    assert is_punished(m_high, all_triples(2, 2, 2), 1)
-    assert not is_punished(m_high, frozenset({(1, 1, 1)}), "0.1")
-    assert is_punished(det_prior.atoms[0], all_triples(2, 2, 2), "0.1")
+    everything = all_triples(2, 2, 2)
+    assert good_model_predicate(m_high, m_high, everything, "0.1", 0, 0)
+    assert good_model_predicate(m_high, m_high, frozenset(), 1, 0, 0)
+    assert not good_model_predicate(m_high, m_high, everything - {(1, 1, 1)}, "0.1", 0, 0)
+    m_low = det_prior.atoms[0]
+    assert good_model_predicate(m_low, m_low, frozenset(), "0.1", 0, 0)
 
 
 def test_similarity_self_and_disjoint(stoch_prior):
@@ -89,15 +95,13 @@ def test_simulation_gap_indicator_recovers_visit_probability(stoch_prior):
     indicator = lambda t: 1 if t in U else 0
     for pol in enumerate_policies(2, 2, 2)[::3]:
         v1 = truncated_expected_sum(m1, pol, U, indicator)
-        assert v1 == pytest.approx(event_visit_probability(m1, pol, U), abs=1e-12)
+        assert v1 == event_visit_probability(m1, pol, U)
         rep = similarity(m1, m2, complement_triples(U, 2, 2, 2))
         eps = rep.max_distance()
         lhs, bound = simulation_gap(m1, m2, U, indicator, pol, eps)
-        assert lhs == pytest.approx(
-            abs(event_visit_probability(m1, pol, U) - event_visit_probability(m2, pol, U)),
-            abs=1e-12,
-        )
-        assert lhs <= bound + 1e-12
+        assert lhs == abs(event_visit_probability(m1, pol, U)
+                          - event_visit_probability(m2, pol, U))
+        assert lhs <= bound
 
 
 def test_simulation_gap_precondition():
@@ -118,40 +122,58 @@ def test_simulation_gap_randomized_bound():
             continue
         done += 1
         lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
-        assert lhs <= bound + 1e-12
+        assert isinstance(lhs, Fraction) and isinstance(bound, Fraction)
+        assert lhs <= bound
 
 
 def test_performance_difference_identity_cases():
     rng = np.random.default_rng(5)
     m = random_model(rng, 3, 1, 3)
     pol = enumerate_policies(3, 1, 3)[0]
-    mrp1, reward = mrp_of(m, pol)
-    lhs, rhs, parts = performance_difference(mrp1, mrp1, reward)
-    assert lhs == 0 and rhs == pytest.approx(0, abs=1e-15)
+    lhs, rhs, parts = performance_difference(m, m, pol)
+    assert lhs == 0 and rhs == 0
 
-    # differ only in the initial distribution: transition terms vanish
+    # differ only in the initial distribution: transition and reward terms vanish
     m2 = random_model(rng, 3, 1, 3)
-    mrp2, _ = mrp_of(m2, pol)
-    from ielab.analysis import MRP
+    mixed = build_model(3, 1, 3, m2.init,
+                        {t: m.transition(*t) for t in all_triples(3, 1, 3)},
+                        {t: m.reward_dist(*t) for t in all_triples(3, 1, 3)},
+                        reward_support=m.reward_support)
+    lhs, rhs, parts = performance_difference(mixed, m, pol)
+    assert all(t == 0 for t in parts["transition_terms"])
+    assert all(t == 0 for t in parts["reward_terms"])
+    assert lhs == parts["init_term"] == rhs
 
-    mrp_mixed = MRP(mrp1.S, mrp1.H, mrp2.init, mrp1.trans)
-    lhs, rhs, parts = performance_difference(mrp_mixed, mrp1, reward)
-    assert all(t == pytest.approx(0, abs=1e-15) for t in parts["transition_terms"])
-    assert lhs == pytest.approx(parts["init_term"], abs=1e-12)
+
+def test_performance_difference_shared_rewards():
+    """On the same reward laws, every reward term is 0 and the identity is
+    the Markov-reward-process form: init term plus transition terms."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m1 = random_model(rng, 3, 2, 3)
+        m2 = random_model(rng, 3, 2, 3)
+        shared = build_model(3, 2, 3, m2.init,
+                             {t: m2.transition(*t) for t in all_triples(3, 2, 3)},
+                             {t: m1.reward_dist(*t) for t in all_triples(3, 2, 3)},
+                             reward_support=m1.reward_support)
+        pol = enumerate_policies(3, 2, 3)[int(rng.integers(0, 2 ** 9))]
+        lhs, rhs, parts = performance_difference(m1, shared, pol)
+        assert all(t == 0 for t in parts["reward_terms"])
+        assert lhs == rhs == parts["init_term"] + sum(parts["transition_terms"])
 
 
 def test_performance_difference_random_pairs():
     rng = np.random.default_rng(99)
     for _ in range(100):
         S = int(rng.integers(2, 4))
+        A = int(rng.integers(1, 3))
         H = int(rng.integers(2, 4))
-        m1 = random_model(rng, S, 1, H)
-        m2 = random_model(rng, S, 1, H)
-        pol = enumerate_policies(S, 1, H)[0]
-        mrp1, reward = mrp_of(m1, pol)
-        mrp2, _ = mrp_of(m2, pol)
-        lhs, rhs, _ = performance_difference(mrp1, mrp2, reward)
-        assert abs(lhs - rhs) <= 1e-10
+        m1 = random_model(rng, S, A, H)
+        m2 = random_model(rng, S, A, H)
+        pol = enumerate_policies(S, A, H)[int(rng.integers(0, A ** (S * H)))]
+        lhs, rhs, _ = performance_difference(m1, m2, pol)
+        assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+        assert lhs == rhs == policy_value(m1, pol) - policy_value(m2, pol)
 
 
 def test_good_model_predicate(det_prior):
@@ -166,7 +188,7 @@ def test_good_model_predicate(det_prior):
     punished_uniform = sp.atoms[0]
     punished_tilted = sp.atoms[256]
     U = frozenset()  # everything fully explored
-    assert is_punished(punished_uniform, all_triples(2, 2, 2), 0)
+    assert good_model_predicate(punished_uniform, punished_uniform, U, 0, 0, 0)
     assert not good_model_predicate(punished_tilted, punished_uniform, U, "0.01", 0, "0.1")
 
 
@@ -215,7 +237,7 @@ def test_sufficiently_visiting_policies(stoch_prior):
     rho0 = Fraction(1, 3)
     U = frozenset({(2, 2, 2)})
     expected = [
-        p for p in pols if event_visit_probability(m, p, U, exact=True) >= rho0
+        p for p in pols if event_visit_probability(m, p, U) >= rho0
     ]
     assert sufficiently_visiting_policies(m, U, rho0) == expected
 

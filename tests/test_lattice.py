@@ -2,9 +2,9 @@
 
 Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
 - canonical_posterior(exact=True) vs prior weights times
-  ledger_probability(exact=True), normalized in Fractions;
+  ledger_probability, normalized in Fractions;
 - bayes_greedy, greedy_set, conditional_value and canonical_gap vs
-  Fraction sums of policy_value(exact=True), ties included;
+  Fraction sums of policy_value, ties included;
 - one_step_audit's argmax sets vs the Fraction argmax of the table's
   mechanism posterior;
 - the float mechanism posterior of the run loop
@@ -135,7 +135,7 @@ def draw_ledger(draw, prior: DiscretePrior):
 
 
 def reference_weights(prior, ledger, event):
-    raw = [w * ledger_probability(m, ledger, exact=True) if i in event else Fraction(0)
+    raw = [w * ledger_probability(m, ledger) if i in event else Fraction(0)
            for i, (m, w) in enumerate(zip(prior.atoms, prior.weights))]
     total = sum(raw)
     return None if total == 0 else tuple(r / total for r in raw)
@@ -145,7 +145,7 @@ def reference_values(posterior) -> list[Fraction]:
     """Conditional value of every policy, in encoding order, in Fractions."""
     prior = posterior.prior
     return [
-        sum((w * policy_value(m, p, exact=True)
+        sum((w * policy_value(m, p)
              for w, m in zip(posterior.weights, prior.atoms) if w), Fraction(0))
         for p in enumerate_policies(*prior.shape)
     ]
@@ -200,19 +200,43 @@ def test_lattice_value_matrix_matches_policy_value(stoch_prior):
     for j, pol in enumerate(lattice.policies):
         for i in (0, 1, 255, 256, 511):
             assert Fraction(lattice.value_cols[j][i], lattice.value_den) == \
-                policy_value(stoch_prior.atoms[i], pol, exact=True)
+                policy_value(stoch_prior.atoms[i], pol)
+
+
+def float_policy_value(model, policy) -> float:
+    """policy_value's backward DP in floats, one atom at a time, with every
+    weighted sum accumulated left to right from 0.0 (``sum()`` of floats is
+    compensated from Python 3.12 on, so it is not used)."""
+    def weighted(weights, values):
+        total = 0.0
+        for w, v in zip(weights, values):
+            total = total + float(w) * v
+        return total
+
+    value = [0.0] * model.S
+    for h in range(model.H, 0, -1):
+        nxt = []
+        for x in range(1, model.S + 1):
+            a = policy.action(x, h)
+            v = float(model.mean_reward(x, a, h))
+            if h < model.H:
+                v = v + weighted(model.transition(x, a, h), value)
+            nxt.append(v)
+        value = nxt
+    return weighted(model.init, value)
 
 
 def scalar_value_matrix(prior, tables) -> np.ndarray:
-    return np.array([[policy_value(m, pol) for pol in tables.policies] for m in prior.atoms])
+    return np.array([[float_policy_value(m, pol) for pol in tables.policies]
+                     for m in prior.atoms])
 
 
 def test_value_matrix_equals_policy_value(det_prior, stoch_prior):
-    """PriorTables' vectorized DP reproduces the float policy_value of every
-    (atom, policy) entry bit for bit: on the micro instances, and on random
-    models with three states and stages and rewards in thirds and sevenths,
-    where unlike on the micro instances the float sums depend on their
-    order."""
+    """PriorTables' vectorized DP reproduces policy_value's DP in scalar
+    floats bit for bit, for every (atom, policy) entry: on the micro
+    instances, and on random models with three states and stages and
+    rewards in thirds and sevenths, where unlike on the micro instances the
+    float sums depend on their order."""
     from ielab.instances import random_model
 
     rng = np.random.default_rng(7)
@@ -404,7 +428,7 @@ def assert_lattice_matches_per_atom_build(prior, values: bool = True):
     if values:
         for pol, col in zip(lattice.policies, lattice.value_cols):
             assert [Fraction(v, lattice.value_den) for v in col] == [
-                policy_value(m, pol, exact=True) for m in prior.atoms]
+                policy_value(m, pol) for m in prior.atoms]
     assert_paths_match(prior)
 
 

@@ -70,7 +70,7 @@ def test_ledger_probability_own_raw_ledger(det_prior):
     m = det_prior.atoms[42]
     pol = enumerate_policies(2, 2, 2)[7]
     lam = raw_ledger(2, 2, 2, [(pol, one_traj(m, pol))])
-    assert ledger_probability(m, lam, exact=True) == 1
+    assert ledger_probability(m, lam) == 1
 
 
 def test_ledger_probability_foreign_reward_zero(det_prior):
@@ -78,7 +78,7 @@ def test_ledger_probability_foreign_reward_zero(det_prior):
     m_a = det_prior.atoms[0]    # all rewards 0
     m_b = det_prior.atoms[255]  # all rewards 0.8
     lam = raw_ledger(2, 2, 2, [(pol, one_traj(m_b, pol))])
-    assert ledger_probability(m_a, lam, exact=True) == 0
+    assert ledger_probability(m_a, lam) == 0
 
 
 def test_ledger_probability_totally_censored_marginalizes(stoch_prior):
@@ -88,7 +88,7 @@ def test_ledger_probability_totally_censored_marginalizes(stoch_prior):
     lam = totally_censor(raw_ledger(2, 2, 2, [(pol, trajs[0][0])]))
     path = [s.x for s in trajs[0][0].steps]
     expected = sum(p for t, p in trajs if [s.x for s in t.steps] == path)
-    assert ledger_probability(m, lam, exact=True) == expected
+    assert ledger_probability(m, lam) == expected
 
 
 def enumerate_censored_ledgers(model, policies, U):
@@ -115,7 +115,7 @@ def test_censored_ledger_masses_sum_to_one(stoch_prior):
     U = frozenset({(1, 1, 1), (2, 2, 2)})
     total = Fraction(0)
     for lam, prob in enumerate_censored_ledgers(m, policies, U):
-        assert ledger_probability(m, lam, exact=True) == prob
+        assert ledger_probability(m, lam) == prob
         total += prob
     assert total == 1
 
@@ -130,7 +130,7 @@ def test_censoring_is_pushforward(stoch_prior):
         key = censor_ledger(raw_lam, U).key()
         raw_masses[key] = raw_masses.get(key, Fraction(0)) + prob
     for lam, _ in enumerate_censored_ledgers(m, policies, U):
-        assert ledger_probability(m, lam, exact=True) == raw_masses.get(lam.key(), Fraction(0))
+        assert ledger_probability(m, lam) == raw_masses.get(lam.key(), Fraction(0))
 
 
 def test_visit_counts_additive_and_censoring_invariant(det_prior):

@@ -50,7 +50,7 @@ def test_policy_value_zero_rewards():
 def test_policy_value_constant_sum():
     m = constant_reward_model(1, 1, 3, "0.5")
     pol = enumerate_policies(1, 1, 3)[0]
-    assert policy_value(m, pol) == pytest.approx(1.5, abs=1e-12)
+    assert policy_value(m, pol) == Fraction(3, 2)
 
 
 def brute_force_value(model, policy):
@@ -62,16 +62,15 @@ def test_policy_value_micro_det_brute_force(det_prior):
     always_one = MarkovPolicy(((1, 1), (1, 1)), 2)
     for atom in det_prior.atoms[:16]:
         expected = brute_force_value(atom, always_one)
-        assert policy_value(atom, always_one) == pytest.approx(float(expected), abs=1e-10)
+        assert policy_value(atom, always_one) == expected
 
 
 def test_policy_value_matches_enumeration_stoch(stoch_prior):
     pols = enumerate_policies(2, 2, 2)
     for atom in stoch_prior.atoms[::97]:
         for pol in pols[::5]:
-            expected = brute_force_value(atom, pol)
-            assert policy_value(atom, pol) == pytest.approx(float(expected), abs=1e-10)
-            assert policy_value(atom, pol, exact=True) == expected
+            value = policy_value(atom, pol)
+            assert isinstance(value, Fraction) and value == brute_force_value(atom, pol)
 
 
 def test_trajectory_probability_deterministic(det_prior):
@@ -81,12 +80,12 @@ def test_trajectory_probability_deterministic(det_prior):
     assert len(trajs) == 1
     traj, p = trajs[0]
     assert p == 1
-    assert trajectory_probability(m, pol, traj, exact=True) == 1
+    assert trajectory_probability(m, pol, traj) == 1
     # any other consistent-length trajectory has probability 0
     other = det_prior.atoms[0]
     for t2, _ in enumerate_trajectories(other, pol):
         if t2 != traj:
-            assert trajectory_probability(m, pol, t2, exact=True) == 0
+            assert trajectory_probability(m, pol, t2) == 0
 
 
 def test_trajectory_probabilities_sum_to_one(stoch_prior):
@@ -95,7 +94,7 @@ def test_trajectory_probabilities_sum_to_one(stoch_prior):
         total = sum(p for _, p in enumerate_trajectories(atom, pol))
         assert total == 1
         recomputed = sum(
-            trajectory_probability(atom, pol, t, exact=True)
+            trajectory_probability(atom, pol, t)
             for t, _ in enumerate_trajectories(atom, pol)
         )
         assert recomputed == 1
@@ -171,10 +170,10 @@ def test_reach_probability_initial_state():
         {(x, a, 1): [1, 0] for x in (1, 2) for a in (1, 2)},
         {(x, a, h): DiscreteDist.point(0) for x in (1, 2) for a in (1, 2) for h in (1, 2)},
     )
-    assert reach_probability(m2, 1, 1, exact=True) == 1
+    assert reach_probability(m2, 1, 1) == 1
     # state 2 unreachable in this chain
-    assert reach_probability(m2, 2, 1, exact=True) == 0
-    assert reach_probability(m2, 2, 2, exact=True) == 0
+    assert reach_probability(m2, 2, 1) == 0
+    assert reach_probability(m2, 2, 2) == 0
     assert m.S == 2  # fixture sanity
 
 
@@ -184,7 +183,7 @@ def test_reach_probability_brute_force(stoch_prior):
         for x in (1, 2):
             for h in (1, 2):
                 brute = max(forward_visit_probability(atom, p, x, h) for p in pols)
-                assert reach_probability(atom, x, h, exact=True) == brute
+                assert reach_probability(atom, x, h) == brute
 
 
 def test_reach_set_deterministic_is_trajectory_union(det_prior):
@@ -218,8 +217,8 @@ def test_reach_set_quarter_brute_force(stoch_prior):
 def test_event_visit_probability_extremes(stoch_prior):
     m = stoch_prior.atoms[50]
     pol = enumerate_policies(2, 2, 2)[3]
-    assert event_visit_probability(m, pol, all_triples(2, 2, 2), exact=True) == 1
-    assert event_visit_probability(m, pol, frozenset(), exact=True) == 0
+    assert event_visit_probability(m, pol, all_triples(2, 2, 2)) == 1
+    assert event_visit_probability(m, pol, frozenset()) == 0
 
 
 def test_event_visit_probability_enumeration(stoch_prior):
@@ -230,7 +229,7 @@ def test_event_visit_probability_enumeration(stoch_prior):
             p for t, p in enumerate_trajectories(m, pol)
             if any(tr in U for tr in t.triples())
         )
-        assert event_visit_probability(m, pol, U, exact=True) == brute
+        assert event_visit_probability(m, pol, U) == brute
 
 
 def test_occupancy_empty_U(stoch_prior):
@@ -252,15 +251,14 @@ def test_occupancy_decomposition_micro(stoch_prior):
             for U in Us:
                 omega = occupancy_omega(atom, pol, U)
                 total = sum(omega.values())
-                p = event_visit_probability(atom, pol, U)
-                assert abs(total - p) <= 1e-12
+                assert total == event_visit_probability(atom, pol, U)
 
 
 def test_occupancy_per_triple_enumeration(stoch_prior):
     m = stoch_prior.atoms[444]
     U = frozenset({(1, 1, 1), (2, 2, 2)})
     for pol in enumerate_policies(2, 2, 2)[::5]:
-        omega = occupancy_omega(m, pol, U, exact=True)
+        omega = occupancy_omega(m, pol, U)
         for t in U:
             brute = Fraction(0)
             for traj, p in enumerate_trajectories(m, pol):
@@ -280,8 +278,8 @@ def test_occupancy_decomposition_random(master, S, H):
     pols = enumerate_policies(S, 2, H)
     pol = pols[int(rng.integers(0, len(pols)))]
     U = frozenset(t for t in all_triples(S, 2, H) if rng.random() < 0.4)
-    omega = occupancy_omega(m, pol, U, exact=True)
-    assert sum(omega.values(), Fraction(0)) == event_visit_probability(m, pol, U, exact=True)
+    omega = occupancy_omega(m, pol, U)
+    assert sum(omega.values(), Fraction(0)) == event_visit_probability(m, pol, U)
 
 
 def test_sample_index_never_returns_zero_mass(top_draw_rng):

@@ -108,7 +108,7 @@ def test_canonical_posterior_brute_force_bayes(stoch_prior):
     lam = raw_ledger(2, 2, 2, [(pol, traj)])
     post = canonical_posterior(stoch_prior, lam, exact=True)
     raw = [
-        w * ledger_probability(atom, lam, exact=True)
+        w * ledger_probability(atom, lam)
         for atom, w in zip(stoch_prior.atoms, stoch_prior.weights)
     ]
     total = sum(raw)
@@ -173,12 +173,12 @@ def test_conditional_value_linearity(det_prior):
         event=frozenset({33}),
         exact=True,
     )
-    assert conditional_value(point, pol) == policy_value(det_prior.atoms[33], pol, exact=True)
+    assert conditional_value(point, pol) == policy_value(det_prior.atoms[33], pol)
     two = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []),
                               event=frozenset({10, 20}), exact=True)
     v = conditional_value(two, pol)
-    expected = (policy_value(det_prior.atoms[10], pol, exact=True)
-                + policy_value(det_prior.atoms[20], pol, exact=True)) / 2
+    expected = (policy_value(det_prior.atoms[10], pol)
+                + policy_value(det_prior.atoms[20], pol)) / 2
     assert v == expected
     # the float route agrees
     two_f = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []), event=frozenset({10, 20}))
@@ -224,7 +224,7 @@ def test_bayes_greedy_point_mass_matches_dp(det_prior):
                                     event=frozenset({idx}), exact=True)
         pol = bayes_greedy(point)
         m = det_prior.atoms[idx]
-        assert policy_value(m, pol, exact=True) == optimal_value(m, exact=True)
+        assert policy_value(m, pol) == optimal_value(m)
 
 
 def test_bayes_greedy_tie_break_smallest_encoding(det_prior):
@@ -258,7 +258,7 @@ def test_bayes_greedy_rescaling_invariance(stoch_prior):
     traj = list(enumerate_trajectories(m, pol0))[0][0]
     lam = raw_ledger(2, 2, 2, [(pol0, traj)])
     post = canonical_posterior(stoch_prior, lam, exact=True)
-    raw = [w * ledger_probability(atom, lam, exact=True) * 7
+    raw = [w * ledger_probability(atom, lam) * 7
            for atom, w in zip(stoch_prior.atoms, stoch_prior.weights)]
     total = sum(raw)
     from ielab.priors import Posterior
