@@ -123,8 +123,9 @@ def _sum_error_bound(n: int) -> float:
     and each quotient at most u. So the normalizing sum, the quotients
     and the check's own sum together stay within gamma(2n - 1) (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2
-    and Lemma 3.3); a quotient that underflows adds at most 2**-1075 more.
-    A weight vector that was never normalized misses 1 by far more.
+    and Lemma 3.3). Quotients that underflow add at most n * 2**-1075 in
+    all, far below the float spacing at this bound. A weight vector that
+    was never normalized misses 1 by far more.
     """
     k = (2 * n - 1) * 2.0 ** -53
     return k / (1 - k)

@@ -54,7 +54,7 @@ def test_similarity_self_and_disjoint(stoch_prior):
     assert all(d == 0 for d in rep.transition_distances.values())
     assert rep.is_similar(0)
     # disjoint point masses have l1 distance 2
-    from ielab.mdp import DiscreteDist, build_model
+    from ielab.mdp import DiscreteDist
 
     def point_chain(target):
         return build_model(

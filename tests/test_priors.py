@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ielab import (
@@ -163,6 +164,19 @@ def test_out_of_support_reward_has_mass_zero_on_both_routes(det_prior):
     exact = canonical_posterior(det_prior, censored, exact=True).weights
     assert canonical_posterior(det_prior, censored).weights == pytest.approx(
         [float(w) for w in exact], abs=1e-12)
+
+
+def test_float_posterior_sum_check_is_the_rounding_bound(det_prior):
+    """Weights normalized as v / sum(v) pass whatever the spread and zeros
+    of v; weights 1e-12 off, which a 1e-9 tolerance let through, do not."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        v = np.exp(rng.uniform(-700, 0, det_prior.n) * rng.random())
+        v[rng.random(det_prior.n) < 0.3] = 0.0
+        v[0] = 1.0
+        Posterior(det_prior, v / v.sum())
+    with pytest.raises(ValueError, match="sum to 1"):
+        Posterior(det_prior, v / v.sum() * (1 + 1e-12))
 
 
 def test_conditional_value_linearity(det_prior):
