@@ -107,7 +107,7 @@ def performance_difference(model1: TabularModel, model2: TabularModel, policy: M
     With V2_h model2's value-to-go under pi at stage h, d1_h model1's
     state occupancy at stage h, and r_i, P_i model i's mean rewards and
     transition rows at (x, pi(x, h), h):
-    lhs = V^pi(model1) - V^pi(model2);
+    lhs = V^pi(model1) - V^pi(model2), where V^pi(model2) = init_2 . V2_1;
     rhs = (init_1 - init_2) . V2_1 + sum_h E_{d1_h}[r_1 - r_2]
           + sum_{h<H} E_{d1_h}[(P_1 - P_2)(.|x_h, h) . V2_{h+1}].
     Models that share rewards have every reward term 0. Returns (lhs, rhs,
@@ -115,7 +115,7 @@ def performance_difference(model1: TabularModel, model2: TabularModel, policy: M
     """
     H = model1.H
     V2 = _stage_values(model2, policy)
-    lhs = policy_value(model1, policy) - policy_value(model2, policy)
+    lhs = policy_value(model1, policy) - sum(p * v for p, v in zip(model2.init, V2[0]))
     init_term = sum((p1 - p2) * v for p1, p2, v in zip(model1.init, model2.init, V2[0]))
     reward_terms = [Fraction(0)] * H
     trans_terms = [Fraction(0)] * (H - 1)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import CapExceeded
 from .rng import sample_index
 
@@ -400,7 +402,13 @@ def _cumulative_row(probs) -> list[float]:
 
 def _sampling_rows(model: TabularModel):
     """The float cumulative init row and, per (x, a, h), the Step of each
-    reward value with the reward and transition rows; built once per model."""
+    reward value with the reward and transition rows; built once per model.
+
+    The third entry holds the same rows stacked for ``rollout_rows``: the
+    init row, the reward rows (padded with inf, which no uniform reaches)
+    and the transition rows by flat (x, a, h) index, each triple's first
+    index into one table of every Step, and that table.
+    """
     if "sampling" not in model._cache:
         rows = {}
         for x in range(1, model.S + 1):
@@ -412,7 +420,17 @@ def _sampling_rows(model: TabularModel):
                         _cumulative_row(dist.probs),
                         _cumulative_row(model.transition(x, a, h)),
                     )
-        model._cache["sampling"] = (_cumulative_row(model.init), rows)
+        init = _cumulative_row(model.init)
+        # rows runs through (x, a, h) in C order, so position = flat index
+        width = max(len(reward_row) for _, reward_row, _ in rows.values())
+        reward_rows = np.array([reward_row + [math.inf] * (width - len(reward_row))
+                                for _, reward_row, _ in rows.values()])
+        trans_rows = np.array([trans_row for _, _, trans_row in rows.values()])
+        sizes = [len(reward_steps) for reward_steps, _, _ in rows.values()]
+        first_step = np.cumsum([0] + sizes[:-1])
+        step_table = [s for reward_steps, _, _ in rows.values() for s in reward_steps]
+        model._cache["sampling"] = (init, rows, (np.array(init), reward_rows, trans_rows,
+                                                 first_step, step_table))
     return model._cache["sampling"]
 
 
@@ -422,7 +440,7 @@ def rollout(model, policy, u) -> tuple[Step, ...]:
     ``u[0]`` draws the initial state; stage h draws its reward with
     ``u[2h-1]`` and, below stage H, its next state with ``u[2h]``.
     """
-    init, rows = _sampling_rows(model)
+    init, rows, _ = _sampling_rows(model)
     actions, H = policy.actions, model.H
     x = 1 + bisect_right(init, u[0])
     steps = []
@@ -433,6 +451,34 @@ def rollout(model, policy, u) -> tuple[Step, ...]:
         if h < H:
             x = 1 + bisect_right(trans_row, u[2 * h])
     return tuple(steps)
+
+
+def rollout_rows(model, policy, u: np.ndarray) -> tuple[list[tuple[Step, ...]], np.ndarray]:
+    """``rollout`` of every row of an (n, 2H) array of uniforms, as one
+    array operation per draw.
+
+    Returns the distinct trajectories, each as ``rollout`` returns it, and
+    per row the index of its trajectory among them. A draw's index is the
+    count of cumulative entries <= u, which is what ``bisect_right``
+    returns: the same float comparisons as ``rollout``. A single row is
+    faster through ``rollout``.
+    """
+    _, _, (init_row, reward_rows, trans_rows, first_step, step_table) = _sampling_rows(model)
+    A, H = model.A, model.H
+    actions = np.array(policy.actions) - 1
+    x = np.count_nonzero(init_row <= u[:, :1], axis=1)  # 0-based states
+    step_ids = np.empty((len(u), H), dtype=np.intp)
+    which = np.zeros(len(u), dtype=np.intp)  # the rows' distinct prefixes so far
+    for h in range(H):
+        xah = (x * A + actions[x, h]) * H + h
+        step_ids[:, h] = first_step[xah] + np.count_nonzero(
+            reward_rows[xah] <= u[:, 2 * h + 1, None], axis=1)
+        # numbering the prefixes densely keeps the codes below n * len(step_table)
+        _, first, which = np.unique(which * len(step_table) + step_ids[:, h],
+                                    return_index=True, return_inverse=True)
+        if h + 1 < H:
+            x = np.count_nonzero(trans_rows[xah] <= u[:, 2 * h + 2, None], axis=1)
+    return [tuple(step_table[i] for i in row) for row in step_ids[first].tolist()], which
 
 
 def sample_trajectory(model, policy, rng) -> Trajectory:

@@ -41,6 +41,7 @@ from .mdp import (
     event_visit_probability,
     reach_set,
     rollout,
+    rollout_rows,
 )
 from .priors import (
     DiscretePrior,
@@ -608,7 +609,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     "full" (simulate and record every episode) or "hallucination"
     (simulate only the episodes that feed the mechanism; phase records
     are bit-identical between the modes because every episode has its
-    own named stream). ``keep_signals`` attaches the per-phase ledgers to
+    own named stream). A full-log phase of several episodes reads their
+    streams as one array and rolls out the honest rows in one block
+    (``mdp.rollout_rows``); the hallucination episode's trajectory comes
+    from the scalar ``mdp.rollout``, as in every one-episode phase, and
+    each distinct trajectory is rendered to JSON once per run.
+    ``keep_signals`` attaches the per-phase ledgers to
     ``log.signals`` for micro-scale cross-checks. ``phase_hook(ctx, log)``
     runs after each phase's bookkeeping; returning True stops the run
     early. ``track_hh`` evaluates the phase-length incentive condition
@@ -650,6 +656,15 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     # step identities -> the trajectory's JSON list, shared read-only by
     # every record with that trajectory
     traj_json: dict[tuple, list] = {}
+
+    def trajectory_json(steps) -> list:
+        # rollouts hand out the Step objects of the model's sampling rows,
+        # so their identities name the trajectory without hashing Fractions
+        key = tuple(map(id, steps))
+        if key not in traj_json:
+            traj_json[key] = _steps_to_json(steps)
+        return traj_json[key]
+
     U = None
     visits = dict.fromkeys(triple_list, 0)  # fast.visits by triple, refreshed per push
 
@@ -709,20 +724,20 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         simulated = episodes if episode_log == "full" else [k_star]
         stream_names = [f"episode:{k}:traj" for k in simulated]
-        if len(stream_names) == 1:
-            draws = [rngmod.uniforms(seed, stream_names[0], n_uniforms)]
+        if len(simulated) == 1:
+            u_star = rngmod.uniforms(seed, stream_names[0], n_uniforms)
+            hon_trajs, traj_of_row = [], [0]
         else:
-            draws = rngmod.uniform_rows(seed, stream_names, n_uniforms).tolist()
-        for k, stream_name, u in zip(simulated, stream_names, draws):
+            draws = rngmod.uniform_rows(seed, stream_names, n_uniforms)
+            u_star = draws[simulated.index(k_star)].tolist()
+            # the honest rows in one block; the k* row's entry is unused
+            hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)
+            traj_of_row = traj_of_row.tolist()
+        tau_star = Trajectory(rollout(true_model, pi_hal, u_star))
+        hal_json = trajectory_json(tau_star.steps)
+        hon_json = [trajectory_json(steps) for steps in hon_trajs]
+        for k, stream_name, i in zip(simulated, stream_names, traj_of_row):
             is_hal = k == k_star
-            steps = rollout(true_model, pi_hal if is_hal else pi_hon, u)
-            if is_hal:
-                tau_star = Trajectory(steps)
-            # rollout hands out the Step objects of the model's sampling rows,
-            # so their identities name the trajectory without hashing Fractions
-            key = tuple(map(id, steps))
-            if key not in traj_json:
-                traj_json[key] = _steps_to_json(steps)
             log.episodes.append(
                 EpisodeRecord(
                     k=k,
@@ -730,7 +745,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                     is_hallucination=is_hal,
                     revealed_kind="hallucinated" if is_hal else "honest",
                     policy=hal_code if is_hal else hon_code,
-                    trajectory=traj_json[key],
+                    trajectory=hal_json if is_hal else hon_json[i],
                     traj_stream=stream_name,
                 )
             )

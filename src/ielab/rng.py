@@ -26,9 +26,12 @@ The batch reader ``uniform_rows(seed, names, n)`` returns a
 (len(names), n) float64 array whose row i is bit for bit
 ``stream(seed, names[i]).random(n)``: it evaluates the same Philox
 blocks of every name's key as one uint64 array operation, so a phase
-reads all its episode streams in one call. A uniform becomes an index of
-a probability vector through ``index_from_uniform``, the one inverse-CDF
-rule of the package.
+reads all its episode streams in one call. ``mdp.rollout_rows`` then
+rolls out the phase's honest rows as one array operation per draw, while
+the hallucination episode's row, the one trajectory the mechanism reads,
+goes through the scalar ``mdp.rollout``; a phase of one episode reads its
+row with ``uniforms``. A uniform becomes an index of a probability vector
+through ``index_from_uniform``, the one inverse-CDF rule of the package.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ielab import (
     trajectory_probability,
 )
 from ielab.instances import random_model
-from ielab.mdp import rollout
+from ielab.mdp import path_mass, rollout, rollout_rows
 from ielab.rng import sample_index, stream
 
 
@@ -307,12 +308,16 @@ def test_sample_trajectory_never_returns_zero_mass(top_draw_rng):
     tau = sample_trajectory(model, pol, top_draw_rng)
     assert [tuple(s) for s in tau.steps] == [(10, 1, 1, support[9]), (10, 1, 2, support[9])]
     assert rollout(model, pol, [1 - 2**-53] * (2 * H)) == tau.steps
+    trajs, which = rollout_rows(model, pol, np.full((3, 2 * H), 1 - 2**-53))
+    assert trajs == [tau.steps] and which.tolist() == [0, 0, 0]
 
 
 def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
-    """rollout reads the draws as sequential sample_index calls would."""
+    """rollout, and rollout_rows on the stacked draws, read the draws as
+    sequential sample_index calls would."""
     m = stoch_prior.atoms[300]
     for pol in enumerate_policies(2, 2, 2):
+        expected = []
         for seed in range(8):
             rng = stream(seed, "order")
             x = 1 + sample_index(m.init, rng)
@@ -324,6 +329,61 @@ def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
                     x = 1 + sample_index(m.transition(x, a, h), rng)
             u = stream(seed, "order").random(4)
             assert [tuple(s) for s in rollout(m, pol, u)] == steps
+            expected.append(steps)
+        trajs, which = rollout_rows(m, pol, np.array([stream(seed, "order").random(4)
+                                                      for seed in range(8)]))
+        assert [[tuple(s) for s in trajs[i]] for i in which] == expected
+
+
+def edge_uniform_rows(model, rng, n_random=16) -> np.ndarray:
+    """(n, 2H) uniforms that hit every float cumulative sum of the model's
+    init, reward and transition rows exactly, besides 0, 1 - 2**-53 and
+    random draws: one constant row per edge value, rows mixing edge values
+    by column, and uniform rows."""
+    H = model.H
+    laws = [model.init]
+    for x in range(1, model.S + 1):
+        for a in range(1, model.A + 1):
+            for h in range(1, H + 1):
+                laws += [model.reward_dist(x, a, h).probs, model.transition(x, a, h)]
+    edges = sorted({c for probs in laws for c in accumulate(map(float, probs)) if c < 1}
+                   | {0.0, 1 - 2**-53})
+    return np.vstack([np.repeat(np.array(edges)[:, None], 2 * H, axis=1),
+                      rng.choice(edges, size=(n_random, 2 * H)),
+                      rng.random((n_random, 2 * H))])
+
+
+def assert_rollout_rows_match_rollout(model, policy, u):
+    trajs, which = rollout_rows(model, policy, u)
+    assert len(set(trajs)) == len(trajs) and len(which) == len(u)
+    for row, i in zip(u.tolist(), which.tolist()):
+        steps = rollout(model, policy, row)
+        assert trajs[i] == steps
+        assert all(s is t for s, t in zip(trajs[i], steps))  # the model's Step objects
+    assert all(path_mass(model, steps) > 0 for steps in trajs)
+
+
+def test_rollout_rows_match_rollout_on_micro_stoch_atoms(stoch_prior):
+    """Every row's trajectory is rollout's, on the edge values of every
+    atom's float cumulative rows, and never has a zero-mass step."""
+    rng = np.random.default_rng(12)
+    pols = enumerate_policies(2, 2, 2)
+    for i, m in enumerate(stoch_prior.atoms):
+        u = edge_uniform_rows(m, rng)
+        for pol in (pols[i % 16], pols[(7 * i + 3) % 16]):
+            assert_rollout_rows_match_rollout(m, pol, u)
+
+
+def test_rollout_rows_match_rollout_on_random_models():
+    """S = 3, A = 2, H = 3 with a 3-value reward support: wider step and
+    state indices than the micro instances."""
+    rng = np.random.default_rng(2103)
+    pols = enumerate_policies(3, 2, 3)
+    for _ in range(30):
+        m = random_model(rng, 3, 2, 3)
+        u = edge_uniform_rows(m, rng, n_random=64)
+        for code in rng.choice(len(pols), size=6, replace=False):
+            assert_rollout_rows_match_rollout(m, pols[code], u)
 
 
 # ---------------------------------------------------------------------------

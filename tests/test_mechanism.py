@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ielab import (
     AssumptionViolated,
     DiscreteDist,
+    DiscretePrior,
     FactoredRewardPrior,
     MechanismConfig,
     ZeroEvidence,
@@ -36,6 +38,7 @@ from ielab import (
     sample_hallucinated_model,
     totally_censor,
 )
+from ielab.instances import random_model
 from ielab.mechanism import EpisodeRecord, hallucination_prior_prob
 from ielab.rng import stream
 
@@ -296,21 +299,43 @@ def test_run_game_replay_and_modes(det_prior, det_config):
     assert len(full.episodes) == sum(len(phase_episodes(small, ell)) for ell in range(1, 5))
 
 
+def random_prior(seed: int, n: int) -> DiscretePrior:
+    """n equally weighted random_model atoms with S = 3, A = 2, H = 3."""
+    rng = np.random.default_rng(seed)
+    return DiscretePrior(tuple(random_model(rng, 3, 2, 3) for _ in range(n)),
+                         (Fraction(1, n),) * n)
+
+
+def assert_episode_lines_are_generic(log):
+    """Every episode line of the log equals the generic encoder's output."""
+    lines = [line for line in log.to_jsonl().splitlines() if '"type":"episode"' in line]
+    assert lines == [json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
+                     for e in log.episodes]
+
+
 @pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
 def test_stoch_full_log_matches_hallucination_mode(stoch_prior, mode):
     """On stochastic transitions and rewards too, a full-log run (its
-    multi-episode phases read their streams as one batch) has the phase
-    records and hallucination episodes of the hallucination-mode run."""
-    cfg = MechanismConfig(6, 2, Fraction(7, 2880), 5, rho=Fraction(1, 4))
-    for seed in range(4):
-        full = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
-                        episode_log="full")
-        lean = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
-                        episode_log="hallucination")
-        assert [p.to_dict() for p in full.phases] == [p.to_dict() for p in lean.phases]
-        assert ([e.to_dict() for e in full.episodes if e.is_hallucination]
-                == [e.to_dict() for e in lean.episodes])
-        assert len(full.episodes) == 2 + 3 * 6
+    multi-episode phases read their streams as one batch and roll out the
+    honest rows as one block) has the phase records and hallucination
+    episodes of the hallucination-mode run. The random prior's 3-state,
+    3-stage atoms with three reward values give many distinct trajectories
+    per phase; its eps_pun near 1 keeps their punish event non-empty."""
+    runs = [(stoch_prior, MechanismConfig(6, 2, Fraction(7, 2880), 5, rho=Fraction(1, 4))),
+            (random_prior(12, 4), MechanismConfig(16, 2, Fraction(99, 100), 8,
+                                                  rho=Fraction(1, 4)))]
+    for prior, cfg in runs:
+        n_episodes = sum(len(phase_episodes(cfg, ell)) for ell in range(1, cfg.total_phases + 1))
+        for seed in range(4):
+            full = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                            episode_log="full")
+            lean = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                            episode_log="hallucination")
+            assert [p.to_dict() for p in full.phases] == [p.to_dict() for p in lean.phases]
+            assert ([e.to_dict() for e in full.episodes if e.is_hallucination]
+                    == [e.to_dict() for e in lean.episodes])
+            assert len(full.episodes) == n_episodes
+            assert_episode_lines_are_generic(full)
 
 
 def test_full_log_lines_with_shared_trajectories(det_prior, det_config):
@@ -324,9 +349,7 @@ def test_full_log_lines_with_shared_trajectories(det_prior, det_config):
         lists_of.setdefault(json.dumps(e.trajectory), set()).add(id(e.trajectory))
     assert all(len(ids) == 1 for ids in lists_of.values())
     assert len(lists_of) < len(log.episodes)
-    lines = [line for line in log.to_jsonl().splitlines() if '"type":"episode"' in line]
-    assert lines == [json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-                     for e in log.episodes]
+    assert_episode_lines_are_generic(log)
 
 
 def test_run_game_zero_evidence_context():
