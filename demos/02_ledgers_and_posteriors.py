@@ -45,7 +45,7 @@ lam_hon = censor_ledger(lam_raw, U)
 print(f"probability of the honest ledger under the truth: "
       f"{ledger_probability(truth, lam_hon)}")
 
-post = canonical_posterior(prior, lam_hon, exact=True)
+post = canonical_posterior(prior, lam_hon)
 print(f"canonical posterior support: {len(post.support())} of {prior.n} atoms "
       f"(those agreeing with the two revealed rewards)")
 
@@ -61,6 +61,6 @@ print(f"canonical gap of the switch-at-start policies: {gap} "
 
 # censoring coarsens: a totally censored ledger carries no reward evidence
 lam_cens = censor_ledger(lam_raw, all_triples(2, 2, 2))
-flat = canonical_posterior(prior, lam_cens, exact=True)
+flat = canonical_posterior(prior, lam_cens)
 print(f"\ntotally censored ledger: posterior equals the prior "
       f"({flat.weights == prior.weights}; transitions are shared by all atoms)")

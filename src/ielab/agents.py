@@ -30,7 +30,6 @@ from .priors import (
     canonical_posterior,
     exact_lattice,
     normalized_weights,
-    shared_tables,
 )
 
 
@@ -42,7 +41,7 @@ def episode_phase(config: MechanismConfig, k: int) -> int:
 
 
 def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
-                        revealed: Ledger, exact: bool = False, p0=None):
+                        revealed: Ledger, p0=None):
     """Exact posterior over the true model given the revealed ledger.
 
     Mixes the two ways episode k could have seen this ledger: it is the
@@ -52,25 +51,12 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
     where p_hal = Pr[k is the hallucination episode | ledger]. Passing
     p0=0 gives the infinite-phase-length limit (pure honest branch).
     """
-    ell = episode_phase(config, k)
     if p0 is None:
-        p0 = hallucination_prior_prob(config, ell)
-    p0 = Fraction(p0) if exact else float(p0)
+        p0 = hallucination_prior_prob(config, episode_phase(config, k))
     U = revealed.censor_set
     punish = punish_event(prior, complement_triples(U, *prior.shape), config.eps_pun)
-    if exact:
-        weights, p_hal = _mechanism_weights_exact(prior, revealed, punish, p0)
-    else:
-        tables = shared_tables(prior)
-        translog, counts = tables.ledger_loglik(revealed)
-        can = tables.posterior_from_loglik(translog).weights
-        weights, p_hal = _mechanism_weights_float(tables, can, counts,
-                                                  tables.event_mask(punish), p0)
-    post = Posterior(
-        prior, weights,
-        {"signal": "mechanism", "episode": k, "phase": ell, "p_hal": p_hal},
-    )
-    return post, p_hal
+    weights, p_hal = _mechanism_weights_exact(prior, revealed, punish, Fraction(p0))
+    return Posterior(prior, weights), p_hal
 
 
 def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
@@ -109,8 +95,8 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     ``can`` is the canonical posterior of the censored ledger (the
     normalized weights of its per-atom log transition mass), ``counts``
     the revealed-reward counts and ``punish`` the punish event as a
-    boolean mask. The same closed form as the exact route, with B the
-    revealed-reward masses: the log-masses are shifted by their largest
+    boolean mask. The closed form of ``_mechanism_weights_exact``, with B
+    the revealed-reward masses: the log-masses are shifted by their largest
     finite value first, which cancels in the weights and p_hal and keeps
     B from underflowing on long ledgers.
     """
@@ -130,7 +116,12 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
 @dataclass
 class AgentSpec:
     """mode is "canonical_truster" or "fully_rational"; both know the
-    mechanism config and prior."""
+    mechanism config and prior.
+
+    ``choose`` is always exact. ``exact`` picks the in-run route of
+    ``choose_signal``: the run loop's float posteriors when False, else
+    ``choose`` on the phase's materialized signal ledgers.
+    """
 
     mode: str
     prior: DiscretePrior
@@ -143,7 +134,7 @@ class AgentSpec:
             raise ValueError(f"unknown agent mode {self.mode!r}")
 
     def choose(self, k: int, ell: int, revealed: Ledger) -> MarkovPolicy:
-        """Bayes-greedy policy for a revealed ledger (standalone route)."""
+        """Bayes-greedy policy for a revealed ledger, on its exact posterior."""
         # a canonical ledger mass is a product of i.i.d. entry masses, so both
         # modes' posteriors depend on the ledger only through U and its counts;
         # ell fixes the fully rational agent's hallucination prior p0
@@ -151,12 +142,10 @@ class AgentSpec:
         if key in self._cache:
             return self._cache[key]
         if self.mode == "canonical_truster":
-            post = canonical_posterior(self.prior, revealed, exact=self.exact)
-            pol = bayes_greedy(post)
+            pol = bayes_greedy(canonical_posterior(self.prior, revealed))
         else:
             try:
-                post, _ = mechanism_posterior(self.prior, self.config, k, revealed,
-                                              exact=self.exact)
+                post, _ = mechanism_posterior(self.prior, self.config, k, revealed)
                 pol = bayes_greedy(post)
             except CapExceeded as e:
                 raise OracleUnavailable(
@@ -168,8 +157,8 @@ class AgentSpec:
     def choose_signal(self, k: int, ell: int, kind: str, ctx: PhaseContext) -> MarkovPolicy:
         """Fast in-run route: the game loop supplies per-phase count state.
 
-        Exact-arithmetic agents fall back to the standalone route and
-        need the materialized ledgers from run_game(keep_signals=True).
+        Exact agents take ``choose`` on the materialized ledgers, which
+        need run_game(keep_signals=True).
         """
         if self.exact:
             if ctx.signals is None:
@@ -177,12 +166,12 @@ class AgentSpec:
             return self.choose(k, ell, ctx.signals[kind])
         counts = ctx.counts_of(kind)
         if self.mode == "canonical_truster":
-            post = ctx.fast.revealed_posterior(counts, kind)
+            post = ctx.fast.revealed_posterior(counts)
         else:
             p0 = float(hallucination_prior_prob(self.config, ell))
             weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
                                                   ctx.punish_mask, p0)
-            post = Posterior(self.prior, weights, {"signal": "mechanism-fast"})
+            post = Posterior(self.prior, weights)
         return bayes_greedy(post)
 
 

@@ -149,7 +149,6 @@ class Estimators:
     theta_r: dict  # triple -> float mean of first n_lrn reward samples
     theta_p: dict  # triple -> list[float] next-state frequencies (h < H only)
     theta_p0: list | None  # initial-state frequencies over first n_lrn phases
-    undefined: set  # triples with fewer than n_lrn hallucination visits
 
 
 def empirical_estimators(game_log, n_lrn: int) -> Estimators:
@@ -157,7 +156,8 @@ def empirical_estimators(game_log, n_lrn: int) -> Estimators:
 
     Transition frequencies are defined for h < H (the stage-H transition
     only feeds the designated sink). The initial-state estimator uses the
-    first n_lrn hallucination episodes and is None before that.
+    first n_lrn hallucination episodes and is None before that. A triple
+    with fewer than n_lrn hallucination visits has no estimate.
     """
     history = game_log.hallucination_history()
     samples_r: dict = {}
@@ -178,13 +178,8 @@ def empirical_estimators(game_log, n_lrn: int) -> Estimators:
                 if len(samples_p[t]) < n_lrn:
                     samples_p[t].append(steps[i + 1][0])
             S = max(S or 0, x)
-    theta_r, theta_p = {}, {}
-    undefined = set()
-    for t, vals in samples_r.items():
-        if len(vals) >= n_lrn:
-            theta_r[t] = sum(vals) / n_lrn
-        else:
-            undefined.add(t)
+    theta_r = {t: sum(vals) / n_lrn for t, vals in samples_r.items() if len(vals) >= n_lrn}
+    theta_p = {}
     for t, nexts in samples_p.items():
         if len(nexts) >= n_lrn and S is not None:
             theta_p[t] = [sum(1 for y in nexts if y == s) / n_lrn for s in range(1, S + 1)]
@@ -192,7 +187,7 @@ def empirical_estimators(game_log, n_lrn: int) -> Estimators:
     if len(inits) >= n_lrn and S is not None:
         first = inits[:n_lrn]
         theta_p0 = [sum(1 for y in first if y == s) / n_lrn for s in range(1, S + 1)]
-    return Estimators(theta_r, theta_p, theta_p0, undefined)
+    return Estimators(theta_r, theta_p, theta_p0)
 
 
 def first_unexplored_stage(model: TabularModel, policy: MarkovPolicy, U: TripleSet) -> int:

@@ -58,7 +58,12 @@ def complement_triples(U: TripleSet, S: int, A: int, H: int) -> TripleSet:
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite discrete distribution over rational values."""
+    """Finite discrete distribution over rational values.
+
+    The support is stored in increasing order, its probabilities with it,
+    so sampling and enumeration walk every law in the order of the global
+    reward support, whatever order the law was given in.
+    """
 
     support: tuple[Fraction, ...]
     probs: tuple[Fraction, ...]
@@ -66,6 +71,10 @@ class DiscreteDist:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support/probs length mismatch")
+        order = sorted(range(len(self.support)), key=self.support.__getitem__)
+        if order != list(range(len(order))):
+            object.__setattr__(self, "support", tuple(self.support[i] for i in order))
+            object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
         check_prob_vector(self.probs, "negative probability",
                            "probabilities must sum to 1 exactly")
         if len(set(self.support)) != len(self.support):

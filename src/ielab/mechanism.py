@@ -111,14 +111,13 @@ def punish_event(prior: DiscretePrior, U_complement: TripleSet, eps_pun) -> Mode
     return frozenset(np.flatnonzero(low[:, xs, as_, hs].all(axis=1)).tolist())
 
 
-def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent,
-                            exact: bool = False) -> Posterior:
-    """The punish-conditioned canonical posterior of the censored ledger.
+def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent) -> Posterior:
+    """The exact punish-conditioned canonical posterior of the censored ledger.
 
     ZeroEvidence is re-raised naming the violated assumption.
     """
     try:
-        return canonical_posterior(prior, lam_cens, punish, exact=exact)
+        return canonical_posterior(prior, lam_cens, punish)
     except ZeroEvidence as e:
         raise ZeroEvidence(
             f"punish event has zero posterior mass given the censored ledger; "
@@ -149,16 +148,12 @@ def honest_ledger(lam_raw: Ledger, U: TripleSet) -> Ledger:
     return censor_ledger(lam_raw, U)
 
 
-def p_hal_bound(p0, q):
-    """Upper bound on the agent's hallucination suspicion: 1/(1 + q(1-p0)/p0)."""
-    if isinstance(p0, Fraction) and isinstance(q, Fraction):
-        if p0 == 0:
-            return Fraction(0)
-        return 1 / (1 + q * (1 - p0) / p0)
-    p0, q = float(p0), float(q)
-    if p0 == 0.0:
-        return 0.0
-    return 1.0 / (1.0 + q * (1.0 - p0) / p0)
+def p_hal_bound(p0: Fraction, q: Fraction) -> Fraction:
+    """Upper bound on the agent's hallucination suspicion,
+    1/(1 + q(1-p0)/p0), exactly (0 when p0 = 0)."""
+    if p0 == 0:
+        return Fraction(0)
+    return 1 / (1 + q * (1 - Fraction(p0)) / p0)
 
 
 def hh_condition_holds(n_episodes: int, punish_prob, gap, horizon: int):
@@ -339,7 +334,7 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
     r_best = None
     punish_all = punish_event(prior, full, eps)
     for lam in ledgers:
-        post = canonical_posterior(prior, lam, exact=True)
+        post = canonical_posterior(prior, lam)
         if lam.censor_set == full:
             q = sum(w for i, w in enumerate(post.weights) if i in punish_all)
             q_best = q if q_best is None or q < q_best else q_best
@@ -581,7 +576,7 @@ def _hh_condition_in_run(config, fast, inside, ell, punish_prob, hal_counts):
     """
     if inside is None:
         return None
-    gap = canonical_gap(fast.revealed_posterior(hal_counts, "hh-check"), inside)
+    gap = canonical_gap(fast.revealed_posterior(hal_counts), inside)
     holds, _, _ = hh_condition_holds(len(phase_episodes(config, ell)), punish_prob, gap,
                                      fast.tables.H)
     return holds
@@ -680,10 +675,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             punish_size = int(punish_mask.sum())
             if track_hh:
                 hh_inside = _hh_exploring_policies(tables, true_model, U)
-        cens_post = fast.posterior("censored")
+        cens_post = fast.posterior()
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
-            hal_post = fast.posterior("hallucination", punish_mask)
+            hal_post = fast.posterior(punish_mask)
         except ZeroEvidence as e:
             raise ZeroEvidence(
                 f"phase {ell}: punish event empty on fully-explored set "

@@ -99,7 +99,6 @@ class JointTable:
     config: MechanismConfig
     agent_mode: str
     phases: int
-    variant: str
     nodes: dict = field(default_factory=dict)  # ell -> list[PhaseNode]
     model_marginal: dict = field(default_factory=dict)  # atom -> Fraction
 
@@ -116,7 +115,7 @@ class JointTable:
 def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
                   cap) -> list[HalBranch]:
     """Enumerate realizable hallucinated-ledger values with exact masses."""
-    post = hallucination_posterior(prior, lam_cens, punish, exact=True)
+    post = hallucination_posterior(prior, lam_cens, punish)
     support_atoms = [i for i, w in enumerate(post.weights) if w > 0]
     # the triples of the revealed occurrences, in entry order
     occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
@@ -162,9 +161,9 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     if variant not in ("standard", "hallucinate_unconditioned"):
         raise ValueError(f"unknown variant {variant!r}")
     S, A, H = prior.shape
-    agent = make_agent(agent_mode, prior, config, exact=True)
+    agent = make_agent(agent_mode, prior, config)
     lattice = exact_lattice(prior)
-    table = JointTable(prior, config, agent_mode, phases, variant)
+    table = JointTable(prior, config, agent_mode, phases)
     table.nodes = {ell: [] for ell in range(1, phases + 1)}
     n_nodes = 0
 
@@ -182,7 +181,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         lam_hon = censor_ledger(lam_raw, U)
         punish = punish_event(prior, explored, config.eps_pun)
         hal_event = punish if variant == "standard" else prior.full_event()
-        can_cens = canonical_posterior(prior, lam_cens, exact=True)
+        can_cens = canonical_posterior(prior, lam_cens)
         q = sum(can_cens.weights[i] for i in punish)
         branches = _hal_branches(prior, lam_cens, U, hal_event,
                                  agent, config, ell, cap)
@@ -275,14 +274,12 @@ def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
 class OneStepEntry:
     lam_hal_key: tuple
     condition_holds: bool
-    condition_lhs: Fraction
     condition_rhs: Fraction | None
     gap: Fraction | None
     argmax: frozenset  # encodings of exact mechanism-posterior maximizers
     in_target: bool | None
     vacuous: bool
     p_hal: Fraction
-    p_hal_limit: Fraction
 
 
 @dataclass
@@ -336,18 +333,16 @@ def _mech_masses(ent: dict, p0) -> dict:
 
 def _hal_ledgers(table: JointTable, ell: int):
     """Per censored-ledger group of phase ell: its nodes and, for every
-    realizable hallucinated ledger value, (key, joint entry, p_hal, bound)
-    with the exact p_hal = Pr[hallucination episode | ledger] and the
-    bound p_hal_bound(p0, Pr[punish | censored ledger])."""
+    realizable hallucinated ledger value, (key, joint entry, p_hal) with
+    the exact p_hal = Pr[hallucination episode | ledger]."""
     p0 = hallucination_prior_prob(table.config, ell)
     for nodes in table.groups_by_cens(ell).values():
-        q = nodes[0].pr_punish_given_cens
         rows = []
         for key, ent in _mech_joint(nodes).items():
             if ent["hal"] == 0:
                 continue  # not a realizable hallucinated ledger
             p_hal = p0 * ent["hal"] / (p0 * ent["hal"] + (1 - p0) * ent["hon"])
-            rows.append((key, ent, p_hal, p_hal_bound(p0, q)))
+            rows.append((key, ent, p_hal))
         yield nodes, rows
 
 
@@ -378,7 +373,7 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             enc = policy_encodings(target(nodes[0].U, nodes))
         vacuous = not enc or len(enc) >= n_all
         q = nodes[0].pr_punish_given_cens
-        for key, ent, p_hal, limit in rows:
+        for key, ent, p_hal in rows:
             # exact mechanism posterior at an episode of this phase
             mech = _normalize(_mech_masses(ent, p0))
             arg = greedy_set(Posterior(prior, tuple(mech.get(i, Fraction(0))
@@ -387,39 +382,39 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             rhs = None
             holds = False
             if not vacuous:
-                can = canonical_posterior(prior, ent["ledger"], exact=True)
+                can = canonical_posterior(prior, ent["ledger"])
                 gap = canonical_gap(can, enc)
                 holds, _, rhs = hh_condition_holds(n_episodes, q, gap, H)
             entries.append(
                 OneStepEntry(
                     lam_hal_key=key,
                     condition_holds=holds,
-                    condition_lhs=p0,
                     condition_rhs=rhs,
                     gap=gap,
                     argmax=arg,
                     in_target=None if vacuous else arg <= enc,
                     vacuous=vacuous,
                     p_hal=p_hal,
-                    p_hal_limit=limit,
                 )
             )
     return OneStepReport(ell, entries)
 
 
 def p_hal_audit(table: JointTable, ell: int) -> list:
-    """(ledger, p_hal, bound, slack) for every realizable hallucinated ledger.
+    """(ledger, p_hal, bound, slack) for every realizable hallucinated ledger,
+    with the bound p_hal_bound(p0, Pr[punish | censored ledger]).
 
     Also cross-checks the agent-side mechanism_posterior p_hal, which is
     computed by an independent formula; exact agreement is required.
     """
     out = []
+    p0 = hallucination_prior_prob(table.config, ell)
     k_agent = phase_episodes(table.config, ell)[0]
-    for _, rows in _hal_ledgers(table, ell):
-        for key, ent, p_hal, limit in rows:
-            _, p_hal_agent = mechanism_posterior(
-                table.prior, table.config, k_agent, ent["ledger"], exact=True
-            )
+    for nodes, rows in _hal_ledgers(table, ell):
+        limit = p_hal_bound(p0, nodes[0].pr_punish_given_cens)
+        for key, ent, p_hal in rows:
+            _, p_hal_agent = mechanism_posterior(table.prior, table.config, k_agent,
+                                                 ent["ledger"])
             out.append({
                 "ledger_key": key,
                 "p_hal": p_hal,

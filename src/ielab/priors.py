@@ -1,17 +1,20 @@
 """Finite discrete priors, exact canonical posteriors, gaps, Bayes-greedy.
 
 All Bayesian computation is exact enumeration over a weighted finite
-atom set. The float route (``exact=False``) runs on the prior's
-``PriorTables`` (``shared_tables``): a ledger becomes per-atom log-masses
-plus reward counts, and policy values are one product with the float
-value matrix, the arithmetic the run loop uses. The exact
-route (``exact=True``) runs on the prior's ``ExactLattice``: masses and
-policy values as Python ints over per-prior common denominators, so
-posteriors, conditional values and greedy choices are integer products
-and dot products. The lattice also lists each policy's trajectories once
-over the atoms' union support, with every atom's path masses as ints, for
-the oracle's game enumeration. Fractions appear only at the boundary, in
-the weights, values and gaps these functions return.
+atom set. Every function that takes a ``Ledger`` is exact: it runs on
+the prior's ``ExactLattice``, with masses and policy values as Python
+ints over per-prior common denominators, so posteriors, conditional
+values and greedy choices are integer products and dot products. The
+lattice also lists each policy's trajectories once over the atoms'
+union support, with every atom's path masses as ints, for the oracle's
+game enumeration. Fractions appear only at the boundary, in the
+weights, values and gaps these functions return.
+
+Floats live only in the run loop: ``LedgerState`` accumulates a
+ledger's per-atom log-masses and reward counts entry by entry on the
+prior's ``PriorTables`` (``shared_tables``), and ``policy_values``,
+``canonical_gap`` and ``bayes_greedy`` take the float posteriors it
+makes as well as exact ones.
 """
 
 from __future__ import annotations
@@ -81,17 +84,17 @@ class DiscretePrior:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized weights over a prior's atoms, plus conditioning provenance.
+    """Normalized weights over a prior's atoms.
 
-    ``weights`` is aligned to prior.atoms: a tuple of Fractions on exact
-    paths, a float ndarray on float paths. Exact posteriors also carry
+    ``weights`` is aligned to prior.atoms: a tuple of Fractions from the
+    ledger-level functions, a float ndarray from the run loop's
+    ``PriorTables.posterior_from_loglik``. Exact posteriors also carry
     ``numerators`` = (ints, den) with weights[i] == ints[i] / den, the
     form the lattice's integer dot products take.
     """
 
     prior: DiscretePrior
     weights: tuple | np.ndarray = field(compare=False)
-    provenance: dict = field(default_factory=dict, compare=False)
     numerators: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -131,9 +134,8 @@ def _sum_error_bound(n: int) -> float:
     return k / (1 - k)
 
 
-def prior_as_posterior(prior: DiscretePrior, exact: bool = False) -> Posterior:
-    ws = prior.weights if exact else np.array([float(w) for w in prior.weights])
-    return Posterior(prior, ws, {"conditioning": "none"})
+def prior_as_posterior(prior: DiscretePrior) -> Posterior:
+    return Posterior(prior, prior.weights)
 
 
 @dataclass(frozen=True)
@@ -261,26 +263,17 @@ def canonical_posterior(
     prior: DiscretePrior,
     ledger: Ledger,
     event: ModelEvent | None = None,
-    exact: bool = False,
 ) -> Posterior:
-    """Posterior treating the ledger's policies and censor set as fixed.
+    """Exact posterior treating the ledger's policies and censor set as fixed.
 
     Atom weight is proportional to prior weight times the canonical
-    ledger mass under the atom, restricted to the event. The exact route
-    raises the lattice numerators to the ledger's count signature; the
-    common denominator cancels. The float route adds the ledger's
-    transition log-mass and reward log-likelihood on the prior's
-    PriorTables, as the run loop does. Raises ZeroEvidence when the
-    conditioning is impossible.
+    ledger mass under the atom, restricted to the event: the lattice
+    numerators raised to the ledger's count signature, whose common
+    denominator cancels. Raises ZeroEvidence when the conditioning is
+    impossible.
     """
     if event is None:
         event = prior.full_event()
-    provenance = {"ledger": ledger.key(), "event": event, "exact": exact}
-    if not exact:
-        tables = shared_tables(prior)
-        translog, counts = tables.ledger_loglik(ledger)
-        return tables.posterior_from_loglik(translog + tables.reward_loglik(counts),
-                                            tables.event_mask(event), provenance)
     lattice = exact_lattice(prior)
     base = [w if i in event else 0 for i, w in enumerate(lattice.weights)]
     raw = lattice.masses(base, count_signature(ledger))
@@ -290,7 +283,7 @@ def canonical_posterior(
             f"ledger/event inconsistent with the prior "
             f"(|entries|={len(ledger)}, |event|={len(event)})"
         )
-    return Posterior(prior, normalized_weights(raw, total), provenance)
+    return Posterior(prior, normalized_weights(raw, total))
 
 
 def normalized_weights(raw: list, total) -> tuple:
@@ -444,15 +437,6 @@ class PriorTables:
                 out = out + np.log(self.trans[:, s.x - 1, s.a - 1, s.h - 1, nxt.x - 1])
         return out
 
-    def ledger_loglik(self, ledger: Ledger) -> tuple[np.ndarray, np.ndarray]:
-        """A ledger as (per-atom log transition mass, revealed-reward counts):
-        the LedgerState of its entries, pushed in order as the run loop
-        pushes them."""
-        state = LedgerState(self)
-        for _, traj in ledger.entries:
-            state.push_entry(traj)
-        return state.translog, state.reward_counts
-
     def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
         """Per-atom log reward mass for occurrence counts (same shape as counts).
 
@@ -469,7 +453,7 @@ class PriorTables:
         mask[list(event)] = True
         return mask
 
-    def posterior_from_loglik(self, loglik: np.ndarray, mask=None, provenance=None) -> Posterior:
+    def posterior_from_loglik(self, loglik: np.ndarray, mask=None) -> Posterior:
         """Normalize prior-weighted log-likelihoods into a float Posterior."""
         ll = self.log_weights + loglik
         if mask is not None:
@@ -479,7 +463,7 @@ class PriorTables:
             raise ZeroEvidence("all atoms have zero likelihood")
         w = np.exp(ll - top)
         w /= w.sum()
-        return Posterior(self.prior, w, provenance or {})
+        return Posterior(self.prior, w)
 
 
 class LedgerState:
@@ -527,14 +511,16 @@ class LedgerState:
     def occurrences(self) -> np.ndarray:
         return self._occ[:self._n_occ]
 
-    def posterior(self, what: str, mask: np.ndarray | None = None) -> Posterior:
+    def posterior(self, mask: np.ndarray | None = None) -> Posterior:
         """The canonical posterior of the entries' transitions alone (the
         censored ledger's), restricted to ``mask`` when one is given."""
-        return self.tables.posterior_from_loglik(self.translog, mask, {"signal": what})
+        return self.tables.posterior_from_loglik(self.translog, mask)
 
-    def revealed_posterior(self, counts: np.ndarray, what: str) -> Posterior:
+    def revealed_posterior(self, counts: np.ndarray) -> Posterior:
+        """The canonical posterior of the entries with the revealed-reward
+        ``counts``."""
         ll = self.translog + self.tables.reward_loglik(counts)
-        return self.tables.posterior_from_loglik(ll, provenance={"signal": what})
+        return self.tables.posterior_from_loglik(ll)
 
 
 def _float_vector(vec) -> list[float]:
@@ -615,21 +601,6 @@ class LatticePaths(NamedTuple):
     of_atom: list
 
 
-def _reward_ranks(atoms, triples: list, laws: dict) -> list:
-    """Per atom: (x, a, h, v) -> position of reward value v among the
-    positive-mass values of the atom's law at (x, a, h), or None when every
-    law of the atom lists them in increasing order, the order the lattice
-    enumerates them in. ``laws`` maps id to each distinct law of the atoms."""
-    positive = {k: [v for v, p in zip(d.support, d.probs) if p] for k, d in laws.items()}
-    unordered = {k for k, vals in positive.items() if vals != sorted(vals)}
-    out = []
-    for m in atoms:
-        ids = [id(m.reward_dist(*t)) for t in triples]
-        out.append(None if unordered.isdisjoint(ids) else
-                   {(*t, v): r for t, k in zip(triples, ids) for r, v in enumerate(positive[k])})
-    return out
-
-
 class ExactLattice:
     """A prior's exact masses and policy values as Python ints.
 
@@ -686,7 +657,6 @@ class ExactLattice:
             for k, v in enumerate(self.support):
                 self.columns[("reward", *t, v)] = tuple(nums[i][k] for i in law_ids)
             means[t] = [law_means[i] for i in law_ids]
-        self._ranks = _reward_ranks(atoms, triples, laws)
         self.value_den = mean_den * self.den ** H
         self.value_cols = [self._values(pol, means, H) for pol in self.policies]
 
@@ -765,10 +735,6 @@ class ExactLattice:
             for i, m in enumerate(ms):
                 if m:
                     of_atom[i].append(k)
-        for i, ranks in enumerate(self._ranks):
-            if ranks is not None:  # the atom lists reward values out of increasing order
-                of_atom[i].sort(key=lambda k: [(s.x, ranks[(s.x, s.a, s.h, s.r)])
-                                               for s in trajectories[k].steps])
         return LatticePaths(trajectories, masses, den, of_atom)
 
     def masses(self, base: list, signature) -> list:

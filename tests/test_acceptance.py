@@ -215,7 +215,7 @@ def test_criterion_8_oracle_equivalence(stoch_prior):
         pol = pols[pol_idx]
         traj = list(enumerate_trajectories(m, pol))[traj_idx][0]
         lam = raw_ledger(2, 2, 2, [(pol, traj)])
-        post = canonical_posterior(stoch_prior, lam, exact=True)
+        post = canonical_posterior(stoch_prior, lam)
         raw = [w * ledger_probability(a, lam)
                for a, w in zip(stoch_prior.atoms, stoch_prior.weights)]
         total = sum(raw)
@@ -265,7 +265,7 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
 
         def hook(ctx, log):
             if (8 - len(ctx.U)) >= 4 or ctx.ell == cfg_n.total_phases:
-                post = ctx.fast.revealed_posterior(ctx.hal_counts, "hal")
+                post = ctx.fast.revealed_posterior(ctx.hal_counts)
                 m_star = stoch_prior.atoms[log.true_atom]
                 out["mass"] = sum(
                     w for i, w in enumerate(post.weights)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ielab import (
@@ -22,9 +21,8 @@ from ielab import (
     run_game,
     totally_censor,
 )
-from ielab.agents import _mechanism_weights_float, episode_phase
+from ielab.agents import episode_phase
 from ielab.mdp import DiscreteDist
-from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import mechanism_posterior_from_table, p_hal_audit
 from ielab.priors import DiscretePrior
 
@@ -58,11 +56,11 @@ def test_mechanism_posterior_weights_and_limit(det_prior, det_config):
     node = table.nodes[2][0]
     lam = node.lam_hon
     k = det_config.n_lrn + 1  # an episode of phase 2
-    post, p_hal = mechanism_posterior(det_prior, det_config, k, lam, exact=True)
+    post, p_hal = mechanism_posterior(det_prior, det_config, k, lam)
     assert sum(post.weights) == 1
     assert 0 <= p_hal <= 1
-    limit, p0_hal = mechanism_posterior(det_prior, det_config, k, lam, exact=True, p0=0)
-    can = canonical_posterior(det_prior, lam, exact=True)
+    limit, p0_hal = mechanism_posterior(det_prior, det_config, k, lam, p0=0)
+    can = canonical_posterior(det_prior, lam)
     assert limit.weights == can.weights
     assert p0_hal == 0
 
@@ -73,7 +71,7 @@ def test_mechanism_posterior_matches_table(det_prior, det_config):
     for node in table.nodes[2]:
         for br in node.branches:
             k = det_config.n_lrn + 1
-            post, _ = mechanism_posterior(det_prior, det_config, k, br.ledger, exact=True)
+            post, _ = mechanism_posterior(det_prior, det_config, k, br.ledger)
             from_table = mechanism_posterior_from_table(table, 2, br.ledger)
             for i, w in enumerate(post.weights):
                 assert w == from_table.get(i, Fraction(0))
@@ -148,42 +146,36 @@ def test_fully_rational_oracle_unavailable():
         choose_policy(agent, 2, lam)
 
 
-class PosteriorRecorder(AgentSpec):
-    """A float fully rational agent that keeps, for every in-run choice,
-    the revealed ledger and the run loop's canonical and mechanism
-    posteriors of it."""
+class ChoiceRecorder(AgentSpec):
+    """A float agent that keeps, for every in-run choice, the materialized
+    signal ledger and the policy the run loop's float posterior chose."""
 
     def choose_signal(self, k, ell, kind, ctx):
-        counts = ctx.counts_of(kind)
-        p0 = float(hallucination_prior_prob(self.config, ell))
-        mech, p_hal = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
-                                               ctx.punish_mask, p0)
-        can = ctx.fast.revealed_posterior(counts, kind).weights
-        self.seen.append((k, ctx.signals[kind], can, mech, p_hal))
-        return super().choose_signal(k, ell, kind, ctx)
+        pol = super().choose_signal(k, ell, kind, ctx)
+        self.seen.append((k, ell, ctx.signals[kind], pol))
+        return pol
 
 
 @pytest.mark.parametrize("instance", ["det", "stoch"])
-def test_standalone_float_posteriors_equal_in_run(instance, det_prior, det_config,
+def test_in_run_float_choices_equal_exact_choices(instance, det_prior, det_config,
                                                   stoch_factored, stoch_prior):
-    """Standalone float canonical_posterior and mechanism_posterior of each
-    materialized signal ledger equal the run loop's posteriors bit for bit."""
+    """Every in-run float choice of both agent modes is the exact
+    ``AgentSpec.choose`` of the materialized signal ledger."""
     if instance == "det":
         prior, cfg, seeds = det_prior, det_config, range(10)
     else:
         cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                                  n_lrn_override=8, total_phases_override=40)
         prior, seeds = stoch_prior, range(5)
-    for seed in seeds:
-        agent = PosteriorRecorder("fully_rational", prior, cfg)
-        agent.seen = []
-        run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
-        # one choice per single-episode phase, two per later phase
-        assert len(agent.seen) == cfg.n_lrn + 2 * (cfg.total_phases - cfg.n_lrn)
-        for k, ledger, can, mech, p_hal in agent.seen:
-            assert np.array_equal(canonical_posterior(prior, ledger).weights, can)
-            post, p = mechanism_posterior(prior, cfg, k, ledger)
-            assert np.array_equal(post.weights, mech) and p == p_hal
+    for mode in ("canonical_truster", "fully_rational"):
+        for seed in seeds:
+            agent = ChoiceRecorder(mode, prior, cfg)
+            agent.seen = []
+            run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
+            # one choice per single-episode phase, two per later phase
+            assert len(agent.seen) == cfg.n_lrn + 2 * (cfg.total_phases - cfg.n_lrn)
+            for k, ell, ledger, pol in agent.seen:
+                assert agent.choose(k, ell, ledger) == pol
 
 
 def test_fully_rational_long_run_no_false_zero_evidence(stoch_prior):

@@ -254,7 +254,7 @@ def test_deterministic_simulation_lemma_invariant(det_prior, det_config, det_tab
 
     for p in log.phases:
         lam_hal = log.signals[p.ell]["hallucinated"]
-        post = canonical_posterior(det_prior, lam_hal, exact=True)
+        post = canonical_posterior(det_prior, lam_hal)
         U = frozenset(tuple(t) for t in p.U)
         for pol in det_tables.policies[::3]:
             h_cut = first_unexplored_stage(m_star, pol, U)

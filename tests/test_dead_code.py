@@ -1,8 +1,9 @@
 """Every public top-level function and class of ``src/ielab`` is named
-somewhere besides its own definition and the package's re-export: in the
-program, the tests, the demos or the benchmark. The files are parsed and
-searched as text, read-only, so nothing is imported or compiled next to
-them."""
+somewhere besides its own definition and the package's re-export, and
+every field of a ``src/ielab`` dataclass is read as an attribute
+somewhere: in the program, the tests, the demos or the benchmark. The
+files are parsed and searched as text, read-only, so nothing is imported
+or compiled next to them."""
 
 from __future__ import annotations
 
@@ -37,3 +38,36 @@ def test_public_names_are_used():
         if sum(len(word.findall(text)) for text in texts) <= 1:  # the definition
             unused.append(f"{module.stem}.{name}")
     assert not unused, f"public names nothing uses: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields() -> list[tuple[str, str]]:
+    """(class, field) of every field of a dataclass in ``src/ielab``."""
+    out = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out.extend((f"{module.stem}.{node.name}", item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name))
+    return out
+
+
+def test_dataclass_fields_are_read():
+    """A field that nothing reads as an attribute (``obj.field``, loaded)
+    is written for no one. Attribute names are matched across every
+    searched file, whatever the object's type."""
+    read = {node.attr for folder in SEARCHED
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, name in dataclass_fields() if name not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

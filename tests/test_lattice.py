@@ -1,14 +1,14 @@
 """Differential tests of the exact integer lattice against Fraction references.
 
 Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
-- canonical_posterior(exact=True) vs prior weights times
+- canonical_posterior vs prior weights times
   ledger_probability, normalized in Fractions;
 - bayes_greedy, greedy_set, conditional_value and canonical_gap vs
   Fraction sums of policy_value, ties included;
 - one_step_audit's argmax sets vs the Fraction argmax of the table's
   mechanism posterior;
 - the float mechanism posterior of the run loop
-  (agents._mechanism_weights_float) vs mechanism_posterior(exact=True);
+  (agents._mechanism_weights_float) vs the exact mechanism_posterior;
 - low_reward_table vs per-atom exact mean rewards;
 - the lattice's per-policy trajectory lists vs
   mdp.enumerate_trajectories, atom by atom, on the micro instances too;
@@ -166,9 +166,9 @@ def test_lattice_canonical_posterior_matches_fraction_reference(data):
     want = reference_weights(prior, ledger, event)
     if want is None:
         with pytest.raises(ZeroEvidence):
-            canonical_posterior(prior, ledger, event, exact=True)
+            canonical_posterior(prior, ledger, event)
         return
-    assert canonical_posterior(prior, ledger, event, exact=True).weights == want
+    assert canonical_posterior(prior, ledger, event).weights == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +181,7 @@ def test_lattice_values_and_greedy_match_fraction_argmax(data):
     ledger = draw_ledger(data.draw, prior)
     if reference_weights(prior, ledger, event) is None:
         ledger = raw_ledger(*prior.shape, [])
-    post = canonical_posterior(prior, ledger, event, exact=True)
+    post = canonical_posterior(prior, ledger, event)
     vals = reference_values(post)
     policies = enumerate_policies(*prior.shape)
     assert [conditional_value(post, p) for p in policies] == vals
@@ -336,8 +336,7 @@ class RecordingAgent(AgentSpec):
         p0 = float(hallucination_prior_prob(self.config, ell))
         fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
                                            ctx.counts_of(kind), ctx.punish_mask, p0)
-        exact, _ = mechanism_posterior(self.prior, self.config, k, ctx.signals[kind],
-                                       exact=True)
+        exact, _ = mechanism_posterior(self.prior, self.config, k, ctx.signals[kind])
         want = np.array([float(w) for w in exact.weights])
         self.errors.append(float(np.abs(fast - want).max()))
         return super().choose_signal(k, ell, kind, ctx)
@@ -399,8 +398,14 @@ def mixed_reward_order_prior() -> DiscretePrior:
 
 
 def test_lattice_paths_keep_each_atoms_reward_order():
-    """Each atom's list follows its own reward order."""
-    assert_paths_match(mixed_reward_order_prior())
+    """Both atoms store their law in increasing order, whatever order it
+    was listed in, and each atom's list follows it."""
+    prior = mixed_reward_order_prior()
+    laws = [m.reward_dist(1, 1, 1) for m in prior.atoms]
+    assert [law.support for law in laws] == [(0, 1), (0, 1)]
+    assert [law.probs for law in laws] == [(Fraction(2, 3), Fraction(1, 3)),
+                                           (Fraction(1, 2), Fraction(1, 2))]
+    assert_paths_match(prior)
 
 
 def per_atom_columns(prior) -> tuple[dict, int]:
@@ -458,7 +463,7 @@ def fraction_hygiene_tvs(prior, pairs) -> dict:
     out = {}
     for key, joint in groups.items():
         try:
-            can = canonical_posterior(prior, reps[key], exact=True)
+            can = canonical_posterior(prior, reps[key])
         except ZeroEvidence:
             out[key] = None
             continue

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -75,7 +76,7 @@ def test_sample_hallucinated_model_point_mass(det_prior):
 def test_sample_hallucinated_model_frequencies(det_prior):
     lam = totally_censor(raw_ledger(2, 2, 2, []))
     punish = punish_event(det_prior, frozenset({(1, 1, 1), (1, 1, 2)}), "0.1")
-    post = canonical_posterior(det_prior, lam, punish, exact=True)
+    post = canonical_posterior(det_prior, lam, punish)
     hal_post = hallucination_posterior(det_prior, lam, punish)
     rng = stream(11, "freq")
     n = 100_000
@@ -261,8 +262,7 @@ def test_p_hal_bound_values():
     assert p_hal_bound(Fraction(1, 2), 1) == Fraction(1, 2)
     assert p_hal_bound(1, Fraction(1, 7)) == 1
     assert p_hal_bound(Fraction(1, 10), Fraction(1, 2)) == Fraction(2, 11)
-    assert p_hal_bound(0.1, 0.5) == pytest.approx(1 / 5.5, abs=1e-12)
-    assert p_hal_bound(0, 0.5) == 0
+    assert p_hal_bound(0, Fraction(1, 2)) == 0
 
 
 def test_hh_condition():
@@ -471,24 +471,29 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
     ``hallucinate_ledger`` of its censored ledger, fed the phase's
     hal-rewards stream: the vectorized draw indexes the global reward
     support while ``DiscreteDist.sample`` indexes each law's own values,
-    and the two agree because every reward law lists its values in
-    increasing order. The config is the hal-rewards goldens' (eps_pun 3/4),
-    so the ledgers carry nonzero rewards."""
+    and the two agree because every law stores its values in increasing
+    order, also when micro_stoch_1's Bernoulli laws are listed as
+    (1, m), (0, 1 - m). The config is the hal-rewards goldens' (eps_pun
+    3/4), so the ledgers carry nonzero rewards."""
+    decreasing = dataclasses.replace(
+        stoch_factored, dist_of_mean=lambda m: DiscreteDist.of([(1, m), (0, 1 - m)])).expand()
+    assert decreasing.atoms[511].reward_dist(1, 1, 1).support == (0, 1)
     base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                               n_lrn_override=8, total_phases_override=40)
     cfg = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
-    nonzero = 0
-    for seed in range(3):
-        log = run_game(cfg, stoch_prior, make_agent(mode, stoch_prior, cfg), seed,
-                       episode_log="hallucination", keep_signals=True)
-        for p in log.phases:
-            signals = log.signals[p.ell]
-            U = frozenset(map(tuple, p.U))
-            want = hallucinate_ledger(signals["censored"], stoch_prior.atoms[p.hal_atom], U,
-                                      stream(seed, f"phase:{p.ell}:hal-rewards"))
-            assert signals["hallucinated"] == want
-            nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
-    assert nonzero > 0
+    for prior in (stoch_prior, decreasing):
+        nonzero = 0
+        for seed in range(3):
+            log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                           episode_log="hallucination", keep_signals=True)
+            for p in log.phases:
+                signals = log.signals[p.ell]
+                U = frozenset(map(tuple, p.U))
+                want = hallucinate_ledger(signals["censored"], prior.atoms[p.hal_atom], U,
+                                          stream(seed, f"phase:{p.ell}:hal-rewards"))
+                assert signals["hallucinated"] == want
+                nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
+        assert nonzero > 0
 
 
 def test_punish_mask_compares_mean_rewards_exactly():

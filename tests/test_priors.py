@@ -27,7 +27,7 @@ from ielab import (
     r_min,
     raw_ledger,
 )
-from ielab.priors import Posterior
+from ielab.priors import LedgerState, Posterior, shared_tables
 
 
 def test_f_min_examples(det_factored, det_prior):
@@ -84,7 +84,7 @@ def test_expansion_atoms_equal_build_model(det_factored, det_prior, stoch_factor
 
 
 def test_canonical_posterior_empty_ledger_is_prior(det_prior):
-    post = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []), exact=True)
+    post = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []))
     assert post.weights == det_prior.weights
 
 
@@ -93,7 +93,7 @@ def test_canonical_posterior_consistency_filter(det_prior):
     m = det_prior.atoms[200]
     traj = next(iter(enumerate_trajectories(m, pol)))[0]
     lam = raw_ledger(2, 2, 2, [(pol, traj)])
-    post = canonical_posterior(det_prior, lam, exact=True)
+    post = canonical_posterior(det_prior, lam)
     support = post.support()
     for i in support:
         atom = det_prior.atoms[i]
@@ -107,7 +107,7 @@ def test_canonical_posterior_brute_force_bayes(stoch_prior):
     m = stoch_prior.atoms[17]
     traj = list(enumerate_trajectories(m, pol))[1][0]
     lam = raw_ledger(2, 2, 2, [(pol, traj)])
-    post = canonical_posterior(stoch_prior, lam, exact=True)
+    post = canonical_posterior(stoch_prior, lam)
     raw = [
         w * ledger_probability(atom, lam)
         for atom, w in zip(stoch_prior.atoms, stoch_prior.weights)
@@ -122,11 +122,11 @@ def test_sequential_conditioning_consistency(stoch_prior):
     t1 = list(enumerate_trajectories(m, pols[2]))[0][0]
     t2 = list(enumerate_trajectories(m, pols[9]))[2][0]
     both = raw_ledger(2, 2, 2, [(pols[2], t1), (pols[9], t2)])
-    joint = canonical_posterior(stoch_prior, both, exact=True)
-    first = canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, [(pols[2], t1)]), exact=True)
+    joint = canonical_posterior(stoch_prior, both)
+    first = canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, [(pols[2], t1)]))
     # condition the reweighted prior on the second entry alone
     reweighted = DiscretePrior(stoch_prior.atoms, first.weights)
-    second = canonical_posterior(reweighted, raw_ledger(2, 2, 2, [(pols[9], t2)]), exact=True)
+    second = canonical_posterior(reweighted, raw_ledger(2, 2, 2, [(pols[9], t2)]))
     assert second.weights == joint.weights
 
 
@@ -137,32 +137,40 @@ def test_zero_evidence(det_prior):
     t2 = next(iter(enumerate_trajectories(m2, pol)))[0]
     lam = raw_ledger(2, 2, 2, [(pol, t1), (pol, t2)])
     with pytest.raises(ZeroEvidence):
-        canonical_posterior(det_prior, lam, exact=True)
+        canonical_posterior(det_prior, lam)
+
+
+def folded_state(prior, ledger) -> LedgerState:
+    """The run loop's float state of a ledger, its entries pushed in order."""
+    state = LedgerState(shared_tables(prior))
+    for _, traj in ledger.entries:
+        state.push_entry(traj)
+    return state
 
 
 def test_out_of_support_reward_has_mass_zero_on_both_routes(det_prior):
     """A revealed reward outside the support has mass 0 under every atom:
-    the exact and the float canonical posterior both raise ZeroEvidence.
-    Censoring that occurrence leaves a consistent ledger whose reward
-    counts skip it."""
-    import numpy as np
-
+    the exact canonical posterior and the run loop's float posterior of the
+    folded ledger both raise ZeroEvidence. Censoring that occurrence leaves
+    a consistent ledger whose reward counts skip it."""
     from ielab import Step, Trajectory, censor_ledger
-    from ielab.priors import shared_tables
 
     pol = enumerate_policies(2, 2, 2)[0]
     traj = next(iter(enumerate_trajectories(det_prior.atoms[5], pol)))[0]
     s = traj.steps[0]
     odd = Trajectory((Step(s.x, s.a, s.h, Fraction(1, 3)), *traj.steps[1:]))
     lam = raw_ledger(2, 2, 2, [(pol, traj), (pol, odd)])
-    for exact in (True, False):
-        with pytest.raises(ZeroEvidence):
-            canonical_posterior(det_prior, lam, exact=exact)
+    with pytest.raises(ZeroEvidence):
+        canonical_posterior(det_prior, lam)
+    state = folded_state(det_prior, lam)
+    with pytest.raises(ZeroEvidence):
+        state.revealed_posterior(state.reward_counts)
     censored = censor_ledger(lam, frozenset({(s.x, s.a, s.h)}))
-    translog, counts = shared_tables(det_prior).ledger_loglik(censored)
-    assert not counts[s.x - 1, s.a - 1, s.h - 1].any() and np.isfinite(translog).any()
-    exact = canonical_posterior(det_prior, censored, exact=True).weights
-    assert canonical_posterior(det_prior, censored).weights == pytest.approx(
+    state = folded_state(det_prior, censored)
+    counts = state.reward_counts
+    assert not counts[s.x - 1, s.a - 1, s.h - 1].any() and np.isfinite(state.translog).any()
+    exact = canonical_posterior(det_prior, censored).weights
+    assert state.revealed_posterior(counts).weights == pytest.approx(
         [float(w) for w in exact], abs=1e-12)
 
 
@@ -185,22 +193,23 @@ def test_conditional_value_linearity(det_prior):
         det_prior,
         raw_ledger(2, 2, 2, []),
         event=frozenset({33}),
-        exact=True,
     )
     assert conditional_value(point, pol) == policy_value(det_prior.atoms[33], pol)
     two = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []),
-                              event=frozenset({10, 20}), exact=True)
+                              event=frozenset({10, 20}))
     v = conditional_value(two, pol)
     expected = (policy_value(det_prior.atoms[10], pol)
                 + policy_value(det_prior.atoms[20], pol)) / 2
     assert v == expected
-    # the float route agrees
-    two_f = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []), event=frozenset({10, 20}))
+    # the run loop's float posterior of the same event agrees
+    tables = shared_tables(det_prior)
+    two_f = tables.posterior_from_loglik(np.zeros(det_prior.n),
+                                         tables.event_mask(frozenset({10, 20})))
     assert conditional_value(two_f, pol) == pytest.approx(float(expected), abs=1e-12)
 
 
 def test_canonical_gap_properties(stoch_prior, stoch_tables):
-    post = prior_as_posterior(stoch_prior, exact=True)
+    post = prior_as_posterior(stoch_prior)
     pols = stoch_tables.policies
     vals = [conditional_value(post, p) for p in pols]
     best = max(range(len(pols)), key=lambda i: vals[i])
@@ -218,7 +227,7 @@ def test_canonical_gap_properties(stoch_prior, stoch_tables):
 def test_canonical_gap_symmetric_split_is_zero(det_prior, det_tables):
     """Swapping actions 1 and 2 everywhere maps the class onto itself, so the
     two symmetric policy halves have equal best values under the prior."""
-    post = prior_as_posterior(det_prior, exact=True)
+    post = prior_as_posterior(det_prior)
     pols = det_tables.policies
     def swap(p):
         table = tuple(tuple(3 - a for a in row) for row in p.actions)
@@ -235,7 +244,7 @@ def test_canonical_gap_symmetric_split_is_zero(det_prior, det_tables):
 def test_bayes_greedy_point_mass_matches_dp(det_prior):
     for idx in (0, 77, 255):
         point = canonical_posterior(det_prior, raw_ledger(2, 2, 2, []),
-                                    event=frozenset({idx}), exact=True)
+                                    event=frozenset({idx}))
         pol = bayes_greedy(point)
         m = det_prior.atoms[idx]
         assert policy_value(m, pol) == optimal_value(m)
@@ -244,9 +253,9 @@ def test_bayes_greedy_point_mass_matches_dp(det_prior):
 def test_bayes_greedy_tie_break_smallest_encoding(det_prior):
     # flat prior: every policy has conditional value 0.8, so the canonical
     # tie-break must return encoding 0
-    post = prior_as_posterior(det_prior, exact=True)
+    post = prior_as_posterior(det_prior)
     assert bayes_greedy(post).encoding == 0
-    post_f = prior_as_posterior(det_prior)
+    post_f = shared_tables(det_prior).posterior_from_loglik(np.zeros(det_prior.n))
     assert bayes_greedy(post_f).encoding == 0
 
 
@@ -255,7 +264,7 @@ def test_bayes_greedy_brute_force(stoch_prior, stoch_tables):
     m = stoch_prior.atoms[100]
     traj = list(enumerate_trajectories(m, pol0))[3][0]
     lam = raw_ledger(2, 2, 2, [(pol0, traj)])
-    post = canonical_posterior(stoch_prior, lam, exact=True)
+    post = canonical_posterior(stoch_prior, lam)
     got = bayes_greedy(post)
     vals = {p.encoding: conditional_value(post, p)
             for p in stoch_tables.policies}
@@ -271,12 +280,10 @@ def test_bayes_greedy_rescaling_invariance(stoch_prior):
     m = stoch_prior.atoms[260]
     traj = list(enumerate_trajectories(m, pol0))[0][0]
     lam = raw_ledger(2, 2, 2, [(pol0, traj)])
-    post = canonical_posterior(stoch_prior, lam, exact=True)
+    post = canonical_posterior(stoch_prior, lam)
     raw = [w * ledger_probability(atom, lam) * 7
            for atom, w in zip(stoch_prior.atoms, stoch_prior.weights)]
     total = sum(raw)
-    from ielab.priors import Posterior
-
     scaled = Posterior(stoch_prior, tuple(v / total for v in raw))
     assert bayes_greedy(scaled) == bayes_greedy(post)
 
