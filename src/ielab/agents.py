@@ -29,7 +29,6 @@ from .priors import (
     bayes_greedy,
     canonical_posterior,
     exact_lattice,
-    normalized_weights,
 )
 
 
@@ -55,15 +54,15 @@ def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
         p0 = hallucination_prior_prob(config, episode_phase(config, k))
     U = revealed.censor_set
     punish = punish_event(prior, complement_triples(U, *prior.shape), config.eps_pun)
-    weights, p_hal = _mechanism_weights_exact(prior, revealed, punish, Fraction(p0))
-    return Posterior(prior, weights), p_hal
+    masses, p_hal = _mechanism_weights_exact(prior, revealed, punish, Fraction(p0))
+    return Posterior(prior, masses), p_hal
 
 
 def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
-    """The mechanism posterior on the prior's lattice.
+    """The mechanism posterior on the prior's lattice, as (nums, den), and p_hal.
 
-    With C the censored-ledger canonical numerators, b the revealed-reward
-    numerators (both over denominators shared by every atom) and
+    With C the censored-ledger canonical masses and b the revealed-reward
+    masses, both integers over denominators shared by every atom, and
     p0 = P/Q, the weight of atom i is proportional to
     C_i (P Sb + (Q - P) Sp b_i), where Sp and Sb sum C_i and C_i b_i over
     the punish event; (Sb, Sp) is taken as (0, 1) when Sp = 0, i.e. when
@@ -85,7 +84,7 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
     # p_hal = p0 A / (p0 A + (1 - p0) Pr[honest ledger]), A = Sb / Sp
     hal = P * Sb * sum(C)
     denom = hal + (Q - P) * Sp * sum(c * bi for c, bi in zip(C, b))
-    return normalized_weights(raw, total), Fraction(hal, denom) if denom else Fraction(0)
+    return (raw, total), Fraction(hal, denom) if denom else Fraction(0)
 
 
 def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.ndarray,

@@ -33,7 +33,7 @@ def eps_p_bound(delta: float, n_lrn: int, S: int) -> float:
 
 
 def _l1(p, q) -> Fraction:
-    """sum |p_i - q_i| as integer numerators over the lcm of the denominators."""
+    """sum |p_i - q_i| as integers over the lcm of the denominators."""
     den = math.lcm(*[v.denominator for v in (*p, *q)])
     return Fraction(sum([abs(a.numerator * (den // a.denominator)
                              - b.numerator * (den // b.denominator)) for a, b in zip(p, q)]),

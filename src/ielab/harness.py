@@ -62,8 +62,7 @@ PARAMS_COLUMNS = [
 
 _KNOWN_KEYS = {
     "kind", "prior", "mechanism", "agent", "seeds", "out", "exact",
-    "episode_log", "rho", "delta", "suite", "overrides", "phase_cap",
-    "sim_pairs", "perf_pairs",
+    "episode_log", "rho", "delta", "suite",
 }
 _KINDS = {"det-theorem", "prob-run", "hygiene", "one-step", "sim-lemma", "params"}
 
@@ -264,9 +263,6 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
         total_phases_override=mech_ov.get("total_phases"),
     )
     config = _apply_mechanism_overrides(cfg, base)
-    phase_cap = int(cfg.get("phase_cap", config.total_phases))
-    config = MechanismConfig(config.n_phase, config.n_lrn, config.eps_pun,
-                             min(config.total_phases, phase_cap), config.rho)
 
     def row(summary: dict) -> dict:
         return {"phases_to_exploration": summary["phases_to_coverage"],
@@ -404,13 +400,15 @@ def sample_similar_pair(rng: np.random.Generator):
     return base, other, U, rt, pol, eps
 
 
-def verify_sim_lemma(cfg: ExperimentConfig) -> list[dict]:
-    n_pairs = int(cfg.get("sim_pairs", 200))
-    n_perf = int(cfg.get("perf_pairs", 100))
+SIM_PAIRS = 200  # random similar pairs checked against the simulation lemma
+PERF_PAIRS = 100  # random model pairs checked against the performance-difference identity
+
+
+def verify_sim_lemma() -> list[dict]:
     rng = np.random.default_rng(7)
     violations = 0
     tested = 0
-    while tested < n_pairs:
+    while tested < SIM_PAIRS:
         base, other, U, rt, pol, eps = sample_similar_pair(rng)
         if eps == 0:
             continue
@@ -423,7 +421,7 @@ def verify_sim_lemma(cfg: ExperimentConfig) -> list[dict]:
         "ok": violations == 0,
     }]
     worst = Fraction(0)
-    for _ in range(n_perf):
+    for _ in range(PERF_PAIRS):
         S = int(rng.integers(2, 4))
         H = int(rng.integers(2, 4))
         m1 = random_model(rng, S, 1, H)
@@ -444,8 +442,8 @@ _SUITES = {
     "sim-lemma": verify_sim_lemma,
     "dist-equality": verify_dist_equality,
 }
-# suites that read the det game table instead of the experiment config,
-# with the number of phases each checks
+# suites that read the det game table, with the number of phases each
+# checks; the others take no input
 _ORACLE_DEPTH = {"hygiene": 2, "one-step": 3, "dist-equality": 2}
 
 
@@ -459,7 +457,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     checks = []
     for n in names:
         checks.extend(_SUITES[n](table, _ORACLE_DEPTH[n]) if n in _ORACLE_DEPTH
-                      else _SUITES[n](cfg))
+                      else _SUITES[n]())
     ok = all(c["ok"] for c in checks)
     report = {"suites": names, "checks": checks, "ok": ok}
     out_dir = cfg.get("out")

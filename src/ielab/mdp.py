@@ -137,8 +137,8 @@ def check_prob_vector(vec, negative: str, not_one: str, zero_ok: bool = True) ->
     zero_ok), else ValueError(not_one) unless the entries sum to exactly 1.
 
     Exact on Fractions and ints without Fraction arithmetic: signs are read
-    from the numerators, and the sum is taken as integer numerators over the
-    lcm of the denominators, which must equal that lcm.
+    from each numerator, and the sum is taken as ints over the lcm of the
+    denominators, which must equal that lcm.
     """
     lowest = 0 if zero_ok else 1
     if any(p.numerator < lowest for p in vec):

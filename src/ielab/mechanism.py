@@ -126,8 +126,12 @@ def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent) -> Post
 
 
 def sample_hallucinated_model(posterior: Posterior, rng):
-    """Draw one atom from a hallucination posterior; returns (atom index, model)."""
-    idx = rngmod.sample_index(posterior.weights, rng)
+    """Draw one atom from an exact hallucination posterior; returns (atom
+    index, model). Each weight is one correctly rounded int division,
+    float(Fraction(num, den)), so the draw is ``sample_index`` on the
+    posterior's weights."""
+    nums, den = posterior.masses
+    idx = rngmod.sample_index([v / den for v in nums], rng)
     return idx, posterior.prior.atoms[idx]
 
 
@@ -334,17 +338,14 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
     r_best = None
     punish_all = punish_event(prior, full, eps)
     for lam in ledgers:
-        post = canonical_posterior(prior, lam)
+        nums, den = canonical_posterior(prior, lam).masses
         if lam.censor_set == full:
-            q = sum(w for i, w in enumerate(post.weights) if i in punish_all)
+            q = Fraction(sum(nums[i] for i in punish_all), den)
             q_best = q if q_best is None or q < q_best else q_best
         if lam.censor_set:
             for t in lam.censor_set:
-                mean = sum(
-                    w * m.mean_reward(*t)
-                    for w, m in zip(post.weights, prior.atoms)
-                    if w
-                )
+                mean = Fraction(sum(v * m.mean_reward(*t)
+                                    for v, m in zip(nums, prior.atoms) if v), den)
                 r_best = mean if r_best is None or mean < r_best else r_best
     if q_best is None or r_best is None:
         raise ValueError("universe must contain totally- and partially-censored ledgers")

@@ -19,6 +19,7 @@ mechanisms act as negative controls for the hygiene checker.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +59,7 @@ from .priors import (
     canonical_posterior,
     exact_lattice,
     greedy_set,
+    over_common_den,
     policy_encodings,
 )
 
@@ -116,18 +118,16 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
                   cap) -> list[HalBranch]:
     """Enumerate realizable hallucinated-ledger values with exact masses."""
     post = hallucination_posterior(prior, lam_cens, punish)
-    support_atoms = [i for i, w in enumerate(post.weights) if w > 0]
+    nums, den = post.masses
+    lattice = exact_lattice(prior)
     # the triples of the revealed occurrences, in entry order
     occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
                    if (s.x, s.a, s.h) not in U]
-    # candidate reward values per occurrence
-    cand = []
-    for t in occurrences:
-        vals = set()
-        for i in support_atoms:
-            d = prior.atoms[i].reward_dist(*t)
-            vals.update(v for v, p in zip(d.support, d.probs) if p > 0)
-        cand.append(sorted(vals))
+    # candidate reward values per triple: those some support atom gives mass
+    values = {t: [v for v in sorted(lattice.support)
+                  if any(map(operator.mul, nums, lattice.columns[("reward", *t, v)]))]
+              for t in set(occurrences)}
+    cand = [values[t] for t in occurrences]
     n_assign = 1
     for c in cand:
         n_assign *= len(c)
@@ -135,8 +135,6 @@ def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 
     k_agent = phase_episodes(config, ell)[0]
-    lattice = exact_lattice(prior)
-    nums, den = post.numerators
     branches = []
     for assignment in product(*cand) if occurrences else [()]:
         rewards = Counter(("reward", *t, v) for t, v in zip(occurrences, assignment))
@@ -181,8 +179,8 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         lam_hon = censor_ledger(lam_raw, U)
         punish = punish_event(prior, explored, config.eps_pun)
         hal_event = punish if variant == "standard" else prior.full_event()
-        can_cens = canonical_posterior(prior, lam_cens)
-        q = sum(can_cens.weights[i] for i in punish)
+        nums, den = canonical_posterior(prior, lam_cens).masses
+        q = Fraction(sum(nums[i] for i in punish), den)
         branches = _hal_branches(prior, lam_cens, U, hal_event,
                                  agent, config, ell, cap)
         exploit_policy = None
@@ -375,9 +373,9 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
         q = nodes[0].pr_punish_given_cens
         for key, ent, p_hal in rows:
             # exact mechanism posterior at an episode of this phase
-            mech = _normalize(_mech_masses(ent, p0))
-            arg = greedy_set(Posterior(prior, tuple(mech.get(i, Fraction(0))
-                                                    for i in range(prior.n))))
+            mech = _mech_masses(ent, p0)
+            nums, _ = over_common_den([mech.get(i, 0) for i in range(prior.n)])
+            arg = greedy_set(Posterior(prior, (nums, sum(nums))))
             gap = None
             rhs = None
             holds = False
@@ -452,7 +450,7 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
     ``pairs`` is a list of (probability, atom index, revealed Ledger)
     covering the joint law of (true model, revealed ledger) under some
     mechanism. Per ledger, the true joint is taken as ints n over its lcm
-    and the canonical posterior as lattice numerators c, one per count
+    and the canonical posterior as lattice masses c, one per count
     signature, so TV = sum_i |n_i T_c - c_i T_n| / (2 T_n T_c) with T the
     totals; Fractions appear only in the returned maximum. Raises
     ZeroEvidence when a ledger has zero canonical mass.

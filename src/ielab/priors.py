@@ -7,8 +7,10 @@ ints over per-prior common denominators, so posteriors, conditional
 values and greedy choices are integer products and dot products. The
 lattice also lists each policy's trajectories once over the atoms'
 union support, with every atom's path masses as ints, for the oracle's
-game enumeration. Fractions appear only at the boundary, in the
-weights, values and gaps these functions return.
+game enumeration. An exact ``Posterior`` stores its lattice masses as
+they come, ``(nums, den)``: ints over one positive denominator.
+Fractions appear only at the boundary, in its ``weights`` view and in
+the values and gaps these functions return.
 
 Floats live only in the run loop: ``LedgerState`` accumulates a
 ledger's per-atom log-masses and reward counts entry by entry on the
@@ -84,35 +86,41 @@ class DiscretePrior:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized weights over a prior's atoms.
+    """A prior's atoms reweighted, aligned to prior.atoms.
 
-    ``weights`` is aligned to prior.atoms: a tuple of Fractions from the
-    ledger-level functions, a float ndarray from the run loop's
-    ``PriorTables.posterior_from_loglik``. Exact posteriors also carry
-    ``numerators`` = (ints, den) with weights[i] == ints[i] / den, the
-    form the lattice's integer dot products take.
+    ``masses`` is the stored form. An exact posterior, from the
+    ledger-level functions, stores ``(nums, den)``: the lattice's
+    nonnegative integer masses over one positive denominator, with
+    sum(nums) == den. The run loop's ``PriorTables.posterior_from_loglik``
+    stores a float ndarray of weights. ``weights`` is the Fraction view of
+    an exact posterior, or the float weights themselves.
     """
 
     prior: DiscretePrior
-    weights: tuple | np.ndarray = field(compare=False)
-    numerators: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    masses: tuple | np.ndarray = field(compare=False)
 
     def __post_init__(self):
         if self.exact:
-            den = math.lcm(*(w.denominator for w in self.weights))
-            nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
-            if sum(nums) != den:
-                raise ValueError("posterior weights must sum to 1")
-            object.__setattr__(self, "numerators", (nums, den))
-        elif abs(self.weights.sum() - 1.0) > _sum_error_bound(len(self.weights)):
+            nums, den = self.masses
+            if len(nums) != self.prior.n or min(nums) < 0 or not 0 < den == sum(nums):
+                raise ValueError("posterior masses must be n nonnegative ints summing to den")
+        elif abs(self.masses.sum() - 1.0) > _sum_error_bound(len(self.masses)):
             raise ValueError("posterior weights must sum to 1")
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.weights, np.ndarray)
+        return not isinstance(self.masses, np.ndarray)
+
+    @property
+    def weights(self) -> tuple | np.ndarray:
+        if self.exact:
+            nums, den = self.masses
+            return tuple(Fraction(v, den) for v in nums)
+        return self.masses
 
     def support(self) -> ModelEvent:
-        return frozenset(i for i, w in enumerate(self.weights) if w > 0)
+        return frozenset(i for i, w in enumerate(self.masses[0] if self.exact else self.masses)
+                         if w > 0)
 
 
 def _sum_error_bound(n: int) -> float:
@@ -135,7 +143,7 @@ def _sum_error_bound(n: int) -> float:
 
 
 def prior_as_posterior(prior: DiscretePrior) -> Posterior:
-    return Posterior(prior, prior.weights)
+    return Posterior(prior, over_common_den(prior.weights))
 
 
 @dataclass(frozen=True)
@@ -267,9 +275,9 @@ def canonical_posterior(
     """Exact posterior treating the ledger's policies and censor set as fixed.
 
     Atom weight is proportional to prior weight times the canonical
-    ledger mass under the atom, restricted to the event: the lattice
-    numerators raised to the ledger's count signature, whose common
-    denominator cancels. Raises ZeroEvidence when the conditioning is
+    ledger mass under the atom, restricted to the event: the lattice's
+    integer masses raised to the ledger's count signature, stored as they
+    are over their sum. Raises ZeroEvidence when the conditioning is
     impossible.
     """
     if event is None:
@@ -283,24 +291,19 @@ def canonical_posterior(
             f"ledger/event inconsistent with the prior "
             f"(|entries|={len(ledger)}, |event|={len(event)})"
         )
-    return Posterior(prior, normalized_weights(raw, total))
-
-
-def normalized_weights(raw: list, total) -> tuple:
-    """Exact posterior weights raw / total, as Fractions."""
-    return tuple(Fraction(v, total) for v in raw)
+    return Posterior(prior, (raw, total))
 
 
 def policy_values(posterior: Posterior) -> tuple:
     """(vals, den): the conditional value of every policy, in encoding order.
 
-    An exact posterior gives integer numerators on its lattice over one
-    positive denominator; a float posterior gives its weights times the
+    An exact posterior gives ints on its lattice over one positive
+    denominator; a float posterior gives its weights times the
     PriorTables value matrix, with den None.
     """
     if posterior.exact:
         lattice = exact_lattice(posterior.prior)
-        nums, den = posterior.numerators
+        nums, den = posterior.masses
         return lattice.policy_values(nums), den * lattice.value_den
     return posterior.weights @ shared_tables(posterior.prior).value_matrix, None
 
@@ -581,8 +584,8 @@ def low_reward_table(prior: DiscretePrior, eps) -> np.ndarray:
     return prior._cache[key]
 
 
-def _over_common_den(fracs) -> tuple[list[int], int]:
-    """Integer numerators of rationals over their least common denominator."""
+def over_common_den(fracs) -> tuple[list[int], int]:
+    """Rationals as ints over their least common denominator: (ints, den)."""
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
@@ -604,7 +607,7 @@ class LatticePaths(NamedTuple):
 class ExactLattice:
     """A prior's exact masses and policy values as Python ints.
 
-    - ``weights[i]``: prior weight numerators over their common denominator.
+    - ``weights[i]``: prior weights as ints over their common denominator.
     - ``columns[feature][i]``: atom i's mass of a count-signature feature
       (``ledgers.count_signature``) over one per-prior denominator ``den``:
       every init, transition and reward mass of every atom.
@@ -627,7 +630,7 @@ class ExactLattice:
         self.support = prior.atoms[0].reward_support
         self.policies = enumerate_policies(S, A, H)
         self._paths: dict = {}
-        self.weights, _ = _over_common_den(prior.weights)
+        self.weights, _ = over_common_den(prior.weights)
         atoms = prior.atoms
         triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
                    for h in range(1, H + 1)]
@@ -641,10 +644,10 @@ class ExactLattice:
                 vecs[id(m.transition(*t))] = m.transition(*t)
                 laws[id(m.reward_dist(*t))] = m.reward_dist(*t)
         vecs.update((k, [d.mass(v) for v in self.support]) for k, d in laws.items())
-        flat, self.den = _over_common_den([p for vec in vecs.values() for p in vec])
+        flat, self.den = over_common_den([p for vec in vecs.values() for p in vec])
         flat = iter(flat)
         nums = {k: [next(flat) for _ in vec] for k, vec in vecs.items()}
-        mean_nums, mean_den = _over_common_den([d.mean() for d in laws.values()])
+        mean_nums, mean_den = over_common_den([d.mean() for d in laws.values()])
         law_means = dict(zip(laws, mean_nums))
         self.columns = {("init", x + 1): tuple(nums[id(m.init)][x] for m in atoms)
                         for x in range(S)}
@@ -738,7 +741,7 @@ class ExactLattice:
         return LatticePaths(trajectories, masses, den, of_atom)
 
     def masses(self, base: list, signature) -> list:
-        """Per atom: base[i] times the atom's mass numerators raised to the
+        """Per atom: base[i] times the atom's integer masses raised to the
         signature's counts. The result is over base's denominator times
         den ** (total count)."""
         out = list(base)

@@ -1,9 +1,10 @@
 """Every public top-level function and class of ``src/ielab`` is named
 somewhere besides its own definition and the package's re-export, and
 every field of a ``src/ielab`` dataclass is read as an attribute
-somewhere: in the program, the tests, the demos or the benchmark. The
-files are parsed and searched as text, read-only, so nothing is imported
-or compiled next to them."""
+somewhere: in the program, the tests, the demos or the benchmark. Every
+config key the harness accepts is read by the program. The files are
+parsed and searched as text, read-only, so nothing is imported or
+compiled next to them."""
 
 from __future__ import annotations
 
@@ -71,3 +72,32 @@ def test_dataclass_fields_are_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f"{cls}.{name}" for cls, name in dataclass_fields() if name not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def known_config_keys() -> set[str]:
+    """The literal value of ``harness._KNOWN_KEYS``."""
+    for node in ast.parse((PACKAGE / "harness.py").read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_KNOWN_KEYS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("harness._KNOWN_KEYS not found")
+
+
+def test_config_keys_are_read():
+    """A config key is read when ``src/ielab`` looks it up by its literal
+    name: ``x.get("key", ...)`` or a loaded ``x["key"]``. An accepted key
+    that nothing reads is silently ignored."""
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and node.args):
+                key = node.args[0]
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                key = node.slice
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                read.add(key.value)
+    unread = sorted(known_config_keys() - read)
+    assert not unread, f"config keys nothing reads: {unread}"

@@ -16,6 +16,13 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig({"kind": "not-a-kind"})
 
 
+@pytest.mark.parametrize("key", ["overrides", "phase_cap", "sim_pairs", "perf_pairs"])
+def test_config_rejects_keys_nothing_reads(key):
+    """A key the harness would ignore is an error, not a silent no-op."""
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig({"kind": "det-theorem", key: 1})
+
+
 def test_config_seed_forms(monkeypatch):
     assert ExperimentConfig({"seeds": [3, 5]}).seeds() == [3, 5]
     assert ExperimentConfig({"seeds": {"range": [0, 3]}}).seeds() == [0, 1, 2, 3]

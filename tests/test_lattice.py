@@ -63,7 +63,7 @@ from ielab.analysis import sufficiently_visiting_policies
 from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
 from ielab import priors
-from ielab.priors import Posterior, exact_lattice, greedy_set
+from ielab.priors import Posterior, exact_lattice, greedy_set, over_common_den
 
 MAX_ATOMS = 64
 QUARTERS = [Fraction(k, 4) for k in range(5)]
@@ -282,7 +282,7 @@ def test_greedy_exact_tie_constructed():
                     reward_support=support),
     )
     prior = DiscretePrior(atoms, (Fraction(1, 3), Fraction(2, 3)))
-    post = Posterior(prior, prior.weights)
+    post = Posterior(prior, ((1, 2), 3))
     assert reference_values(post) == [Fraction(1, 3), Fraction(1, 3)]
     assert greedy_set(post) == frozenset({0, 1})
     assert bayes_greedy(post).encoding == 0
@@ -298,8 +298,8 @@ def _audit_against_reference(table, ell, target):
             entry = next(entries)
             assert entry.lam_hal_key == key
             mech = mechanism_posterior_from_table(table, ell, ent["ledger"])
-            post = Posterior(table.prior, tuple(mech.get(i, Fraction(0))
-                                                for i in range(table.prior.n)))
+            post = Posterior(table.prior, over_common_den([mech.get(i, 0)
+                                                           for i in range(table.prior.n)]))
             assert entry.argmax == reference_argmax(post)
     assert next(entries, None) is None
 

@@ -41,7 +41,7 @@ from ielab import (
 )
 from ielab.instances import random_model
 from ielab.mechanism import EpisodeRecord, hallucination_prior_prob
-from ielab.rng import stream
+from ielab.rng import index_from_uniform, stream
 
 
 def test_phase_structure():
@@ -91,6 +91,47 @@ def test_sample_hallucinated_model_frequencies(det_prior):
             continue
         se = (p * (1 - p) / n) ** 0.5
         assert abs(counts.get(i, 0) / n - p) <= 3 * se + 1e-9
+
+
+class _FixedUniform:
+    """An rng whose every ``random()`` is the same u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_sample_hallucinated_model_draws_as_index_from_uniform(det_prior, stoch_prior):
+    """The draw from the integer masses is the index index_from_uniform picks
+    from the Fraction weights, for every float partial sum of the weights,
+    its neighbours, 0, 1 - 2^-53 and random uniforms."""
+    lam = totally_censor(raw_ledger(2, 2, 2, []))
+    punish = punish_event(det_prior, frozenset({(1, 1, 1), (1, 1, 2)}), "0.1")
+    pols = enumerate_policies(2, 2, 2)
+    entries = []
+    for k in range(8):
+        pol = pols[(7 * k + 3) % 16]
+        trajs = list(enumerate_trajectories(stoch_prior.atoms[(17 * k + 5) % 512], pol))
+        entries.append((pol, trajs[k % len(trajs)][0]))
+    # the 8-entry posterior's den has 115 bits, so float(num) / float(den)
+    # rounds twice and misses some of its float weights
+    posts = [hallucination_posterior(det_prior, lam, punish),
+             canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, entries[:1])),
+             canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, entries))]
+    rng = np.random.default_rng(3)
+    for post in posts:
+        weights = post.weights
+        cum = np.cumsum([float(w) for w in weights])
+        us = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2),
+                             [0.0, 1 - 2.0 ** -53], rng.random(500)])
+        us = us[us < 1]
+        assert len(us) > 500
+        for u in us:
+            idx, model = sample_hallucinated_model(post, _FixedUniform(float(u)))
+            assert idx == index_from_uniform(weights, float(u))
+            assert model is post.prior.atoms[idx]
 
 
 def test_sample_hallucinated_model_zero_evidence(det_prior):
@@ -426,7 +467,6 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     from ielab import sample_trajectory
     from ielab.mechanism import _draw_hallucinated
     from ielab.priors import LedgerState
-    from ielab.rng import index_from_uniform
 
     fast = LedgerState(stoch_tables)
     steps = []

@@ -27,7 +27,7 @@ from ielab import (
     r_min,
     raw_ledger,
 )
-from ielab.priors import LedgerState, Posterior, shared_tables
+from ielab.priors import LedgerState, Posterior, over_common_den, shared_tables
 
 
 def test_f_min_examples(det_factored, det_prior):
@@ -274,8 +274,8 @@ def test_bayes_greedy_brute_force(stoch_prior, stoch_tables):
 
 
 def test_bayes_greedy_rescaling_invariance(stoch_prior):
-    """Scaling all unnormalized weights by a positive constant cannot change
-    the argmax; normalization makes the two posteriors literally equal."""
+    """Scaling all unnormalized masses by a positive constant cannot change
+    the argmax: over their sum they give the canonical posterior's weights."""
     pol0 = enumerate_policies(2, 2, 2)[1]
     m = stoch_prior.atoms[260]
     traj = list(enumerate_trajectories(m, pol0))[0][0]
@@ -283,9 +283,26 @@ def test_bayes_greedy_rescaling_invariance(stoch_prior):
     post = canonical_posterior(stoch_prior, lam)
     raw = [w * ledger_probability(atom, lam) * 7
            for atom, w in zip(stoch_prior.atoms, stoch_prior.weights)]
-    total = sum(raw)
-    scaled = Posterior(stoch_prior, tuple(v / total for v in raw))
+    nums, _ = over_common_den(raw)
+    scaled = Posterior(stoch_prior, (nums, sum(nums)))
+    assert scaled.weights == post.weights
     assert bayes_greedy(scaled) == bayes_greedy(post)
+
+
+def test_exact_posterior_masses_are_checked(det_prior):
+    """An exact posterior stores n nonnegative ints over a positive den
+    equal to their sum; a negative mass is rejected even when the sum
+    holds."""
+    n = det_prior.n
+    post = Posterior(det_prior, ((3, 1) + (0,) * (n - 2), 4))
+    assert post.weights[:3] == (Fraction(3, 4), Fraction(1, 4), 0)
+    assert post.support() == {0, 1}
+    for masses in [((2, -1) + (0,) * (n - 2), 1),
+                   ((1,) * n, n + 1),
+                   ((0,) * n, 0),
+                   ((1,), 1)]:
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            Posterior(det_prior, masses)
 
 
 def test_expansion_cap():
