@@ -7,8 +7,11 @@ the 2-phase micro_stoch_1 oracle table, and the node-level content of
 three oracle tables: every agent choice, branch mass and one-step audit
 entry. ``golden/stoch_full_log.json`` holds the digests of full-log
 ``run_game`` runs on micro_stoch_1, whose stochastic transitions and
-Bernoulli rewards exercise every branch of trajectory sampling. A
-changed golden is either a bug
+Bernoulli rewards exercise every branch of trajectory sampling.
+``golden/sim_lemma_instances.json`` holds a SHA-256 over every random
+model, set, policy, reward function and eps that ``verify_sim_lemma``
+draws from ``default_rng(7)``, so a faster way to draw them cannot
+change the certified instances. A changed golden is either a bug
 or a declared format change; regenerate the files only for the latter,
 with
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -32,12 +36,14 @@ import pytest
 from ielab import det_parameters, instances, mechanism, oracle
 from ielab.agents import make_agent
 from ielab.cli import main
-from ielab.harness import _det_target_provider
+from ielab.harness import PERF_PAIRS, SIM_PAIRS, _det_target_provider, sample_similar_pair
+from ielab.instances import random_model
 from ielab.priors import shared_tables
 
 GOLDEN = Path(__file__).parent / "golden" / "log_digests.json"
 VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_checks.json"
 STOCH_FULL_GOLDEN = Path(__file__).parent / "golden" / "stoch_full_log.json"
+SIM_LEMMA_GOLDEN = Path(__file__).parent / "golden" / "sim_lemma_instances.json"
 
 _STOCH = ["--override", 'prior={"micro":"stoch1"}', "--override", "mechanism.n_lrn=8",
           "--override", "mechanism.total_phases=40", "--seeds", "0..4"]
@@ -136,6 +142,47 @@ def test_golden_stoch_full_log():
     assert stoch_full_log_digests() == json.loads(STOCH_FULL_GOLDEN.read_text())
 
 
+def _model_text(m) -> str:
+    """Every field of a TabularModel, one canonical line."""
+    triples = [(x, a, h) for x in range(1, m.S + 1) for a in range(1, m.A + 1)
+               for h in range(1, m.H + 1)]
+    rows = [[str(p) for p in m.transition(*t)] for t in triples]
+    laws = [[f"{v}:{p}" for v, p in zip(m.reward_dist(*t).support, m.reward_dist(*t).probs)]
+            for t in triples]
+    return json.dumps([m.S, m.A, m.H, [str(p) for p in m.init], rows, laws,
+                       [str(v) for v in m.reward_support]])
+
+
+def sim_lemma_instances() -> dict:
+    """SHA-256 over the instance stream of ``verify_sim_lemma``: every
+    ``sample_similar_pair`` draw (both models, U, the policy, the reward
+    function and eps, also the eps = 0 draws it skips), then the
+    performance-difference model pairs, drawn in the same order from
+    ``default_rng(7)``."""
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    draws = tested = 0
+    while tested < SIM_PAIRS:
+        base, other, U, rt, pol, eps = sample_similar_pair(rng)
+        draws += 1
+        tested += eps != 0
+        for line in (_model_text(base), _model_text(other), json.dumps(sorted(U)),
+                     json.dumps(pol.actions), json.dumps(sorted((t, str(v)) for t, v in rt.items())),
+                     str(eps)):
+            digest.update(line.encode() + b"\n")
+    for _ in range(PERF_PAIRS):
+        S = int(rng.integers(2, 4))
+        H = int(rng.integers(2, 4))
+        for m in (random_model(rng, S, 1, H), random_model(rng, S, 1, H)):
+            digest.update(_model_text(m).encode() + b"\n")
+    return {"similar_pair_draws": draws, "perf_models": 2 * PERF_PAIRS,
+            "sha256": digest.hexdigest()}
+
+
+def test_golden_sim_lemma_instances():
+    assert sim_lemma_instances() == json.loads(SIM_LEMMA_GOLDEN.read_text())
+
+
 def verify_checks(out_dir) -> list[list]:
     """[name, value, ok] of every check ``verify --suite all`` reports."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -209,6 +256,8 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     STOCH_FULL_GOLDEN.write_text(
         json.dumps(stoch_full_log_digests(), indent=2, sort_keys=True) + "\n")
+    SIM_LEMMA_GOLDEN.write_text(
+        json.dumps(sim_lemma_instances(), indent=2, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"verify": verify_checks(tmp), "stoch_table": stoch_table_values(),
                "tables": oracle_tables()}
