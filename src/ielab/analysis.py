@@ -4,6 +4,7 @@ simulation gaps, performance differences, good-model sets, estimators."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from .mdp import (
     complement_triples,
     enumerate_policies,
     event_visit_probability,
+    int_means,
+    int_parts,
     policy_value,
 )
 
@@ -74,8 +77,11 @@ def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleS
     ``rtilde`` maps (x,a,h) to [0,1]; the step-h term is still counted
     when the U-visit happens at step h itself.
     """
-    return sum((mass * as_fraction(rtilde((x, a, h)))
-                for x, a, h, mass in absorbing_steps(model, policy, U)), Fraction(0))
+    steps, den = absorbing_steps(model, policy, U)
+    rts = [as_fraction(rtilde((x, a, h))) for x, a, h, _ in steps]
+    r_den = math.lcm(*[r.denominator for r in rts])
+    return Fraction(sum(mass * r.numerator * (r_den // r.denominator)
+                        for (_, _, _, mass), r in zip(steps, rts)), den * r_den)
 
 
 def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
@@ -114,18 +120,26 @@ def performance_difference(model1: TabularModel, model2: TabularModel, policy: M
     decomposition dict) with per-stage reward and transition terms.
     """
     H = model1.H
-    V2 = _stage_values(model2, policy)
-    lhs = policy_value(model1, policy) - sum(p * v for p, v in zip(model2.init, V2[0]))
-    init_term = sum((p1 - p2) * v for p1, p2, v in zip(model1.init, model2.init, V2[0]))
-    reward_terms = [Fraction(0)] * H
-    trans_terms = [Fraction(0)] * (H - 1)
+    D1, init1, trans1 = int_parts(model1)
+    D2, init2, trans2 = int_parts(model2)
+    (M1, means1), (M2, means2) = int_means(model1), int_means(model2)
+    V2, W = _stage_values(model2, policy)  # stage h over W[h-1]
+    lhs = policy_value(model1, policy) - Fraction(sum(map(operator.mul, init2, V2[0])),
+                                                 D2 * W[0])
+    init_term = Fraction(sum((p1 * D2 - p2 * D1) * v for p1, p2, v in zip(init1, init2, V2[0])),
+                         D1 * D2 * W[0])
+    reward_nums = [0] * H
+    trans_nums = [0] * (H - 1)
     # with no absorbing set, the masses are model1's state occupancies
-    for x, a, h, mass in absorbing_steps(model1, policy, frozenset()):
-        reward_terms[h - 1] += mass * (model1.mean_reward(x, a, h)
-                                       - model2.mean_reward(x, a, h))
+    steps, occ_den = absorbing_steps(model1, policy, frozenset())
+    for x, a, h, mass in steps:
+        t = (x, a, h)
+        reward_nums[h - 1] += mass * (means1[t] * M2 - means2[t] * M1)
         if h < H:
-            rows = zip(model1.transition(x, a, h), model2.transition(x, a, h), V2[h])
-            trans_terms[h - 1] += mass * sum((p1 - p2) * v for p1, p2, v in rows)
+            rows = zip(trans1[t], trans2[t], V2[h])
+            trans_nums[h - 1] += mass * sum((p1 * D2 - p2 * D1) * v for p1, p2, v in rows)
+    reward_terms = [Fraction(n, occ_den * M1 * M2) for n in reward_nums]
+    trans_terms = [Fraction(n, occ_den * D1 * D2 * W[h]) for h, n in enumerate(trans_nums, 1)]
     rhs = init_term + sum(reward_terms) + sum(trans_terms)
     return lhs, rhs, {"init_term": init_term, "reward_terms": reward_terms,
                       "transition_terms": trans_terms}

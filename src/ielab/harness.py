@@ -392,9 +392,12 @@ def sample_similar_pair(rng: np.random.Generator):
     H = int(rng.integers(2, 4))
     base = random_model(rng, S, A, H)
     other = perturb_model(rng, base, Fraction(1, 8))
-    U = frozenset(t for t in all_triples(S, A, H) if rng.random() < 0.3)
+    # one call per draw kind, each the same stream as one scalar call per triple
+    triples = list(all_triples(S, A, H))
+    U = frozenset(t for t, u in zip(triples, rng.random(len(triples)).tolist()) if u < 0.3)
     pol = MarkovPolicy.from_encoding(int(rng.integers(0, A ** (S * H))), S, A, H)
-    rt = {t: Fraction(int(rng.integers(0, 5)), 4) for t in all_triples(S, A, H)}
+    quarters = [Fraction(k, 4) for k in range(5)]
+    rt = {t: quarters[k] for t, k in zip(triples, rng.integers(0, 5, size=len(triples)).tolist())}
     rep = similarity(base, other, complement_triples(U, S, A, H))
     eps = rep.max_distance()
     return base, other, U, rt, pol, eps

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mdp import DiscreteDist, TabularModel, as_fraction, build_model
+from .mdp import DiscreteDist, TabularModel, as_fraction
 from .priors import FactoredRewardPrior
 
 
@@ -79,68 +79,80 @@ def micro_stoch_1() -> FactoredRewardPrior:
     )
 
 
-def _random_prob_vector(rng: np.random.Generator, n: int, grid: int = 64) -> list[Fraction]:
-    """Random rational probability vector on a 1/grid lattice."""
-    cuts = sorted(int(rng.integers(0, grid + 1)) for _ in range(n - 1))
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(Fraction(c - prev, grid))
-        prev = c
-    parts.append(Fraction(grid - prev, grid))
-    return parts
+GRID = 64  # random probabilities are multiples of 1/GRID
+_GRID_FRACTIONS = tuple(Fraction(k, GRID) for k in range(GRID + 1))
+
+
+def _grid_vector(cuts) -> tuple[Fraction, ...]:
+    """The probability vector cut from [0, GRID] at the sorted cuts."""
+    cuts = sorted(cuts)
+    return tuple(_GRID_FRACTIONS[b - a] for a, b in zip([0, *cuts], [*cuts, GRID]))
 
 
 def random_model(rng: np.random.Generator, S: int, A: int, H: int,
                  support=(0, Fraction(1, 2), 1)) -> TabularModel:
-    """Random rational tabular model (for property tests)."""
+    """Random rational tabular model (for property tests).
+
+    Every probability vector is cut from a 1/GRID lattice at uniform
+    integer points. All of a model's cuts come from one
+    ``rng.integers(0, GRID + 1, size=n)`` call, the same stream as n
+    scalar calls, taken in the order init, then per (x, a, h) the
+    transition row (h < H) and the reward law.
+    """
     support = tuple(as_fraction(v) for v in support)
-    init = _random_prob_vector(rng, S)
-    transitions = {}
-    rewards = {}
-    for x in range(1, S + 1):
-        for a in range(1, A + 1):
+    k = len(support)
+    n_cuts = (S - 1) + S * A * ((H - 1) * (S - 1) + H * (k - 1))
+    cuts = rng.integers(0, GRID + 1, size=n_cuts).tolist()
+    pos = 0
+
+    def vector(n: int) -> tuple[Fraction, ...]:
+        nonlocal pos
+        pos += n - 1
+        return _grid_vector(cuts[pos - n + 1:pos])
+
+    init = vector(S)
+    sink = tuple(Fraction(int(y == 0)) for y in range(S))
+    trans, rewards = [], []
+    for _ in range(S):
+        t_x, r_x = [], []
+        for _ in range(A):
+            t_xa, r_xa = [], []
             for h in range(1, H + 1):
-                if h < H:
-                    transitions[(x, a, h)] = _random_prob_vector(rng, S)
-                probs = _random_prob_vector(rng, len(support))
-                while all(p == 0 for p in probs):
-                    probs = _random_prob_vector(rng, len(support))
-                pairs = [(v, p) for v, p in zip(support, probs)]
-                rewards[(x, a, h)] = DiscreteDist.of(pairs)
-    return build_model(S, A, H, init, transitions, rewards, reward_support=support)
+                t_xa.append(vector(S) if h < H else sink)
+                r_xa.append(DiscreteDist(support, vector(k)))
+            t_x.append(tuple(t_xa))
+            r_x.append(tuple(r_xa))
+        trans.append(tuple(t_x))
+        rewards.append(tuple(r_x))
+    return TabularModel(S, A, H, init, tuple(trans), tuple(rewards), tuple(sorted(support)))
 
 
 def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction,
-                  grid: int = 64) -> TabularModel:
+                  grid: int = GRID) -> TabularModel:
     """A model with transitions (and init) perturbed by at most ~scale in l1.
 
-    Rewards are redrawn independently; similarity ignores rewards.
+    Rewards are kept; similarity ignores rewards. Each vector draws its
+    two indices in one call and, when they differ, the amount moved
+    between them.
     """
+    budget = as_fraction(scale) / 2
+
     def shift(vec):
-        vec = list(vec)
-        n = len(vec)
-        if n == 1:
+        if len(vec) == 1:
             return vec
-        budget = as_fraction(scale) / 2
-        i, j = rng.integers(0, n), rng.integers(0, n)
+        i, j = rng.integers(0, len(vec), size=2).tolist()
         if i == j:
             return vec
+        vec = list(vec)
         amount = min(budget, vec[i]) * Fraction(int(rng.integers(0, grid + 1)), grid)
         vec[i] -= amount
         vec[j] += amount
-        return vec
+        return tuple(vec)
 
+    S, A, H = model.S, model.A, model.H
     init = shift(model.init)
-    transitions = {}
-    rewards = {}
-    for x in range(1, model.S + 1):
-        for a in range(1, model.A + 1):
-            for h in range(1, model.H + 1):
-                if h < model.H:
-                    transitions[(x, a, h)] = shift(model.transition(x, a, h))
-                rewards[(x, a, h)] = model.reward_dist(x, a, h)
-    return build_model(
-        model.S, model.A, model.H, init, transitions, rewards,
-        reward_support=model.reward_support,
-    )
+    sink = tuple(Fraction(int(y == 0)) for y in range(S))
+    trans = tuple(tuple(tuple(shift(model.transition(x, a, h)) if h < H else sink
+                              for h in range(1, H + 1))
+                        for a in range(1, A + 1)) for x in range(1, S + 1))
+    return TabularModel(S, A, H, init, trans, model.rewards, tuple(sorted(model.reward_support)))

@@ -10,6 +10,7 @@ lives in ``priors.PriorTables``.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,13 +72,18 @@ class DiscreteDist:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support/probs length mismatch")
-        order = sorted(range(len(self.support)), key=self.support.__getitem__)
-        if order != list(range(len(order))):
-            object.__setattr__(self, "support", tuple(self.support[i] for i in order))
+        # adjacent comparisons, no hashing: an increasing support has no
+        # duplicates, and a sorted one has its duplicates side by side
+        support = self.support
+        increasing = all(a < b for a, b in zip(support, support[1:]))
+        if not increasing:
+            order = sorted(range(len(support)), key=support.__getitem__)
+            support = tuple(support[i] for i in order)
+            object.__setattr__(self, "support", support)
             object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
         check_prob_vector(self.probs, "negative probability",
                            "probabilities must sum to 1 exactly")
-        if len(set(self.support)) != len(self.support):
+        if not increasing and any(a == b for a, b in zip(support, support[1:])):
             raise ValueError("duplicate support values")
 
     @staticmethod
@@ -212,27 +218,8 @@ class TabularModel:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if min(self.S, self.A, self.H) < 1:
-            raise ValueError("S, A, H must be positive")
-        if len(self.init) != self.S:
-            raise ValueError("init length != S")
-        check_prob_vector(self.init, "init: negative entry", "init: does not sum to 1")
-        support = set(self.reward_support)
-        for x in range(self.S):
-            for a in range(self.A):
-                for h in range(self.H):
-                    vec = self.trans[x][a][h]
-                    if len(vec) != self.S:
-                        raise ValueError("transition row length != S")
-                    what = f"transitions({x+1},{a+1},{h+1})"
-                    check_prob_vector(vec, f"{what}: negative entry",
-                                       f"{what}: does not sum to 1")
-                    dist = self.rewards[x][a][h]
-                    for v, p in zip(dist.support, dist.probs):
-                        if not 0 <= v.numerator <= v.denominator:
-                            raise ValueError("reward support outside [0,1]")
-                        if p.numerator > 0 and v not in support:
-                            raise ValueError("reward value outside global support")
+        check_model_parts(self.S, self.A, self.H, self.init, self.trans, self.rewards,
+                          self.reward_support)
 
     def transition(self, x: int, a: int, h: int) -> tuple[Fraction, ...]:
         return self.trans[x - 1][a - 1][h - 1]
@@ -260,6 +247,52 @@ class TabularModel:
                                 det = False
             self._cache["det"] = det
         return self._cache["det"]
+
+
+def check_model_parts(S, A, H, init, trans, rewards, reward_support) -> None:
+    """TabularModel's checks, in its order: the shape, the init vector,
+    then per (x, a, h) the transition row and the reward law."""
+    if min(S, A, H) < 1:
+        raise ValueError("S, A, H must be positive")
+    if len(init) != S:
+        raise ValueError("init length != S")
+    check_prob_vector(init, "init: negative entry", "init: does not sum to 1")
+    support = support_pairs(reward_support)
+    for x in range(S):
+        for a in range(A):
+            for h in range(H):
+                vec = trans[x][a][h]
+                if len(vec) != S:
+                    raise ValueError("transition row length != S")
+                what = f"transitions({x+1},{a+1},{h+1})"
+                check_prob_vector(vec, f"{what}: negative entry",
+                                   f"{what}: does not sum to 1")
+                check_reward_law(rewards[x][a][h], support)
+
+
+def support_pairs(values) -> set:
+    """The values as (numerator, denominator) pairs: a set that tests
+    membership by int hashes, not Fraction ones."""
+    return {(v.numerator, v.denominator) for v in values}
+
+
+def check_reward_law(dist: DiscreteDist, support: set) -> None:
+    """A law's values lie in [0, 1], and those of positive mass in the
+    global support, given as ``support_pairs``."""
+    for v, p in zip(dist.support, dist.probs):
+        if not 0 <= v.numerator <= v.denominator:
+            raise ValueError("reward support outside [0,1]")
+        if p.numerator > 0 and (v.numerator, v.denominator) not in support:
+            raise ValueError("reward value outside global support")
+
+
+def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> TabularModel:
+    """A TabularModel from parts its caller has already run through
+    ``check_model_parts``; skips the per-model checks of ``__post_init__``."""
+    model = object.__new__(TabularModel)
+    model.__dict__.update(S=S, A=A, H=H, init=init, trans=trans, rewards=rewards,
+                          reward_support=reward_support, _cache={})
+    return model
 
 
 def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_state=1):
@@ -315,31 +348,71 @@ def reward_table(S, A, H, rewards) -> tuple:
 # exact DP primitives
 
 
-def _stage_values(model: TabularModel, policy: MarkovPolicy) -> list[list[Fraction]]:
-    """pi's value-to-go vectors by backward DP over mean rewards.
+def int_parts(model: TabularModel) -> tuple:
+    """The model's init and transition entries as ints over one common
+    denominator, built once per model: (den, init, trans), with init[x-1]
+    and trans[x, a, h][y-1] over den.
 
-    Entry h-1 holds E^pi[sum of rewards from stage h on | x_h = x] over
-    the states x, for h = 1..H+1; the stage-(H+1) vector is all zeros.
+    The exact DPs below run on these, so a product or a sum costs no gcd;
+    each returns its result over a power of the denominators.
     """
+    if "ints" not in model._cache:
+        triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
+                   for h in range(1, model.H + 1)]
+        rows = [model.init] + [model.transition(*t) for t in triples]
+        den = math.lcm(*[p.denominator for row in rows for p in row])
+        rows = [[p.numerator * (den // p.denominator) for p in row] for row in rows]
+        model._cache["ints"] = den, rows[0], dict(zip(triples, rows[1:]))
+    return model._cache["ints"]
+
+
+def int_means(model: TabularModel) -> tuple:
+    """The model's mean rewards as ints over one common denominator, built
+    once per model: (mean_den, means), with means[x, a, h] over mean_den."""
+    if "int_means" not in model._cache:
+        triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
+                   for h in range(1, model.H + 1)]
+        terms = [[(v.numerator * p.numerator, v.denominator * p.denominator)
+                  for v, p in zip(d.support, d.probs)]
+                 for d in (model.reward_dist(*t) for t in triples)]
+        mean_den = math.lcm(*[d for law in terms for _, d in law])
+        means = [sum(n * (mean_den // d) for n, d in law) for law in terms]
+        model._cache["int_means"] = mean_den, dict(zip(triples, means))
+    return model._cache["int_means"]
+
+
+def _stage_values(model: TabularModel, policy: MarkovPolicy) -> tuple[list, list]:
+    """pi's value-to-go vectors by backward DP over mean rewards, as ints.
+
+    Returns (values, dens): values[h-1][x-1] / dens[h-1] is E^pi[sum of
+    rewards from stage h on | x_h = x], for h = 1..H+1, with dens[h-1] =
+    mean_den * den ** (H - h) (``int_parts``, ``int_means``); stage H+1
+    is all zeros.
+    """
+    den, _, trans = int_parts(model)
+    mean_den, means = int_means(model)
     S, H = model.S, model.H
-    values = [[Fraction(0)] * S]
+    values = [[0] * S]
     for h in range(H, 0, -1):
         togo = values[-1]
+        scale = den ** (H - h)
         nxt = []
         for x in range(1, S + 1):
             a = policy.action(x, h)
-            v = model.mean_reward(x, a, h)
+            v = means[x, a, h] * scale
             if h < H:
-                v += sum(p * g for p, g in zip(model.transition(x, a, h), togo))
+                v += sum(map(operator.mul, trans[x, a, h], togo))
             nxt.append(v)
         values.append(nxt)
     values.reverse()
-    return values
+    return values, [mean_den * den ** (H - h) for h in range(1, H + 1)] + [mean_den]
 
 
 def policy_value(model: TabularModel, policy: MarkovPolicy) -> Fraction:
     """E^pi[sum of rewards] by backward DP over mean rewards; in [0, H]."""
-    return sum(p * v for p, v in zip(model.init, _stage_values(model, policy)[0]))
+    values, dens = _stage_values(model, policy)
+    den, init, _ = int_parts(model)
+    return Fraction(sum(map(operator.mul, init, values[0])), den * dens[0])
 
 
 def optimal_value(model: TabularModel) -> Fraction:
@@ -569,39 +642,58 @@ def reach_set(model, rho) -> TripleSet:
     return frozenset(out)
 
 
-def absorbing_steps(model, policy, U: TripleSet) -> list:
+def absorbing_steps(model, policy, U: TripleSet) -> tuple[list, int]:
     """Every step pi takes up to and including its first U-visit, with its mass.
 
-    Returns (x, a, h, mass) in stage order, where mass = P^pi[x_h = x, no
-    U-visit strictly before h]; a U-visit absorbs its mass. Steps of zero
-    mass are left out.
+    Returns ([(x, a, h, mass)] in stage order, den), where mass / den =
+    P^pi[x_h = x, no U-visit strictly before h], an int over one
+    denominator; a U-visit absorbs its mass. Steps of zero mass are left
+    out.
     """
-    S = model.S
-    alpha = model.init
+    den, init, trans = int_parts(model)
+    H = model.H
+    alpha = init  # stage-h masses are over den ** h
     steps = []
-    for h in range(1, model.H + 1):
-        # int zeros, cheaper than Fraction(0): a state no mass reaches is
-        # skipped, and mass that reaches one makes its entry a Fraction
-        nxt = [0] * S
+    for h in range(1, H + 1):
+        scale = den ** (H - h)
+        nxt = [0] * model.S
         for x, mass in enumerate(alpha, 1):
             if not mass:
                 continue
             a = policy.action(x, h)
-            steps.append((x, a, h, mass))
-            if (x, a, h) in U or h == model.H:
+            steps.append((x, a, h, mass * scale))
+            if (x, a, h) in U or h == H:
                 continue
-            row = model.transition(x, a, h)
-            for y in range(S):
-                if row[y]:
-                    nxt[y] += mass * row[y]
+            for y, p in enumerate(trans[x, a, h]):
+                if p:
+                    nxt[y] += mass * p
         alpha = nxt
-    return steps
+    return steps, den ** H
+
+
+def reachable_triples(model, policy) -> TripleSet:
+    """Every (x, a, h) that pi visits with positive probability: the
+    support of ``absorbing_steps`` with nothing absorbing, found from the
+    signs of init and transition entries alone. So
+    ``event_visit_probability(model, policy, U) > 0`` exactly when this
+    set meets U."""
+    states = [x for x, p in enumerate(model.init, 1) if p]
+    out = set()
+    for h in range(1, model.H + 1):
+        nxt = set()
+        for x in states:
+            a = policy.action(x, h)
+            out.add((x, a, h))
+            if h < model.H:
+                nxt.update(y for y, p in enumerate(model.transition(x, a, h), 1) if p)
+        states = nxt
+    return frozenset(out)
 
 
 def event_visit_probability(model, policy, U: TripleSet) -> Fraction:
     """P^pi[some step's (x,a,h) lands in U], via an absorbing visited flag."""
-    return sum((mass for x, a, h, mass in absorbing_steps(model, policy, U)
-                if (x, a, h) in U), Fraction(0))
+    steps, den = absorbing_steps(model, policy, U)
+    return Fraction(sum(mass for x, a, h, mass in steps if (x, a, h) in U), den)
 
 
 def occupancy_omega(model, policy, U: TripleSet) -> dict:
@@ -609,11 +701,8 @@ def occupancy_omega(model, policy, U: TripleSet) -> dict:
 
     Summing the mapping over U reproduces event_visit_probability.
     """
-    return {
-        (x, a, h): mass
-        for x, a, h, mass in absorbing_steps(model, policy, U)
-        if (x, a, h) in U
-    }
+    steps, den = absorbing_steps(model, policy, U)
+    return {(x, a, h): Fraction(mass, den) for x, a, h, mass in steps if (x, a, h) in U}
 
 
 def deterministic_trajectory(model, policy) -> Trajectory:

@@ -38,8 +38,8 @@ from .mdp import (
     all_triples,
     as_fraction,
     complement_triples,
-    event_visit_probability,
     reach_set,
+    reachable_triples,
     rollout,
     rollout_rows,
 )
@@ -559,14 +559,17 @@ def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarr
     return counts, values
 
 
-def _hh_exploring_policies(tables: PriorTables, true_model: TabularModel,
+def _hh_exploring_policies(tables: PriorTables, reachable: list,
                            U: TripleSet) -> frozenset | None:
     """Encodings of the policies that visit U under the true model with
     positive probability (the deterministic-class reading of the rho_0
     target), or None when that splits the policy space degenerately.
+    ``reachable[j]`` is the ``reachable_triples`` of policy j under the
+    true model; a policy visits U with positive probability exactly when
+    those meet U.
     """
-    inside = frozenset(pol.encoding for pol in tables.policies
-                       if event_visit_probability(true_model, pol, U) > 0)
+    inside = frozenset(pol.encoding for pol, reach in zip(tables.policies, reachable)
+                       if not reach.isdisjoint(U))
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
@@ -634,6 +637,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
     rho = config.rho if config.rho is not None else Fraction(1)
     target = reach_set(true_model, rho)
+    if track_hh:  # the support of each policy under the true model, once per run
+        reachable = [reachable_triples(true_model, pol) for pol in tables.policies]
     hal_entries: list = []
     fast = LedgerState(tables)
     log = GameLog(
@@ -675,7 +680,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             punish_mask = tables.event_mask(punish_event(prior, explored, eps))
             punish_size = int(punish_mask.sum())
             if track_hh:
-                hh_inside = _hh_exploring_policies(tables, true_model, U)
+                hh_inside = _hh_exploring_policies(tables, reachable, U)
         cens_post = fast.posterior()
         punish_prob = float(cens_post.weights[punish_mask].sum())
         try:

@@ -18,6 +18,7 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -77,12 +78,14 @@ class HalBranch:
 class PhaseNode:
     """One realizable (history, phase) point of the game tree.
 
-    ``weights[atom]`` is the joint mass Pr[true model = atom and the raw
-    hallucination history equals this node's history].
+    ``masses[atom]`` over ``den`` is the joint mass Pr[true model = atom
+    and the raw hallucination history equals this node's history], an
+    int; ``weights`` is the same as Fractions.
     """
 
     ell: int
-    weights: dict
+    masses: dict
+    den: int
     U: TripleSet
     lam_cens: Ledger
     lam_hon: Ledger
@@ -91,8 +94,12 @@ class PhaseNode:
     branches: list
     exploit_policy: MarkovPolicy | None
 
+    @functools.cached_property
+    def weights(self) -> dict:
+        return {i: Fraction(v, self.den) for i, v in self.masses.items()}
+
     def mass(self) -> Fraction:
-        return sum(self.weights.values())
+        return Fraction(sum(self.masses.values()), self.den)
 
 
 @dataclass
@@ -114,11 +121,17 @@ class JointTable:
         return out
 
 
-def _hal_branches(prior, lam_cens, U, punish, agent, config, ell,
+def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
                   cap) -> list[HalBranch]:
-    """Enumerate realizable hallucinated-ledger values with exact masses."""
-    post = hallucination_posterior(prior, lam_cens, punish)
-    nums, den = post.masses
+    """Enumerate realizable hallucinated-ledger values with exact masses.
+
+    ``nums`` are the censored ledger's canonical masses restricted to the
+    event: the masses of ``hallucination_posterior``, the same lattice
+    ints, without a second pass.
+    """
+    den = sum(nums)
+    if not den:
+        hallucination_posterior(prior, lam_cens, event)  # raises its ZeroEvidence
     lattice = exact_lattice(prior)
     # the triples of the revealed occurrences, in entry order
     occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
@@ -167,7 +180,8 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
 
     marginal = table.model_marginal
 
-    def recurse(weights: dict, history: list, ell: int):
+    def recurse(masses: dict, den: int, history: list, ell: int):
+        """masses[atom] over den: the node's joint masses, as ints."""
         nonlocal n_nodes
         n_nodes += 1
         if n_nodes > cap:
@@ -179,42 +193,52 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         lam_hon = censor_ledger(lam_raw, U)
         punish = punish_event(prior, explored, config.eps_pun)
         hal_event = punish if variant == "standard" else prior.full_event()
-        nums, den = canonical_posterior(prior, lam_cens).masses
-        q = Fraction(sum(nums[i] for i in punish), den)
-        branches = _hal_branches(prior, lam_cens, U, hal_event,
-                                 agent, config, ell, cap)
+        nums, cens_den = canonical_posterior(prior, lam_cens).masses
+        on_punish = [v if i in punish else 0 for i, v in enumerate(nums)]
+        q = Fraction(sum(on_punish), cens_den)
+        branches = _hal_branches(prior, on_punish if variant == "standard" else nums,
+                                 lam_cens, U, hal_event, agent, config, ell, cap)
         exploit_policy = None
         episodes = phase_episodes(config, ell)
         if len(episodes) > 1:
             exploit_policy = agent.choose(episodes[0], ell, lam_hon)
-        table.nodes[ell].append(
-            PhaseNode(ell, dict(weights), U, lam_cens, lam_hon, punish, q,
-                      branches, exploit_policy)
-        )
+        node = PhaseNode(ell, masses, den, U, lam_cens, lam_hon, punish, q,
+                         branches, exploit_policy)
+        table.nodes[ell].append(node)
+        if ell == phases:
+            # the last phase's trajectories only feed the marginal, which
+            # gets each atom's mass times the branches' total probability
+            total = sum(br.prob for br in branches)
+            terms = last_terms.setdefault(den * total.denominator, {})
+            for i, v in masses.items():
+                terms[i] = terms.get(i, 0) + v * total.numerator
         for br in branches:
             # building the policy's paths checks that, under every atom,
             # its trajectory masses sum to exactly 1
             paths = lattice.paths(br.policy)
-            if ell == phases:  # the last phase's trajectories only feed the marginal
-                for i, w in weights.items():
-                    marginal[i] = marginal.get(i, 0) + w * br.prob
+            if ell == phases:
                 continue
+            child_den = den * br.prob.denominator * paths.den
             children: dict = {}  # path index -> {atom: joint mass}, atom-major order
-            for i, w in weights.items():
-                if not w:
-                    continue
-                mass = w * br.prob
+            for i, v in masses.items():
+                v *= br.prob.numerator
                 # an atom yields each trajectory once, so its mass is set, not summed
                 for k in paths.of_atom[i]:
                     child = children.get(k)
                     if child is None:
                         child = children[k] = {}
-                    child[i] = mass * Fraction(paths.masses[k][i], paths.den)
+                    child[i] = v * paths.masses[k][i]
             for k, atom_masses in children.items():
-                recurse(atom_masses, history + [(br.policy, paths.trajectories[k])], ell + 1)
+                recurse(atom_masses, child_den, history + [(br.policy, paths.trajectories[k])],
+                        ell + 1)
 
+    last_terms: dict = {}  # den -> {atom: int}: the marginal's terms by denominator
     if phases:
-        recurse(dict(enumerate(prior.weights)), [], 1)
+        weights, den = over_common_den(prior.weights)
+        recurse(dict(enumerate(weights)), den, [], 1)
+        for den, terms in last_terms.items():
+            for i, v in terms.items():
+                marginal[i] = marginal.get(i, 0) + Fraction(v, den)
     else:
         marginal.update(enumerate(prior.weights))
     return table
@@ -256,7 +280,8 @@ def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
         law_hon = {}
         total = Fraction(0)
         for node in nodes:
-            mass = sum(w for i, w in node.weights.items() if i in node.punish)
+            mass = Fraction(sum(v for i, v in node.masses.items() if i in node.punish),
+                            node.den)
             if mass:
                 key = node.lam_hon.key()
                 law_hon[key] = law_hon.get(key, Fraction(0)) + mass

@@ -40,9 +40,13 @@ from .mdp import (
     TabularModel,
     Trajectory,
     as_fraction,
+    check_model_parts,
     check_prob_vector,
+    check_reward_law,
+    checked_parts_model,
     enumerate_policies,
     reward_table,
+    support_pairs,
     transition_table,
 )
 
@@ -210,7 +214,12 @@ class FactoredRewardPrior:
         return True
 
     def expand(self, cap: int = FACTORED_EXPANSION_CAP) -> DiscretePrior:
-        """Cartesian product of transition atoms and reward assignments."""
+        """Cartesian product of transition atoms and reward assignments.
+
+        Atoms of zero weight are left out. The checks of TabularModel run
+        once per transition table and once per reward law, not per atom,
+        and raise what building the atoms one by one would raise first.
+        """
         triples = sorted(self.reward_marginals)
         sizes = [len(self.reward_marginals[t].support) for t in triples]
         n = len(self.transition_atoms)
@@ -220,23 +229,36 @@ class FactoredRewardPrior:
             raise CapExceeded(f"factored expansion {n} exceeds cap {cap}")
         lifted = self._lifted()
         support = tuple(sorted(as_fraction(v) for v in self.global_support(lifted)))
+        pairs = support_pairs(support)
         S, A, H = self.S, self.A, self.H
+        # the choices an atom of positive weight can take, in product order
+        choice_sets = [[(p.numerator, p.denominator, law) for _, p, law in lifted[t] if p]
+                       for t in triples]
+        laws_checked = False
         atoms, weights = [], []
-        choice_sets = [lifted[t] for t in triples]
         for init, transitions, tw in self.transition_atoms:
             # coerced once per transition atom; its reward combinations share them
             init_t, trans = transition_table(S, A, H, init, transitions)
+            tw = as_fraction(tw)
+            if not tw:
+                continue
+            first = reward_table(S, A, H, {t: c[0][2] for t, c in zip(triples, choice_sets)})
+            check_model_parts(S, A, H, init_t, trans, first, support)
+            if not laws_checked:
+                # the first atom to fail varies the last triple with a
+                # failing law, at its first failing choice
+                for choices in reversed(choice_sets):
+                    for _, _, law in choices[1:]:
+                        check_reward_law(law, pairs)
+                laws_checked = True
             for combo in product(*choice_sets):
-                w = as_fraction(tw)
-                rewards = {}
-                for t, (_, p, law) in zip(triples, combo):
-                    w *= p
-                    rewards[t] = law
-                if w == 0:
-                    continue
-                atoms.append(TabularModel(S, A, H, init_t, trans,
-                                          reward_table(S, A, H, rewards), support))
-                weights.append(w)
+                num, den = tw.numerator, tw.denominator
+                for p_num, p_den, _ in combo:
+                    num *= p_num
+                    den *= p_den
+                rewards = reward_table(S, A, H, {t: law for t, (_, _, law) in zip(triples, combo)})
+                atoms.append(checked_parts_model(S, A, H, init_t, trans, rewards, support))
+                weights.append(Fraction(num, den))
         return DiscretePrior(tuple(atoms), tuple(weights))
 
 
@@ -280,16 +302,16 @@ def canonical_posterior(
     are over their sum. Raises ZeroEvidence when the conditioning is
     impossible.
     """
-    if event is None:
-        event = prior.full_event()
     lattice = exact_lattice(prior)
-    base = [w if i in event else 0 for i, w in enumerate(lattice.weights)]
+    base = lattice.weights
+    if event is not None:
+        base = [w if i in event else 0 for i, w in enumerate(base)]
     raw = lattice.masses(base, count_signature(ledger))
     total = sum(raw)
     if not total:
         raise ZeroEvidence(
             f"ledger/event inconsistent with the prior "
-            f"(|entries|={len(ledger)}, |event|={len(event)})"
+            f"(|entries|={len(ledger)}, |event|={prior.n if event is None else len(event)})"
         )
     return Posterior(prior, (raw, total))
 

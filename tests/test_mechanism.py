@@ -40,7 +40,9 @@ from ielab import (
     totally_censor,
 )
 from ielab.instances import random_model
-from ielab.mechanism import EpisodeRecord, hallucination_prior_prob
+from ielab.mdp import event_visit_probability, reachable_triples
+from ielab.mechanism import EpisodeRecord, _hh_exploring_policies, hallucination_prior_prob
+from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
 
 
@@ -433,6 +435,40 @@ def test_run_game_hh_condition_and_U_monotone(det_prior, det_config):
             prev_U = U
             assert p.hh_condition in (None, True)
         assert any(p.hh_condition is True for p in log.phases)
+
+
+def test_hh_exploring_policies_equal_positive_visit_probability(det_prior, det_config,
+                                                                 stoch_prior):
+    """The exploring-policy set read from reachable triples equals the set
+    of policies whose exact probability of visiting U is positive, for
+    every U the runs pass through: det seeds 0..9 and a stoch run, both
+    with track_hh."""
+    def check(cfg, prior, seeds):
+        tables = shared_tables(prior)
+        seen = set()
+
+        def hook(ctx, log):
+            true_model = prior.atoms[log.true_atom]
+            if (log.true_atom, ctx.U) in seen:
+                return
+            seen.add((log.true_atom, ctx.U))
+            reachable = [reachable_triples(true_model, pol) for pol in tables.policies]
+            want = frozenset(pol.encoding for pol in tables.policies
+                             if event_visit_probability(true_model, pol, ctx.U) > 0)
+            want = want if 0 < len(want) < len(tables.policies) else None
+            assert _hh_exploring_policies(tables, reachable, ctx.U) == want
+
+        for seed in seeds:
+            agent = make_agent("fully_rational", prior, cfg)
+            run_game(cfg, prior, agent, seed, episode_log="hallucination", track_hh=True,
+                     phase_hook=hook)
+        return seen
+
+    det_seen = check(det_config, det_prior, range(10))
+    stoch_seen = check(MechanismConfig(8, 2, Fraction(7, 2880), 24, rho=Fraction(1, 4)),
+                       stoch_prior, range(2))
+    # U shrinks within the runs, so each run checks more than one set
+    assert len(det_seen) > 10 and len(stoch_seen) > 2
 
 
 def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ielab import (
     DegenerateSplit,
@@ -27,6 +30,7 @@ from ielab import (
     r_min,
     raw_ledger,
 )
+from ielab.mdp import TabularModel, as_fraction, reward_table, transition_table
 from ielab.priors import LedgerState, Posterior, over_common_den, shared_tables
 
 
@@ -81,6 +85,130 @@ def test_expansion_atoms_equal_build_model(det_factored, det_prior, stoch_factor
             )
         per_transition_atom = {id(atom.trans) for atom in prior.atoms}
         assert len(per_transition_atom) == len(fp.transition_atoms)
+
+
+def expand_atom_by_atom(fp: FactoredRewardPrior) -> DiscretePrior:
+    """The expansion as each atom used to be built: every TabularModel
+    through its own checks, every weight a product of Fractions."""
+    triples = sorted(fp.reward_marginals)
+    lifted = fp._lifted()
+    support = tuple(sorted(as_fraction(v) for v in fp.global_support(lifted)))
+    atoms, weights = [], []
+    for init, transitions, tw in fp.transition_atoms:
+        init_t, trans = transition_table(fp.S, fp.A, fp.H, init, transitions)
+        for combo in product(*(lifted[t] for t in triples)):
+            w = as_fraction(tw)
+            for _, p, _ in combo:
+                w *= p
+            if w == 0:
+                continue
+            rewards = reward_table(fp.S, fp.A, fp.H,
+                                   {t: law for t, (_, _, law) in zip(triples, combo)})
+            atoms.append(TabularModel(fp.S, fp.A, fp.H, init_t, trans, rewards, support))
+            weights.append(w)
+    return DiscretePrior(tuple(atoms), tuple(weights))
+
+
+def outcome(build, fp):
+    """The built prior's (atoms, weights), or the raised (type, message)."""
+    try:
+        prior = build(fp)
+    except Exception as e:  # noqa: BLE001 - the type is part of the outcome
+        return type(e), str(e)
+    return prior.atoms, prior.weights
+
+
+def two_atom_prior(row=(Fraction(1, 2), Fraction(1, 2)), law_values=(0, 1), support=None,
+                   first_row=(Fraction(1, 2), Fraction(1, 2)), laws=None):
+    """micro_stoch_1's shape with the transition atoms' (1, 2, 1) rows and
+    the two mean values of the reward laws given (per triple in ``laws``,
+    ``law_values`` elsewhere), each with mass 1/2."""
+    half = Fraction(1, 2)
+    first = {(x, a, 1): [half, half] for x in (1, 2) for a in (1, 2)}
+    second = dict(first)
+    first[(1, 2, 1)] = list(first_row)
+    second[(1, 2, 1)] = list(row)
+    laws = laws or {}
+    marginals = {t: DiscreteDist.of([(v, half) for v in laws.get(t, law_values)])
+                 for t in product((1, 2), repeat=3)}
+    return FactoredRewardPrior(2, 2, 2, transition_atoms=(([half, half], first, half),
+                                                          ([half, half], second, half)),
+                               reward_marginals=marginals, reward_support=support)
+
+
+def test_expand_checks_every_transition_atom_and_law():
+    """expand checks shared parts once, yet a bad row in the second
+    transition atom, or a law with mass outside the global support, raises
+    the message building that atom on its own raises; with several faults,
+    the first atom built one by one picks the message."""
+    bad_row = two_atom_prior(row=(Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError, match=r"^transitions\(1,2,1\): does not sum to 1$"):
+        bad_row.expand()
+    off_support = two_atom_prior(law_values=(0, Fraction(1, 2)), support=(0, 1))
+    with pytest.raises(ValueError, match="^reward value outside global support$"):
+        off_support.expand()
+    # second choices fail at (1,1,1) and (2,2,2): the atoms vary the last
+    # triple first, so (2,2,2)'s law fails first
+    two_laws = two_atom_prior(support=(0, 1), laws={(1, 1, 1): (0, Fraction(3, 2)),
+                                                    (2, 2, 2): (0, Fraction(1, 2))})
+    with pytest.raises(ValueError, match="^reward value outside global support$"):
+        two_laws.expand()
+    # the first atom meets (1,1,1)'s law (mean -1/4 sorts first) before the (1,2,1) row
+    law_then_row = two_atom_prior(first_row=(Fraction(1, 2), Fraction(1, 3)),
+                                  laws={(1, 1, 1): (Fraction(-1, 4), 0)})
+    with pytest.raises(ValueError, match=r"^reward support outside \[0,1\]$"):
+        law_then_row.expand()
+    for fp in (bad_row, off_support, two_laws, law_then_row, two_atom_prior()):
+        assert outcome(FactoredRewardPrior.expand, fp) == outcome(expand_atom_by_atom, fp)
+
+
+MEANS = [0, Fraction(1, 2), Fraction(7, 10), 1] * 4 + [Fraction(3, 2), Fraction(-1, 4)]
+
+
+@st.composite
+def faulty_factored_priors(draw):
+    """Small factored priors, some with a fault: a transition row that
+    does not sum to 1, has a negative entry or the wrong length, a mean
+    outside [0, 1], a reward value outside an explicit global support,
+    zero-mass choices or a zero-weight transition atom."""
+    S, A, H = (draw(st.integers(1, 2)) for _ in range(3))
+    triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
+               for h in range(1, H + 1)]
+
+    def vector(n):
+        cut = Fraction(draw(st.integers(0, 4)), 4)
+        vec = [cut, 1 - cut] if n == 2 else [Fraction(1)]
+        fault = draw(st.sampled_from(["none"] * 24 + ["sum", "negative", "length"]))
+        if fault == "sum":
+            vec[0] += Fraction(1, 8)
+        elif fault == "negative" and n == 2:
+            vec = [Fraction(-1, 4), Fraction(5, 4)]
+        elif fault == "length":
+            vec = vec + [Fraction(0)]
+        return vec
+
+    n_atoms = draw(st.integers(1, 3))
+    tws = [Fraction(draw(st.integers(0, 2)), 1) for _ in range(n_atoms - 1)] + [Fraction(1)]
+    total = sum(tws)
+    atoms = tuple((vector(S), {(x, a, h): vector(S) for x, a, h in triples if h < H},
+                   tw / total) for tw in tws)
+    marginals = {}
+    for t in triples:
+        values = list(dict.fromkeys(draw(st.lists(st.sampled_from(MEANS), min_size=1,
+                                                  max_size=2))))
+        masses = [Fraction(1)] if len(values) == 1 else draw(st.sampled_from(
+            [[Fraction(1, 2)] * 2, [Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]))
+        marginals[t] = DiscreteDist(tuple(values), tuple(masses))
+    support = draw(st.sampled_from([None, (0, 1), (0, Fraction(1, 2), 1)]))
+    return FactoredRewardPrior(S, A, H, atoms, marginals, reward_support=support)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulty_factored_priors())
+def test_expand_matches_atom_by_atom_build(fp):
+    """Same atoms and weights, or the same error type and message, as
+    building and checking every atom on its own."""
+    assert outcome(FactoredRewardPrior.expand, fp) == outcome(expand_atom_by_atom, fp)
 
 
 def test_canonical_posterior_empty_ledger_is_prior(det_prior):
