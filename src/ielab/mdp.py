@@ -2,7 +2,11 @@
 
 States, actions and stages are 1-based everywhere (x in [S], a in [A],
 h in [H]). All probabilities and reward values are stored as exact
-`Fraction`s, and every DP primitive computes in them. Sampling reads
+`Fraction`s. The value and absorbing DPs run on a model's ints over one
+common denominator (``int_parts``, ``int_means``, built once per model),
+so no operation pays a gcd, and return Fractions. A model's checks come
+in parts (``check_model_parts``), so a builder whose models share
+transition rows and reward laws can check each once. Sampling reads
 float cumulative rows built once per model; the float posterior route
 lives in ``priors.PriorTables``.
 """

@@ -2,12 +2,13 @@
 
 Everything here runs in exact arithmetic: posteriors, branch masses,
 agent choices, argmax sets and trajectory masses on the prior's integer
-lattice (``priors.ExactLattice``), with Fractions only where a mass or a
-value enters the table or a query result. Each policy's trajectories are
+lattice (``priors.ExactLattice``), and each node's joint masses as ints
+over one denominator per node, with Fractions only where a mass or a
+value enters a query result. Each policy's trajectories are
 enumerated once for all atoms and checked, in integers, to carry every
 atom's full mass; so the last phase, whose trajectories only feed the
-model marginal, adds each branch's mass without listing them. The joint
-table enumerates,
+model marginal, adds each node's masses times its branches' total
+probability without listing them. The joint table enumerates,
 phase by phase, every realizable combination of (true model, raw
 hallucination-episode history, hallucinated-ledger realization), and the
 query helpers marginalize it to verify hygiene, the honest/hallucinated
@@ -179,6 +180,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     n_nodes = 0
 
     marginal = table.model_marginal
+    last_terms: dict = {}  # den -> {atom: int}: the marginal's terms by denominator
 
     def recurse(masses: dict, den: int, history: list, ell: int):
         """masses[atom] over den: the node's joint masses, as ints."""
@@ -232,13 +234,12 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
                 recurse(atom_masses, child_den, history + [(br.policy, paths.trajectories[k])],
                         ell + 1)
 
-    last_terms: dict = {}  # den -> {atom: int}: the marginal's terms by denominator
     if phases:
         weights, den = over_common_den(prior.weights)
         recurse(dict(enumerate(weights)), den, [], 1)
-        for den, terms in last_terms.items():
+        for term_den, terms in last_terms.items():
             for i, v in terms.items():
-                marginal[i] = marginal.get(i, 0) + Fraction(v, den)
+                marginal[i] = marginal.get(i, 0) + Fraction(v, term_den)
     else:
         marginal.update(enumerate(prior.weights))
     return table
@@ -482,10 +483,14 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
     """
     groups: dict = {}
     reps: dict = {}
+    last = None
     for prob, atom, ledger in pairs:
-        key = ledger.key()
-        reps[key] = ledger
-        groups.setdefault(key, []).append((atom, prob))
+        if ledger is not last:  # a node's pairs share its ledger: one key each
+            last = ledger
+            key = ledger.key()
+            reps[key] = ledger
+            members = groups.setdefault(key, [])
+        members.append((atom, prob))
     lattice = exact_lattice(prior)
     canonical: dict = {}
     worst, worst_den = 0, 1
