@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -102,13 +103,10 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
     support = tuple(as_fraction(v) for v in support)
     k = len(support)
     n_cuts = (S - 1) + S * A * ((H - 1) * (S - 1) + H * (k - 1))
-    cuts = rng.integers(0, GRID + 1, size=n_cuts).tolist()
-    pos = 0
+    cuts = iter(rng.integers(0, GRID + 1, size=n_cuts).tolist())
 
     def vector(n: int) -> tuple[Fraction, ...]:
-        nonlocal pos
-        pos += n - 1
-        return _grid_vector(cuts[pos - n + 1:pos])
+        return _grid_vector(islice(cuts, n - 1))
 
     init = vector(S)
     sink = tuple(Fraction(int(y == 0)) for y in range(S))
