@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -294,8 +294,11 @@ def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> Tabula
     """A TabularModel from parts its caller has already run through
     ``check_model_parts``; skips the per-model checks of ``__post_init__``."""
     model = object.__new__(TabularModel)
-    model.__dict__.update(S=S, A=A, H=H, init=init, trans=trans, rewards=rewards,
-                          reward_support=reward_support, _cache={})
+    # field by field, as the generated __init__ sets them, so the instance
+    # keeps its compact attribute storage instead of a dict of its own
+    values = (S, A, H, init, trans, rewards, reward_support, {})
+    for f, value in zip(fields(TabularModel), values, strict=True):
+        object.__setattr__(model, f.name, value)
     return model
 
 
