@@ -40,10 +40,8 @@ from .mdp import (
 from .ledgers import (
     CensoredTrajectory,
     Ledger,
-    LedgerKind,
     censor_ledger,
     censor_trajectory,
-    consistent_models,
     ledger_probability,
     raw_ledger,
     reveal_rewards,
@@ -82,7 +80,7 @@ from .mechanism import (
     run_game,
     sample_hallucinated_model,
 )
-from .agents import AgentSpec, choose_policy, episode_phase, make_agent, mechanism_posterior
+from .agents import AgentSpec, episode_phase, make_agent, mechanism_posterior
 from .oracle import (
     JointTable,
     enumerate_game,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, OracleUnavailable, ZeroEvidence
-from .ledgers import Ledger, count_signature
+from .ledgers import Ledger
 from .mdp import MarkovPolicy, complement_triples
 from .mechanism import (
     MechanismConfig,
@@ -69,9 +69,9 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
     the hallucination branch is impossible.
     """
     lattice = exact_lattice(prior)
-    signature = count_signature(revealed)
-    paths = [item for item in signature if item[0][0] != "reward"]
-    rewards = [item for item in signature if item[0][0] == "reward"]
+    signature = lattice.count_signature(revealed)
+    paths = [item for item in signature if item[0] < lattice.reward_start]
+    rewards = [item for item in signature if item[0] >= lattice.reward_start]
     C = lattice.masses(lattice.weights, paths)
     b = lattice.masses([1] * prior.n, rewards)
     Sp = sum(C[i] for i in punish)
@@ -137,7 +137,7 @@ class AgentSpec:
         # a canonical ledger mass is a product of i.i.d. entry masses, so both
         # modes' posteriors depend on the ledger only through U and its counts;
         # ell fixes the fully rational agent's hallucination prior p0
-        key = (ell, revealed.censor_set, count_signature(revealed))
+        key = (ell, revealed.censor_set, exact_lattice(self.prior).count_signature(revealed))
         if key in self._cache:
             return self._cache[key]
         if self.mode == "canonical_truster":
@@ -177,9 +177,3 @@ class AgentSpec:
 def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig,
                exact: bool = False) -> AgentSpec:
     return AgentSpec(mode, prior, config, exact)
-
-
-def choose_policy(agent: AgentSpec, k: int, revealed: Ledger) -> MarkovPolicy:
-    """Standalone form: derive the phase from the episode index and choose."""
-    ell = episode_phase(agent.config, k)
-    return agent.choose(k, ell, revealed)

@@ -41,11 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="seed range a..b (inclusive)")
         p.add_argument("--out", help="artifact output directory")
         p.add_argument("--exact", action="store_true",
-                       help="exact rational arithmetic where supported")
+                       help="agents choose in-run through AgentSpec.choose on the "
+                            "materialized signal ledgers, not the float posteriors")
         p.add_argument("--override", action="append", default=[],
                        metavar="K=V", help="dotted config override, repeatable")
         if name == "verify":
-            p.add_argument("--suite", default="all",
+            p.add_argument("--suite", help="default: the config's suite, else all",
                            choices=["all", "hygiene", "one-step", "sim-lemma",
                                     "dist-equality"])
     return parser
@@ -79,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.exact:
             cfg.raw["exact"] = True
         if getattr(args, "suite", None):
-            cfg.raw.setdefault("suite", args.suite)
+            cfg.raw["suite"] = args.suite
         return func(cfg)
     except VerificationFailure as e:
         print(f"verification failed: {e}", file=sys.stderr)

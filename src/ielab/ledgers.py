@@ -3,23 +3,17 @@
 A ledger is one censoring set U plus an ordered sequence of
 (policy, U-censored trajectory) pairs. Ledger equality is
 order-sensitive; ``Ledger.key()`` gives a canonical serialization
-usable as an exact dictionary key by the oracle.
+usable as an exact dictionary key by the oracle. A ledger's count
+signature, on which every canonical posterior depends, is read in the
+prior's feature index (``priors.ExactLattice.count_signature``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mdp import MarkovPolicy, Step, TabularModel, TripleSet, all_triples, path_mass
-
-
-class LedgerKind(enum.Enum):
-    RAW = "raw"
-    TOTALLY_CENSORED = "totally_censored"
-    HONEST = "honest"
-    HALLUCINATED = "hallucinated"
+from .mdp import Step, TabularModel, TripleSet, all_triples, path_mass
 
 
 @dataclass(frozen=True)
@@ -70,14 +64,6 @@ class Ledger:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def structural_kind(self) -> LedgerKind | None:
-        """RAW / TOTALLY_CENSORED when structurally determined, else None."""
-        if not self.censor_set:
-            return LedgerKind.RAW
-        if self.censor_set == all_triples(self.S, self.A, self.H):
-            return LedgerKind.TOTALLY_CENSORED
-        return None
 
     def key(self) -> tuple:
         """Canonical hashable serialization (sorted U, entry order kept)."""
@@ -145,26 +131,6 @@ def ledger_probability(model: TabularModel, ledger: Ledger) -> Fraction:
     return prob
 
 
-def count_signature(ledger: Ledger) -> frozenset:
-    """The ledger's canonical mass as counts: (feature, count) pairs.
-
-    A feature is ("init", x), ("trans", x, a, h, y) or ("reward", x, a, h, r)
-    for a revealed reward r. ledger_probability is the product over the
-    pairs of the model's mass of the feature raised to the count, so every
-    canonical posterior depends on a ledger only through this signature.
-    """
-    counts: dict = {}
-    for _, traj in ledger.entries:
-        steps = traj.steps
-        feats = [("init", steps[0].x)]
-        for s, nxt in zip(steps, steps[1:]):
-            feats.append(("trans", s.x, s.a, s.h, nxt.x))
-        feats.extend(("reward", s.x, s.a, s.h, s.r) for s in steps if s.r is not None)
-        for f in feats:
-            counts[f] = counts.get(f, 0) + 1
-    return frozenset(counts.items())
-
-
 def ledger_reward_mass(model: TabularModel, ledger: Ledger) -> Fraction:
     """Only the revealed-reward factors of ledger_probability."""
     prob = Fraction(1)
@@ -196,11 +162,3 @@ def underexplored_set(ledger: Ledger, n_lrn: int) -> TripleSet:
         t for t in all_triples(ledger.S, ledger.A, ledger.H) if counts.get(t, 0) < n_lrn
     )
 
-
-def consistent_models(prior, ledger: Ledger) -> frozenset:
-    """Atom indices with strictly positive (exact) ledger probability."""
-    return frozenset(
-        i
-        for i, model in enumerate(prior.atoms)
-        if ledger_probability(model, ledger) > 0
-    )

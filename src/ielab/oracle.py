@@ -2,7 +2,8 @@
 
 Everything here runs in exact arithmetic: posteriors, branch masses,
 agent choices, argmax sets and trajectory masses on the prior's integer
-lattice (``priors.ExactLattice``), and each node's joint masses as ints
+lattice (``priors.ExactLattice``), whose count signatures and reward
+features address its int columns, and each node's joint masses as ints
 over one denominator per node, with Fractions only where a mass or a
 value enters a query result. Each policy's trajectories are
 enumerated once for all atoms and checked, in integers, to carry every
@@ -32,7 +33,6 @@ from .errors import CapExceeded, DegenerateSplit, ZeroEvidence
 from .ledgers import (
     Ledger,
     censor_ledger,
-    count_signature,
     raw_ledger,
     reveal_rewards,
     totally_censor,
@@ -137,9 +137,10 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
     # the triples of the revealed occurrences, in entry order
     occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
                    if (s.x, s.a, s.h) not in U]
-    # candidate reward values per triple: those some support atom gives mass
-    values = {t: [v for v in sorted(lattice.support)
-                  if any(map(operator.mul, nums, lattice.columns[("reward", *t, v)]))]
+    # candidate (reward value, feature) pairs per triple: the values some
+    # support atom gives mass, in increasing order
+    values = {t: [(v, f) for v, f in zip(lattice.support, lattice.reward_features(*t))
+                  if any(map(operator.mul, nums, lattice.columns[f]))]
               for t in set(occurrences)}
     cand = [values[t] for t in occurrences]
     n_assign = 1
@@ -150,13 +151,13 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
 
     k_agent = phase_episodes(config, ell)[0]
     branches = []
-    for assignment in product(*cand) if occurrences else [()]:
-        rewards = Counter(("reward", *t, v) for t, v in zip(occurrences, assignment))
+    for assignment in product(*cand):
+        rewards = Counter(f for _, f in assignment)
         prob = Fraction(sum(lattice.masses(nums, rewards.items())),
                         den * lattice.den ** len(occurrences))
         if not prob:
             continue
-        lam_hal = reveal_rewards(lam_cens, U, assignment)
+        lam_hal = reveal_rewards(lam_cens, U, [v for v, _ in assignment])
         branches.append(HalBranch(lam_hal, prob, agent.choose(k_agent, ell, lam_hal)))
     return branches
 
@@ -495,7 +496,7 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
     canonical: dict = {}
     worst, worst_den = 0, 1
     for key, members in groups.items():
-        sig = count_signature(reps[key])
+        sig = lattice.count_signature(reps[key])
         if sig not in canonical:
             can = lattice.masses(lattice.weights, sig)
             if not any(can):

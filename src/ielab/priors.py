@@ -1,26 +1,32 @@
 """Finite discrete priors, exact canonical posteriors, gaps, Bayes-greedy.
 
 All Bayesian computation is exact enumeration over a weighted finite
-atom set. Every function that takes a ``Ledger`` is exact: it runs on
-the prior's ``ExactLattice``, with masses and policy values as Python
-ints over per-prior common denominators, so posteriors, conditional
-values and greedy choices are integer products and dot products. The
-lattice also lists each policy's trajectories once over the atoms'
-union support, with every atom's path masses as ints, for the oracle's
-game enumeration. An exact ``Posterior`` stores its lattice masses as
-they come, ``(nums, den)``: ints over one positive denominator.
-Fractions appear only at the boundary, in its ``weights`` view and in
-the values and gaps these functions return.
+atom set. A prior's atoms are converted once, by its ``ExactLattice``:
+one feature index (init, transition and reward features, and a zero
+column for revealed rewards outside the support), the atoms' masses as
+int columns in that index over one per-prior denominator, and a ledger's
+count signature as sorted (feature, count) pairs. Every function that
+takes a ``Ledger`` is exact and runs on the lattice, so posteriors,
+conditional values and greedy choices are integer products and dot
+products; the policy values come from an integer DP built on first
+exact use. The lattice also lists each policy's trajectories once over
+the atoms' union support, with every atom's path masses as ints, for the
+oracle's game enumeration. An exact ``Posterior`` stores its lattice
+masses as they come, ``(nums, den)``: ints over one positive
+denominator. Fractions appear only at the boundary, in its ``weights``
+view and in the values and gaps these functions return.
 
-Floats live only in the run loop: ``LedgerState`` accumulates a
-ledger's per-atom log-masses and reward counts entry by entry on the
-prior's ``PriorTables`` (``shared_tables``), and ``policy_values``,
-``canonical_gap`` and ``bayes_greedy`` take the float posteriors it
-makes as well as exact ones.
+Floats live only in the run loop. ``PriorTables`` (``shared_tables``)
+reads its float arrays off the lattice's distinct int rows;
+``LedgerState`` accumulates a ledger's per-atom log-masses and reward
+counts entry by entry on them, and ``policy_values``, ``canonical_gap``
+and ``bayes_greedy`` take the float posteriors it makes as well as
+exact ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -31,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, DegenerateSplit, IncompleteEnumeration, ZeroEvidence
-from .ledgers import Ledger, count_signature
+from .ledgers import Ledger
 from .mdp import (
     TRAJECTORY_CAP,
     DiscreteDist,
@@ -306,7 +312,7 @@ def canonical_posterior(
     base = lattice.weights
     if event is not None:
         base = [w if i in event else 0 for i, w in enumerate(base)]
-    raw = lattice.masses(base, count_signature(ledger))
+    raw = lattice.masses(base, lattice.count_signature(ledger))
     total = sum(raw)
     if not total:
         raise ZeroEvidence(
@@ -388,42 +394,37 @@ def greedy_set(posterior: Posterior) -> frozenset:
 
 
 class PriorTables:
-    """numpy caches over a prior's atoms: the float posterior route.
+    """numpy arrays over a prior's atoms: the float posterior route.
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
     trans (n, S, A, H, S); and per-support reward log-masses for
-    likelihood accumulation.
+    likelihood accumulation. All are read off the prior's ExactLattice:
+    each distinct int row converts once, one Python ``int / den`` per
+    entry, which is correctly rounded and so the float of the atom's own
+    Fraction.
     """
 
     def __init__(self, prior: DiscretePrior):
         self.prior = prior
         S, A, H = prior.shape
         self.S, self.A, self.H = S, A, H
-        self.policies = enumerate_policies(S, A, H)
-        n = prior.n
-        self.support = prior.atoms[0].reward_support
-        self._support_ix = {v: k for k, v in enumerate(self.support)}
-        self.init = _float_rows([m.init for m in prior.atoms], _float_vector)
-        self.trans = _float_rows([vec for m in prior.atoms for by_a in m.trans
-                                  for by_h in by_a for vec in by_h],
-                                 _float_vector).reshape(n, S, A, H, S)
-        laws = _reward_laws(prior)
-
-        def law_masses(d: DiscreteDist) -> list[float]:
-            row = [0.0] * len(self.support)
-            for v, p in zip(d.support, d.probs):
-                row[self._support_ix[v]] = float(p)
-            return row
-
-        # reward log-mass: (n, S, A, H, |support|), -inf where mass is 0
-        mass = _float_rows(laws, law_masses).reshape(n, S, A, H, len(self.support))
+        lattice = self.lattice = exact_lattice(prior)
+        self.policies = lattice.policies
+        self.support = lattice.support
+        n, den = prior.n, lattice.den
+        vecs = np.array([[p / den for p in row] for row in lattice.vec_rows])[lattice.vec_ix]
+        self.init = vecs[:n]
+        self.trans = vecs[n:].reshape(n, S, A, H, S)
+        laws = np.array(lattice.law_ix).reshape(n, S, A, H)
+        # reward mass: (n, S, A, H, |support|)
+        mass = np.array([[p / den for p in row] for row in lattice.law_rows])[laws]
         with np.errstate(divide="ignore"):
-            self.reward_logmass = np.log(mass)
+            self.reward_logmass = np.log(mass)  # -inf where mass is 0
         self.reward_cum = np.cumsum(mass, axis=-1)
         # index of the last support value with positive mass: (n, S, A, H)
         self.reward_last = len(self.support) - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1)
         self.log_weights = np.log(np.array([float(w) for w in prior.weights]))
-        means = _float_rows(laws, lambda d: float(d.mean())).reshape(n, S, A, H)
+        means = np.array([m / lattice.mean_den for m in lattice.law_means])[laws]
         self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
 
     def _values(self, policy: MarkovPolicy, means: np.ndarray) -> np.ndarray:
@@ -445,12 +446,8 @@ class PriorTables:
 
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
         """policy_value(atom, policy), read off the prior's lattice."""
-        lattice = exact_lattice(self.prior)
+        lattice = self.lattice
         return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
-
-    def support_index(self, value: Fraction) -> int | None:
-        """The value's position in the support, None outside it."""
-        return self._support_ix.get(value)
 
     def entry_translog(self, traj_steps) -> np.ndarray:
         """log init+path mass per atom for one entry's transition content."""
@@ -521,9 +518,10 @@ class LedgerState:
         if n + len(traj.steps) > len(self._occ):
             self._occ = np.concatenate([self._occ, np.empty_like(self._occ)])
         A, H = tables.A, tables.H
+        find = tables.lattice.support_ix.get
         for s in traj.steps:
             if s.r is not None:
-                k = tables.support_index(s.r)
+                k = find((s.r.numerator, s.r.denominator))
                 if k is None:
                     self.translog[:] = -np.inf
                 else:
@@ -548,35 +546,6 @@ class LedgerState:
         return self.tables.posterior_from_loglik(ll)
 
 
-def _float_vector(vec) -> list[float]:
-    return [float(p) for p in vec]
-
-
-def _float_rows(items: list, convert) -> np.ndarray:
-    """np.array([convert(item) for item in items]), converting each
-    distinct object once.
-
-    The atoms of an expanded factored prior share their init and
-    transition vectors and their reward laws. Identity picks the distinct
-    objects, because hashing tuples of Fractions costs more than
-    converting them; every item stays alive through the call.
-    """
-    first: dict[int, int] = {}
-    rows, index = [], []
-    for item in items:
-        k = first.get(id(item))
-        if k is None:
-            k = first[id(item)] = len(rows)
-            rows.append(convert(item))
-        index.append(k)
-    return np.array(rows)[index]
-
-
-def _reward_laws(prior: DiscretePrior) -> list:
-    """Every atom's reward laws, in (atom, x, a, h) order."""
-    return [d for m in prior.atoms for by_a in m.rewards for by_h in by_a for d in by_h]
-
-
 def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
     """Per row i, the sum over y of weights[i, y] * values[y][i],
     accumulated left to right."""
@@ -595,14 +564,15 @@ def shared_tables(prior: DiscretePrior) -> PriorTables:
 
 def low_reward_table(prior: DiscretePrior, eps) -> np.ndarray:
     """(n, S, A, H) booleans: the atom's mean reward at the triple is
-    <= eps, compared exactly, once per distinct reward law. Built once per
-    eps and kept on the prior."""
+    <= eps, compared exactly on the lattice's int means, once per distinct
+    reward law. Built once per eps and kept on the prior."""
     eps = as_fraction(eps)
     key = ("low_reward", eps)
     if key not in prior._cache:
-        laws = _reward_laws(prior)
-        prior._cache[key] = _float_rows(laws, lambda d: d.mean() <= eps).reshape(
-            prior.n, *prior.shape)
+        lattice = exact_lattice(prior)
+        low = [m * eps.denominator <= eps.numerator * lattice.mean_den
+               for m in lattice.law_means]
+        prior._cache[key] = np.array(low)[lattice.law_ix].reshape(prior.n, *prior.shape)
     return prior._cache[key]
 
 
@@ -627,85 +597,139 @@ class LatticePaths(NamedTuple):
 
 
 class ExactLattice:
-    """A prior's exact masses and policy values as Python ints.
+    """A prior's atoms converted once: its feature index, and its masses
+    and policy values as Python ints.
 
     - ``weights[i]``: prior weights as ints over their common denominator.
-    - ``columns[feature][i]``: atom i's mass of a count-signature feature
-      (``ledgers.count_signature``) over one per-prior denominator ``den``:
-      every init, transition and reward mass of every atom.
+    - The distinct rows. Expanded priors share init vectors, transition
+      rows and reward laws between atoms, so each distinct one is
+      converted once: ``vec_rows`` holds the init vectors and transition
+      rows and ``law_rows`` each law's masses at the support values, as
+      ints over one per-prior denominator ``den``, and ``law_means`` the
+      laws' mean rewards over ``mean_den``. ``vec_ix`` gives each atom's
+      init row, then every atom's transition rows in the C order of
+      (x, a, h); ``law_ix`` gives every atom's laws in the same order.
+    - The feature index: init x, then transition (x, a, h, y) in the C
+      order of ``LedgerState``'s flat triple index, then reward
+      (x, a, h, support position) in the layout of
+      ``LedgerState.reward_counts``, then one all-zero column for any
+      revealed reward outside the support. ``columns[f][i]`` is atom i's
+      mass of feature f over ``den``; ``count_signature`` turns a ledger
+      into (feature, count) pairs and ``masses`` raises the columns to
+      them.
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
-      over ``value_den``, filled by one integer backward DP per policy,
-      vectorized over atoms.
+      over ``value_den``, filled on first use by one integer backward DP
+      per policy, vectorized over atoms.
     - ``paths(policy)``: the policy's trajectories over the atoms' union
       support with their masses over den ** (2H), built on first use.
 
     Products and sums of masses then stay integers, with no gcd
     normalization per operation; callers convert to Fraction once, at the
-    boundary. Built on first exact use (``exact_lattice``), never by
-    PriorTables or the float run path.
+    boundary. Built once per prior (``exact_lattice``), also by
+    ``PriorTables``, which reads its float arrays off the distinct rows.
     """
 
     def __init__(self, prior: DiscretePrior):
         S, A, H = prior.shape
-        self.n = prior.n
-        self.S, self.H = S, H
+        self.n = n = prior.n
+        self.S, self.A, self.H = S, A, H
         self.support = prior.atoms[0].reward_support
-        self.policies = enumerate_policies(S, A, H)
-        self._paths: dict = {}
+        # support positions by (numerator, denominator): int hashes, not Fraction ones
+        self.support_ix = {(v.numerator, v.denominator): k for k, v in enumerate(self.support)}
         self.weights, _ = over_common_den(prior.weights)
         atoms = prior.atoms
-        triples = [(x, a, h) for x in range(1, S + 1) for a in range(1, A + 1)
-                   for h in range(1, H + 1)]
-        # Expanded priors share init vectors, transition rows and reward laws
-        # between atoms, so each distinct object is converted once, keyed by
-        # its id while the prior holds it, and then looked up per atom.
-        laws, vecs = {}, {}
-        for m in atoms:
-            vecs[id(m.init)] = m.init
-            for t in triples:
-                vecs[id(m.transition(*t))] = m.transition(*t)
-                laws[id(m.reward_dist(*t))] = m.reward_dist(*t)
-        vecs.update((k, [d.mass(v) for v in self.support]) for k, d in laws.items())
-        flat, self.den = over_common_den([p for vec in vecs.values() for p in vec])
+        vecs, self.vec_ix = _distinct([m.init for m in atoms] + [
+            vec for m in atoms for by_a in m.trans for by_h in by_a for vec in by_h])
+        laws, self.law_ix = _distinct([d for m in atoms for by_a in m.rewards
+                                       for by_h in by_a for d in by_h])
+        masses = [[d.mass(v) for v in self.support] for d in laws]
+        flat, self.den = over_common_den([p for row in vecs + masses for p in row])
         flat = iter(flat)
-        nums = {k: [next(flat) for _ in vec] for k, vec in vecs.items()}
-        mean_nums, mean_den = over_common_den([d.mean() for d in laws.values()])
-        law_means = dict(zip(laws, mean_nums))
-        self.columns = {("init", x + 1): tuple(nums[id(m.init)][x] for m in atoms)
-                        for x in range(S)}
-        means = {}
-        for t in triples:
-            rows = [nums[id(m.transition(*t))] for m in atoms]
-            for y in range(S):
-                self.columns[("trans", *t, y + 1)] = tuple(r[y] for r in rows)
-            law_ids = [id(m.reward_dist(*t)) for m in atoms]
-            for k, v in enumerate(self.support):
-                self.columns[("reward", *t, v)] = tuple(nums[i][k] for i in law_ids)
-            means[t] = [law_means[i] for i in law_ids]
-        self.value_den = mean_den * self.den ** H
-        self.value_cols = [self._values(pol, means, H) for pol in self.policies]
+        self.vec_rows = [[next(flat) for _ in row] for row in vecs]
+        self.law_rows = [[next(flat) for _ in row] for row in masses]
+        self.law_means, self.mean_den = over_common_den([d.mean() for d in laws])
+        self.value_den = self.mean_den * self.den ** H
+        T = S * A * H
+        self.reward_start = S + T * S
+        vec_ix, law_ix = self.vec_ix, self.law_ix
+        # zip(*rows) turns the atoms' rows into one column per entry
+        self.columns = list(zip(*[self.vec_rows[j] for j in vec_ix[:n]]))
+        for t in range(T):
+            self.columns.extend(zip(*[self.vec_rows[j] for j in vec_ix[n + t::T]]))
+        for t in range(T):
+            self.columns.extend(zip(*[self.law_rows[j] for j in law_ix[t::T]]))
+        self.columns.append((0,) * n)
+        self._paths: dict = {}
 
-    def _values(self, policy: MarkovPolicy, means: dict, H: int) -> tuple:
+    def _triple(self, x: int, a: int, h: int) -> int:
+        """The flat index of (x, a, h): C order over (S, A, H)."""
+        return ((x - 1) * self.A + a - 1) * self.H + h - 1
+
+    def trans_feature(self, x: int, a: int, h: int, y: int) -> int:
+        return self.S * (self._triple(x, a, h) + 1) + y - 1
+
+    def reward_features(self, x: int, a: int, h: int) -> range:
+        """The reward features of (x, a, h), one per support value, in order."""
+        V = len(self.support)
+        start = self.reward_start + self._triple(x, a, h) * V
+        return range(start, start + V)
+
+    def count_signature(self, ledger: Ledger) -> tuple:
+        """The ledger's canonical mass as counts: sorted (feature, count) pairs.
+
+        ledger_probability is the product over the pairs of the atom's
+        column entry raised to the count, over den ** (total count), so
+        every canonical posterior depends on a ledger only through this
+        signature.
+        """
+        S, A, H, V = self.S, self.A, self.H, len(self.support)
+        zero, find = len(self.columns) - 1, self.support_ix.get
+        counts: dict = {}
+        for _, traj in ledger.entries:
+            feats = [traj.steps[0].x - 1]
+            prev = None
+            for s in traj.steps:
+                t = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
+                if prev is not None:
+                    feats.append(S * (prev + 1) + s.x - 1)
+                if s.r is not None:
+                    k = find((s.r.numerator, s.r.denominator))
+                    feats.append(zero if k is None else self.reward_start + t * V + k)
+                prev = t
+            for f in feats:
+                counts[f] = counts.get(f, 0) + 1
+        return tuple(sorted(counts.items()))
+
+    @functools.cached_property
+    def policies(self) -> list[MarkovPolicy]:
+        return enumerate_policies(self.S, self.A, self.H)
+
+    @functools.cached_property
+    def value_cols(self) -> list[tuple]:
+        T = self.S * self.A * self.H
+        means = [[self.law_means[j] for j in self.law_ix[t::T]] for t in range(T)]
+        return [self._values(pol, means) for pol in self.policies]
+
+    def _values(self, policy: MarkovPolicy, means: list) -> tuple:
         """policy_value(atom, policy) over value_den for every atom: one
         integer backward DP over stages, vectorized over atoms. The
         value-to-go from stage h is over mean_den * den^(H-h)."""
-        S = len(policy.actions)
-        col = self.columns
+        S, H, col = self.S, self.H, self.columns
         togo = [[0] * self.n for _ in range(S)]
         for h in range(H, 0, -1):
             nxt = []
             for x in range(1, S + 1):
                 a = policy.action(x, h)
                 scale = self.den ** (H - h)
-                v = [r * scale for r in means[(x, a, h)]]
+                v = [r * scale for r in means[self._triple(x, a, h)]]
                 for y in range(1, S + 1) if h < H else ():
-                    row = col[("trans", x, a, h, y)]
+                    row = col[self.trans_feature(x, a, h, y)]
                     v = [acc + p * g for acc, p, g in zip(v, row, togo[y - 1])]
                 nxt.append(v)
             togo = nxt
         out = [0] * self.n
-        for x in range(1, S + 1):
-            out = [acc + p * g for acc, p, g in zip(out, col[("init", x)], togo[x - 1])]
+        for x in range(S):
+            out = [acc + p * g for acc, p, g in zip(out, col[x], togo[x])]
         return tuple(out)
 
     def paths(self, policy: MarkovPolicy) -> LatticePaths:
@@ -727,8 +751,8 @@ class ExactLattice:
 
         def rec(h: int, x: int, mass: list, steps: list):
             a = policy.action(x, h)
-            for v in self.support:
-                m1 = [p * r for p, r in zip(mass, col[("reward", x, a, h, v)])]
+            for v, f in zip(self.support, self.reward_features(x, a, h)):
+                m1 = [p * r for p, r in zip(mass, col[f])]
                 if not any(m1):
                     continue
                 new_steps = steps + [Step(x, a, h, v)]
@@ -740,13 +764,13 @@ class ExactLattice:
                     masses.append(tuple(m1))
                     continue
                 for y in range(1, S + 1):
-                    m2 = [p * t for p, t in zip(m1, col[("trans", x, a, h, y)])]
+                    m2 = [p * t for p, t in zip(m1, col[self.trans_feature(x, a, h, y)])]
                     if any(m2):
                         rec(h + 1, y, m2, new_steps)
 
-        for x in range(1, S + 1):
-            if any(col[("init", x)]):
-                rec(1, x, col[("init", x)], [])
+        for x in range(S):
+            if any(col[x]):
+                rec(1, x + 1, col[x], [])
         den = self.den ** (2 * H)
         totals = [sum(c) for c in zip(*masses)] or [0] * self.n
         bad = [i for i, t in enumerate(totals) if t != den]
@@ -768,9 +792,7 @@ class ExactLattice:
         den ** (total count)."""
         out = list(base)
         for feature, count in signature:
-            col = self.columns.get(feature)
-            if col is None:  # a reward value outside the support: mass 0
-                return [0] * self.n
+            col = self.columns[feature]
             if count == 1:
                 out = [o * c for o, c in zip(out, col)]
             else:
@@ -780,6 +802,24 @@ class ExactLattice:
     def policy_values(self, nums) -> list[int]:
         """policy_value for every policy, in encoding order."""
         return [sum(map(operator.mul, nums, col)) for col in self.value_cols]
+
+
+def _distinct(objs: list) -> tuple[list, list[int]]:
+    """The list's distinct objects and each item's position among them.
+
+    Identity picks the distinct objects: an expanded prior's atoms share
+    their rows and laws as objects, and hashing tuples of Fractions costs
+    more than converting them. Every object stays alive through the call.
+    """
+    first: dict[int, int] = {}
+    rows, index = [], []
+    for obj in objs:
+        k = first.get(id(obj))
+        if k is None:
+            k = first[id(obj)] = len(rows)
+            rows.append(obj)
+        index.append(k)
+    return rows, index
 
 
 def exact_lattice(prior: DiscretePrior) -> ExactLattice:

@@ -11,7 +11,6 @@ from ielab import (
     bayes_greedy,
     build_model,
     canonical_posterior,
-    choose_policy,
     enumerate_game,
     make_agent,
     mechanism_posterior,
@@ -45,7 +44,7 @@ def test_empty_ledger_both_modes_prior_greedy(det_prior, det_config):
     prior_pol = bayes_greedy(prior_as_posterior(det_prior))
     for mode in ("canonical_truster", "fully_rational"):
         agent = make_agent(mode, det_prior, det_config)
-        assert choose_policy(agent, 1, empty) == prior_pol
+        assert agent.choose(1, episode_phase(det_config, 1), empty) == prior_pol
     assert empty_hal.entries == ()
 
 
@@ -143,7 +142,7 @@ def test_fully_rational_oracle_unavailable():
     agent = make_agent("fully_rational", prior, cfg)
     lam = totally_censor(raw_ledger(S, A, H, []))
     with pytest.raises(OracleUnavailable):
-        choose_policy(agent, 2, lam)
+        agent.choose(2, episode_phase(cfg, 2), lam)
 
 
 class ChoiceRecorder(AgentSpec):
@@ -156,17 +155,20 @@ class ChoiceRecorder(AgentSpec):
         return pol
 
 
-@pytest.mark.parametrize("instance", ["det", "stoch"])
+@pytest.mark.parametrize("instance", ["det", "stoch", "stoch-n_lrn2"])
 def test_in_run_float_choices_equal_exact_choices(instance, det_prior, det_config,
                                                   stoch_factored, stoch_prior):
     """Every in-run float choice of both agent modes is the exact
-    ``AgentSpec.choose`` of the materialized signal ledger."""
+    ``AgentSpec.choose`` of the materialized signal ledger: det seeds
+    0..99, stoch at n_lrn 8 over 40 phases with seeds 0..4, and at n_lrn 2
+    over 12 phases with seeds 0..19."""
     if instance == "det":
-        prior, cfg, seeds = det_prior, det_config, range(10)
+        prior, cfg, seeds = det_prior, det_config, range(100)
     else:
+        n_lrn, phases, seeds = (8, 40, range(5)) if instance == "stoch" else (2, 12, range(20))
         cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
-                                 n_lrn_override=8, total_phases_override=40)
-        prior, seeds = stoch_prior, range(5)
+                                 n_lrn_override=n_lrn, total_phases_override=phases)
+        prior = stoch_prior
     for mode in ("canonical_truster", "fully_rational"):
         for seed in seeds:
             agent = ChoiceRecorder(mode, prior, cfg)

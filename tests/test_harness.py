@@ -83,6 +83,17 @@ def test_cli_verify_hygiene(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_suite_flag_overrides_config(tmp_path, capsys):
+    """--suite overrides the config file's suite, as --seed, --out and
+    --exact override theirs; without the flag the config's suite runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suite": "sim-lemma"}))
+    for flag, suites in ((["--suite", "hygiene"], ["hygiene"]), ([], ["sim-lemma"])):
+        assert main(["verify", "--config", str(path), *flag, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "verify.json").read_text())["suites"] == suites
+    capsys.readouterr()
+
+
 def test_cli_verify_dist_equality(capsys):
     assert main(["verify", "--suite", "dist-equality"]) == 0
     out = capsys.readouterr().out

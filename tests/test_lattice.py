@@ -31,7 +31,6 @@ from ielab import (
     CapExceeded,
     DiscreteDist,
     DiscretePrior,
-    FactoredRewardPrior,
     IncompleteEnumeration,
     MarkovPolicy,
     MechanismConfig,
@@ -64,58 +63,7 @@ from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set, over_common_den
-
-MAX_ATOMS = 64
-QUARTERS = [Fraction(k, 4) for k in range(5)]
-
-
-def _bernoulli(mean: Fraction) -> DiscreteDist:
-    return DiscreteDist.of([(0, 1 - mean), (1, mean)]) if 0 < mean < 1 \
-        else DiscreteDist.point(mean)
-
-
-@st.composite
-def small_priors(draw) -> DiscretePrior:
-    """A factored prior on S, A, H <= 2 with at most 64 atoms.
-
-    Every triple's mean-reward marginal puts mass on 0, so the punish
-    event of any explored set keeps positive censored mass.
-    """
-    # weighted toward the larger shapes and atom counts, which plain
-    # strategies reach rarely because they favour the simplest draws
-    likely = st.sampled_from([True, True, False])
-    S, A, H = (2 if draw(likely) else 1 for _ in range(3))
-    triples = sorted(all_triples(S, A, H))
-
-    def vec():
-        if S == 1:
-            return [Fraction(1)]
-        p = draw(st.sampled_from(QUARTERS))
-        return [p, 1 - p]
-
-    n_trans = draw(st.integers(1, 2))
-    tw = draw(st.sampled_from(QUARTERS[1:4])) if n_trans == 2 else Fraction(1)
-    trans_atoms = tuple(
-        (vec(), {t: vec() for t in triples if t[2] < H}, w)
-        for w in ([tw, 1 - tw] if n_trans == 2 else [tw])
-    )
-    n_atoms = n_trans
-    marginals = {}
-    for t in triples:
-        if n_atoms * 2 <= MAX_ATOMS and draw(likely):
-            n_atoms *= 2
-            q = draw(st.sampled_from(QUARTERS[1:4]))
-            mean = draw(st.sampled_from([Fraction(1, 2), Fraction(1)]))
-            marginals[t] = DiscreteDist.of([(0, q), (mean, 1 - q)])
-        else:
-            marginals[t] = DiscreteDist.point(0)
-    if draw(st.booleans()):
-        fp = FactoredRewardPrior(S, A, H, trans_atoms, marginals, dist_of_mean=_bernoulli,
-                                 reward_support=(0, 1))
-    else:
-        fp = FactoredRewardPrior(S, A, H, trans_atoms, marginals,
-                                 reward_support=(0, Fraction(1, 2), 1))
-    return fp.expand()
+from prior_strategies import mixed_reward_order_prior, small_priors
 
 
 def draw_ledger(draw, prior: DiscretePrior):
@@ -255,6 +203,109 @@ def test_value_matrix_equals_policy_value_on_random_priors(prior):
     assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
 
 
+def per_atom_tables(prior, eps) -> dict:
+    """Every PriorTables array, and low_reward_table at eps, built from each
+    atom's own rows and laws with float(p), without the lattice."""
+    S, A, H = prior.shape
+    n, atoms = prior.n, prior.atoms
+    triples = sorted(all_triples(S, A, H))
+    support = atoms[0].reward_support
+    V = len(support)
+    mass = np.array([[float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
+                     for m in atoms]).reshape(n, S, A, H, V)
+    with np.errstate(divide="ignore"):
+        logmass = np.log(mass)
+    return {
+        "init": np.array([[float(p) for p in m.init] for m in atoms]),
+        "trans": np.array([[float(p) for t in triples for p in m.transition(*t)]
+                           for m in atoms]).reshape(n, S, A, H, S),
+        "reward_logmass": logmass,
+        "reward_cum": np.cumsum(mass, axis=-1),
+        "reward_last": V - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1),
+        "value_matrix": np.array([[float_policy_value(m, pol)
+                                   for pol in enumerate_policies(S, A, H)] for m in atoms]),
+        "log_weights": np.log([float(w) for w in prior.weights]),
+        "low_reward": np.array([[m.mean_reward(*t) <= eps for t in triples]
+                                for m in atoms]).reshape(n, S, A, H),
+    }
+
+
+def middle_mean(prior) -> Fraction:
+    """A mean reward some atom has at some triple, so the eps comparison ties."""
+    means = sorted({m.mean_reward(*t) for m in prior.atoms for t in all_triples(*prior.shape)})
+    return means[len(means) // 2]
+
+
+def assert_tables_equal_per_atom_floats(prior):
+    """The lattice-fed PriorTables arrays and low_reward_table equal the
+    per-atom float(p) build bit for bit, dtype included."""
+    eps = middle_mean(prior)
+    tables = priors.PriorTables(prior)
+    for name, want in per_atom_tables(prior, eps).items():
+        got = priors.low_reward_table(prior, eps) if name == "low_reward" \
+            else getattr(tables, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def big_den_prior() -> DiscretePrior:
+    """Two atoms whose probabilities have the prime denominators 2**31 - 1
+    and 2**31 - 19, so the lattice's common denominator exceeds 2**53."""
+    p1, p2 = 2**31 - 1, 2**31 - 19
+
+    def atom(a, b, c):
+        law = DiscreteDist.of([(0, 1 - Fraction(c, p1)), (1, Fraction(c, p1))])
+        return build_model(2, 2, 2, [Fraction(a, p1), 1 - Fraction(a, p1)],
+                           {(x, u, 1): [Fraction(b, p2), 1 - Fraction(b, p2)]
+                            for x in (1, 2) for u in (1, 2)},
+                           {t: law for t in all_triples(2, 2, 2)}, reward_support=(0, 1))
+
+    return DiscretePrior((atom(12345, 67891, 424242), atom(77777777, 77777777, 987654321)),
+                         (Fraction(1, 3), Fraction(2, 3)))
+
+
+def test_prior_tables_equal_per_atom_floats(det_prior, stoch_prior):
+    for prior in (det_prior, stoch_prior, mixed_reward_order_prior()):
+        assert_tables_equal_per_atom_floats(prior)
+
+
+def test_prior_tables_equal_per_atom_floats_past_2_53():
+    """Past 2**53, converting the lattice's ints to floats before dividing
+    rounds twice and misses float(p); one int / den per entry does not."""
+    prior = big_den_prior()
+    lattice = exact_lattice(prior)
+    assert lattice.den > 2**53
+    assert_tables_equal_per_atom_floats(prior)
+    want = per_atom_tables(prior, 0)
+    shortcut = (np.array(lattice.vec_rows, dtype=float) / lattice.den)[lattice.vec_ix]
+    assert not (np.array_equal(shortcut[:prior.n], want["init"])
+                and np.array_equal(shortcut[prior.n:].ravel(), want["trans"].ravel()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_priors())
+def test_prior_tables_equal_per_atom_floats_random(prior):
+    assert_tables_equal_per_atom_floats(prior)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_count_signature_follows_ledger_state_layout(data):
+    """A signature is sorted (feature, count) int pairs with one init
+    feature per entry, and its reward features sit at the positions of
+    LedgerState's reward_counts.ravel()."""
+    prior = data.draw(small_priors())
+    ledger = draw_ledger(data.draw, prior)
+    lattice = exact_lattice(prior)
+    sig = lattice.count_signature(ledger)
+    assert list(sig) == sorted(sig) and len({f for f, _ in sig}) == len(sig)
+    assert sum(c for f, c in sig if f < prior.shape[0]) == len(ledger)
+    state = priors.LedgerState(priors.PriorTables(prior))
+    for _, traj in ledger.entries:
+        state.push_entry(traj)
+    counts = state.reward_counts.ravel().tolist()
+    assert [dict(sig).get(lattice.reward_start + j, 0) for j in range(len(counts))] == counts
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_low_reward_table_matches_per_atom_means(data):
@@ -380,23 +431,6 @@ def test_lattice_paths_match_enumerate_trajectories_random(prior):
     assert_paths_match(prior)
 
 
-def mixed_reward_order_prior() -> DiscretePrior:
-    """One atom lists its Bernoulli reward law as (1, 0), the other as
-    (0, 1); each atom uses one law object at every triple."""
-    support = (Fraction(0), Fraction(1))
-
-    def atom(pairs):
-        law = DiscreteDist.of(pairs)
-        rewards = {t: law for t in all_triples(2, 1, 2)}
-        return build_model(2, 1, 2, [Fraction(1, 2), Fraction(1, 2)],
-                           {(1, 1, 1): [Fraction(1, 4), Fraction(3, 4)],
-                            (2, 1, 1): [1, 0]}, rewards, reward_support=support)
-
-    return DiscretePrior((atom([(1, Fraction(1, 3)), (0, Fraction(2, 3))]),
-                          atom([(0, Fraction(1, 2)), (1, Fraction(1, 2))])),
-                         (Fraction(1, 2), Fraction(1, 2)))
-
-
 def test_lattice_paths_keep_each_atoms_reward_order():
     """Both atoms store their law in increasing order, whatever order it
     was listed in, and each atom's list follows it."""
@@ -408,28 +442,36 @@ def test_lattice_paths_keep_each_atoms_reward_order():
     assert_paths_match(prior)
 
 
-def per_atom_columns(prior) -> tuple[dict, int]:
+def per_atom_columns(prior) -> tuple[list, int]:
     """(columns, den) as a per-atom build takes them: every atom's init,
-    transition and reward masses read one by one, over their lcm."""
+    transition and reward masses read one by one, over their lcm, in the
+    feature index's order (init x; transition (x, a, h, y) and then reward
+    (x, a, h, v) with the triples in C order), and an all-zero column last."""
     S, A, H = prior.shape
-    masses = {("init", x): [m.init[x - 1] for m in prior.atoms] for x in range(1, S + 1)}
-    for t in sorted(all_triples(S, A, H)):
-        for y in range(1, S + 1):
-            masses[("trans", *t, y)] = [m.transition(*t)[y - 1] for m in prior.atoms]
-        for v in prior.atoms[0].reward_support:
-            masses[("reward", *t, v)] = [m.reward_dist(*t).mass(v) for m in prior.atoms]
-    den = math.lcm(*(p.denominator for col in masses.values() for p in col))
-    return {f: tuple(p.numerator * (den // p.denominator) for p in col)
-            for f, col in masses.items()}, den
+    triples = sorted(all_triples(S, A, H))
+    masses = [[m.init[x] for m in prior.atoms] for x in range(S)]
+    masses += [[m.transition(*t)[y] for m in prior.atoms] for t in triples for y in range(S)]
+    masses += [[m.reward_dist(*t).mass(v) for m in prior.atoms]
+               for t in triples for v in prior.atoms[0].reward_support]
+    den = math.lcm(*(p.denominator for col in masses for p in col))
+    return [tuple(p.numerator * (den // p.denominator) for p in col)
+            for col in masses] + [(0,) * prior.n], den
 
 
 def assert_lattice_matches_per_atom_build(prior, values: bool = True):
     """The lattice, built once per distinct row and law, has the columns,
-    values and paths of a per-atom build."""
+    values and paths of a per-atom build, and its feature methods name the
+    per-atom build's positions."""
     lattice = exact_lattice(prior)
     columns, den = per_atom_columns(prior)
     assert lattice.den == den
-    assert list(lattice.columns.items()) == list(columns.items())
+    assert lattice.columns == columns
+    S, A, H = prior.shape
+    triples = sorted(all_triples(S, A, H))
+    assert [lattice.trans_feature(*t, y) for t in triples for y in range(1, S + 1)] == \
+        list(range(S, lattice.reward_start))
+    assert [f for t in triples for f in lattice.reward_features(*t)] == \
+        list(range(lattice.reward_start, len(columns) - 1))
     if values:
         for pol, col in zip(lattice.policies, lattice.value_cols):
             assert [Fraction(v, lattice.value_den) for v in col] == [
@@ -526,11 +568,11 @@ def test_corrupted_lattice_column_stops_enumerate_game(det_prior, det_config):
     """A copy of the lattice whose init column gives the last atom mass 2:
     the trajectory completeness check must raise instead of returning a table."""
     lattice = copy.copy(exact_lattice(det_prior))
-    lattice.columns = dict(lattice.columns)
+    lattice.columns = list(lattice.columns)
     lattice._paths = {}
-    x = next(x for x in (1, 2) if lattice.columns[("init", x)][-1])
-    col = lattice.columns[("init", x)]
-    lattice.columns[("init", x)] = col[:-1] + (2 * col[-1],)
+    x = next(x for x in (0, 1) if lattice.columns[x][-1])  # init x + 1 is feature x
+    col = lattice.columns[x]
+    lattice.columns[x] = col[:-1] + (2 * col[-1],)
     prior = DiscretePrior(det_prior.atoms, det_prior.weights)
     prior._cache["lattice"] = lattice
     with pytest.raises(IncompleteEnumeration):

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from ielab import (
     Ledger,
-    LedgerKind,
     all_triples,
     censor_ledger,
     censor_trajectory,
-    consistent_models,
     enumerate_policies,
     enumerate_trajectories,
     ledger_probability,
@@ -54,16 +52,6 @@ def test_censoring_absorption(master):
     once = censor_trajectory(censor_trajectory(traj, U), U2)
     direct = censor_trajectory(traj, U2)
     assert once == direct
-
-
-def test_ledger_kinds(det_prior):
-    m = det_prior.atoms[0]
-    pol = enumerate_policies(2, 2, 2)[0]
-    lam = raw_ledger(2, 2, 2, [(pol, one_traj(m, pol))])
-    assert lam.structural_kind() == LedgerKind.RAW
-    assert totally_censor(lam).structural_kind() == LedgerKind.TOTALLY_CENSORED
-    partial = censor_ledger(lam, frozenset({(1, 1, 1)}))
-    assert partial.structural_kind() is None
 
 
 def test_ledger_probability_own_raw_ledger(det_prior):
@@ -158,27 +146,6 @@ def test_underexplored_set(det_prior):
     twice = raw_ledger(2, 2, 2, [(pol, traj), (pol, traj)])
     assert underexplored_set(twice, 2) == all_triples(2, 2, 2) - frozenset(traj.triples())
     assert underexplored_set(lam, 2) == all_triples(2, 2, 2)
-
-
-def test_consistent_models(det_prior):
-    pol = enumerate_policies(2, 2, 2)[0]
-    empty = raw_ledger(2, 2, 2, [])
-    assert consistent_models(det_prior, empty) == frozenset(range(det_prior.n))
-    m = det_prior.atoms[100]
-    lam = raw_ledger(2, 2, 2, [(pol, one_traj(m, pol))])
-    got = consistent_models(det_prior, lam)
-    expected = frozenset(
-        i for i, atom in enumerate(det_prior.atoms)
-        if all(
-            atom.mean_reward(*t) == m.mean_reward(*t)
-            for t in one_traj(m, pol).triples()
-        )
-    )
-    assert got == expected
-    # contradictory ledger: same policy, two different deterministic reward values
-    other = det_prior.atoms[255 - 100]
-    lam2 = raw_ledger(2, 2, 2, [(pol, one_traj(m, pol)), (pol, one_traj(other, pol))])
-    assert consistent_models(det_prior, lam2) == frozenset()
 
 
 def test_ledger_jsonl_roundtrip(stoch_prior):
