@@ -666,6 +666,7 @@ class ExactLattice:
         return ((x - 1) * self.A + a - 1) * self.H + h - 1
 
     def trans_feature(self, x: int, a: int, h: int, y: int) -> int:
+        """The feature of the transition from (x, a, h) to state y."""
         return self.S * (self._triple(x, a, h) + 1) + y - 1
 
     def reward_features(self, x: int, a: int, h: int) -> range:
@@ -702,10 +703,13 @@ class ExactLattice:
 
     @functools.cached_property
     def policies(self) -> list[MarkovPolicy]:
+        """Every policy in encoding order, enumerated on first use, so a
+        prior whose policy space exceeds the cap still has a lattice."""
         return enumerate_policies(self.S, self.A, self.H)
 
     @functools.cached_property
     def value_cols(self) -> list[tuple]:
+        """Built on first exact use; the float run path never reads it."""
         T = self.S * self.A * self.H
         means = [[self.law_means[j] for j in self.law_ix[t::T]] for t in range(T)]
         return [self._values(pol, means) for pol in self.policies]

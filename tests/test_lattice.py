@@ -1,6 +1,7 @@
 """Differential tests of the exact integer lattice against Fraction references.
 
-Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
+Random small factored priors (S, A, H <= 2, at most 64 atoms, drawn
+from ``prior_strategies.small_priors``) feed:
 - canonical_posterior vs prior weights times
   ledger_probability, normalized in Fractions;
 - bayes_greedy, greedy_set, conditional_value and canonical_gap vs
@@ -10,6 +11,9 @@ Random small factored priors (S, A, H <= 2, at most 64 atoms) feed:
 - the float mechanism posterior of the run loop
   (agents._mechanism_weights_float) vs the exact mechanism_posterior;
 - low_reward_table vs per-atom exact mean rewards;
+- every PriorTables array and low_reward_table vs a per-atom float(p)
+  build, bit for bit, also on a prior whose denominator exceeds 2**53;
+- count signatures vs LedgerState's reward-count layout;
 - the lattice's per-policy trajectory lists vs
   mdp.enumerate_trajectories, atom by atom, on the micro instances too;
 and a corrupted lattice column must stop enumerate_game.
