@@ -65,7 +65,7 @@ cfg = MechanismConfig(report["n_phase_theory"], n_lrn, config.eps_pun, 320,
                       rho=Fraction(1, 4))
 agent = make_agent("canonical_truster", prior, cfg)
 log = run_game(cfg, prior, agent, seed=3, episode_log="hallucination")
-est = empirical_estimators(log, n_lrn)
+est = empirical_estimators(log, n_lrn, prior.shape[0])
 truth = prior.atoms[log.true_atom]
 er, ep = eps_r_bound(delta, n_lrn), eps_p_bound(delta, n_lrn, 2)
 print(f"\nestimators after {len(log.phases)} phases (n_lrn = {n_lrn}):")

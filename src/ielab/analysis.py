@@ -165,19 +165,20 @@ class Estimators:
     theta_p0: list | None  # initial-state frequencies over first n_lrn phases
 
 
-def empirical_estimators(game_log, n_lrn: int) -> Estimators:
+def empirical_estimators(game_log, n_lrn: int, S: int) -> Estimators:
     """Per-triple empirical means over the first n_lrn hallucination visits.
 
-    Transition frequencies are defined for h < H (the stage-H transition
-    only feeds the designated sink). The initial-state estimator uses the
-    first n_lrn hallucination episodes and is None before that. A triple
-    with fewer than n_lrn hallucination visits has no estimate.
+    Frequencies are vectors over the model's S states, also over states
+    no episode reached. Transition frequencies are defined for h < H (the
+    stage-H transition only feeds the designated sink). The initial-state
+    estimator uses the first n_lrn hallucination episodes and is None
+    before that. A triple with fewer than n_lrn hallucination visits has
+    no estimate.
     """
     history = game_log.hallucination_history()
     samples_r: dict = {}
     samples_p: dict = {}
     inits = []
-    S = None
     for _, _, steps in history:
         if steps is None:
             continue
@@ -191,32 +192,26 @@ def empirical_estimators(game_log, n_lrn: int) -> Estimators:
                 samples_p.setdefault(t, [])
                 if len(samples_p[t]) < n_lrn:
                     samples_p[t].append(steps[i + 1][0])
-            S = max(S or 0, x)
     theta_r = {t: sum(vals) / n_lrn for t, vals in samples_r.items() if len(vals) >= n_lrn}
     theta_p = {}
     for t, nexts in samples_p.items():
-        if len(nexts) >= n_lrn and S is not None:
+        if len(nexts) >= n_lrn:
             theta_p[t] = [sum(1 for y in nexts if y == s) / n_lrn for s in range(1, S + 1)]
     theta_p0 = None
-    if len(inits) >= n_lrn and S is not None:
+    if len(inits) >= n_lrn:
         first = inits[:n_lrn]
         theta_p0 = [sum(1 for y in first if y == s) / n_lrn for s in range(1, S + 1)]
     return Estimators(theta_r, theta_p, theta_p0)
 
 
 def first_unexplored_stage(model: TabularModel, policy: MarkovPolicy, U: TripleSet) -> int:
-    """First stage at which the unique trajectory enters U; H+1 if never."""
+    """First stage at which the unique trajectory enters U; H+1 if never:
+    the stage of the first U-step of ``absorbing_steps``, which on a
+    deterministic model walks that trajectory."""
     if not model.is_deterministic:
         raise PreconditionViolated("first_unexplored_stage needs a deterministic model")
-    x = 1 + max(range(model.S), key=lambda y: model.init[y])
-    for h in range(1, model.H + 1):
-        a = policy.action(x, h)
-        if (x, a, h) in U:
-            return h
-        if h < model.H:
-            row = model.transition(x, a, h)
-            x = 1 + max(range(model.S), key=lambda y: row[y])
-    return model.H + 1
+    steps, _ = absorbing_steps(model, policy, U)
+    return next((h for x, a, h, _ in steps if (x, a, h) in U), model.H + 1)
 
 
 def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet,

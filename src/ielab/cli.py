@@ -13,6 +13,7 @@ import sys
 
 from .errors import AssumptionViolated, ConfigError, IELabError, VerificationFailure
 from .harness import (
+    _SUITES,
     cmd_params,
     cmd_run_det,
     cmd_run_prob,
@@ -21,10 +22,10 @@ from .harness import (
 )
 
 _COMMANDS = {
-    "run-det": (cmd_run_det, {"kind": "det-theorem"}),
-    "run-prob": (cmd_run_prob, {"kind": "prob-run"}),
-    "verify": (cmd_verify, {}),
-    "params": (cmd_params, {"kind": "params"}),
+    "run-det": cmd_run_det,
+    "run-prob": cmd_run_prob,
+    "verify": cmd_verify,
+    "params": cmd_params,
 }
 
 
@@ -47,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="K=V", help="dotted config override, repeatable")
         if name == "verify":
             p.add_argument("--suite", help="default: the config's suite, else all",
-                           choices=["all", "hygiene", "one-step", "sim-lemma",
-                                    "dist-equality"])
+                           choices=["all", *_SUITES])
     return parser
 
 
@@ -68,10 +68,9 @@ def _seeds_from_args(args) -> object | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    func, defaults = _COMMANDS[args.command]
+    func = _COMMANDS[args.command]
     try:
-        defaults = dict(defaults)
-        cfg = load_config(args.config, args.override, defaults)
+        cfg = load_config(args.config, args.override)
         seeds = _seeds_from_args(args)
         if seeds is not None:
             cfg.raw["seeds"] = seeds

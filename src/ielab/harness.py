@@ -61,10 +61,9 @@ PARAMS_COLUMNS = [
 ]
 
 _KNOWN_KEYS = {
-    "kind", "prior", "mechanism", "agent", "seeds", "out", "exact",
+    "prior", "mechanism", "agent", "seeds", "out", "exact",
     "episode_log", "rho", "delta", "suite",
 }
-_KINDS = {"det-theorem", "prob-run", "hygiene", "one-step", "sim-lemma", "params"}
 
 
 @dataclass
@@ -75,9 +74,6 @@ class ExperimentConfig:
         unknown = set(self.raw) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kind = self.raw.get("kind")
-        if kind is not None and kind not in _KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
 
     def get(self, key, default=None):
         return self.raw.get(key, default)
@@ -97,9 +93,8 @@ class ExperimentConfig:
         raise ConfigError(f"bad seeds spec: {spec!r}")
 
 
-def load_config(path: str | None, overrides: list[str] | None = None,
-                defaults: dict | None = None) -> ExperimentConfig:
-    raw = dict(defaults or {})
+def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
+    raw = {}
     if path is not None:
         try:
             with open(path) as f:

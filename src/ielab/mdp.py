@@ -6,9 +6,12 @@ h in [H]). All probabilities and reward values are stored as exact
 common denominator (``int_parts``, ``int_means``, built once per model),
 so no operation pays a gcd, and return Fractions. A model's checks come
 in parts (``check_model_parts``), so a builder whose models share
-transition rows and reward laws can check each once. Sampling reads
-float cumulative rows built once per model; the float posterior route
-lives in ``priors.PriorTables``.
+transition rows and reward laws can check each once. One forward
+recursion walks a policy's visits, ``absorbing_steps``; the visit
+events, occupancy weights and reachable triples are read off it.
+Sampling reads one table of ``rng.cumulative_row`` rows per model,
+indexed by the flat (x, a, h) index; the float posterior route lives in
+``priors.PriorTables``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded
-from .rng import sample_index
+from .rng import cumulative_row, sample_index
 
 POLICY_CAP = 10**6
 TRAJECTORY_CAP = 10**7
@@ -471,55 +474,30 @@ def path_mass(model, steps) -> Fraction:
     return prob
 
 
-def _cumulative_row(probs) -> list[float]:
-    """Float cumulative sums for sampling, as ``rng.index_from_uniform``
-    forms them.
+def _sampling_rows(model: TabularModel) -> tuple:
+    """The model's sampling rows, built once: ``rng.cumulative_row`` of the
+    init vector, then per flat (x, a, h) index (C order over (S, A, H)) of
+    the reward law and of the transition row, and one table of Steps with
+    the reward value at position k of triple t's law at t * width + k.
 
-    The sums accumulate left to right in floats and may end just below 1.
-    From the last positive-mass index on they are raised to infinity, so
-    a draw past the float sum lands on that index, as in
-    ``index_from_uniform``, and a zero-mass index is never drawn.
-    """
-    cum, acc = [], 0.0
-    for p in probs:
-        acc += float(p)
-        cum.append(acc)
-    last = max(i for i, p in enumerate(probs) if p > 0)
-    cum[last:] = [float("inf")] * (len(cum) - last)
-    return cum
-
-
-def _sampling_rows(model: TabularModel):
-    """The float cumulative init row and, per (x, a, h), the Step of each
-    reward value with the reward and transition rows; built once per model.
-
-    The third entry holds the same rows stacked for ``rollout_rows``: the
-    init row, the reward rows (padded with inf, which no uniform reaches)
-    and the transition rows by flat (x, a, h) index, each triple's first
-    index into one table of every Step, and that table.
+    Reward rows are padded with inf to one width, and the table with None;
+    no uniform reaches an inf, so the padding is never drawn. Returns
+    (lists, arrays, step_table, width): ``rollout`` bisects the rows as
+    lists, and ``rollout_rows`` counts against the same rows as arrays.
     """
     if "sampling" not in model._cache:
-        rows = {}
-        for x in range(1, model.S + 1):
-            for a in range(1, model.A + 1):
-                for h in range(1, model.H + 1):
-                    dist = model.reward_dist(x, a, h)
-                    rows[x, a, h] = (
-                        tuple(Step(x, a, h, v) for v in dist.support),
-                        _cumulative_row(dist.probs),
-                        _cumulative_row(model.transition(x, a, h)),
-                    )
-        init = _cumulative_row(model.init)
-        # rows runs through (x, a, h) in C order, so position = flat index
-        width = max(len(reward_row) for _, reward_row, _ in rows.values())
-        reward_rows = np.array([reward_row + [math.inf] * (width - len(reward_row))
-                                for _, reward_row, _ in rows.values()])
-        trans_rows = np.array([trans_row for _, _, trans_row in rows.values()])
-        sizes = [len(reward_steps) for reward_steps, _, _ in rows.values()]
-        first_step = np.cumsum([0] + sizes[:-1])
-        step_table = [s for reward_steps, _, _ in rows.values() for s in reward_steps]
-        model._cache["sampling"] = (init, rows, (np.array(init), reward_rows, trans_rows,
-                                                 first_step, step_table))
+        triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
+                   for h in range(1, model.H + 1)]
+        laws = [model.reward_dist(*t) for t in triples]
+        width = max(len(d.probs) for d in laws)
+        step_table, reward_rows = [], []
+        for t, d in zip(triples, laws):
+            pad = width - len(d.probs)
+            step_table += [Step(*t, v) for v in d.support] + [None] * pad
+            reward_rows.append(cumulative_row(d.probs) + [math.inf] * pad)
+        lists = (cumulative_row(model.init), reward_rows,
+                 [cumulative_row(model.transition(*t)) for t in triples])
+        model._cache["sampling"] = (lists, tuple(map(np.array, lists)), step_table, width)
     return model._cache["sampling"]
 
 
@@ -529,16 +507,15 @@ def rollout(model, policy, u) -> tuple[Step, ...]:
     ``u[0]`` draws the initial state; stage h draws its reward with
     ``u[2h-1]`` and, below stage H, its next state with ``u[2h]``.
     """
-    init, rows, _ = _sampling_rows(model)
-    actions, H = policy.actions, model.H
+    (init, reward_rows, trans_rows), _, step_table, width = _sampling_rows(model)
+    actions, A, H = policy.actions, model.A, model.H
     x = 1 + bisect_right(init, u[0])
     steps = []
     for h in range(1, H + 1):
-        a = actions[x - 1][h - 1]
-        reward_steps, reward_row, trans_row = rows[x, a, h]
-        steps.append(reward_steps[bisect_right(reward_row, u[2 * h - 1])])
+        t = ((x - 1) * A + actions[x - 1][h - 1] - 1) * H + h - 1
+        steps.append(step_table[t * width + bisect_right(reward_rows[t], u[2 * h - 1])])
         if h < H:
-            x = 1 + bisect_right(trans_row, u[2 * h])
+            x = 1 + bisect_right(trans_rows[t], u[2 * h])
     return tuple(steps)
 
 
@@ -552,7 +529,7 @@ def rollout_rows(model, policy, u: np.ndarray) -> tuple[list[tuple[Step, ...]], 
     returns: the same float comparisons as ``rollout``. A single row is
     faster through ``rollout``.
     """
-    _, _, (init_row, reward_rows, trans_rows, first_step, step_table) = _sampling_rows(model)
+    _, (init_row, reward_rows, trans_rows), step_table, width = _sampling_rows(model)
     A, H = model.A, model.H
     actions = np.array(policy.actions) - 1
     x = np.count_nonzero(init_row <= u[:, :1], axis=1)  # 0-based states
@@ -560,7 +537,7 @@ def rollout_rows(model, policy, u: np.ndarray) -> tuple[list[tuple[Step, ...]], 
     which = np.zeros(len(u), dtype=np.intp)  # the rows' distinct prefixes so far
     for h in range(H):
         xah = (x * A + actions[x, h]) * H + h
-        step_ids[:, h] = first_step[xah] + np.count_nonzero(
+        step_ids[:, h] = xah * width + np.count_nonzero(
             reward_rows[xah] <= u[:, 2 * h + 1, None], axis=1)
         # numbering the prefixes densely keeps the codes below n * len(step_table)
         _, first, which = np.unique(which * len(step_table) + step_ids[:, h],
@@ -680,21 +657,11 @@ def absorbing_steps(model, policy, U: TripleSet) -> tuple[list, int]:
 
 def reachable_triples(model, policy) -> TripleSet:
     """Every (x, a, h) that pi visits with positive probability: the
-    support of ``absorbing_steps`` with nothing absorbing, found from the
-    signs of init and transition entries alone. So
+    support of ``absorbing_steps`` with nothing absorbing. So
     ``event_visit_probability(model, policy, U) > 0`` exactly when this
     set meets U."""
-    states = [x for x, p in enumerate(model.init, 1) if p]
-    out = set()
-    for h in range(1, model.H + 1):
-        nxt = set()
-        for x in states:
-            a = policy.action(x, h)
-            out.add((x, a, h))
-            if h < model.H:
-                nxt.update(y for y, p in enumerate(model.transition(x, a, h), 1) if p)
-        states = nxt
-    return frozenset(out)
+    steps, _ = absorbing_steps(model, policy, frozenset())
+    return frozenset((x, a, h) for x, a, h, _ in steps)
 
 
 def event_visit_probability(model, policy, U: TripleSet) -> Fraction:

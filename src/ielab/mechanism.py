@@ -550,10 +550,7 @@ def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarr
     u = make_rng().random(m)
     occ = occ[sel]
     cum = tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
-    idx = (u[:, None] >= cum).sum(axis=1)
-    # u can reach past the float cumulative sum, which may end just below 1:
-    # fall back to the last support value with positive mass
-    idx = np.minimum(idx, tables.reward_last[hal_atom].ravel()[occ])
+    idx = (u[:, None] >= cum).sum(axis=1)  # index_from_uniform's rule
     values[sel] = idx
     counts = np.bincount(occ * n_support + idx, minlength=counts.size).reshape(counts.shape)
     return counts, values

@@ -55,6 +55,7 @@ from .mdp import (
     support_pairs,
     transition_table,
 )
+from .rng import cumulative_row
 
 FACTORED_EXPANSION_CAP = 10**5
 
@@ -397,11 +398,12 @@ class PriorTables:
     """numpy arrays over a prior's atoms: the float posterior route.
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
-    trans (n, S, A, H, S); and per-support reward log-masses for
-    likelihood accumulation. All are read off the prior's ExactLattice:
-    each distinct int row converts once, one Python ``int / den`` per
-    entry, which is correctly rounded and so the float of the atom's own
-    Fraction.
+    trans (n, S, A, H, S); and per support value the reward log-masses
+    for likelihood accumulation and the reward draw rows
+    (``rng.cumulative_row``, one per distinct law). All are read off the
+    prior's ExactLattice: each distinct int row converts once, one Python
+    ``int / den`` per entry, which is correctly rounded and so the float
+    of the atom's own Fraction.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -416,13 +418,11 @@ class PriorTables:
         self.init = vecs[:n]
         self.trans = vecs[n:].reshape(n, S, A, H, S)
         laws = np.array(lattice.law_ix).reshape(n, S, A, H)
-        # reward mass: (n, S, A, H, |support|)
-        mass = np.array([[p / den for p in row] for row in lattice.law_rows])[laws]
+        law_rows = [[p / den for p in row] for row in lattice.law_rows]
+        # reward mass and draw rows: (n, S, A, H, |support|)
         with np.errstate(divide="ignore"):
-            self.reward_logmass = np.log(mass)  # -inf where mass is 0
-        self.reward_cum = np.cumsum(mass, axis=-1)
-        # index of the last support value with positive mass: (n, S, A, H)
-        self.reward_last = len(self.support) - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1)
+            self.reward_logmass = np.log(np.array(law_rows)[laws])  # -inf where mass is 0
+        self.reward_cum = np.array([cumulative_row(row) for row in law_rows])[laws]
         self.log_weights = np.log(np.array([float(w) for w in prior.weights]))
         means = np.array([m / lattice.mean_den for m in lattice.law_means])[laws]
         self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
@@ -614,9 +614,9 @@ class ExactLattice:
       (x, a, h, support position) in the layout of
       ``LedgerState.reward_counts``, then one all-zero column for any
       revealed reward outside the support. ``columns[f][i]`` is atom i's
-      mass of feature f over ``den``; ``count_signature`` turns a ledger
-      into (feature, count) pairs and ``masses`` raises the columns to
-      them.
+      mass of feature f over ``den``, built on first use; ``count_signature``
+      turns a ledger into (feature, count) pairs and ``masses`` raises the
+      columns to them.
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
       over ``value_den``, filled on first use by one integer backward DP
       per policy, vectorized over atoms.
@@ -631,7 +631,7 @@ class ExactLattice:
 
     def __init__(self, prior: DiscretePrior):
         S, A, H = prior.shape
-        self.n = n = prior.n
+        self.n = prior.n
         self.S, self.A, self.H = S, A, H
         self.support = prior.atoms[0].reward_support
         # support positions by (numerator, denominator): int hashes, not Fraction ones
@@ -649,16 +649,7 @@ class ExactLattice:
         self.law_rows = [[next(flat) for _ in row] for row in masses]
         self.law_means, self.mean_den = over_common_den([d.mean() for d in laws])
         self.value_den = self.mean_den * self.den ** H
-        T = S * A * H
-        self.reward_start = S + T * S
-        vec_ix, law_ix = self.vec_ix, self.law_ix
-        # zip(*rows) turns the atoms' rows into one column per entry
-        self.columns = list(zip(*[self.vec_rows[j] for j in vec_ix[:n]]))
-        for t in range(T):
-            self.columns.extend(zip(*[self.vec_rows[j] for j in vec_ix[n + t::T]]))
-        for t in range(T):
-            self.columns.extend(zip(*[self.law_rows[j] for j in law_ix[t::T]]))
-        self.columns.append((0,) * n)
+        self.reward_start = S + S * A * H * S
         self._paths: dict = {}
 
     def _triple(self, x: int, a: int, h: int) -> int:
@@ -700,6 +691,20 @@ class ExactLattice:
             for f in feats:
                 counts[f] = counts.get(f, 0) + 1
         return tuple(sorted(counts.items()))
+
+    @functools.cached_property
+    def columns(self) -> list[tuple]:
+        """Built on first exact use; the float run path reads only the
+        distinct rows."""
+        n, T, vec_ix, law_ix = self.n, self.S * self.A * self.H, self.vec_ix, self.law_ix
+        # zip(*rows) turns the atoms' rows into one column per entry
+        columns = list(zip(*[self.vec_rows[j] for j in vec_ix[:n]]))
+        for t in range(T):
+            columns.extend(zip(*[self.vec_rows[j] for j in vec_ix[n + t::T]]))
+        for t in range(T):
+            columns.extend(zip(*[self.law_rows[j] for j in law_ix[t::T]]))
+        columns.append((0,) * n)
+        return columns
 
     @functools.cached_property
     def policies(self) -> list[MarkovPolicy]:

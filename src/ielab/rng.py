@@ -30,13 +30,21 @@ reads all its episode streams in one call. ``mdp.rollout_rows`` then
 rolls out the phase's honest rows as one array operation per draw, while
 the hallucination episode's row, the one trajectory the mechanism reads,
 goes through the scalar ``mdp.rollout``; a phase of one episode reads its
-row with ``uniforms``. A uniform becomes an index of a probability vector
-through ``index_from_uniform``, the one inverse-CDF rule of the package.
+row with ``uniforms``.
+
+A uniform becomes an index of a probability vector by one inverse-CDF
+rule: the first index whose left-to-right float cumulative sum exceeds
+u, falling back to the last positive-mass index when u lies past the
+sums. ``index_from_uniform`` applies it to a vector at hand;
+``cumulative_row`` builds the rows that samplers precompute once (a
+model's rollout rows, the prior's reward rows), on which the index is
+the count of entries <= u.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -178,6 +186,26 @@ def index_from_uniform(probs, u: float) -> int:
     if i < len(cum):
         return i
     return max(i for i, p in enumerate(probs) if p > 0)
+
+
+def cumulative_row(probs) -> list[float]:
+    """The float cumulative sums of a probability vector (floats or
+    Fractions), for drawing by ``index_from_uniform``'s rule from a row
+    built once.
+
+    The sums accumulate left to right, as ``np.cumsum`` adds, and may end
+    just below 1. From the last positive-mass index on they are raised to
+    infinity, so the count of entries <= u is ``index_from_uniform(probs,
+    u)`` for every u in [0, 1): a u past the float sums lands on the last
+    positive-mass index, and a zero-mass index is never drawn.
+    """
+    cum, acc = [], 0.0
+    for p in probs:
+        acc += float(p)
+        cum.append(acc)
+    last = max(i for i, p in enumerate(probs) if p > 0)
+    cum[last:] = [math.inf] * (len(cum) - last)
+    return cum
 
 
 def sample_index(probs, rng: np.random.Generator) -> int:

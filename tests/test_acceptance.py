@@ -243,7 +243,7 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
         agent = make_agent("canonical_truster", stoch_prior, cfg)
         log = run_game(cfg, stoch_prior, agent, seed=seed,
                        episode_log="hallucination")
-        est = empirical_estimators(log, n_lrn)
+        est = empirical_estimators(log, n_lrn, stoch_prior.shape[0])
         m = stoch_prior.atoms[log.true_atom]
         ok = all(
             abs(val - float(m.mean_reward(*t))) <= er for t, val in est.theta_r.items()

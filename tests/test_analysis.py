@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ielab import (
+    DiscretePrior,
     MechanismConfig,
     PreconditionViolated,
     all_triples,
@@ -202,7 +203,7 @@ def test_error_bound_formulas():
 def test_empirical_estimators_deterministic(det_prior, det_config):
     agent = make_agent("fully_rational", det_prior, det_config)
     log = run_game(det_config, det_prior, agent, seed=2, episode_log="hallucination")
-    est = empirical_estimators(log, n_lrn=1)
+    est = empirical_estimators(log, n_lrn=1, S=2)
     m = det_prior.atoms[log.true_atom]
     for t, val in est.theta_r.items():
         assert val == float(m.mean_reward(*t))
@@ -212,6 +213,25 @@ def test_empirical_estimators_deterministic(det_prior, det_config):
         assert freq == expected
     assert est.theta_p0 is not None
     assert sum(est.theta_p0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_empirical_estimators_cover_states_no_episode_reaches():
+    """Frequency vectors have one entry per model state. Here states 2 and
+    3 are reachable but no hallucination episode reaches them; shorter
+    vectors would drop their l1 terms when zipped against the true rows."""
+    model = build_model(3, 1, 2, ["98/100", "1/100", "1/100"],
+                        {(x, 1, 1): [1, 0, 0] for x in (1, 2, 3)},
+                        {(x, 1, h): 0 for x in (1, 2, 3) for h in (1, 2)})
+    prior = DiscretePrior((model,), (Fraction(1),))
+    cfg = MechanismConfig(1, 2, Fraction(1, 4), 4)
+    log = run_game(cfg, prior, make_agent("canonical_truster", prior, cfg), seed=0,
+                   episode_log="hallucination")
+    assert {x for _, _, steps in log.hallucination_history() for x, *_ in steps} == {1}
+    est = empirical_estimators(log, n_lrn=2, S=3)
+    assert est.theta_p0 == [1.0, 0.0, 0.0]
+    assert est.theta_p == {(1, 1, 1): [1.0, 0.0, 0.0]}
+    l1 = sum(abs(f - float(p)) for f, p in zip(est.theta_p0, model.init, strict=True))
+    assert l1 == pytest.approx(0.04, abs=1e-15)
 
 
 def test_first_unexplored_stage(det_prior):

@@ -12,10 +12,14 @@ Bernoulli rewards exercise every branch of trajectory sampling.
 model, set, policy, reward function and eps that ``verify_sim_lemma``
 draws from ``default_rng(7)``, so a faster way to draw them cannot
 change the certified instances. A changed golden is either a bug
-or a declared format change; regenerate the files only for the latter,
-with
+or a declared format change. Running
 
     PYTHONPATH=src python tests/test_golden.py
+
+adds what the files lack (new runs, checks, tables or phases) and
+changes nothing else: if the code would change or drop an existing entry,
+it names each such entry, writes nothing and exits non-zero. A declared
+format change deletes the affected entries by hand first.
 """
 
 from __future__ import annotations
@@ -249,16 +253,57 @@ def test_golden_oracle_tables():
     assert oracle_tables() == json.loads(VERIFY_GOLDEN.read_text())["tables"]
 
 
+def changed_entries(old, new, where: str) -> list[str]:
+    """The entries of an existing golden that a new one changes or drops.
+    Mappings compare key by key, so a key only the new one has is an
+    addition; anything else compares whole."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [where]
+    return [entry for k, v in old.items()
+            for entry in (changed_entries(v, new[k], f"{where}/{k}") if k in new
+                          else [f"{where}/{k} (dropped)"])]
+
+
+def test_changed_entries_allow_only_additions():
+    old = {"det": {"argv": ["run-det"], "digests": {"0": "a"}}, "sha": "x"}
+    assert changed_entries(old, {**old, "new-run": {"digests": {}}}, "g") == []
+    assert changed_entries(old, {"det": {"argv": ["run-det"], "digests": {"0": "b"}}},
+                           "g") == ["g/det/digests/0", "g/sha (dropped)"]
+
+
+def _keyed_checks(doc: dict, among=None) -> dict:
+    """verify_checks.json with its check rows keyed by check name, so a new
+    check is an addition, and the order of the checks named in ``among``
+    (default: all) as an entry of its own."""
+    rows = {name: rest for name, *rest in doc["verify"]}
+    return {**doc, "verify": rows,
+            "verify order": [n for n in rows if among is None or n in among]}
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
-    doc = {name: {"argv": argv, "digests": log_digests(argv)} for name, argv in RUNS.items()}
-    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    STOCH_FULL_GOLDEN.write_text(
-        json.dumps(stoch_full_log_digests(), indent=2, sort_keys=True) + "\n")
-    SIM_LEMMA_GOLDEN.write_text(
-        json.dumps(sim_lemma_instances(), indent=2, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"verify": verify_checks(tmp), "stoch_table": stoch_table_values(),
-               "tables": oracle_tables()}
-    VERIFY_GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        verify_doc = {"verify": verify_checks(tmp), "stoch_table": stoch_table_values(),
+                      "tables": oracle_tables()}
+    docs = {
+        GOLDEN: {name: {"argv": argv, "digests": log_digests(argv)}
+                 for name, argv in RUNS.items()},
+        STOCH_FULL_GOLDEN: stoch_full_log_digests(),
+        SIM_LEMMA_GOLDEN: sim_lemma_instances(),
+        VERIFY_GOLDEN: verify_doc,
+    }
+    changed = []
+    for path, doc in docs.items():
+        if path.exists():
+            old, new = json.loads(path.read_text()), doc
+            if path == VERIFY_GOLDEN:
+                old = _keyed_checks(old)
+                new = _keyed_checks(doc, among=old["verify"])
+            changed += changed_entries(old, new, path.name)
+    if changed:
+        sys.exit("existing golden entries would change; nothing written:\n  "
+                 + "\n  ".join(changed))
+    for path, doc in docs.items():
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -11,16 +11,17 @@ from ielab.harness import ExperimentConfig, load_config
 
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError):
-        ExperimentConfig({"kind": "det-theorem", "bogus": 1})
-    with pytest.raises(ConfigError):
-        ExperimentConfig({"kind": "not-a-kind"})
+        ExperimentConfig({"bogus": 1})
+    # the subcommand decides what runs; a config cannot name another kind
+    with pytest.raises(ConfigError, match="kind"):
+        ExperimentConfig({"kind": "prob-run"})
 
 
 @pytest.mark.parametrize("key", ["overrides", "phase_cap", "sim_pairs", "perf_pairs"])
 def test_config_rejects_keys_nothing_reads(key):
     """A key the harness would ignore is an error, not a silent no-op."""
     with pytest.raises(ConfigError, match=key):
-        ExperimentConfig({"kind": "det-theorem", key: 1})
+        ExperimentConfig({key: 1})
 
 
 def test_config_seed_forms(monkeypatch):
@@ -33,7 +34,7 @@ def test_config_seed_forms(monkeypatch):
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"kind": "det-theorem", "mechanism": {"n_phase": 8}}))
+    path.write_text(json.dumps({"mechanism": {"n_phase": 8}}))
     cfg = load_config(str(path), ["mechanism.total_phases=3", "out=somewhere"])
     assert cfg.get("mechanism") == {"n_phase": 8, "total_phases": 3}
     assert cfg.get("out") == "somewhere"

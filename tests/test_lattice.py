@@ -67,6 +67,7 @@ from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set, over_common_den
+from ielab.rng import cumulative_row
 from prior_strategies import mixed_reward_order_prior, small_priors
 
 
@@ -224,8 +225,8 @@ def per_atom_tables(prior, eps) -> dict:
         "trans": np.array([[float(p) for t in triples for p in m.transition(*t)]
                            for m in atoms]).reshape(n, S, A, H, S),
         "reward_logmass": logmass,
-        "reward_cum": np.cumsum(mass, axis=-1),
-        "reward_last": V - 1 - np.argmax(mass[..., ::-1] > 0, axis=-1),
+        "reward_cum": np.array([cumulative_row(row) for row in mass.reshape(-1, V)]
+                               ).reshape(n, S, A, H, V),
         "value_matrix": np.array([[float_policy_value(m, pol)
                                    for pol in enumerate_policies(S, A, H)] for m in atoms]),
         "log_weights": np.log([float(w) for w in prior.weights]),

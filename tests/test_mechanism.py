@@ -493,6 +493,32 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     assert counts[0, 0, 0, 9] == 1 and counts.sum() == 1
 
 
+def test_draw_hallucinated_top_draw_on_every_occurrence(top_draw_rng):
+    """The top uniform on each of several occurrences, drawn from a second
+    atom whose law lists its trailing zero-mass support value itself (ten
+    1/10 masses, whose float sum ends below 1): every draw is that law's
+    last positive-mass value, never the zero-mass one, and never a value of
+    the other atom's law."""
+    import numpy as np
+
+    from ielab import DiscretePrior, DiscreteDist, Step, Trajectory, build_model
+    from ielab.mechanism import _draw_hallucinated
+    from ielab.priors import LedgerState, PriorTables
+
+    support = [Fraction(v, 10) for v in range(11)]
+    tenths = DiscreteDist(tuple(support), (Fraction(1, 10),) * 10 + (Fraction(0),))
+    atoms = tuple(build_model(1, 1, 2, [1], {(1, 1, 1): [1]},
+                              {(1, 1, 1): law, (1, 1, 2): law}, reward_support=support)
+                  for law in (DiscreteDist.point(1), tenths))
+    fast = LedgerState(PriorTables(DiscretePrior(atoms, (Fraction(1, 2),) * 2)))
+    for _ in range(2):
+        fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(1)), Step(1, 1, 2, Fraction(1)))))
+    counts, values = _draw_hallucinated(fast, 1, np.ones((1, 1, 2), dtype=bool),
+                                        lambda: top_draw_rng)
+    assert values.tolist() == [9] * 4
+    assert counts[0, 0, 0, 9] == counts[0, 0, 1, 9] == 2 and counts.sum() == 4
+
+
 def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_tables):
     """One uniform per explored occurrence, in entry order, picks a value of
     the hallucinated atom's reward law at that triple; censored occurrences

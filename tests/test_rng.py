@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ielab import rng
-from ielab.rng import index_from_uniform, integer_below, stream, uniform_rows, uniforms
+from ielab.rng import (cumulative_row, index_from_uniform, integer_below, stream, uniform_rows,
+                       uniforms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,3 +91,5 @@ def test_index_from_uniform_matches_sequential_loop(probs, u):
     assert probs[i] > 0
     if all(isinstance(p, float) for p in probs):  # the ndarray route of the run loop
         assert index_from_uniform(np.array(probs), u) == i
+    # a precomputed row draws the same index as its count of entries <= u
+    assert sum(c <= u for c in cumulative_row(probs)) == i
