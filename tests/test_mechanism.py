@@ -38,9 +38,11 @@ from ielab import (
     run_game,
     sample_hallucinated_model,
     totally_censor,
+    underexplored_set,
+    visit_counts,
 )
 from ielab.instances import random_model
-from ielab.mdp import event_visit_probability, reachable_triples
+from ielab.mdp import event_visit_probability, reach_set, reachable_triples
 from ielab.mechanism import EpisodeRecord, _hh_exploring_policies, hallucination_prior_prob
 from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
@@ -596,6 +598,46 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                 assert signals["hallucinated"] == want
                 nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
         assert nonzero > 0
+
+
+def test_run_bookkeeping_follows_the_raw_ledger(det_prior, det_config, stoch_factored,
+                                               stoch_prior):
+    """The run's U, new triples, visit counts, new-triple flags and phase of
+    coverage are the ledger-level rules the oracle uses, applied to the
+    run's own raw ledger: in every phase U is ``underexplored_set`` of the
+    raw ledger before it, and the new triples are the hallucination
+    trajectory's triples with no visit in ``visit_counts`` of that ledger.
+    Det seeds 0..9 (the run-det config) and micro_stoch_1 at n_lrn 8,
+    40 phases, seeds 0..2."""
+    base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                              n_lrn_override=8, total_phases_override=40)
+    runs = [(det_prior, det_config, "fully_rational", range(10)),
+            (stoch_prior, base, "canonical_truster", range(3))]
+    covered_runs = 0
+    for prior, cfg, mode, seeds in runs:
+        for seed in seeds:
+            log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                           episode_log="hallucination", keep_signals=True)
+            hal_steps = {ell: steps for ell, _, steps in log.hallucination_history()}
+            target = reach_set(prior.atoms[log.true_atom], cfg.rho or 1)
+            covered_at = None
+            for p in log.phases:
+                counts = visit_counts(log.signals[p.ell]["raw"])
+                assert set(p.U) == underexplored_set(log.signals[p.ell]["raw"], cfg.n_lrn)
+                triples = [(x, a, h) for x, a, h, _ in hal_steps[p.ell]]
+                assert p.new_triples == sorted(t for t in triples if t not in counts)
+                for t in triples:
+                    counts[t] = counts.get(t, 0) + 1
+                if covered_at is None and all(counts.get(t, 0) >= cfg.n_lrn
+                                              for t in target):
+                    covered_at = p.ell
+            assert log.summary["visit_counts"] == {f"{x},{a},{h}": c
+                                                   for (x, a, h), c in counts.items()}
+            assert log.summary["new_triple_flags"] == [bool(p.new_triples)
+                                                       for p in log.phases]
+            assert log.summary["phases_to_coverage"] == covered_at
+            covered_runs += covered_at is not None
+    assert covered_runs > 0
 
 
 def test_punish_mask_compares_mean_rewards_exactly():
