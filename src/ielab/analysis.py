@@ -173,21 +173,20 @@ def empirical_estimators(game_log, n_lrn: int, S: int) -> Estimators:
     stage-H transition only feeds the designated sink). The initial-state
     estimator uses the first n_lrn hallucination episodes and is None
     before that. A triple with fewer than n_lrn hallucination visits has
-    no estimate.
+    no estimate. The samples are the Steps of ``hallucination_history``,
+    which are never None.
     """
     history = game_log.hallucination_history()
     samples_r: dict = {}
     samples_p: dict = {}
     inits = []
     for _, _, steps in history:
-        if steps is None:
-            continue
         inits.append(steps[0][0])
         for i, (x, a, h, r) in enumerate(steps):
             t = (x, a, h)
             samples_r.setdefault(t, [])
             if len(samples_r[t]) < n_lrn:
-                samples_r[t].append(float(Fraction(r)))
+                samples_r[t].append(float(r))
             if i + 1 < len(steps):
                 samples_p.setdefault(t, [])
                 if len(samples_p[t]) < n_lrn:

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: run-det | run-prob | verify | params.
-Exit codes: 0 ok, 1 infrastructure/config error, 2 assumption violated,
-3 verification assertion failed. IE_SEED supplies the master seed when
-no --seed / --seeds / config seeds are given.
+Subcommands: run-det | run-prob | verify | params, each taking --config,
+--out and --override; only run-det and run-prob take --seed, --seeds and
+--exact, only verify --suite. Exit codes: 0 ok, 1 infrastructure/config
+error, 2 assumption violated or usage error, 3 verification assertion
+failed. IE_SEED supplies the master seed when no --seed / --seeds / config
+seeds are given.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, help="single master seed")
-        p.add_argument("--seeds", help="seed range a..b (inclusive)")
         p.add_argument("--out", help="artifact output directory")
-        p.add_argument("--exact", action="store_true",
-                       help="agents choose in-run through AgentSpec.choose on the "
-                            "materialized signal ledgers, not the float posteriors")
         p.add_argument("--override", action="append", default=[],
                        metavar="K=V", help="dotted config override, repeatable")
+        if name.startswith("run-"):
+            p.add_argument("--seed", type=int, help="single master seed")
+            p.add_argument("--seeds", help="seed range a..b (inclusive)")
+            p.add_argument("--exact", action="store_true",
+                           help="agents choose in-run through AgentSpec.choose on the "
+                                "materialized signal ledgers, not the float posteriors")
         if name == "verify":
             p.add_argument("--suite", help="default: the config's suite, else all",
                            choices=["all", *_SUITES])
@@ -71,13 +74,14 @@ def main(argv: list[str] | None = None) -> int:
     func = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, args.override)
-        seeds = _seeds_from_args(args)
-        if seeds is not None:
-            cfg.raw["seeds"] = seeds
+        if "seeds" in args:  # the run commands
+            seeds = _seeds_from_args(args)
+            if seeds is not None:
+                cfg.raw["seeds"] = seeds
+            if args.exact:
+                cfg.raw["exact"] = True
         if args.out:
             cfg.raw["out"] = args.out
-        if args.exact:
-            cfg.raw["exact"] = True
         if getattr(args, "suite", None):
             cfg.raw["suite"] = args.suite
         return func(cfg)

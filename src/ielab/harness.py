@@ -120,7 +120,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
 
 
 def load_prior(cfg: ExperimentConfig):
-    """Returns (factored prior or None, expanded DiscretePrior)."""
+    """Returns (factored prior, expanded DiscretePrior); every command's
+    schedule reads the factored form, so a list of atoms is refused."""
     spec = cfg.get("prior", {"micro": "det1"})
     if "micro" in spec:
         name = spec["micro"]
@@ -142,9 +143,10 @@ def load_prior(cfg: ExperimentConfig):
         obj = prior_from_dict(spec["inline"])
     else:
         raise ConfigError("prior spec needs 'micro', 'path', or 'inline'")
-    if hasattr(obj, "expand"):
-        return obj, obj.expand()
-    return None, obj
+    if not hasattr(obj, "expand"):
+        raise AssumptionViolated("ielab's commands need a reward-independent prior in "
+                                 "the factored form; this prior lists its atoms")
+    return obj, obj.expand()
 
 
 def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> MechanismConfig:
@@ -230,8 +232,6 @@ def _det_row(summary: dict) -> dict:
 def cmd_run_det(cfg: ExperimentConfig) -> int:
     """Deterministic-class exploration runs with the certified schedule."""
     factored, prior = load_prior(cfg)
-    if factored is None:
-        raise AssumptionViolated("det-theorem runs need a reward-independent prior")
     base, info = det_parameters(factored)
     config = _apply_mechanism_overrides(cfg, base)
     track_hh = prior.n * len(shared_tables(prior).policies) <= 10**5
@@ -251,8 +251,7 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     delta = float(cfg.get("delta", 0.1))
     mech_ov = cfg.get("mechanism", {})
     base, report = prob_parameters(
-        factored if factored is not None else prior,
-        rho, delta,
+        factored, rho, delta,
         n_lrn_override=mech_ov.get("n_lrn"),
         n_phase_override=mech_ov.get("n_phase"),
         total_phases_override=mech_ov.get("total_phases"),
@@ -281,14 +280,14 @@ def _fmt(v):
 
 def cmd_params(cfg: ExperimentConfig) -> int:
     """Print the det/prob parameter tables for the configured prior."""
-    factored, prior = load_prior(cfg)
+    factored, _ = load_prior(cfg)
     rows = []
-    if factored is not None and factored.is_deterministic():
+    if factored.is_deterministic():
         _, info = det_parameters(factored)
         rows.extend({"name": f"det.{k}", "value": _fmt(v)} for k, v in info.items())
     rho = as_fraction(cfg.get("rho", "1/4"))
     delta = float(cfg.get("delta", 0.1))
-    _, report = prob_parameters(factored if factored is not None else prior, rho, delta)
+    _, report = prob_parameters(factored, rho, delta)
     rows.extend({"name": f"prob.{k}", "value": _fmt(v)} for k, v in report.items())
     text = _write_csv(cfg.get("out"), "params", PARAMS_COLUMNS, rows)
     print(text, end="")

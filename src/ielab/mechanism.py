@@ -359,11 +359,10 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
-def _trajectory_text(trajectory: list | None) -> str:
-    """``json.dumps`` of an episode record's trajectory, compact."""
-    if trajectory is None:
-        return "null"
-    return "[" + ",".join(f"[{x},{a},{h},{_json_str(r)}]" for x, a, h, r in trajectory) + "]"
+def _trajectory_text(steps: tuple) -> str:
+    """``json.dumps`` of an episode record's trajectory as ``to_dict``
+    lists it, compact; ``str`` of a Fraction needs no escaping."""
+    return "[" + ",".join(f'[{x},{a},{h},"{r}"]' for x, a, h, r in steps) + "]"
 
 
 @dataclass(slots=True)
@@ -373,7 +372,7 @@ class EpisodeRecord:
     is_hallucination: bool
     revealed_kind: str  # "honest" | "hallucinated"
     policy: int  # canonical encoding
-    trajectory: list | None  # [[x,a,h,"r"],...]; None when not simulated
+    trajectory: tuple  # the rollout's Steps; every recorded episode is simulated
     traj_stream: str
 
     def to_dict(self) -> dict:
@@ -384,7 +383,7 @@ class EpisodeRecord:
             "is_hallucination": self.is_hallucination,
             "revealed_kind": self.revealed_kind,
             "policy": self.policy,
-            "trajectory": self.trajectory,
+            "trajectory": [[s.x, s.a, s.h, str(s.r)] for s in self.trajectory],
             "traj_stream": self.traj_stream,
         }
 
@@ -466,7 +465,7 @@ class GameLog:
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header(), sort_keys=True, separators=(",", ":"))]
-        # records that share one trajectory list (run_game's) share its text
+        # records that share one Step tuple (run_game's) share its text
         texts: dict[int, str] = {}
         episode_lines = []
         for e in self.episodes:
@@ -489,16 +488,12 @@ class GameLog:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
 
     def hallucination_history(self) -> list:
-        """(ell, policy encoding, trajectory steps) per hallucination episode."""
+        """(ell, policy encoding, trajectory Steps, never None) per hallucination episode."""
         out = []
         for e in self.episodes:
             if e.is_hallucination:
                 out.append((e.ell, e.policy, e.trajectory))
         return out
-
-
-def _steps_to_json(steps) -> list:
-    return [[s.x, s.a, s.h, str(s.r)] for s in steps]
 
 
 def prior_digest(prior: DiscretePrior) -> str:
@@ -570,19 +565,6 @@ def _hh_exploring_policies(tables: PriorTables, reachable: list,
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
-def _hh_condition_in_run(config, fast, inside, ell, punish_prob, hal_counts):
-    """Evaluate the phase-length condition against the exploring-policy set
-    ``inside`` of ``_hh_exploring_policies``. Returns None when the policy
-    split degenerates.
-    """
-    if inside is None:
-        return None
-    gap = canonical_gap(fast.revealed_posterior(hal_counts), inside)
-    holds, _, _ = hh_condition_holds(len(phase_episodes(config, ell)), punish_prob, gap,
-                                     fast.tables.H)
-    return holds
-
-
 def _signals_from_state(fast: LedgerState, hal_entries, U, hal_values) -> dict:
     """Materialize the censored / honest / hallucinated ledgers (micro scale)."""
     S, A, H = fast.tables.S, fast.tables.A, fast.tables.H
@@ -608,8 +590,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     own named stream). A full-log phase of several episodes reads their
     streams as one array and rolls out the honest rows in one block
     (``mdp.rollout_rows``); the hallucination episode's trajectory comes
-    from the scalar ``mdp.rollout``, as in every one-episode phase, and
-    each distinct trajectory is rendered to JSON once per run.
+    from the scalar ``mdp.rollout``, as in every one-episode phase. A
+    record keeps its rollout's Step tuple, so each distinct trajectory is
+    rendered once per phase. U, new triples, coverage and the visit counts
+    are read from the one visit count, ``LedgerState.visits``.
     ``keep_signals`` attaches the per-phase ledgers to
     ``log.signals`` for micro-scale cross-checks. ``phase_hook(ctx, log)``
     runs after each phase's bookkeeping; returning True stops the run
@@ -648,32 +632,17 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     )
     log.signals = {} if keep_signals else None
     covered_at = None
-    new_triple_flags = []
-    triple_list = sorted(all_triples(S, A, H))
     n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
-    # step identities -> the trajectory's JSON list, shared read-only by
-    # every record with that trajectory
-    traj_json: dict[tuple, list] = {}
-
-    def trajectory_json(steps) -> list:
-        # rollouts hand out the Step objects of the model's sampling rows,
-        # so their identities name the trajectory without hashing Fractions
-        key = tuple(map(id, steps))
-        if key not in traj_json:
-            traj_json[key] = _steps_to_json(steps)
-        return traj_json[key]
-
-    U = None
-    visits = dict.fromkeys(triple_list, 0)  # fast.visits by triple, refreshed per push
+    explored_mask = None
 
     for ell in range(1, config.total_phases + 1):
         episodes = phase_episodes(config, ell)
-        prev_U, U = U, frozenset(t for t, c in visits.items() if c < config.n_lrn)
-        if U != prev_U:  # U only shrinks, at most SAH times a run
+        prev_mask, explored_mask = explored_mask, fast.visits >= config.n_lrn
+        if prev_mask is None or not np.array_equal(explored_mask, prev_mask):
+            # U only shrinks, at most SAH times a run; C order is sorted order
+            U_sorted = [(x + 1, a + 1, h + 1) for x, a, h in np.argwhere(~explored_mask).tolist()]
+            U = frozenset(U_sorted)
             explored = complement_triples(U, S, A, H)
-            explored_mask = np.ones((S, A, H), dtype=bool)
-            for (x, a, h) in U:
-                explored_mask[x - 1, a - 1, h - 1] = False
             punish_mask = tables.event_mask(punish_event(prior, explored, eps))
             punish_size = int(punish_mask.sum())
             if track_hh:
@@ -732,8 +701,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)
             traj_of_row = traj_of_row.tolist()
         tau_star = Trajectory(rollout(true_model, pi_hal, u_star))
-        hal_json = trajectory_json(tau_star.steps)
-        hon_json = [trajectory_json(steps) for steps in hon_trajs]
+        hal_steps = tau_star.steps
         for k, stream_name, i in zip(simulated, stream_names, traj_of_row):
             is_hal = k == k_star
             log.episodes.append(
@@ -743,22 +711,21 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                     is_hallucination=is_hal,
                     revealed_kind="hallucinated" if is_hal else "honest",
                     policy=hal_code if is_hal else hon_code,
-                    trajectory=hal_json if is_hal else hon_json[i],
+                    trajectory=hal_steps if is_hal else hon_trajs[i],
                     traj_stream=stream_name,
                 )
             )
 
         hh_holds = None
-        if track_hh:
-            hh_holds = _hh_condition_in_run(config, fast, hh_inside, ell, punish_prob,
-                                            hal_counts)
+        if track_hh and hh_inside is not None:
+            gap = canonical_gap(fast.revealed_posterior(hal_counts), hh_inside)
+            hh_holds, _, _ = hh_condition_holds(len(episodes), punish_prob, gap, H)
 
-        new_triples = sorted(t for t in tau_star.triples() if not visits[t])
+        visits = fast.visits
+        new_triples = sorted((x, a, h) for x, a, h, _ in hal_steps
+                             if not visits[x - 1, a - 1, h - 1])
         hal_entries.append((pi_hal, tau_star))
         fast.push_entry(tau_star)
-        # fast.visits flattened in C order runs through the sorted triple_list
-        visits = dict(zip(triple_list, fast.visits.ravel().tolist()))
-        new_triple_flags.append(bool(new_triples))
 
         log.phases.append(
             PhaseRecord(
@@ -766,7 +733,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 first_episode=episodes[0],
                 last_episode=episodes[-1],
                 k_star=k_star,
-                U=sorted(U),
+                U=U_sorted,
                 punish_prob=punish_prob,
                 punish_size=punish_size,
                 hal_atom=hal_atom,
@@ -776,7 +743,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 hh_condition=hh_holds,
             )
         )
-        if covered_at is None and all(visits[t] >= config.n_lrn for t in target):
+        if covered_at is None and all(visits[x - 1, a - 1, h - 1] >= config.n_lrn
+                                      for x, a, h in target):
             covered_at = ell
         if phase_hook is not None:
             ctx.covered_at = covered_at
@@ -787,8 +755,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         "phases_to_coverage": covered_at,
         "reach_size": len(target),
         "rho": str(rho),
-        "new_triple_flags": new_triple_flags,
-        "visit_counts": {f"{x},{a},{h}": c for (x, a, h), c in visits.items() if c},
+        "new_triple_flags": [bool(p.new_triples) for p in log.phases],
+        "visit_counts": {f"{x + 1},{a + 1},{h + 1}": int(c)
+                         for (x, a, h), c in np.ndenumerate(fast.visits) if c},
         "episodes_simulated": len(log.episodes),
     }
     return log

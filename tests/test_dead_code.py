@@ -1,5 +1,6 @@
 """Every public top-level function and class of ``src/ielab`` is named
-somewhere besides its own definition and the package's re-export, and
+somewhere besides its own definition and the package's re-export, every
+private top-level function somewhere besides its own definition, and
 every field of a ``src/ielab`` dataclass is read as an attribute
 somewhere: in the program, the tests, the demos or the benchmark. Every
 config key the harness accepts is read by the program. The files are
@@ -17,28 +18,48 @@ PACKAGE = ROOT / "src" / "ielab"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
-def public_definitions() -> list[tuple[Path, str]]:
-    """(module, name) of every public top-level function and class."""
+def top_level_definitions(kinds: tuple, private: bool) -> list[tuple[Path, str]]:
+    """(module, name) of every top-level definition of the given ast
+    kinds whose name is private (leading underscore) or public."""
     out = []
     for module in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(module.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, kinds) and node.name.startswith("_") == private:
                 out.append((module, node.name))
     return out
 
 
+def named_only_once(definitions: list[tuple[Path, str]], texts: list[str]) -> list[str]:
+    """The definitions whose name, as a word, occurs once in all the
+    texts together: in the definition itself."""
+    once = []
+    for module, name in definitions:
+        word = re.compile(rf"\b{name}\b")
+        if sum(len(word.findall(text)) for text in texts) <= 1:
+            once.append(f"{module.stem}.{name}")
+    return once
+
+
+def searched_texts() -> dict[Path, str]:
+    return {path: path.read_text() for folder in SEARCHED
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_public_names_are_used():
     # __init__.py only re-exports, so its mentions are not uses
-    texts = [path.read_text() for folder in SEARCHED
-             for path in sorted((ROOT / folder).rglob("*.py"))
+    texts = [text for path, text in searched_texts().items()
              if path != PACKAGE / "__init__.py"]
-    unused = []
-    for module, name in public_definitions():
-        word = re.compile(rf"\b{name}\b")
-        if sum(len(word.findall(text)) for text in texts) <= 1:  # the definition
-            unused.append(f"{module.stem}.{name}")
+    unused = named_only_once(
+        top_level_definitions((ast.FunctionDef, ast.ClassDef), private=False), texts)
     assert not unused, f"public names nothing uses: {unused}"
+
+
+def test_private_functions_are_used():
+    """A private helper that nothing names but its own definition was
+    left behind when its last caller went."""
+    orphans = named_only_once(top_level_definitions((ast.FunctionDef,), private=True),
+                              list(searched_texts().values()))
+    assert not orphans, f"private functions nothing uses: {orphans}"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -61,6 +61,35 @@ def test_cli_run_det_artifacts_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--exact"], ["params", "--seeds", "0..1"],
+                                  ["verify", "--seed", "3"]])
+def test_cli_refuses_flags_a_command_does_not_read(argv, capsys):
+    """--seed, --seeds and --exact belong to run-det and run-prob only;
+    another command stops with argparse's usage error instead of
+    ignoring them."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_cli_refuses_priors_in_the_atoms_form(tmp_path, capsys, det_prior):
+    """A prior file that lists atoms (no factored form) stops all four
+    commands with exit code 2 and one message naming the factored
+    requirement."""
+    from ielab.serialize import prior_to_dict
+
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(prior_to_dict(det_prior)))
+    prior = ["--override", f'prior={{"path":"{path}"}}']
+    errors = set()
+    for command in ("run-det", "run-prob", "params", "verify"):
+        assert main([command, *prior]) == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {"assumption violated: ielab's commands need a reward-independent "
+                      "prior in the factored form; this prior lists its atoms\n"}
+
+
 def test_cli_params(capsys):
     assert main(["params"]) == 0
     text = capsys.readouterr().out
@@ -85,8 +114,8 @@ def test_cli_verify_hygiene(tmp_path, capsys):
 
 
 def test_cli_verify_suite_flag_overrides_config(tmp_path, capsys):
-    """--suite overrides the config file's suite, as --seed, --out and
-    --exact override theirs; without the flag the config's suite runs."""
+    """--suite overrides the config file's suite, as --out overrides its;
+    without the flag the config's suite runs."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"suite": "sim-lemma"}))
     for flag, suites in ((["--suite", "hygiene"], ["hygiene"]), ([], ["sim-lemma"])):

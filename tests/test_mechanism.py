@@ -42,7 +42,7 @@ from ielab import (
     visit_counts,
 )
 from ielab.instances import random_model
-from ielab.mdp import event_visit_probability, reach_set, reachable_triples
+from ielab.mdp import Step, event_visit_probability, reach_set, reachable_triples
 from ielab.mechanism import EpisodeRecord, _hh_exploring_policies, hallucination_prior_prob
 from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
@@ -384,16 +384,21 @@ def test_stoch_full_log_matches_hallucination_mode(stoch_prior, mode):
 
 
 def test_full_log_lines_with_shared_trajectories(det_prior, det_config):
-    """Records with equal trajectories share one list, and every episode
-    line of the log still equals the generic encoder's output."""
+    """The honest records of one phase with equal trajectories share one
+    Step tuple (the hallucination record keeps its own rollout's), and
+    every episode line of the log still equals the generic encoder's
+    output."""
     cfg = MechanismConfig(40, 1, det_config.eps_pun, 3)
     log = run_game(cfg, det_prior, make_agent("fully_rational", det_prior, cfg), seed=3,
                    episode_log="full")
-    lists_of = {}
+    tuples_of = {}
     for e in log.episodes:
-        lists_of.setdefault(json.dumps(e.trajectory), set()).add(id(e.trajectory))
-    assert all(len(ids) == 1 for ids in lists_of.values())
-    assert len(lists_of) < len(log.episodes)
+        assert isinstance(e.trajectory, tuple)
+        assert all(isinstance(s, Step) for s in e.trajectory)
+        key = (e.ell, e.is_hallucination, e.trajectory)
+        tuples_of.setdefault(key, set()).add(id(e.trajectory))
+    assert all(len(ids) == 1 for ids in tuples_of.values())
+    assert len(tuples_of) < len(log.episodes)
     assert_episode_lines_are_generic(log)
 
 
@@ -658,20 +663,20 @@ def test_punish_mask_compares_mean_rewards_exactly():
 
 
 _steps = st.lists(
-    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
-              st.fractions().map(str) | st.text(max_size=6)).map(list),
+    st.builds(Step, st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.fractions()),
     max_size=4,
-)
+).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     k=st.integers(0, 2**40), ell=st.integers(0, 2**20), is_hal=st.booleans(),
     kind=st.sampled_from(["honest", "hallucinated"]), policy=st.integers(0, 2**64),
-    trajectory=st.none() | _steps, stream_name=st.text(max_size=30),
+    trajectory=_steps, stream_name=st.text(max_size=30),
 )
 @example(k=7, ell=2, is_hal=True, kind="hallucinated", policy=5,
-         trajectory=[[1, 2, 1, "7/10"], [2, 1, 2, "0"]], stream_name="episode:7:traj")
+         trajectory=(Step(1, 2, 1, Fraction(7, 10)), Step(2, 1, 2, Fraction(0))),
+         stream_name="episode:7:traj")
 def test_episode_line_matches_json_dumps(k, ell, is_hal, kind, policy, trajectory,
                                          stream_name):
     rec = EpisodeRecord(k, ell, is_hal, kind, policy, trajectory, stream_name)
