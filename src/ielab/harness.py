@@ -9,7 +9,6 @@ documented column orders (never reordered within a major version).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -168,16 +167,15 @@ def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> 
 
 
 def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> str:
-    """Serialize the log once; returns the SHA-256 of the bytes written."""
-    data = log.to_jsonl().encode()
-    if out_dir:
-        run_dir = os.path.join(out_dir, f"run-{seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, sort_keys=True, indent=2)
-        with open(os.path.join(run_dir, "game.jsonl"), "wb") as f:
-            f.write(data)
-    return hashlib.sha256(data).hexdigest()
+    """Stream the log's text block by block; returns the SHA-256 of its bytes."""
+    if not out_dir:
+        return log.write()
+    run_dir = os.path.join(out_dir, f"run-{seed}")
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "manifest.json"), "w") as f:
+        json.dump(manifest, f, sort_keys=True, indent=2)
+    with open(os.path.join(run_dir, "game.jsonl"), "wb") as f:
+        return log.write(f)
 
 
 def _write_csv(out_dir: str | None, name: str, columns: list[str], rows: list[dict]) -> str:

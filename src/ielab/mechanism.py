@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -356,7 +355,8 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 # game loop
 
 
-_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _trajectory_text(steps: tuple) -> str:
@@ -367,13 +367,14 @@ def _trajectory_text(steps: tuple) -> str:
 
 @dataclass(slots=True)
 class EpisodeRecord:
+    """One simulated episode, built on demand from its ``EpisodeBlock``."""
+
     k: int
     ell: int
     is_hallucination: bool
     revealed_kind: str  # "honest" | "hallucinated"
     policy: int  # canonical encoding
     trajectory: tuple  # the rollout's Steps; every recorded episode is simulated
-    traj_stream: str
 
     def to_dict(self) -> dict:
         return {
@@ -384,26 +385,48 @@ class EpisodeRecord:
             "revealed_kind": self.revealed_kind,
             "policy": self.policy,
             "trajectory": [[s.x, s.a, s.h, str(s.r)] for s in self.trajectory],
-            "traj_stream": self.traj_stream,
+            "traj_stream": f"episode:{self.k}:traj",
         }
 
-    def to_line(self, traj: str | None = None) -> str:
-        """The JSONL line of this record, written field by field.
 
-        Equals ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":"))`` byte for byte; the full log writes one
-        line per episode, so the generic encoder is skipped. ``traj`` is
-        ``_trajectory_text(self.trajectory)`` when the caller has it.
-        """
-        if traj is None:
-            traj = _trajectory_text(self.trajectory)
-        flag = "true" if self.is_hallucination else "false"
-        return (
-            f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{self.k},'
-            f'"policy":{self.policy},"revealed_kind":{_json_str(self.revealed_kind)},'
-            f'"traj_stream":{_json_str(self.traj_stream)},"trajectory":{traj},'
-            f'"type":"episode"}}'
-        )
+@dataclass(slots=True)
+class EpisodeBlock:
+    """One phase's simulated episodes ``ks``: its range with the full log,
+    else ``(k_star,)``. Episode k_star rolled out ``hal_steps``; row i of
+    the others ``trajs[traj_of_row[i]]``, ``trajs`` being the distinct
+    rollouts of ``mdp.rollout_rows`` (both empty with one episode)."""
+
+    ell: int
+    ks: range | tuple
+    k_star: int
+    hal_policy: int
+    honest_policy: int | None
+    hal_steps: tuple
+    trajs: list | tuple
+    traj_of_row: list | tuple
+
+    def records(self) -> list:
+        return [EpisodeRecord(k, self.ell, True, "hallucinated", self.hal_policy, self.hal_steps)
+                if k == self.k_star else
+                EpisodeRecord(k, self.ell, False, "honest", self.honest_policy,
+                              self.trajs[self.traj_of_row[row]])
+                for row, k in enumerate(self.ks)]
+
+    def text(self) -> str:
+        """The episode lines, each the generic encoder's ``to_dict`` line of
+        its record, as one f-string; each distinct trajectory rendered once."""
+        texts = [_trajectory_text(t) for t in self.trajs]
+        hal, lines = _trajectory_text(self.hal_steps), []
+        for row, k in enumerate(self.ks):
+            if k == self.k_star:
+                flag, kind, policy, traj = "true", "hallucinated", self.hal_policy, hal
+            else:
+                flag, kind, policy = "false", "honest", self.honest_policy
+                traj = texts[self.traj_of_row[row]]
+            lines.append(f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{k},"policy":{policy},'
+                         f'"revealed_kind":"{kind}","traj_stream":"episode:{k}:traj",'
+                         f'"trajectory":{traj},"type":"episode"}}\n')
+        return "".join(lines)
 
 
 @dataclass
@@ -441,59 +464,52 @@ class PhaseRecord:
 
 @dataclass
 class GameLog:
+    """A run's record: one ``PhaseRecord`` and one ``EpisodeBlock`` per phase."""
+
     seed: int
     agent_mode: str
     episode_log: str
     config: MechanismConfig
     prior_digest: str
     true_atom: int
-    episodes: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
     phases: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     signals: dict | None = None  # ell -> {kind: Ledger}; in-memory only
 
-    def header(self) -> dict:
-        return {
-            "type": "header",
-            "seed": self.seed,
-            "agent_mode": self.agent_mode,
-            "episode_log": self.episode_log,
-            "config": self.config.to_dict(),
-            "prior_digest": self.prior_digest,
-            "true_atom": self.true_atom,
-        }
+    @property
+    def episodes(self) -> list:
+        """Every simulated episode's record in (ell, k) order, built from the blocks."""
+        return [r for b in self.blocks for r in b.records()]
+
+    def text_blocks(self):
+        """The JSONL text: the header, per phase its lines, the summary."""
+        yield _dumps({"type": "header", "seed": self.seed, "agent_mode": self.agent_mode,
+                      "episode_log": self.episode_log, "config": self.config.to_dict(),
+                      "prior_digest": self.prior_digest, "true_atom": self.true_atom}) + "\n"
+        for p, b in zip(self.phases, self.blocks):
+            yield _dumps(p.to_dict()) + "\n"
+            yield b.text()
+        yield _dumps({"type": "summary", **self.summary}) + "\n"
+
+    def write(self, f=None) -> str:
+        """SHA-256 of the text, fed block by block, also to the file ``f``."""
+        h = hashlib.sha256()
+        for data in map(str.encode, self.text_blocks()):
+            h.update(data)
+            if f is not None:
+                f.write(data)
+        return h.hexdigest()
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header(), sort_keys=True, separators=(",", ":"))]
-        # records that share one Step tuple (run_game's) share its text
-        texts: dict[int, str] = {}
-        episode_lines = []
-        for e in self.episodes:
-            traj = texts.get(id(e.trajectory))
-            if traj is None:
-                traj = texts[id(e.trajectory)] = _trajectory_text(e.trajectory)
-            episode_lines.append((e.ell, e.k, e.to_line(traj)))
-        records = sorted(
-            [(p.ell, 0, json.dumps(p.to_dict(), sort_keys=True, separators=(",", ":")))
-             for p in self.phases] + episode_lines,
-            key=itemgetter(0, 1),
-        )
-        lines.extend(line for _, _, line in records)
-        lines.append(json.dumps({"type": "summary", **self.summary},
-                                sort_keys=True, separators=(",", ":")))
-        lines.append("")  # the trailing newline, without copying the joined text
-        return "\n".join(lines)
+        return "".join(self.text_blocks())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        return self.write()
 
     def hallucination_history(self) -> list:
         """(ell, policy encoding, trajectory Steps, never None) per hallucination episode."""
-        out = []
-        for e in self.episodes:
-            if e.is_hallucination:
-                out.append((e.ell, e.policy, e.trajectory))
-        return out
+        return [(b.ell, b.hal_policy, b.hal_steps) for b in self.blocks]
 
 
 def prior_digest(prior: DiscretePrior) -> str:
@@ -501,7 +517,7 @@ def prior_digest(prior: DiscretePrior) -> str:
     if "digest" not in prior._cache:
         from .serialize import prior_to_dict
 
-        blob = json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",", ":"))
+        blob = _dumps(prior_to_dict(prior))
         prior._cache["digest"] = hashlib.sha256(blob.encode()).hexdigest()
     return prior._cache["digest"]
 
@@ -590,10 +606,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     own named stream). A full-log phase of several episodes reads their
     streams as one array and rolls out the honest rows in one block
     (``mdp.rollout_rows``); the hallucination episode's trajectory comes
-    from the scalar ``mdp.rollout``, as in every one-episode phase. A
-    record keeps its rollout's Step tuple, so each distinct trajectory is
-    rendered once per phase. U, new triples, coverage and the visit counts
-    are read from the one visit count, ``LedgerState.visits``.
+    from the scalar ``mdp.rollout``, as in every one-episode phase. Each
+    phase appends one ``EpisodeBlock``, no object per episode. U, new
+    triples, coverage and the visit counts are read from the one visit
+    count, ``LedgerState.visits``.
     ``keep_signals`` attaches the per-phase ledgers to
     ``log.signals`` for micro-scale cross-checks. ``phase_hook(ctx, log)``
     runs after each phase's bookkeeping; returning True stops the run
@@ -689,32 +705,21 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             hon_code = pi_hon.encoding
         hal_code = pi_hal.encoding
 
-        simulated = episodes if episode_log == "full" else [k_star]
-        stream_names = [f"episode:{k}:traj" for k in simulated]
+        simulated = episodes if episode_log == "full" else (k_star,)
         if len(simulated) == 1:
-            u_star = rngmod.uniforms(seed, stream_names[0], n_uniforms)
-            hon_trajs, traj_of_row = [], [0]
+            u_star = rngmod.uniforms(seed, f"episode:{k_star}:traj", n_uniforms)
+            hon_trajs = traj_of_row = ()
         else:
-            draws = rngmod.uniform_rows(seed, stream_names, n_uniforms)
+            draws = rngmod.uniform_rows(seed, [f"episode:{k}:traj" for k in simulated],
+                                        n_uniforms)
             u_star = draws[simulated.index(k_star)].tolist()
             # the honest rows in one block; the k* row's entry is unused
             hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)
             traj_of_row = traj_of_row.tolist()
         tau_star = Trajectory(rollout(true_model, pi_hal, u_star))
         hal_steps = tau_star.steps
-        for k, stream_name, i in zip(simulated, stream_names, traj_of_row):
-            is_hal = k == k_star
-            log.episodes.append(
-                EpisodeRecord(
-                    k=k,
-                    ell=ell,
-                    is_hallucination=is_hal,
-                    revealed_kind="hallucinated" if is_hal else "honest",
-                    policy=hal_code if is_hal else hon_code,
-                    trajectory=hal_steps if is_hal else hon_trajs[i],
-                    traj_stream=stream_name,
-                )
-            )
+        log.blocks.append(EpisodeBlock(ell, simulated, k_star, hal_code, hon_code, hal_steps,
+                                       hon_trajs, traj_of_row))
 
         hh_holds = None
         if track_hh and hh_inside is not None:
@@ -758,6 +763,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         "new_triple_flags": [bool(p.new_triples) for p in log.phases],
         "visit_counts": {f"{x + 1},{a + 1},{h + 1}": int(c)
                          for (x, a, h), c in np.ndenumerate(fast.visits) if c},
-        "episodes_simulated": len(log.episodes),
+        "episodes_simulated": sum(len(b.ks) for b in log.blocks),
     }
     return log

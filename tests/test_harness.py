@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from ielab import make_agent, run_game
 from ielab.cli import main
 from ielab.errors import ConfigError
-from ielab.harness import ExperimentConfig, load_config
+from ielab.harness import ExperimentConfig, _write_artifact, load_config
 
 
 def test_config_rejects_unknown_fields():
@@ -220,3 +224,49 @@ def test_cli_params_bandit_case(tmp_path, capsys):
     text = capsys.readouterr().out
     # r_min = 0.4, eps_pun = 0.2, C = 1/2, SAH = 2: n_phase = ceil(6/(0.4/4)) = 60
     assert "det.n_phase,60" in text
+
+
+FULL_LOG_SEED = ["run-det", "--override", "episode_log=full", "--seeds", "5..5"]
+
+
+def test_full_log_run_never_builds_the_whole_text(tmp_path, monkeypatch, capsys):
+    """A full-log run-det writes game.jsonl block by block: it succeeds
+    with ``GameLog.to_jsonl`` (the whole text as one string) made to
+    raise, and the file hashes to the summary's log_digest."""
+    from ielab.mechanism import GameLog
+
+    def whole_text(self):
+        raise AssertionError("the harness built the whole JSONL text")
+
+    monkeypatch.setattr(GameLog, "to_jsonl", whole_text)
+    assert main([*FULL_LOG_SEED, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "summary.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    data = (tmp_path / "run-5" / "game.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == row["log_digest"]
+
+
+def test_full_log_run_and_write_peak_below_the_file_size(tmp_path, det_prior, det_config):
+    """The tracemalloc peak of playing full-log seed 5 (as run-det plays
+    it) and writing its artifact stays below the size of the game.jsonl
+    written. The bound is the file size because holding the whole text
+    once, as a string, as a list of lines or as its encoded bytes, reaches
+    it by itself; a log kept as one block per phase, written one phase at
+    a time, needs no such copy. A hallucination-log run of the same seed
+    first builds the prior's and the true model's one-time tables, which
+    are not the log's."""
+    run = dict(seed=5, track_hh=True)
+    run_game(det_config, det_prior, make_agent("fully_rational", det_prior, det_config),
+             episode_log="hallucination", **run)
+    agent = make_agent("fully_rational", det_prior, det_config)
+    tracemalloc.start()
+    try:
+        log = run_game(det_config, det_prior, agent, episode_log="full", **run)
+        _write_artifact(str(tmp_path), 5, {"seed": 5}, log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "run-5" / "game.jsonl").stat().st_size
+    assert log.summary["episodes_simulated"] == 53_761
+    assert peak < size, f"traced peak {peak} B, game.jsonl {size} B"

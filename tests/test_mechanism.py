@@ -45,7 +45,7 @@ from ielab import (
 from ielab.harness import _write_artifact
 from ielab.instances import random_model
 from ielab.mdp import Step, event_visit_probability, reach_set, reachable_triples
-from ielab.mechanism import EpisodeRecord, _hh_exploring_policies, hallucination_prior_prob
+from ielab.mechanism import EpisodeBlock, _hh_exploring_policies, hallucination_prior_prob
 from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
 
@@ -692,17 +692,46 @@ _steps = st.lists(
 ).map(tuple)
 
 
+@st.composite
+def _episode_blocks(draw):
+    """An EpisodeBlock as run_game builds one: a full-log phase of n
+    episodes with the hallucination row somewhere inside, or one simulated
+    episode (a one-episode phase, or the hallucination log's (k_star,))."""
+    ell, start = draw(st.integers(0, 2**20)), draw(st.integers(1, 2**40))
+    n = draw(st.integers(1, 6))
+    k_star = start + draw(st.integers(0, n - 1))
+    hal_policy = draw(st.integers(0, 2**64))
+    hal_steps = draw(_steps)
+    if n == 1 or draw(st.booleans()):
+        ks = range(start, start + 1) if n == 1 else (k_star,)
+        return EpisodeBlock(ell, ks, k_star, hal_policy, None if n == 1 else hal_policy,
+                            hal_steps, (), ())
+    trajs = draw(st.lists(_steps, min_size=1, max_size=3))
+    traj_of_row = draw(st.lists(st.integers(0, len(trajs) - 1), min_size=n, max_size=n))
+    return EpisodeBlock(ell, range(start, start + n), k_star, hal_policy,
+                        draw(st.integers(0, 2**64)), hal_steps, trajs, traj_of_row)
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    k=st.integers(0, 2**40), ell=st.integers(0, 2**20), is_hal=st.booleans(),
-    kind=st.sampled_from(["honest", "hallucinated"]), policy=st.integers(0, 2**64),
-    trajectory=_steps, stream_name=st.text(max_size=30),
-)
-@example(k=7, ell=2, is_hal=True, kind="hallucinated", policy=5,
-         trajectory=(Step(1, 2, 1, Fraction(7, 10)), Step(2, 1, 2, Fraction(0))),
-         stream_name="episode:7:traj")
-def test_episode_line_matches_json_dumps(k, ell, is_hal, kind, policy, trajectory,
-                                         stream_name):
-    rec = EpisodeRecord(k, ell, is_hal, kind, policy, trajectory, stream_name)
-    expected = json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
-    assert rec.to_line() == expected
+@given(block=_episode_blocks())
+@example(block=EpisodeBlock(2, range(5, 9), 7, 5, 3,
+                            (Step(1, 2, 1, Fraction(7, 10)), Step(2, 1, 2, Fraction(0))),
+                            [(Step(1, 1, 1, Fraction(1, 3)),), ()], [1, 0, 0, 1]))
+def test_episode_line_matches_json_dumps(block):
+    """Every line a block renders equals the generic encoder's output for
+    the record it stands for, and the records are the block's rows: the
+    k_star row is the hallucination episode, every other row its honest
+    trajectory."""
+    records = list(block.records())
+    expected = "".join(json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                       for r in records)
+    assert block.text() == expected
+    assert [r.k for r in records] == list(block.ks)
+    for row, r in enumerate(records):
+        assert r.ell == block.ell
+        assert r.is_hallucination == (r.k == block.k_star)
+        if r.is_hallucination:
+            assert (r.policy, r.trajectory) == (block.hal_policy, block.hal_steps)
+        else:
+            assert r.policy == block.honest_policy
+            assert r.trajectory is block.trajs[block.traj_of_row[row]]
