@@ -2,10 +2,11 @@
 
 Subcommands: run-det | run-prob | verify | params, each taking --config,
 --out and --override; only run-det and run-prob take --seed, --seeds and
---exact, only verify --suite. Exit codes: 0 ok, 1 infrastructure/config
-error, 2 assumption violated or usage error, 3 verification assertion
-failed. IE_SEED supplies the master seed when no --seed / --seeds / config
-seeds are given.
+--exact, only verify --suite. A config field the command does not read
+is a config error. Exit codes: 0 ok, 1 infrastructure/config error, 2
+assumption violated or usage error, 3 verification assertion failed.
+IE_SEED supplies the master seed when no --seed / --seeds / config seeds
+are given.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["out"] = args.out
         if getattr(args, "suite", None):
             cfg.raw["suite"] = args.suite
+        cfg.check_fields(args.command)
         return func(cfg)
     except VerificationFailure as e:
         print(f"verification failed: {e}", file=sys.stderr)

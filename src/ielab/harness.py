@@ -59,9 +59,10 @@ PARAMS_COLUMNS = [
     "name", "value",
 ]
 
-_KNOWN_KEYS = {
-    "prior", "mechanism", "agent", "seeds", "out", "exact",
-    "episode_log", "rho", "delta", "suite",
+_RUN_KEYS = {"prior", "mechanism", "agent", "seeds", "out", "exact"}
+_COMMAND_KEYS = {  # the config fields each command reads
+    "run-det": _RUN_KEYS | {"episode_log"}, "run-prob": _RUN_KEYS | {"rho", "delta"},
+    "verify": {"prior", "mechanism", "suite", "out"}, "params": {"prior", "rho", "delta", "out"},
 }
 
 
@@ -70,9 +71,15 @@ class ExperimentConfig:
     raw: dict
 
     def __post_init__(self):
-        unknown = set(self.raw) - _KNOWN_KEYS
+        unknown = set(self.raw).difference(*_COMMAND_KEYS.values())
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+
+    def check_fields(self, command: str) -> None:
+        """Refuse the fields ``command`` does not read."""
+        unread = set(self.raw) - _COMMAND_KEYS[command]
+        if unread:
+            raise ConfigError(f"{command} does not read config fields: {sorted(unread)}")
 
     def get(self, key, default=None):
         return self.raw.get(key, default)

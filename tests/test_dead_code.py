@@ -96,12 +96,16 @@ def test_dataclass_fields_are_read():
 
 
 def known_config_keys() -> set[str]:
-    """The literal value of ``harness._KNOWN_KEYS``."""
+    """Every config key some command accepts: the strings of
+    ``harness._RUN_KEYS`` and of the values of ``harness._COMMAND_KEYS``."""
+    keys = set()
     for node in ast.parse((PACKAGE / "harness.py").read_text()).body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "_KNOWN_KEYS" for t in node.targets)):
-            return ast.literal_eval(node.value)
-    raise AssertionError("harness._KNOWN_KEYS not found")
+        if (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id in (
+                "_RUN_KEYS", "_COMMAND_KEYS") for t in node.targets)):
+            values = node.value.values if isinstance(node.value, ast.Dict) else [node.value]
+            keys |= {c.value for v in values for c in ast.walk(v) if isinstance(c, ast.Constant)}
+    assert keys, "harness._RUN_KEYS and harness._COMMAND_KEYS not found"
+    return keys
 
 
 def test_config_keys_are_read():

@@ -77,6 +77,24 @@ def test_cli_refuses_flags_a_command_does_not_read(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,override", [
+    ("run-det", "rho=0.25"), ("run-det", "delta=0.1"), ("run-det", "suite=hygiene"),
+    ("run-prob", "episode_log=full"), ("run-prob", "suite=hygiene"),
+    ("verify", "seeds=5"), ("verify", "exact=true"), ("verify", "agent={}"),
+    ("verify", "rho=0.25"), ("verify", "episode_log=full"),
+    ("params", "seeds=5"), ("params", "exact=true"), ("params", "mechanism={}"),
+    ("params", "episode_log=full"), ("params", "suite=hygiene"),
+])
+def test_cli_refuses_config_fields_a_command_does_not_read(command, override, capsys):
+    """Each command reads its own config fields; one it would ignore stops
+    it with a config error (exit code 1) naming the field, before any run."""
+    key = override.partition("=")[0]
+    assert main([command, "--override", override]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} does not read config fields: [{key!r}]\n"
+    assert captured.out == ""
+
+
 def test_cli_refuses_priors_in_the_atoms_form(tmp_path, capsys, det_prior):
     """A prior file that lists atoms (no factored form) stops all four
     commands with exit code 2 and one message naming the factored
