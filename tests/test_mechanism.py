@@ -700,16 +700,17 @@ def _episode_blocks(draw):
     ell, start = draw(st.integers(0, 2**20)), draw(st.integers(1, 2**40))
     n = draw(st.integers(1, 6))
     k_star = start + draw(st.integers(0, n - 1))
-    hal_policy = draw(st.integers(0, 2**64))
-    hal_steps = draw(_steps)
-    if n == 1 or draw(st.booleans()):
-        ks = range(start, start + 1) if n == 1 else (k_star,)
-        return EpisodeBlock(ell, ks, k_star, hal_policy, None if n == 1 else hal_policy,
-                            hal_steps, (), ())
+    hal_policy, hal_steps = draw(st.integers(0, 2**64)), draw(_steps)
+    honest_policy = None if n == 1 else draw(st.integers(0, 2**64))
+    if draw(st.booleans()):  # the hallucination log
+        return EpisodeBlock(ell, (k_star,), k_star, hal_policy, honest_policy, hal_steps, (), ())
+    if n == 1:
+        return EpisodeBlock(ell, range(start, start + 1), k_star, hal_policy, None, hal_steps,
+                            (), ())
     trajs = draw(st.lists(_steps, min_size=1, max_size=3))
     traj_of_row = draw(st.lists(st.integers(0, len(trajs) - 1), min_size=n, max_size=n))
-    return EpisodeBlock(ell, range(start, start + n), k_star, hal_policy,
-                        draw(st.integers(0, 2**64)), hal_steps, trajs, traj_of_row)
+    return EpisodeBlock(ell, range(start, start + n), k_star, hal_policy, honest_policy,
+                        hal_steps, trajs, traj_of_row)
 
 
 @settings(max_examples=300, deadline=None)
