@@ -625,7 +625,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
     if true_model is None:
         true_atom = rngmod.index_from_uniform(prior.weights,
-                                              rngmod.uniforms(seed, "truth", 1)[0])
+                                              rngmod.uniforms(rngmod.family_key(seed, "truth"), 0, 1)[0])
         true_model = prior.atoms[true_atom]
     else:
         true_atom = next(
@@ -674,16 +674,16 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             ) from e
 
         hal_atom = rngmod.index_from_uniform(
-            hal_post.weights, rngmod.uniforms(seed, f"phase:{ell}:hal-model", 1)[0])
+            hal_post.weights, rngmod.uniforms(rngmod.family_key(seed, f"phase:{ell}:hal-model"), 0, 1)[0])
         hal_counts, hal_values = _draw_hallucinated(
             fast, hal_atom, explored_mask,
-            lambda: rngmod.stream(seed, f"phase:{ell}:hal-rewards"))
+            lambda: rngmod.generator(rngmod.family_key(seed, f"phase:{ell}:hal-rewards")))
         hon_counts = fast.reward_counts * explored_mask[..., None]
 
         if ell <= config.n_lrn:
             k_star = episodes[0]
         else:
-            k_star = episodes[0] + rngmod.integer_below(seed, f"phase:{ell}:kstar",
+            k_star = episodes[0] + rngmod.integer_below(rngmod.family_key(seed, f"phase:{ell}:kstar"), 0,
                                                         config.n_phase)
 
         ctx = PhaseContext(
@@ -707,11 +707,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         simulated = episodes if episode_log == "full" else (k_star,)
         if len(simulated) == 1:
-            u_star = rngmod.uniforms(seed, f"episode:{k_star}:traj", n_uniforms)
+            u_star = rngmod.uniforms(rngmod.family_key(seed, f"episode:{k_star}:traj"), 0, n_uniforms)
             hon_trajs = traj_of_row = ()
         else:
-            draws = rngmod.uniform_rows(seed, [f"episode:{k}:traj" for k in simulated],
-                                        n_uniforms)
+            draws = np.array([rngmod.uniforms(rngmod.family_key(seed, f"episode:{k}:traj"), 0, n_uniforms) for k in simulated])
             u_star = draws[simulated.index(k_star)].tolist()
             # the honest rows in one block; the k* row's entry is unused
             hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)

@@ -1,36 +1,41 @@
-"""Named, counter-based random streams.
+"""Counter-addressed random streams.
 
 Every stochastic operation draws from a stream addressed by
-(master seed, stream name). Streams are Philox generators keyed by a
-hash of the pair, so any subset of streams can be re-derived in any
-order and still produce bit-identical output. Standard names used by
-the game loop, and how each is read:
+(master seed, family, index). A family's key is the first 16 bytes of
+SHA-256(f"{seed}:{family}"); address (family, index) is the Philox4x64-10
+stream of that key whose counter starts at (0, index, 0, 0), so its
+blocks have counters (1, index, 0, 0), (2, index, 0, 0), ... (Salmon et
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). A run
+derives its five family keys once; any subset of addresses can then be
+read in any order and still produce bit-identical output. The families
+of the game loop, and how each address is read:
 
-    "truth"                 draw of the true model from the prior: one uniform
-    "phase:{l}:kstar"       hallucination-episode position in phase l:
+    ("truth", 0)            draw of the true model from the prior: one uniform
+    ("kstar", l)            hallucination-episode position in phase l:
                             ``integer_below`` (Lemire rejection)
-    "phase:{l}:hal-model"   hallucinated-model draw: one uniform
-    "phase:{l}:hal-rewards" hallucinated reward draws: numpy, one uniform
+    ("hal-model", l)        hallucinated-model draw: one uniform
+    ("hal-rewards", l)      hallucinated reward draws: numpy, one uniform
                             per explored ledger occurrence
-    "episode:{k}:traj"      trajectory rollout of episode k: 2H uniforms
+    ("traj", k)             trajectory rollout of episode k: 2H uniforms
 
-A rollout consumes ``episode:{k}:traj`` as exactly 2H uniforms: the
-initial state, then per stage its reward and, below stage H, its
-transition. ``uniforms(seed, name, n)`` returns those draws directly,
-bit for bit equal to ``stream(seed, name).random(n)``, and
-``integer_below(seed, name, n)`` equals ``stream(seed, name).integers(0,
-n)``. Both evaluate Philox4x64-10 on the stream's key in Python ints;
-Philox is counter-based, so block b of a stream is a pure function of
-(key, b) and no numpy Generator needs to be built for a short read.
-The batch reader ``uniform_rows(seed, names, n)`` returns a
-(len(names), n) float64 array whose row i is bit for bit
-``stream(seed, names[i]).random(n)``: it evaluates the same Philox
-blocks of every name's key as one uint64 array operation, so a phase
-reads all its episode streams in one call. ``mdp.rollout_rows`` then
-rolls out the phase's honest rows as one array operation per draw, while
-the hallucination episode's row, the one trajectory the mechanism reads,
-goes through the scalar ``mdp.rollout``; a phase of one episode reads its
-row with ``uniforms``.
+``stream(seed, family, index)`` is the numpy Generator at an address;
+index 0 is the stream numpy's Philox builds from the key alone.
+A rollout consumes ("traj", k) as exactly 2H uniforms: the initial
+state, then per stage its reward and, below stage H, its transition.
+``uniforms(key, index, n)`` returns those draws directly, bit for bit
+equal to ``generator(key, index).random(n)``, and ``integer_below(key,
+index, n)`` equals ``generator(key, index).integers(0, n)``. Both
+evaluate Philox4x64-10 in Python ints; Philox is counter-based, so each
+block is a pure function of (key, counter) and no numpy Generator needs
+to be built for a short read. The row reader ``uniform_rows(key,
+indices, n)`` returns a (len(indices), n) float64 array whose row i is
+bit for bit ``generator(key, indices[i]).random(n)``: it evaluates every
+row's blocks as one uint64 array operation, so a full-log phase reads
+all its episodes' draws in one call. ``mdp.rollout_rows`` then rolls out
+the phase's honest rows as one array operation per draw, while the
+hallucination episode's row, the one trajectory the mechanism reads,
+goes through the scalar ``mdp.rollout``; a phase of one episode reads
+its row with ``uniforms``.
 
 A uniform becomes an index of a probability vector by one inverse-CDF
 rule: the first index whose left-to-right float cumulative sum exceeds
@@ -48,6 +53,8 @@ import math
 
 import numpy as np
 
+FAMILIES = ("truth", "kstar", "hal-model", "hal-rewards", "traj")
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 # Philox4x64 multipliers, and the round keys' offsets from the key
@@ -59,33 +66,37 @@ _ROUND_KEY_OFFSETS = tuple(
 _DOUBLE_SCALE = 2.0**-53
 
 
-def _key_bytes(master_seed: int, name: str) -> bytes:
-    """The 16 little-endian bytes of a named stream's Philox key."""
-    return hashlib.sha256(f"{master_seed}:{name}".encode()).digest()[:16]
+def family_key(master_seed: int, family: str) -> int:
+    """The 128-bit Philox key of a family: the first 16 bytes of
+    SHA-256(f"{master_seed}:{family}"), little-endian."""
+    return int.from_bytes(hashlib.sha256(f"{master_seed}:{family}".encode()).digest()[:16],
+                          "little")
 
 
-def _key(master_seed: int, name: str) -> int:
-    """The 128-bit Philox key of a named stream."""
-    return int.from_bytes(_key_bytes(master_seed, name), "little")
+def generator(key: int, index: int = 0) -> np.random.Generator:
+    """The numpy Generator at counter address (key, index): Philox with
+    counter (0, index, 0, 0), given as the 256-bit int whose second word
+    is ``index`` (numpy mis-converts a list holding 2**64 - 1)."""
+    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
 
 
-def stream(master_seed: int, name: str) -> np.random.Generator:
-    """Derive the named stream for a master seed."""
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, name)))
+def stream(master_seed: int, family: str, index: int = 0) -> np.random.Generator:
+    """The Generator at address (family, index) of a master seed."""
+    return generator(family_key(master_seed, family), index)
 
 
-def _blocks(key: int):
-    """The 4-word Philox4x64-10 output blocks of a key, in stream order.
-
-    numpy's Philox starts at counter 0 and increments it before each
-    block, so the stream's blocks have counters 1, 2, ...
+def _blocks(key: int, index: int):
+    """The 4-word Philox4x64-10 output blocks at address (key, index), in
+    stream order: numpy's Philox increments the counter's first word
+    before each block, so the blocks have counters (1, index, 0, 0),
+    (2, index, 0, 0), ...
     """
     k0, k1 = key & _MASK64, key >> 64
     m0, m1, mask = _PHILOX_M0, _PHILOX_M1, _MASK64
     block = 0
     while True:
         block += 1
-        c0, c1, c2, c3 = block, 0, 0, 0
+        c0, c1, c2, c3 = block, index, 0, 0
         for d0, d1 in _ROUND_KEY_OFFSETS:
             p0 = m0 * c0
             p1 = m1 * c2
@@ -96,14 +107,14 @@ def _blocks(key: int):
         yield c0, c1, c2, c3
 
 
-def uniforms(master_seed: int, name: str, n: int) -> list[float]:
-    """``stream(master_seed, name).random(n)`` as a list, bit for bit.
+def uniforms(key: int, index: int, n: int) -> list[float]:
+    """``generator(key, index).random(n)`` as a list, bit for bit.
 
     A double is the top 53 bits of one word.
     """
     scale = _DOUBLE_SCALE
     out: list[float] = []
-    for _, (c0, c1, c2, c3) in zip(range((n + 3) // 4), _blocks(_key(master_seed, name))):
+    for _, (c0, c1, c2, c3) in zip(range((n + 3) // 4), _blocks(key, index)):
         out += ((c0 >> 11) * scale, (c1 >> 11) * scale, (c2 >> 11) * scale, (c3 >> 11) * scale)
     del out[n:]
     return out
@@ -122,34 +133,34 @@ def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
     return m_hi * c_hi + (lh >> shift) + (hl >> shift) + (mid >> shift)
 
 
-def uniform_rows(master_seed: int, names, n: int) -> np.ndarray:
-    """The (len(names), n) float64 array whose row i equals
-    ``stream(master_seed, names[i]).random(n)`` bit for bit.
+def uniform_rows(key: int, indices, n: int) -> np.ndarray:
+    """The (len(indices), n) float64 array whose row i equals
+    ``generator(key, indices[i]).random(n)`` bit for bit.
 
     The same Philox4x64-10 evaluation as ``uniforms``, over all rows at
-    once in uint64 arithmetic: one SHA-256 key per name, the blocks of
-    every key at counters 1, 2, ..., and a double from the top 53 bits of
-    each word.
+    once in uint64 arithmetic: the blocks of every row at counters
+    (1, index, 0, 0), (2, index, 0, 0), ..., and a double from the top 53
+    bits of each word.
     """
-    keys = np.frombuffer(b"".join(_key_bytes(master_seed, nm) for nm in names),
-                         dtype="<u8").reshape(-1, 2)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    counters = np.arange(1, (n + 3) // 4 + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(counters, (len(keys), len(counters)))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = key & _MASK64, key >> 64
+    rows = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    shape = (len(rows), (n + 3) // 4)
+    c0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape)
+    c1 = np.broadcast_to(rows, shape)
+    c2 = c3 = np.zeros(shape, dtype=np.uint64)
     for d0, d1 in _ROUND_KEY_OFFSETS:
         c0, c1, c2, c3 = (
-            _mulhi(_PHILOX_M1, c2) ^ c1 ^ (k0 + np.uint64(d0 & _MASK64)),
+            _mulhi(_PHILOX_M1, c2) ^ c1 ^ np.uint64((k0 + d0) & _MASK64),
             c2 * np.uint64(_PHILOX_M1),
-            _mulhi(_PHILOX_M0, c0) ^ c3 ^ (k1 + np.uint64(d1 & _MASK64)),
+            _mulhi(_PHILOX_M0, c0) ^ c3 ^ np.uint64((k1 + d1) & _MASK64),
             c0 * np.uint64(_PHILOX_M0),
         )
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * len(counters))[:, :n]
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], 4 * shape[1])[:, :n]
     return (words >> np.uint64(11)) * _DOUBLE_SCALE
 
 
-def integer_below(master_seed: int, name: str, n: int) -> int:
-    """``int(stream(master_seed, name).integers(0, n))``, bit for bit.
+def integer_below(key: int, index: int, n: int) -> int:
+    """``int(generator(key, index).integers(0, n))``, bit for bit.
 
     Below 2**32 numpy draws by Lemire's multiply-shift rejection on
     32-bit words (Lemire, ACM TOMACS 2019): a word w is accepted when the
@@ -160,11 +171,11 @@ def integer_below(master_seed: int, name: str, n: int) -> int:
     if not 1 <= n < 1 << 32:
         if n < 1:
             raise ValueError("integer_below needs n >= 1")
-        return int(stream(master_seed, name).integers(0, n))
+        return int(generator(key, index).integers(0, n))
     if n == 1:
         return 0
     threshold = (1 << 32) % n
-    for block in _blocks(_key(master_seed, name)):
+    for block in _blocks(key, index):
         for word in block:
             for half in (word & _MASK32, word >> 32):
                 m = half * n

@@ -8,31 +8,66 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ielab import rng
-from ielab.rng import (cumulative_row, index_from_uniform, integer_below, stream, uniform_rows,
-                       uniforms)
+from ielab.rng import (cumulative_row, family_key, generator, index_from_uniform,
+                       integer_below, stream, uniform_rows, uniforms)
+
+
+def numpy_philox(key: int, index: int) -> np.random.Generator:
+    """numpy's Philox4x64-10 at counter (0, index, 0, 0): its blocks have
+    counters (1, index, 0, 0), (2, index, 0, 0), ..."""
+    counter = np.array([0, index, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+_SEED = st.integers(0, 2**40)
+_FAMILY = st.sampled_from(rng.FAMILIES) | st.text(max_size=40)
+_INDEX = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1])
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**40), name=st.text(max_size=40), n=st.integers(0, 12))
-def test_uniforms_match_stream(seed, name, n):
-    """Direct Philox draws equal the named Generator's, across the
-    4-double block boundary."""
-    assert uniforms(seed, name, n) == stream(seed, name).random(n).tolist()
+@given(seed=_SEED, family=_FAMILY, index=_INDEX, n=st.integers(0, 12))
+@example(seed=0, family="traj", index=2**64 - 1, n=12)
+def test_uniforms_match_stream(seed, family, index, n):
+    """Direct Philox draws at address (family, index) equal numpy's Philox
+    at that counter, across the 4-double block boundary."""
+    key = family_key(seed, family)
+    reference = numpy_philox(key, index).random(n).tolist()
+    assert uniforms(key, index, n) == reference
+    assert stream(seed, family, index).random(n).tolist() == reference
+    assert generator(key, index).random(n).tolist() == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEED, family=_FAMILY)
+def test_index_zero_is_the_key_alone(seed, family):
+    """Index 0 is the stream numpy's Philox builds from the family key
+    with its default counter."""
+    reference = np.random.Generator(np.random.Philox(key=family_key(seed, family)))
+    assert stream(seed, family).random(9).tolist() == reference.random(9).tolist()
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**40), names=st.lists(st.text(max_size=40), max_size=6),
+@given(seed=_SEED, family=_FAMILY, indices=st.lists(_INDEX, max_size=6),
        n=st.integers(0, 12))
-@example(seed=0, names=[], n=5)
-@example(seed=2**40, names=["episode:7:traj", "é漢\x00", ""], n=12)
-def test_uniform_rows_match_streams(seed, names, n):
-    """Row i of the batch reader is stream i's draws, bit for bit, across
-    several 4-double blocks and for an empty list of names."""
-    rows = uniform_rows(seed, names, n)
-    assert rows.shape == (len(names), n) and rows.dtype == np.float64
-    reference = np.array([stream(seed, nm).random(n) for nm in names]).reshape(len(names), n)
-    assert rows.tobytes() == reference.tobytes()
-    assert rows.tolist() == [uniforms(seed, nm, n) for nm in names]
+@example(seed=0, family="traj", indices=[], n=5)
+@example(seed=2**40, family="é漢\x00", indices=[7, 2**64 - 1, 0, 7, 3], n=12)
+def test_uniform_rows_match_streams(seed, family, indices, n):
+    """Row i of the batch reader is address (family, indices[i])'s draws,
+    bit for bit, for non-contiguous and repeated indices, across several
+    4-double blocks and for an empty index list."""
+    key = family_key(seed, family)
+    rows = uniform_rows(key, indices, n)
+    assert rows.shape == (len(indices), n) and rows.dtype == np.float64
+    reference = np.array([numpy_philox(key, i).random(n) for i in indices])
+    assert rows.tobytes() == reference.reshape(len(indices), n).tobytes()
+    assert rows.tolist() == [uniforms(key, i, n) for i in indices]
+
+
+def test_uniform_rows_of_a_range():
+    """A contiguous index array reads the same rows as its list."""
+    key = family_key(3, "traj")
+    rows = uniform_rows(key, np.arange(10, 74, dtype=np.uint64), 6)
+    assert rows.tolist() == [uniforms(key, k, 6) for k in range(10, 74)]
 
 
 # 2**31 + 1 rejects almost half of all 32-bit words
@@ -40,27 +75,32 @@ _N = st.integers(1, 2**32 - 1) | st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1]
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**40), name=st.text(max_size=40), n=_N)
-@example(seed=798, name="k", n=2**31 + 1)
-def test_integer_below_matches_stream(seed, name, n):
-    assert integer_below(seed, name, n) == stream(seed, name).integers(0, n)
+@given(seed=_SEED, family=_FAMILY, index=_INDEX, n=_N)
+@example(seed=0, family="kstar", index=31, n=2**31 + 1)
+def test_integer_below_matches_stream(seed, family, index, n):
+    key = family_key(seed, family)
+    assert integer_below(key, index, n) == numpy_philox(key, index).integers(0, n)
 
 
 def test_integer_below_reads_a_second_block():
-    """At seed 798 and n = 2**31 + 1 all eight 32-bit halves of the first
-    Philox block are rejected, so the draw comes from the second block."""
+    """At seed 0, address ("kstar", 31) and n = 2**31 + 1 all eight 32-bit
+    halves of the first Philox block are rejected, so the draw comes from
+    the second block."""
     n = 2**31 + 1
-    first = next(rng._blocks(rng._key(798, "k")))
+    key = family_key(0, "kstar")
+    first = next(rng._blocks(key, 31))
     halves = [half for word in first for half in (word & 0xFFFFFFFF, word >> 32)]
     assert all(half * n % 2**32 < 2**32 % n for half in halves)
-    assert integer_below(798, "k", n) == stream(798, "k").integers(0, n)
+    assert integer_below(key, 31, n) == numpy_philox(key, 31).integers(0, n)
 
 
 def test_integer_below_wide_ranges_and_bad_n():
+    key = family_key(5, "wide")
     for n in (2**32, 2**40 + 3):
-        assert integer_below(5, "wide", n) == stream(5, "wide").integers(0, n)
+        for index in (0, 9, 2**64 - 1):
+            assert integer_below(key, index, n) == numpy_philox(key, index).integers(0, n)
     with pytest.raises(ValueError):
-        integer_below(5, "empty", 0)
+        integer_below(key, 0, 0)
 
 
 def sequential_index(probs, u: float) -> int:
