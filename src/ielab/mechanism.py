@@ -355,6 +355,11 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 # game loop
 
 
+# The game log's text format. Format 2: streams are counter-addressed,
+# so an episode line's draws are address ("traj", k) and it names no stream.
+LOG_FORMAT = 2
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -385,7 +390,6 @@ class EpisodeRecord:
             "revealed_kind": self.revealed_kind,
             "policy": self.policy,
             "trajectory": [[s.x, s.a, s.h, str(s.r)] for s in self.trajectory],
-            "traj_stream": f"episode:{self.k}:traj",
         }
 
 
@@ -424,8 +428,7 @@ class EpisodeBlock:
                 flag, kind, policy = "false", "honest", self.honest_policy
                 traj = texts[self.traj_of_row[row]]
             lines.append(f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{k},"policy":{policy},'
-                         f'"revealed_kind":"{kind}","traj_stream":"episode:{k}:traj",'
-                         f'"trajectory":{traj},"type":"episode"}}\n')
+                         f'"revealed_kind":"{kind}","trajectory":{traj},"type":"episode"}}\n')
         return "".join(lines)
 
 
@@ -443,6 +446,7 @@ class PhaseRecord:
     honest_policy: int | None
     new_triples: list
     hh_condition: bool | None
+    hh_slack: float | None  # rhs - lhs of the phase-length condition
 
     def to_dict(self) -> dict:
         return {
@@ -459,6 +463,7 @@ class PhaseRecord:
             "honest_policy": self.honest_policy,
             "new_triples": [list(t) for t in self.new_triples],
             "hh_condition": self.hh_condition,
+            "hh_slack": self.hh_slack,
         }
 
 
@@ -484,7 +489,8 @@ class GameLog:
 
     def text_blocks(self):
         """The JSONL text: the header, per phase its lines, the summary."""
-        yield _dumps({"type": "header", "seed": self.seed, "agent_mode": self.agent_mode,
+        yield _dumps({"type": "header", "log_format": LOG_FORMAT, "seed": self.seed,
+                      "agent_mode": self.agent_mode,
                       "episode_log": self.episode_log, "config": self.config.to_dict(),
                       "prior_digest": self.prior_digest, "true_atom": self.true_atom}) + "\n"
         for p, b in zip(self.phases, self.blocks):
@@ -602,9 +608,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     ``agent`` follows the agents.AgentSpec protocol. ``episode_log`` is
     "full" (simulate and record every episode) or "hallucination"
     (simulate only the episodes that feed the mechanism; phase records
-    are bit-identical between the modes because every episode has its
-    own named stream). A full-log phase of several episodes reads their
-    streams as one array and rolls out the honest rows in one block
+    are bit-identical between the modes because every draw has its own
+    counter address). The run derives the key of each of ``rng.FAMILIES``
+    once; phase ell reads addresses ("kstar", ell), ("hal-model", ell) and
+    ("hal-rewards", ell), and episode k reads ("traj", k). A full-log
+    phase of several episodes reads its episodes' rows as one
+    ``rng.uniform_rows`` array and rolls out the honest rows in one block
     (``mdp.rollout_rows``); the hallucination episode's trajectory comes
     from the scalar ``mdp.rollout``, as in every one-episode phase. Each
     phase appends one ``EpisodeBlock``, no object per episode. U, new
@@ -615,7 +624,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     runs after each phase's bookkeeping; returning True stops the run
     early. ``track_hh`` evaluates the phase-length incentive condition
     per phase against the sufficiently-visiting policy set of the true
-    model (micro scale only; None where the policy split degenerates).
+    model and records it and its slack, rhs - lhs (micro scale only; None
+    where the policy split degenerates).
     """
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
@@ -623,9 +633,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     S, A, H = prior.shape
     eps = config.eps_pun
 
+    keys = {family: rngmod.family_key(seed, family) for family in rngmod.FAMILIES}
     if true_model is None:
         true_atom = rngmod.index_from_uniform(prior.weights,
-                                              rngmod.uniforms(rngmod.family_key(seed, "truth"), 0, 1)[0])
+                                              rngmod.uniforms(keys["truth"], 0, 1)[0])
         true_model = prior.atoms[true_atom]
     else:
         true_atom = next(
@@ -674,17 +685,16 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             ) from e
 
         hal_atom = rngmod.index_from_uniform(
-            hal_post.weights, rngmod.uniforms(rngmod.family_key(seed, f"phase:{ell}:hal-model"), 0, 1)[0])
+            hal_post.weights, rngmod.uniforms(keys["hal-model"], ell, 1)[0])
         hal_counts, hal_values = _draw_hallucinated(
             fast, hal_atom, explored_mask,
-            lambda: rngmod.generator(rngmod.family_key(seed, f"phase:{ell}:hal-rewards")))
+            lambda: rngmod.generator(keys["hal-rewards"], ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
 
         if ell <= config.n_lrn:
             k_star = episodes[0]
         else:
-            k_star = episodes[0] + rngmod.integer_below(rngmod.family_key(seed, f"phase:{ell}:kstar"), 0,
-                                                        config.n_phase)
+            k_star = episodes[0] + rngmod.integer_below(keys["kstar"], ell, config.n_phase)
 
         ctx = PhaseContext(
             ell=ell,
@@ -707,10 +717,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         simulated = episodes if episode_log == "full" else (k_star,)
         if len(simulated) == 1:
-            u_star = rngmod.uniforms(rngmod.family_key(seed, f"episode:{k_star}:traj"), 0, n_uniforms)
+            u_star = rngmod.uniforms(keys["traj"], k_star, n_uniforms)
             hon_trajs = traj_of_row = ()
         else:
-            draws = np.array([rngmod.uniforms(rngmod.family_key(seed, f"episode:{k}:traj"), 0, n_uniforms) for k in simulated])
+            draws = rngmod.uniform_rows(keys["traj"], np.arange(simulated.start, simulated.stop,
+                                                          dtype=np.uint64), n_uniforms)
             u_star = draws[simulated.index(k_star)].tolist()
             # the honest rows in one block; the k* row's entry is unused
             hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)
@@ -720,10 +731,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         log.blocks.append(EpisodeBlock(ell, simulated, k_star, hal_code, hon_code, hal_steps,
                                        hon_trajs, traj_of_row))
 
-        hh_holds = None
+        hh_holds = hh_slack = None
         if track_hh and hh_inside is not None:
             gap = canonical_gap(fast.revealed_posterior(hal_counts), hh_inside)
-            hh_holds, _, _ = hh_condition_holds(len(episodes), punish_prob, gap, H)
+            hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob, gap, H)
+            hh_slack = rhs - lhs
 
         visits = fast.visits
         new_triples = sorted((x, a, h) for x, a, h, _ in hal_steps
@@ -745,6 +757,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
                 honest_policy=hon_code,
                 new_triples=new_triples,
                 hh_condition=hh_holds,
+                hh_slack=hh_slack,
             )
         )
         if covered_at is None and all(visits[x - 1, a - 1, h - 1] >= config.n_lrn

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ielab import (
@@ -182,11 +183,20 @@ def test_in_run_float_choices_equal_exact_choices(instance, det_prior, det_confi
 
 def test_fully_rational_long_run_no_false_zero_evidence(stoch_prior):
     """Deep into a long run every atom's revealed-reward log-mass is far
-    below 0 (the largest finite one falls below -800 here). The mechanism
-    posterior shifts by that largest value, so exp() cannot underflow to
-    an all-zero likelihood and report the ledger impossible."""
+    below 0 (the largest finite one of the honest ledger falls below -800
+    here). The mechanism posterior shifts by that largest value, so exp()
+    cannot underflow to an all-zero likelihood and report the ledger
+    impossible: the run reaches coverage without ZeroEvidence."""
     cfg = MechanismConfig(70218, 256, Fraction(7, 2880), 1200, rho=Fraction(1, 4))
     agent = make_agent("fully_rational", stoch_prior, cfg)
+    tops = []
+
+    def hook(ctx, log):
+        log_mass = ctx.fast.tables.reward_loglik(ctx.hon_counts)
+        tops.append(log_mass[np.isfinite(log_mass)].max())
+        return ctx.covered_at is not None
+
     log = run_game(cfg, stoch_prior, agent, seed=0, episode_log="hallucination",
-                   phase_hook=lambda ctx, log: ctx.covered_at is not None)
-    assert log.summary["phases_to_coverage"] == 1085
+                   phase_hook=hook)
+    assert min(tops) < -800
+    assert log.summary["phases_to_coverage"] == len(log.phases) == 1081

@@ -112,12 +112,12 @@ def test_sample_trajectory_deterministic_model(det_prior):
 def test_sample_trajectory_replay_contract(stoch_prior):
     m = stoch_prior.atoms[300]
     pol = enumerate_policies(2, 2, 2)[6]
-    t1 = sample_trajectory(m, pol, stream(42, "episode:9:traj"))
-    t2 = sample_trajectory(m, pol, stream(42, "episode:9:traj"))
+    t1 = sample_trajectory(m, pol, stream(42, "traj", 9))
+    t2 = sample_trajectory(m, pol, stream(42, "traj", 9))
     assert t1 == t2
-    # distinct stream names decorrelate
-    draws_a = [sample_trajectory(m, pol, stream(42, f"episode:{k}:traj")) for k in range(64)]
-    draws_b = [sample_trajectory(m, pol, stream(42, f"other:{k}")) for k in range(64)]
+    # distinct families decorrelate at equal indices
+    draws_a = [sample_trajectory(m, pol, stream(42, "traj", k)) for k in range(64)]
+    draws_b = [sample_trajectory(m, pol, stream(42, "other", k)) for k in range(64)]
     assert draws_a != draws_b
 
 

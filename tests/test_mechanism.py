@@ -44,7 +44,8 @@ from ielab import (
 )
 from ielab.harness import _write_artifact
 from ielab.instances import random_model
-from ielab.mdp import Step, event_visit_probability, reach_set, reachable_triples
+from ielab.mdp import (MarkovPolicy, Step, event_visit_probability, reach_set,
+                       reachable_triples, rollout)
 from ielab.mechanism import EpisodeBlock, _hh_exploring_policies, hallucination_prior_prob
 from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
@@ -407,6 +408,53 @@ def test_stoch_full_log_matches_hallucination_mode(stoch_prior, mode):
             assert_episode_lines_are_generic(full)
 
 
+@pytest.mark.parametrize("instance", ["det", "stoch"])
+def test_full_log_episodes_read_their_traj_addresses(instance, det_prior, det_config,
+                                                     stoch_prior):
+    """Log format 2 addresses episode k's draws as ("traj", k): every
+    full-log episode's trajectory is the scalar ``rollout`` of
+    ``stream(seed, "traj", k).random(2H)`` under the true model and the
+    line's policy, and the header names the format."""
+    if instance == "det":
+        prior, cfg = det_prior, MechanismConfig(40, 1, det_config.eps_pun, 3)
+    else:
+        prior, cfg = stoch_prior, MechanismConfig(16, 2, Fraction(7, 2880), 5,
+                                                  rho=Fraction(1, 4))
+    S, A, H = prior.shape
+    for seed in range(3):
+        log = run_game(cfg, prior, make_agent("fully_rational", prior, cfg), seed,
+                       episode_log="full")
+        model = prior.atoms[log.true_atom]
+        for e in log.episodes:
+            u = stream(seed, "traj", e.k).random(2 * H)
+            policy = MarkovPolicy.from_encoding(e.policy, S, A, H)
+            assert e.trajectory == rollout(model, policy, u)
+        header = json.loads(log.to_jsonl().partition("\n")[0])
+        assert header["log_format"] == 2
+        assert not any("traj_stream" in e.to_dict() for e in log.episodes)
+
+
+def test_hh_slack_signs_the_phase_length_condition(det_prior, det_config):
+    """``hh_slack`` is rhs - lhs of the phase-length condition: on det
+    seeds 0..9 it is None exactly where ``hh_condition`` is, and >= 0
+    exactly where the condition holds, under the certified schedule and
+    under phases of 40 episodes, too short for the condition to hold
+    everywhere."""
+    seen = set()
+    for cfg in (det_config, MechanismConfig(40, 1, det_config.eps_pun, 8)):
+        for seed in range(10):
+            log = run_game(cfg, det_prior, make_agent("fully_rational", det_prior, cfg),
+                           seed=seed, episode_log="hallucination", track_hh=True)
+            for p in log.phases:
+                if p.hh_condition is None:
+                    assert p.hh_slack is None
+                else:
+                    assert (p.hh_slack >= 0) == p.hh_condition
+                assert p.to_dict()["hh_slack"] == p.hh_slack
+                seen.add(p.hh_condition)
+    assert seen == {None, True, False}
+
+
 def test_full_log_lines_with_shared_trajectories(det_prior, det_config):
     """The honest records of one phase with equal trajectories share one
     Step tuple (the hallucination record keeps its own rollout's), and
@@ -602,7 +650,7 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                                                               stoch_prior):
     """Every phase's in-run hallucinated ledger equals the ledger-level
     ``hallucinate_ledger`` of its censored ledger, fed the phase's
-    hal-rewards stream: the vectorized draw indexes the global reward
+    address ("hal-rewards", ell): the vectorized draw indexes the global reward
     support while ``DiscreteDist.sample`` indexes each law's own values,
     and the two agree because every law stores its values in increasing
     order, also when micro_stoch_1's Bernoulli laws are listed as
@@ -623,7 +671,7 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                 signals = log.signals[p.ell]
                 U = frozenset(map(tuple, p.U))
                 want = hallucinate_ledger(signals["censored"], prior.atoms[p.hal_atom], U,
-                                          stream(seed, f"phase:{p.ell}:hal-rewards"))
+                                          stream(seed, "hal-rewards", p.ell))
                 assert signals["hallucinated"] == want
                 nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
         assert nonzero > 0
