@@ -418,17 +418,17 @@ class EpisodeBlock:
 
     def text(self) -> str:
         """The episode lines, each the generic encoder's ``to_dict`` line of
-        its record, as one f-string; each distinct trajectory rendered once."""
-        texts = [_trajectory_text(t) for t in self.trajs]
-        hal, lines = _trajectory_text(self.hal_steps), []
-        for row, k in enumerate(self.ks):
-            if k == self.k_star:
-                flag, kind, policy, traj = "true", "hallucinated", self.hal_policy, hal
-            else:
-                flag, kind, policy = "false", "honest", self.honest_policy
-                traj = texts[self.traj_of_row[row]]
-            lines.append(f'{{"ell":{self.ell},"is_hallucination":{flag},"k":{k},"policy":{policy},'
-                         f'"revealed_kind":"{kind}","trajectory":{traj},"type":"episode"}}\n')
+        its record. A line past its k is rendered once per distinct
+        trajectory; the k* row's honest line is replaced by the
+        hallucination episode's (and inserted, with one episode)."""
+        head = f'{{"ell":{self.ell},"is_hallucination":'
+        tails = [f',"policy":{self.honest_policy},"revealed_kind":"honest",'
+                 f'"trajectory":{_trajectory_text(t)},"type":"episode"}}\n' for t in self.trajs]
+        lines = [f'{head}false,"k":{k}{tails[t]}' for k, t in zip(self.ks, self.traj_of_row)]
+        star = self.ks.index(self.k_star)
+        lines[star:star + 1] = [f'{head}true,"k":{self.k_star},"policy":{self.hal_policy},'
+                                f'"revealed_kind":"hallucinated","trajectory":'
+                                f'{_trajectory_text(self.hal_steps)},"type":"episode"}}\n']
         return "".join(lines)
 
 
