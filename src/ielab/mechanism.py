@@ -418,9 +418,9 @@ class EpisodeBlock:
 
     def text(self) -> str:
         """The episode lines, each the generic encoder's ``to_dict`` line of
-        its record. A line past its k is rendered once per distinct
-        trajectory; the k* row's honest line is replaced by the
-        hallucination episode's (and inserted, with one episode)."""
+        its record. An honest line's text after its k is rendered once per
+        distinct trajectory; the hallucination episode's line replaces the
+        k* row's (or is the only line, with one episode)."""
         head = f'{{"ell":{self.ell},"is_hallucination":'
         tails = [f',"policy":{self.honest_policy},"revealed_kind":"honest",'
                  f'"trajectory":{_trajectory_text(t)},"type":"episode"}}\n' for t in self.trajs]

@@ -31,11 +31,7 @@ to be built for a short read. The row reader ``uniform_rows(key,
 indices, n)`` returns a (len(indices), n) float64 array whose row i is
 bit for bit ``generator(key, indices[i]).random(n)``: it evaluates every
 row's blocks as one uint64 array operation, so a full-log phase reads
-all its episodes' draws in one call. ``mdp.rollout_rows`` then rolls out
-the phase's honest rows as one array operation per draw, while the
-hallucination episode's row, the one trajectory the mechanism reads,
-goes through the scalar ``mdp.rollout``; a phase of one episode reads
-its row with ``uniforms``.
+all its episodes' draws in one call.
 
 A uniform becomes an index of a probability vector by one inverse-CDF
 rule: the first index whose left-to-right float cumulative sum exceeds
