@@ -69,7 +69,7 @@ def family_key(master_seed: int, family: str) -> int:
                           "little")
 
 
-def generator(key: int, index: int = 0) -> np.random.Generator:
+def generator(key: int, index: int) -> np.random.Generator:
     """The numpy Generator at counter address (key, index): Philox with
     counter (0, index, 0, 0), given as the 256-bit int whose second word
     is ``index`` (numpy mis-converts a list holding 2**64 - 1)."""
