@@ -71,12 +71,12 @@ from .mechanism import (
     hallucinate_ledger,
     hallucination_posterior,
     hh_condition_holds,
-    honest_ledger,
     p_hal_bound,
     phase_episodes,
     prob_parameters,
     punish_event,
     q_pun_r_alt_exact,
+    replay_signals,
     run_game,
     sample_hallucinated_model,
 )

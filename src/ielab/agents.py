@@ -117,15 +117,14 @@ class AgentSpec:
     """mode is "canonical_truster" or "fully_rational"; both know the
     mechanism config and prior.
 
-    ``choose`` is always exact. ``exact`` picks the in-run route of
-    ``choose_signal``: the run loop's float posteriors when False, else
-    ``choose`` on the phase's materialized signal ledgers.
+    In a run the agent chooses through ``choose_signal`` on the run loop's
+    float posteriors. ``choose`` is the exact choice for a ledger, as on
+    the ledgers ``mechanism.replay_signals`` rebuilds from a log.
     """
 
     mode: str
     prior: DiscretePrior
     config: MechanismConfig
-    exact: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -154,15 +153,7 @@ class AgentSpec:
         return pol
 
     def choose_signal(self, k: int, ell: int, kind: str, ctx: PhaseContext) -> MarkovPolicy:
-        """Fast in-run route: the game loop supplies per-phase count state.
-
-        Exact agents take ``choose`` on the materialized ledgers, which
-        need run_game(keep_signals=True).
-        """
-        if self.exact:
-            if ctx.signals is None:
-                raise ValueError("exact agents need run_game(keep_signals=True)")
-            return self.choose(k, ell, ctx.signals[kind])
+        """Fast in-run route: the game loop supplies per-phase count state."""
         counts = ctx.counts_of(kind)
         if self.mode == "canonical_truster":
             post = ctx.fast.revealed_posterior(counts)
@@ -174,6 +165,5 @@ class AgentSpec:
         return bayes_greedy(post)
 
 
-def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig,
-               exact: bool = False) -> AgentSpec:
-    return AgentSpec(mode, prior, config, exact)
+def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig) -> AgentSpec:
+    return AgentSpec(mode, prior, config)

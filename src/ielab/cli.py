@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run-det | run-prob | verify | params, each taking --config,
---out and --override; only run-det and run-prob take --seed, --seeds and
---exact, only verify --suite. A config field the command does not read
+--out and --override; only run-det and run-prob take --seed and --seeds,
+only verify --suite. A config field the command does not read
 is a config error. Exit codes: 0 ok, 1 infrastructure/config error, 2
 assumption violated or usage error, 3 verification assertion failed.
 IE_SEED supplies the master seed when no --seed / --seeds / config seeds
@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name.startswith("run-"):
             p.add_argument("--seed", type=int, help="single master seed")
             p.add_argument("--seeds", help="seed range a..b (inclusive)")
-            p.add_argument("--exact", action="store_true",
-                           help="agents choose in-run through AgentSpec.choose on the "
-                                "materialized signal ledgers, not the float posteriors")
         if name == "verify":
             p.add_argument("--suite", help="default: the config's suite, else all",
                            choices=["all", *_SUITES])
@@ -79,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
             seeds = _seeds_from_args(args)
             if seeds is not None:
                 cfg.raw["seeds"] = seeds
-            if args.exact:
-                cfg.raw["exact"] = True
         if args.out:
             cfg.raw["out"] = args.out
         if getattr(args, "suite", None):

@@ -9,6 +9,7 @@ documented column orders (never reordered within a major version).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -59,7 +60,7 @@ PARAMS_COLUMNS = [
     "name", "value",
 ]
 
-_RUN_KEYS = {"prior", "mechanism", "agent", "seeds", "out", "exact"}
+_RUN_KEYS = {"prior", "mechanism", "agent", "seeds", "out"}
 _COMMAND_KEYS = {  # the config fields each command reads
     "run-det": _RUN_KEYS | {"episode_log"}, "run-prob": _RUN_KEYS | {"rho", "delta"},
     "verify": {"prior", "mechanism", "suite", "out"}, "params": {"prior", "rho", "delta", "out"},
@@ -88,15 +89,26 @@ class ExperimentConfig:
         spec = self.raw.get("seeds")
         if spec is None:
             env = os.environ.get("IE_SEED")
-            return [int(env)] if env else [0]
-        if isinstance(spec, int):
-            return [spec]
-        if isinstance(spec, dict) and "range" in spec:
-            a, b = spec["range"]
-            return list(range(int(a), int(b) + 1))
-        if isinstance(spec, list):
-            return [int(s) for s in spec]
+            return [_parsed(env, "IE_SEED", int)] if env else [0]
+        try:
+            if isinstance(spec, int):
+                return [spec]
+            if isinstance(spec, dict) and "range" in spec:
+                a, b = spec["range"]
+                return list(range(int(a), int(b) + 1))
+            if isinstance(spec, list):
+                return [int(s) for s in spec]
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad seeds spec: {spec!r}") from e
         raise ConfigError(f"bad seeds spec: {spec!r}")
+
+
+def _parsed(value, name: str, parse):
+    """``parse(value)``; a value it refuses is a ConfigError naming ``name``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad {name}: {value!r}") from e
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -155,22 +167,30 @@ def load_prior(cfg: ExperimentConfig):
     return obj, obj.expand()
 
 
-def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> MechanismConfig:
+_MECHANISM_PARSERS = {
+    "n_phase": int, "n_lrn": int, "eps_pun": as_fraction, "total_phases": int,
+    "rho": lambda v: None if v in (None, "") else as_fraction(v),
+}
+# a valid config, on which the parsed mechanism fields meet MechanismConfig's checks
+_MECHANISM_CHECK = MechanismConfig(n_phase=1, n_lrn=1, eps_pun=Fraction(1, 2), total_phases=0)
+
+
+def _mechanism_fields(cfg: ExperimentConfig) -> dict:
+    """The config's mechanism fields, parsed and range-checked; an unknown
+    or bad field is a ConfigError naming it."""
     ov = cfg.get("mechanism", {})
-    if not ov:
-        return base
-    fields = base.to_dict()
-    for k, v in ov.items():
-        if k not in fields:
-            raise ConfigError(f"unknown mechanism field {k!r}")
-        fields[k] = v
-    return MechanismConfig(
-        n_phase=int(fields["n_phase"]),
-        n_lrn=int(fields["n_lrn"]),
-        eps_pun=as_fraction(fields["eps_pun"]),
-        total_phases=int(fields["total_phases"]),
-        rho=None if fields["rho"] in (None, "") else as_fraction(fields["rho"]),
-    )
+    if not isinstance(ov, dict) or not ov.keys() <= _MECHANISM_PARSERS.keys():
+        raise ConfigError(f"mechanism fields must be among {sorted(_MECHANISM_PARSERS)}: {ov!r}")
+    fields = {k: _parsed(v, f"mechanism.{k}", _MECHANISM_PARSERS[k]) for k, v in ov.items()}
+    try:
+        dataclasses.replace(_MECHANISM_CHECK, **fields)
+    except ValueError as e:
+        raise ConfigError(f"bad mechanism field: {e}") from e
+    return fields
+
+
+def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> MechanismConfig:
+    return dataclasses.replace(base, **_mechanism_fields(cfg))
 
 
 def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> str:
@@ -205,13 +225,11 @@ def _run_seeds(cfg: ExperimentConfig, prior, config: MechanismConfig, kind: str,
     """Play one run per configured seed, write each run's artifact and print
     the summary CSV. ``row(summary)`` gives a run's columns besides its
     seed and log digest; ``run_options`` go to run_game."""
-    exact = bool(cfg.get("exact", False))
     out_dir = cfg.get("out")
     rows = []
     for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config, exact=exact)
-        log = run_game(config, prior, agent, seed, episode_log=episode_log,
-                       keep_signals=exact, **run_options)
+        agent = make_agent(agent_mode, prior, config)
+        log = run_game(config, prior, agent, seed, episode_log=episode_log, **run_options)
         manifest = {
             "version": __version__, "seed": seed, "config": config.to_dict(),
             "agent_mode": agent_mode, "episode_log": episode_log,
@@ -252,9 +270,9 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
 def cmd_run_prob(cfg: ExperimentConfig) -> int:
     """Probabilistic-class runs; desk-scale overrides via mechanism fields."""
     factored, prior = load_prior(cfg)
-    rho = as_fraction(cfg.get("rho", "1/4"))
-    delta = float(cfg.get("delta", 0.1))
-    mech_ov = cfg.get("mechanism", {})
+    rho = _parsed(cfg.get("rho", "1/4"), "rho", as_fraction)
+    delta = _parsed(cfg.get("delta", 0.1), "delta", float)
+    mech_ov = _mechanism_fields(cfg)
     base, report = prob_parameters(
         factored, rho, delta,
         n_lrn_override=mech_ov.get("n_lrn"),
@@ -290,8 +308,8 @@ def cmd_params(cfg: ExperimentConfig) -> int:
     if factored.is_deterministic():
         _, info = det_parameters(factored)
         rows.extend({"name": f"det.{k}", "value": _fmt(v)} for k, v in info.items())
-    rho = as_fraction(cfg.get("rho", "1/4"))
-    delta = float(cfg.get("delta", 0.1))
+    rho = _parsed(cfg.get("rho", "1/4"), "rho", as_fraction)
+    delta = _parsed(cfg.get("delta", 0.1), "delta", float)
     _, report = prob_parameters(factored, rho, delta)
     rows.extend({"name": f"prob.{k}", "value": _fmt(v)} for k, v in report.items())
     text = _write_csv(cfg.get("out"), "params", PARAMS_COLUMNS, rows)

@@ -31,6 +31,7 @@ from .ledgers import (
     totally_censor,
 )
 from .mdp import (
+    MarkovPolicy,
     TabularModel,
     Trajectory,
     TripleSet,
@@ -65,8 +66,9 @@ class MechanismConfig:
     rho: Fraction | None = None
 
     def __post_init__(self):
-        if self.n_phase < 1 or self.n_lrn < 1 or self.total_phases < 0:
-            raise ValueError("n_phase, n_lrn must be positive; total_phases >= 0")
+        for name, low in (("n_phase", 1), ("n_lrn", 1), ("total_phases", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
         eps = as_fraction(self.eps_pun)
         if not 0 < eps < 1:
             raise ValueError("eps_pun must lie in (0, 1)")
@@ -144,11 +146,6 @@ def hallucinate_ledger(lam_cens: Ledger, mu_hal: TabularModel, U: TripleSet, rng
     draws = (mu_hal.reward_dist(s.x, s.a, s.h).sample(rng)
              for _, traj in lam_cens.entries for s in traj.steps if (s.x, s.a, s.h) not in U)
     return reveal_rewards(lam_cens, U, draws)
-
-
-def honest_ledger(lam_raw: Ledger, U: TripleSet) -> Ledger:
-    """U-censoring of the raw hallucination-episode ledger."""
-    return censor_ledger(lam_raw, U)
 
 
 def p_hal_bound(p0: Fraction, q: Fraction) -> Fraction:
@@ -480,7 +477,6 @@ class GameLog:
     blocks: list = field(default_factory=list)
     phases: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    signals: dict | None = None  # ell -> {kind: Ledger}; in-memory only
 
     @property
     def episodes(self) -> list:
@@ -539,7 +535,6 @@ class PhaseContext:
     hon_counts: np.ndarray
     hal_counts: np.ndarray
     U: TripleSet
-    signals: dict | None = None  # kind -> Ledger, only with keep_signals
     covered_at: int | None = None
 
     def counts_of(self, kind: str) -> np.ndarray:
@@ -548,29 +543,24 @@ class PhaseContext:
 
 def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarray,
                        make_rng):
-    """Vectorized reward draws at explored occurrences; returns (counts, values).
+    """Vectorized reward draws at explored occurrences, one uniform each in
+    ledger entry order; returns the drawn values' counts per triple.
 
     The uniforms come from the generator ``make_rng()``, called only when
-    some occurrence is explored. ``values`` holds one support index per
-    occurrence (-1 when censored), in ledger entry order, so keep_signals
-    can materialize the ledger.
+    some occurrence is explored.
     """
-    tables = fast.tables
+    counts = fast.reward_counts
     occ = fast.occurrences()
-    n_support = len(tables.support)
-    counts = np.zeros_like(fast.reward_counts)
-    values = np.full(len(occ), -1, dtype=int)
     sel = explored_mask.ravel()[occ]
     m = int(sel.sum())
     if m == 0:
-        return counts, values
+        return np.zeros_like(counts)
     u = make_rng().random(m)
     occ = occ[sel]
-    cum = tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
+    n_support = len(fast.tables.support)
+    cum = fast.tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
     idx = (u[:, None] >= cum).sum(axis=1)  # index_from_uniform's rule
-    values[sel] = idx
-    counts = np.bincount(occ * n_support + idx, minlength=counts.size).reshape(counts.shape)
-    return counts, values
+    return np.bincount(occ * n_support + idx, minlength=counts.size).reshape(counts.shape)
 
 
 def _hh_exploring_policies(tables: PriorTables, reachable: list,
@@ -587,22 +577,9 @@ def _hh_exploring_policies(tables: PriorTables, reachable: list,
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
-def _signals_from_state(fast: LedgerState, hal_entries, U, hal_values) -> dict:
-    """Materialize the censored / honest / hallucinated ledgers (micro scale)."""
-    S, A, H = fast.tables.S, fast.tables.A, fast.tables.H
-    lam_raw = raw_ledger(S, A, H, hal_entries)
-    lam_cens = totally_censor(lam_raw)
-    lam_hon = honest_ledger(lam_raw, U)
-    support = fast.tables.support
-    lam_hal = reveal_rewards(lam_raw, U, (support[v] for v in hal_values if v >= 0))
-    return {"censored": lam_cens, "honest": lam_hon, "hallucinated": lam_hal,
-            "raw": lam_raw}
-
-
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
              true_model: TabularModel | None = None, episode_log: str = "full",
-             keep_signals: bool = False, phase_hook=None,
-             track_hh: bool = False) -> GameLog:
+             phase_hook=None, track_hh: bool = False) -> GameLog:
     """Execute the phase loop and emit a replayable GameLog.
 
     ``agent`` follows the agents.AgentSpec protocol. ``episode_log`` is
@@ -618,11 +595,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     from the scalar ``mdp.rollout``, as in every one-episode phase. Each
     phase appends one ``EpisodeBlock``, no object per episode. U, new
     triples, coverage and the visit counts are read from the one visit
-    count, ``LedgerState.visits``.
-    ``keep_signals`` attaches the per-phase ledgers to
-    ``log.signals`` for micro-scale cross-checks. ``phase_hook(ctx, log)``
-    runs after each phase's bookkeeping; returning True stops the run
-    early. ``track_hh`` evaluates the phase-length incentive condition
+    count, ``LedgerState.visits``. The agents choose on the float count
+    state; ``replay_signals`` rebuilds the signal ledgers from the log for
+    an exact check after the run. ``phase_hook(ctx, log)`` runs after each
+    phase's bookkeeping; returning True stops the run early. ``track_hh`` evaluates the phase-length incentive condition
     per phase against the sufficiently-visiting policy set of the true
     model and records it and its slack, rhs - lhs (micro scale only; None
     where the policy split degenerates).
@@ -647,7 +623,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     target = reach_set(true_model, rho)
     if track_hh:  # the support of each policy under the true model, once per run
         reachable = [reachable_triples(true_model, pol) for pol in tables.policies]
-    hal_entries: list = []
     fast = LedgerState(tables)
     log = GameLog(
         seed=seed,
@@ -657,7 +632,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         prior_digest=prior_digest(prior),
         true_atom=true_atom,
     )
-    log.signals = {} if keep_signals else None
     covered_at = None
     n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
     explored_mask = None
@@ -686,7 +660,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
 
         hal_atom = rngmod.index_from_uniform(
             hal_post.weights, rngmod.uniforms(keys["hal-model"], ell, 1)[0])
-        hal_counts, hal_values = _draw_hallucinated(
+        hal_counts = _draw_hallucinated(
             fast, hal_atom, explored_mask,
             lambda: rngmod.generator(keys["hal-rewards"], ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
@@ -705,9 +679,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             hal_counts=hal_counts,
             U=U,
         )
-        if keep_signals:
-            ctx.signals = _signals_from_state(fast, hal_entries, U, hal_values)
-            log.signals[ell] = ctx.signals
         pi_hal = agent.choose_signal(k_star, ell, "hallucinated", ctx)
         pi_hon = hon_code = None
         if len(episodes) > 1:
@@ -740,7 +711,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         visits = fast.visits
         new_triples = sorted((x, a, h) for x, a, h, _ in hal_steps
                              if not visits[x - 1, a - 1, h - 1])
-        hal_entries.append((pi_hal, tau_star))
         fast.push_entry(tau_star)
 
         log.phases.append(
@@ -778,3 +748,26 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         "episodes_simulated": sum(len(b.ks) for b in log.blocks),
     }
     return log
+
+
+def replay_signals(log: GameLog, prior: DiscretePrior):
+    """Rebuild a finished run's signal ledgers from its in-memory log.
+
+    Yields (ell, {"raw", "censored", "honest", "hallucinated"}) per phase.
+    The raw ledger holds the hallucination episodes of the earlier phases,
+    the honest one censors it with the phase record's U, and the
+    hallucinated one re-draws the rewards of the logged ``hal_atom`` at the
+    run's address ("hal-rewards", ell). ``AgentSpec.choose`` on these
+    ledgers is the exact check of the run's float choices.
+    """
+    S, A, H = prior.shape
+    entries = []
+    for p, (ell, hal_policy, hal_steps) in zip(log.phases, log.hallucination_history()):
+        U = frozenset(map(tuple, p.U))
+        raw = raw_ledger(S, A, H, entries)
+        censored = totally_censor(raw)
+        yield ell, {"raw": raw, "censored": censored, "honest": censor_ledger(raw, U),
+                    "hallucinated": hallucinate_ledger(
+                        censored, prior.atoms[p.hal_atom], U,
+                        rngmod.stream(log.seed, "hal-rewards", ell))}
+        entries.append((MarkovPolicy.from_encoding(hal_policy, S, A, H), Trajectory(hal_steps)))

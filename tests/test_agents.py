@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dataclasses
+
 from ielab import (
-    AgentSpec,
     MechanismConfig,
     OracleUnavailable,
     bayes_greedy,
@@ -18,6 +19,7 @@ from ielab import (
     prior_as_posterior,
     prob_parameters,
     raw_ledger,
+    replay_signals,
     run_game,
     totally_censor,
 )
@@ -115,13 +117,12 @@ def test_exploitation_agreement_theory_scale(stoch_prior):
                           total_phases=8, rho=Fraction(1, 4))
     for seed in range(4):
         a_c = make_agent("canonical_truster", stoch_prior, big)
-        log = run_game(big, stoch_prior, a_c, seed=seed, episode_log="hallucination",
-                       keep_signals=True)
+        log = run_game(big, stoch_prior, a_c, seed=seed, episode_log="hallucination")
         a_r = make_agent("fully_rational", stoch_prior, big)
-        for p in log.phases:
+        for p, (_, signals) in zip(log.phases, replay_signals(log, stoch_prior)):
             if p.honest_policy is None:
                 continue
-            pol = a_r.choose(p.first_episode, p.ell, log.signals[p.ell]["honest"])
+            pol = a_r.choose(p.first_episode, p.ell, signals["honest"])
             assert pol.encoding == p.honest_policy
 
 
@@ -146,39 +147,64 @@ def test_fully_rational_oracle_unavailable():
         agent.choose(2, episode_phase(cfg, 2), lam)
 
 
-class ChoiceRecorder(AgentSpec):
-    """A float agent that keeps, for every in-run choice, the materialized
-    signal ledger and the policy the run loop's float posterior chose."""
+def replayed_choices(agent, log, prior):
+    """(choices checked, phases with a mismatch): each logged ``hal_policy``
+    and, in a phase of several episodes, ``honest_policy`` is compared with
+    the exact ``agent.choose`` of its signal ledger from ``replay_signals``."""
+    checked, mismatched = 0, []
+    for p, (ell, signals) in zip(log.phases, replay_signals(log, prior)):
+        want = [(p.k_star, "hallucinated", p.hal_policy)]
+        if p.last_episode > p.first_episode:
+            want.append((p.first_episode, "honest", p.honest_policy))
+        checked += len(want)
+        if any(agent.choose(k, ell, signals[kind]).encoding != code
+               for k, kind, code in want):
+            mismatched.append(ell)
+    return checked, mismatched
 
-    def choose_signal(self, k, ell, kind, ctx):
-        pol = super().choose_signal(k, ell, kind, ctx)
-        self.seen.append((k, ell, ctx.signals[kind], pol))
-        return pol
 
-
-@pytest.mark.parametrize("instance", ["det", "stoch", "stoch-n_lrn2"])
+@pytest.mark.parametrize("instance", ["det", "stoch", "stoch-n_lrn2", "hal-rewards"])
 def test_in_run_float_choices_equal_exact_choices(instance, det_prior, det_config,
                                                   stoch_factored, stoch_prior):
     """Every in-run float choice of both agent modes is the exact
-    ``AgentSpec.choose`` of the materialized signal ledger: det seeds
-    0..99, stoch at n_lrn 8 over 40 phases with seeds 0..4, and at n_lrn 2
-    over 12 phases with seeds 0..19."""
+    ``AgentSpec.choose`` of its signal ledger, replayed from the log: det
+    seeds 0..99, stoch at n_lrn 8 over 40 phases with seeds 0..4, at n_lrn
+    2 over 12 phases with seeds 0..19, and the hal-rewards goldens' config
+    (eps_pun 3/4, n_lrn 8, 40 phases, seeds 0..2), whose hallucinated
+    ledgers carry nonzero rewards."""
     if instance == "det":
         prior, cfg, seeds = det_prior, det_config, range(100)
     else:
-        n_lrn, phases, seeds = (8, 40, range(5)) if instance == "stoch" else (2, 12, range(20))
+        n_lrn, phases, seeds = {"stoch": (8, 40, range(5)), "stoch-n_lrn2": (2, 12, range(20)),
+                                "hal-rewards": (8, 40, range(3))}[instance]
         cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                                  n_lrn_override=n_lrn, total_phases_override=phases)
+        if instance == "hal-rewards":
+            cfg = dataclasses.replace(cfg, eps_pun=Fraction(3, 4))
         prior = stoch_prior
     for mode in ("canonical_truster", "fully_rational"):
         for seed in seeds:
-            agent = ChoiceRecorder(mode, prior, cfg)
-            agent.seen = []
-            run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
+            agent = make_agent(mode, prior, cfg)
+            log = run_game(cfg, prior, agent, seed, episode_log="hallucination")
+            checked, mismatched = replayed_choices(agent, log, prior)
             # one choice per single-episode phase, two per later phase
-            assert len(agent.seen) == cfg.n_lrn + 2 * (cfg.total_phases - cfg.n_lrn)
-            for k, ell, ledger, pol in agent.seen:
-                assert agent.choose(k, ell, ledger) == pol
+            assert checked == cfg.n_lrn + 2 * (cfg.total_phases - cfg.n_lrn)
+            assert mismatched == []
+
+
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_replayed_choice_check_flags_an_edited_phase(mode, det_prior, det_config):
+    """Negative control: with one phase's logged ``hal_policy`` changed in
+    a det log, the replayed choice check fails at exactly that phase."""
+    agent = make_agent(mode, det_prior, det_config)
+    for seed in range(3):
+        log = run_game(det_config, det_prior, agent, seed, episode_log="hallucination")
+        for i in (0, 3, len(log.phases) - 1):
+            edited = dataclasses.replace(log, phases=list(log.phases))
+            p = edited.phases[i]
+            # micro_det_1 has 2 ** (S * H) = 16 policies
+            edited.phases[i] = dataclasses.replace(p, hal_policy=(p.hal_policy + 1) % 16)
+            assert replayed_choices(agent, edited, det_prior)[1] == [p.ell]
 
 
 def test_fully_rational_long_run_no_false_zero_evidence(stoch_prior):

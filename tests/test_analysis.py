@@ -24,6 +24,7 @@ from ielab import (
     make_agent,
     performance_difference,
     policy_value,
+    replay_signals,
     run_game,
     similarity,
     simulation_gap,
@@ -267,13 +268,13 @@ def test_deterministic_simulation_lemma_invariant(det_prior, det_config, det_tab
     agree with the truth up to the first unexplored stage and are punished
     before it."""
     agent = make_agent("fully_rational", det_prior, det_config)
-    log = run_game(det_config, det_prior, agent, seed=6, episode_log="hallucination",
-                   keep_signals=True)
+    log = run_game(det_config, det_prior, agent, seed=6, episode_log="hallucination")
     m_star = det_prior.atoms[log.true_atom]
     from ielab.mdp import deterministic_trajectory
 
+    signals = dict(replay_signals(log, det_prior))
     for p in log.phases:
-        lam_hal = log.signals[p.ell]["hallucinated"]
+        lam_hal = signals[p.ell]["hallucinated"]
         post = canonical_posterior(det_prior, lam_hal)
         U = frozenset(tuple(t) for t in p.U)
         for pol in det_tables.policies[::3]:
@@ -297,14 +298,14 @@ def test_value_bounds_on_good_models(stoch_prior, stoch_tables):
     bounds at generous tolerances."""
     cfg = MechanismConfig(70218, 4, Fraction(7, 2880), 60, rho=Fraction(1, 4))
     agent = make_agent("canonical_truster", stoch_prior, cfg)
-    log = run_game(cfg, stoch_prior, agent, seed=8, episode_log="hallucination",
-                   keep_signals=True)
+    log = run_game(cfg, stoch_prior, agent, seed=8, episode_log="hallucination")
     m_star = stoch_prior.atoms[log.true_atom]
     eps_r, eps_p = 0.25, 0.2
     checked = 0
+    signals = dict(replay_signals(log, stoch_prior))
     for p in log.phases[-10:]:
         U = frozenset(tuple(t) for t in p.U)
-        lam_hal = log.signals[p.ell]["hallucinated"]
+        lam_hal = signals[p.ell]["hallucinated"]
         post = canonical_posterior(stoch_prior, lam_hal)
         H = 2
         for i, w in enumerate(post.weights):

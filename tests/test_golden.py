@@ -57,7 +57,6 @@ _STOCH_HAL = ["--override", 'prior={"micro":"stoch1"}', "--override", "mechanism
 
 RUNS = {
     "det": ["run-det", "--seeds", "0..9"],
-    "det-exact": ["run-det", "--exact", "--seeds", "0..1"],
     "det-full-log": ["run-det", "--override", "episode_log=full",
                      "--override", "mechanism.total_phases=2", "--seeds", "0..1"],
     "det-truster": ["run-det", "--override", 'agent={"mode":"canonical_truster"}',
@@ -94,13 +93,6 @@ def test_golden_log_digests(name):
     golden = json.loads(GOLDEN.read_text())
     assert golden[name]["argv"] == RUNS[name]
     assert log_digests(RUNS[name]) == golden[name]["digests"]
-
-
-def test_golden_float_and_exact_det_agree():
-    """The float fast path and the exact ledger path replay the same bytes."""
-    golden = json.loads(GOLDEN.read_text())
-    exact = golden["det-exact"]["digests"]
-    assert exact == {s: golden["det"]["digests"][s] for s in exact}
 
 
 def test_hal_rewards_golden_draws_nonzero_rewards():

@@ -3,12 +3,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from ielab import make_agent, run_game
-from ielab.cli import main
+from ielab.cli import build_parser, main
 from ielab.errors import ConfigError
 from ielab.harness import ExperimentConfig, _write_artifact, load_config
 
@@ -66,11 +70,12 @@ def test_cli_run_det_artifacts_replay(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--exact"], ["params", "--seeds", "0..1"],
-                                  ["verify", "--seed", "3"]])
+                                  ["verify", "--seed", "3"], ["run-det", "--exact"],
+                                  ["run-prob", "--exact"]])
 def test_cli_refuses_flags_a_command_does_not_read(argv, capsys):
-    """--seed, --seeds and --exact belong to run-det and run-prob only;
-    another command stops with argparse's usage error instead of
-    ignoring them."""
+    """--seed and --seeds belong to run-det and run-prob only, and no
+    command has --exact; a command given a flag it does not read stops
+    with argparse's usage error instead of ignoring it."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -87,12 +92,60 @@ def test_cli_refuses_flags_a_command_does_not_read(argv, capsys):
 ])
 def test_cli_refuses_config_fields_a_command_does_not_read(command, override, capsys):
     """Each command reads its own config fields; one it would ignore stops
-    it with a config error (exit code 1) naming the field, before any run."""
+    it with a config error (exit code 1) naming the field, before any run.
+    No command reads ``exact``, so it is an unknown field."""
     key = override.partition("=")[0]
     assert main([command, "--override", override]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {command} does not read config fields: [{key!r}]\n"
+    if key == "exact":
+        assert captured.err == "error: unknown config fields: ['exact']\n"
+    else:
+        assert captured.err == f"error: {command} does not read config fields: [{key!r}]\n"
     assert captured.out == ""
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv,env,field", [
+    (["run-det"], {"IE_SEED": "abc"}, "IE_SEED"),
+    (["run-det", "--override", 'seeds=["x"]'], {}, "seeds"),
+    (["run-det", "--override", 'seeds={"range":[1]}'], {}, "seeds"),
+    (["run-det", "--override", "mechanism.n_phase=abc"], {}, "mechanism.n_phase"),
+    (["run-det", "--override", "mechanism.n_phase=0"], {}, "n_phase"),
+    (["run-det", "--override", "mechanism.eps_pun=2"], {}, "eps_pun"),
+    (["run-prob", "--override", "rho=abc"], {}, "rho"),
+    (["run-prob", "--override", "delta=abc"], {}, "delta"),
+])
+def test_cli_bad_field_values_are_config_errors(argv, env, field):
+    """A config value that does not parse or is out of range stops the
+    command with exit code 1 and one ``error:`` line naming the field, not
+    a Python traceback."""
+    run = subprocess.run([sys.executable, "-m", "ielab.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                         timeout=60)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert field in run.stderr
+
+
+def test_readme_cli_synopsis_lists_each_commands_flags():
+    """Each subcommand's line in README's CLI synopsis names exactly the
+    flags ``build_parser`` gives it (besides --help), so a flag cannot be
+    documented after it is removed, nor added undocumented."""
+    import argparse
+    import re
+
+    readme = (SRC.parent / "README.md").read_text()
+    synopsis = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                  for line in synopsis.splitlines() if line.startswith("ielab ")}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {o for a in p._actions for o in a.option_strings
+                    if o.startswith("--") and o != "--help"}
+             for name, p in sub.choices.items()}
+    assert documented == flags
 
 
 def test_cli_refuses_priors_in_the_atoms_form(tmp_path, capsys, det_prior):

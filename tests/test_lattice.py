@@ -59,6 +59,7 @@ from ielab import (
     policy_selection_case,
     policy_value,
     raw_ledger,
+    replay_signals,
     run_game,
 )
 from ielab.agents import _mechanism_weights_float
@@ -384,29 +385,37 @@ def test_one_step_argmax_random_priors(prior):
 
 
 class RecordingAgent(AgentSpec):
-    """A float fully-rational agent that, at every in-run choice, compares
-    its fast posterior with the exact mechanism posterior of the same
-    materialized ledger."""
+    """A float fully-rational agent that records, at every in-run choice,
+    its episode and its fast posterior weights under (ell, kind)."""
 
     def choose_signal(self, k, ell, kind, ctx):
         p0 = float(hallucination_prior_prob(self.config, ell))
         fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
                                            ctx.counts_of(kind), ctx.punish_mask, p0)
-        exact, _ = mechanism_posterior(self.prior, self.config, k, ctx.signals[kind])
-        want = np.array([float(w) for w in exact.weights])
-        self.errors.append(float(np.abs(fast - want).max()))
+        self.weights[ell, kind] = (k, fast)
         return super().choose_signal(k, ell, kind, ctx)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_priors(), st.integers(0, 10**6), st.integers(1, 2), st.integers(2, 3))
 def test_rational_fast_matches_exact_mechanism_posterior(prior, seed, n_lrn, n_phase):
+    """Every in-run fast posterior of the fully rational agent is, within
+    1e-12, the exact mechanism posterior of its signal ledger, replayed
+    from the log after the run."""
     cfg = MechanismConfig(n_phase=n_phase, n_lrn=n_lrn, eps_pun=Fraction(1, 10),
                           total_phases=5)
     agent = RecordingAgent("fully_rational", prior, cfg)
-    agent.errors = []
-    run_game(cfg, prior, agent, seed, episode_log="hallucination", keep_signals=True)
-    assert agent.errors and max(agent.errors) <= 1e-12
+    agent.weights = {}
+    log = run_game(cfg, prior, agent, seed, episode_log="hallucination")
+    errors = []
+    for ell, signals in replay_signals(log, prior):
+        for kind in ("hallucinated", "honest"):
+            if (ell, kind) in agent.weights:
+                k, fast = agent.weights[ell, kind]
+                exact, _ = mechanism_posterior(prior, cfg, k, signals[kind])
+                want = np.array([float(w) for w in exact.weights])
+                errors.append(float(np.abs(fast - want).max()))
+    assert errors and max(errors) <= 1e-12
 
 
 def assert_paths_match(prior):

@@ -20,6 +20,7 @@ from ielab import (
     ZeroEvidence,
     all_triples,
     canonical_posterior,
+    censor_ledger,
     det_parameters,
     det_phase_length,
     enumerate_policies,
@@ -28,7 +29,6 @@ from ielab import (
     hallucinate_ledger,
     hallucination_posterior,
     hh_condition_holds,
-    honest_ledger,
     make_agent,
     p_hal_bound,
     phase_episodes,
@@ -36,6 +36,7 @@ from ielab import (
     punish_event,
     q_pun_r_alt_exact,
     raw_ledger,
+    replay_signals,
     run_game,
     sample_hallucinated_model,
     totally_censor,
@@ -213,11 +214,11 @@ def test_honest_ledger(det_prior):
     lam_raw = raw_ledger(2, 2, 2, [(pol, traj)])
     # n_lrn = 1: U is the unvisited set, so honest reveals exactly the raw rewards
     U = all_triples(2, 2, 2) - frozenset(traj.triples())
-    hon = honest_ledger(lam_raw, U)
+    hon = censor_ledger(lam_raw, U)
     for (_, raw_t), (_, hon_t) in zip(lam_raw.entries, hon.entries):
         for rs, hs in zip(raw_t.steps, hon_t.steps):
             assert hs.r == rs.r
-    full = honest_ledger(lam_raw, all_triples(2, 2, 2))
+    full = censor_ledger(lam_raw, all_triples(2, 2, 2))
     assert all(s.r is None for _, t in full.entries for s in t.steps)
     # revealed rewards sit exactly on the complement of U
     for _, t in hon.entries:
@@ -293,7 +294,7 @@ def test_q_pun_r_alt_exact(stoch_prior, stoch_factored):
     universe = [
         totally_censor(raw_ledger(2, 2, 2, [])),
         totally_censor(lam_raw),
-        honest_ledger(lam_raw, all_triples(2, 2, 2) - frozenset(t.triples())),
+        censor_ledger(lam_raw, all_triples(2, 2, 2) - frozenset(t.triples())),
     ]
     eps = Fraction(7, 2880)
     q_pun, r_alt = q_pun_r_alt_exact(stoch_prior, 1, eps, universe)
@@ -566,9 +567,7 @@ def test_draw_hallucinated_never_returns_zero_mass(top_draw_rng):
     tables = PriorTables(DiscretePrior((model,), (Fraction(1),)))
     fast = LedgerState(tables)
     fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(0)),)))
-    counts, values = _draw_hallucinated(fast, 0, np.ones((1, 1, 1), dtype=bool),
-                                        lambda: top_draw_rng)
-    assert values.tolist() == [9]
+    counts = _draw_hallucinated(fast, 0, np.ones((1, 1, 1), dtype=bool), lambda: top_draw_rng)
     assert counts[0, 0, 0, 9] == 1 and counts.sum() == 1
 
 
@@ -592,17 +591,15 @@ def test_draw_hallucinated_top_draw_on_every_occurrence(top_draw_rng):
     fast = LedgerState(PriorTables(DiscretePrior(atoms, (Fraction(1, 2),) * 2)))
     for _ in range(2):
         fast.push_entry(Trajectory((Step(1, 1, 1, Fraction(1)), Step(1, 1, 2, Fraction(1)))))
-    counts, values = _draw_hallucinated(fast, 1, np.ones((1, 1, 2), dtype=bool),
-                                        lambda: top_draw_rng)
-    assert values.tolist() == [9] * 4
+    counts = _draw_hallucinated(fast, 1, np.ones((1, 1, 2), dtype=bool), lambda: top_draw_rng)
     assert counts[0, 0, 0, 9] == counts[0, 0, 1, 9] == 2 and counts.sum() == 4
 
 
 def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_tables):
     """One uniform per explored occurrence, in entry order, picks a value of
-    the hallucinated atom's reward law at that triple; censored occurrences
-    get -1, and the counts tally the drawn values per triple. With no
-    explored occurrence no generator is built."""
+    the hallucinated atom's reward law at that triple, and the counts tally
+    the drawn values per triple. With no explored occurrence no generator
+    is built."""
     import numpy as np
 
     from ielab import sample_trajectory
@@ -619,42 +616,39 @@ def test_draw_hallucinated_matches_per_occurrence_draws(stoch_prior, stoch_table
     explored = np.ones((2, 2, 2), dtype=bool)
     explored[1, 1, 0] = explored[0, 0, 1] = False
     hal = stoch_prior.atoms[511]  # Bernoulli(7/10) rewards on every triple
-    counts, values = _draw_hallucinated(fast, 511, explored, lambda: stream(0, "hal"))
+    counts = _draw_hallucinated(fast, 511, explored, lambda: stream(0, "hal"))
 
     support = stoch_tables.support
     n_explored = sum(bool(explored[s.x - 1, s.a - 1, s.h - 1]) for s in steps)
     u = iter(stream(0, "hal").random(n_explored))
     expected = np.zeros_like(counts)
-    expected_values = []
     for s in steps:
         if not explored[s.x - 1, s.a - 1, s.h - 1]:
-            expected_values.append(-1)
             continue
         law = hal.reward_dist(s.x, s.a, s.h)
         i = index_from_uniform([law.mass(v) for v in support], next(u))
-        expected_values.append(i)
         expected[s.x - 1, s.a - 1, s.h - 1, i] += 1
-    assert values.tolist() == expected_values
     assert np.array_equal(counts, expected)
-    assert len(set(expected_values) - {-1}) == 2  # both reward values drawn
+    assert np.count_nonzero(expected.sum(axis=(0, 1, 2))) == 2  # both reward values drawn
 
     def no_stream():
         raise AssertionError("a generator was built with nothing to draw")
 
-    counts, values = _draw_hallucinated(fast, 511, np.zeros((2, 2, 2), dtype=bool), no_stream)
-    assert not counts.any() and (values == -1).all()
+    counts = _draw_hallucinated(fast, 511, np.zeros((2, 2, 2), dtype=bool), no_stream)
+    assert not counts.any()
 
 
 @pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
 def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factored,
                                                               stoch_prior):
-    """Every phase's in-run hallucinated ledger equals the ledger-level
-    ``hallucinate_ledger`` of its censored ledger, fed the phase's
-    address ("hal-rewards", ell): the vectorized draw indexes the global reward
-    support while ``DiscreteDist.sample`` indexes each law's own values,
-    and the two agree because every law stores its values in increasing
-    order, also when micro_stoch_1's Bernoulli laws are listed as
-    (1, m), (0, 1 - m). The config is the hal-rewards goldens' (eps_pun
+    """Every phase's in-run hallucinated reward counts, ``ctx.hal_counts``,
+    are the reward counts of the ledger-level ``hallucinate_ledger`` of its
+    censored ledger, fed the phase's address ("hal-rewards", ell), as
+    ``replay_signals`` rebuilds it: the vectorized draw indexes the global
+    reward support while ``DiscreteDist.sample`` indexes each law's own
+    values, and the two agree because every law stores its values in
+    increasing order, also when micro_stoch_1's Bernoulli laws are listed
+    as (1, m), (0, 1 - m). The config is the hal-rewards goldens' (eps_pun
     3/4), so the ledgers carry nonzero rewards."""
     decreasing = dataclasses.replace(
         stoch_factored, dist_of_mean=lambda m: DiscreteDist.of([(1, m), (0, 1 - m)])).expand()
@@ -663,17 +657,24 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                               n_lrn_override=8, total_phases_override=40)
     cfg = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
     for prior in (stoch_prior, decreasing):
+        support = shared_tables(prior).support
         nonzero = 0
         for seed in range(3):
+            in_run = {}
+
+            def hook(ctx, log):
+                in_run[ctx.ell] = ctx.hal_counts
+
             log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
-                           episode_log="hallucination", keep_signals=True)
-            for p in log.phases:
-                signals = log.signals[p.ell]
-                U = frozenset(map(tuple, p.U))
-                want = hallucinate_ledger(signals["censored"], prior.atoms[p.hal_atom], U,
-                                          stream(seed, "hal-rewards", p.ell))
-                assert signals["hallucinated"] == want
-                nonzero += sum(bool(s.r) for _, traj in want.entries for s in traj.steps)
+                           episode_log="hallucination", phase_hook=hook)
+            for ell, signals in replay_signals(log, prior):
+                want = np.zeros_like(in_run[ell])
+                for _, traj in signals["hallucinated"].entries:
+                    for s in traj.steps:
+                        if s.r is not None:
+                            want[s.x - 1, s.a - 1, s.h - 1, support.index(s.r)] += 1
+                        nonzero += bool(s.r)
+                assert np.array_equal(in_run[ell], want)
         assert nonzero > 0
 
 
@@ -694,13 +695,14 @@ def test_run_bookkeeping_follows_the_raw_ledger(det_prior, det_config, stoch_fac
     for prior, cfg, mode, seeds in runs:
         for seed in seeds:
             log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
-                           episode_log="hallucination", keep_signals=True)
+                           episode_log="hallucination")
             hal_steps = {ell: steps for ell, _, steps in log.hallucination_history()}
+            raw = {ell: signals["raw"] for ell, signals in replay_signals(log, prior)}
             target = reach_set(prior.atoms[log.true_atom], cfg.rho or 1)
             covered_at = None
             for p in log.phases:
-                counts = visit_counts(log.signals[p.ell]["raw"])
-                assert set(p.U) == underexplored_set(log.signals[p.ell]["raw"], cfg.n_lrn)
+                counts = visit_counts(raw[p.ell])
+                assert set(p.U) == underexplored_set(raw[p.ell], cfg.n_lrn)
                 triples = [(x, a, h) for x, a, h, _ in hal_steps[p.ell]]
                 assert p.new_triples == sorted(t for t in triples if t not in counts)
                 for t in triples:
