@@ -279,7 +279,7 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
         n_phase_override=mech_ov.get("n_phase"),
         total_phases_override=mech_ov.get("total_phases"),
     )
-    config = _apply_mechanism_overrides(cfg, base)
+    config = dataclasses.replace(base, **mech_ov)
 
     def row(summary: dict) -> dict:
         return {"phases_to_exploration": summary["phases_to_coverage"],
