@@ -34,7 +34,7 @@ from .mechanism import (
     det_parameters,
     prior_digest,
     prob_parameters,
-    run_game,
+    run_games,
 )
 from .oracle import (
     enumerate_game,
@@ -89,18 +89,27 @@ class ExperimentConfig:
         spec = self.raw.get("seeds")
         if spec is None:
             env = os.environ.get("IE_SEED")
-            return [_parsed(env, "IE_SEED", int)] if env else [0]
+            return [_parsed(env, "IE_SEED", _integer)] if env else [0]
         try:
             if isinstance(spec, int):
-                return [spec]
+                return [_integer(spec)]
             if isinstance(spec, dict) and "range" in spec:
                 a, b = spec["range"]
-                return list(range(int(a), int(b) + 1))
+                return list(range(_integer(a), _integer(b) + 1))
             if isinstance(spec, list):
-                return [int(s) for s in spec]
+                return [_integer(s) for s in spec]
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad seeds spec: {spec!r}") from e
         raise ConfigError(f"bad seeds spec: {spec!r}")
+
+
+def _integer(value) -> int:
+    """``int(value)`` of an int, an integral float or an int's digits; a
+    bool or a non-integral number raises ValueError, where ``int`` would
+    read True as 1 and truncate 2.5 to 2."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _parsed(value, name: str, parse):
@@ -168,7 +177,7 @@ def load_prior(cfg: ExperimentConfig):
 
 
 _MECHANISM_PARSERS = {
-    "n_phase": int, "n_lrn": int, "eps_pun": as_fraction, "total_phases": int,
+    "n_phase": _integer, "n_lrn": _integer, "eps_pun": as_fraction, "total_phases": _integer,
     "rho": lambda v: None if v in (None, "") else as_fraction(v),
 }
 # a valid config, on which the parsed mechanism fields meet MechanismConfig's checks
@@ -222,14 +231,15 @@ def _write_csv(out_dir: str | None, name: str, columns: list[str], rows: list[di
 def _run_seeds(cfg: ExperimentConfig, prior, config: MechanismConfig, kind: str,
                agent_mode: str, episode_log: str, columns: list[str], row,
                **run_options) -> None:
-    """Play one run per configured seed, write each run's artifact and print
-    the summary CSV. ``row(summary)`` gives a run's columns besides its
-    seed and log digest; ``run_options`` go to run_game."""
+    """Play one run per configured seed, write each run's artifact as the
+    run finishes and print the summary CSV. ``row(summary)`` gives a run's
+    columns besides its seed and log digest; ``run_options`` go to
+    run_games."""
     out_dir = cfg.get("out")
     rows = []
-    for seed in cfg.seeds():
-        agent = make_agent(agent_mode, prior, config)
-        log = run_game(config, prior, agent, seed, episode_log=episode_log, **run_options)
+    for log in run_games(config, prior, lambda: make_agent(agent_mode, prior, config),
+                         cfg.seeds(), episode_log=episode_log, **run_options):
+        seed = log.seed
         manifest = {
             "version": __version__, "seed": seed, "config": config.to_dict(),
             "agent_mode": agent_mode, "episode_log": episode_log,

@@ -361,6 +361,22 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _scalar_text(v) -> str:
+    """``json.dumps(v)`` of None, a bool, an int or a float."""
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float) and not math.isfinite(v):
+        return _dumps(v)  # NaN, Infinity
+    return str(v)
+
+
+def _triples_text(triples) -> str:
+    """``json.dumps`` of a list of (x, a, h) triples as lists, compact."""
+    return "[" + ",".join(f"[{x},{a},{h}]" for x, a, h in triples) + "]"
+
+
 def _trajectory_text(steps: tuple) -> str:
     """``json.dumps`` of an episode record's trajectory as ``to_dict``
     lists it, compact; ``str`` of a Fraction needs no escaping."""
@@ -463,6 +479,19 @@ class PhaseRecord:
             "hh_slack": self.hh_slack,
         }
 
+    def text(self) -> str:
+        """The phase line, ``_dumps(self.to_dict()) + "\\n"``, rendered
+        directly with the keys in sorted order."""
+        return (f'{{"U":{_triples_text(self.U)},"ell":{self.ell},'
+                f'"first_episode":{self.first_episode},"hal_atom":{self.hal_atom},'
+                f'"hal_policy":{self.hal_policy},"hh_condition":{_scalar_text(self.hh_condition)},'
+                f'"hh_slack":{_scalar_text(self.hh_slack)},'
+                f'"honest_policy":{_scalar_text(self.honest_policy)},"k_star":{self.k_star},'
+                f'"last_episode":{self.last_episode},'
+                f'"new_triples":{_triples_text(self.new_triples)},'
+                f'"punish_prob":{_scalar_text(self.punish_prob)},'
+                f'"punish_size":{self.punish_size},"type":"phase"}}\n')
+
 
 @dataclass
 class GameLog:
@@ -490,7 +519,7 @@ class GameLog:
                       "episode_log": self.episode_log, "config": self.config.to_dict(),
                       "prior_digest": self.prior_digest, "true_atom": self.true_atom}) + "\n"
         for p, b in zip(self.phases, self.blocks):
-            yield _dumps(p.to_dict()) + "\n"
+            yield p.text()
             yield b.text()
         yield _dumps({"type": "summary", **self.summary}) + "\n"
 
@@ -515,12 +544,12 @@ class GameLog:
 
 
 def prior_digest(prior: DiscretePrior) -> str:
-    """SHA-256 of the prior's canonical JSON, computed once and kept on the prior."""
+    """SHA-256 of the prior's canonical JSON (``serialize.prior_text``),
+    computed once and kept on the prior."""
     if "digest" not in prior._cache:
-        from .serialize import prior_to_dict
+        from .serialize import prior_text
 
-        blob = _dumps(prior_to_dict(prior))
-        prior._cache["digest"] = hashlib.sha256(blob.encode()).hexdigest()
+        prior._cache["digest"] = hashlib.sha256(prior_text(prior).encode()).hexdigest()
     return prior._cache["digest"]
 
 
@@ -577,19 +606,91 @@ def _hh_exploring_policies(tables: PriorTables, reachable: list,
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
+# (seed, phase) rows of draws read in one evaluation per family, and
+# seeds per read of the truth draws
+_DRAW_ROWS = 4096
+
+
+class RunDraws:
+    """The draws of a seed list's runs that no run state decides.
+
+    Per seed i, the ("truth", 0) uniform; per phase ell of it, the
+    ("hal-model", ell) uniform, the hallucination episode k* (the phase's
+    first episode, plus the ("kstar", ell) draw below n_phase past
+    n_lrn) and the 2H uniforms of ("traj", k*). Rows are read in
+    seed-major order as the runs reach them: one read takes the next
+    ``_DRAW_ROWS`` (seed, phase) rows, across seeds, and reads each family
+    in one ``rng`` evaluation over per-row keys. A run that stops early
+    leaves its later rows unread, and memory stays at one read whatever
+    the number of seeds.
+    """
+
+    def __init__(self, config: MechanismConfig, seeds: list, n_uniforms: int):
+        self.config, self.seeds, self.n_uniforms = config, seeds, n_uniforms
+        self._truth_start, self._truths = 0, []
+        # the rows held, from row number _row_start = i * total_phases + ell - 1
+        self._row_start, self._u_hal, self._k_star, self._u_traj = 0, [], [], None
+
+    def truth(self, i: int) -> float:
+        """Seed i's ("truth", 0) uniform."""
+        if not 0 <= i - self._truth_start < len(self._truths):
+            keys = [rngmod.family_key(seed, "truth") for seed in self.seeds[i:i + _DRAW_ROWS]]
+            self._truth_start = i
+            self._truths = rngmod.uniform_rows(keys, [0] * len(keys), 1)[:, 0].tolist()
+        return self._truths[i - self._truth_start]
+
+    def phases(self, i: int):
+        """Seed i's (hal-model uniform, k*, traj uniforms) per phase, from phase 1."""
+        T = self.config.total_phases
+        for ell in range(1, T + 1):
+            row = i * T + ell - 1 - self._row_start
+            if not 0 <= row < len(self._k_star):
+                self._read(i, ell)
+                row = 0
+            yield self._u_hal[row], self._k_star[row], self._u_traj[row].tolist()
+
+    def _read(self, i: int, ell: int) -> None:
+        """Hold the ``_DRAW_ROWS`` rows from seed i's phase ell on."""
+        config, T = self.config, self.config.total_phases
+        self._row_start = i * T + ell - 1
+        seeds, ells = [], []  # each row's seed and phase
+        while len(ells) < _DRAW_ROWS and i < len(self.seeds):
+            stop = min(T + 1, ell + _DRAW_ROWS - len(ells))
+            seeds += [self.seeds[i]] * (stop - ell)
+            ells += range(ell, stop)
+            i, ell = i + 1, 1
+
+        def keys(family: str) -> list:
+            """Each row's key of ``family``."""
+            by_seed = {seed: rngmod.family_key(seed, family) for seed in set(seeds)}
+            return [by_seed[seed] for seed in seeds]
+
+        late = [r for r, e in enumerate(ells) if e > config.n_lrn]  # the rows that draw k*
+        kstar_keys = keys("kstar")
+        offsets = rngmod.integer_rows([kstar_keys[r] for r in late], [ells[r] for r in late],
+                                      config.n_phase)
+        self._k_star = [phase_episodes(config, e)[0] for e in ells]
+        for r, offset in zip(late, offsets):
+            self._k_star[r] += offset
+        self._u_hal = rngmod.uniform_rows(keys("hal-model"), ells, 1)[:, 0].tolist()
+        self._u_traj = rngmod.uniform_rows(keys("traj"), self._k_star, self.n_uniforms)
+
+
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
              true_model: TabularModel | None = None, episode_log: str = "full",
-             phase_hook=None, track_hh: bool = False) -> GameLog:
+             phase_hook=None, track_hh: bool = False, draws=None) -> GameLog:
     """Execute the phase loop and emit a replayable GameLog.
 
     ``agent`` follows the agents.AgentSpec protocol. ``episode_log`` is
     "full" (simulate and record every episode) or "hallucination"
     (simulate only the episodes that feed the mechanism; phase records
     are bit-identical between the modes because every draw has its own
-    counter address). The run derives the key of each of ``rng.FAMILIES``
-    once; phase ell reads addresses ("kstar", ell), ("hal-model", ell) and
-    ("hal-rewards", ell), and episode k reads ("traj", k). A full-log
-    phase of several episodes reads its episodes' rows as one
+    counter address). The truth, hal-model, kstar and k* traj draws come
+    from ``draws``, the pair (``RunDraws``, this seed's index in it) that
+    ``run_games`` passes; by default the run reads them as a one-seed
+    ``RunDraws``. Phase ell reads ("hal-rewards", ell) through
+    ``rng.generator``, since its draw count is known only at the phase. A
+    full-log phase of several episodes reads its episodes' rows as one
     ``rng.uniform_rows`` array and rolls out the honest rows in one block
     (``mdp.rollout_rows``); the hallucination episode's trajectory comes
     from the scalar ``mdp.rollout``, as in every one-episode phase. Each
@@ -598,26 +699,27 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
     count, ``LedgerState.visits``. The agents choose on the float count
     state; ``replay_signals`` rebuilds the signal ledgers from the log for
     an exact check after the run. ``phase_hook(ctx, log)`` runs after each
-    phase's bookkeeping; returning True stops the run early. ``track_hh`` evaluates the phase-length incentive condition
-    per phase against the sufficiently-visiting policy set of the true
-    model and records it and its slack, rhs - lhs (micro scale only; None
-    where the policy split degenerates).
+    phase's bookkeeping; returning True stops the run early. ``track_hh``
+    evaluates the phase-length incentive condition per phase against the
+    sufficiently-visiting policy set of the true model and records it and
+    its slack, rhs - lhs (micro scale only; None where the policy split
+    degenerates).
     """
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
     tables = shared_tables(prior)
     S, A, H = prior.shape
     eps = config.eps_pun
+    reader, i = draws if draws is not None else (RunDraws(config, [seed], 2 * H), 0)
 
-    keys = {family: rngmod.family_key(seed, family) for family in rngmod.FAMILIES}
     if true_model is None:
-        true_atom = rngmod.index_from_uniform(prior.weights,
-                                              rngmod.uniforms(keys["truth"], 0, 1)[0])
+        true_atom = rngmod.index_from_uniform(tables.weights, reader.truth(i))
         true_model = prior.atoms[true_atom]
     else:
         true_atom = next(
-            (i for i, m in enumerate(prior.atoms) if m is true_model or m == true_model), -1
+            (j for j, m in enumerate(prior.atoms) if m is true_model or m == true_model), -1
         )
+    hal_rewards_key = rngmod.family_key(seed, "hal-rewards")
 
     rho = config.rho if config.rho is not None else Fraction(1)
     target = reach_set(true_model, rho)
@@ -633,13 +735,14 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         true_atom=true_atom,
     )
     covered_at = None
-    n_uniforms = 2 * true_model.H  # one rollout's draws from its episode stream
-    explored_mask = None
+    n_explored = None
 
-    for ell in range(1, config.total_phases + 1):
+    for ell, (u_hal, k_star, u_star) in enumerate(reader.phases(i), start=1):
         episodes = phase_episodes(config, ell)
-        prev_mask, explored_mask = explored_mask, fast.visits >= config.n_lrn
-        if prev_mask is None or not np.array_equal(explored_mask, prev_mask):
+        explored_mask = fast.visits >= config.n_lrn
+        # visits only grow, so the explored set changes exactly when its size does
+        if n_explored != (size := int(np.count_nonzero(explored_mask))):
+            n_explored = size
             # U only shrinks, at most SAH times a run; C order is sorted order
             U_sorted = [(x + 1, a + 1, h + 1) for x, a, h in np.argwhere(~explored_mask).tolist()]
             U = frozenset(U_sorted)
@@ -648,27 +751,20 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
             punish_size = int(punish_mask.sum())
             if track_hh:
                 hh_inside = _hh_exploring_policies(tables, reachable, U)
-        cens_post = fast.posterior()
-        punish_prob = float(cens_post.weights[punish_mask].sum())
         try:
-            hal_post = fast.posterior(punish_mask)
+            cens_post, hal_post = fast.posteriors(punish_mask)
         except ZeroEvidence as e:
             raise ZeroEvidence(
                 f"phase {ell}: punish event empty on fully-explored set "
                 f"{sorted(explored)} at eps_pun={eps} ({e})"
             ) from e
+        punish_prob = float(cens_post.weights[punish_mask].sum())
 
-        hal_atom = rngmod.index_from_uniform(
-            hal_post.weights, rngmod.uniforms(keys["hal-model"], ell, 1)[0])
+        hal_atom = rngmod.index_from_uniform(hal_post.weights, u_hal)
         hal_counts = _draw_hallucinated(
             fast, hal_atom, explored_mask,
-            lambda: rngmod.generator(keys["hal-rewards"], ell))
+            lambda: rngmod.generator(hal_rewards_key, ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
-
-        if ell <= config.n_lrn:
-            k_star = episodes[0]
-        else:
-            k_star = episodes[0] + rngmod.integer_below(keys["kstar"], ell, config.n_phase)
 
         ctx = PhaseContext(
             ell=ell,
@@ -687,15 +783,13 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         hal_code = pi_hal.encoding
 
         simulated = episodes if episode_log == "full" else (k_star,)
-        if len(simulated) == 1:
-            u_star = rngmod.uniforms(keys["traj"], k_star, n_uniforms)
-            hon_trajs = traj_of_row = ()
-        else:
-            draws = rngmod.uniform_rows(keys["traj"], np.arange(simulated.start, simulated.stop,
-                                                          dtype=np.uint64), n_uniforms)
-            u_star = draws[simulated.index(k_star)].tolist()
+        hon_trajs = traj_of_row = ()
+        if len(simulated) > 1:
+            rows = rngmod.uniform_rows(rngmod.family_key(seed, "traj"),
+                                       np.arange(simulated.start, simulated.stop,
+                                                 dtype=np.uint64), 2 * H)
             # the honest rows in one block; the k* row's entry is unused
-            hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, draws)
+            hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, rows)
             traj_of_row = traj_of_row.tolist()
         tau_star = Trajectory(rollout(true_model, pi_hal, u_star))
         hal_steps = tau_star.steps
@@ -748,6 +842,19 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
         "episodes_simulated": sum(len(b.ks) for b in log.blocks),
     }
     return log
+
+
+def run_games(config: MechanismConfig, prior: DiscretePrior, make_agent, seeds,
+              **run_options):
+    """``run_game`` for each seed in turn, with a fresh ``make_agent()``;
+    yields each GameLog as it finishes. The runs read their
+    state-independent draws through one ``RunDraws`` over all the seeds,
+    so each family is read in one Philox evaluation per ``_DRAW_ROWS``
+    rows across runs, and each log is bit for bit the one-seed run's."""
+    seeds = list(seeds)
+    draws = RunDraws(config, seeds, 2 * prior.shape[2])
+    for i, seed in enumerate(seeds):
+        yield run_game(config, prior, make_agent(), seed, draws=(draws, i), **run_options)
 
 
 def replay_signals(log: GameLog, prior: DiscretePrior):

@@ -378,13 +378,15 @@ def bayes_greedy(posterior: Posterior) -> MarkovPolicy:
     tied, so that mathematically tied policies resolve to the same
     canonical winner regardless of summation order.
     """
-    vals, _ = policy_values(posterior)
     if posterior.exact:
+        vals, _ = policy_values(posterior)
         return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
+    tables = shared_tables(posterior.prior)
+    vals = posterior.masses @ tables.value_matrix
     vmax = float(vals.max())
     tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-    best = int(np.flatnonzero(vals >= vmax - tol)[0])
-    return shared_tables(posterior.prior).policies[best]
+    best = int((vals >= vmax - tol).argmax())  # the first index within tol of the max
+    return tables.policies[best]
 
 
 def greedy_set(posterior: Posterior) -> frozenset:
@@ -403,7 +405,8 @@ class PriorTables:
     (``rng.cumulative_row``, one per distinct law). All are read off the
     prior's ExactLattice: each distinct int row converts once, one Python
     ``int / den`` per entry, which is correctly rounded and so the float
-    of the atom's own Fraction.
+    of the atom's own Fraction. ``weights`` holds the float of each prior
+    weight, for the run's truth draw.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -422,8 +425,11 @@ class PriorTables:
         # reward mass and draw rows: (n, S, A, H, |support|)
         with np.errstate(divide="ignore"):
             self.reward_logmass = np.log(np.array(law_rows)[laws])  # -inf where mass is 0
+        # one column per (triple, support value), in the C order of reward counts
+        self._reward_logmass_flat = self.reward_logmass.reshape(n, -1)
         self.reward_cum = np.array([cumulative_row(row) for row in law_rows])[laws]
-        self.log_weights = np.log(np.array([float(w) for w in prior.weights]))
+        self.weights = np.array([float(w) for w in prior.weights])
+        self.log_weights = np.log(self.weights)
         means = np.array([m / lattice.mean_den for m in lattice.law_means])[laws]
         self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
 
@@ -463,11 +469,14 @@ class PriorTables:
         """Per-atom log reward mass for occurrence counts (same shape as counts).
 
         A zero mass gives -inf, and -inf times a positive count stays -inf.
+        The positive counts are taken in C order, as a boolean mask over
+        ``reward_logmass``'s trailing axes takes them.
         """
-        active = counts > 0
-        if not active.any():
+        flat = counts.ravel()
+        active = flat.nonzero()[0]
+        if not active.size:
             return np.zeros(self.prior.n)
-        return (self.reward_logmass[:, active] * counts[active]).sum(axis=1)
+        return (self._reward_logmass_flat[:, active] * flat[active]).sum(axis=1)
 
     def event_mask(self, event: ModelEvent) -> np.ndarray:
         """The event as a boolean vector over the atoms."""
@@ -475,9 +484,12 @@ class PriorTables:
         mask[list(event)] = True
         return mask
 
-    def posterior_from_loglik(self, loglik: np.ndarray, mask=None) -> Posterior:
-        """Normalize prior-weighted log-likelihoods into a float Posterior."""
-        ll = self.log_weights + loglik
+    def posterior_from_loglik(self, loglik: np.ndarray, mask=None,
+                              weighted: bool = False) -> Posterior:
+        """Normalize prior-weighted log-likelihoods into a float Posterior,
+        restricted to ``mask`` when one is given. ``weighted`` says the
+        prior's log weights are already added into ``loglik``."""
+        ll = loglik if weighted else self.log_weights + loglik
         if mask is not None:
             ll = np.where(mask, ll, -np.inf)
         top = ll.max()
@@ -534,10 +546,14 @@ class LedgerState:
     def occurrences(self) -> np.ndarray:
         return self._occ[:self._n_occ]
 
-    def posterior(self, mask: np.ndarray | None = None) -> Posterior:
+    def posteriors(self, mask: np.ndarray) -> tuple[Posterior, Posterior]:
         """The canonical posterior of the entries' transitions alone (the
-        censored ledger's), restricted to ``mask`` when one is given."""
-        return self.tables.posterior_from_loglik(self.translog, mask)
+        censored ledger's), and the same restricted to ``mask``: both
+        normalize the one sum of the prior's log weights and ``translog``."""
+        tables = self.tables
+        ll = tables.log_weights + self.translog
+        return (tables.posterior_from_loglik(ll, weighted=True),
+                tables.posterior_from_loglik(ll, mask, weighted=True))
 
     def revealed_posterior(self, counts: np.ndarray) -> Posterior:
         """The canonical posterior of the entries with the revealed-reward

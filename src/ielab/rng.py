@@ -5,14 +5,13 @@ Every stochastic operation draws from a stream addressed by
 SHA-256(f"{seed}:{family}"); address (family, index) is the Philox4x64-10
 stream of that key whose counter starts at (0, index, 0, 0), so its
 blocks have counters (1, index, 0, 0), (2, index, 0, 0), ... (Salmon et
-al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). A run
-derives its five family keys once; any subset of addresses can then be
-read in any order and still produce bit-identical output. The families
-of the game loop, and how each address is read:
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). Any subset
+of addresses can be read in any order and still produce bit-identical
+output. The families of the game loop, and how each address is read:
 
     ("truth", 0)            draw of the true model from the prior: one uniform
     ("kstar", l)            hallucination-episode position in phase l:
-                            ``integer_below`` (Lemire rejection)
+                            Lemire rejection below n_phase
     ("hal-model", l)        hallucinated-model draw: one uniform
     ("hal-rewards", l)      hallucinated reward draws: numpy, one uniform
                             per explored ledger occurrence
@@ -22,16 +21,18 @@ of the game loop, and how each address is read:
 index 0 is the stream numpy's Philox builds from the key alone.
 A rollout consumes ("traj", k) as exactly 2H uniforms: the initial
 state, then per stage its reward and, below stage H, its transition.
-``uniforms(key, index, n)`` returns those draws directly, bit for bit
-equal to ``generator(key, index).random(n)``, and ``integer_below(key,
-index, n)`` equals ``generator(key, index).integers(0, n)``. Both
-evaluate Philox4x64-10 in Python ints; Philox is counter-based, so each
-block is a pure function of (key, counter) and no numpy Generator needs
-to be built for a short read. The row reader ``uniform_rows(key,
-indices, n)`` returns a (len(indices), n) float64 array whose row i is
-bit for bit ``generator(key, indices[i]).random(n)``: it evaluates every
-row's blocks as one uint64 array operation, so a full-log phase reads
-all its episodes' draws in one call.
+Philox is counter-based, so each block is a pure function of (key,
+counter), and the readers evaluate it directly, with no numpy Generator:
+``uniform_rows(keys, indices, n)`` is the (len(indices), n) float64
+array whose row i is bit for bit ``generator(keys[i],
+indices[i]).random(n)``, and ``integer_rows(keys, indices, n)`` the list
+of ``generator(keys[i], indices[i]).integers(0, n)``. Each evaluates
+every row's blocks as one uint64 array operation, with one key per row
+or one key for all, so the run loop reads a family's addresses for many
+phases of many seeds in one call and a full-log phase all its episodes'
+draws. ``integer_below(key, index, n)`` is the scalar reader in Python
+ints that ``integer_rows`` falls back to for a row whose first block
+rejects every word.
 
 A uniform becomes an index of a probability vector by one inverse-CDF
 rule: the first index whose left-to-right float cumulative sum exceeds
@@ -71,9 +72,12 @@ def family_key(master_seed: int, family: str) -> int:
 
 def generator(key: int, index: int) -> np.random.Generator:
     """The numpy Generator at counter address (key, index): Philox with
-    counter (0, index, 0, 0), given as the 256-bit int whose second word
-    is ``index`` (numpy mis-converts a list holding 2**64 - 1)."""
-    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
+    counter (0, index, 0, 0). Key and counter are given as uint64 word
+    arrays, which numpy takes as they are; from Python ints it converts
+    them word by word in Python."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([key & _MASK64, key >> 64], dtype=np.uint64),
+        counter=np.array([0, index, 0, 0], dtype=np.uint64)))
 
 
 def stream(master_seed: int, family: str, index: int = 0) -> np.random.Generator:
@@ -103,19 +107,6 @@ def _blocks(key: int, index: int):
         yield c0, c1, c2, c3
 
 
-def uniforms(key: int, index: int, n: int) -> list[float]:
-    """``generator(key, index).random(n)`` as a list, bit for bit.
-
-    A double is the top 53 bits of one word.
-    """
-    scale = _DOUBLE_SCALE
-    out: list[float] = []
-    for _, (c0, c1, c2, c3) in zip(range((n + 3) // 4), _blocks(key, index)):
-        out += ((c0 >> 11) * scale, (c1 >> 11) * scale, (c2 >> 11) * scale, (c3 >> 11) * scale)
-    del out[n:]
-    return out
-
-
 def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
     """The high 64 bits of the 128-bit products m * c, for a 64-bit
     constant m and uint64 words c, from 32-bit limbs (numpy has no
@@ -129,30 +120,67 @@ def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
     return m_hi * c_hi + (lh >> shift) + (hl >> shift) + (mid >> shift)
 
 
-def uniform_rows(key: int, indices, n: int) -> np.ndarray:
-    """The (len(indices), n) float64 array whose row i equals
-    ``generator(key, indices[i]).random(n)`` bit for bit.
+def _row_blocks(keys, indices, n_blocks: int) -> np.ndarray:
+    """The (len(indices), 4 * n_blocks) uint64 words of each row's first
+    ``n_blocks`` Philox4x64-10 blocks, in stream order, at address
+    (keys[i], indices[i]); one int ``keys`` is every row's key.
 
-    The same Philox4x64-10 evaluation as ``uniforms``, over all rows at
-    once in uint64 arithmetic: the blocks of every row at counters
-    (1, index, 0, 0), (2, index, 0, 0), ..., and a double from the top 53
-    bits of each word.
+    The evaluation of ``_blocks`` over all rows at once in uint64
+    arithmetic, where sums wrap modulo 2**64: the blocks of a row at
+    counters (1, index, 0, 0), (2, index, 0, 0), ... A single key is a
+    (1, 1) column that broadcasts over the rows.
     """
-    k0, k1 = key & _MASK64, key >> 64
+    keys = [keys] if isinstance(keys, int) else keys
+    k0 = np.array([k & _MASK64 for k in keys], dtype=np.uint64).reshape(-1, 1)
+    k1 = np.array([k >> 64 for k in keys], dtype=np.uint64).reshape(-1, 1)
     rows = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-    shape = (len(rows), (n + 3) // 4)
-    c0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape)
+    shape = (len(rows), n_blocks)
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
     c1 = np.broadcast_to(rows, shape)
     c2 = c3 = np.zeros(shape, dtype=np.uint64)
     for d0, d1 in _ROUND_KEY_OFFSETS:
         c0, c1, c2, c3 = (
-            _mulhi(_PHILOX_M1, c2) ^ c1 ^ np.uint64((k0 + d0) & _MASK64),
+            _mulhi(_PHILOX_M1, c2) ^ c1 ^ (k0 + np.uint64(d0 & _MASK64)),
             c2 * np.uint64(_PHILOX_M1),
-            _mulhi(_PHILOX_M0, c0) ^ c3 ^ np.uint64((k1 + d1) & _MASK64),
+            _mulhi(_PHILOX_M0, c0) ^ c3 ^ (k1 + np.uint64(d1 & _MASK64)),
             c0 * np.uint64(_PHILOX_M0),
         )
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], 4 * shape[1])[:, :n]
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], 4 * n_blocks)
+
+
+def uniform_rows(keys, indices, n: int) -> np.ndarray:
+    """The (len(indices), n) float64 array whose row i equals
+    ``generator(keys[i], indices[i]).random(n)`` bit for bit; one int
+    ``keys`` is every row's key.
+
+    A double is the top 53 bits of one word.
+    """
+    words = _row_blocks(keys, indices, (n + 3) // 4)[:, :n]
     return (words >> np.uint64(11)) * _DOUBLE_SCALE
+
+
+def integer_rows(keys, indices, n: int) -> list[int]:
+    """Per row i, ``int(generator(keys[i], indices[i]).integers(0, n))``
+    bit for bit; one int ``keys`` is every row's key.
+
+    Lemire's rejection (``integer_below``) on the eight 32-bit halves of
+    every row's first block at once. A row whose eight halves are all
+    rejected, and every row when n lies outside [2, 2**32), is read by
+    ``integer_below``.
+    """
+    row_keys = [keys] * len(indices) if isinstance(keys, int) else keys
+    if not 2 <= n < 1 << 32:
+        return [integer_below(k, int(i), n) for k, i in zip(row_keys, indices)]
+    words = _row_blocks(keys, indices, 1)
+    # each word's low half, then its high half
+    halves = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)], axis=-1)
+    m = halves.reshape(len(words), 8) * np.uint64(n)
+    accepted = (m & np.uint64(_MASK32)) >= np.uint64((1 << 32) % n)
+    first = accepted.argmax(axis=1)
+    out = (m[np.arange(len(m)), first] >> np.uint64(32)).tolist()
+    for r in np.flatnonzero(~accepted[np.arange(len(m)), first]).tolist():
+        out[r] = integer_below(row_keys[r], int(indices[r]), n)
+    return out
 
 
 def integer_below(key: int, index: int, n: int) -> int:

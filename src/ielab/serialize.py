@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 
 from .errors import ConfigError
 from .ledgers import CensoredTrajectory, Ledger
@@ -94,6 +95,41 @@ def prior_to_dict(prior: DiscretePrior) -> dict:
             for m, w in zip(prior.atoms, prior.weights)
         ]
     }
+
+
+def prior_text(prior: DiscretePrior) -> str:
+    """``json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",",
+    ":"))``, rendered directly: each shared init vector, transition row
+    and reward law once, then each atom's fields in sorted key order.
+    Triple keys sort as strings, so "10,1,1" comes before "2,1,1"; a
+    non-integer is the JSON string of its 'p/q' form, which needs no
+    escaping."""
+    rendered: dict = {}
+
+    def once(obj, render) -> str:
+        if id(obj) not in rendered:
+            rendered[id(obj)] = render(obj)
+        return rendered[id(obj)]
+
+    def num(v: Fraction) -> str:
+        return str(v.numerator) if v.denominator == 1 else f'"{v}"'
+
+    def vector(vec) -> str:
+        return "[" + ",".join(map(num, vec)) + "]"
+
+    def law(d: DiscreteDist) -> str:
+        return f'{{"probs":{vector(d.probs)},"support":{vector(d.support)}}}'
+
+    S, A, H = prior.shape
+    keys = sorted((_triple_key(t), t) for t in product(range(1, S + 1), range(1, A + 1),
+                                                        range(1, H + 1)))
+    atoms = []
+    for m, w in zip(prior.atoms, prior.weights):
+        rewards = ",".join(f'"{k}":{once(m.reward_dist(*t), law)}' for k, t in keys)
+        trans = ",".join(f'"{k}":{once(m.transition(*t), vector)}' for k, t in keys)
+        atoms.append(f'{{"model":{{"A":{m.A},"H":{m.H},"S":{m.S},"init":{once(m.init, vector)},'
+                     f'"rewards":{{{rewards}}},"transitions":{{{trans}}}}},"weight":{num(w)}}}')
+    return '{"atoms":[' + ",".join(atoms) + "]}"
 
 
 def prior_from_dict(d: dict, dist_of_mean=None) -> DiscretePrior | FactoredRewardPrior:

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ielab import make_agent, run_game
+from ielab import (DiscreteDist, FactoredRewardPrior, harness, make_agent, mechanism,
+                   micro_stoch_1, run_game)
 from ielab.cli import build_parser, main
 from ielab.errors import ConfigError
 from ielab.harness import ExperimentConfig, _write_artifact, load_config
@@ -116,6 +118,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     (["run-det", "--override", "mechanism.eps_pun=2"], {}, "eps_pun"),
     (["run-prob", "--override", "rho=abc"], {}, "rho"),
     (["run-prob", "--override", "delta=abc"], {}, "delta"),
+    # bools and non-integral numbers are not read as the ints int() makes of them
+    (["run-det", "--override", "seeds=[1.5]"], {}, "seeds"),
+    (["run-det", "--override", "seeds=[true]"], {}, "seeds"),
+    (["run-det", "--override", 'seeds={"range":[0,2.5]}'], {}, "seeds"),
+    (["run-det"], {"IE_SEED": "1.5"}, "IE_SEED"),
+    (["run-det", "--override", "mechanism.n_phase=2.5"], {}, "mechanism.n_phase"),
+    (["run-det", "--override", "mechanism.n_lrn=true"], {}, "mechanism.n_lrn"),
+    (["run-prob", "--override", "mechanism.total_phases=3.5"], {}, "mechanism.total_phases"),
 ])
 def test_cli_bad_field_values_are_config_errors(argv, env, field):
     """A config value that does not parse or is out of range stops the
@@ -275,6 +285,57 @@ def test_prior_to_dict_renders_shared_objects_as_each_atom_alone(stoch_prior):
 
     doc = prior_to_dict(stoch_prior)
     assert [entry["model"] for entry in doc["atoms"]] == [alone(m) for m in stoch_prior.atoms]
+
+
+def test_prior_text_is_the_canonical_json(det_prior, stoch_prior):
+    """The text ``prior_digest`` hashes is the generic encoder's compact,
+    key-sorted JSON of ``prior_to_dict``: on micro_det_1, micro_stoch_1,
+    and a factored prior with S = 10, whose triple keys sort as strings
+    ("10,1,1" before "2,1,1") and whose init and weights are fractions."""
+    from ielab.mechanism import prior_digest
+    from ielab.serialize import prior_text, prior_to_dict
+
+    wide = FactoredRewardPrior(
+        10, 1, 1, transition_atoms=(([Fraction(1, 10)] * 10, {}, 1),),
+        reward_marginals={(x, 1, 1): DiscreteDist.of([(0, "1/3"), ("3/4", "2/3")])
+                          for x in range(1, 11)}).expand()
+    for prior in (det_prior, stoch_prior, wide):
+        text = json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",", ":"))
+        assert prior_text(prior) == text
+        assert prior_digest(prior) == hashlib.sha256(text.encode()).hexdigest()
+    assert '"1,1,1":' in text and text.index('"10,1,1":') < text.index('"2,1,1":')
+
+
+def test_sweep_peak_does_not_grow_with_its_seeds(tmp_path, monkeypatch, capsys):
+    """A run-prob sweep writes each run's artifact as the run finishes, and
+    reads its draws at most ``_DRAW_ROWS`` rows at a time (64 here, so
+    that both sweeps span several reads). From 4 seeds to 20 its traced
+    peak grows by less than 128 KB: what grows is the summary rows kept
+    for the CSV and garbage not yet collected, about 2 KB a seed, where
+    keeping every run's log would add about 22 KB a seed. The prior is
+    loaded once, and a first sweep over the same seeds builds the prior's
+    tables and the true models' sampling rows outside the measurement."""
+    factored = micro_stoch_1()
+    prior = factored.expand()
+    monkeypatch.setattr(harness, "load_prior", lambda cfg: (factored, prior))
+    monkeypatch.setattr(mechanism, "_DRAW_ROWS", 64)
+    argv = ["run-prob", "--override", 'prior={"micro":"stoch1"}', "--override",
+            "mechanism.n_lrn=8", "--override", "mechanism.total_phases=40"]
+
+    def sweep(n: int, traced: bool) -> int:
+        out = tmp_path / f"{n}-{traced}"
+        if traced:
+            tracemalloc.start()
+        try:
+            assert main([*argv, "--seeds", f"0..{n - 1}", "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    sweep(20, traced=False)
+    few, many = sweep(4, traced=True), sweep(20, traced=True)
+    assert many - few < 128 * 1024, f"peak {few} B at 4 seeds, {many} B at 20"
 
 
 def test_cli_params_bandit_case(tmp_path, capsys):

@@ -38,16 +38,20 @@ from ielab import (
     raw_ledger,
     replay_signals,
     run_game,
+    run_games,
     sample_hallucinated_model,
     totally_censor,
     underexplored_set,
     visit_counts,
 )
+from ielab import harness, mechanism
+from ielab.cli import main
 from ielab.harness import _write_artifact
 from ielab.instances import random_model
 from ielab.mdp import (MarkovPolicy, Step, event_visit_probability, reach_set,
                        reachable_triples, rollout)
-from ielab.mechanism import EpisodeBlock, _hh_exploring_policies, hallucination_prior_prob
+from ielab.mechanism import (EpisodeBlock, PhaseRecord, _dumps, _hh_exploring_policies,
+                             hallucination_prior_prob)
 from ielab.priors import shared_tables
 from ielab.rng import index_from_uniform, stream
 
@@ -490,6 +494,76 @@ def test_run_game_zero_evidence_context():
     agent = make_agent("canonical_truster", prior, cfg)
     with pytest.raises(ZeroEvidence, match="phase 2"):
         run_game(cfg, prior, agent, seed=0)
+
+
+@pytest.mark.parametrize("draw_rows", [7, 4096])
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_run_games_logs_equal_run_game(mode, draw_rows, monkeypatch, det_prior, det_config,
+                                       stoch_factored, stoch_prior):
+    """``run_games`` yields, seed by seed, the log ``run_game`` makes for
+    the seed alone, byte for byte (``GameLog.write``), on a shuffled seed
+    list with a repeated seed: with both episode logs, the hal-rewards
+    goldens' config (eps_pun 3/4) and a phase hook that stops each run at
+    a seed-dependent phase. Reads of 7 rows split runs and phases between
+    reads; reads of 4096 rows hold every run's rows at once. The one-seed
+    runs read at the default size."""
+    base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                              n_lrn_override=8, total_phases_override=40)
+    hal_rewards = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
+
+    def stop(ctx, log):
+        return ctx.ell == 3 + log.seed % 4
+
+    cases = [
+        (stoch_prior, hal_rewards, {"episode_log": "hallucination"}),
+        (stoch_prior, hal_rewards, {"episode_log": "hallucination", "phase_hook": stop}),
+        (stoch_prior, MechanismConfig(16, 2, Fraction(7, 2880), 5, rho=Fraction(1, 4)),
+         {"episode_log": "full"}),
+        (det_prior, MechanismConfig(40, 1, det_config.eps_pun, 8),
+         {"episode_log": "full", "phase_hook": stop, "track_hh": True}),
+    ]
+    seeds = [5, 2, 9, 2, 0]
+    for prior, cfg, options in cases:
+        alone = [run_game(cfg, prior, make_agent(mode, prior, cfg), seed, **options).write()
+                 for seed in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(mechanism, "_DRAW_ROWS", draw_rows)
+            logs = list(run_games(cfg, prior, lambda: make_agent(mode, prior, cfg), seeds,
+                                  **options))
+        assert [log.seed for log in logs] == seeds
+        assert [log.write() for log in logs] == alone
+
+
+def test_phase_lines_match_json_dumps(monkeypatch, capsys):
+    """``PhaseRecord.text()`` is the generic encoder's line of its
+    ``to_dict()``: on every phase of every golden run, and on hand-made
+    records with None, True and False hh fields, no honest policy, and a
+    punish_prob of 0.0, 1.0 or the smallest subnormal."""
+    from test_golden import RUNS
+
+    phases = []
+
+    def collect(out_dir, seed, manifest, log):
+        phases.extend(log.phases)
+        return log.write()
+
+    monkeypatch.setattr(harness, "_write_artifact", collect)
+    for argv in RUNS.values():
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(phases) == 1404  # every phase of every run in RUNS
+    base = PhaseRecord(ell=9, first_episode=10, last_episode=12, k_star=11,
+                       U=[(1, 1, 2), (2, 1, 1)], punish_prob=0.5, punish_size=3, hal_atom=0,
+                       hal_policy=7, honest_policy=2, new_triples=[(2, 1, 1)],
+                       hh_condition=None, hh_slack=None)
+    for hh_condition, hh_slack in ((None, None), (True, 0.0), (False, -1.25e-17), (True, 3.5)):
+        for punish_prob in (0.0, 1.0, 5e-324, 0.1 + 0.2):
+            for honest_policy, U in ((None, []), (2**70, [(10, 1, 3)])):
+                phases.append(dataclasses.replace(
+                    base, hh_condition=hh_condition, hh_slack=hh_slack, punish_prob=punish_prob,
+                    honest_policy=honest_policy, U=U, new_triples=U))
+    for p in phases:
+        assert p.text() == _dumps(p.to_dict()) + "\n"
 
 
 def test_run_game_explicit_true_model(det_prior, det_config):

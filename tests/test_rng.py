@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from ielab import rng
 from ielab.rng import (cumulative_row, family_key, generator, index_from_uniform,
-                       integer_below, stream, uniform_rows, uniforms)
+                       integer_below, integer_rows, stream, uniform_rows)
+
+
+# 2**31 + 1 rejects almost half of all 32-bit words
+_N = st.integers(1, 2**32 - 1) | st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1])
 
 
 def numpy_philox(key: int, index: int) -> np.random.Generator:
@@ -32,7 +36,7 @@ def test_uniforms_match_stream(seed, family, index, n):
     at that counter, across the 4-double block boundary."""
     key = family_key(seed, family)
     reference = numpy_philox(key, index).random(n).tolist()
-    assert uniforms(key, index, n) == reference
+    assert uniform_rows(key, [index], n)[0].tolist() == reference
     assert stream(seed, family, index).random(n).tolist() == reference
     assert generator(key, index).random(n).tolist() == reference
 
@@ -60,18 +64,57 @@ def test_uniform_rows_match_streams(seed, family, indices, n):
     assert rows.shape == (len(indices), n) and rows.dtype == np.float64
     reference = np.array([numpy_philox(key, i).random(n) for i in indices])
     assert rows.tobytes() == reference.reshape(len(indices), n).tobytes()
-    assert rows.tolist() == [uniforms(key, i, n) for i in indices]
 
 
 def test_uniform_rows_of_a_range():
     """A contiguous index array reads the same rows as its list."""
     key = family_key(3, "traj")
     rows = uniform_rows(key, np.arange(10, 74, dtype=np.uint64), 6)
-    assert rows.tolist() == [uniforms(key, k, 6) for k in range(10, 74)]
+    assert rows.tolist() == [generator(key, k).random(6).tolist() for k in range(10, 74)]
 
 
-# 2**31 + 1 rejects almost half of all 32-bit words
-_N = st.integers(1, 2**32 - 1) | st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1])
+_KEY = st.integers(0, 2**128 - 1) | st.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_KEY, _INDEX), max_size=8), n=st.integers(0, 13))
+@example(rows=[(2**128 - 1, 2**64 - 1), (0, 0), (2**128 - 1, 2**64 - 1)], n=7)
+def test_uniform_rows_per_row_keys(rows, n):
+    """With one key per row, row i is address (keys[i], indices[i])'s
+    draws bit for bit, for repeated rows and n off the 4-double block."""
+    keys, indices = [k for k, _ in rows], [i for _, i in rows]
+    got = uniform_rows(keys, indices, n)
+    reference = np.array([generator(k, i).random(n) for k, i in rows])
+    assert got.shape == (len(rows), n)
+    assert got.tobytes() == reference.reshape(len(rows), n).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_KEY, _INDEX), max_size=8),
+       n=_N | st.sampled_from([2**32, 2**32 + 1, 2**40 + 3]))
+def test_integer_rows_match_stream(rows, n):
+    """The batched Lemire draw equals numpy's ``integers(0, n)`` at each
+    row's address, with one key per row or one key for all, for n = 1,
+    for n that rejects almost half of all words and for n >= 2**32."""
+    keys, indices = [k for k, _ in rows], [i for _, i in rows]
+    assert integer_rows(keys, indices, n) == [int(generator(k, i).integers(0, n))
+                                              for k, i in rows]
+    if rows:
+        assert integer_rows(keys[0], indices, n) == [int(generator(keys[0], i).integers(0, n))
+                                                     for i in indices]
+
+
+def test_integer_rows_read_a_rejected_row_by_the_scalar_reader():
+    """Row ("kstar", 31) of seed 0 rejects all eight halves of its first
+    block at n = 2**31 + 1 (test_integer_below_reads_a_second_block); in a
+    batch it is read from its second block, between rows that are not."""
+    n = 2**31 + 1
+    key = family_key(0, "kstar")
+    indices = [30, 31, 32]
+    assert integer_rows(key, indices, n) == [int(numpy_philox(key, i).integers(0, n))
+                                             for i in indices]
+
+
 
 
 @settings(max_examples=300, deadline=None)
