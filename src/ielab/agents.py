@@ -94,22 +94,35 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     ``can`` is the canonical posterior of the censored ledger (the
     normalized weights of its per-atom log transition mass), ``counts``
     the revealed-reward counts and ``punish`` the punish event as a
-    boolean mask. The closed form of ``_mechanism_weights_exact``, with B
-    the revealed-reward masses: the log-masses are shifted by their largest
-    finite value first, which cancels in the weights and p_hal and keeps
-    B from underflowing on long ledgers.
+    boolean mask; each may be a stack with one row per ledger, and
+    ``can`` and ``punish`` broadcast against the counts' stack. The closed
+    form of ``_mechanism_weights_exact``, with B the revealed-reward
+    masses: the log-masses are shifted by their largest finite value
+    first, which cancels in the weights and p_hal and keeps B from
+    underflowing on long ledgers. The sums over the punish event run per
+    ledger over its own compacted event, as they would alone.
     """
     logB = tables.reward_loglik(counts)
-    finite = logB[np.isfinite(logB)]
-    B = np.exp(logB - finite.max()) if finite.size else np.zeros_like(logB)
-    pun_mass = float(can[punish].sum())
-    A = float((can[punish] * B[punish]).sum()) / pun_mass if pun_mass > 0 else 0.0
+    can, punish = np.broadcast_to(can, logB.shape), np.broadcast_to(punish, logB.shape)
+    finite = np.isfinite(logB)
+    # a ledger with no finite log-mass has B = exp(-inf) = 0
+    top = np.where(finite.any(axis=-1, keepdims=True),
+                   np.max(logB, axis=-1, keepdims=True, where=finite, initial=-np.inf), 0.0)
+    B = np.exp(logB - top)
+    n = can.shape[-1]
+    A = np.zeros(can.shape[:-1] + (1,))
+    for c, b, m, a in zip(can.reshape(-1, n), B.reshape(-1, n), punish.reshape(-1, n),
+                          A.reshape(-1, 1)):
+        pun_mass = float(c[m].sum())
+        a[0] = float((c[m] * b[m]).sum()) / pun_mass if pun_mass > 0 else 0.0
     w = can * (p0 * A + (1.0 - p0) * B)
-    total = w.sum()
-    if total <= 0:
+    total = w.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ZeroEvidence("revealed ledger impossible under both branches")
-    denom = p0 * A + (1.0 - p0) * float((can * B).sum())
-    return w / total, (p0 * A / denom) if denom else 0.0
+    denom = p0 * A + (1.0 - p0) * (can * B).sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hal = np.where(denom != 0, p0 * A / denom, 0.0)[..., 0]
+    return w / total, p_hal
 
 
 @dataclass
@@ -117,9 +130,10 @@ class AgentSpec:
     """mode is "canonical_truster" or "fully_rational"; both know the
     mechanism config and prior.
 
-    In a run the agent chooses through ``choose_signal`` on the run loop's
-    float posteriors. ``choose`` is the exact choice for a ledger, as on
-    the ledgers ``mechanism.replay_signals`` rebuilds from a log.
+    In a run the agent chooses through ``choose_signal``, once per phase
+    and signal for a whole lockstep batch of seeds, on the run loop's
+    stacked float posteriors. ``choose`` is the exact choice for a ledger,
+    as on the ledgers ``mechanism.replay_signals`` rebuilds from a log.
     """
 
     mode: str
@@ -152,9 +166,12 @@ class AgentSpec:
         self._cache[key] = pol
         return pol
 
-    def choose_signal(self, k: int, ell: int, kind: str, ctx: PhaseContext) -> MarkovPolicy:
-        """Fast in-run route: the game loop supplies per-phase count state."""
-        counts = ctx.counts_of(kind)
+    def choose_signal(self, ell: int, kinds: tuple, ctx: PhaseContext) -> list[list]:
+        """The in-run choices of every seed of a batch at phase ell: per
+        kind of signal in ``kinds``, one policy per row of the run loop's
+        stacked per-phase state ``ctx``. The kinds' posteriors are
+        normalized and compared as one stack."""
+        counts = np.array([ctx.counts_of(kind) for kind in kinds])
         if self.mode == "canonical_truster":
             post = ctx.fast.revealed_posterior(counts)
         else:
@@ -162,7 +179,9 @@ class AgentSpec:
             weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
                                                   ctx.punish_mask, p0)
             post = Posterior(self.prior, weights)
-        return bayes_greedy(post)
+        policies = bayes_greedy(post)
+        R = len(policies) // len(kinds)
+        return [policies[i * R:(i + 1) * R] for i in range(len(kinds))]
 
 
 def make_agent(mode: str, prior: DiscretePrior, config: MechanismConfig) -> AgentSpec:

@@ -555,7 +555,10 @@ def prior_digest(prior: DiscretePrior) -> str:
 
 @dataclass
 class PhaseContext:
-    """Per-phase quantities the fast agents reuse instead of recomputing."""
+    """Per-phase quantities the fast agents reuse instead of recomputing:
+    stacked, one row per seed, for a lockstep batch (``fast`` is then a
+    stack and ``U`` a list), and ``row(r)`` is seed r's own context, which
+    ``phase_hook`` receives."""
 
     ell: int
     fast: LedgerState
@@ -563,29 +566,44 @@ class PhaseContext:
     punish_mask: np.ndarray
     hon_counts: np.ndarray
     hal_counts: np.ndarray
-    U: TripleSet
+    U: TripleSet | list
     covered_at: int | None = None
 
     def counts_of(self, kind: str) -> np.ndarray:
         return self.hal_counts if kind == "hallucinated" else self.hon_counts
 
+    def row(self, r: int) -> PhaseContext:
+        return PhaseContext(self.ell, self.fast.row(r), self.cens_weights[r], self.punish_mask[r],
+                            self.hon_counts[r], self.hal_counts[r], self.U[r])
+
+
+def _point_draws(tables: PriorTables, hal_atom, explored_visits: np.ndarray):
+    """The hallucinated reward counts where each explored triple's law
+    under the hallucinated atom is a point mass: the explored visits at
+    the law's one value, whatever the uniforms. Also the triples where a
+    draw is needed: explored, visited, and not a point mass. For one
+    ledger, or per row of a stack (``hal_atom`` then one atom per row)."""
+    point = tables.reward_point[hal_atom]
+    counts = (point[..., None] == np.arange(len(tables.support))) * explored_visits[..., None]
+    return counts, (explored_visits > 0) & (point < 0)
+
 
 def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarray,
                        make_rng):
-    """Vectorized reward draws at explored occurrences, one uniform each in
-    ledger entry order; returns the drawn values' counts per triple.
+    """Vectorized reward draws at one ledger's explored occurrences, one
+    uniform each in ledger entry order; returns the drawn values' counts
+    per triple.
 
-    The uniforms come from the generator ``make_rng()``, called only when
-    some occurrence is explored.
+    When every explored occurrence's law is a point mass, every uniform
+    draws the same values, so none is read (``_point_draws``). Otherwise
+    the uniforms come from the generator ``make_rng()``.
     """
-    counts = fast.reward_counts
+    counts, needs_draw = _point_draws(fast.tables, hal_atom, fast.visits * explored_mask)
+    if not needs_draw.any():
+        return counts
     occ = fast.occurrences()
-    sel = explored_mask.ravel()[occ]
-    m = int(sel.sum())
-    if m == 0:
-        return np.zeros_like(counts)
-    u = make_rng().random(m)
-    occ = occ[sel]
+    occ = occ[explored_mask.ravel()[occ]]
+    u = make_rng().random(len(occ))
     n_support = len(fast.tables.support)
     cum = fast.tables.reward_cum[hal_atom].reshape(-1, n_support)[occ]  # (m, V)
     idx = (u[:, None] >= cum).sum(axis=1)  # index_from_uniform's rule
@@ -606,6 +624,8 @@ def _hh_exploring_policies(tables: PriorTables, reachable: list,
     return inside if 0 < len(inside) < len(tables.policies) else None
 
 
+# seeds that run_games plays in lockstep, one run_game batch at a time
+_BATCH_SEEDS = 4
 # (seed, phase) rows of draws read in one evaluation per family, and
 # seeds per read of the truth draws
 _DRAW_ROWS = 4096
@@ -617,10 +637,13 @@ class RunDraws:
     Per seed i, the ("truth", 0) uniform; per phase ell of it, the
     ("hal-model", ell) uniform, the hallucination episode k* (the phase's
     first episode, plus the ("kstar", ell) draw below n_phase past
-    n_lrn) and the 2H uniforms of ("traj", k*). Rows are read in
-    seed-major order as the runs reach them: one read takes the next
-    ``_DRAW_ROWS`` (seed, phase) rows, across seeds, and reads each family
-    in one ``rng`` evaluation over per-row keys. A run that stops early
+    n_lrn) and the 2H uniforms of ("traj", k*). The seeds are played in
+    batches of ``_BATCH_SEEDS`` consecutive seeds, and a batch takes its
+    rows phase by phase, one row per seed. So the rows are numbered batch
+    by batch, phase-major within a batch, and one read takes the next
+    whole batch phases up to ``_DRAW_ROWS`` rows (at least one batch
+    phase), across batches, and reads each family in one ``rng``
+    evaluation over per-row keys. A batch whose runs all stop early
     leaves its later rows unread, and memory stays at one read whatever
     the number of seeds.
     """
@@ -628,7 +651,7 @@ class RunDraws:
     def __init__(self, config: MechanismConfig, seeds: list, n_uniforms: int):
         self.config, self.seeds, self.n_uniforms = config, seeds, n_uniforms
         self._truth_start, self._truths = 0, []
-        # the rows held, from row number _row_start = i * total_phases + ell - 1
+        # the rows held, from row number _row_start
         self._row_start, self._u_hal, self._k_star, self._u_traj = 0, [], [], None
 
     def truth(self, i: int) -> float:
@@ -639,26 +662,34 @@ class RunDraws:
             self._truths = rngmod.uniform_rows(keys, [0] * len(keys), 1)[:, 0].tolist()
         return self._truths[i - self._truth_start]
 
-    def phases(self, i: int):
-        """Seed i's (hal-model uniform, k*, traj uniforms) per phase, from phase 1."""
-        T = self.config.total_phases
-        for ell in range(1, T + 1):
-            row = i * T + ell - 1 - self._row_start
-            if not 0 <= row < len(self._k_star):
-                self._read(i, ell)
-                row = 0
-            yield self._u_hal[row], self._k_star[row], self._u_traj[row].tolist()
+    def _batch_size(self, i: int) -> int:
+        """The number of seeds in the batch that starts at seed i."""
+        return min(_BATCH_SEEDS, len(self.seeds) - i)
+
+    def phase(self, i: int, ell: int) -> tuple:
+        """Phase ell of the batch that starts at seed i: its hal-model
+        uniforms, k* list and traj uniforms, one row per seed."""
+        R = self._batch_size(i)
+        row = i * self.config.total_phases + (ell - 1) * R - self._row_start
+        if not 0 <= row <= len(self._k_star) - R:
+            self._read(i, ell)
+            row = 0
+        return (self._u_hal[row:row + R], self._k_star[row:row + R],
+                self._u_traj[row:row + R])
 
     def _read(self, i: int, ell: int) -> None:
-        """Hold the ``_DRAW_ROWS`` rows from seed i's phase ell on."""
+        """Hold the rows of whole batch phases from phase ell of the batch
+        at seed i on, up to ``_DRAW_ROWS``."""
         config, T = self.config, self.config.total_phases
-        self._row_start = i * T + ell - 1
+        self._row_start = i * T + (ell - 1) * self._batch_size(i)
         seeds, ells = [], []  # each row's seed and phase
-        while len(ells) < _DRAW_ROWS and i < len(self.seeds):
-            stop = min(T + 1, ell + _DRAW_ROWS - len(ells))
-            seeds += [self.seeds[i]] * (stop - ell)
-            ells += range(ell, stop)
-            i, ell = i + 1, 1
+        while i < len(self.seeds):
+            R = self._batch_size(i)
+            if ells and len(ells) + R > _DRAW_ROWS:
+                break
+            seeds += self.seeds[i:i + R]
+            ells += [ell] * R
+            i, ell = (i, ell + 1) if ell < T else (i + R, 1)
 
         def keys(family: str) -> list:
             """Each row's key of ``family``."""
@@ -672,189 +703,258 @@ class RunDraws:
         self._k_star = [phase_episodes(config, e)[0] for e in ells]
         for r, offset in zip(late, offsets):
             self._k_star[r] += offset
-        self._u_hal = rngmod.uniform_rows(keys("hal-model"), ells, 1)[:, 0].tolist()
+        self._u_hal = rngmod.uniform_rows(keys("hal-model"), ells, 1)[:, 0]
         self._u_traj = rngmod.uniform_rows(keys("traj"), self._k_star, self.n_uniforms)
 
 
-def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed: int,
+def _transition_key(lattice, atom: int) -> tuple:
+    """The atom's init vector and transition rows as their indices among
+    the lattice's distinct rows: atoms with one key share one transition
+    table."""
+    n, T = lattice.n, lattice.S * lattice.A * lattice.H
+    return (lattice.vec_ix[atom], *lattice.vec_ix[n + atom * T:n + (atom + 1) * T])
+
+
+def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
              true_model: TabularModel | None = None, episode_log: str = "full",
-             phase_hook=None, track_hh: bool = False, draws=None) -> GameLog:
+             phase_hook=None, track_hh: bool = False, draws=None):
     """Execute the phase loop and emit a replayable GameLog.
 
-    ``agent`` follows the agents.AgentSpec protocol. ``episode_log`` is
-    "full" (simulate and record every episode) or "hallucination"
-    (simulate only the episodes that feed the mechanism; phase records
-    are bit-identical between the modes because every draw has its own
-    counter address). The truth, hal-model, kstar and k* traj draws come
-    from ``draws``, the pair (``RunDraws``, this seed's index in it) that
-    ``run_games`` passes; by default the run reads them as a one-seed
-    ``RunDraws``. Phase ell reads ("hal-rewards", ell) through
-    ``rng.generator``, since its draw count is known only at the phase. A
-    full-log phase of several episodes reads its episodes' rows as one
-    ``rng.uniform_rows`` array and rolls out the honest rows in one block
-    (``mdp.rollout_rows``); the hallucination episode's trajectory comes
-    from the scalar ``mdp.rollout``, as in every one-episode phase. Each
-    phase appends one ``EpisodeBlock``, no object per episode. U, new
+    ``seed`` is one seed, or a list of seeds that the loop plays in
+    lockstep, one phase of every seed at a time, returning their GameLogs
+    in order; each log is bit for bit the one-seed run's. ``agent``
+    follows the agents.AgentSpec protocol and chooses for every seed of
+    the batch at once. ``episode_log`` is "full" (simulate and record
+    every episode) or "hallucination" (simulate only the episodes that
+    feed the mechanism; phase records are bit-identical between the modes
+    because every draw has its own counter address).
+
+    The truth, hal-model, kstar and k* traj draws come from ``draws``, the
+    pair (``RunDraws``, the batch's first index in it) that ``run_games``
+    passes; by default the seeds read them as a ``RunDraws`` of their own.
+    Phase ell reads ("hal-rewards", ell) through ``rng.generator``, since
+    its draw count is known only at the phase, and only where some
+    explored occurrence's law under the hallucinated atom is not a point
+    mass. A full-log phase of several episodes reads a seed's episode rows
+    as one ``rng.uniform_rows`` array and rolls out its honest rows in one
+    block (``mdp.rollout_rows``); the hallucination episode's trajectory
+    comes from the scalar ``mdp.rollout``, as in every one-episode phase.
+    Each phase appends one ``EpisodeBlock`` per seed, no object per
+    episode.
+
+    The seeds' ledgers are one stacked ``LedgerState``. Per phase the
+    posteriors, the hallucinated-model draw, the greedy choices and the
+    entry's transition mass are stacked operations whose rows equal the
+    one-seed results bit for bit (row sums, row cumsums, elementwise
+    logs and exps, one-row products). What sums over a seed's own
+    columns stays per seed: ``punish_prob`` and the fully rational
+    agent's punish-event sums over its compacted event, and
+    ``PriorTables.reward_loglik`` over its positive counts. U, new
     triples, coverage and the visit counts are read from the one visit
     count, ``LedgerState.visits``. The agents choose on the float count
     state; ``replay_signals`` rebuilds the signal ledgers from the log for
-    an exact check after the run. ``phase_hook(ctx, log)`` runs after each
-    phase's bookkeeping; returning True stops the run early. ``track_hh``
-    evaluates the phase-length incentive condition per phase against the
-    sufficiently-visiting policy set of the true model and records it and
-    its slack, rhs - lhs (micro scale only; None where the policy split
-    degenerates).
+    an exact check after the run. ``phase_hook(ctx, log)`` runs for each
+    seed after each phase's bookkeeping, with the seed's own context;
+    returning True stops that seed's run, and the others play on.
+    ``track_hh`` evaluates the phase-length incentive condition per phase
+    against the sufficiently-visiting policy set of the true model and
+    records it and its slack, rhs - lhs (micro scale only; None where the
+    policy split degenerates).
     """
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
+    seeds = seed if isinstance(seed, list) else [seed]
+    full_log = episode_log == "full"
     tables = shared_tables(prior)
     S, A, H = prior.shape
     eps = config.eps_pun
-    reader, i = draws if draws is not None else (RunDraws(config, [seed], 2 * H), 0)
+    reader, first = draws if draws is not None else (RunDraws(config, seeds, 2 * H), 0)
 
     if true_model is None:
-        true_atom = rngmod.index_from_uniform(tables.weights, reader.truth(i))
-        true_model = prior.atoms[true_atom]
+        true_atoms = [rngmod.index_from_uniform(tables.weights, reader.truth(first + b))
+                      for b in range(len(seeds))]
     else:
-        true_atom = next(
-            (j for j, m in enumerate(prior.atoms) if m is true_model or m == true_model), -1
-        )
-    hal_rewards_key = rngmod.family_key(seed, "hal-rewards")
-
+        true_atoms = [next((j for j, m in enumerate(prior.atoms)
+                            if m is true_model or m == true_model), -1)] * len(seeds)
+    true_models = [true_model if true_model is not None else prior.atoms[j] for j in true_atoms]
     rho = config.rho if config.rho is not None else Fraction(1)
-    target = reach_set(true_model, rho)
-    if track_hh:  # the support of each policy under the true model, once per run
-        reachable = [reachable_triples(true_model, pol) for pol in tables.policies]
-    fast = LedgerState(tables)
-    log = GameLog(
-        seed=seed,
-        agent_mode=agent.mode,
-        episode_log=episode_log,
-        config=config,
-        prior_digest=prior_digest(prior),
-        true_atom=true_atom,
-    )
-    covered_at = None
-    n_explored = None
+    # per true transition table, once per batch: the target, as a set and
+    # a mask, and with track_hh the support of each policy under the model
+    by_table = {}
+    statics = []
+    for j, model in zip(true_atoms, true_models):
+        key = None if j < 0 else _transition_key(tables.lattice, j)
+        if key not in by_table:
+            target = reach_set(model, rho)
+            mask = np.zeros((S, A, H), dtype=bool)
+            for x, a, h in target:
+                mask[x - 1, a - 1, h - 1] = True
+            by_table[key] = (target, mask, track_hh and [reachable_triples(model, pol)
+                                                         for pol in tables.policies])
+        statics.append(by_table[key])
+    hal_rewards_keys = [rngmod.family_key(s, "hal-rewards") for s in seeds]
+    logs = [GameLog(seed=s, agent_mode=agent.mode, episode_log=episode_log, config=config,
+                    prior_digest=prior_digest(prior), true_atom=j)
+            for s, j in zip(seeds, true_atoms)]
 
-    for ell, (u_hal, k_star, u_star) in enumerate(reader.phases(i), start=1):
+    # the seeds still playing, by batch position; row r of every stacked
+    # array below is seed live[r]
+    live = list(range(len(seeds)))
+    fast = LedgerState(tables, len(seeds))
+    targets = np.stack([mask for _, mask, _ in statics])
+    n_explored = np.full(len(seeds), -1)
+    punish_mask = np.zeros((len(seeds), prior.n), dtype=bool)
+    U_sorted, U, explored, punish_size, hh_inside = ([None] * len(seeds) for _ in range(5))
+    covered_at = [None] * len(seeds)
+
+    def finish(r: int, b: int) -> None:
+        """Write seed b's summary from row r of the state."""
+        log = logs[b]
+        log.summary = {
+            "phases_to_coverage": covered_at[b],
+            "reach_size": len(statics[b][0]),
+            "rho": str(rho),
+            "new_triple_flags": [bool(p.new_triples) for p in log.phases],
+            "visit_counts": {f"{x + 1},{a + 1},{h + 1}": int(c)
+                             for (x, a, h), c in np.ndenumerate(fast.visits[r]) if c},
+            "episodes_simulated": sum(len(block.ks) for block in log.blocks),
+        }
+
+    for ell in range(1, config.total_phases + 1):
+        if not live:
+            break
         episodes = phase_episodes(config, ell)
+        u_hal, k_star, u_traj = reader.phase(first, ell)
+        if len(live) < len(seeds):
+            u_hal, u_traj, k_star = u_hal[live], u_traj[live], [k_star[b] for b in live]
         explored_mask = fast.visits >= config.n_lrn
-        # visits only grow, so the explored set changes exactly when its size does
-        if n_explored != (size := int(np.count_nonzero(explored_mask))):
-            n_explored = size
+        # visits only grow, so a seed's explored set changes exactly when its size does
+        sizes = explored_mask.reshape(len(live), -1).sum(axis=1)
+        for r in (sizes != n_explored).nonzero()[0].tolist():
+            b = live[r]
+            n_explored[r] = sizes[r]
             # U only shrinks, at most SAH times a run; C order is sorted order
-            U_sorted = [(x + 1, a + 1, h + 1) for x, a, h in np.argwhere(~explored_mask).tolist()]
-            U = frozenset(U_sorted)
-            explored = complement_triples(U, S, A, H)
-            punish_mask = tables.event_mask(punish_event(prior, explored, eps))
-            punish_size = int(punish_mask.sum())
+            U_sorted[b] = [(x + 1, a + 1, h + 1)
+                           for x, a, h in np.argwhere(~explored_mask[r]).tolist()]
+            U[b] = frozenset(U_sorted[b])
+            explored[b] = complement_triples(U[b], S, A, H)
+            punish_mask[r] = tables.event_mask(punish_event(prior, explored[b], eps))
+            punish_size[b] = int(punish_mask[r].sum())
             if track_hh:
-                hh_inside = _hh_exploring_policies(tables, reachable, U)
+                hh_inside[b] = _hh_exploring_policies(tables, statics[b][2], U[b])
         try:
-            cens_post, hal_post = fast.posteriors(punish_mask)
+            cens_w, hal_w = fast.posteriors(punish_mask)
         except ZeroEvidence as e:
+            # the first seed with no mass left in its punish event
+            r = int(np.argmin((np.where(punish_mask, fast.translog, -np.inf) > -np.inf)
+                              .any(axis=1)))
             raise ZeroEvidence(
                 f"phase {ell}: punish event empty on fully-explored set "
-                f"{sorted(explored)} at eps_pun={eps} ({e})"
+                f"{sorted(explored[live[r]])} at eps_pun={eps} ({e})"
             ) from e
-        punish_prob = float(cens_post.weights[punish_mask].sum())
+        punish_prob = [float(w[m].sum()) for w, m in zip(cens_w, punish_mask)]
 
-        hal_atom = rngmod.index_from_uniform(hal_post.weights, u_hal)
-        hal_counts = _draw_hallucinated(
-            fast, hal_atom, explored_mask,
-            lambda: rngmod.generator(hal_rewards_key, ell))
+        hal_atoms = rngmod.index_from_uniform(hal_w, u_hal)
+        hal_counts, needs_draw = _point_draws(tables, hal_atoms, fast.visits * explored_mask)
+        if needs_draw.any():
+            for r in needs_draw.reshape(len(live), -1).any(axis=1).nonzero()[0].tolist():
+                key = hal_rewards_keys[live[r]]
+                hal_counts[r] = _draw_hallucinated(fast.row(r), hal_atoms[r], explored_mask[r],
+                                                   lambda: rngmod.generator(key, ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
 
-        ctx = PhaseContext(
-            ell=ell,
-            fast=fast,
-            cens_weights=cens_post.weights,
-            punish_mask=punish_mask,
-            hon_counts=hon_counts,
-            hal_counts=hal_counts,
-            U=U,
-        )
-        pi_hal = agent.choose_signal(k_star, ell, "hallucinated", ctx)
-        pi_hon = hon_code = None
+        ctx = PhaseContext(ell=ell, fast=fast, cens_weights=cens_w, punish_mask=punish_mask,
+                           hon_counts=hon_counts, hal_counts=hal_counts,
+                           U=[U[b] for b in live])
         if len(episodes) > 1:
-            pi_hon = agent.choose_signal(episodes[0], ell, "honest", ctx)
-            hon_code = pi_hon.encoding
-        hal_code = pi_hal.encoding
+            pi_hal, pi_hon = agent.choose_signal(ell, ("hallucinated", "honest"), ctx)
+        else:
+            (pi_hal,), pi_hon = agent.choose_signal(ell, ("hallucinated",), ctx), [None] * len(live)
 
-        simulated = episodes if episode_log == "full" else (k_star,)
-        hon_trajs = traj_of_row = ()
-        if len(simulated) > 1:
-            rows = rngmod.uniform_rows(rngmod.family_key(seed, "traj"),
-                                       np.arange(simulated.start, simulated.stop,
-                                                 dtype=np.uint64), 2 * H)
-            # the honest rows in one block; the k* row's entry is unused
-            hon_trajs, traj_of_row = rollout_rows(true_model, pi_hon, rows)
-            traj_of_row = traj_of_row.tolist()
-        tau_star = Trajectory(rollout(true_model, pi_hal, u_star))
-        hal_steps = tau_star.steps
-        log.blocks.append(EpisodeBlock(ell, simulated, k_star, hal_code, hon_code, hal_steps,
-                                       hon_trajs, traj_of_row))
+        visited = fast.visits.reshape(len(live), -1).tolist()  # before this phase's entry
+        hal_atoms = hal_atoms.tolist()
+        hal_steps = []
+        for r, b in enumerate(live):
+            model = true_models[b]
+            simulated = episodes if full_log else (k_star[r],)
+            hon_code = None if pi_hon[r] is None else pi_hon[r].encoding
+            hon_trajs = traj_of_row = ()
+            if len(simulated) > 1:
+                rows = rngmod.uniform_rows(rngmod.family_key(seeds[b], "traj"),
+                                           np.arange(simulated.start, simulated.stop,
+                                                     dtype=np.uint64), 2 * H)
+                # the honest rows in one block; the k* row's entry is unused
+                hon_trajs, traj_of_row = rollout_rows(model, pi_hon[r], rows)
+                traj_of_row = traj_of_row.tolist()
+            steps = rollout(model, pi_hal[r], u_traj[r].tolist())
+            hal_steps.append(steps)
+            logs[b].blocks.append(EpisodeBlock(ell, simulated, k_star[r], pi_hal[r].encoding,
+                                               hon_code, steps, hon_trajs, traj_of_row))
 
-        hh_holds = hh_slack = None
-        if track_hh and hh_inside is not None:
-            gap = canonical_gap(fast.revealed_posterior(hal_counts), hh_inside)
-            hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob, gap, H)
-            hh_slack = rhs - lhs
-
-        visits = fast.visits
-        new_triples = sorted((x, a, h) for x, a, h, _ in hal_steps
-                             if not visits[x - 1, a - 1, h - 1])
-        fast.push_entry(tau_star)
-
-        log.phases.append(
-            PhaseRecord(
-                ell=ell,
-                first_episode=episodes[0],
-                last_episode=episodes[-1],
-                k_star=k_star,
-                U=U_sorted,
-                punish_prob=punish_prob,
-                punish_size=punish_size,
-                hal_atom=hal_atom,
-                hal_policy=hal_code,
-                honest_policy=hon_code,
-                new_triples=new_triples,
-                hh_condition=hh_holds,
-                hh_slack=hh_slack,
+            hh_holds = hh_slack = None
+            if track_hh and hh_inside[b] is not None:
+                gap = canonical_gap(fast.row(r).revealed_posterior(hal_counts[r]), hh_inside[b])
+                hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob[r], gap, H)
+                hh_slack = rhs - lhs
+            new_triples = sorted((x, a, h) for x, a, h, _ in steps
+                                 if not visited[r][((x - 1) * A + a - 1) * H + h - 1])
+            logs[b].phases.append(
+                PhaseRecord(
+                    ell=ell,
+                    first_episode=episodes[0],
+                    last_episode=episodes[-1],
+                    k_star=k_star[r],
+                    U=U_sorted[b],
+                    punish_prob=punish_prob[r],
+                    punish_size=punish_size[b],
+                    hal_atom=hal_atoms[r],
+                    hal_policy=pi_hal[r].encoding,
+                    honest_policy=hon_code,
+                    new_triples=new_triples,
+                    hh_condition=hh_holds,
+                    hh_slack=hh_slack,
+                )
             )
-        )
-        if covered_at is None and all(visits[x - 1, a - 1, h - 1] >= config.n_lrn
-                                      for x, a, h in target):
-            covered_at = ell
-        if phase_hook is not None:
-            ctx.covered_at = covered_at
-            if phase_hook(ctx, log):
-                break
+        fast.push_entries(hal_steps)
 
-    log.summary = {
-        "phases_to_coverage": covered_at,
-        "reach_size": len(target),
-        "rho": str(rho),
-        "new_triple_flags": [bool(p.new_triples) for p in log.phases],
-        "visit_counts": {f"{x + 1},{a + 1},{h + 1}": int(c)
-                         for (x, a, h), c in np.ndenumerate(fast.visits) if c},
-        "episodes_simulated": sum(len(b.ks) for b in log.blocks),
-    }
-    return log
+        if None in (covered_at[b] for b in live):
+            covered = ((fast.visits >= config.n_lrn) | ~targets).reshape(len(live), -1).all(axis=1)
+            for r in covered.nonzero()[0].tolist():
+                if covered_at[live[r]] is None:
+                    covered_at[live[r]] = ell
+        if phase_hook is not None:
+            stop = []
+            for r, b in enumerate(live):
+                seed_ctx = ctx.row(r)
+                seed_ctx.covered_at = covered_at[b]
+                if phase_hook(seed_ctx, logs[b]):
+                    stop.append(r)
+                    finish(r, b)
+            if stop:
+                keep = [r for r in range(len(live)) if r not in stop]
+                fast.keep(keep)
+                targets, n_explored, punish_mask = targets[keep], n_explored[keep], punish_mask[keep]
+                live = [live[r] for r in keep]
+
+    for r, b in enumerate(live):
+        finish(r, b)
+    return logs if isinstance(seed, list) else logs[0]
 
 
 def run_games(config: MechanismConfig, prior: DiscretePrior, make_agent, seeds,
               **run_options):
-    """``run_game`` for each seed in turn, with a fresh ``make_agent()``;
-    yields each GameLog as it finishes. The runs read their
+    """``run_game`` over the seeds in lockstep batches of ``_BATCH_SEEDS``
+    consecutive seeds, each batch with a fresh ``make_agent()``; yields
+    each GameLog in seed order as its batch finishes. The runs read their
     state-independent draws through one ``RunDraws`` over all the seeds,
     so each family is read in one Philox evaluation per ``_DRAW_ROWS``
-    rows across runs, and each log is bit for bit the one-seed run's."""
+    rows across batches, and each log is bit for bit the one-seed run's.
+    Memory holds one batch's runs, whatever the number of seeds."""
     seeds = list(seeds)
     draws = RunDraws(config, seeds, 2 * prior.shape[2])
-    for i, seed in enumerate(seeds):
-        yield run_game(config, prior, make_agent(), seed, draws=(draws, i), **run_options)
+    for i in range(0, len(seeds), _BATCH_SEEDS):
+        yield from run_game(config, prior, make_agent(), seeds[i:i + _BATCH_SEEDS],
+                            draws=(draws, i), **run_options)
 
 
 def replay_signals(log: GameLog, prior: DiscretePrior):

@@ -103,8 +103,9 @@ class Posterior:
     ledger-level functions, stores ``(nums, den)``: the lattice's
     nonnegative integer masses over one positive denominator, with
     sum(nums) == den. The run loop's ``PriorTables.posterior_from_loglik``
-    stores a float ndarray of weights. ``weights`` is the Fraction view of
-    an exact posterior, or the float weights themselves.
+    stores a float ndarray of weights, or for a stack of ledgers one row
+    of weights per ledger. ``weights`` is the Fraction view of an exact
+    posterior, or the float weights themselves.
     """
 
     prior: DiscretePrior
@@ -115,7 +116,8 @@ class Posterior:
             nums, den = self.masses
             if len(nums) != self.prior.n or min(nums) < 0 or not 0 < den == sum(nums):
                 raise ValueError("posterior masses must be n nonnegative ints summing to den")
-        elif abs(self.masses.sum() - 1.0) > _sum_error_bound(len(self.masses)):
+        elif (abs(self.masses.sum(axis=-1) - 1.0)
+              > _sum_error_bound(self.masses.shape[-1])).any():
             raise ValueError("posterior weights must sum to 1")
 
     @property
@@ -370,23 +372,29 @@ def policy_encodings(Pi) -> frozenset:
 GREEDY_TIE_TOL = 1e-9
 
 
-def bayes_greedy(posterior: Posterior) -> MarkovPolicy:
+def bayes_greedy(posterior: Posterior):
     """argmax of conditional value; ties broken by smallest encoding.
 
     Exact posteriors compare integer conditional values exactly. Float
     paths treat values within GREEDY_TIE_TOL (relative) of the max as
     tied, so that mathematically tied policies resolve to the same
-    canonical winner regardless of summation order.
+    canonical winner regardless of summation order. A stacked float
+    posterior gives the list of its rows' choices, its leading axes
+    flattened: each row's values are its own one-row product with the
+    value matrix, whose bits do not depend on the other rows (a plain
+    (R, n) @ (n, P) product's would).
     """
     if posterior.exact:
         vals, _ = policy_values(posterior)
         return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
     tables = shared_tables(posterior.prior)
-    vals = posterior.masses @ tables.value_matrix
-    vmax = float(vals.max())
+    vals = (posterior.masses[..., None, :] @ tables.value_matrix)[..., 0, :]
+    vmax = vals.max(axis=-1, keepdims=True)
     tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-    best = int((vals >= vmax - tol).argmax())  # the first index within tol of the max
-    return tables.policies[best]
+    best = (vals >= vmax - tol).argmax(axis=-1)  # the first index within tol of the max
+    if best.ndim == 0:
+        return tables.policies[int(best)]
+    return [tables.policies[j] for j in best.ravel().tolist()]
 
 
 def greedy_set(posterior: Posterior) -> frozenset:
@@ -402,11 +410,13 @@ class PriorTables:
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
     trans (n, S, A, H, S); and per support value the reward log-masses
     for likelihood accumulation and the reward draw rows
-    (``rng.cumulative_row``, one per distinct law). All are read off the
-    prior's ExactLattice: each distinct int row converts once, one Python
-    ``int / den`` per entry, which is correctly rounded and so the float
-    of the atom's own Fraction. ``weights`` holds the float of each prior
-    weight, for the run's truth draw.
+    (``rng.cumulative_row``, one per distinct law), with ``reward_point``
+    (n, S, A, H), the one support position of a law that is a point mass
+    and -1 elsewhere. All are read off the prior's ExactLattice: each
+    distinct int row converts once, one Python ``int / den`` per entry,
+    which is correctly rounded and so the float of the atom's own
+    Fraction. ``weights`` holds the float of each prior weight, for the
+    run's truth draw.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -420,6 +430,12 @@ class PriorTables:
         vecs = np.array([[p / den for p in row] for row in lattice.vec_rows])[lattice.vec_ix]
         self.init = vecs[:n]
         self.trans = vecs[n:].reshape(n, S, A, H, S)
+        # the logs of the same entries with the atoms last, so an entry's
+        # column over the atoms is one row: (S, n), and (S * A * H, S, n) by
+        # flat triple; -inf where the mass is 0
+        with np.errstate(divide="ignore"):
+            self._log_init = np.log(self.init.T)
+            self._log_trans = np.log(np.moveaxis(self.trans, 0, -1).reshape(S * A * H, S, n))
         laws = np.array(lattice.law_ix).reshape(n, S, A, H)
         law_rows = [[p / den for p in row] for row in lattice.law_rows]
         # reward mass and draw rows: (n, S, A, H, |support|)
@@ -428,6 +444,8 @@ class PriorTables:
         # one column per (triple, support value), in the C order of reward counts
         self._reward_logmass_flat = self.reward_logmass.reshape(n, -1)
         self.reward_cum = np.array([cumulative_row(row) for row in law_rows])[laws]
+        positive = [[k for k, m in enumerate(row) if m] for row in lattice.law_rows]
+        self.reward_point = np.array([ks[0] if len(ks) == 1 else -1 for ks in positive])[laws]
         self.weights = np.array([float(w) for w in prior.weights])
         self.log_weights = np.log(self.weights)
         means = np.array([m / lattice.mean_den for m in lattice.law_means])[laws]
@@ -455,28 +473,36 @@ class PriorTables:
         lattice = self.lattice
         return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
 
-    def entry_translog(self, traj_steps) -> np.ndarray:
-        """log init+path mass per atom for one entry's transition content."""
-        n = self.init.shape[0]
-        with np.errstate(divide="ignore"):
-            out = np.log(self.init[:, traj_steps[0].x - 1])
-            for i, s in enumerate(traj_steps[:-1]):
-                nxt = traj_steps[i + 1]
-                out = out + np.log(self.trans[:, s.x - 1, s.a - 1, s.h - 1, nxt.x - 1])
+    def entry_translog(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """log init+path mass per atom of one entry per row: row r's entry
+        visits states ``x[r]`` (0-based) at the flat triples ``t[r]``, both
+        (R, L), and the result is (R, n). Every row adds the logs of its
+        steps' columns over the atoms in step order, as one entry alone
+        would; a log is the same float wherever numpy computes it, so the
+        logs are taken once, when the tables are built."""
+        out = self._log_init[x[:, 0]]
+        for i in range(x.shape[1] - 1):
+            out = out + self._log_trans[t[:, i], x[:, i + 1]]
         return out
 
     def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
-        """Per-atom log reward mass for occurrence counts (same shape as counts).
+        """Per-atom log reward mass for occurrence counts (S, A, H, V), or
+        per row of a stack of them: (..., n).
 
         A zero mass gives -inf, and -inf times a positive count stays -inf.
-        The positive counts are taken in C order, as a boolean mask over
-        ``reward_logmass``'s trailing axes takes them.
+        Each ledger's positive counts are taken in C order, as a boolean
+        mask over ``reward_logmass``'s trailing axes takes them, and summed
+        alone: its active columns are its own, and padding them to a
+        stack's would change the sums' grouping.
         """
-        flat = counts.ravel()
-        active = flat.nonzero()[0]
-        if not active.size:
-            return np.zeros(self.prior.n)
-        return (self._reward_logmass_flat[:, active] * flat[active]).sum(axis=1)
+        logmass = self._reward_logmass_flat
+        rows = counts.reshape(-1, logmass.shape[1])
+        out = np.zeros((len(rows), self.prior.n))
+        for r, flat in enumerate(rows):
+            active = flat.nonzero()[0]
+            if active.size:
+                out[r] = (logmass[:, active] * flat[active]).sum(axis=1)
+        return out.reshape(counts.shape[:-4] + (self.prior.n,))
 
     def event_mask(self, event: ModelEvent) -> np.ndarray:
         """The event as a boolean vector over the atoms."""
@@ -487,16 +513,18 @@ class PriorTables:
     def posterior_from_loglik(self, loglik: np.ndarray, mask=None,
                               weighted: bool = False) -> Posterior:
         """Normalize prior-weighted log-likelihoods into a float Posterior,
-        restricted to ``mask`` when one is given. ``weighted`` says the
-        prior's log weights are already added into ``loglik``."""
+        restricted to ``mask`` when one is given; a stack of log-likelihood
+        rows (and masks) gives a stacked Posterior, each row normalized as
+        it would be alone. ``weighted`` says the prior's log weights are
+        already added into ``loglik``."""
         ll = loglik if weighted else self.log_weights + loglik
         if mask is not None:
             ll = np.where(mask, ll, -np.inf)
-        top = ll.max()
-        if top == -np.inf:
+        top = ll.max(axis=-1, keepdims=True)
+        if (top == -np.inf).any():
             raise ZeroEvidence("all atoms have zero likelihood")
         w = np.exp(ll - top)
-        w /= w.sum()
+        w /= w.sum(axis=-1, keepdims=True)
         return Posterior(self.prior, w)
 
 
@@ -506,58 +534,96 @@ class LedgerState:
     value) revealed-reward counts, per-triple visit counts, and the flat
     triple index of every occurrence in entry order, so each phase's
     posteriors and hallucinated-reward draws are small vectorized operations.
+
+    ``LedgerState(tables, rows)`` is a stack of ``rows`` ledgers that grow
+    in lockstep, one entry per ledger at a time: every array gains a
+    leading axis of rows, and ``row(r)`` is ledger r alone, on the same
+    memory. Each ledger's numbers are bit for bit what it would hold
+    alone.
     """
 
-    def __init__(self, tables: PriorTables):
+    def __init__(self, tables: PriorTables, rows: int | None = None):
         self.tables = tables
-        self.translog = np.zeros(tables.prior.n)
         S, A, H = tables.S, tables.A, tables.H
-        self.reward_counts = np.zeros((S, A, H, len(tables.support)), dtype=int)
+        lead = () if rows is None else (rows,)
+        self.translog = np.zeros(lead + (tables.prior.n,))
+        self.reward_counts = np.zeros(lead + (S, A, H, len(tables.support)), dtype=int)
         # entries visiting each (x, a, h): a trajectory visits each stage
         # once, so these are also its occurrence counts
-        self.visits = np.zeros((S, A, H), dtype=int)
+        self.visits = np.zeros(lead + (S, A, H), dtype=int)
         # (x-1, a-1, h-1) as one index into an (S, A, H) array; the buffer
         # doubles when full, and occurrences() is its filled prefix
-        self._occ = np.empty(4 * H, dtype=np.intp)
+        self._occ = np.empty(lead + (4 * H,), dtype=np.intp)
         self._n_occ = 0
 
+    def row(self, r: int) -> LedgerState:
+        """Ledger r of a stack, as a one-ledger state viewing its arrays."""
+        one = object.__new__(LedgerState)
+        one.tables, one._n_occ = self.tables, self._n_occ
+        one.translog, one.reward_counts = self.translog[r], self.reward_counts[r]
+        one.visits, one._occ = self.visits[r], self._occ[r]
+        return one
+
+    def keep(self, rows: list) -> None:
+        """Drop every ledger of a stack but ``rows``, in that order."""
+        self.translog, self.reward_counts = self.translog[rows], self.reward_counts[rows]
+        self.visits, self._occ = self.visits[rows], self._occ[rows]
+
     def push_entry(self, traj) -> None:
-        """Add one entry's trajectory. Censored rewards (None) are skipped;
-        a revealed reward outside the support has mass 0 under every atom."""
+        """Add one entry's trajectory to a one-ledger state."""
+        self.push_entries([traj.steps])
+
+    def push_entries(self, steps: list) -> None:
+        """Add one entry per ledger, ``steps[r]`` the trajectory steps of
+        ledger r, all of one length (one ledger: a list of one). Censored
+        rewards (None) are skipped; a revealed reward outside the support
+        has mass 0 under every atom."""
         tables = self.tables
-        self.translog += tables.entry_translog(traj.steps)
-        n = self._n_occ
-        if n + len(traj.steps) > len(self._occ):
-            self._occ = np.concatenate([self._occ, np.empty_like(self._occ)])
-        A, H = tables.A, tables.H
+        A, H, V = tables.A, tables.H, len(tables.support)
+        R, L = len(steps), len(steps[0])
+        # views of a one-ledger state's arrays as a stack of one
+        translog = self.translog.reshape(R, -1)
+        counts = self.reward_counts.reshape(R, -1)
+        visits = self.visits.reshape(R, -1)
+        x = np.array([s.x - 1 for row in steps for s in row], dtype=np.intp).reshape(R, L)
+        t = np.array([((s.x - 1) * A + s.a - 1) * H + s.h - 1 for row in steps for s in row],
+                     dtype=np.intp).reshape(R, L)
+        translog += tables.entry_translog(x, t)
         find = tables.lattice.support_ix.get
-        for s in traj.steps:
-            if s.r is not None:
-                k = find((s.r.numerator, s.r.denominator))
-                if k is None:
-                    self.translog[:] = -np.inf
-                else:
-                    self.reward_counts[s.x - 1, s.a - 1, s.h - 1, k] += 1
-            self.visits[s.x - 1, s.a - 1, s.h - 1] += 1
-            self._occ[n] = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
-            n += 1
-        self._n_occ = n
+        for r, row in enumerate(steps):
+            for i, s in enumerate(row):
+                if s.r is not None:
+                    k = find((s.r.numerator, s.r.denominator))
+                    if k is None:
+                        translog[r] = -np.inf
+                    else:
+                        counts[r, t[r, i] * V + k] += 1
+        # each (row, triple) appears once: a trajectory visits each stage once
+        visits[np.arange(R)[:, None], t] += 1
+        n = self._n_occ
+        if n + L > self._occ.shape[-1]:
+            self._occ = np.concatenate([self._occ, np.empty_like(self._occ)], axis=-1)
+        self._occ.reshape(R, -1)[:, n:n + L] = t
+        self._n_occ = n + L
 
     def occurrences(self) -> np.ndarray:
-        return self._occ[:self._n_occ]
+        return self._occ[..., :self._n_occ]
 
-    def posteriors(self, mask: np.ndarray) -> tuple[Posterior, Posterior]:
-        """The canonical posterior of the entries' transitions alone (the
-        censored ledger's), and the same restricted to ``mask``: both
-        normalize the one sum of the prior's log weights and ``translog``."""
+    def posteriors(self, mask: np.ndarray) -> np.ndarray:
+        """The weights of the canonical posterior of the entries'
+        transitions alone (the censored ledger's), and of the same
+        restricted to ``mask``, stacked in that order: both normalize the
+        one sum of the prior's log weights and ``translog``, in one stacked
+        normalization."""
         tables = self.tables
         ll = tables.log_weights + self.translog
-        return (tables.posterior_from_loglik(ll, weighted=True),
-                tables.posterior_from_loglik(ll, mask, weighted=True))
+        return tables.posterior_from_loglik(np.array([ll, np.where(mask, ll, -np.inf)]),
+                                            weighted=True).weights
 
     def revealed_posterior(self, counts: np.ndarray) -> Posterior:
         """The canonical posterior of the entries with the revealed-reward
-        ``counts``."""
+        ``counts``; counts stacked on leading axes before a stack's rows
+        give one posterior per stacked count."""
         ll = self.translog + self.tables.reward_loglik(counts)
         return self.tables.posterior_from_loglik(ll)
 

@@ -14,7 +14,9 @@ output. The families of the game loop, and how each address is read:
                             Lemire rejection below n_phase
     ("hal-model", l)        hallucinated-model draw: one uniform
     ("hal-rewards", l)      hallucinated reward draws: numpy, one uniform
-                            per explored ledger occurrence
+                            per explored ledger occurrence; none at all
+                            when every explored occurrence's law under the
+                            hallucinated atom is a point mass
     ("traj", k)             trajectory rollout of episode k: 2H uniforms
 
 ``stream(seed, family, index)`` is the numpy Generator at an address;
@@ -207,20 +209,25 @@ def integer_below(key: int, index: int, n: int) -> int:
                     return m >> 32
 
 
-def index_from_uniform(probs, u: float) -> int:
+def index_from_uniform(probs, u):
     """The index a uniform u in [0, 1) selects from a probability vector
     (floats or Fractions): the first i with u < p[0] + ... + p[i].
 
     The float sums accumulate left to right (``np.cumsum`` adds in
-    sequence). They can end just below 1, so a u past them falls back to
-    the last index with positive mass; a zero-mass index is never
-    returned.
+    sequence), so the index is the count of sums <= u. They can end just
+    below 1, so a u past them falls back to the last index with positive
+    mass; a zero-mass index is never returned. A float array of rows with
+    one uniform per row gives each row's index, as an int array: each
+    row's sums are its own.
     """
-    cum = np.cumsum(probs if isinstance(probs, np.ndarray) else [float(p) for p in probs])
-    i = int(cum.searchsorted(u, side="right"))
-    if i < len(cum):
-        return i
-    return max(i for i, p in enumerate(probs) if p > 0)
+    cum = np.cumsum(probs if isinstance(probs, np.ndarray) else [float(p) for p in probs],
+                    axis=-1)
+    i = (cum <= np.asarray(u)[..., None]).sum(axis=-1)
+    past = i == cum.shape[-1]
+    if past.any():
+        positive = np.asarray(probs) > 0
+        i = np.where(past, cum.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1), i)
+    return int(i) if i.ndim == 0 else i
 
 
 def cumulative_row(probs) -> list[float]:

@@ -38,6 +38,7 @@ from ielab import (
     prob_parameters,
     raw_ledger,
     run_game,
+    run_games,
     simulation_gap,
 )
 from ielab.analysis import (
@@ -239,10 +240,8 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
     cfg = MechanismConfig(theory["n_phase_theory"], n_lrn, eps_pun, 320,
                           rho=Fraction(1, 4))
     good = 0
-    for seed in range(500):
-        agent = make_agent("canonical_truster", stoch_prior, cfg)
-        log = run_game(cfg, stoch_prior, agent, seed=seed,
-                       episode_log="hallucination")
+    for log in run_games(cfg, stoch_prior, lambda: make_agent("canonical_truster", stoch_prior, cfg),
+                         range(500), episode_log="hallucination"):
         est = empirical_estimators(log, n_lrn, stoch_prior.shape[0])
         m = stoch_prior.atoms[log.true_atom]
         ok = all(
@@ -257,17 +256,17 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
     part_a = good >= 450
 
     # (b) posterior good-model mass, fixed tolerances, trend over n_lrn
-    def good_mass(n, seed, er_fix=0.25, ep_fix=0.2):
+    def good_mass(n, seeds, er_fix=0.25, ep_fix=0.2):
+        """Each seed's good-model mass, keyed by seed."""
         cfg_n = MechanismConfig(theory["n_phase_theory"], n, eps_pun,
                                 6 * n + 40, rho=Fraction(1, 4))
-        agent = make_agent("canonical_truster", stoch_prior, cfg_n)
         out = {}
 
         def hook(ctx, log):
             if (8 - len(ctx.U)) >= 4 or ctx.ell == cfg_n.total_phases:
                 post = ctx.fast.revealed_posterior(ctx.hal_counts)
                 m_star = stoch_prior.atoms[log.true_atom]
-                out["mass"] = sum(
+                out[log.seed] = sum(
                     w for i, w in enumerate(post.weights)
                     if w > 1e-15 and good_model_predicate(
                         stoch_prior.atoms[i], m_star, ctx.U, cfg_n.eps_pun, er_fix, ep_fix)
@@ -275,24 +274,24 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
                 return True
             return False
 
-        run_game(cfg_n, stoch_prior, agent, seed=seed,
-                 episode_log="hallucination", phase_hook=hook)
-        return out.get("mass", 0.0)
+        for _ in run_games(cfg_n, stoch_prior,
+                           lambda: make_agent("canonical_truster", stoch_prior, cfg_n), seeds,
+                           episode_log="hallucination", phase_hook=hook):
+            pass
+        return out
 
     grid = (1, 4, 16, 64)
-    means = [sum(good_mass(n, s) for s in range(200)) / 200 for n in grid]
+    masses = [good_mass(n, range(200)) for n in grid]
+    means = [sum(m.get(s, 0.0) for s in range(200)) / 200 for m in masses]
     part_b = all(means[i] <= means[i + 1] + 1e-12 for i in range(len(grid) - 1))
 
     # (c) exploration with overridden small parameters within 3 L_0 phases
     _, rep4 = prob_parameters(stoch_factored, Fraction(1, 4), 0.1, n_lrn_override=4)
     cap = min(400, 3 * rep4["L_0"])
     cfg4 = MechanismConfig(rep4["n_phase_theory"], 4, eps_pun, cap, rho=Fraction(1, 4))
-    explored = []
-    for seed in range(100):
-        agent = make_agent("canonical_truster", stoch_prior, cfg4)
-        log = run_game(cfg4, stoch_prior, agent, seed=seed, episode_log="hallucination",
-                       phase_hook=lambda ctx, log: ctx.covered_at is not None)
-        explored.append(log.summary["phases_to_coverage"])
+    explored = [log.summary["phases_to_coverage"] for log in run_games(
+        cfg4, stoch_prior, lambda: make_agent("canonical_truster", stoch_prior, cfg4), range(100),
+        episode_log="hallucination", phase_hook=lambda ctx, log: ctx.covered_at is not None)]
     frac = sum(1 for e in explored if e is not None and e <= 3 * rep4["L_0"]) / len(explored)
     part_c = frac >= 0.95
 

@@ -64,7 +64,7 @@ from ielab import (
 )
 from ielab.agents import _mechanism_weights_float
 from ielab.analysis import sufficiently_visiting_policies
-from ielab.mechanism import hallucination_prior_prob
+from ielab.mechanism import hallucination_prior_prob, phase_episodes
 from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set, over_common_den
@@ -385,15 +385,19 @@ def test_one_step_argmax_random_priors(prior):
 
 
 class RecordingAgent(AgentSpec):
-    """A float fully-rational agent that records, at every in-run choice,
-    its episode and its fast posterior weights under (ell, kind)."""
+    """A float fully-rational agent that records, at every in-run choice of
+    a one-seed run, an episode of the phase (every episode of a phase has
+    the same hallucination prior) and its fast posterior weights under
+    (ell, kind)."""
 
-    def choose_signal(self, k, ell, kind, ctx):
+    def choose_signal(self, ell, kinds, ctx):
         p0 = float(hallucination_prior_prob(self.config, ell))
-        fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
-                                           ctx.counts_of(kind), ctx.punish_mask, p0)
-        self.weights[ell, kind] = (k, fast)
-        return super().choose_signal(k, ell, kind, ctx)
+        for kind in kinds:
+            fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
+                                               ctx.counts_of(kind), ctx.punish_mask, p0)
+            (row,) = fast  # the batch's one seed
+            self.weights[ell, kind] = (phase_episodes(self.config, ell)[0], row)
+        return super().choose_signal(ell, kinds, ctx)
 
 
 @settings(max_examples=25, deadline=None)

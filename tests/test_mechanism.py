@@ -534,6 +534,138 @@ def test_run_games_logs_equal_run_game(mode, draw_rows, monkeypatch, det_prior, 
         assert [log.write() for log in logs] == alone
 
 
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, det_config,
+                                                stoch_factored, stoch_prior):
+    """A seed's log (``GameLog.write``) is the same played alone, in a full
+    lockstep batch and in a partial last batch: seeds [5, 2, 9, 2, 0, 7]
+    play as the batches [5, 2, 9, 2] and [0, 7]. The cases: the
+    hal-rewards config (eps_pun 3/4), whose reward draws take the general
+    path, with both episode logs; det with ``track_hh``; a ``true_model``
+    override; and a hook that stops the seeds at phases 3 to 6, so seeds
+    stop while others of their batch play on."""
+    base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                              n_lrn_override=8, total_phases_override=40)
+    hal_rewards = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
+
+    def stop(ctx, log):
+        return ctx.ell == 3 + log.seed % 4
+
+    cases = [
+        (stoch_prior, hal_rewards, {"episode_log": "hallucination", "phase_hook": stop}),
+        (stoch_prior, MechanismConfig(16, 2, Fraction(3, 4), 5, rho=Fraction(1, 4)),
+         {"episode_log": "full"}),
+        (det_prior, MechanismConfig(40, 1, det_config.eps_pun, 8),
+         {"episode_log": "hallucination", "track_hh": True, "phase_hook": stop}),
+        (det_prior, det_config, {"episode_log": "hallucination", "true_model": det_prior.atoms[19],
+                                 "track_hh": True}),
+    ]
+    seeds = [5, 2, 9, 2, 0, 7]
+    monkeypatch.setattr(mechanism, "_BATCH_SEEDS", 4)
+    for prior, cfg, options in cases:
+        alone = [run_game(cfg, prior, make_agent(mode, prior, cfg), seed, **options).write()
+                 for seed in seeds]
+        logs = list(run_games(cfg, prior, lambda: make_agent(mode, prior, cfg), seeds, **options))
+        assert [log.seed for log in logs] == seeds
+        assert [log.write() for log in logs] == alone
+
+
+def test_sweep_reads_each_draw_family_once(monkeypatch, stoch_factored, stoch_prior):
+    """A sweep whose (seed, phase) rows fit in ``_DRAW_ROWS`` reads the
+    truth, hal-model and traj families in one ``rng.uniform_rows`` call
+    each and k* in one ``rng.integer_rows`` call, across its batches."""
+    from ielab import rng
+
+    cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                             n_lrn_override=8, total_phases_override=40)
+    calls = {"uniform_rows": 0, "integer_rows": 0}
+
+    def counted(name):
+        inner = getattr(rng, name)
+
+        def reader(*args):
+            calls[name] += 1
+            return inner(*args)
+        return reader
+
+    for name in calls:
+        monkeypatch.setattr(rng, name, counted(name))
+    seeds = range(10)  # three batches, 400 rows
+    logs = list(run_games(cfg, stoch_prior, lambda: make_agent("canonical_truster", stoch_prior,
+                                                                cfg),
+                          seeds, episode_log="hallucination"))
+    assert len(logs) == 10 and len(seeds) * cfg.total_phases <= mechanism._DRAW_ROWS
+    assert calls == {"uniform_rows": 3, "integer_rows": 1}
+
+
+def test_batch_shares_reachable_triples_per_transition_table(monkeypatch, det_prior,
+                                                             det_config):
+    """Every micro_det_1 atom has the one transition table, so a batch's
+    seeds compute the policies' ``reachable_triples`` once: 8 seeds in two
+    batches walk each policy twice."""
+    walks = []
+
+    def counted(model, policy):
+        walks.append(policy.encoding)
+        return reachable_triples(model, policy)
+
+    monkeypatch.setattr(mechanism, "reachable_triples", counted)
+    monkeypatch.setattr(mechanism, "_BATCH_SEEDS", 4)
+    logs = list(run_games(det_config, det_prior,
+                          lambda: make_agent("fully_rational", det_prior, det_config), range(8),
+                          episode_log="hallucination", track_hh=True))
+    assert len({log.true_atom for log in logs}) > 2
+    assert sorted(walks) == sorted(2 * [pol.encoding for pol in shared_tables(det_prior).policies])
+
+
+@pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
+def test_point_mass_hallucinated_rewards_build_no_generator(mode, monkeypatch, det_prior,
+                                                           det_config, stoch_factored,
+                                                           stoch_prior):
+    """On micro_det_1 and micro_stoch_1 at their schedules' eps_pun, the
+    hallucinated atom's law at every explored triple is a point mass, so
+    the runs draw their hallucinated rewards without a Generator; the
+    draws still happen (explored occurrences are counted)."""
+    from ielab import rng
+
+    def refuse(key, index):
+        raise AssertionError("a Generator was built for point-mass rewards")
+
+    monkeypatch.setattr(rng, "generator", refuse)
+    stoch_cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                                   n_lrn_override=8, total_phases_override=40)
+    for prior, cfg, seeds in ((det_prior, det_config, range(8)), (stoch_prior, stoch_cfg, range(6))):
+        drawn = []
+
+        def hook(ctx, log):
+            drawn.append(int(ctx.hal_counts.sum()))
+
+        list(run_games(cfg, prior, lambda: make_agent(mode, prior, cfg), seeds,
+                       episode_log="hallucination", phase_hook=hook))
+        assert max(drawn) > 0
+
+
+def test_hal_rewards_config_builds_generators(monkeypatch, stoch_factored, stoch_prior):
+    """At eps_pun 3/4 the hallucinated atom's laws are Bernoulli, so the
+    general draw reads ("hal-rewards", ell) through ``rng.generator``."""
+    from ielab import rng
+
+    built = []
+    inner = rng.generator
+
+    def counted(key, index):
+        built.append(index)
+        return inner(key, index)
+
+    monkeypatch.setattr(rng, "generator", counted)
+    base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                              n_lrn_override=8, total_phases_override=40)
+    cfg = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
+    run_game(cfg, stoch_prior, make_agent("canonical_truster", stoch_prior, cfg), 0,
+             episode_log="hallucination")
+    assert built
+
+
 def test_phase_lines_match_json_dumps(monkeypatch, capsys):
     """``PhaseRecord.text()`` is the generic encoder's line of its
     ``to_dict()``: on every phase of every golden run, and on hand-made

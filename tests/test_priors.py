@@ -447,3 +447,31 @@ def test_expansion_cap():
     )
     with pytest.raises(CapExceeded):
         fp.expand(cap=10)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 127, 128, 129, 256, 512, 4096])
+def test_stacked_float_operations_equal_their_rows(n):
+    """The lockstep run loop rests on these bit identities: on a stack of
+    R rows, a row's sum, cumsum, exp and log, and its (R, 1, n) @ (n, P)
+    product, equal the same operation on that row alone (``w @ V`` for the
+    product). A plain (R, n) @ (n, P) product is not among them. Values
+    spread over hundreds of orders of magnitude, with zeros; R includes 1.
+    A numpy or BLAS change that breaks one fails here before any golden
+    digest does."""
+    rng = np.random.default_rng(n)
+    for R in (1, 2, 5, 17):
+        w = np.exp(rng.uniform(-700, 0, (R, n))) * rng.random((R, 1))
+        w[rng.random((R, n)) < 0.2] = 0.0
+        V = rng.random((n, 16)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        ll = rng.uniform(-745, 0, (R, n))
+        with np.errstate(divide="ignore"):
+            pairs = [
+                (w.sum(axis=-1), [row.sum() for row in w]),
+                (np.cumsum(w, axis=-1), [np.cumsum(row) for row in w]),
+                (np.exp(ll), [np.exp(row) for row in ll]),
+                (np.log(w), [np.log(row) for row in w]),
+                ((w[:, None, :] @ V)[:, 0, :], [row @ V for row in w]),
+            ]
+        for stacked, rows in pairs:
+            for got, want in zip(stacked, rows):
+                assert np.array_equal(got, want)
