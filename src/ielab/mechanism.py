@@ -707,14 +707,6 @@ class RunDraws:
         self._u_traj = rngmod.uniform_rows(keys("traj"), self._k_star, self.n_uniforms)
 
 
-def _transition_key(lattice, atom: int) -> tuple:
-    """The atom's init vector and transition rows as their indices among
-    the lattice's distinct rows: atoms with one key share one transition
-    table."""
-    n, T = lattice.n, lattice.S * lattice.A * lattice.H
-    return (lattice.vec_ix[atom], *lattice.vec_ix[n + atom * T:n + (atom + 1) * T])
-
-
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
              true_model: TabularModel | None = None, episode_log: str = "full",
              phase_hook=None, track_hh: bool = False, draws=None):
@@ -723,14 +715,14 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     ``seed`` is one seed, or a list of seeds that the loop plays in
     lockstep, one phase of every seed at a time, returning their GameLogs
     in order; each log is bit for bit the one-seed run's. ``agent``
-    follows the agents.AgentSpec protocol and chooses for every seed of
-    the batch at once. ``episode_log`` is "full" (simulate and record
-    every episode) or "hallucination" (simulate only the episodes that
-    feed the mechanism; phase records are bit-identical between the modes
-    because every draw has its own counter address).
+    follows the agents.AgentSpec protocol and chooses for all the seeds
+    at once. ``episode_log`` is "full" (simulate and record every
+    episode) or "hallucination" (simulate only the episodes that feed the
+    mechanism; phase records are bit-identical between the modes because
+    every draw has its own counter address).
 
     The truth, hal-model, kstar and k* traj draws come from ``draws``, the
-    pair (``RunDraws``, the batch's first index in it) that ``run_games``
+    pair (``RunDraws``, the first seed's index in it) that ``run_games``
     passes; by default the seeds read them as a ``RunDraws`` of their own.
     Phase ell reads ("hal-rewards", ell) through ``rng.generator``, since
     its draw count is known only at the phase, and only where some
@@ -738,28 +730,25 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     mass. A full-log phase of several episodes reads a seed's episode rows
     as one ``rng.uniform_rows`` array and rolls out its honest rows in one
     block (``mdp.rollout_rows``); the hallucination episode's trajectory
-    comes from the scalar ``mdp.rollout``, as in every one-episode phase.
-    Each phase appends one ``EpisodeBlock`` per seed, no object per
-    episode.
+    comes from the scalar ``mdp.rollout``. Each phase appends one
+    ``EpisodeBlock`` per seed, no object per episode.
 
-    The seeds' ledgers are one stacked ``LedgerState``. Per phase the
-    posteriors, the hallucinated-model draw, the greedy choices and the
-    entry's transition mass are stacked operations whose rows equal the
-    one-seed results bit for bit (row sums, row cumsums, elementwise
-    logs and exps, one-row products). What sums over a seed's own
-    columns stays per seed: ``punish_prob`` and the fully rational
-    agent's punish-event sums over its compacted event, and
-    ``PriorTables.reward_loglik`` over its positive counts. U, new
-    triples, coverage and the visit counts are read from the one visit
-    count, ``LedgerState.visits``. The agents choose on the float count
-    state; ``replay_signals`` rebuilds the signal ledgers from the log for
-    an exact check after the run. ``phase_hook(ctx, log)`` runs for each
-    seed after each phase's bookkeeping, with the seed's own context;
-    returning True stops that seed's run, and the others play on.
-    ``track_hh`` evaluates the phase-length incentive condition per phase
-    against the sufficiently-visiting policy set of the true model and
-    records it and its slack, rhs - lhs (micro scale only; None where the
-    policy split degenerates).
+    The seeds' ledgers are one stacked ``LedgerState``, and a phase's
+    posteriors, hallucinated-model draws, greedy choices and entry masses
+    are stacked operations whose rows are bit for bit the one-seed
+    results; the sums over a seed's own columns (``punish_prob``, the
+    fully rational agent's punish-event sums, ``reward_loglik``) stay per
+    seed, since padding them would regroup the sums. U, new triples,
+    coverage and the visit counts are read from ``LedgerState.visits``.
+    ``replay_signals`` rebuilds the signal ledgers from the log for an
+    exact check of the float choices after the run.
+    ``phase_hook(ctx, log)`` runs for each seed after each phase's
+    bookkeeping, with the seed's own context; returning True stops that
+    seed's run while the others play on. ``track_hh`` evaluates the
+    phase-length incentive condition per phase against the
+    sufficiently-visiting policy set of the true model and records it and
+    its slack, rhs - lhs (micro scale only; None where the policy split
+    degenerates).
     """
     if episode_log not in ("full", "hallucination"):
         raise ValueError("episode_log must be 'full' or 'hallucination'")
@@ -783,7 +772,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     by_table = {}
     statics = []
     for j, model in zip(true_atoms, true_models):
-        key = None if j < 0 else _transition_key(tables.lattice, j)
+        key = None if j < 0 else tables.lattice.transition_key(j)
         if key not in by_table:
             target = reach_set(model, rho)
             mask = np.zeros((S, A, H), dtype=bool)

@@ -581,25 +581,28 @@ class LedgerState:
         tables = self.tables
         A, H, V = tables.A, tables.H, len(tables.support)
         R, L = len(steps), len(steps[0])
-        # views of a one-ledger state's arrays as a stack of one
-        translog = self.translog.reshape(R, -1)
-        counts = self.reward_counts.reshape(R, -1)
-        visits = self.visits.reshape(R, -1)
-        x = np.array([s.x - 1 for row in steps for s in row], dtype=np.intp).reshape(R, L)
-        t = np.array([((s.x - 1) * A + s.a - 1) * H + s.h - 1 for row in steps for s in row],
-                     dtype=np.intp).reshape(R, L)
-        translog += tables.entry_translog(x, t)
         find = tables.lattice.support_ix.get
+        # each step's state and flat triple, and the flat reward-count
+        # index of each revealed reward in the support
+        xs, ts, revealed, outside = [], [], [], []
         for r, row in enumerate(steps):
-            for i, s in enumerate(row):
+            for s in row:
+                t = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
+                xs.append(s.x - 1)
+                ts.append(t)
                 if s.r is not None:
                     k = find((s.r.numerator, s.r.denominator))
                     if k is None:
-                        translog[r] = -np.inf
+                        outside.append(r)
                     else:
-                        counts[r, t[r, i] * V + k] += 1
-        # each (row, triple) appears once: a trajectory visits each stage once
-        visits[np.arange(R)[:, None], t] += 1
+                        revealed.append((r * H * A * tables.S + t) * V + k)
+        x, t = np.array(xs).reshape(R, L), np.array(ts).reshape(R, L)
+        translog = self.translog.reshape(R, -1)  # a one-ledger state's as a stack of one
+        translog += tables.entry_translog(x, t)
+        translog[outside] = -np.inf
+        # each (ledger, triple) appears once: a trajectory visits each stage once
+        self.reward_counts.reshape(-1)[revealed] += 1
+        self.visits.reshape(R, -1)[np.arange(R)[:, None], t] += 1
         n = self._n_occ
         if n + L > self._occ.shape[-1]:
             self._occ = np.concatenate([self._occ, np.empty_like(self._occ)], axis=-1)
@@ -737,6 +740,13 @@ class ExactLattice:
     def _triple(self, x: int, a: int, h: int) -> int:
         """The flat index of (x, a, h): C order over (S, A, H)."""
         return ((x - 1) * self.A + a - 1) * self.H + h - 1
+
+    def transition_key(self, atom: int) -> tuple:
+        """The atom's init vector and transition rows as their positions
+        among the distinct rows: atoms with one key share one transition
+        table."""
+        n, T = self.n, self.S * self.A * self.H
+        return (self.vec_ix[atom], *self.vec_ix[n + atom * T:n + (atom + 1) * T])
 
     def trans_feature(self, x: int, a: int, h: int, y: int) -> int:
         """The feature of the transition from (x, a, h) to state y."""
