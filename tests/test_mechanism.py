@@ -48,11 +48,11 @@ from ielab import harness, mechanism
 from ielab.cli import main
 from ielab.harness import _write_artifact
 from ielab.instances import random_model
-from ielab.mdp import (MarkovPolicy, Step, event_visit_probability, reach_set,
-                       reachable_triples, rollout)
+from ielab.mdp import (MarkovPolicy, Step, Trajectory, complement_triples,
+                       event_visit_probability, reach_set, reachable_triples, rollout)
 from ielab.mechanism import (EpisodeBlock, PhaseRecord, _dumps, _hh_exploring_policies,
                              hallucination_prior_prob)
-from ielab.priors import shared_tables
+from ielab.priors import LedgerState, exact_lattice, shared_tables
 from ielab.rng import index_from_uniform, stream
 
 
@@ -882,6 +882,137 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                         nonzero += bool(s.r)
                 assert np.array_equal(in_run[ell], want)
         assert nonzero > 0
+
+
+_U = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def float_posterior_error_bound(prior, ledger) -> float:
+    """A bound rho on |w_hat_i / w_i - 1| over the atoms of positive exact
+    weight w_i, for the run loop's float canonical posterior w_hat of
+    ``ledger`` (its ``PriorTables.posterior_from_loglik``).
+
+    The float route takes per atom l_i = log w0_i + sum_f c_f log p_if
+    over the ledger's count signature (c_f > 0, p_if the atom's mass of
+    feature f), then w_i = exp(l_i - t) / sum_j exp(l_j - t), t = max_j
+    l_j. Let u = 2**-53, gamma(k) = k u / (1 - k u), M = the largest
+    |log w0_i| + sum_f c_f |log p_if| over the positive atoms, C = 1 +
+    sum_f c_f, and K = C + F + 2 (F the lattice's feature count), at
+    least the number of terms in l_i however the route groups them: one
+    per counted feature, one per step accumulated entry by entry. numpy's
+    float64 log and exp are taken as accurate within 4 ulp, and ulp(y) <=
+    2u |y|.
+
+    - A stored log of a correctly rounded mass fl(p) = p (1 + d), |d| <= u,
+      is log p + a with |a| <= 8u |log p| + 2u.
+    - The inner product of the counts with the stored logs carries at
+      most gamma(K) times the sum of the terms' magnitudes, in any
+      summation order, fused multiply-adds included (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., eq. (3.5) and Lemma
+      3.3). With the logs' own errors, |l_hat_i - l_i| <= gamma(K + 11)
+      (M + C).
+    - l_hat_i - t_hat rounds by at most u |l_hat_i - t_hat| <= 2.01 u M;
+      exp adds a relative 8u; the sum of n positive terms gamma(n - 1)
+      (Higham, section 4.2), and the quotient u.
+
+    So each unnormalized weight is off by a factor within exp(+-eta),
+    eta = gamma(K + 14) (M + C) + 8.01 u, the shared sum by the same factor
+    times 1 +- gamma(n - 1), and rho = expm1(2 gamma(K + 14) (M + C) +
+    gamma(n + 17)). An exp that underflows breaks the relative bound but
+    leaves an absolute error below 2**-1021 after a normalization by a
+    sum >= 1 (the top term is exp(0) = 1), which the check allows.
+    """
+    lattice = exact_lattice(prior)
+    sig = lattice.count_signature(ledger)
+    weights = np.array(lattice.weights, dtype=float)
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.array(lattice.columns[f], dtype=float) / lattice.den) for f, _ in sig]
+        mag = np.abs(np.log(weights / weights.sum()))
+        for (_, c), log_p in zip(sig, logs):
+            mag = mag + c * np.abs(log_p)
+    M = float(mag[np.isfinite(mag)].max())
+    C = 1 + sum(c for _, c in sig)
+    K = C + len(lattice.columns) + 2
+    return math.expm1(2 * _gamma(K + 14) * (M + C) + _gamma(prior.n + 17))
+
+
+def assert_within_bound(got, exact, rho: float, tiny: float = 2.0 ** -1021) -> None:
+    """Float weights against an exact posterior's: exactly 0 where the
+    exact weight is 0, else within rho relative plus ``tiny`` absolute.
+    Converting the exact weight, one correctly rounded int division,
+    adds u, so the relative allowance is rho + 2u."""
+    nums, den = exact.masses
+    want = np.array([v / den for v in nums])
+    zero = np.array([v == 0 for v in nums])
+    assert np.array_equal(got[zero], want[zero])
+    assert (np.abs(got - want) <= (rho + 2 * _U) * want + tiny).all()
+
+
+@pytest.mark.parametrize("instance", ["det", "stoch"])
+def test_in_run_float_posteriors_equal_exact_posteriors(instance, det_prior, det_config,
+                                                        stoch_factored, stoch_prior):
+    """Every phase's float posteriors equal the exact posteriors of the
+    signal ledgers ``replay_signals`` rebuilds, within the forward-error
+    bound of ``float_posterior_error_bound``: det seeds 0..9 on the
+    certified schedule and micro_stoch_1 seeds 0..4 at n_lrn 8 over 40
+    phases, in both agent modes.
+
+    Read through ``phase_hook``: the censored weights ``ctx.cens_weights``
+    against ``canonical_posterior`` of the censored ledger; the
+    punish-conditioned weights, those renormalized on ``ctx.punish_mask``,
+    against ``hallucination_posterior`` of the same ledger and the punish
+    event of the phase's U (the renormalization adds a factor (1 + rho) /
+    (1 - rho) (1 + gamma(n)) to the relative bound, and divides the
+    absolute one by the float punish mass); and the revealed posteriors of
+    ``ctx.hal_counts`` and ``ctx.hon_counts`` against ``canonical_posterior``
+    of the hallucinated and honest ledgers. The hook runs after the
+    phase's entry is pushed, so the revealed posteriors are taken on a
+    ``LedgerState`` of the replayed raw ledger, folded entry by entry as
+    the run folds it."""
+    if instance == "det":
+        prior, cfg, seeds = det_prior, det_config, range(10)
+    else:
+        cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
+                                 n_lrn_override=8, total_phases_override=40)
+        prior, seeds = stoch_prior, range(5)
+    S, A, H = prior.shape
+    tables = shared_tables(prior)
+    for mode in ("canonical_truster", "fully_rational"):
+        for seed in seeds:
+            seen = {}
+
+            def hook(ctx, log):
+                seen[ctx.ell] = (ctx.cens_weights.copy(), ctx.punish_mask.copy(),
+                                 ctx.hal_counts.copy(), ctx.hon_counts.copy(), ctx.U)
+
+            log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
+                           episode_log="hallucination", phase_hook=hook)
+            state = LedgerState(tables)
+            for (ell, signals), (_, _, hal_steps) in zip(replay_signals(log, prior),
+                                                         log.hallucination_history()):
+                cens, mask, hal_counts, hon_counts, U = seen[ell]
+                censored = signals["censored"]
+                rho = float_posterior_error_bound(prior, censored)
+                assert_within_bound(cens, canonical_posterior(prior, censored), rho)
+
+                punish = punish_event(prior, complement_triples(U, S, A, H), cfg.eps_pun)
+                assert np.array_equal(mask, tables.event_mask(punish))
+                punish_mass = (cens * mask).sum()
+                assert punish_mass >= 2.0 ** -21
+                rho_hal = (1 + rho) / (1 - rho) * (1 + _gamma(prior.n)) - 1
+                assert_within_bound(cens * mask / punish_mass,
+                                    hallucination_posterior(prior, censored, punish), rho_hal,
+                                    2.0 ** -1021 / punish_mass)
+
+                for kind, counts in (("hallucinated", hal_counts), ("honest", hon_counts)):
+                    rho = float_posterior_error_bound(prior, signals[kind])
+                    assert_within_bound(state.revealed_posterior(counts).weights,
+                                        canonical_posterior(prior, signals[kind]), rho)
+                state.push_entry(Trajectory(hal_steps))
 
 
 def test_run_bookkeeping_follows_the_raw_ledger(det_prior, det_config, stoch_factored,
