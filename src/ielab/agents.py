@@ -99,22 +99,18 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     form of ``_mechanism_weights_exact``, with B the revealed-reward
     masses: the log-masses are shifted by their largest finite value
     first, which cancels in the weights and p_hal and keeps B from
-    underflowing on long ledgers. The sums over the punish event run per
-    ledger over its own compacted event, as they would alone.
+    underflowing on long ledgers. The sums over the punish event are
+    masked full-length row sums, one stacked sum per quantity.
     """
     logB = tables.reward_loglik(counts)
-    can, punish = np.broadcast_to(can, logB.shape), np.broadcast_to(punish, logB.shape)
     finite = np.isfinite(logB)
     # a ledger with no finite log-mass has B = exp(-inf) = 0
     top = np.where(finite.any(axis=-1, keepdims=True),
                    np.max(logB, axis=-1, keepdims=True, where=finite, initial=-np.inf), 0.0)
     B = np.exp(logB - top)
-    n = can.shape[-1]
-    A = np.zeros(can.shape[:-1] + (1,))
-    for c, b, m, a in zip(can.reshape(-1, n), B.reshape(-1, n), punish.reshape(-1, n),
-                          A.reshape(-1, 1)):
-        pun_mass = float(c[m].sum())
-        a[0] = float((c[m] * b[m]).sum()) / pun_mass if pun_mass > 0 else 0.0
+    pun_mass = (can * punish).sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.where(pun_mass > 0, (can * B * punish).sum(axis=-1, keepdims=True) / pun_mass, 0.0)
     w = can * (p0 * A + (1.0 - p0) * B)
     total = w.sum(axis=-1, keepdims=True)
     if (total <= 0).any():

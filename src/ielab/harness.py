@@ -86,21 +86,26 @@ class ExperimentConfig:
         return self.raw.get(key, default)
 
     def seeds(self) -> list[int]:
+        """The seeds to run: nonempty and distinct, one ``run-<seed>`` each."""
         spec = self.raw.get("seeds")
         if spec is None:
             env = os.environ.get("IE_SEED")
             return [_parsed(env, "IE_SEED", _integer)] if env else [0]
         try:
             if isinstance(spec, int):
-                return [_integer(spec)]
-            if isinstance(spec, dict) and "range" in spec:
+                seeds = [_integer(spec)]
+            elif isinstance(spec, dict) and "range" in spec:
                 a, b = spec["range"]
-                return list(range(_integer(a), _integer(b) + 1))
-            if isinstance(spec, list):
-                return [_integer(s) for s in spec]
+                seeds = list(range(_integer(a), _integer(b) + 1))
+            elif isinstance(spec, list):
+                seeds = [_integer(s) for s in spec]
+            else:
+                raise ConfigError(f"bad seeds spec: {spec!r}")
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad seeds spec: {spec!r}") from e
-        raise ConfigError(f"bad seeds spec: {spec!r}")
+        if not seeds or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be nonempty and distinct: {spec!r}")
+        return seeds
 
 
 def _integer(value) -> int:

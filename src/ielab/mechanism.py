@@ -352,9 +352,10 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 # game loop
 
 
-# The game log's text format. Format 2: streams are counter-addressed,
-# so an episode line's draws are address ("traj", k) and it names no stream.
-LOG_FORMAT = 2
+# The game log's text format. Format 2: streams are counter-addressed, so an
+# episode line's draws are address ("traj", k) and it names no stream. Format
+# 3: punish_prob is a masked full-length row sum, which moves its last bits.
+LOG_FORMAT = 3
 
 
 def _dumps(obj) -> str:
@@ -733,13 +734,13 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     comes from the scalar ``mdp.rollout``. Each phase appends one
     ``EpisodeBlock`` per seed, no object per episode.
 
-    The seeds' ledgers are one stacked ``LedgerState``, and a phase's
-    posteriors, hallucinated-model draws, greedy choices and entry masses
-    are stacked operations whose rows are bit for bit the one-seed
-    results; the sums over a seed's own columns (``punish_prob``, the
-    fully rational agent's punish-event sums, ``reward_loglik``) stay per
-    seed, since padding them would regroup the sums. U, new triples,
-    coverage and the visit counts are read from ``LedgerState.visits``.
+    The seeds' ledgers are one stacked ``LedgerState`` of feature counts;
+    a phase's posteriors, ``punish_prob`` and the fully rational agent's
+    punish-event sums (masked full-length row sums), hallucinated-model
+    draws and greedy choices are stacked operations whose rows are bit for
+    bit the one-seed results. Per seed remain the U bookkeeping, the
+    general hallucinated-reward draws, the rollouts, records and hooks.
+    U, new triples, coverage and visits are read from ``LedgerState.visits``.
     ``replay_signals`` rebuilds the signal ledgers from the log for an
     exact check of the float choices after the run.
     ``phase_hook(ctx, log)`` runs for each seed after each phase's
@@ -841,7 +842,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                 f"phase {ell}: punish event empty on fully-explored set "
                 f"{sorted(explored[live[r]])} at eps_pun={eps} ({e})"
             ) from e
-        punish_prob = [float(w[m].sum()) for w, m in zip(cens_w, punish_mask)]
+        punish_prob = (cens_w * punish_mask).sum(axis=-1).tolist()
 
         hal_atoms = rngmod.index_from_uniform(hal_w, u_hal)
         hal_counts, needs_draw = _point_draws(tables, hal_atoms, fast.visits * explored_mask)

@@ -17,11 +17,11 @@ denominator. Fractions appear only at the boundary, in its ``weights``
 view and in the values and gaps these functions return.
 
 Floats live only in the run loop. ``PriorTables`` (``shared_tables``)
-reads its float arrays off the lattice's distinct int rows;
-``LedgerState`` accumulates a ledger's per-atom log-masses and reward
-counts entry by entry on them, and ``policy_values``, ``canonical_gap``
-and ``bayes_greedy`` take the float posteriors it makes as well as
-exact ones.
+reads its float arrays off the lattice's distinct int rows, among them a
+log-mass matrix over the feature index; ``LedgerState`` holds a ledger's
+counts in that index, so every float log-likelihood is one product of
+counts with log-masses. ``policy_values``, ``canonical_gap`` and
+``bayes_greedy`` take these float posteriors as well as exact ones.
 """
 
 from __future__ import annotations
@@ -330,13 +330,16 @@ def policy_values(posterior: Posterior) -> tuple:
 
     An exact posterior gives ints on its lattice over one positive
     denominator; a float posterior gives its weights times the
-    PriorTables value matrix, with den None.
+    PriorTables value matrix, with den None: for a stack of rows, the
+    stacked (..., 1, n) @ (n, P) product, whose rows' bits do not depend
+    on the other rows, where a plain (R, n) @ (n, P) product's would.
     """
     if posterior.exact:
         lattice = exact_lattice(posterior.prior)
         nums, den = posterior.masses
         return lattice.policy_values(nums), den * lattice.value_den
-    return posterior.weights @ shared_tables(posterior.prior).value_matrix, None
+    value_matrix = shared_tables(posterior.prior).value_matrix
+    return (posterior.weights[..., None, :] @ value_matrix)[..., 0, :], None
 
 
 def conditional_value(posterior: Posterior, policy: MarkovPolicy):
@@ -380,15 +383,12 @@ def bayes_greedy(posterior: Posterior):
     tied, so that mathematically tied policies resolve to the same
     canonical winner regardless of summation order. A stacked float
     posterior gives the list of its rows' choices, its leading axes
-    flattened: each row's values are its own one-row product with the
-    value matrix, whose bits do not depend on the other rows (a plain
-    (R, n) @ (n, P) product's would).
+    flattened, each from its row's ``policy_values``.
     """
+    vals, _ = policy_values(posterior)
     if posterior.exact:
-        vals, _ = policy_values(posterior)
         return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
     tables = shared_tables(posterior.prior)
-    vals = (posterior.masses[..., None, :] @ tables.value_matrix)[..., 0, :]
     vmax = vals.max(axis=-1, keepdims=True)
     tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
     best = (vals >= vmax - tol).argmax(axis=-1)  # the first index within tol of the max
@@ -408,12 +408,13 @@ class PriorTables:
     """numpy arrays over a prior's atoms: the float posterior route.
 
     Arrays: value_matrix (n_atoms, n_policies); init (n, S);
-    trans (n, S, A, H, S); and per support value the reward log-masses
-    for likelihood accumulation and the reward draw rows
-    (``rng.cumulative_row``, one per distinct law), with ``reward_point``
-    (n, S, A, H), the one support position of a law that is a point mass
-    and -1 elsewhere. All are read off the prior's ExactLattice: each
-    distinct int row converts once, one Python ``int / den`` per entry,
+    trans (n, S, A, H, S); per feature of the lattice's index and atom,
+    ``zero_mass`` (F, n), whether the mass is 0, and ``log_mass``, its log
+    where it is positive and 0 where it is 0; and per support value the
+    reward draw rows (``rng.cumulative_row``, one per distinct law), with
+    ``reward_point`` (n, S, A, H), the one support position of a law that
+    is a point mass and -1 elsewhere. All are read off the prior's
+    ExactLattice: each distinct int row converts once, one ``int / den``,
     which is correctly rounded and so the float of the atom's own
     Fraction. ``weights`` holds the float of each prior weight, for the
     run's truth draw.
@@ -430,19 +431,18 @@ class PriorTables:
         vecs = np.array([[p / den for p in row] for row in lattice.vec_rows])[lattice.vec_ix]
         self.init = vecs[:n]
         self.trans = vecs[n:].reshape(n, S, A, H, S)
-        # the logs of the same entries with the atoms last, so an entry's
-        # column over the atoms is one row: (S, n), and (S * A * H, S, n) by
-        # flat triple; -inf where the mass is 0
-        with np.errstate(divide="ignore"):
-            self._log_init = np.log(self.init.T)
-            self._log_trans = np.log(np.moveaxis(self.trans, 0, -1).reshape(S * A * H, S, n))
         laws = np.array(lattice.law_ix).reshape(n, S, A, H)
         law_rows = [[p / den for p in row] for row in lattice.law_rows]
-        # reward mass and draw rows: (n, S, A, H, |support|)
-        with np.errstate(divide="ignore"):
-            self.reward_logmass = np.log(np.array(law_rows)[laws])  # -inf where mass is 0
-        # one column per (triple, support value), in the C order of reward counts
-        self._reward_logmass_flat = self.reward_logmass.reshape(n, -1)
+        # the feature index: init, transitions, rewards, the zero column
+        mass = np.concatenate([self.init.T, self.trans.reshape(n, -1).T,
+                               np.array(law_rows)[laws].reshape(n, -1).T, np.zeros((1, n))])
+        self.zero_mass = mass == 0
+        self.log_mass = np.log(np.where(self.zero_mass, 1.0, mass))
+        # entry_translog's rows (init, transitions, zero column), reward_loglik's
+        path, start = np.r_[:lattice.reward_start, -1], lattice.reward_start
+        zero = self.zero_mass.astype(float)
+        self._path = path, self.log_mass[path], zero[path]
+        self._rewards = self.log_mass[start:-1], zero[start:-1]
         self.reward_cum = np.array([cumulative_row(row) for row in law_rows])[laws]
         positive = [[k for k, m in enumerate(row) if m] for row in lattice.law_rows]
         self.reward_point = np.array([ks[0] if len(ks) == 1 else -1 for ks in positive])[laws]
@@ -473,36 +473,18 @@ class PriorTables:
         lattice = self.lattice
         return Fraction(lattice.value_cols[policy.encoding][atom_index], lattice.value_den)
 
-    def entry_translog(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """log init+path mass per atom of one entry per row: row r's entry
-        visits states ``x[r]`` (0-based) at the flat triples ``t[r]``, both
-        (R, L), and the result is (R, n). Every row adds the logs of its
-        steps' columns over the atoms in step order, as one entry alone
-        would; a log is the same float wherever numpy computes it, so the
-        logs are taken once, when the tables are built."""
-        out = self._log_init[x[:, 0]]
-        for i in range(x.shape[1] - 1):
-            out = out + self._log_trans[t[:, i], x[:, i + 1]]
-        return out
+    def entry_translog(self, counts: np.ndarray) -> np.ndarray:
+        """log init+path mass per atom of the entries whose feature counts
+        are ``counts`` (F,), or per row of a stack of them: (..., n). A
+        revealed reward outside the support, counted in the zero column,
+        gives -inf under every atom, as in the exact route."""
+        path, log_mass, zero = self._path
+        return _loglik(counts[..., path], log_mass, zero)
 
     def reward_loglik(self, counts: np.ndarray) -> np.ndarray:
-        """Per-atom log reward mass for occurrence counts (S, A, H, V), or
-        per row of a stack of them: (..., n).
-
-        A zero mass gives -inf, and -inf times a positive count stays -inf.
-        Each ledger's positive counts are taken in C order, as a boolean
-        mask over ``reward_logmass``'s trailing axes takes them, and summed
-        alone: its active columns are its own, and padding them to a
-        stack's would change the sums' grouping.
-        """
-        logmass = self._reward_logmass_flat
-        rows = counts.reshape(-1, logmass.shape[1])
-        out = np.zeros((len(rows), self.prior.n))
-        for r, flat in enumerate(rows):
-            active = flat.nonzero()[0]
-            if active.size:
-                out[r] = (logmass[:, active] * flat[active]).sum(axis=1)
-        return out.reshape(counts.shape[:-4] + (self.prior.n,))
+        """Per-atom log reward mass for revealed-reward counts (S, A, H, V),
+        or per row of a stack of them: (..., n)."""
+        return _loglik(counts.reshape(counts.shape[:-4] + (-1,)), *self._rewards)
 
     def event_mask(self, event: ModelEvent) -> np.ndarray:
         """The event as a boolean vector over the atoms."""
@@ -529,25 +511,25 @@ class PriorTables:
 
 
 class LedgerState:
-    """A ledger's float likelihood state over the prior's atoms, built entry
-    by entry: the accumulated log transition mass, per-(triple, support
-    value) revealed-reward counts, per-triple visit counts, and the flat
-    triple index of every occurrence in entry order, so each phase's
-    posteriors and hallucinated-reward draws are small vectorized operations.
+    """A ledger's float-route state: ``counts`` (F,), its count vector in
+    the lattice's feature index (its ``count_signature``, dense), and
+    ``translog``, its entries' log init+path mass, ``entry_translog`` of
+    the counts, taken at each push. Beside them, per-triple visit counts,
+    which count censored steps too, and the flat triple of every
+    occurrence in entry order, which the hallucinated-reward draw reads.
 
     ``LedgerState(tables, rows)`` is a stack of ``rows`` ledgers that grow
     in lockstep, one entry per ledger at a time: every array gains a
     leading axis of rows, and ``row(r)`` is ledger r alone, on the same
-    memory. Each ledger's numbers are bit for bit what it would hold
-    alone.
+    memory. Each ledger's numbers are bit for bit what it would hold alone.
     """
 
     def __init__(self, tables: PriorTables, rows: int | None = None):
         self.tables = tables
         S, A, H = tables.S, tables.A, tables.H
         lead = () if rows is None else (rows,)
-        self.translog = np.zeros(lead + (tables.prior.n,))
-        self.reward_counts = np.zeros(lead + (S, A, H, len(tables.support)), dtype=int)
+        self.counts = np.zeros(lead + (len(tables.log_mass),), dtype=int)
+        self.translog = tables.entry_translog(self.counts)
         # entries visiting each (x, a, h): a trajectory visits each stage
         # once, so these are also its occurrence counts
         self.visits = np.zeros(lead + (S, A, H), dtype=int)
@@ -560,14 +542,21 @@ class LedgerState:
         """Ledger r of a stack, as a one-ledger state viewing its arrays."""
         one = object.__new__(LedgerState)
         one.tables, one._n_occ = self.tables, self._n_occ
-        one.translog, one.reward_counts = self.translog[r], self.reward_counts[r]
+        one.counts, one.translog = self.counts[r], self.translog[r]
         one.visits, one._occ = self.visits[r], self._occ[r]
         return one
 
     def keep(self, rows: list) -> None:
         """Drop every ledger of a stack but ``rows``, in that order."""
-        self.translog, self.reward_counts = self.translog[rows], self.reward_counts[rows]
+        self.counts, self.translog = self.counts[rows], self.translog[rows]
         self.visits, self._occ = self.visits[rows], self._occ[rows]
+
+    @property
+    def reward_counts(self) -> np.ndarray:
+        """The reward features of ``counts`` as (..., S, A, H, V), a view."""
+        t = self.tables
+        return self.counts[..., t.lattice.reward_start:-1].reshape(
+            self.counts.shape[:-1] + (t.S, t.A, t.H, len(t.support)))
 
     def push_entry(self, traj) -> None:
         """Add one entry's trajectory to a one-ledger state."""
@@ -575,33 +564,19 @@ class LedgerState:
 
     def push_entries(self, steps: list) -> None:
         """Add one entry per ledger, ``steps[r]`` the trajectory steps of
-        ledger r, all of one length (one ledger: a list of one). Censored
-        rewards (None) are skipped; a revealed reward outside the support
-        has mass 0 under every atom."""
-        tables = self.tables
-        A, H, V = tables.A, tables.H, len(tables.support)
-        R, L = len(steps), len(steps[0])
-        find = tables.lattice.support_ix.get
-        # each step's state and flat triple, and the flat reward-count
-        # index of each revealed reward in the support
-        xs, ts, revealed, outside = [], [], [], []
+        ledger r, all of one length (one ledger: a list of one), by the
+        feature walk of ``count_signature``."""
+        walk, F = self.tables.lattice.entry_features, self.counts.shape[-1]
+        feats, ts = [], []
         for r, row in enumerate(steps):
-            for s in row:
-                t = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
-                xs.append(s.x - 1)
-                ts.append(t)
-                if s.r is not None:
-                    k = find((s.r.numerator, s.r.denominator))
-                    if k is None:
-                        outside.append(r)
-                    else:
-                        revealed.append((r * H * A * tables.S + t) * V + k)
-        x, t = np.array(xs).reshape(R, L), np.array(ts).reshape(R, L)
-        translog = self.translog.reshape(R, -1)  # a one-ledger state's as a stack of one
-        translog += tables.entry_translog(x, t)
-        translog[outside] = -np.inf
-        # each (ledger, triple) appears once: a trajectory visits each stage once
-        self.reward_counts.reshape(-1)[revealed] += 1
+            f, t = walk(row)
+            feats += [r * F + i for i in f]
+            ts.append(t)
+        # a feature can repeat within an entry (the zero column)
+        np.add.at(self.counts.reshape(-1), feats, 1)
+        self.translog[...] = self.tables.entry_translog(self.counts)
+        t = np.array(ts)
+        R, L = t.shape
         self.visits.reshape(R, -1)[np.arange(R)[:, None], t] += 1
         n = self._n_occ
         if n + L > self._occ.shape[-1]:
@@ -629,6 +604,17 @@ class LedgerState:
         give one posterior per stacked count."""
         ll = self.translog + self.tables.reward_loglik(counts)
         return self.tables.posterior_from_loglik(ll)
+
+
+def _loglik(counts: np.ndarray, log_mass: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Per row of ``counts`` (..., K), sum_f count_f log mass_f for every
+    atom, (..., n): the stacked (..., 1, K) @ (K, n) product, whose rows'
+    bits do not depend on the other rows. A zero mass's log is held as 0,
+    so a count of 0 never meets -inf; ``counts @ zero > 0`` (zero is 1.0
+    at a zero mass; exact) is the -inf mask ``(counts > 0) @ zero_mass``."""
+    counts = counts.astype(float)
+    out = (counts[..., None, :] @ log_mass)[..., 0, :]
+    return np.where(counts @ zero > 0, -np.inf, out)
 
 
 def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
@@ -698,10 +684,12 @@ class ExactLattice:
       order of ``LedgerState``'s flat triple index, then reward
       (x, a, h, support position) in the layout of
       ``LedgerState.reward_counts``, then one all-zero column for any
-      revealed reward outside the support. ``columns[f][i]`` is atom i's
-      mass of feature f over ``den``, built on first use; ``count_signature``
-      turns a ledger into (feature, count) pairs and ``masses`` raises the
-      columns to them.
+      revealed reward outside the support: ``n_features`` in all.
+      ``columns[f][i]`` is atom i's mass of feature f over ``den``, built
+      on first use; ``entry_features`` is the one walk from an entry's
+      steps to its features, ``count_signature`` turns a ledger into
+      (feature, count) pairs with it and ``masses`` raises the columns to
+      them.
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
       over ``value_den``, filled on first use by one integer backward DP
       per policy, vectorized over atoms.
@@ -735,6 +723,7 @@ class ExactLattice:
         self.law_means, self.mean_den = over_common_den([d.mean() for d in laws])
         self.value_den = self.mean_den * self.den ** H
         self.reward_start = S + S * A * H * S
+        self.n_features = self.reward_start + S * A * H * len(self.support) + 1
         self._paths: dict = {}
 
     def _triple(self, x: int, a: int, h: int) -> int:
@@ -758,6 +747,24 @@ class ExactLattice:
         start = self.reward_start + self._triple(x, a, h) * V
         return range(start, start + V)
 
+    def entry_features(self, steps) -> tuple[list[int], list[int]]:
+        """One entry's features, and the flat triple of each of its steps:
+        its initial state, a transition per later step, and per revealed
+        reward its reward feature, or the zero column when the value is
+        outside the support (a censored reward, None, has none)."""
+        S, A, H, V = self.S, self.A, self.H, len(self.support)
+        zero, find = self.n_features - 1, self.support_ix.get
+        feats, triples = [steps[0].x - 1], []
+        for s in steps:
+            t = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
+            if triples:
+                feats.append(S * (triples[-1] + 1) + s.x - 1)
+            if s.r is not None:
+                k = find((s.r.numerator, s.r.denominator))
+                feats.append(zero if k is None else self.reward_start + t * V + k)
+            triples.append(t)
+        return feats, triples
+
     def count_signature(self, ledger: Ledger) -> tuple:
         """The ledger's canonical mass as counts: sorted (feature, count) pairs.
 
@@ -766,21 +773,9 @@ class ExactLattice:
         every canonical posterior depends on a ledger only through this
         signature.
         """
-        S, A, H, V = self.S, self.A, self.H, len(self.support)
-        zero, find = len(self.columns) - 1, self.support_ix.get
         counts: dict = {}
         for _, traj in ledger.entries:
-            feats = [traj.steps[0].x - 1]
-            prev = None
-            for s in traj.steps:
-                t = ((s.x - 1) * A + s.a - 1) * H + s.h - 1
-                if prev is not None:
-                    feats.append(S * (prev + 1) + s.x - 1)
-                if s.r is not None:
-                    k = find((s.r.numerator, s.r.denominator))
-                    feats.append(zero if k is None else self.reward_start + t * V + k)
-                prev = t
-            for f in feats:
+            for f in self.entry_features(traj.steps)[0]:
                 counts[f] = counts.get(f, 0) + 1
         return tuple(sorted(counts.items()))
 

@@ -126,6 +126,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     (["run-det", "--override", "mechanism.n_phase=2.5"], {}, "mechanism.n_phase"),
     (["run-det", "--override", "mechanism.n_lrn=true"], {}, "mechanism.n_lrn"),
     (["run-prob", "--override", "mechanism.total_phases=3.5"], {}, "mechanism.total_phases"),
+    # each seed's run writes its own run-<seed> directory and summary row
+    (["run-det", "--seeds", "3..1"], {}, "seeds"),
+    (["run-prob", "--override", "seeds=[]"], {}, "seeds"),
+    (["run-det", "--override", "seeds=[1,1]"], {}, "seeds"),
+    (["run-prob", "--override", 'seeds={"range":[2,1]}'], {}, "seeds"),
 ])
 def test_cli_bad_field_values_are_config_errors(argv, env, field):
     """A config value that does not parse or is out of range stops the

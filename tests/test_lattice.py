@@ -211,7 +211,10 @@ def test_value_matrix_equals_policy_value_on_random_priors(prior):
 
 def per_atom_tables(prior, eps) -> dict:
     """Every PriorTables array, and low_reward_table at eps, built from each
-    atom's own rows and laws with float(p), without the lattice."""
+    atom's own rows and laws with float(p), without the lattice. The
+    log-mass matrix and its zero-mass mask list each atom's features in
+    the lattice's feature order: init, transitions by (x, a, h, y),
+    rewards by (x, a, h, support value), the zero column."""
     S, A, H = prior.shape
     n, atoms = prior.n, prior.atoms
     triples = sorted(all_triples(S, A, H))
@@ -219,13 +222,18 @@ def per_atom_tables(prior, eps) -> dict:
     V = len(support)
     mass = np.array([[float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
                      for m in atoms]).reshape(n, S, A, H, V)
+    features = np.array([[float(p) for p in m.init]
+                         + [float(p) for t in triples for p in m.transition(*t)]
+                         + [float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
+                         + [0.0] for m in atoms]).T
     with np.errstate(divide="ignore"):
-        logmass = np.log(mass)
+        log_mass = np.log(features)
     return {
         "init": np.array([[float(p) for p in m.init] for m in atoms]),
         "trans": np.array([[float(p) for t in triples for p in m.transition(*t)]
                            for m in atoms]).reshape(n, S, A, H, S),
-        "reward_logmass": logmass,
+        "log_mass": np.where(features == 0, 0.0, log_mass),
+        "zero_mass": features == 0,
         "reward_cum": np.array([cumulative_row(row) for row in mass.reshape(-1, V)]
                                ).reshape(n, S, A, H, V),
         "value_matrix": np.array([[float_policy_value(m, pol)
@@ -297,19 +305,34 @@ def test_prior_tables_equal_per_atom_floats_random(prior):
 @given(st.data())
 def test_count_signature_follows_ledger_state_layout(data):
     """A signature is sorted (feature, count) int pairs with one init
-    feature per entry, and its reward features sit at the positions of
-    LedgerState's reward_counts.ravel()."""
+    feature per entry, and every entry of LedgerState's dense count row is
+    the signature's count of that feature (0 where it lists none): on
+    ledgers censored on a random set, and on ledgers with revealed rewards
+    outside the support, which count in the zero column. Its reward counts
+    are a view of that row's reward features."""
     prior = data.draw(small_priors())
-    ledger = draw_ledger(data.draw, prior)
+    S, A, H = prior.shape
+    outside = data.draw(st.sampled_from([Fraction(1, 3), Fraction(5, 7), Fraction(9, 11)])
+                        .filter(lambda v: v not in prior.atoms[0].reward_support))
+    pol = enumerate_policies(S, A, H)[0]
+    traj = next(iter(enumerate_trajectories(prior.atoms[0], pol)))[0]
+    odd = Trajectory(tuple(Step(s.x, s.a, s.h, outside if i == 0 else s.r)
+                           for i, s in enumerate(traj.steps)))
     lattice = exact_lattice(prior)
-    sig = lattice.count_signature(ledger)
-    assert list(sig) == sorted(sig) and len({f for f, _ in sig}) == len(sig)
-    assert sum(c for f, c in sig if f < prior.shape[0]) == len(ledger)
-    state = priors.LedgerState(priors.PriorTables(prior))
-    for _, traj in ledger.entries:
-        state.push_entry(traj)
-    counts = state.reward_counts.ravel().tolist()
-    assert [dict(sig).get(lattice.reward_start + j, 0) for j in range(len(counts))] == counts
+    tables = priors.PriorTables(prior)
+    for lam in (draw_ledger(data.draw, prior),
+                raw_ledger(S, A, H, [(pol, traj)] + [(pol, odd)] * data.draw(st.integers(1, 2)))):
+        sig = lattice.count_signature(lam)
+        assert list(sig) == sorted(sig) and len({f for f, _ in sig}) == len(sig)
+        assert sum(c for f, c in sig if f < S) == len(lam)
+        state = priors.LedgerState(tables)
+        for _, entry in lam.entries:
+            state.push_entry(entry)
+        counts = state.counts.tolist()
+        assert len(counts) == lattice.n_features == len(lattice.columns)
+        assert [dict(sig).get(f, 0) for f in range(len(counts))] == counts
+        assert counts[-1] == sum(s.r == outside for _, entry in lam.entries for s in entry.steps)
+        assert state.reward_counts.ravel().tolist() == counts[lattice.reward_start:-1]
 
 
 @settings(max_examples=60, deadline=None)

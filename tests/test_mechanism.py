@@ -416,7 +416,7 @@ def test_stoch_full_log_matches_hallucination_mode(stoch_prior, mode):
 @pytest.mark.parametrize("instance", ["det", "stoch"])
 def test_full_log_episodes_read_their_traj_addresses(instance, det_prior, det_config,
                                                      stoch_prior):
-    """Log format 2 addresses episode k's draws as ("traj", k): every
+    """Log formats 2 and 3 address episode k's draws as ("traj", k): every
     full-log episode's trajectory is the scalar ``rollout`` of
     ``stream(seed, "traj", k).random(2H)`` under the true model and the
     line's policy, and the header names the format."""
@@ -435,7 +435,7 @@ def test_full_log_episodes_read_their_traj_addresses(instance, det_prior, det_co
             policy = MarkovPolicy.from_encoding(e.policy, S, A, H)
             assert e.trajectory == rollout(model, policy, u)
         header = json.loads(log.to_jsonl().partition("\n")[0])
-        assert header["log_format"] == 2
+        assert header["log_format"] == 3
         assert not any("traj_stream" in e.to_dict() for e in log.episodes)
 
 

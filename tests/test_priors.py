@@ -30,6 +30,7 @@ from ielab import (
     r_min,
     raw_ledger,
 )
+from ielab import priors
 from ielab.mdp import TabularModel, as_fraction, reward_table, transition_table
 from ielab.priors import LedgerState, Posterior, over_common_den, shared_tables
 
@@ -475,3 +476,22 @@ def test_stacked_float_operations_equal_their_rows(n):
         for stacked, rows in pairs:
             for got, want in zip(stacked, rows):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("R", [2, 4, 17])
+def test_stacked_policy_values_equal_their_rows(R, monkeypatch, stoch_prior):
+    """On micro_stoch_1, ``policy_values`` of a stacked float posterior is,
+    row for row and bit for bit, ``policy_values`` of that row alone, and
+    ``bayes_greedy`` of the stack is the per-row choices, also with
+    GREEDY_TIE_TOL at 0, where any bit that differed could flip a choice.
+    A plain (R, n) @ (n, P) product fails the first check."""
+    monkeypatch.setattr(priors, "GREEDY_TIE_TOL", 0.0)
+    rng = np.random.default_rng(R)
+    w = np.exp(rng.uniform(-700, 0, (R, stoch_prior.n)) * rng.random((R, 1)))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    w /= w.sum(axis=-1, keepdims=True)
+    stacked, _ = priors.policy_values(Posterior(stoch_prior, w))
+    for got, row in zip(stacked, w):
+        assert np.array_equal(got, priors.policy_values(Posterior(stoch_prior, row))[0])
+    assert priors.bayes_greedy(Posterior(stoch_prior, w)) == [
+        priors.bayes_greedy(Posterior(stoch_prior, row)) for row in w]
