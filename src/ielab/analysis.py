@@ -1,5 +1,10 @@
 """Numerical verifiers for the analysis-side identities: similarity,
-simulation gaps, performance differences, good-model sets, estimators."""
+simulation gaps, performance differences, good-model sets, estimators.
+
+The exact ones run on the models' grid ints: similarity's l1 distances,
+the truncated sums and the performance-difference terms read
+``mdp.int_parts`` and ``mdp.int_means``, ints over one denominator per
+model, and return Fractions."""
 
 from __future__ import annotations
 
@@ -35,14 +40,6 @@ def eps_p_bound(delta: float, n_lrn: int, S: int) -> float:
     return 2.0 * math.sqrt(2.0 * (S * math.log(5.0) + math.log(1.0 / delta)) / n_lrn)
 
 
-def _l1(p, q) -> Fraction:
-    """sum |p_i - q_i| as integers over the lcm of the denominators."""
-    den = math.lcm(*[v.denominator for v in (*p, *q)])
-    return Fraction(sum([abs(a.numerator * (den // a.denominator)
-                             - b.numerator * (den // b.denominator)) for a, b in zip(p, q)]),
-                    den)
-
-
 @dataclass(frozen=True)
 class SimilarityReport:
     init_distance: Fraction
@@ -57,17 +54,22 @@ class SimilarityReport:
         return self.max_distance() <= eps
 
 
-def similarity(model1: TabularModel, model2: TabularModel, fully_explored: TripleSet,
-               eps=None) -> SimilarityReport:
+def similarity(model1: TabularModel, model2: TabularModel,
+               fully_explored: TripleSet) -> SimilarityReport:
     """l1 closeness of initial distributions and of transitions on the set.
 
-    Similarity concerns transitions only, never rewards. The optional eps
-    is informational; callers query ``report.is_similar(eps)``.
+    Similarity concerns transitions only, never rewards. Each distance is
+    taken on both models' ``int_parts``, as ints over the product of
+    their denominators; callers query ``report.is_similar(eps)``.
     """
-    dists = {
-        t: _l1(model1.transition(*t), model2.transition(*t)) for t in fully_explored
-    }
-    return SimilarityReport(_l1(model1.init, model2.init), dists)
+    D1, init1, trans1 = int_parts(model1)
+    D2, init2, trans2 = int_parts(model2)
+
+    def l1(p, q) -> Fraction:
+        return Fraction(sum([abs(a * D2 - b * D1) for a, b in zip(p, q)]), D1 * D2)
+
+    return SimilarityReport(l1(init1, init2),
+                            {t: l1(trans1[t], trans2[t]) for t in fully_explored})
 
 
 def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleSet,

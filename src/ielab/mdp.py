@@ -6,9 +6,11 @@ h in [H]). All probabilities and reward values are stored as exact
 common denominator (``int_parts``, ``int_means``, built once per model),
 so no operation pays a gcd, and return Fractions. A model's checks come
 in parts (``check_model_parts``), so a builder whose models share
-transition rows and reward laws can check each once. One forward
-recursion walks a policy's visits, ``absorbing_steps``; the visit
-events, occupancy weights and reachable triples are read off it.
+transition rows and reward laws can check each once, and a builder that
+holds a vector as ints over a known denominator checks it on those
+(``check_int_vector``). One forward recursion walks a policy's visits,
+``absorbing_steps``; the visit events, occupancy weights and reachable
+triples are read off it.
 Sampling reads one table of ``rng.cumulative_row`` rows per model,
 indexed by the flat (x, a, h) index; the float posterior route lives in
 ``priors.PriorTables``.
@@ -161,6 +163,15 @@ def check_prob_vector(vec, negative: str, not_one: str, zero_ok: bool = True) ->
         raise ValueError(not_one)
 
 
+def check_int_vector(nums, den: int, negative: str, not_one: str) -> None:
+    """``check_prob_vector``'s rule on the vector nums / den (den > 0),
+    read on the ints: every entry at least 0, and the sum equal to den."""
+    if min(nums, default=0) < 0:
+        raise ValueError(negative)
+    if sum(nums) != den:
+        raise ValueError(not_one)
+
+
 @dataclass(frozen=True)
 class MarkovPolicy:
     """Deterministic Markov policy; actions[x-1][h-1] in [A].
@@ -256,11 +267,16 @@ class TabularModel:
         return self._cache["det"]
 
 
+def check_shape(S, A, H) -> None:
+    """TabularModel's first check: every dimension at least 1."""
+    if min(S, A, H) < 1:
+        raise ValueError("S, A, H must be positive")
+
+
 def check_model_parts(S, A, H, init, trans, rewards, reward_support) -> None:
     """TabularModel's checks, in its order: the shape, the init vector,
     then per (x, a, h) the transition row and the reward law."""
-    if min(S, A, H) < 1:
-        raise ValueError("S, A, H must be positive")
+    check_shape(S, A, H)
     if len(init) != S:
         raise ValueError("init length != S")
     check_prob_vector(init, "init: negative entry", "init: does not sum to 1")
@@ -303,6 +319,16 @@ def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> Tabula
     for f, value in zip(fields(TabularModel), values, strict=True):
         object.__setattr__(model, f.name, value)
     return model
+
+
+def checked_dist(support: tuple, probs: tuple) -> DiscreteDist:
+    """A DiscreteDist whose caller has already checked what
+    ``__post_init__`` checks: a nonempty increasing support, and a
+    probability vector of its length; skips those checks."""
+    dist = object.__new__(DiscreteDist)
+    object.__setattr__(dist, "support", support)
+    object.__setattr__(dist, "probs", probs)
+    return dist
 
 
 def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_state=1):

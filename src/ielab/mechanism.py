@@ -744,8 +744,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     ``replay_signals`` rebuilds the signal ledgers from the log for an
     exact check of the float choices after the run.
     ``phase_hook(ctx, log)`` runs for each seed after each phase's
-    bookkeeping, with the seed's own context; returning True stops that
-    seed's run while the others play on. ``track_hh`` evaluates the
+    bookkeeping, with the seed's own context: ``ctx.fast`` is the ledger
+    before the phase's entry, the one its posteriors and counts are of,
+    and ``ctx.covered_at`` counts the phase's entry. Returning True stops
+    that seed's run while the others play on. ``track_hh`` evaluates the
     phase-length incentive condition per phase against the
     sufficiently-visiting policy set of the true model and records it and
     its slack, rhs - lhs (micro scale only; None where the policy split
@@ -905,6 +907,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                     hh_slack=hh_slack,
                 )
             )
+        if phase_hook is not None:
+            # the hooks see the ledger the phase's posteriors and draws were of
+            ctx.fast = fast.snapshot()
         fast.push_entries(hal_steps)
 
         if None in (covered_at[b] for b in live):

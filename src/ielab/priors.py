@@ -546,6 +546,16 @@ class LedgerState:
         one.visits, one._occ = self.visits[r], self._occ[r]
         return one
 
+    def snapshot(self) -> LedgerState:
+        """The state as it stands, on arrays that later pushes leave
+        alone: its own counts, translog and visits, and the occurrence
+        buffer's filled prefix, which a push never writes into."""
+        one = object.__new__(LedgerState)
+        one.tables, one._occ, one._n_occ = self.tables, self._occ, self._n_occ
+        one.counts, one.translog = self.counts.copy(), self.translog.copy()
+        one.visits = self.visits.copy()
+        return one
+
     def keep(self, rows: list) -> None:
         """Drop every ledger of a stack but ``rows``, in that order."""
         self.counts, self.translog = self.counts[rows], self.translog[rows]

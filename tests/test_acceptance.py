@@ -283,7 +283,7 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
     grid = (1, 4, 16, 64)
     masses = [good_mass(n, range(200)) for n in grid]
     means = [sum(m.get(s, 0.0) for s in range(200)) / 200 for m in masses]
-    part_b = all(means[i] <= means[i + 1] + 1e-12 for i in range(len(grid) - 1))
+    part_b = all(means[i] <= means[i + 1] for i in range(len(grid) - 1))
 
     # (c) exploration with overridden small parameters within 3 L_0 phases
     _, rep4 = prob_parameters(stoch_factored, Fraction(1, 4), 0.1, n_lrn_override=4)

@@ -31,9 +31,10 @@ from ielab import (
     sufficiently_visiting_policies,
     truncated_expected_sum,
 )
-from ielab.analysis import _l1, eps_p_bound, eps_r_bound
-from ielab.harness import sample_similar_pair
-from ielab.instances import random_model
+from ielab.analysis import eps_p_bound, eps_r_bound
+from ielab.harness import PERF_PAIRS, SIM_PAIRS, sample_similar_pair
+from ielab.instances import GRID, grid_widths, random_model
+from ielab.mdp import DiscreteDist, check_int_vector, check_model_parts, check_prob_vector
 
 
 def test_is_punished(det_prior):
@@ -331,9 +332,84 @@ def test_value_bounds_on_good_models(stoch_prior, stoch_tables):
     assert checked > 0
 
 
+def _fraction_l1(p, q) -> Fraction:
+    return sum((abs(a - b) for a, b in zip(p, q)), Fraction(0))
+
+
+def _probability_vector(weights) -> list[Fraction]:
+    """The weights normalized, or a point mass on state 1 if all are 0."""
+    total = sum(weights)
+    return [w / total for w in weights] if total else [Fraction(int(i == 0))
+                                                       for i in range(len(weights))]
+
+
+weight = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.fractions(max_denominator=40), st.fractions(max_denominator=40)
-                          | st.integers(-3, 3)), max_size=6))
-def test_l1_over_common_denominator_matches_fraction_sum(pairs):
-    p, q = [a for a, _ in pairs], [b for _, b in pairs]
-    assert _l1(p, q) == sum((abs(Fraction(a) - Fraction(b)) for a, b in pairs), Fraction(0))
+@given(st.lists(st.tuples(weight, weight, weight), min_size=1, max_size=3))
+def test_l1_over_common_denominator_matches_fraction_sum(rows):
+    """similarity's l1, taken on both models' int_parts over the product
+    of their denominators, equals the plain Fraction sum of |p - q|: two
+    one-action models whose init vectors and transition rows have
+    unrelated denominators (up to 40 before normalizing)."""
+    S = len(rows)
+    p, q, r = (_probability_vector(w) for w in zip(*rows))
+    zero = {(x, 1, h): 0 for x in range(1, S + 1) for h in (1, 2)}
+    m1 = build_model(S, 1, 2, p, {(x, 1, 1): q for x in range(1, S + 1)}, zero)
+    m2 = build_model(S, 1, 2, q, {(x, 1, 1): r for x in range(1, S + 1)}, zero)
+    rep = similarity(m1, m2, all_triples(S, 1, 2))
+    assert rep.init_distance == _fraction_l1(p, q)
+    for (x, a, h), d in rep.transition_distances.items():
+        assert d == (_fraction_l1(q, r) if h == 1 else 0)
+
+
+def test_int_side_checks_equal_fraction_checks():
+    """Every model of ``verify_sim_lemma``'s own stream, ``default_rng(7)``
+    (its 212 similar-pair draws, base and perturbed model each, also the
+    eps = 0 draws it skips, then its 200 performance-difference models),
+    built and checked on the grid's ints, passes three references: the
+    Fraction checks of ``check_model_parts``; each law equals the
+    DiscreteDist the public constructor builds from its support and
+    probabilities; and ``similarity`` equals the plain Fraction sum of
+    |p - q| on every vector."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    tested = 0
+    while tested < SIM_PAIRS:
+        base, other, U, _, _, eps = sample_similar_pair(rng)
+        tested += eps != 0
+        pairs.append((base, other))
+    n_similar = len(pairs)
+    for _ in range(PERF_PAIRS):
+        S = int(rng.integers(2, 4))
+        H = int(rng.integers(2, 4))
+        pairs.append((random_model(rng, S, 1, H), random_model(rng, S, 1, H)))
+    assert (n_similar, len(pairs) - n_similar) == (212, PERF_PAIRS)
+    for m1, m2 in pairs:
+        everything = all_triples(m1.S, m1.A, m1.H)
+        for m in (m1, m2):
+            check_model_parts(m.S, m.A, m.H, m.init, m.trans, m.rewards, m.reward_support)
+            for t in everything:
+                law = m.reward_dist(*t)
+                assert law == DiscreteDist(law.support, law.probs)
+        rep = similarity(m1, m2, everything)
+        assert rep.init_distance == _fraction_l1(m1.init, m2.init)
+        assert rep.transition_distances == {
+            t: _fraction_l1(m1.transition(*t), m2.transition(*t)) for t in everything}
+
+
+def test_grid_int_checks_raise_the_fraction_messages():
+    """Negative control: int widths with a negative entry, or summing to
+    GRID - 1, raise the ValueError that check_prob_vector raises on the
+    same vector as Fractions over GRID; so does a cut outside [0, GRID]
+    in ``grid_widths``."""
+    negative, not_one = "init: negative entry", "init: does not sum to 1"
+    for widths in ([-1, GRID + 1], [0, GRID - 1], [GRID - 2, 1, 0]):
+        with pytest.raises(ValueError) as want:
+            check_prob_vector([Fraction(w, GRID) for w in widths], negative, not_one)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            check_int_vector(widths, GRID, negative, not_one)
+    with pytest.raises(ValueError, match=f"^{negative}$"):
+        grid_widths([GRID + 1], negative, not_one)
+    assert grid_widths([GRID, 0, 5], negative, not_one) == [0, 5, GRID - 5, 0]

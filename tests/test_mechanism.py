@@ -48,11 +48,11 @@ from ielab import harness, mechanism
 from ielab.cli import main
 from ielab.harness import _write_artifact
 from ielab.instances import random_model
-from ielab.mdp import (MarkovPolicy, Step, Trajectory, complement_triples,
+from ielab.mdp import (MarkovPolicy, Step, complement_triples,
                        event_visit_probability, reach_set, reachable_triples, rollout)
 from ielab.mechanism import (EpisodeBlock, PhaseRecord, _dumps, _hh_exploring_policies,
                              hallucination_prior_prob)
-from ielab.priors import LedgerState, exact_lattice, shared_tables
+from ielab.priors import exact_lattice, shared_tables
 from ielab.rng import index_from_uniform, stream
 
 
@@ -968,11 +968,9 @@ def test_in_run_float_posteriors_equal_exact_posteriors(instance, det_prior, det
     event of the phase's U (the renormalization adds a factor (1 + rho) /
     (1 - rho) (1 + gamma(n)) to the relative bound, and divides the
     absolute one by the float punish mass); and the revealed posteriors of
-    ``ctx.hal_counts`` and ``ctx.hon_counts`` against ``canonical_posterior``
-    of the hallucinated and honest ledgers. The hook runs after the
-    phase's entry is pushed, so the revealed posteriors are taken on a
-    ``LedgerState`` of the replayed raw ledger, folded entry by entry as
-    the run folds it."""
+    ``ctx.hal_counts`` and ``ctx.hon_counts`` on ``ctx.fast``, as the hook
+    reads them, against ``canonical_posterior`` of the hallucinated and
+    honest ledgers."""
     if instance == "det":
         prior, cfg, seeds = det_prior, det_config, range(10)
     else:
@@ -986,15 +984,14 @@ def test_in_run_float_posteriors_equal_exact_posteriors(instance, det_prior, det
             seen = {}
 
             def hook(ctx, log):
-                seen[ctx.ell] = (ctx.cens_weights.copy(), ctx.punish_mask.copy(),
-                                 ctx.hal_counts.copy(), ctx.hon_counts.copy(), ctx.U)
+                revealed = {kind: ctx.fast.revealed_posterior(ctx.counts_of(kind)).weights
+                            for kind in ("hallucinated", "honest")}
+                seen[ctx.ell] = (ctx.cens_weights.copy(), ctx.punish_mask.copy(), revealed, ctx.U)
 
             log = run_game(cfg, prior, make_agent(mode, prior, cfg), seed,
                            episode_log="hallucination", phase_hook=hook)
-            state = LedgerState(tables)
-            for (ell, signals), (_, _, hal_steps) in zip(replay_signals(log, prior),
-                                                         log.hallucination_history()):
-                cens, mask, hal_counts, hon_counts, U = seen[ell]
+            for ell, signals in replay_signals(log, prior):
+                cens, mask, revealed, U = seen[ell]
                 censored = signals["censored"]
                 rho = float_posterior_error_bound(prior, censored)
                 assert_within_bound(cens, canonical_posterior(prior, censored), rho)
@@ -1008,11 +1005,9 @@ def test_in_run_float_posteriors_equal_exact_posteriors(instance, det_prior, det
                                     hallucination_posterior(prior, censored, punish), rho_hal,
                                     2.0 ** -1021 / punish_mass)
 
-                for kind, counts in (("hallucinated", hal_counts), ("honest", hon_counts)):
+                for kind, weights in revealed.items():
                     rho = float_posterior_error_bound(prior, signals[kind])
-                    assert_within_bound(state.revealed_posterior(counts).weights,
-                                        canonical_posterior(prior, signals[kind]), rho)
-                state.push_entry(Trajectory(hal_steps))
+                    assert_within_bound(weights, canonical_posterior(prior, signals[kind]), rho)
 
 
 def test_run_bookkeeping_follows_the_raw_ledger(det_prior, det_config, stoch_factored,

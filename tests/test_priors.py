@@ -31,7 +31,7 @@ from ielab import (
     raw_ledger,
 )
 from ielab import priors
-from ielab.mdp import TabularModel, as_fraction, reward_table, transition_table
+from ielab.mdp import TabularModel, as_fraction, reward_table, rollout, transition_table
 from ielab.priors import LedgerState, Posterior, over_common_den, shared_tables
 
 
@@ -448,6 +448,31 @@ def test_expansion_cap():
     )
     with pytest.raises(CapExceeded):
         fp.expand(cap=10)
+
+
+def test_snapshot_keeps_its_ledgers_through_later_pushes(stoch_prior):
+    """A stack's ``snapshot`` holds the ledgers as they stood: after more
+    pushes, also past a doubling of the occurrence buffer, its counts,
+    translog, visits and occurrences, and each of its rows, equal those of
+    a stack that only ever saw the entries before it."""
+    tables = shared_tables(stoch_prior)
+    rng = np.random.default_rng(4)
+    entries = [[rollout(stoch_prior.atoms[int(rng.integers(stoch_prior.n))],
+                        tables.policies[int(rng.integers(len(tables.policies)))],
+                        rng.random(4).tolist()) for _ in range(3)] for _ in range(9)]
+    fast, before = LedgerState(tables, 3), LedgerState(tables, 3)
+    for steps in entries[:5]:
+        fast.push_entries(steps)
+        before.push_entries(steps)
+    snap = fast.snapshot()
+    for steps in entries[5:]:
+        fast.push_entries(steps)
+    for got, want in ((snap, before), *((snap.row(r), before.row(r)) for r in range(3))):
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.translog, want.translog)
+        assert np.array_equal(got.visits, want.visits)
+        assert np.array_equal(got.occurrences(), want.occurrences())
+    assert not np.array_equal(fast.counts, snap.counts)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 127, 128, 129, 256, 512, 4096])
