@@ -417,6 +417,9 @@ def verify_dist_equality(table, phases: int) -> list[dict]:
     return checks
 
 
+_QUARTERS = tuple(Fraction(k, 4) for k in range(5))  # the reward values of the sim-lemma draws
+
+
 def sample_similar_pair(rng: np.random.Generator):
     """(model, perturbed model, U, reward fn, policy, tight eps) for the lemma."""
     S = int(rng.integers(2, 4))
@@ -428,8 +431,7 @@ def sample_similar_pair(rng: np.random.Generator):
     triples = list(all_triples(S, A, H))
     U = frozenset(t for t, u in zip(triples, rng.random(len(triples)).tolist()) if u < 0.3)
     pol = MarkovPolicy.from_encoding(int(rng.integers(0, A ** (S * H))), S, A, H)
-    quarters = [Fraction(k, 4) for k in range(5)]
-    rt = {t: quarters[k] for t, k in zip(triples, rng.integers(0, 5, size=len(triples)).tolist())}
+    rt = {t: _QUARTERS[k] for t, k in zip(triples, rng.integers(0, 5, size=len(triples)).tolist())}
     rep = similarity(base, other, complement_triples(U, S, A, H))
     eps = rep.max_distance()
     return base, other, U, rt, pol, eps

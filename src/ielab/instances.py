@@ -179,8 +179,9 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
     """A model with transitions (and init) perturbed by at most ~scale in l1.
 
     Rewards are kept; similarity ignores rewards. Each vector draws its
-    two indices in one call and, when they differ, the amount moved
-    between them.
+    two indices, then, when they differ, the amount moved between them,
+    each in a scalar call: the stream of one size-2 call for the indices,
+    without numpy's cost of a sized call.
 
     The shift runs on the base's ``int_parts``, and only the rows it
     changes, and the stage-H point mass on state 1, are checked again, as
@@ -193,9 +194,10 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
     E = D * c * grid
 
     def shift(vec, ints, t=None):
-        if len(vec) == 1:
+        n = len(vec)
+        if n == 1:
             return vec
-        i, j = rng.integers(0, len(vec), size=2).tolist()
+        i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if i == j:
             return vec
         # min(budget, vec[i]) * k / grid, over E
