@@ -31,6 +31,8 @@ from .priors import (
     exact_lattice,
 )
 
+AGENT_MODES = ("canonical_truster", "fully_rational")
+
 
 def episode_phase(config: MechanismConfig, k: int) -> int:
     """Phase index containing episode k."""
@@ -138,7 +140,7 @@ class AgentSpec:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("canonical_truster", "fully_rational"):
+        if self.mode not in AGENT_MODES:
             raise ValueError(f"unknown agent mode {self.mode!r}")
 
     def choose(self, k: int, ell: int, revealed: Ledger) -> MarkovPolicy:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .agents import make_agent
+from .agents import AGENT_MODES, make_agent
 from .analysis import (
     performance_difference,
     similarity,
@@ -30,6 +30,7 @@ from .errors import AssumptionViolated, ConfigError, VerificationFailure
 from .instances import micro_det_1, micro_stoch_1, perturb_model, random_model
 from .mdp import MarkovPolicy, all_triples, as_fraction, complement_triples, enumerate_policies
 from .mechanism import (
+    EPISODE_LOGS,
     MechanismConfig,
     det_parameters,
     prior_digest,
@@ -75,6 +76,14 @@ class ExperimentConfig:
         unknown = set(self.raw).difference(*_COMMAND_KEYS.values())
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        agent = _object(self.raw.get("agent", {}), "agent")
+        if not agent.keys() <= {"mode"} or agent.get("mode", AGENT_MODES[0]) not in AGENT_MODES:
+            raise ConfigError(f"agent.mode must be one of {list(AGENT_MODES)}, and agent "
+                              f"has no other field: {agent!r}")
+        if self.raw.get("episode_log", EPISODE_LOGS[0]) not in EPISODE_LOGS:
+            raise ConfigError(f"bad episode_log: {self.raw['episode_log']!r}")
+        if not isinstance(self.raw.get("out"), (str, type(None))):
+            raise ConfigError(f"bad out: {self.raw['out']!r}")
 
     def check_fields(self, command: str) -> None:
         """Refuse the fields ``command`` does not read."""
@@ -117,6 +126,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; otherwise a ConfigError naming ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object: {value!r}")
+    return value
+
+
 def _parsed(value, name: str, parse):
     """``parse(value)``; a value it refuses is a ConfigError naming ``name``."""
     try:
@@ -130,7 +146,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
     if path is not None:
         try:
             with open(path) as f:
-                raw.update(json.load(f))
+                raw = _object(json.load(f), f"config {path}")
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
@@ -145,8 +161,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
             pass  # keep as string
         node = raw
         parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
+        for i, p in enumerate(parts[:-1]):
+            node = _object(node.setdefault(p, {}), ".".join(parts[:i + 1]))
         node[parts[-1]] = value
     return ExperimentConfig(raw)
 
@@ -154,7 +170,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
 def load_prior(cfg: ExperimentConfig):
     """Returns (factored prior, expanded DiscretePrior); every command's
     schedule reads the factored form, so a list of atoms is refused."""
-    spec = cfg.get("prior", {"micro": "det1"})
+    spec = _object(cfg.get("prior", {"micro": "det1"}), "prior")
     if "micro" in spec:
         name = spec["micro"]
         if name == "det1":
@@ -165,14 +181,17 @@ def load_prior(cfg: ExperimentConfig):
             raise ConfigError(f"unknown micro instance {name!r}")
         return fp, fp.expand()
     if "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"bad prior.path: {spec['path']!r}")
         try:
             with open(spec["path"]) as f:
-                loaded = json.load(f)
+                obj = prior_from_dict(_object(json.load(f), f"prior {spec['path']}"))
         except OSError as e:
             raise ConfigError(f"cannot read prior {spec['path']}: {e}") from e
-        obj = prior_from_dict(loaded)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"prior {spec['path']} is not valid JSON: {e}") from e
     elif "inline" in spec:
-        obj = prior_from_dict(spec["inline"])
+        obj = prior_from_dict(_object(spec["inline"], "prior.inline"))
     else:
         raise ConfigError("prior spec needs 'micro', 'path', or 'inline'")
     if not hasattr(obj, "expand"):
@@ -201,10 +220,6 @@ def _mechanism_fields(cfg: ExperimentConfig) -> dict:
     except ValueError as e:
         raise ConfigError(f"bad mechanism field: {e}") from e
     return fields
-
-
-def _apply_mechanism_overrides(cfg: ExperimentConfig, base: MechanismConfig) -> MechanismConfig:
-    return dataclasses.replace(base, **_mechanism_fields(cfg))
 
 
 def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> str:
@@ -271,7 +286,7 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
     """Deterministic-class exploration runs with the certified schedule."""
     factored, prior = load_prior(cfg)
     base, info = det_parameters(factored)
-    config = _apply_mechanism_overrides(cfg, base)
+    config = dataclasses.replace(base, **_mechanism_fields(cfg))
     track_hh = prior.n * len(shared_tables(prior).policies) <= 10**5
     _run_seeds(cfg, prior, config, "det-theorem",
                cfg.get("agent", {}).get("mode", "fully_rational"),
@@ -327,8 +342,7 @@ def cmd_params(cfg: ExperimentConfig) -> int:
     delta = _parsed(cfg.get("delta", 0.1), "delta", float)
     _, report = prob_parameters(factored, rho, delta)
     rows.extend({"name": f"prob.{k}", "value": _fmt(v)} for k, v in report.items())
-    text = _write_csv(cfg.get("out"), "params", PARAMS_COLUMNS, rows)
-    print(text, end="")
+    print(_write_csv(cfg.get("out"), "params", PARAMS_COLUMNS, rows), end="")
     return 0
 
 
@@ -344,7 +358,7 @@ def _det_oracle_table(cfg: ExperimentConfig, phases: int):
     """
     factored, prior = load_prior(cfg)
     base, _ = det_parameters(factored)
-    return enumerate_game(_apply_mechanism_overrides(cfg, base), prior, phases)
+    return enumerate_game(dataclasses.replace(base, **_mechanism_fields(cfg)), prior, phases)
 
 
 def verify_hygiene(table, phases: int) -> list[dict]:
@@ -486,9 +500,9 @@ _ORACLE_DEPTH = {"hygiene": 2, "one-step": 3, "dist-equality": 2}
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     suite = cfg.get("suite", "all")
-    names = list(_SUITES) if suite == "all" else [suite]
-    if any(n not in _SUITES for n in names):
+    if suite not in ("all", *_SUITES):
         raise ConfigError(f"unknown verify suite {suite!r}")
+    names = list(_SUITES) if suite == "all" else [suite]
     depths = [_ORACLE_DEPTH[n] for n in names if n in _ORACLE_DEPTH]
     table = _det_oracle_table(cfg, max(depths)) if depths else None
     checks = []

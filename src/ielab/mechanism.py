@@ -356,6 +356,7 @@ def q_pun_r_alt_exact(prior: DiscretePrior, n_lrn: int, eps_pun, ledger_universe
 # episode line's draws are address ("traj", k) and it names no stream. Format
 # 3: punish_prob is a masked full-length row sum, which moves its last bits.
 LOG_FORMAT = 3
+EPISODE_LOGS = ("full", "hallucination")  # run_game's episode_log values
 
 
 def _dumps(obj) -> str:
@@ -753,7 +754,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     its slack, rhs - lhs (micro scale only; None where the policy split
     degenerates).
     """
-    if episode_log not in ("full", "hallucination"):
+    if episode_log not in EPISODE_LOGS:
         raise ValueError("episode_log must be 'full' or 'hallucination'")
     seeds = seed if isinstance(seed, list) else [seed]
     full_log = episode_log == "full"

@@ -8,8 +8,8 @@ int columns in that index over one per-prior denominator, and a ledger's
 count signature as sorted (feature, count) pairs. Every function that
 takes a ``Ledger`` is exact and runs on the lattice, so posteriors,
 conditional values and greedy choices are integer products and dot
-products; the policy values come from an integer DP built on first
-exact use. The lattice also lists each policy's trajectories once over
+products; the policy values come from one integer DP, built on first
+use. The lattice also lists each policy's trajectories once over
 the atoms' union support, with every atom's path masses as ints, for the
 oracle's game enumeration. An exact ``Posterior`` stores its lattice
 masses as they come, ``(nums, den)``: ints over one positive
@@ -17,8 +17,9 @@ denominator. Fractions appear only at the boundary, in its ``weights``
 view and in the values and gaps these functions return.
 
 Floats live only in the run loop. ``PriorTables`` (``shared_tables``)
-reads its float arrays off the lattice's distinct int rows, among them a
-log-mass matrix over the feature index; ``LedgerState`` holds a ledger's
+reads its float arrays off the lattice: a log-mass matrix over the
+feature index from the distinct int rows, and the value matrix from the
+exact policy values, each rounded once; ``LedgerState`` holds a ledger's
 counts in that index, so every float log-likelihood is one product of
 counts with log-masses. ``policy_values``, ``canonical_gap`` and
 ``bayes_greedy`` take these float posteriors as well as exact ones.
@@ -330,9 +331,10 @@ def policy_values(posterior: Posterior) -> tuple:
 
     An exact posterior gives ints on its lattice over one positive
     denominator; a float posterior gives its weights times the
-    PriorTables value matrix, with den None: for a stack of rows, the
-    stacked (..., 1, n) @ (n, P) product, whose rows' bits do not depend
-    on the other rows, where a plain (R, n) @ (n, P) product's would.
+    PriorTables value matrix, the exact values rounded once, with den
+    None: for a stack of rows, the stacked (..., 1, n) @ (n, P) product,
+    whose rows' bits do not depend on the other rows, where a plain
+    (R, n) @ (n, P) product's would.
     """
     if posterior.exact:
         lattice = exact_lattice(posterior.prior)
@@ -407,34 +409,30 @@ def greedy_set(posterior: Posterior) -> frozenset:
 class PriorTables:
     """numpy arrays over a prior's atoms: the float posterior route.
 
-    Arrays: value_matrix (n_atoms, n_policies); init (n, S);
-    trans (n, S, A, H, S); per feature of the lattice's index and atom,
-    ``zero_mass`` (F, n), whether the mass is 0, and ``log_mass``, its log
-    where it is positive and 0 where it is 0; and per support value the
-    reward draw rows (``rng.cumulative_row``, one per distinct law), with
-    ``reward_point`` (n, S, A, H), the one support position of a law that
-    is a point mass and -1 elsewhere. All are read off the prior's
-    ExactLattice: each distinct int row converts once, one ``int / den``,
-    which is correctly rounded and so the float of the atom's own
-    Fraction. ``weights`` holds the float of each prior weight, for the
-    run's truth draw.
+    Arrays: per feature of the lattice's index and atom, ``zero_mass``
+    (F, n), whether the mass is 0, and ``log_mass``, its log where it is
+    positive and 0 where it is 0; per support value the reward draw rows
+    (``rng.cumulative_row``, one per distinct law), with ``reward_point``
+    (n, S, A, H), the one support position of a law that is a point mass
+    and -1 elsewhere; and ``value_matrix`` (n_atoms, n_policies), built on
+    first use. All are read off the prior's ExactLattice, each number one
+    ``int / den`` of the lattice's ints (each distinct row converts once),
+    which is correctly rounded: the float nearest the atom's own Fraction,
+    within half an ulp of it. ``weights`` holds the float of each prior
+    weight, for the run's truth draw.
     """
 
     def __init__(self, prior: DiscretePrior):
         self.prior = prior
-        S, A, H = prior.shape
-        self.S, self.A, self.H = S, A, H
+        S, A, H = self.S, self.A, self.H = prior.shape
         lattice = self.lattice = exact_lattice(prior)
-        self.policies = lattice.policies
-        self.support = lattice.support
+        self.policies, self.support = lattice.policies, lattice.support
         n, den = prior.n, lattice.den
         vecs = np.array([[p / den for p in row] for row in lattice.vec_rows])[lattice.vec_ix]
-        self.init = vecs[:n]
-        self.trans = vecs[n:].reshape(n, S, A, H, S)
         laws = np.array(lattice.law_ix).reshape(n, S, A, H)
         law_rows = [[p / den for p in row] for row in lattice.law_rows]
         # the feature index: init, transitions, rewards, the zero column
-        mass = np.concatenate([self.init.T, self.trans.reshape(n, -1).T,
+        mass = np.concatenate([vecs[:n].T, vecs[n:].reshape(n, -1).T,
                                np.array(law_rows)[laws].reshape(n, -1).T, np.zeros((1, n))])
         self.zero_mass = mass == 0
         self.log_mass = np.log(np.where(self.zero_mass, 1.0, mass))
@@ -448,25 +446,14 @@ class PriorTables:
         self.reward_point = np.array([ks[0] if len(ks) == 1 else -1 for ks in positive])[laws]
         self.weights = np.array([float(w) for w in prior.weights])
         self.log_weights = np.log(self.weights)
-        means = np.array([m / lattice.mean_den for m in lattice.law_means])[laws]
-        self.value_matrix = np.stack([self._values(p, means) for p in self.policies], axis=1)
 
-    def _values(self, policy: MarkovPolicy, means: np.ndarray) -> np.ndarray:
-        """policy_value(atom, policy) in floats for every atom: the backward
-        DP of ``mdp.policy_value``, vectorized over atoms, with every
-        weighted sum accumulated left to right, so every entry is the same
-        float whatever numpy's own summation order."""
-        togo = []
-        for h in range(self.H - 1, -1, -1):
-            nxt = []
-            for x, row in enumerate(policy.actions):
-                a = row[h] - 1
-                v = means[:, x, a, h]
-                if togo:
-                    v = v + _weighted_columns(self.trans[:, x, a, h], togo)
-                nxt.append(v)
-            togo = nxt
-        return _weighted_columns(self.init, togo)
+    @functools.cached_property
+    def value_matrix(self) -> np.ndarray:
+        """policy_value(atom i, policy j) at [i, j], C-contiguous float64:
+        the lattice's exact value ints, each rounded once, so every entry
+        is within half an ulp of the exact value."""
+        den = self.lattice.value_den
+        return np.array([[v / den for v in row] for row in zip(*self.lattice.value_cols)])
 
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
         """policy_value(atom, policy), read off the prior's lattice."""
@@ -627,15 +614,6 @@ def _loglik(counts: np.ndarray, log_mass: np.ndarray, zero: np.ndarray) -> np.nd
     return np.where(counts @ zero > 0, -np.inf, out)
 
 
-def _weighted_columns(weights: np.ndarray, values: list) -> np.ndarray:
-    """Per row i, the sum over y of weights[i, y] * values[y][i],
-    accumulated left to right."""
-    total = weights[:, 0] * values[0]
-    for y in range(1, len(values)):
-        total = total + weights[:, y] * values[y]
-    return total
-
-
 def shared_tables(prior: DiscretePrior) -> PriorTables:
     """The prior's PriorTables, built once and kept on the prior."""
     if "tables" not in prior._cache:
@@ -702,14 +680,16 @@ class ExactLattice:
       them.
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
       over ``value_den``, filled on first use by one integer backward DP
-      per policy, vectorized over atoms.
+      per policy, vectorized over atoms. It is the one DP over all atoms:
+      the exact route's values and, rounded once, ``PriorTables``'
+      ``value_matrix``.
     - ``paths(policy)``: the policy's trajectories over the atoms' union
       support with their masses over den ** (2H), built on first use.
 
     Products and sums of masses then stay integers, with no gcd
     normalization per operation; callers convert to Fraction once, at the
     boundary. Built once per prior (``exact_lattice``), also by
-    ``PriorTables``, which reads its float arrays off the distinct rows.
+    ``PriorTables``, which reads its float arrays off it.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -791,8 +771,8 @@ class ExactLattice:
 
     @functools.cached_property
     def columns(self) -> list[tuple]:
-        """Built on first exact use; the float run path reads only the
-        distinct rows."""
+        """Built on first use: by the exact route's masses and paths, and
+        by ``value_cols``."""
         n, T, vec_ix, law_ix = self.n, self.S * self.A * self.H, self.vec_ix, self.law_ix
         # zip(*rows) turns the atoms' rows into one column per entry
         columns = list(zip(*[self.vec_rows[j] for j in vec_ix[:n]]))
@@ -811,7 +791,8 @@ class ExactLattice:
 
     @functools.cached_property
     def value_cols(self) -> list[tuple]:
-        """Built on first exact use; the float run path never reads it."""
+        """Built on first use: by the exact route's policy values, and by
+        the float route's ``PriorTables.value_matrix``."""
         T = self.S * self.A * self.H
         means = [[self.law_means[j] for j in self.law_ix[t::T]] for t in range(T)]
         return [self._values(pol, means) for pol in self.policies]

@@ -1,8 +1,9 @@
 """Every public top-level function and class of ``src/ielab`` is named
 somewhere besides its own definition and the package's re-export, every
-private top-level function somewhere besides its own definition, and
-every field of a ``src/ielab`` dataclass is read as an attribute
-somewhere: in the program, the tests, the demos or the benchmark. Every
+private top-level function and every method and property of a class
+somewhere besides its own definition, and every field of a
+``src/ielab`` dataclass is read as an attribute somewhere: in the
+program, the tests, the demos or the benchmark. Every
 config key the harness accepts is read by the program. The files are
 parsed and searched as text, read-only, so nothing is imported or
 compiled next to them."""
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,26 +20,40 @@ PACKAGE = ROOT / "src" / "ielab"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
-def top_level_definitions(kinds: tuple, private: bool) -> list[tuple[Path, str]]:
-    """(module, name) of every top-level definition of the given ast
+def top_level_definitions(kinds: tuple, private: bool) -> list[tuple[str, str]]:
+    """(module.name, name) of every top-level definition of the given ast
     kinds whose name is private (leading underscore) or public."""
     out = []
     for module in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(module.read_text()).body:
             if isinstance(node, kinds) and node.name.startswith("_") == private:
-                out.append((module, node.name))
+                out.append((f"{module.stem}.{node.name}", node.name))
     return out
 
 
-def named_only_once(definitions: list[tuple[Path, str]], texts: list[str]) -> list[str]:
-    """The definitions whose name, as a word, occurs once in all the
-    texts together: in the definition itself."""
-    once = []
-    for module, name in definitions:
-        word = re.compile(rf"\b{name}\b")
-        if sum(len(word.findall(text)) for text in texts) <= 1:
-            once.append(f"{module.stem}.{name}")
-    return once
+def class_members() -> list[tuple[str, str]]:
+    """(module.Class.name, name) of every method and property defined in
+    the body of a ``src/ielab`` class, dunder methods aside: Python calls
+    those by protocol, not by name."""
+    out = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(module.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                out.extend((f"{module.stem}.{cls.name}.{node.name}", node.name)
+                           for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not (node.name.startswith("__") and node.name.endswith("__")))
+    return out
+
+
+def named_only_at_definitions(definitions: list[tuple[str, str]], texts: list[str]) -> list[str]:
+    """The definitions whose name, as a word, occurs in all the texts
+    together no more often than it is defined among ``definitions``: at
+    its definitions only."""
+    defined = Counter(name for _, name in definitions)
+    corpus = "\n".join(texts)
+    return [label for label, name in definitions
+            if len(re.findall(rf"\b{name}\b", corpus)) <= defined[name]]
 
 
 def searched_texts() -> dict[Path, str]:
@@ -49,7 +65,7 @@ def test_public_names_are_used():
     # __init__.py only re-exports, so its mentions are not uses
     texts = [text for path, text in searched_texts().items()
              if path != PACKAGE / "__init__.py"]
-    unused = named_only_once(
+    unused = named_only_at_definitions(
         top_level_definitions((ast.FunctionDef, ast.ClassDef), private=False), texts)
     assert not unused, f"public names nothing uses: {unused}"
 
@@ -57,9 +73,16 @@ def test_public_names_are_used():
 def test_private_functions_are_used():
     """A private helper that nothing names but its own definition was
     left behind when its last caller went."""
-    orphans = named_only_once(top_level_definitions((ast.FunctionDef,), private=True),
-                              list(searched_texts().values()))
+    orphans = named_only_at_definitions(
+        top_level_definitions((ast.FunctionDef,), private=True), list(searched_texts().values()))
     assert not orphans, f"private functions nothing uses: {orphans}"
+
+
+def test_methods_and_properties_are_used():
+    """A method or property that nothing names but its definition (or the
+    definitions of its namesakes in other classes) is called by no one."""
+    unused = named_only_at_definitions(class_members(), list(searched_texts().values()))
+    assert not unused, f"methods and properties nothing uses: {unused}"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

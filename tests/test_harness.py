@@ -131,11 +131,32 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     (["run-prob", "--override", "seeds=[]"], {}, "seeds"),
     (["run-det", "--override", "seeds=[1,1]"], {}, "seeds"),
     (["run-prob", "--override", 'seeds={"range":[2,1]}'], {}, "seeds"),
+    # values of the wrong JSON shape; TMP/list.json holds a JSON list, TMP/bad.json no JSON
+    (["run-det", "--config", "TMP/list.json"], {}, "config"),
+    (["run-det", "--override", "prior=3"], {}, "prior"),
+    (["run-det", "--override", 'prior={"inline":3}'], {}, "prior.inline"),
+    (["params", "--override", 'prior={"path":3}'], {}, "prior.path"),
+    (["params", "--override", 'prior={"path":"TMP/list.json"}'], {}, "prior"),
+    (["params", "--override", 'prior={"path":"TMP/bad.json"}'], {}, "prior"),
+    (["run-det", "--override", "mechanism=3", "--override", "mechanism.n_lrn=2"], {},
+     "mechanism"),
+    (["verify", "--override", 'suite=["hygiene"]'], {}, "suite"),
+    # the agent, episode_log and out fields
+    (["run-det", "--override", 'agent={"mode":"foo"}'], {}, "agent.mode"),
+    (["run-prob", "--override", "agent=3"], {}, "agent"),
+    (["run-det", "--override", 'agent={"mood":"truster"}'], {}, "agent"),
+    (["run-det", "--override", "episode_log=foo"], {}, "episode_log"),
+    (["run-det", "--override", "out=3"], {}, "out"),
+    (["verify", "--override", "out=3"], {}, "out"),
+    (["params", "--override", "out=3"], {}, "out"),
 ])
-def test_cli_bad_field_values_are_config_errors(argv, env, field):
-    """A config value that does not parse or is out of range stops the
-    command with exit code 1 and one ``error:`` line naming the field, not
-    a Python traceback."""
+def test_cli_bad_field_values_are_config_errors(argv, env, field, tmp_path):
+    """A config value that does not parse, is out of range or has the
+    wrong shape stops the command with exit code 1 and one ``error:`` line
+    naming the field, not a Python traceback."""
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "bad.json").write_text("{")
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     run = subprocess.run([sys.executable, "-m", "ielab.cli", *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC), **env},
                          timeout=60)

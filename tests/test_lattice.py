@@ -11,8 +11,9 @@ from ``prior_strategies.small_priors``) feed:
 - the float mechanism posterior of the run loop
   (agents._mechanism_weights_float) vs the exact mechanism_posterior;
 - low_reward_table vs per-atom exact mean rewards;
-- every PriorTables array and low_reward_table vs a per-atom float(p)
-  build, bit for bit, also on a prior whose denominator exceeds 2**53;
+- every PriorTables array and low_reward_table vs a per-atom build
+  (float(p) of each mass, float(policy_value) of each policy value),
+  bit for bit, also on a prior whose denominator exceeds 2**53;
 - count signatures vs LedgerState's reward-count layout;
 - the lattice's per-policy trajectory lists vs
   mdp.enumerate_trajectories, atom by atom, on the micro instances too;
@@ -157,64 +158,59 @@ def test_lattice_value_matrix_matches_policy_value(stoch_prior):
                 policy_value(stoch_prior.atoms[i], pol)
 
 
-def float_policy_value(model, policy) -> float:
-    """policy_value's backward DP in floats, one atom at a time, with every
-    weighted sum accumulated left to right from 0.0 (``sum()`` of floats is
-    compensated from Python 3.12 on, so it is not used)."""
-    def weighted(weights, values):
-        total = 0.0
-        for w, v in zip(weights, values):
-            total = total + float(w) * v
-        return total
-
-    value = [0.0] * model.S
-    for h in range(model.H, 0, -1):
-        nxt = []
-        for x in range(1, model.S + 1):
-            a = policy.action(x, h)
-            v = float(model.mean_reward(x, a, h))
-            if h < model.H:
-                v = v + weighted(model.transition(x, a, h), value)
-            nxt.append(v)
-        value = nxt
-    return weighted(model.init, value)
-
-
-def scalar_value_matrix(prior, tables) -> np.ndarray:
-    return np.array([[float_policy_value(m, pol) for pol in tables.policies]
+def exact_value_matrix(prior) -> np.ndarray:
+    """float(policy_value(atom, policy)) at [atom, policy encoding]: the
+    correctly rounded values of mdp's per-model Fraction DP."""
+    return np.array([[float(policy_value(m, pol)) for pol in enumerate_policies(*prior.shape)]
                      for m in prior.atoms])
 
 
 def test_value_matrix_equals_policy_value(det_prior, stoch_prior):
-    """PriorTables' vectorized DP reproduces policy_value's DP in scalar
-    floats bit for bit, for every (atom, policy) entry: on the micro
-    instances, and on random models with three states and stages and
-    rewards in thirds and sevenths, where unlike on the micro instances the
-    float sums depend on their order."""
+    """Every entry of PriorTables' value matrix is the correctly rounded
+    exact policy value: float(policy_value(atom, policy)), and the float
+    of the lattice's value int over value_den. On the micro instances, on
+    random models with three states and stages and rewards in thirds and
+    sevenths, where a float DP's sums depend on their order, on the
+    mixed-order prior and on a prior whose denominators exceed 2**53."""
     from ielab.instances import random_model
 
     rng = np.random.default_rng(7)
     support = (0, Fraction(1, 3), Fraction(5, 7), 1)
     off_grid = DiscretePrior(tuple(random_model(rng, 3, 2, 3, support=support)
                                    for _ in range(6)), (Fraction(1, 6),) * 6)
-    for prior in (det_prior, stoch_prior, off_grid):
+    for prior in (det_prior, stoch_prior, off_grid, mixed_reward_order_prior(), big_den_prior()):
         tables = priors.PriorTables(prior)
-        assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
+        lattice = exact_lattice(prior)
+        assert np.array_equal(tables.value_matrix, exact_value_matrix(prior))
+        assert tables.value_matrix.tolist() == [
+            [float(Fraction(col[i], lattice.value_den)) for col in lattice.value_cols]
+            for i in range(prior.n)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_priors())
 def test_value_matrix_equals_policy_value_on_random_priors(prior):
     tables = priors.PriorTables(prior)
-    assert np.array_equal(tables.value_matrix, scalar_value_matrix(prior, tables))
+    assert np.array_equal(tables.value_matrix, exact_value_matrix(prior))
+
+
+def per_atom_features(prior) -> np.ndarray:
+    """Each atom's feature masses as float(p), (F, n), without the lattice,
+    in the lattice's feature order: init, transitions by (x, a, h, y),
+    rewards by (x, a, h, support value), the zero column."""
+    triples = sorted(all_triples(*prior.shape))
+    support = prior.atoms[0].reward_support
+    return np.array([[float(p) for p in m.init]
+                     + [float(p) for t in triples for p in m.transition(*t)]
+                     + [float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
+                     + [0.0] for m in prior.atoms]).T
 
 
 def per_atom_tables(prior, eps) -> dict:
     """Every PriorTables array, and low_reward_table at eps, built from each
-    atom's own rows and laws with float(p), without the lattice. The
+    atom's own rows, laws and policy values, without the lattice. The
     log-mass matrix and its zero-mass mask list each atom's features in
-    the lattice's feature order: init, transitions by (x, a, h, y),
-    rewards by (x, a, h, support value), the zero column."""
+    the lattice's feature order."""
     S, A, H = prior.shape
     n, atoms = prior.n, prior.atoms
     triples = sorted(all_triples(S, A, H))
@@ -222,22 +218,15 @@ def per_atom_tables(prior, eps) -> dict:
     V = len(support)
     mass = np.array([[float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
                      for m in atoms]).reshape(n, S, A, H, V)
-    features = np.array([[float(p) for p in m.init]
-                         + [float(p) for t in triples for p in m.transition(*t)]
-                         + [float(m.reward_dist(*t).mass(v)) for t in triples for v in support]
-                         + [0.0] for m in atoms]).T
+    features = per_atom_features(prior)
     with np.errstate(divide="ignore"):
         log_mass = np.log(features)
     return {
-        "init": np.array([[float(p) for p in m.init] for m in atoms]),
-        "trans": np.array([[float(p) for t in triples for p in m.transition(*t)]
-                           for m in atoms]).reshape(n, S, A, H, S),
         "log_mass": np.where(features == 0, 0.0, log_mass),
         "zero_mass": features == 0,
         "reward_cum": np.array([cumulative_row(row) for row in mass.reshape(-1, V)]
                                ).reshape(n, S, A, H, V),
-        "value_matrix": np.array([[float_policy_value(m, pol)
-                                   for pol in enumerate_policies(S, A, H)] for m in atoms]),
+        "value_matrix": exact_value_matrix(prior),
         "log_weights": np.log([float(w) for w in prior.weights]),
         "low_reward": np.array([[m.mean_reward(*t) <= eps for t in triples]
                                 for m in atoms]).reshape(n, S, A, H),
@@ -289,10 +278,10 @@ def test_prior_tables_equal_per_atom_floats_past_2_53():
     lattice = exact_lattice(prior)
     assert lattice.den > 2**53
     assert_tables_equal_per_atom_floats(prior)
-    want = per_atom_tables(prior, 0)
+    n = prior.n
     shortcut = (np.array(lattice.vec_rows, dtype=float) / lattice.den)[lattice.vec_ix]
-    assert not (np.array_equal(shortcut[:prior.n], want["init"])
-                and np.array_equal(shortcut[prior.n:].ravel(), want["trans"].ravel()))
+    paths = np.concatenate([shortcut[:n], shortcut[n:].reshape(n, -1)], axis=1).T
+    assert not np.array_equal(paths, per_atom_features(prior)[:lattice.reward_start])
 
 
 @settings(max_examples=60, deadline=None)
