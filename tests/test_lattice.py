@@ -170,8 +170,8 @@ def test_value_matrix_equals_policy_value(det_prior, stoch_prior):
     exact policy value: float(policy_value(atom, policy)), and the float
     of the lattice's value int over value_den. On the micro instances, on
     random models with three states and stages and rewards in thirds and
-    sevenths, where a float DP's sums depend on their order, on the
-    mixed-order prior and on a prior whose denominators exceed 2**53."""
+    sevenths, on the mixed-order prior and on a prior whose denominators
+    exceed 2**53."""
     from ielab.instances import random_model
 
     rng = np.random.default_rng(7)
