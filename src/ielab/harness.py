@@ -103,7 +103,7 @@ class ExperimentConfig:
         try:
             if isinstance(spec, int):
                 seeds = [_integer(spec)]
-            elif isinstance(spec, dict) and "range" in spec:
+            elif isinstance(spec, dict) and spec.keys() == {"range"}:
                 a, b = spec["range"]
                 seeds = list(range(_integer(a), _integer(b) + 1))
             elif isinstance(spec, list):
@@ -169,8 +169,13 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
 
 def load_prior(cfg: ExperimentConfig):
     """Returns (factored prior, expanded DiscretePrior); every command's
-    schedule reads the factored form, so a list of atoms is refused."""
+    schedule reads the factored form, so a list of atoms is refused. The
+    spec names exactly one source; a prior document with a missing key or
+    a bad value is a ConfigError naming the key or the document."""
     spec = _object(cfg.get("prior", {"micro": "det1"}), "prior")
+    if len(spec) != 1 or not spec.keys() <= {"micro", "path", "inline"}:
+        raise ConfigError("prior spec needs exactly one of 'micro', 'path' and 'inline', and "
+                          f"no other field: {sorted(spec)}")
     if "micro" in spec:
         name = spec["micro"]
         if name == "det1":
@@ -183,21 +188,26 @@ def load_prior(cfg: ExperimentConfig):
     if "path" in spec:
         if not isinstance(spec["path"], str):
             raise ConfigError(f"bad prior.path: {spec['path']!r}")
+        name = f"prior {spec['path']}"
         try:
             with open(spec["path"]) as f:
-                obj = prior_from_dict(_object(json.load(f), f"prior {spec['path']}"))
+                doc = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read prior {spec['path']}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"prior {spec['path']} is not valid JSON: {e}") from e
-    elif "inline" in spec:
-        obj = prior_from_dict(_object(spec["inline"], "prior.inline"))
     else:
-        raise ConfigError("prior spec needs 'micro', 'path', or 'inline'")
-    if not hasattr(obj, "expand"):
-        raise AssumptionViolated("ielab's commands need a reward-independent prior in "
-                                 "the factored form; this prior lists its atoms")
-    return obj, obj.expand()
+        doc, name = spec["inline"], "prior.inline"
+    try:
+        obj = prior_from_dict(_object(doc, name))
+        if not hasattr(obj, "expand"):
+            raise AssumptionViolated("ielab's commands need a reward-independent prior in "
+                                     "the factored form; this prior lists its atoms")
+        return obj, obj.expand()
+    except KeyError as e:
+        raise ConfigError(f"{name} lacks the field {e.args[0]!r}") from e
+    except (AttributeError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad {name}: {e}") from e
 
 
 _MECHANISM_PARSERS = {

@@ -50,10 +50,11 @@ from .priors import (
     ModelEvent,
     PriorTables,
     Posterior,
-    canonical_gap,
     canonical_posterior,
     low_reward_table,
+    policy_values,
     shared_tables,
+    split_gap,
 )
 
 
@@ -612,25 +613,30 @@ def _draw_hallucinated(fast: LedgerState, hal_atom: int, explored_mask: np.ndarr
     return np.bincount(occ * n_support + idx, minlength=counts.size).reshape(counts.shape)
 
 
-def _hh_exploring_policies(tables: PriorTables, reachable: list,
-                           U: TripleSet) -> frozenset | None:
-    """Encodings of the policies that visit U under the true model with
-    positive probability (the deterministic-class reading of the rho_0
-    target), or None when that splits the policy space degenerately.
-    ``reachable[j]`` is the ``reachable_triples`` of policy j under the
-    true model; a policy visits U with positive probability exactly when
-    those meet U.
+def _hh_exploring_policies(reachable: list, U: TripleSet) -> np.ndarray | None:
+    """The policies that visit U under the true model with positive
+    probability (the deterministic-class reading of the rho_0 target), as
+    a boolean mask in encoding order, or None when that splits the policy
+    space degenerately. ``reachable[j]`` is the ``reachable_triples`` of
+    policy j under the true model; a policy visits U with positive
+    probability exactly when those meet U.
     """
-    inside = frozenset(pol.encoding for pol, reach in zip(tables.policies, reachable)
-                       if not reach.isdisjoint(U))
-    return inside if 0 < len(inside) < len(tables.policies) else None
+    inside = np.array([not reach.isdisjoint(U) for reach in reachable])
+    return inside if 0 < inside.sum() < len(inside) else None
 
 
-# seeds that run_games plays in lockstep, one run_game batch at a time
-_BATCH_SEEDS = 4
+# phase records a lockstep batch holds: 4 seeds of 40 phases
+_BATCH_RECORDS = 160
 # (seed, phase) rows of draws read in one evaluation per family, and
 # seeds per read of the truth draws
 _DRAW_ROWS = 4096
+
+
+def _batch_seeds(config: MechanismConfig) -> int:
+    """The number of consecutive seeds ``run_games`` plays in one lockstep
+    batch: as many as hold ``_BATCH_RECORDS`` phase records, and at least
+    4. A det run of 8 phases gets 20; runs of 40 phases or more, 4."""
+    return max(4, _BATCH_RECORDS // max(config.total_phases, 1))
 
 
 class RunDraws:
@@ -640,12 +646,12 @@ class RunDraws:
     ("hal-model", ell) uniform, the hallucination episode k* (the phase's
     first episode, plus the ("kstar", ell) draw below n_phase past
     n_lrn) and the 2H uniforms of ("traj", k*). The seeds are played in
-    batches of ``_BATCH_SEEDS`` consecutive seeds, and a batch takes its
-    rows phase by phase, one row per seed. So the rows are numbered batch
-    by batch, phase-major within a batch, and one read takes the next
-    whole batch phases up to ``_DRAW_ROWS`` rows (at least one batch
-    phase), across batches, and reads each family in one ``rng``
-    evaluation over per-row keys. A batch whose runs all stop early
+    batches of ``_batch_seeds(config)`` consecutive seeds, and a batch
+    takes its rows phase by phase, one row per seed. So the rows are
+    numbered batch by batch, phase-major within a batch, and one read
+    takes the next whole batch phases up to ``_DRAW_ROWS`` rows (at least
+    one batch phase), across batches, and reads each family in one
+    ``rng`` evaluation over per-row keys. A batch whose runs all stop early
     leaves its later rows unread, and memory stays at one read whatever
     the number of seeds.
     """
@@ -666,7 +672,7 @@ class RunDraws:
 
     def _batch_size(self, i: int) -> int:
         """The number of seeds in the batch that starts at seed i."""
-        return min(_BATCH_SEEDS, len(self.seeds) - i)
+        return min(_batch_seeds(self.config), len(self.seeds) - i)
 
     def phase(self, i: int, ell: int) -> tuple:
         """Phase ell of the batch that starts at seed i: its hal-model
@@ -738,9 +744,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     The seeds' ledgers are one stacked ``LedgerState`` of feature counts;
     a phase's posteriors, ``punish_prob`` and the fully rational agent's
     punish-event sums (masked full-length row sums), hallucinated-model
-    draws and greedy choices are stacked operations whose rows are bit for
-    bit the one-seed results. Per seed remain the U bookkeeping, the
-    general hallucinated-reward draws, the rollouts, records and hooks.
+    draws, greedy choices and ``track_hh`` gaps are stacked operations
+    whose rows are bit for bit the one-seed results. What depends only on
+    U (its sorted list and set, the punish mask and size, and per true
+    transition table the hh-exploring policies) is computed once per U in
+    the call. Per seed remain the general hallucinated-reward draws, the
+    rollouts, records and hooks.
     U, new triples, coverage and visits are read from ``LedgerState.visits``.
     ``replay_signals`` rebuilds the signal ledgers from the log for an
     exact check of the float choices after the run.
@@ -774,7 +783,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     # per true transition table, once per batch: the target, as a set and
     # a mask, and with track_hh the support of each policy under the model
     by_table = {}
-    statics = []
+    table_keys, statics = [], []
     for j, model in zip(true_atoms, true_models):
         key = None if j < 0 else tables.lattice.transition_key(j)
         if key not in by_table:
@@ -784,7 +793,13 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                 mask[x - 1, a - 1, h - 1] = True
             by_table[key] = (target, mask, track_hh and [reachable_triples(model, pol)
                                                          for pol in tables.policies])
+        table_keys.append(key)
         statics.append(by_table[key])
+    # once per U in the batch, keyed by U as the bytes of its complement's
+    # mask: U sorted and as a set, its punish mask and size (eps and the
+    # prior are fixed for the run); and per (transition table, U) the
+    # hh-exploring policies
+    by_U, hh_by = {}, {}
     hal_rewards_keys = [rngmod.family_key(s, "hal-rewards") for s in seeds]
     logs = [GameLog(seed=s, agent_mode=agent.mode, episode_log=episode_log, config=config,
                     prior_digest=prior_digest(prior), true_atom=j)
@@ -797,7 +812,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     targets = np.stack([mask for _, mask, _ in statics])
     n_explored = np.full(len(seeds), -1)
     punish_mask = np.zeros((len(seeds), prior.n), dtype=bool)
-    U_sorted, U, explored, punish_size, hh_inside = ([None] * len(seeds) for _ in range(5))
+    U_sorted, U, punish_size, hh_inside = ([None] * len(seeds) for _ in range(4))
     covered_at = [None] * len(seeds)
 
     def finish(r: int, b: int) -> None:
@@ -826,15 +841,21 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
         for r in (sizes != n_explored).nonzero()[0].tolist():
             b = live[r]
             n_explored[r] = sizes[r]
-            # U only shrinks, at most SAH times a run; C order is sorted order
-            U_sorted[b] = [(x + 1, a + 1, h + 1)
-                           for x, a, h in np.argwhere(~explored_mask[r]).tolist()]
-            U[b] = frozenset(U_sorted[b])
-            explored[b] = complement_triples(U[b], S, A, H)
-            punish_mask[r] = tables.event_mask(punish_event(prior, explored[b], eps))
-            punish_size[b] = int(punish_mask[r].sum())
+            u_key = explored_mask[r].tobytes()
+            if u_key not in by_U:
+                # U only shrinks, at most SAH times a run; C order is sorted order
+                U_list = [(x + 1, a + 1, h + 1)
+                          for x, a, h in np.argwhere(~explored_mask[r]).tolist()]
+                U_set = frozenset(U_list)
+                mask = tables.event_mask(
+                    punish_event(prior, complement_triples(U_set, S, A, H), eps))
+                by_U[u_key] = U_list, U_set, mask, int(mask.sum())
+            U_sorted[b], U[b], punish_mask[r], punish_size[b] = by_U[u_key]
             if track_hh:
-                hh_inside[b] = _hh_exploring_policies(tables, statics[b][2], U[b])
+                hh_key = table_keys[b], u_key
+                if hh_key not in hh_by:
+                    hh_by[hh_key] = _hh_exploring_policies(statics[b][2], U[b])
+                hh_inside[b] = hh_by[hh_key]
         try:
             cens_w, hal_w = fast.posteriors(punish_mask)
         except ZeroEvidence as e:
@@ -843,7 +864,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                               .any(axis=1)))
             raise ZeroEvidence(
                 f"phase {ell}: punish event empty on fully-explored set "
-                f"{sorted(explored[live[r]])} at eps_pun={eps} ({e})"
+                f"{sorted(complement_triples(U[live[r]], S, A, H))} at eps_pun={eps} ({e})"
             ) from e
         punish_prob = (cens_w * punish_mask).sum(axis=-1).tolist()
 
@@ -855,6 +876,19 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                 hal_counts[r] = _draw_hallucinated(fast.row(r), hal_atoms[r], explored_mask[r],
                                                    lambda: rngmod.generator(key, ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
+
+        gaps = {}
+        split = [r for r, b in enumerate(live) if hh_inside[b] is not None]
+        if split:
+            # one stacked revealed posterior and one stacked policy_values,
+            # whose rows are bit for bit the one-row ones, so each gap is its
+            # row's canonical_gap. The stack raises no ZeroEvidence that a row
+            # alone would not: every row's hallucinated atom has positive mass
+            # by construction, drawn from its hallucination posterior with
+            # rewards drawn from its own laws.
+            vals, _ = policy_values(fast.revealed_posterior(hal_counts))
+            inside = np.stack([hh_inside[live[r]] for r in split])
+            gaps = dict(zip(split, split_gap(vals[split], inside).tolist()))
 
         ctx = PhaseContext(ell=ell, fast=fast, cens_weights=cens_w, punish_mask=punish_mask,
                            hon_counts=hon_counts, hal_counts=hal_counts,
@@ -885,9 +919,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                                                hon_code, steps, hon_trajs, traj_of_row))
 
             hh_holds = hh_slack = None
-            if track_hh and hh_inside[b] is not None:
-                gap = canonical_gap(fast.row(r).revealed_posterior(hal_counts[r]), hh_inside[b])
-                hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob[r], gap, H)
+            if r in gaps:
+                hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob[r], gaps[r], H)
                 hh_slack = rhs - lhs
             new_triples = sorted((x, a, h) for x, a, h, _ in steps
                                  if not visited[r][((x - 1) * A + a - 1) * H + h - 1])
@@ -939,17 +972,20 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
 
 def run_games(config: MechanismConfig, prior: DiscretePrior, make_agent, seeds,
               **run_options):
-    """``run_game`` over the seeds in lockstep batches of ``_BATCH_SEEDS``
-    consecutive seeds, each batch with a fresh ``make_agent()``; yields
-    each GameLog in seed order as its batch finishes. The runs read their
+    """``run_game`` over the seeds in lockstep batches of consecutive
+    seeds, each batch with a fresh ``make_agent()``; yields each GameLog in
+    seed order as its batch finishes. A batch holds ``_batch_seeds``
+    seeds: as many as make 160 phase records, at least 4 (20 for det's 8
+    phases, 4 for 40 phases or more). The runs read their
     state-independent draws through one ``RunDraws`` over all the seeds,
     so each family is read in one Philox evaluation per ``_DRAW_ROWS``
     rows across batches, and each log is bit for bit the one-seed run's.
     Memory holds one batch's runs, whatever the number of seeds."""
     seeds = list(seeds)
     draws = RunDraws(config, seeds, 2 * prior.shape[2])
-    for i in range(0, len(seeds), _BATCH_SEEDS):
-        yield from run_game(config, prior, make_agent(), seeds[i:i + _BATCH_SEEDS],
+    size = _batch_seeds(config)
+    for i in range(0, len(seeds), size):
+        yield from run_game(config, prior, make_agent(), seeds[i:i + size],
                             draws=(draws, i), **run_options)
 
 

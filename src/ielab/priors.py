@@ -361,12 +361,22 @@ def canonical_gap(posterior: Posterior, Pi):
     """
     vals, den = policy_values(posterior)
     enc = policy_encodings(Pi)
-    inside = [v for j, v in enumerate(vals) if j in enc]
-    outside = [v for j, v in enumerate(vals) if j not in enc]
-    if not inside or not outside:
+    inside = np.array([j in enc for j in range(len(vals))])
+    if inside.all() or not inside.any():
         raise DegenerateSplit("gap needs a nonempty strict subset of policies")
-    gap = max(inside) - max(outside)
-    return gap if den is None else Fraction(gap, den)
+    if den is None:
+        return split_gap(vals, inside)
+    return Fraction(split_gap(np.array(vals, dtype=object), inside), den)
+
+
+def split_gap(vals: np.ndarray, inside: np.ndarray):
+    """The best of the policy values ``vals`` where the boolean mask
+    ``inside`` holds minus the best where it does not, for one row of
+    values or per row of a stack of values and masks. A maximum only
+    selects, so each row's gap is its one-row result; object arrays of
+    ints stay exact."""
+    return (np.max(vals, axis=-1, where=inside, initial=-np.inf)
+            - np.max(vals, axis=-1, where=~inside, initial=-np.inf))
 
 
 def policy_encodings(Pi) -> frozenset:

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ielab import (DiscreteDist, FactoredRewardPrior, harness, make_agent, mechanism,
-                   micro_stoch_1, run_game)
+from ielab import (DiscreteDist, FactoredRewardPrior, det_parameters, harness, make_agent,
+                   mechanism, micro_det_1, micro_stoch_1, run_game)
 from ielab.cli import build_parser, main
 from ielab.errors import ConfigError
 from ielab.harness import ExperimentConfig, _write_artifact, load_config
@@ -149,6 +151,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     (["run-det", "--override", "out=3"], {}, "out"),
     (["verify", "--override", "out=3"], {}, "out"),
     (["params", "--override", "out=3"], {}, "out"),
+    # prior documents with a missing key or bad numbers, and spec objects with unread fields
+    (["params", "--override", 'prior={"inline":{"factored":{}}}'], {}, "transition_prior"),
+    (["params", "--override", 'prior={"inline":{"factored":{"S":1,"A":1,"H":1,'
+      '"transition_prior":[{"init":[1],"transitions":{},"weight":2}],'
+      '"reward_marginals":{"1,1,1":{"support":[0,1],"probs":["1/2","1/2"]}}}}}'], {},
+     "prior.inline: weights must sum to 1"),
+    (["run-det", "--override", 'seeds={"range":[0,1],"x":1}'], {}, "seeds"),
+    (["params", "--override", 'prior={"micro":"det1","path":"/nonexistent"}'], {},
+     "['micro', 'path']"),
 ])
 def test_cli_bad_field_values_are_config_errors(argv, env, field, tmp_path):
     """A config value that does not parse, is out of range or has the
@@ -362,6 +373,47 @@ def test_sweep_peak_does_not_grow_with_its_seeds(tmp_path, monkeypatch, capsys):
     sweep(20, traced=False)
     few, many = sweep(4, traced=True), sweep(20, traced=True)
     assert many - few < 128 * 1024, f"peak {few} B at 4 seeds, {many} B at 20"
+
+
+def test_det_sweep_peak_does_not_grow_with_its_seeds(tmp_path, monkeypatch, capsys):
+    """The method of ``test_sweep_peak_does_not_grow_with_its_seeds`` on a
+    run-det sweep: at 8 phases a run, 20 seeds play in one lockstep batch
+    and 40 in two, with reads of 64 draw rows. From 20 seeds to 40 the
+    traced peak grows by less than 128 KB. A det log of the hallucination
+    episodes is only a few KB, so the first, untraced sweep also checks
+    that as a batch starts, no log of an earlier batch is left but the
+    one the harness is writing."""
+    factored = micro_det_1()
+    prior = factored.expand()
+    monkeypatch.setattr(harness, "load_prior", lambda cfg: (factored, prior))
+    monkeypatch.setattr(mechanism, "_DRAW_ROWS", 64)
+    assert mechanism._batch_seeds(det_parameters(factored)[0]) == 20
+    play, played = mechanism.run_game, []
+
+    def batch(*args, **options):
+        gc.collect()
+        assert sum(ref() is not None for ref in played) <= 1
+        logs = play(*args, **options)
+        played.extend(map(weakref.ref, logs))
+        return logs
+
+    def sweep(n: int, traced: bool) -> int:
+        out = tmp_path / f"{n}-{traced}"
+        if traced:
+            tracemalloc.start()
+        try:
+            assert main(["run-det", "--seeds", f"0..{n - 1}", "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    with monkeypatch.context() as m:
+        m.setattr(mechanism, "run_game", batch)
+        sweep(40, traced=False)
+    assert len(played) == 40
+    one, two = sweep(20, traced=True), sweep(40, traced=True)
+    assert two - one < 128 * 1024, f"peak {one} B at 20 seeds, {two} B at 40"
 
 
 def test_cli_params_bandit_case(tmp_path, capsys):

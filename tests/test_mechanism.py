@@ -543,7 +543,8 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
     hal-rewards config (eps_pun 3/4), whose reward draws take the general
     path, with both episode logs; det with ``track_hh``; a ``true_model``
     override; and a hook that stops the seeds at phases 3 to 6, so seeds
-    stop while others of their batch play on."""
+    stop while others of their batch play on. Each case's batches hold
+    4 seeds' phase records."""
     base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                               n_lrn_override=8, total_phases_override=40)
     hal_rewards = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
@@ -561,8 +562,9 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
                                  "track_hh": True}),
     ]
     seeds = [5, 2, 9, 2, 0, 7]
-    monkeypatch.setattr(mechanism, "_BATCH_SEEDS", 4)
     for prior, cfg, options in cases:
+        monkeypatch.setattr(mechanism, "_BATCH_RECORDS", 4 * cfg.total_phases)
+        assert mechanism._batch_seeds(cfg) == 4
         alone = [run_game(cfg, prior, make_agent(mode, prior, cfg), seed, **options).write()
                  for seed in seeds]
         logs = list(run_games(cfg, prior, lambda: make_agent(mode, prior, cfg), seeds, **options))
@@ -601,8 +603,8 @@ def test_sweep_reads_each_draw_family_once(monkeypatch, stoch_factored, stoch_pr
 def test_batch_shares_reachable_triples_per_transition_table(monkeypatch, det_prior,
                                                              det_config):
     """Every micro_det_1 atom has the one transition table, so a batch's
-    seeds compute the policies' ``reachable_triples`` once: 8 seeds in two
-    batches walk each policy twice."""
+    seeds compute the policies' ``reachable_triples`` once: 8 det seeds,
+    one batch at 8 phases a run, walk each policy once."""
     walks = []
 
     def counted(model, policy):
@@ -610,12 +612,57 @@ def test_batch_shares_reachable_triples_per_transition_table(monkeypatch, det_pr
         return reachable_triples(model, policy)
 
     monkeypatch.setattr(mechanism, "reachable_triples", counted)
-    monkeypatch.setattr(mechanism, "_BATCH_SEEDS", 4)
+    assert mechanism._batch_seeds(det_config) >= 8
     logs = list(run_games(det_config, det_prior,
                           lambda: make_agent("fully_rational", det_prior, det_config), range(8),
                           episode_log="hallucination", track_hh=True))
     assert len({log.true_atom for log in logs}) > 2
-    assert sorted(walks) == sorted(2 * [pol.encoding for pol in shared_tables(det_prior).policies])
+    assert sorted(walks) == sorted(pol.encoding for pol in shared_tables(det_prior).policies)
+
+
+def test_batches_hold_160_phase_records(monkeypatch, det_prior, det_config, stoch_factored,
+                                        stoch_prior):
+    """``run_games`` batches as many seeds as hold 160 phase records, at
+    least 4: 40 det seeds at 8 phases play in two ``run_game`` calls of
+    20, each log the one-seed run's byte for byte, and each batch calls
+    ``punish_event`` once per distinct U among its seeds' phase records.
+    A 320-phase stoch config (prob-sweep's) plays 4 seeds a batch."""
+    calls, punished = [], []
+
+    def batch(config, prior, agent, seeds, **options):
+        calls.append(len(seeds))
+        punished.append([])
+        return run_game(config, prior, agent, seeds, **options)
+
+    def counted(prior, explored, eps):
+        punished[-1].append(frozenset(explored))
+        return punish_event(prior, explored, eps)
+
+    monkeypatch.setattr(mechanism, "run_game", batch)
+    monkeypatch.setattr(mechanism, "punish_event", counted)
+    options = {"episode_log": "hallucination", "track_hh": True}
+    seeds = range(40)
+    logs = list(run_games(det_config, det_prior,
+                          lambda: make_agent("fully_rational", det_prior, det_config),
+                          seeds, **options))
+    assert det_config.total_phases == 8 and calls == [20, 20]
+    for i, explored in enumerate(punished):
+        per_seed = [{tuple(map(tuple, p.U)) for p in log.phases}
+                    for log in logs[20 * i:20 * i + 20]]
+        assert len(explored) == len(set(explored)) == len(set().union(*per_seed))
+        assert len(explored) < sum(map(len, per_seed))  # the seeds share their Us
+    alone = [run_game(det_config, det_prior, make_agent("fully_rational", det_prior, det_config),
+                      seed, **options).write() for seed in seeds]
+    assert [log.write() for log in logs] == alone
+
+    calls.clear()
+    cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1, n_lrn_override=64,
+                             total_phases_override=320)
+    logs = list(run_games(cfg, stoch_prior, lambda: make_agent("canonical_truster", stoch_prior,
+                                                                cfg),
+                          range(6), episode_log="hallucination",
+                          phase_hook=lambda ctx, log: True))
+    assert calls == [4, 2] and [len(log.phases) for log in logs] == [1] * 6
 
 
 @pytest.mark.parametrize("mode", ["canonical_truster", "fully_rational"])
@@ -742,7 +789,8 @@ def test_hh_exploring_policies_equal_positive_visit_probability(det_prior, det_c
             want = frozenset(pol.encoding for pol in tables.policies
                              if event_visit_probability(true_model, pol, ctx.U) > 0)
             want = want if 0 < len(want) < len(tables.policies) else None
-            assert _hh_exploring_policies(tables, reachable, ctx.U) == want
+            inside = _hh_exploring_policies(reachable, ctx.U)
+            assert want == (None if inside is None else frozenset(np.flatnonzero(inside)))
 
         for seed in seeds:
             agent = make_agent("fully_rational", prior, cfg)
