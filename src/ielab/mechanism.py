@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -627,8 +628,8 @@ def _hh_exploring_policies(reachable: list, U: TripleSet) -> np.ndarray | None:
 
 # phase records a lockstep batch holds: 4 seeds of 40 phases
 _BATCH_RECORDS = 160
-# (seed, phase) rows of draws read in one evaluation per family, and
-# seeds per read of the truth draws
+# (seed, phase) rows of draws a batch reads in one evaluation per
+# family, so that a long run's draws are not all held at once
 _DRAW_ROWS = 4096
 
 
@@ -639,106 +640,63 @@ def _batch_seeds(config: MechanismConfig) -> int:
     return max(4, _BATCH_RECORDS // max(config.total_phases, 1))
 
 
-class RunDraws:
-    """The draws of a seed list's runs that no run state decides.
+def _seed_int(seed) -> int:
+    """A seed as an int: anything ``operator.index`` takes, but a bool."""
+    if not isinstance(seed, bool):
+        try:
+            return operator.index(seed)
+        except TypeError:
+            pass
+    raise TypeError(f"a seed is an int or a list of ints, not {seed!r}")
 
-    Per seed i, the ("truth", 0) uniform; per phase ell of it, the
-    ("hal-model", ell) uniform, the hallucination episode k* (the phase's
-    first episode, plus the ("kstar", ell) draw below n_phase past
-    n_lrn) and the 2H uniforms of ("traj", k*). The seeds are played in
-    batches of ``_batch_seeds(config)`` consecutive seeds, and a batch
-    takes its rows phase by phase, one row per seed. So the rows are
-    numbered batch by batch, phase-major within a batch, and one read
-    takes the next whole batch phases up to ``_DRAW_ROWS`` rows (at least
-    one batch phase), across batches, and reads each family in one
-    ``rng`` evaluation over per-row keys. A batch whose runs all stop early
-    leaves its later rows unread, and memory stays at one read whatever
-    the number of seeds.
-    """
 
-    def __init__(self, config: MechanismConfig, seeds: list, n_uniforms: int):
-        self.config, self.seeds, self.n_uniforms = config, seeds, n_uniforms
-        self._truth_start, self._truths = 0, []
-        # the rows held, from row number _row_start
-        self._row_start, self._u_hal, self._k_star, self._u_traj = 0, [], [], None
-
-    def truth(self, i: int) -> float:
-        """Seed i's ("truth", 0) uniform."""
-        if not 0 <= i - self._truth_start < len(self._truths):
-            keys = [rngmod.family_key(seed, "truth") for seed in self.seeds[i:i + _DRAW_ROWS]]
-            self._truth_start = i
-            self._truths = rngmod.uniform_rows(keys, [0] * len(keys), 1)[:, 0].tolist()
-        return self._truths[i - self._truth_start]
-
-    def _batch_size(self, i: int) -> int:
-        """The number of seeds in the batch that starts at seed i."""
-        return min(_batch_seeds(self.config), len(self.seeds) - i)
-
-    def phase(self, i: int, ell: int) -> tuple:
-        """Phase ell of the batch that starts at seed i: its hal-model
-        uniforms, k* list and traj uniforms, one row per seed."""
-        R = self._batch_size(i)
-        row = i * self.config.total_phases + (ell - 1) * R - self._row_start
-        if not 0 <= row <= len(self._k_star) - R:
-            self._read(i, ell)
-            row = 0
-        return (self._u_hal[row:row + R], self._k_star[row:row + R],
-                self._u_traj[row:row + R])
-
-    def _read(self, i: int, ell: int) -> None:
-        """Hold the rows of whole batch phases from phase ell of the batch
-        at seed i on, up to ``_DRAW_ROWS``."""
-        config, T = self.config, self.config.total_phases
-        self._row_start = i * T + (ell - 1) * self._batch_size(i)
-        seeds, ells = [], []  # each row's seed and phase
-        while i < len(self.seeds):
-            R = self._batch_size(i)
-            if ells and len(ells) + R > _DRAW_ROWS:
-                break
-            seeds += self.seeds[i:i + R]
-            ells += [ell] * R
-            i, ell = (i, ell + 1) if ell < T else (i + R, 1)
-
-        def keys(family: str) -> list:
-            """Each row's key of ``family``."""
-            by_seed = {seed: rngmod.family_key(seed, family) for seed in set(seeds)}
-            return [by_seed[seed] for seed in seeds]
-
-        late = [r for r, e in enumerate(ells) if e > config.n_lrn]  # the rows that draw k*
-        kstar_keys = keys("kstar")
-        offsets = rngmod.integer_rows([kstar_keys[r] for r in late], [ells[r] for r in late],
-                                      config.n_phase)
-        self._k_star = [phase_episodes(config, e)[0] for e in ells]
-        for r, offset in zip(late, offsets):
-            self._k_star[r] += offset
-        self._u_hal = rngmod.uniform_rows(keys("hal-model"), ells, 1)[:, 0]
-        self._u_traj = rngmod.uniform_rows(keys("traj"), self._k_star, self.n_uniforms)
+def _phase_draws(config: MechanismConfig, keys: dict, ells: range, n_uniforms: int) -> tuple:
+    """The draws of a batch's phases ``ells`` that no run state decides,
+    as arrays of (phase, seed) rows: the ("hal-model", ell) uniforms, the
+    hallucination episodes k* (the phase's first episode, plus the
+    ("kstar", ell) draw below n_phase past n_lrn) and the ``n_uniforms``
+    uniforms of ("traj", k*). ``keys`` maps each family to the batch's
+    keys, one per seed; each family is one ``rng`` evaluation over
+    per-row keys, phase-major."""
+    R = len(keys["traj"])
+    row_ells = [ell for ell in ells for _ in range(R)]
+    late = [ell for ell in ells if ell > config.n_lrn]  # the last phases, which draw k*
+    offsets = rngmod.integer_rows(keys["kstar"] * len(late),
+                                  [ell for ell in late for _ in range(R)], config.n_phase)
+    k_star = np.array([phase_episodes(config, ell)[0] for ell in row_ells])
+    k_star[len(k_star) - len(offsets):] += np.array(offsets, dtype=int)
+    u_hal = rngmod.uniform_rows(keys["hal-model"] * len(ells), row_ells, 1)
+    u_traj = rngmod.uniform_rows(keys["traj"] * len(ells), k_star, n_uniforms)
+    return (u_hal.reshape(len(ells), R), k_star.reshape(len(ells), R),
+            u_traj.reshape(len(ells), R, n_uniforms))
 
 
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
              true_model: TabularModel | None = None, episode_log: str = "full",
-             phase_hook=None, track_hh: bool = False, draws=None):
+             phase_hook=None, track_hh: bool = False):
     """Execute the phase loop and emit a replayable GameLog.
 
     ``seed`` is one seed, or a list of seeds that the loop plays in
     lockstep, one phase of every seed at a time, returning their GameLogs
-    in order; each log is bit for bit the one-seed run's. ``agent``
-    follows the agents.AgentSpec protocol and chooses for all the seeds
-    at once. ``episode_log`` is "full" (simulate and record every
+    in order; each log is bit for bit the one-seed run's. A seed is an
+    int (``operator.index``), not a bool; any other seed is a TypeError.
+    ``agent`` follows the agents.AgentSpec protocol and chooses for all
+    the seeds at once. ``episode_log`` is "full" (simulate and record every
     episode) or "hallucination" (simulate only the episodes that feed the
     mechanism; phase records are bit-identical between the modes because
     every draw has its own counter address).
 
-    The truth, hal-model, kstar and k* traj draws come from ``draws``, the
-    pair (``RunDraws``, the first seed's index in it) that ``run_games``
-    passes; by default the seeds read them as a ``RunDraws`` of their own.
-    Phase ell reads ("hal-rewards", ell) through ``rng.generator``, since
-    its draw count is known only at the phase, and only where some
-    explored occurrence's law under the hallucinated atom is not a point
-    mass. A full-log phase of several episodes reads a seed's episode rows
-    as one ``rng.uniform_rows`` array and rolls out its honest rows in one
-    block (``mdp.rollout_rows``); the hallucination episode's trajectory
-    comes from the scalar ``mdp.rollout``. Each phase appends one
+    Each seed's family keys are derived once, in one table. The seeds'
+    truth uniforms are one read; the hal-model, kstar and k* traj draws
+    are read by ``_phase_draws`` for ``_DRAW_ROWS // len(seeds)`` phases
+    at a time (at least one). Phase ell reads ("hal-rewards", ell)
+    through ``rng.generator``, since its draw count is known only at the
+    phase, and only where some explored occurrence's law under the
+    hallucinated atom is not a point mass. A full-log phase of several
+    episodes reads a seed's episode rows as one ``rng.uniform_rows``
+    array and rolls out its honest rows in one block
+    (``mdp.rollout_rows``); the hallucination episode's trajectory comes
+    from the scalar ``mdp.rollout``. Each phase appends one
     ``EpisodeBlock`` per seed, no object per episode.
 
     The seeds' ledgers are one stacked ``LedgerState`` of feature counts;
@@ -765,16 +723,17 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     """
     if episode_log not in EPISODE_LOGS:
         raise ValueError("episode_log must be 'full' or 'hallucination'")
-    seeds = seed if isinstance(seed, list) else [seed]
+    seeds = [_seed_int(s) for s in (seed if isinstance(seed, list) else [seed])]
     full_log = episode_log == "full"
     tables = shared_tables(prior)
     S, A, H = prior.shape
     eps = config.eps_pun
-    reader, first = draws if draws is not None else (RunDraws(config, seeds, 2 * H), 0)
+    keys = {family: [rngmod.family_key(s, family) for s in seeds] for family in rngmod.FAMILIES}
 
     if true_model is None:
-        true_atoms = [rngmod.index_from_uniform(tables.weights, reader.truth(first + b))
-                      for b in range(len(seeds))]
+        u_truth = rngmod.uniform_rows(keys["truth"], [0] * len(seeds), 1)[:, 0]
+        true_atoms = rngmod.index_from_uniform(
+            np.broadcast_to(tables.weights, (len(seeds), prior.n)), u_truth).tolist()
     else:
         true_atoms = [next((j for j, m in enumerate(prior.atoms)
                             if m is true_model or m == true_model), -1)] * len(seeds)
@@ -800,7 +759,6 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     # prior are fixed for the run); and per (transition table, U) the
     # hh-exploring policies
     by_U, hh_by = {}, {}
-    hal_rewards_keys = [rngmod.family_key(s, "hal-rewards") for s in seeds]
     logs = [GameLog(seed=s, agent_mode=agent.mode, episode_log=episode_log, config=config,
                     prior_digest=prior_digest(prior), true_atom=j)
             for s, j in zip(seeds, true_atoms)]
@@ -814,6 +772,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     punish_mask = np.zeros((len(seeds), prior.n), dtype=bool)
     U_sorted, U, punish_size, hh_inside = ([None] * len(seeds) for _ in range(4))
     covered_at = [None] * len(seeds)
+    read_phases = max(1, _DRAW_ROWS // len(seeds))
 
     def finish(r: int, b: int) -> None:
         """Write seed b's summary from row r of the state."""
@@ -832,9 +791,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
         if not live:
             break
         episodes = phase_episodes(config, ell)
-        u_hal, k_star, u_traj = reader.phase(first, ell)
-        if len(live) < len(seeds):
-            u_hal, u_traj, k_star = u_hal[live], u_traj[live], [k_star[b] for b in live]
+        if (ell - 1) % read_phases == 0:
+            ells = range(ell, min(ell + read_phases, config.total_phases + 1))
+            drawn = _phase_draws(config, keys, ells, 2 * H)
+        u_hal, k_star, u_traj = (d[(ell - 1) % read_phases][live] for d in drawn)
+        k_star = k_star.tolist()
         explored_mask = fast.visits >= config.n_lrn
         # visits only grow, so a seed's explored set changes exactly when its size does
         sizes = explored_mask.reshape(len(live), -1).sum(axis=1)
@@ -872,7 +833,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
         hal_counts, needs_draw = _point_draws(tables, hal_atoms, fast.visits * explored_mask)
         if needs_draw.any():
             for r in needs_draw.reshape(len(live), -1).any(axis=1).nonzero()[0].tolist():
-                key = hal_rewards_keys[live[r]]
+                key = keys["hal-rewards"][live[r]]
                 hal_counts[r] = _draw_hallucinated(fast.row(r), hal_atoms[r], explored_mask[r],
                                                    lambda: rngmod.generator(key, ell))
         hon_counts = fast.reward_counts * explored_mask[..., None]
@@ -907,7 +868,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
             hon_code = None if pi_hon[r] is None else pi_hon[r].encoding
             hon_trajs = traj_of_row = ()
             if len(simulated) > 1:
-                rows = rngmod.uniform_rows(rngmod.family_key(seeds[b], "traj"),
+                rows = rngmod.uniform_rows(keys["traj"][b],
                                            np.arange(simulated.start, simulated.stop,
                                                      dtype=np.uint64), 2 * H)
                 # the honest rows in one block; the k* row's entry is unused
@@ -976,17 +937,13 @@ def run_games(config: MechanismConfig, prior: DiscretePrior, make_agent, seeds,
     seeds, each batch with a fresh ``make_agent()``; yields each GameLog in
     seed order as its batch finishes. A batch holds ``_batch_seeds``
     seeds: as many as make 160 phase records, at least 4 (20 for det's 8
-    phases, 4 for 40 phases or more). The runs read their
-    state-independent draws through one ``RunDraws`` over all the seeds,
-    so each family is read in one Philox evaluation per ``_DRAW_ROWS``
-    rows across batches, and each log is bit for bit the one-seed run's.
-    Memory holds one batch's runs, whatever the number of seeds."""
+    phases, 4 for 40 phases or more), and reads its own draws, so each
+    log is bit for bit the one-seed run's. Memory holds one batch's runs,
+    whatever the number of seeds."""
     seeds = list(seeds)
-    draws = RunDraws(config, seeds, 2 * prior.shape[2])
     size = _batch_seeds(config)
     for i in range(0, len(seeds), size):
-        yield from run_game(config, prior, make_agent(), seeds[i:i + size],
-                            draws=(draws, i), **run_options)
+        yield from run_game(config, prior, make_agent(), seeds[i:i + size], **run_options)
 
 
 def replay_signals(log: GameLog, prior: DiscretePrior):

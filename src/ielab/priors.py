@@ -489,14 +489,12 @@ class PriorTables:
         mask[list(event)] = True
         return mask
 
-    def posterior_from_loglik(self, loglik: np.ndarray, mask=None,
-                              weighted: bool = False) -> Posterior:
+    def posterior_from_loglik(self, loglik: np.ndarray, mask=None) -> Posterior:
         """Normalize prior-weighted log-likelihoods into a float Posterior,
         restricted to ``mask`` when one is given; a stack of log-likelihood
-        rows (and masks) gives a stacked Posterior, each row normalized as
-        it would be alone. ``weighted`` says the prior's log weights are
-        already added into ``loglik``."""
-        ll = loglik if weighted else self.log_weights + loglik
+        rows (and masks, which broadcast against them) gives a stacked
+        Posterior, each row normalized as it would be alone."""
+        ll = self.log_weights + loglik
         if mask is not None:
             ll = np.where(mask, ll, -np.inf)
         top = ll.max(axis=-1, keepdims=True)
@@ -600,10 +598,8 @@ class LedgerState:
         restricted to ``mask``, stacked in that order: both normalize the
         one sum of the prior's log weights and ``translog``, in one stacked
         normalization."""
-        tables = self.tables
-        ll = tables.log_weights + self.translog
-        return tables.posterior_from_loglik(np.array([ll, np.where(mask, ll, -np.inf)]),
-                                            weighted=True).weights
+        masks = np.stack([np.ones_like(mask), mask])
+        return self.tables.posterior_from_loglik(self.translog, masks).weights
 
     def revealed_posterior(self, counts: np.ndarray) -> Posterior:
         """The canonical posterior of the entries with the revealed-reward

@@ -30,9 +30,9 @@ array whose row i is bit for bit ``generator(keys[i],
 indices[i]).random(n)``, and ``integer_rows(keys, indices, n)`` the list
 of ``generator(keys[i], indices[i]).integers(0, n)``. Each evaluates
 every row's blocks as one uint64 array operation, with one key per row
-or one key for all, so the run loop reads a family's addresses for many
-phases of many seeds in one call and a full-log phase all its episodes'
-draws. ``integer_below(key, index, n)`` is the scalar reader in Python
+or one key for all, so a lockstep batch reads a family's addresses for
+many phases of its seeds in one call and a full-log phase all its
+episodes' draws. ``integer_below(key, index, n)`` is the scalar reader in Python
 ints that ``integer_rows`` falls back to for a row whose first block
 rejects every word.
 

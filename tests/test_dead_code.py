@@ -51,9 +51,10 @@ def named_only_at_definitions(definitions: list[tuple[str, str]], texts: list[st
     together no more often than it is defined among ``definitions``: at
     its definitions only."""
     defined = Counter(name for _, name in definitions)
-    corpus = "\n".join(texts)
-    return [label for label, name in definitions
-            if len(re.findall(rf"\b{name}\b", corpus)) <= defined[name]]
+    # a name is all word characters, so its whole-word matches are the
+    # corpus's words equal to it
+    words = Counter(re.findall(r"\w+", "\n".join(texts)))
+    return [label for label, name in definitions if words[name] <= defined[name]]
 
 
 def searched_texts() -> dict[Path, str]:

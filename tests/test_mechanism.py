@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -505,7 +506,7 @@ def test_run_games_logs_equal_run_game(mode, draw_rows, monkeypatch, det_prior, 
     list with a repeated seed: with both episode logs, the hal-rewards
     goldens' config (eps_pun 3/4) and a phase hook that stops each run at
     a seed-dependent phase. Reads of 7 rows split runs and phases between
-    reads; reads of 4096 rows hold every run's rows at once. The one-seed
+    reads; reads of 4096 rows hold one batch's rows at once. The one-seed
     runs read at the default size."""
     base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                               n_lrn_override=8, total_phases_override=40)
@@ -573,31 +574,60 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
 
 
 def test_sweep_reads_each_draw_family_once(monkeypatch, stoch_factored, stoch_prior):
-    """A sweep whose (seed, phase) rows fit in ``_DRAW_ROWS`` reads the
-    truth, hal-model and traj families in one ``rng.uniform_rows`` call
-    each and k* in one ``rng.integer_rows`` call, across its batches."""
+    """Each lockstep batch reads its own draws: 10 seeds at 40 phases play
+    as batches of 4, 4 and 2 seeds, and a batch of R seeds reads the
+    truth family in one ``rng.uniform_rows`` call and the hal-model, traj
+    and kstar families (``rng.integer_rows``) in ceil(40 / (``_DRAW_ROWS``
+    // R)) calls each. With 4096 rows that is one call per family and
+    batch; with 50, below a batch's 160 rows, 4, 4 and 2. No read holds
+    more than ``_DRAW_ROWS`` rows."""
     from ielab import rng
 
     cfg, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                              n_lrn_override=8, total_phases_override=40)
-    calls = {"uniform_rows": 0, "integer_rows": 0}
+    calls, rows = {}, []
 
     def counted(name):
         inner = getattr(rng, name)
 
-        def reader(*args):
+        def reader(keys, indices, n):
             calls[name] += 1
-            return inner(*args)
+            rows.append(len(indices))
+            return inner(keys, indices, n)
         return reader
 
-    for name in calls:
+    for name in ("uniform_rows", "integer_rows"):
         monkeypatch.setattr(rng, name, counted(name))
-    seeds = range(10)  # three batches, 400 rows
-    logs = list(run_games(cfg, stoch_prior, lambda: make_agent("canonical_truster", stoch_prior,
-                                                                cfg),
-                          seeds, episode_log="hallucination"))
-    assert len(logs) == 10 and len(seeds) * cfg.total_phases <= mechanism._DRAW_ROWS
-    assert calls == {"uniform_rows": 3, "integer_rows": 1}
+    assert mechanism._batch_seeds(cfg) == 4
+    for draw_rows, uniform_calls, integer_calls in [(4096, 9, 3), (50, 23, 10)]:
+        calls.update(uniform_rows=0, integer_rows=0)
+        rows.clear()
+        monkeypatch.setattr(mechanism, "_DRAW_ROWS", draw_rows)
+        logs = list(run_games(cfg, stoch_prior,
+                              lambda: make_agent("canonical_truster", stoch_prior, cfg),
+                              range(10), episode_log="hallucination"))
+        assert len(logs) == 10
+        assert calls == {"uniform_rows": uniform_calls, "integer_rows": integer_calls}
+        assert max(rows) <= draw_rows
+
+
+def test_run_game_takes_int_seeds(det_prior, det_config):
+    """A seed is an int, or a list of ints: numpy's ints play as the int
+    they equal, and a range, a float, a bool, a string or a list holding
+    one of them is a TypeError naming the value, not a run keyed by its
+    text."""
+    def play(seed):
+        return run_game(det_config, det_prior,
+                        make_agent("canonical_truster", det_prior, det_config), seed,
+                        episode_log="hallucination")
+
+    log = play(np.int64(5))
+    assert type(log.seed) is int and log.write() == play(5).write()
+    assert [log.seed for log in play([np.int32(2), 3])] == [2, 3]
+    for seed, named in [(range(2), range(2)), (5.0, 5.0), (True, True), ("5", "5"),
+                        ([1, 2.0], 2.0), ([False], False)]:
+        with pytest.raises(TypeError, match=re.escape(repr(named))):
+            play(seed)
 
 
 def test_batch_shares_reachable_triples_per_transition_table(monkeypatch, det_prior,
