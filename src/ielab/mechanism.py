@@ -678,8 +678,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
 
     ``seed`` is one seed, or a list of seeds that the loop plays in
     lockstep, one phase of every seed at a time, returning their GameLogs
-    in order; each log is bit for bit the one-seed run's. A seed is an
-    int (``operator.index``), not a bool; any other seed is a TypeError.
+    in order (none for an empty list); each log is bit for bit the
+    one-seed run's. A seed is an int (``operator.index``), not a bool; any
+    other seed is a TypeError.
     ``agent`` follows the agents.AgentSpec protocol and chooses for all
     the seeds at once. ``episode_log`` is "full" (simulate and record every
     episode) or "hallucination" (simulate only the episodes that feed the
@@ -695,8 +696,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     hallucinated atom is not a point mass. A full-log phase of several
     episodes reads a seed's episode rows as one ``rng.uniform_rows``
     array and rolls out its honest rows in one block
-    (``mdp.rollout_rows``); the hallucination episode's trajectory comes
-    from the scalar ``mdp.rollout``. Each phase appends one
+    (``mdp.rollout_rows``), except where the seed's true model is
+    deterministic: no uniform moves its trajectory, so its honest rows
+    read no uniforms and share one scalar ``mdp.rollout``. The
+    hallucination episode's trajectory comes from the scalar
+    ``mdp.rollout`` of its k* row. Each phase appends one
     ``EpisodeBlock`` per seed, no object per episode.
 
     The seeds' ledgers are one stacked ``LedgerState`` of feature counts;
@@ -724,6 +728,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     if episode_log not in EPISODE_LOGS:
         raise ValueError("episode_log must be 'full' or 'hallucination'")
     seeds = [_seed_int(s) for s in (seed if isinstance(seed, list) else [seed])]
+    if not seeds:
+        return []
     full_log = episode_log == "full"
     tables = shared_tables(prior)
     S, A, H = prior.shape
@@ -867,7 +873,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
             simulated = episodes if full_log else (k_star[r],)
             hon_code = None if pi_hon[r] is None else pi_hon[r].encoding
             hon_trajs = traj_of_row = ()
-            if len(simulated) > 1:
+            if len(simulated) > 1 and model.is_deterministic:
+                # every draw row is a point mass, which no uniform moves: one
+                # rollout is every honest row's, and no ("traj", k) is read
+                hon_trajs = [rollout(model, pi_hon[r], [0.0] * (2 * H))]
+                traj_of_row = [0] * len(simulated)
+            elif len(simulated) > 1:
                 rows = rngmod.uniform_rows(keys["traj"][b],
                                            np.arange(simulated.start, simulated.stop,
                                                      dtype=np.uint64), 2 * H)

@@ -17,7 +17,10 @@ output. The families of the game loop, and how each address is read:
                             per explored ledger occurrence; none at all
                             when every explored occurrence's law under the
                             hallucinated atom is a point mass
-    ("traj", k)             trajectory rollout of episode k: 2H uniforms
+    ("traj", k)             trajectory rollout of episode k: 2H uniforms;
+                            none for an honest full-log episode when the
+                            true model is deterministic, whose one
+                            trajectory no uniform moves
 
 ``stream(seed, family, index)`` is the numpy Generator at an address;
 index 0 is the stream numpy's Philox builds from the key alone.

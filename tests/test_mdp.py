@@ -25,7 +25,7 @@ from ielab import (
     trajectory_probability,
 )
 from ielab.instances import random_model
-from ielab.mdp import path_mass, rollout, rollout_rows
+from ielab.mdp import deterministic_trajectory, path_mass, rollout, rollout_rows
 from ielab.rng import sample_index, stream
 
 
@@ -384,6 +384,24 @@ def test_rollout_rows_match_rollout_on_random_models():
         u = edge_uniform_rows(m, rng, n_random=64)
         for code in rng.choice(len(pols), size=6, replace=False):
             assert_rollout_rows_match_rollout(m, pols[code], u)
+
+
+def test_deterministic_rollout_rows_are_one_trajectory(det_prior):
+    """No uniform moves a deterministic model's trajectory, which lets a
+    full-log phase roll out its honest rows once on 2H zeros: on every
+    micro_det_1 atom and policy, the edge-value and random rows (seed 29)
+    give one trajectory, which is ``rollout``'s on the zeros and
+    ``deterministic_trajectory``'s."""
+    rng = np.random.default_rng(29)
+    zeros = [0.0] * (2 * det_prior.shape[2])
+    pols = enumerate_policies(*det_prior.shape)
+    for m in det_prior.atoms:
+        assert m.is_deterministic
+        u = edge_uniform_rows(m, rng)
+        for pol in pols:
+            trajs, which = rollout_rows(m, pol, u)
+            assert len(trajs) == 1 and len(which) == len(u) and not which.any()
+            assert trajs[0] == rollout(m, pol, zeros) == deterministic_trajectory(m, pol).steps
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,46 @@ def test_run_game_takes_int_seeds(det_prior, det_config):
             play(seed)
 
 
+def test_run_game_on_no_seeds(det_prior, det_config):
+    """An empty seed list plays nothing and returns [], as ``run_games``
+    yields nothing for no seeds."""
+    agent = make_agent("canonical_truster", det_prior, det_config)
+    assert run_game(det_config, det_prior, agent, []) == []
+    assert list(run_games(det_config, det_prior, lambda: agent, [])) == []
+
+
+def test_full_log_reads_honest_uniforms_only_where_they_move(monkeypatch, det_prior,
+                                                             det_config, stoch_prior):
+    """A full-log run reads ("traj", k) rows for its honest episodes only
+    where a uniform can move a trajectory. A one-seed micro_det_1 run of
+    the certified schedule reads the truth row, its 8 phases' hal-model
+    rows and their 8 k* traj rows, 17 in all, for 53,761 logged episodes;
+    a micro_stoch_1 full-log run reads at least one row per simulated
+    episode."""
+    from ielab import rng
+
+    rows = []
+    inner = rng.uniform_rows
+
+    def counted(keys, indices, n):
+        rows.append(len(indices))
+        return inner(keys, indices, n)
+
+    monkeypatch.setattr(rng, "uniform_rows", counted)
+    log = run_game(det_config, det_prior, make_agent("fully_rational", det_prior, det_config),
+                   5, episode_log="full")
+    assert det_prior.atoms[log.true_atom].is_deterministic
+    assert log.summary["episodes_simulated"] == 53761
+    assert rows == [1, 8, 8]
+
+    rows.clear()
+    cfg = MechanismConfig(16, 2, Fraction(7, 2880), 5, rho=Fraction(1, 4))
+    log = run_game(cfg, stoch_prior, make_agent("fully_rational", stoch_prior, cfg), 1,
+                   episode_log="full")
+    assert not stoch_prior.atoms[log.true_atom].is_deterministic
+    assert sum(rows) >= log.summary["episodes_simulated"] == 2 + 3 * 16
+
+
 def test_batch_shares_reachable_triples_per_transition_table(monkeypatch, det_prior,
                                                              det_config):
     """Every micro_det_1 atom has the one transition table, so a batch's
