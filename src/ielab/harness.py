@@ -233,7 +233,7 @@ def _mechanism_fields(cfg: ExperimentConfig) -> dict:
 
 
 def _write_artifact(out_dir: str | None, seed: int, manifest: dict, log) -> str:
-    """Stream the log's text block by block; returns the SHA-256 of its bytes."""
+    """Stream the log's bytes chunk by chunk; returns their SHA-256."""
     if not out_dir:
         return log.write()
     run_dir = os.path.join(out_dir, f"run-{seed}")
@@ -293,7 +293,8 @@ def _det_row(summary: dict) -> dict:
 
 
 def cmd_run_det(cfg: ExperimentConfig) -> int:
-    """Deterministic-class exploration runs with the certified schedule."""
+    """Deterministic-class exploration runs with the certified schedule, or
+    with the mechanism fields an override sets."""
     factored, prior = load_prior(cfg)
     base, info = det_parameters(factored)
     config = dataclasses.replace(base, **_mechanism_fields(cfg))
@@ -302,8 +303,13 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
                cfg.get("agent", {}).get("mode", "fully_rational"),
                cfg.get("episode_log", "hallucination"), DET_SUMMARY_COLUMNS, _det_row,
                track_hh=track_hh)
-    print(f"# schedule: n_phase={info['n_phase']} eps_pun={info['eps_pun']} "
-          f"f_min={info['f_min']} SAH={info['SAH']}")
+    # the values the runs played, each with the certified one where an override changed it
+    played = []
+    for name in ("n_phase", "eps_pun"):
+        value = getattr(config, name)
+        played.append(f"{name}={value}" if value == info[name]
+                      else f"{name}={value} (certified {info[name]})")
+    print(f"# schedule: {' '.join(played)} f_min={info['f_min']} SAH={info['SAH']}")
     return 0
 
 

@@ -415,7 +415,9 @@ class EpisodeBlock:
     """One phase's simulated episodes ``ks``: its range with the full log,
     else ``(k_star,)``. Episode k_star rolled out ``hal_steps``; row i of
     the others ``trajs[traj_of_row[i]]``, ``trajs`` being the distinct
-    rollouts of ``mdp.rollout_rows`` (both empty with one episode)."""
+    rollouts of ``mdp.rollout_rows`` (both empty with one episode). A
+    full-log block under a deterministic true model has one trajectory,
+    and ``chunks`` renders its honest lines from one byte template."""
 
     ell: int
     ks: range | tuple
@@ -433,20 +435,47 @@ class EpisodeBlock:
                               self.trajs[self.traj_of_row[row]])
                 for row, k in enumerate(self.ks)]
 
-    def text(self) -> str:
-        """The episode lines, each the generic encoder's ``to_dict`` line of
-        its record. An honest line's text after its k is rendered once per
-        distinct trajectory; the hallucination episode's line replaces the
-        k* row's (or is the only line, with one episode)."""
+    def chunks(self):
+        """The episode lines as bytes, each the generic encoder's ``to_dict``
+        line of its record; the hallucination episode's line replaces the k*
+        row's (or is the only line, with one episode). With one distinct
+        trajectory, as every deterministic full-log phase has, the honest
+        lines come from ``_tiled_lines``; with several, each honest line is
+        rendered on its own, its text after k once per trajectory. Chunks
+        are bytes or uint8 arrays, buffers that hashlib and a binary file
+        take as they are."""
         head = f'{{"ell":{self.ell},"is_hallucination":'
+        star_line = (f'{head}true,"k":{self.k_star},"policy":{self.hal_policy},'
+                     f'"revealed_kind":"hallucinated","trajectory":'
+                     f'{_trajectory_text(self.hal_steps)},"type":"episode"}}\n')
         tails = [f',"policy":{self.honest_policy},"revealed_kind":"honest",'
                  f'"trajectory":{_trajectory_text(t)},"type":"episode"}}\n' for t in self.trajs]
+        if len(tails) == 1:
+            pre, tail = f'{head}false,"k":'.encode(), tails[0].encode()
+            yield from _tiled_lines(pre, self.ks.start, self.k_star, tail)
+            yield star_line.encode()
+            yield from _tiled_lines(pre, self.k_star + 1, self.ks.stop, tail)
+            return
         lines = [f'{head}false,"k":{k}{tails[t]}' for k, t in zip(self.ks, self.traj_of_row)]
         star = self.ks.index(self.k_star)
-        lines[star:star + 1] = [f'{head}true,"k":{self.k_star},"policy":{self.hal_policy},'
-                                f'"revealed_kind":"hallucinated","trajectory":'
-                                f'{_trajectory_text(self.hal_steps)},"type":"episode"}}\n']
-        return "".join(lines)
+        lines[star:star + 1] = [star_line]
+        yield "".join(lines).encode()
+
+
+def _tiled_lines(pre: bytes, lo: int, hi: int, tail: bytes):
+    """The lines ``pre + str(k) + tail`` for k in [lo, hi), with no per-line
+    string: per run of k with one digit count d, one uint8 array that tiles
+    the line with k's d digits zeroed, then gets k's digit columns written
+    in place."""
+    while lo < hi:
+        d = len(str(lo))
+        stop = min(hi, 10**d)
+        lines = np.tile(np.frombuffer(pre + b"0" * d + tail, np.uint8), stop - lo)
+        grid, k = lines.reshape(stop - lo, -1), np.arange(lo, stop, dtype=np.int64)
+        for p in range(d):
+            grid[:, len(pre) + d - 1 - p] = k // 10**p % 10 + 48
+        yield lines
+        lo = stop
 
 
 @dataclass
@@ -516,28 +545,33 @@ class GameLog:
         """Every simulated episode's record in (ell, k) order, built from the blocks."""
         return [r for b in self.blocks for r in b.records()]
 
-    def text_blocks(self):
-        """The JSONL text: the header, per phase its lines, the summary."""
-        yield _dumps({"type": "header", "log_format": LOG_FORMAT, "seed": self.seed,
-                      "agent_mode": self.agent_mode,
-                      "episode_log": self.episode_log, "config": self.config.to_dict(),
-                      "prior_digest": self.prior_digest, "true_atom": self.true_atom}) + "\n"
+    def chunks(self):
+        """The JSONL bytes: the header, per phase its lines, the summary."""
+        yield (_dumps({"type": "header", "log_format": LOG_FORMAT, "seed": self.seed,
+                       "agent_mode": self.agent_mode,
+                       "episode_log": self.episode_log, "config": self.config.to_dict(),
+                       "prior_digest": self.prior_digest, "true_atom": self.true_atom})
+               + "\n").encode()
         for p, b in zip(self.phases, self.blocks):
-            yield p.text()
-            yield b.text()
-        yield _dumps({"type": "summary", **self.summary}) + "\n"
+            yield p.text().encode()
+            yield from b.chunks()
+        yield (_dumps({"type": "summary", **self.summary}) + "\n").encode()
 
     def write(self, f=None) -> str:
-        """SHA-256 of the text, fed block by block, also to the file ``f``."""
+        """SHA-256 of the log's bytes, streamed chunk by chunk from
+        ``chunks``, also to the binary file ``f``: each chunk is hashed
+        and written as it is made, so at most about one phase's lines are
+        held, and never the whole text."""
         h = hashlib.sha256()
-        for data in map(str.encode, self.text_blocks()):
+        for data in self.chunks():
             h.update(data)
             if f is not None:
                 f.write(data)
         return h.hexdigest()
 
     def to_jsonl(self) -> str:
-        return "".join(self.text_blocks())
+        """The whole text, decoded from the bytes ``write`` streams."""
+        return b"".join(self.chunks()).decode()
 
     def digest(self) -> str:
         return self.write()

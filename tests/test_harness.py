@@ -73,6 +73,25 @@ def test_cli_run_det_artifacts_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides, schedule", [
+    ([], "n_phase=7680 eps_pun=1/10 f_min=1/2 SAH=8"),
+    (["mechanism.n_phase=1", "episode_log=full"],
+     "n_phase=1 (certified 7680) eps_pun=1/10 f_min=1/2 SAH=8"),
+    (["mechanism.eps_pun=1/100"], "n_phase=7680 eps_pun=1/100 (certified 1/10) f_min=1/2 SAH=8"),
+])
+def test_run_det_schedule_trailer_reports_the_played_schedule(overrides, schedule, capsys):
+    """run-det's ``# schedule:`` line gives the n_phase and eps_pun the runs
+    played, with the certified value beside one an override changed. With
+    n_phase 1, seed 0 simulates one episode a phase, 8 in all."""
+    args = [arg for ov in overrides for arg in ("--override", ov)]
+    assert main(["run-det", "--seeds", "0..0", *args]) == 0
+    *csv_lines, trailer = capsys.readouterr().out.splitlines()
+    assert trailer == f"# schedule: {schedule}"
+    (row,) = csv.DictReader(csv_lines)
+    if "mechanism.n_phase=1" in overrides:
+        assert row["episodes_simulated"] == "8"
+
+
 @pytest.mark.parametrize("argv", [["verify", "--exact"], ["params", "--seeds", "0..1"],
                                   ["verify", "--seed", "3"], ["run-det", "--exact"],
                                   ["run-prob", "--exact"]])
