@@ -79,7 +79,6 @@ from .mechanism import (
     replay_signals,
     run_game,
     run_games,
-    sample_hallucinated_model,
 )
 from .agents import AgentSpec, episode_phase, make_agent, mechanism_posterior
 from .oracle import (

@@ -305,11 +305,12 @@ def cmd_run_det(cfg: ExperimentConfig) -> int:
                track_hh=track_hh)
     # the values the runs played, each with the certified one where an override changed it
     played = []
-    for name in ("n_phase", "eps_pun"):
-        value = getattr(config, name)
-        played.append(f"{name}={value}" if value == info[name]
-                      else f"{name}={value} (certified {info[name]})")
-    print(f"# schedule: {' '.join(played)} f_min={info['f_min']} SAH={info['SAH']}")
+    for f in dataclasses.fields(MechanismConfig):
+        value, certified = getattr(config, f.name), getattr(base, f.name)
+        if value is not None:
+            played.append(f"{f.name}={value}" if value == certified
+                          else f"{f.name}={value} (certified {certified})")
+    print(f"# schedule: {' '.join(played)} f_min={info['f_min']}")
     return 0
 
 

@@ -331,14 +331,14 @@ def checked_dist(support: tuple, probs: tuple) -> DiscreteDist:
     return dist
 
 
-def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_state=1):
+def build_model(S, A, H, init, transitions, rewards, reward_support=None):
     """Construct a TabularModel from 1-based mappings.
 
     ``transitions``: {(x,a,h): vector} — stage-H entries may be omitted
-    and default to a point mass on ``sink_state``. ``rewards``:
+    and default to a point mass on state 1. ``rewards``:
     {(x,a,h): DiscreteDist | value} (bare values become point masses).
     """
-    init_t, trans = transition_table(S, A, H, init, transitions, sink_state)
+    init_t, trans = transition_table(S, A, H, init, transitions)
     rews = reward_table(S, A, H, rewards)
     if reward_support is None:
         reward_support = tuple(sorted({v for by_a in rews for by_h in by_a for d in by_h
@@ -348,11 +348,12 @@ def build_model(S, A, H, init, transitions, rewards, reward_support=None, sink_s
     return TabularModel(S, A, H, init_t, trans, rews, reward_support)
 
 
-def transition_table(S, A, H, init, transitions, sink_state=1) -> tuple:
+def transition_table(S, A, H, init, transitions) -> tuple:
     """The (init, trans) fields of ``build_model``'s TabularModel, as
-    Fractions; models that share them can share these tuples."""
+    Fractions; models that share them can share these tuples. An omitted
+    stage-H row is a point mass on state 1."""
     init_t = tuple(as_fraction(p) for p in init)
-    sink = tuple(Fraction(1) if i == sink_state - 1 else Fraction(0) for i in range(S))
+    sink = (Fraction(1),) + (Fraction(0),) * (S - 1)
     trans = []
     for x in range(1, S + 1):
         tx = []

@@ -128,16 +128,6 @@ def hallucination_posterior(prior, lam_cens: Ledger, punish: ModelEvent) -> Post
         ) from e
 
 
-def sample_hallucinated_model(posterior: Posterior, rng):
-    """Draw one atom from an exact hallucination posterior; returns (atom
-    index, model). Each weight is one correctly rounded int division,
-    float(Fraction(num, den)), so the draw is ``sample_index`` on the
-    posterior's weights."""
-    nums, den = posterior.masses
-    idx = rngmod.sample_index([v / den for v in nums], rng)
-    return idx, posterior.prior.atoms[idx]
-
-
 def hallucinate_ledger(lam_cens: Ledger, mu_hal: TabularModel, U: TripleSet, rng) -> Ledger:
     """Insert rewards drawn from mu_hal at every fully-explored occurrence,
     one draw per occurrence in entry order.
@@ -706,8 +696,7 @@ def _phase_draws(config: MechanismConfig, keys: dict, ells: range, n_uniforms: i
 
 
 def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
-             true_model: TabularModel | None = None, episode_log: str = "full",
-             phase_hook=None, track_hh: bool = False):
+             episode_log: str = "full", phase_hook=None, track_hh: bool = False):
     """Execute the phase loop and emit a replayable GameLog.
 
     ``seed`` is one seed, or a list of seeds that the loop plays in
@@ -721,7 +710,8 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     mechanism; phase records are bit-identical between the modes because
     every draw has its own counter address).
 
-    Each seed's family keys are derived once, in one table. The seeds'
+    Each seed's family keys are derived once, in one table. A seed's true
+    model is the prior atom its ("truth", 0) uniform draws, and the seeds'
     truth uniforms are one read; the hal-model, kstar and k* traj draws
     are read by ``_phase_draws`` for ``_DRAW_ROWS // len(seeds)`` phases
     at a time (at least one). Phase ell reads ("hal-rewards", ell)
@@ -770,21 +760,17 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     eps = config.eps_pun
     keys = {family: [rngmod.family_key(s, family) for s in seeds] for family in rngmod.FAMILIES}
 
-    if true_model is None:
-        u_truth = rngmod.uniform_rows(keys["truth"], [0] * len(seeds), 1)[:, 0]
-        true_atoms = rngmod.index_from_uniform(
-            np.broadcast_to(tables.weights, (len(seeds), prior.n)), u_truth).tolist()
-    else:
-        true_atoms = [next((j for j, m in enumerate(prior.atoms)
-                            if m is true_model or m == true_model), -1)] * len(seeds)
-    true_models = [true_model if true_model is not None else prior.atoms[j] for j in true_atoms]
+    u_truth = rngmod.uniform_rows(keys["truth"], [0] * len(seeds), 1)[:, 0]
+    true_atoms = rngmod.index_from_uniform(
+        np.broadcast_to(tables.weights, (len(seeds), prior.n)), u_truth).tolist()
+    true_models = [prior.atoms[j] for j in true_atoms]
     rho = config.rho if config.rho is not None else Fraction(1)
     # per true transition table, once per batch: the target, as a set and
     # a mask, and with track_hh the support of each policy under the model
     by_table = {}
     table_keys, statics = [], []
     for j, model in zip(true_atoms, true_models):
-        key = None if j < 0 else tables.lattice.transition_key(j)
+        key = tables.lattice.transition_key(j)
         if key not in by_table:
             target = reach_set(model, rho)
             mask = np.zeros((S, A, H), dtype=bool)

@@ -35,9 +35,8 @@ of ``generator(keys[i], indices[i]).integers(0, n)``. Each evaluates
 every row's blocks as one uint64 array operation, with one key per row
 or one key for all, so a lockstep batch reads a family's addresses for
 many phases of its seeds in one call and a full-log phase all its
-episodes' draws. ``integer_below(key, index, n)`` is the scalar reader in Python
-ints that ``integer_rows`` falls back to for a row whose first block
-rejects every word.
+episodes' draws. ``integer_rows`` reads numpy's own draw for a row whose
+first block rejects every word, and for n outside [1, 2**32).
 
 A uniform becomes an index of a probability vector by one inverse-CDF
 rule: the first index whose left-to-right float cumulative sum exceeds
@@ -60,11 +59,10 @@ FAMILIES = ("truth", "kstar", "hal-model", "hal-rewards", "traj")
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 # Philox4x64 multipliers, and the round keys' offsets from the key
-# (rounds r = 0..9 add r times the Weyl constants)
+# (rounds r = 0..9 add r times the Weyl constants, modulo 2**64)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_ROUND_KEY_OFFSETS = tuple(
-    (r * 0x9E3779B97F4A7C15, r * 0xBB67AE8584CAA73B) for r in range(10)
-)
+_ROUND_KEY_OFFSETS = tuple((np.uint64(r * 0x9E3779B97F4A7C15 & _MASK64),
+                            np.uint64(r * 0xBB67AE8584CAA73B & _MASK64)) for r in range(10))
 _DOUBLE_SCALE = 2.0**-53
 
 
@@ -90,28 +88,6 @@ def stream(master_seed: int, family: str, index: int = 0) -> np.random.Generator
     return generator(family_key(master_seed, family), index)
 
 
-def _blocks(key: int, index: int):
-    """The 4-word Philox4x64-10 output blocks at address (key, index), in
-    stream order: numpy's Philox increments the counter's first word
-    before each block, so the blocks have counters (1, index, 0, 0),
-    (2, index, 0, 0), ...
-    """
-    k0, k1 = key & _MASK64, key >> 64
-    m0, m1, mask = _PHILOX_M0, _PHILOX_M1, _MASK64
-    block = 0
-    while True:
-        block += 1
-        c0, c1, c2, c3 = block, index, 0, 0
-        for d0, d1 in _ROUND_KEY_OFFSETS:
-            p0 = m0 * c0
-            p1 = m1 * c2
-            c0 = ((p1 >> 64) ^ c1 ^ (k0 + d0)) & mask
-            c1 = p1 & mask
-            c2 = ((p0 >> 64) ^ c3 ^ (k1 + d1)) & mask
-            c3 = p0 & mask
-        yield c0, c1, c2, c3
-
-
 def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
     """The high 64 bits of the 128-bit products m * c, for a 64-bit
     constant m and uint64 words c, from 32-bit limbs (numpy has no
@@ -130,10 +106,11 @@ def _row_blocks(keys, indices, n_blocks: int) -> np.ndarray:
     ``n_blocks`` Philox4x64-10 blocks, in stream order, at address
     (keys[i], indices[i]); one int ``keys`` is every row's key.
 
-    The evaluation of ``_blocks`` over all rows at once in uint64
-    arithmetic, where sums wrap modulo 2**64: the blocks of a row at
-    counters (1, index, 0, 0), (2, index, 0, 0), ... A single key is a
-    (1, 1) column that broadcasts over the rows.
+    All rows are evaluated at once in uint64 arithmetic, where sums wrap
+    modulo 2**64: numpy's Philox increments the counter's first word
+    before each block, so a row's blocks have counters (1, index, 0, 0),
+    (2, index, 0, 0), ... A single key is a (1, 1) column that broadcasts
+    over the rows.
     """
     keys = [keys] if isinstance(keys, int) else keys
     k0 = np.array([k & _MASK64 for k in keys], dtype=np.uint64).reshape(-1, 1)
@@ -145,9 +122,9 @@ def _row_blocks(keys, indices, n_blocks: int) -> np.ndarray:
     c2 = c3 = np.zeros(shape, dtype=np.uint64)
     for d0, d1 in _ROUND_KEY_OFFSETS:
         c0, c1, c2, c3 = (
-            _mulhi(_PHILOX_M1, c2) ^ c1 ^ (k0 + np.uint64(d0 & _MASK64)),
+            _mulhi(_PHILOX_M1, c2) ^ c1 ^ (k0 + d0),
             c2 * np.uint64(_PHILOX_M1),
-            _mulhi(_PHILOX_M0, c0) ^ c3 ^ (k1 + np.uint64(d1 & _MASK64)),
+            _mulhi(_PHILOX_M0, c0) ^ c3 ^ (k1 + d1),
             c0 * np.uint64(_PHILOX_M0),
         )
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], 4 * n_blocks)
@@ -168,14 +145,18 @@ def integer_rows(keys, indices, n: int) -> list[int]:
     """Per row i, ``int(generator(keys[i], indices[i]).integers(0, n))``
     bit for bit; one int ``keys`` is every row's key.
 
-    Lemire's rejection (``integer_below``) on the eight 32-bit halves of
-    every row's first block at once. A row whose eight halves are all
-    rejected, and every row when n lies outside [2, 2**32), is read by
-    ``integer_below``.
+    Below 2**32 numpy draws by Lemire's multiply-shift rejection on 32-bit
+    words (Lemire, ACM TOMACS 2019): a word w is accepted when the low half
+    of w * n is at least 2**32 mod n, and the draw is the high half. Philox
+    hands out each 64-bit word low half first, then high half, so the
+    rejection runs on the eight halves of every row's first block at once
+    (at n = 1 the threshold is 0 and every high half 0). A row whose eight
+    halves are all rejected, and every row when n lies outside [1, 2**32),
+    is numpy's own draw, so n < 1 raises numpy's ValueError.
     """
     row_keys = [keys] * len(indices) if isinstance(keys, int) else keys
-    if not 2 <= n < 1 << 32:
-        return [integer_below(k, int(i), n) for k, i in zip(row_keys, indices)]
+    if not 1 <= n < 1 << 32:
+        return [int(generator(k, i).integers(0, n)) for k, i in zip(row_keys, indices)]
     words = _row_blocks(keys, indices, 1)
     # each word's low half, then its high half
     halves = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)], axis=-1)
@@ -184,32 +165,8 @@ def integer_rows(keys, indices, n: int) -> list[int]:
     first = accepted.argmax(axis=1)
     out = (m[np.arange(len(m)), first] >> np.uint64(32)).tolist()
     for r in np.flatnonzero(~accepted[np.arange(len(m)), first]).tolist():
-        out[r] = integer_below(row_keys[r], int(indices[r]), n)
+        out[r] = int(generator(row_keys[r], int(indices[r])).integers(0, n))
     return out
-
-
-def integer_below(key: int, index: int, n: int) -> int:
-    """``int(generator(key, index).integers(0, n))``, bit for bit.
-
-    Below 2**32 numpy draws by Lemire's multiply-shift rejection on
-    32-bit words (Lemire, ACM TOMACS 2019): a word w is accepted when the
-    low half of w * n is at least 2**32 mod n, and the draw is the high
-    half. Philox hands out each 64-bit word low half first, then high
-    half. n == 1 consumes nothing; wider ranges go through numpy.
-    """
-    if not 1 <= n < 1 << 32:
-        if n < 1:
-            raise ValueError("integer_below needs n >= 1")
-        return int(generator(key, index).integers(0, n))
-    if n == 1:
-        return 0
-    threshold = (1 << 32) % n
-    for block in _blocks(key, index):
-        for word in block:
-            for half in (word & _MASK32, word >> 32):
-                m = half * n
-                if m & _MASK32 >= threshold:
-                    return m >> 32
 
 
 def index_from_uniform(probs, u):

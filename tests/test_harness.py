@@ -73,23 +73,28 @@ def test_cli_run_det_artifacts_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("overrides, schedule", [
-    ([], "n_phase=7680 eps_pun=1/10 f_min=1/2 SAH=8"),
+@pytest.mark.parametrize("overrides, schedule, episodes", [
+    ([], "n_phase=7680 n_lrn=1 eps_pun=1/10 total_phases=8 f_min=1/2", 8),
     (["mechanism.n_phase=1", "episode_log=full"],
-     "n_phase=1 (certified 7680) eps_pun=1/10 f_min=1/2 SAH=8"),
-    (["mechanism.eps_pun=1/100"], "n_phase=7680 eps_pun=1/100 (certified 1/10) f_min=1/2 SAH=8"),
+     "n_phase=1 (certified 7680) n_lrn=1 eps_pun=1/10 total_phases=8 f_min=1/2", 8),
+    (["mechanism.eps_pun=1/100"],
+     "n_phase=7680 n_lrn=1 eps_pun=1/100 (certified 1/10) total_phases=8 f_min=1/2", 8),
+    (["mechanism.total_phases=3", "mechanism.n_lrn=2"],
+     "n_phase=7680 n_lrn=2 (certified 1) eps_pun=1/10 total_phases=3 (certified 8) f_min=1/2",
+     3),
 ])
-def test_run_det_schedule_trailer_reports_the_played_schedule(overrides, schedule, capsys):
-    """run-det's ``# schedule:`` line gives the n_phase and eps_pun the runs
-    played, with the certified value beside one an override changed. With
-    n_phase 1, seed 0 simulates one episode a phase, 8 in all."""
+def test_run_det_schedule_trailer_reports_the_played_schedule(overrides, schedule, episodes,
+                                                              capsys):
+    """run-det's ``# schedule:`` line gives every mechanism field the runs
+    played (rho only when set), with the certified value beside one an
+    override changed. Seed 0 simulates one episode a phase under the
+    hallucination log, and with n_phase 1 under the full log."""
     args = [arg for ov in overrides for arg in ("--override", ov)]
     assert main(["run-det", "--seeds", "0..0", *args]) == 0
     *csv_lines, trailer = capsys.readouterr().out.splitlines()
     assert trailer == f"# schedule: {schedule}"
     (row,) = csv.DictReader(csv_lines)
-    if "mechanism.n_phase=1" in overrides:
-        assert row["episodes_simulated"] == "8"
+    assert row["episodes_simulated"] == str(episodes)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--exact"], ["params", "--seeds", "0..1"],
@@ -180,20 +185,34 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     (["params", "--override", 'prior={"micro":"det1","path":"/nonexistent"}'], {},
      "['micro', 'path']"),
 ])
-def test_cli_bad_field_values_are_config_errors(argv, env, field, tmp_path):
+def test_cli_bad_field_values_are_config_errors(argv, env, field, tmp_path, monkeypatch,
+                                                capsys):
     """A config value that does not parse, is out of range or has the
     wrong shape stops the command with exit code 1 and one ``error:`` line
-    naming the field, not a Python traceback."""
+    naming the field, not a Python traceback: ``main`` runs in-process, so
+    an exception that escapes it fails the case."""
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bad.json").write_text("{")
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
-    run = subprocess.run([sys.executable, "-m", "ielab.cli", *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(SRC), **env},
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_cli_module_entry_point_exits_with_mains_code():
+    """``python -m ielab.cli`` exits with ``main``'s code and prints its one
+    ``error:`` line, not a traceback."""
+    run = subprocess.run([sys.executable, "-m", "ielab.cli", "run-det"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC), "IE_SEED": "abc"},
                          timeout=60)
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
-    assert field in run.stderr
+    assert "IE_SEED" in run.stderr
 
 
 def test_readme_cli_synopsis_lists_each_commands_flags():

@@ -41,7 +41,6 @@ from ielab import (
     replay_signals,
     run_game,
     run_games,
-    sample_hallucinated_model,
     totally_censor,
     underexplored_set,
     visit_counts,
@@ -80,75 +79,7 @@ def test_punish_event_extremes(det_prior):
     assert sum(det_prior.weights[i] for i in one) == Fraction(1, 2)
 
 
-def test_sample_hallucinated_model_point_mass(det_prior):
-    lam = totally_censor(raw_ledger(2, 2, 2, []))
-    post = hallucination_posterior(det_prior, lam, frozenset({123}))
-    idx, model = sample_hallucinated_model(post, stream(0, "x"))
-    assert idx == 123 and model is det_prior.atoms[123]
-
-
-def test_sample_hallucinated_model_frequencies(det_prior):
-    lam = totally_censor(raw_ledger(2, 2, 2, []))
-    punish = punish_event(det_prior, frozenset({(1, 1, 1), (1, 1, 2)}), "0.1")
-    post = canonical_posterior(det_prior, lam, punish)
-    hal_post = hallucination_posterior(det_prior, lam, punish)
-    rng = stream(11, "freq")
-    n = 100_000
-    counts: dict = {}
-    for _ in range(n):
-        idx, _ = sample_hallucinated_model(hal_post, rng)
-        counts[idx] = counts.get(idx, 0) + 1
-    for i, w in enumerate(post.weights):
-        p = float(w)
-        if p == 0:
-            assert counts.get(i, 0) == 0
-            continue
-        se = (p * (1 - p) / n) ** 0.5
-        assert abs(counts.get(i, 0) / n - p) <= 3 * se + 1e-9
-
-
-class _FixedUniform:
-    """An rng whose every ``random()`` is the same u."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
-def test_sample_hallucinated_model_draws_as_index_from_uniform(det_prior, stoch_prior):
-    """The draw from the integer masses is the index index_from_uniform picks
-    from the Fraction weights, for every float partial sum of the weights,
-    its neighbours, 0, 1 - 2^-53 and random uniforms."""
-    lam = totally_censor(raw_ledger(2, 2, 2, []))
-    punish = punish_event(det_prior, frozenset({(1, 1, 1), (1, 1, 2)}), "0.1")
-    pols = enumerate_policies(2, 2, 2)
-    entries = []
-    for k in range(8):
-        pol = pols[(7 * k + 3) % 16]
-        trajs = list(enumerate_trajectories(stoch_prior.atoms[(17 * k + 5) % 512], pol))
-        entries.append((pol, trajs[k % len(trajs)][0]))
-    # the 8-entry posterior's den has 115 bits, so float(num) / float(den)
-    # rounds twice and misses some of its float weights
-    posts = [hallucination_posterior(det_prior, lam, punish),
-             canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, entries[:1])),
-             canonical_posterior(stoch_prior, raw_ledger(2, 2, 2, entries))]
-    rng = np.random.default_rng(3)
-    for post in posts:
-        weights = post.weights
-        cum = np.cumsum([float(w) for w in weights])
-        us = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2),
-                             [0.0, 1 - 2.0 ** -53], rng.random(500)])
-        us = us[us < 1]
-        assert len(us) > 500
-        for u in us:
-            idx, model = sample_hallucinated_model(post, _FixedUniform(float(u)))
-            assert idx == index_from_uniform(weights, float(u))
-            assert model is post.prior.atoms[idx]
-
-
-def test_sample_hallucinated_model_zero_evidence(det_prior):
+def test_hallucination_posterior_zero_evidence(det_prior):
     pol = enumerate_policies(2, 2, 2)[0]
     m1, m2 = det_prior.atoms[5], det_prior.atoms[250]
     t1 = next(iter(enumerate_trajectories(m1, pol)))[0]
@@ -565,8 +496,9 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
     lockstep batch and in a partial last batch: seeds [5, 2, 9, 2, 0, 7]
     play as the batches [5, 2, 9, 2] and [0, 7]. The cases: the
     hal-rewards config (eps_pun 3/4), whose reward draws take the general
-    path, with both episode logs; det with ``track_hh``; a ``true_model``
-    override; and a hook that stops the seeds at phases 3 to 6, so seeds
+    path, with both episode logs; det with ``track_hh``, at a short
+    schedule and at the certified one; and a hook that stops the seeds at
+    phases 3 to 6, so seeds
     stop while others of their batch play on. Each case's batches hold
     4 seeds' phase records."""
     base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
@@ -582,8 +514,7 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
          {"episode_log": "full"}),
         (det_prior, MechanismConfig(40, 1, det_config.eps_pun, 8),
          {"episode_log": "hallucination", "track_hh": True, "phase_hook": stop}),
-        (det_prior, det_config, {"episode_log": "hallucination", "true_model": det_prior.atoms[19],
-                                 "track_hh": True}),
+        (det_prior, det_config, {"episode_log": "hallucination", "track_hh": True}),
     ]
     seeds = [5, 2, 9, 2, 0, 7]
     for prior, cfg, options in cases:
@@ -836,14 +767,6 @@ def test_phase_lines_match_json_dumps(monkeypatch, capsys):
                     honest_policy=honest_policy, U=U, new_triples=U))
     for p in phases:
         assert p.text() == _dumps(p.to_dict()) + "\n"
-
-
-def test_run_game_explicit_true_model(det_prior, det_config):
-    small = MechanismConfig(6, 1, det_config.eps_pun, 3)
-    agent = make_agent("canonical_truster", det_prior, small)
-    log = run_game(small, det_prior, agent, seed=4, true_model=det_prior.atoms[19],
-                   episode_log="hallucination")
-    assert log.true_atom == 19
 
 
 def test_run_game_hh_condition_and_U_monotone(det_prior, det_config):
@@ -1203,8 +1126,9 @@ def test_punish_mask_compares_mean_rewards_exactly():
                   for v in means)
     prior = DiscretePrior(atoms, (Fraction(1, 2), Fraction(1, 2)))
     cfg = MechanismConfig(2, 1, eps, 2)
-    log = run_game(cfg, prior, make_agent("canonical_truster", prior, cfg), seed=0,
-                   true_model=atoms[0])
+    # seed 1's truth uniform, 0.382, draws atom 0
+    log = run_game(cfg, prior, make_agent("canonical_truster", prior, cfg), seed=1)
+    assert log.true_atom == 0
     assert len(punish_event(prior, all_triples(1, 1, 1), eps)) == 1
     assert [p.punish_size for p in log.phases] == [2, 1]
 

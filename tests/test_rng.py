@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ielab import rng
 from ielab.rng import (cumulative_row, family_key, generator, index_from_uniform,
-                       integer_below, integer_rows, stream, uniform_rows)
+                       integer_rows, stream, uniform_rows)
 
 
 # 2**31 + 1 rejects almost half of all 32-bit words
@@ -89,14 +89,25 @@ def test_uniform_rows_per_row_keys(rows, n):
     assert got.tobytes() == reference.reshape(len(rows), n).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.tuples(_KEY, _INDEX), max_size=8),
-       n=_N | st.sampled_from([2**32, 2**32 + 1, 2**40 + 3]))
+       n=_N | st.sampled_from([0, 2**32, 2**32 + 1, 2**40, 2**40 + 3]))
+@example(rows=[(family_key(0, "kstar"), 31)], n=2**31 + 1)
+@example(rows=[(2**128 - 1, 0)], n=0)
 def test_integer_rows_match_stream(rows, n):
     """The batched Lemire draw equals numpy's ``integers(0, n)`` at each
     row's address, with one key per row or one key for all, for n = 1,
-    for n that rejects almost half of all words and for n >= 2**32."""
+    for n that rejects almost half of all words and for n >= 2**32; at
+    n = 0 both raise ValueError."""
     keys, indices = [k for k, _ in rows], [i for _, i in rows]
+    if n < 1 and rows:
+        with pytest.raises(ValueError):
+            generator(keys[0], indices[0]).integers(0, n)
+        with pytest.raises(ValueError):
+            integer_rows(keys, indices, n)
+        with pytest.raises(ValueError):
+            integer_rows(keys[0], indices, n)
+        return
     assert integer_rows(keys, indices, n) == [int(generator(k, i).integers(0, n))
                                               for k, i in rows]
     if rows:
@@ -104,46 +115,18 @@ def test_integer_rows_match_stream(rows, n):
                                                      for i in indices]
 
 
-def test_integer_rows_read_a_rejected_row_by_the_scalar_reader():
+def test_integer_rows_read_a_rejected_row_from_numpy():
     """Row ("kstar", 31) of seed 0 rejects all eight halves of its first
-    block at n = 2**31 + 1 (test_integer_below_reads_a_second_block); in a
-    batch it is read from its second block, between rows that are not."""
+    block at n = 2**31 + 1, so its draw is numpy's, from the second block;
+    in a batch it sits between rows that are not rejected."""
     n = 2**31 + 1
     key = family_key(0, "kstar")
+    first = rng._row_blocks(key, [31], 1)[0].tolist()
+    halves = [half for word in first for half in (word & 0xFFFFFFFF, word >> 32)]
+    assert all(half * n % 2**32 < 2**32 % n for half in halves)
     indices = [30, 31, 32]
     assert integer_rows(key, indices, n) == [int(numpy_philox(key, i).integers(0, n))
                                              for i in indices]
-
-
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=_SEED, family=_FAMILY, index=_INDEX, n=_N)
-@example(seed=0, family="kstar", index=31, n=2**31 + 1)
-def test_integer_below_matches_stream(seed, family, index, n):
-    key = family_key(seed, family)
-    assert integer_below(key, index, n) == numpy_philox(key, index).integers(0, n)
-
-
-def test_integer_below_reads_a_second_block():
-    """At seed 0, address ("kstar", 31) and n = 2**31 + 1 all eight 32-bit
-    halves of the first Philox block are rejected, so the draw comes from
-    the second block."""
-    n = 2**31 + 1
-    key = family_key(0, "kstar")
-    first = next(rng._blocks(key, 31))
-    halves = [half for word in first for half in (word & 0xFFFFFFFF, word >> 32)]
-    assert all(half * n % 2**32 < 2**32 % n for half in halves)
-    assert integer_below(key, 31, n) == numpy_philox(key, 31).integers(0, n)
-
-
-def test_integer_below_wide_ranges_and_bad_n():
-    key = family_key(5, "wide")
-    for n in (2**32, 2**40 + 3):
-        for index in (0, 9, 2**64 - 1):
-            assert integer_below(key, index, n) == numpy_philox(key, index).integers(0, n)
-    with pytest.raises(ValueError):
-        integer_below(key, 0, 0)
 
 
 def sequential_index(probs, u: float) -> int:
