@@ -498,9 +498,8 @@ def test_seed_logs_do_not_depend_on_their_batch(mode, monkeypatch, det_prior, de
     hal-rewards config (eps_pun 3/4), whose reward draws take the general
     path, with both episode logs; det with ``track_hh``, at a short
     schedule and at the certified one; and a hook that stops the seeds at
-    phases 3 to 6, so seeds
-    stop while others of their batch play on. Each case's batches hold
-    4 seeds' phase records."""
+    phases 3 to 6, so seeds stop while others of their batch play on.
+    Each case's batches hold 4 seeds' phase records."""
     base, _ = prob_parameters(stoch_factored, Fraction(1, 4), 0.1,
                               n_lrn_override=8, total_phases_override=40)
     hal_rewards = MechanismConfig(base.n_phase, 8, Fraction(3, 4), 40, base.rho)
