@@ -87,16 +87,19 @@ def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleS
 
 
 def simulation_gap(model: TabularModel, model_star: TabularModel, U: TripleSet,
-                   rtilde, policy: MarkovPolicy, eps) -> tuple[Fraction, Fraction]:
+                   rtilde, policy: MarkovPolicy, eps,
+                   report: SimilarityReport | None = None) -> tuple[Fraction, Fraction]:
     """(lhs, bound) for the truncated-reward comparison of similar models.
 
     lhs is the exact absolute difference of the truncated expected sums;
     bound is C(H,2) * eps, also exact. Raises PreconditionViolated unless
-    the pair is eps-similar on the complement of U.
+    the pair is eps-similar on the complement of U. ``report`` is the
+    pair's ``similarity`` on that complement when the caller has already
+    taken it; otherwise it is taken here.
     """
     eps = as_fraction(eps)
-    fully_explored = complement_triples(U, model.S, model.A, model.H)
-    rep = similarity(model, model_star, fully_explored)
+    rep = report if report is not None else similarity(
+        model, model_star, complement_triples(U, model.S, model.A, model.H))
     if not rep.is_similar(eps):
         raise PreconditionViolated(
             f"models are not {eps}-similar on the complement of U "

@@ -309,6 +309,9 @@ def check_reward_law(dist: DiscreteDist, support: set) -> None:
             raise ValueError("reward value outside global support")
 
 
+_MODEL_FIELDS = tuple(f.name for f in fields(TabularModel))
+
+
 def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> TabularModel:
     """A TabularModel from parts its caller has already run through
     ``check_model_parts``; skips the per-model checks of ``__post_init__``."""
@@ -316,8 +319,8 @@ def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> Tabula
     # field by field, as the generated __init__ sets them, so the instance
     # keeps its compact attribute storage instead of a dict of its own
     values = (S, A, H, init, trans, rewards, reward_support, {})
-    for f, value in zip(fields(TabularModel), values, strict=True):
-        object.__setattr__(model, f.name, value)
+    for name, value in zip(_MODEL_FIELDS, values, strict=True):
+        object.__setattr__(model, name, value)
     return model
 
 

@@ -8,13 +8,14 @@ int columns in that index over one per-prior denominator, and a ledger's
 count signature as sorted (feature, count) pairs. Every function that
 takes a ``Ledger`` is exact and runs on the lattice, so posteriors,
 conditional values and greedy choices are integer products and dot
-products; the policy values come from one integer DP, built on first
-use. The lattice also lists each policy's trajectories once over
-the atoms' union support, with every atom's path masses as ints, for the
-oracle's game enumeration. An exact ``Posterior`` stores its lattice
-masses as they come, ``(nums, den)``: ints over one positive
-denominator. Fractions appear only at the boundary, in its ``weights``
-view and in the values and gaps these functions return.
+products; the policy values are ints too, built on first use from one
+forward walk per transition table and policy. The lattice also lists
+each policy's trajectories once over the atoms' union support, with
+every atom's path masses as ints, for the oracle's game enumeration.
+An exact ``Posterior`` stores its lattice masses as they come,
+``(nums, den)``: ints over one positive denominator. Fractions appear
+only at the boundary, in its ``weights`` view and in the values and gaps
+these functions return.
 
 Floats live only in the run loop. ``PriorTables`` (``shared_tables``)
 reads its float arrays off the lattice: a log-mass matrix over the
@@ -32,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +47,14 @@ from .mdp import (
     Step,
     TabularModel,
     Trajectory,
+    absorbing_steps,
     as_fraction,
     check_model_parts,
     check_prob_vector,
     check_reward_law,
     checked_parts_model,
     enumerate_policies,
+    int_parts,
     reward_table,
     support_pairs,
     transition_table,
@@ -229,6 +232,9 @@ class FactoredRewardPrior:
         Atoms of zero weight are left out. The checks of TabularModel run
         once per transition table and once per reward law, not per atom,
         and raise what building the atoms one by one would raise first.
+        An atom's rewards field is one sub-tuple per state x, the laws of
+        x's triples: each choice of those laws is combined once, and every
+        atom that makes it shares that sub-tuple.
         """
         triples = sorted(self.reward_marginals)
         sizes = [len(self.reward_marginals[t].support) for t in triples]
@@ -244,7 +250,7 @@ class FactoredRewardPrior:
         # the choices an atom of positive weight can take, in product order
         choice_sets = [[(p.numerator, p.denominator, law) for _, p, law in lifted[t] if p]
                        for t in triples]
-        laws_checked = False
+        parts = None
         atoms, weights = [], []
         for init, transitions, tw in self.transition_atoms:
             # coerced once per transition atom; its reward combinations share them
@@ -254,22 +260,46 @@ class FactoredRewardPrior:
                 continue
             first = reward_table(S, A, H, {t: c[0][2] for t, c in zip(triples, choice_sets)})
             check_model_parts(S, A, H, init_t, trans, first, support)
-            if not laws_checked:
+            if parts is None:
                 # the first atom to fail varies the last triple with a
                 # failing law, at its first failing choice
                 for choices in reversed(choice_sets):
                     for _, _, law in choices[1:]:
                         check_reward_law(law, pairs)
-                laws_checked = True
-            for combo in product(*choice_sets):
+                parts = self._reward_parts(triples, choice_sets)
+            for combo in product(*parts):
                 num, den = tw.numerator, tw.denominator
                 for p_num, p_den, _ in combo:
                     num *= p_num
                     den *= p_den
-                rewards = reward_table(S, A, H, {t: law for t, (_, _, law) in zip(triples, combo)})
+                # a marginal of a state outside 1..S multiplies the atoms
+                # but has no sub-tuple, as reward_table ignores it
+                rewards = tuple([sub for _, _, sub in combo if sub is not None])
                 atoms.append(checked_parts_model(S, A, H, init_t, trans, rewards, support))
                 weights.append(Fraction(num, den))
         return DiscretePrior(tuple(atoms), tuple(weights))
+
+    def _reward_parts(self, triples: list, choice_sets: list) -> list:
+        """Per state x of the sorted triples, every choice of laws for x's
+        triples in product order, as (num, den, sub): the choice's prior
+        mass num / den and its sub-tuple of laws at [a-1][h-1]. The states
+        in order and their choices in product order are the product over
+        all triples in its order."""
+        parts = []
+        for x, ks in groupby(range(len(triples)), key=lambda k: triples[k][0]):
+            ks = list(ks)
+            at = {triples[k]: j for j, k in enumerate(ks)}
+            part = []
+            for combo in product(*(choice_sets[k] for k in ks)):
+                num = den = 1
+                for p_num, p_den, _ in combo:
+                    num *= p_num
+                    den *= p_den
+                sub = tuple(tuple(combo[at[x, a, h]][2] for h in range(1, self.H + 1))
+                            for a in range(1, self.A + 1)) if 1 <= x <= self.S else None
+                part.append((num, den, sub))
+            parts.append(part)
+        return parts
 
 
 def f_min(prior, eps) -> Fraction:
@@ -667,7 +697,8 @@ class ExactLattice:
 
     - ``weights[i]``: prior weights as ints over their common denominator.
     - The distinct rows. Expanded priors share init vectors, transition
-      rows and reward laws between atoms, so each distinct one is
+      tables and per-x reward sub-tuples between atoms, so each distinct
+      table and sub-tuple is walked once and each distinct row and law
       converted once: ``vec_rows`` holds the init vectors and transition
       rows and ``law_rows`` each law's masses at the support values, as
       ints over one per-prior denominator ``den``, and ``law_means`` the
@@ -685,10 +716,11 @@ class ExactLattice:
       (feature, count) pairs with it and ``masses`` raises the columns to
       them.
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
-      over ``value_den``, filled on first use by one integer backward DP
-      per policy, vectorized over atoms. It is the one DP over all atoms:
-      the exact route's values and, rounded once, ``PriorTables``'
-      ``value_matrix``.
+      over ``value_den``, filled on first use: per transition table (by
+      ``transition_key``) and policy, one ``mdp.absorbing_steps`` walk's
+      visit masses times the table's atoms' mean rewards. They are the
+      exact route's values and, rounded once, ``PriorTables``'
+      ``value_matrix``; the float route never builds ``columns``.
     - ``paths(policy)``: the policy's trajectories over the atoms' union
       support with their masses over den ** (2H), built on first use.
 
@@ -706,11 +738,16 @@ class ExactLattice:
         # support positions by (numerator, denominator): int hashes, not Fraction ones
         self.support_ix = {(v.numerator, v.denominator): k for k, v in enumerate(self.support)}
         self.weights, _ = over_common_den(prior.weights)
-        atoms = prior.atoms
-        vecs, self.vec_ix = _distinct([m.init for m in atoms] + [
-            vec for m in atoms for by_a in m.trans for by_h in by_a for vec in by_h])
-        laws, self.law_ix = _distinct([d for m in atoms for by_a in m.rewards
-                                       for by_h in by_a for d in by_h])
+        atoms = self._atoms = prior.atoms
+        # each distinct transition table and per-x reward sub-tuple is
+        # walked once; the atoms that share it repeat its positions
+        tables, table_ix = _distinct([m.trans for m in atoms])
+        vecs, ix = _distinct([m.init for m in atoms] + [
+            vec for table in tables for by_a in table for by_h in by_a for vec in by_h])
+        self.vec_ix = ix[:self.n] + _repeat(ix[self.n:], table_ix, S * A * H)
+        subs, sub_ix = _distinct([sub for m in atoms for sub in m.rewards])
+        laws, ix = _distinct([d for sub in subs for by_h in sub for d in by_h])
+        self.law_ix = _repeat(ix, sub_ix, A * H)
         masses = [[d.mass(v) for v in self.support] for d in laws]
         flat, self.den = over_common_den([p for row in vecs + masses for p in row])
         flat = iter(flat)
@@ -777,8 +814,7 @@ class ExactLattice:
 
     @functools.cached_property
     def columns(self) -> list[tuple]:
-        """Built on first use: by the exact route's masses and paths, and
-        by ``value_cols``."""
+        """Built on first use, by the exact route's masses and paths."""
         n, T, vec_ix, law_ix = self.n, self.S * self.A * self.H, self.vec_ix, self.law_ix
         # zip(*rows) turns the atoms' rows into one column per entry
         columns = list(zip(*[self.vec_rows[j] for j in vec_ix[:n]]))
@@ -798,32 +834,32 @@ class ExactLattice:
     @functools.cached_property
     def value_cols(self) -> list[tuple]:
         """Built on first use: by the exact route's policy values, and by
-        the float route's ``PriorTables.value_matrix``."""
+        the float route's ``PriorTables.value_matrix``. A policy's value
+        under an atom is the sum over its steps of the step's visit mass
+        times the atom's mean reward there. The visit masses depend only
+        on the transition table, so each table and policy takes one
+        ``mdp.absorbing_steps`` walk, with nothing absorbing, and the sum
+        is vectorized over the table's atoms."""
         T = self.S * self.A * self.H
         means = [[self.law_means[j] for j in self.law_ix[t::T]] for t in range(T)]
-        return [self._values(pol, means) for pol in self.policies]
-
-    def _values(self, policy: MarkovPolicy, means: list) -> tuple:
-        """policy_value(atom, policy) over value_den for every atom: one
-        integer backward DP over stages, vectorized over atoms. The
-        value-to-go from stage h is over mean_den * den^(H-h)."""
-        S, H, col = self.S, self.H, self.columns
-        togo = [[0] * self.n for _ in range(S)]
-        for h in range(H, 0, -1):
-            nxt = []
-            for x in range(1, S + 1):
-                a = policy.action(x, h)
-                scale = self.den ** (H - h)
-                v = [r * scale for r in means[self._triple(x, a, h)]]
-                for y in range(1, S + 1) if h < H else ():
-                    row = col[self.trans_feature(x, a, h, y)]
-                    v = [acc + p * g for acc, p, g in zip(v, row, togo[y - 1])]
-                nxt.append(v)
-            togo = nxt
-        out = [0] * self.n
-        for x in range(S):
-            out = [acc + p * g for acc, p, g in zip(out, col[x], togo[x])]
-        return tuple(out)
+        tables: dict = {}
+        for i in range(self.n):
+            tables.setdefault(self.transition_key(i), []).append(i)
+        cols = [[0] * self.n for _ in self.policies]
+        for members in tables.values():
+            model = self._atoms[members[0]]
+            # the walk's masses are over the table's own den ** H; that den
+            # divides the lattice's, the lcm over every row
+            scale = (self.den // int_parts(model)[0]) ** self.H
+            table_means = [[col[i] for i in members] for col in means]
+            for pol, out in zip(self.policies, cols):
+                values = [0] * len(members)
+                for x, a, h, mass in absorbing_steps(model, pol, frozenset())[0]:
+                    m = mass * scale
+                    values = [v + m * r for v, r in zip(values, table_means[self._triple(x, a, h)])]
+                for i, v in zip(members, values):
+                    out[i] = v
+        return [tuple(out) for out in cols]
 
     def paths(self, policy: MarkovPolicy) -> LatticePaths:
         """The policy's LatticePaths, built on first use and kept.
@@ -913,6 +949,14 @@ def _distinct(objs: list) -> tuple[list, list[int]]:
             rows.append(obj)
         index.append(k)
     return rows, index
+
+
+def _repeat(ix: list[int], group_ix: list[int], size: int) -> list[int]:
+    """The positions ``ix`` of the distinct groups' items, ``size`` a
+    group, repeated for each item of ``group_ix`` (``_distinct``'s index
+    of the groups): the index of every group's items in turn."""
+    runs = [ix[k:k + size] for k in range(0, len(ix), size)]
+    return [p for g in group_ix for p in runs[g]]
 
 
 def exact_lattice(prior: DiscretePrior) -> ExactLattice:

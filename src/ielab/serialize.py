@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 
 from .errors import ConfigError
 from .ledgers import CensoredTrajectory, Ledger
@@ -99,17 +98,19 @@ def prior_to_dict(prior: DiscretePrior) -> dict:
 
 def prior_text(prior: DiscretePrior) -> str:
     """``json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",",
-    ":"))``, rendered directly: each shared init vector, transition row
-    and reward law once, then each atom's fields in sorted key order.
-    Triple keys sort as strings, so "10,1,1" comes before "2,1,1"; a
-    non-integer is the JSON string of its 'p/q' form, which needs no
-    escaping."""
+    ":"))``, rendered directly, each shared part once: every init vector,
+    transition row and reward law, every transition table's
+    ``"transitions"`` text, and every per-x reward sub-tuple's run of
+    ``"rewards"`` entries. Triple keys sort as strings, so "10,1,1" comes
+    before "2,1,1" and "1,1,10" before "1,1,2"; the keys of one x share
+    the prefix "x,", so each x's entries are one run. A non-integer is
+    the JSON string of its 'p/q' form, which needs no escaping."""
     rendered: dict = {}
 
-    def once(obj, render) -> str:
-        if id(obj) not in rendered:
-            rendered[id(obj)] = render(obj)
-        return rendered[id(obj)]
+    def once(key, render, *args) -> str:
+        if key not in rendered:
+            rendered[key] = render(*args)
+        return rendered[key]
 
     def num(v: Fraction) -> str:
         return str(v.numerator) if v.denominator == 1 else f'"{v}"'
@@ -121,14 +122,27 @@ def prior_text(prior: DiscretePrior) -> str:
         return f'{{"probs":{vector(d.probs)},"support":{vector(d.support)}}}'
 
     S, A, H = prior.shape
-    keys = sorted((_triple_key(t), t) for t in product(range(1, S + 1), range(1, A + 1),
-                                                        range(1, H + 1)))
+    xs = sorted(range(1, S + 1), key=lambda x: f"{x},")
+    ahs = sorted(((a, h) for a in range(1, A + 1) for h in range(1, H + 1)),
+                 key=lambda ah: f"{ah[0]},{ah[1]}")
+
+    def rewards(x: int, sub) -> str:
+        return ",".join(f'"{x},{a},{h}":{once(id(d), law, d)}'
+                        for a, h in ahs for d in [sub[a - 1][h - 1]])
+
+    def transitions(trans) -> str:
+        return ",".join(f'"{x},{a},{h}":{once(id(vec), vector, vec)}'
+                        for x in xs for a, h in ahs for vec in [trans[x - 1][a - 1][h - 1]])
+
     atoms = []
     for m, w in zip(prior.atoms, prior.weights):
-        rewards = ",".join(f'"{k}":{once(m.reward_dist(*t), law)}' for k, t in keys)
-        trans = ",".join(f'"{k}":{once(m.transition(*t), vector)}' for k, t in keys)
-        atoms.append(f'{{"model":{{"A":{m.A},"H":{m.H},"S":{m.S},"init":{once(m.init, vector)},'
-                     f'"rewards":{{{rewards}}},"transitions":{{{trans}}}}},"weight":{num(w)}}}')
+        # a sub-tuple's text holds its x, so it is kept per (x, sub-tuple)
+        rews = ",".join([once((x, id(sub)), rewards, x, sub)
+                         for x in xs for sub in [m.rewards[x - 1]]])
+        init = once(id(m.init), vector, m.init)
+        trans = once(id(m.trans), transitions, m.trans)
+        atoms.append(f'{{"model":{{"A":{A},"H":{H},"S":{S},"init":{init},"rewards":{{{rews}}},'
+                     f'"transitions":{{{trans}}}}},"weight":{num(w)}}}')
     return '{"atoms":[' + ",".join(atoms) + "]}"
 
 

@@ -115,6 +115,29 @@ def test_simulation_gap_precondition():
     pol = enumerate_policies(2, 1, 2)[0]
     with pytest.raises(PreconditionViolated):
         simulation_gap(m1, m2, frozenset(), lambda t: 1, pol, 0)
+    # the pair's own report, passed in, decides the same way
+    rep = similarity(m1, m2, all_triples(2, 1, 2))
+    with pytest.raises(PreconditionViolated):
+        simulation_gap(m1, m2, frozenset(), lambda t: 1, pol, 0, rep)
+    assert simulation_gap(m1, m2, frozenset(), lambda t: 1, pol, rep.max_distance(), rep) == \
+        simulation_gap(m1, m2, frozenset(), lambda t: 1, pol, rep.max_distance())
+
+
+def test_verify_sim_lemma_takes_each_similarity_once(monkeypatch):
+    """``verify_sim_lemma`` takes the similarity of each of its 212 draws
+    once, in the draw, and hands it to ``simulation_gap``."""
+    from ielab import analysis, harness
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return similarity(*args)
+
+    monkeypatch.setattr(harness, "similarity", counted)
+    monkeypatch.setattr(analysis, "similarity", counted)
+    assert all(check["ok"] for check in harness.verify_sim_lemma())
+    assert len(calls) == 212
 
 
 def test_simulation_gap_randomized_bound():

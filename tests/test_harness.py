@@ -365,20 +365,50 @@ def test_prior_to_dict_renders_shared_objects_as_each_atom_alone(stoch_prior):
 def test_prior_text_is_the_canonical_json(det_prior, stoch_prior):
     """The text ``prior_digest`` hashes is the generic encoder's compact,
     key-sorted JSON of ``prior_to_dict``: on micro_det_1, micro_stoch_1,
-    and a factored prior with S = 10, whose triple keys sort as strings
-    ("10,1,1" before "2,1,1") and whose init and weights are fractions."""
+    a factored prior with S = 10, whose triple keys sort as strings
+    ("10,1,1" before "2,1,1") and whose init and weights are fractions, a
+    factored prior with H = 10, whose keys of one x sort the same way
+    ("1,1,10" before "1,1,2"), and a prior of listed atoms, read by
+    ``prior_from_dict``, whose atoms share no transition table, reward
+    sub-tuple or law."""
     from ielab.mechanism import prior_digest
-    from ielab.serialize import prior_text, prior_to_dict
+    from ielab.serialize import prior_from_dict, prior_text, prior_to_dict
 
     wide = FactoredRewardPrior(
         10, 1, 1, transition_atoms=(([Fraction(1, 10)] * 10, {}, 1),),
         reward_marginals={(x, 1, 1): DiscreteDist.of([(0, "1/3"), ("3/4", "2/3")])
                           for x in range(1, 11)}).expand()
-    for prior in (det_prior, stoch_prior, wide):
+    two = DiscreteDist.of([(0, "1/3"), ("3/4", "2/3")])
+    long = FactoredRewardPrior(
+        2, 1, 10, transition_atoms=(([Fraction(1, 3), Fraction(2, 3)],
+                                     {(x, 1, h): [Fraction(1, 4), Fraction(3, 4)]
+                                      for x in (1, 2) for h in range(1, 10)}, 1),),
+        reward_marginals={(x, 1, h): two if (x, h) in {(1, 2), (1, 10), (2, 1)}
+                          else DiscreteDist.point(Fraction(1, 2))
+                          for x in (1, 2) for h in range(1, 11)}).expand()
+    listed = prior_from_dict({"atoms": [
+        {"weight": "1/3", "model": {
+            "S": 2, "A": 1, "H": 2, "init": ["1/2", "1/2"],
+            "transitions": {"1,1,1": [1, 0], "2,1,1": ["1/5", "4/5"]},
+            "rewards": {t: {"support": [0, 1], "probs": ["2/3", "1/3"]}
+                        for t in ("1,1,1", "1,1,2", "2,1,1", "2,1,2")}}},
+        {"weight": "2/3", "model": {
+            "S": 2, "A": 1, "H": 2, "init": [1, 0],
+            "transitions": {"1,1,1": ["1/2", "1/2"], "2,1,1": [0, 1]},
+            "rewards": {t: {"support": [0, "1/2"], "probs": [0, 1]}
+                        for t in ("1,1,1", "1,1,2", "2,1,1", "2,1,2")}}}]})
+    a, b = listed.atoms
+    assert a.trans is not b.trans and all(
+        sa is not sb and all(d is not e for ra, rb in zip(sa, sb) for d, e in zip(ra, rb))
+        for sa, sb in zip(a.rewards, b.rewards))
+    for prior in (det_prior, stoch_prior, wide, long, listed):
         text = json.dumps(prior_to_dict(prior), sort_keys=True, separators=(",", ":"))
         assert prior_text(prior) == text
         assert prior_digest(prior) == hashlib.sha256(text.encode()).hexdigest()
-    assert '"1,1,1":' in text and text.index('"10,1,1":') < text.index('"2,1,1":')
+        if prior is wide:
+            assert '"1,1,1":' in text and text.index('"10,1,1":') < text.index('"2,1,1":')
+        if prior is long:
+            assert text.index('"1,1,10":') < text.index('"1,1,2":') < text.index('"2,1,1":')
 
 
 def test_sweep_peak_does_not_grow_with_its_seeds(tmp_path, monkeypatch, capsys):

@@ -55,6 +55,7 @@ from ielab import (
     fabricated_rewards_case,
     hygiene_tv_pairs,
     ledger_probability,
+    make_agent,
     mechanism_posterior,
     one_step_audit,
     policy_selection_case,
@@ -150,12 +151,52 @@ def test_lattice_values_and_greedy_match_fraction_argmax(data):
             assert canonical_gap(post, split) == inside - outside
 
 
-def test_lattice_value_matrix_matches_policy_value(stoch_prior):
-    lattice = exact_lattice(stoch_prior)
-    for j, pol in enumerate(lattice.policies):
-        for i in (0, 1, 255, 256, 511):
-            assert Fraction(lattice.value_cols[j][i], lattice.value_den) == \
-                policy_value(stoch_prior.atoms[i], pol)
+def assert_value_cols_equal_policy_value(prior):
+    """Every policy's value column is mdp.policy_value at every atom."""
+    lattice = exact_lattice(prior)
+    assert len(lattice.value_cols) == len(lattice.policies)
+    for pol, col in zip(lattice.policies, lattice.value_cols):
+        assert [Fraction(v, lattice.value_den) for v in col] == [
+            policy_value(m, pol) for m in prior.atoms]
+
+
+def test_lattice_value_matrix_matches_policy_value(det_prior, stoch_prior):
+    """At every atom of micro_det_1 (one transition table) and
+    micro_stoch_1 (two), for every policy."""
+    for prior in (det_prior, stoch_prior):
+        assert_value_cols_equal_policy_value(prior)
+
+
+def transition_tables(prior) -> int:
+    lattice = exact_lattice(prior)
+    return len({lattice.transition_key(i) for i in range(prior.n)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_priors().filter(lambda prior: transition_tables(prior) >= 2), st.randoms())
+def test_value_cols_equal_policy_value_over_several_transition_tables(prior, random):
+    """Priors with two transition tables, their atoms in expansion order
+    (each table's atoms in one run) and shuffled (the tables' atoms
+    interleaved)."""
+    assert_value_cols_equal_policy_value(prior)
+    order = list(range(prior.n))
+    random.shuffle(order)
+    shuffled = DiscretePrior(tuple(prior.atoms[i] for i in order),
+                             tuple(prior.weights[i] for i in order))
+    assert_value_cols_equal_policy_value(shuffled)
+
+
+def test_float_run_leaves_lattice_columns_unbuilt(det_factored, det_config):
+    """A micro_det_1 run with the hallucination log takes its values from
+    the lattice's value columns without building its per-atom columns,
+    which only the exact route reads."""
+    prior = det_factored.expand()
+    for mode in ("canonical_truster", "fully_rational"):
+        run_game(det_config, prior, make_agent(mode, prior, det_config), 3,
+                 episode_log="hallucination")
+    lattice = exact_lattice(prior)
+    assert "value_cols" in lattice.__dict__
+    assert "columns" not in lattice.__dict__
 
 
 def exact_value_matrix(prior) -> np.ndarray:
@@ -178,7 +219,12 @@ def test_value_matrix_equals_policy_value(det_prior, stoch_prior):
     support = (0, Fraction(1, 3), Fraction(5, 7), 1)
     off_grid = DiscretePrior(tuple(random_model(rng, 3, 2, 3, support=support)
                                    for _ in range(6)), (Fraction(1, 6),) * 6)
-    for prior in (det_prior, stoch_prior, off_grid, mixed_reward_order_prior(), big_den_prior()):
+    # micro_stoch_1's two transition tables, their atoms interleaved
+    order = [i + half for i in range(256) for half in (0, 256)]
+    interleaved = DiscretePrior(tuple(stoch_prior.atoms[i] for i in order),
+                                tuple(stoch_prior.weights[i] for i in order))
+    for prior in (det_prior, stoch_prior, off_grid, mixed_reward_order_prior(), big_den_prior(),
+                  interleaved):
         tables = priors.PriorTables(prior)
         lattice = exact_lattice(prior)
         assert np.array_equal(tables.value_matrix, exact_value_matrix(prior))

@@ -208,8 +208,15 @@ def faulty_factored_priors(draw):
 @given(faulty_factored_priors())
 def test_expand_matches_atom_by_atom_build(fp):
     """Same atoms and weights, or the same error type and message, as
-    building and checking every atom on its own."""
-    assert outcome(FactoredRewardPrior.expand, fp) == outcome(expand_atom_by_atom, fp)
+    building and checking every atom on its own. The atoms that make one
+    choice of laws for a state x's triples share one rewards sub-tuple for
+    x, whatever their transition atom or their other choices."""
+    expanded = outcome(FactoredRewardPrior.expand, fp)
+    assert expanded == outcome(expand_atom_by_atom, fp)
+    if isinstance(expanded[0], tuple):
+        for x in range(fp.S):
+            subs = [m.rewards[x] for m in expanded[0]]
+            assert len({id(sub) for sub in subs}) == len(set(subs))
 
 
 def test_canonical_posterior_empty_ledger_is_prior(det_prior):
