@@ -291,10 +291,7 @@ class FactoredRewardPrior:
             at = {triples[k]: j for j, k in enumerate(ks)}
             part = []
             for combo in product(*(choice_sets[k] for k in ks)):
-                num = den = 1
-                for p_num, p_den, _ in combo:
-                    num *= p_num
-                    den *= p_den
+                num, den = math.prod(c[0] for c in combo), math.prod(c[1] for c in combo)
                 sub = tuple(tuple(combo[at[x, a, h]][2] for h in range(1, self.H + 1))
                             for a in range(1, self.A + 1)) if 1 <= x <= self.S else None
                 part.append((num, den, sub))
@@ -491,9 +488,10 @@ class PriorTables:
     def value_matrix(self) -> np.ndarray:
         """policy_value(atom i, policy j) at [i, j], C-contiguous float64:
         the lattice's exact value ints, each rounded once, so every entry
-        is within half an ulp of the exact value."""
-        den = self.lattice.value_den
-        return np.array([[v / den for v in row] for row in zip(*self.lattice.value_cols)])
+        is within half an ulp of the exact value: an object array divides
+        each Python int by value_den with int's true division."""
+        ints = np.array(self.lattice.value_cols, dtype=object)
+        return np.ascontiguousarray((ints / self.lattice.value_den).astype(float).T)
 
     def exact_value(self, atom_index: int, policy: MarkovPolicy) -> Fraction:
         """policy_value(atom, policy), read off the prior's lattice."""
