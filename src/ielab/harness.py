@@ -26,7 +26,7 @@ from .analysis import (
     simulation_gap,
     sufficiently_visiting_policies,
 )
-from .errors import AssumptionViolated, ConfigError, VerificationFailure
+from .errors import AssumptionViolated, ConfigError, PreconditionViolated, VerificationFailure
 from .instances import micro_det_1, micro_stoch_1, perturb_model, random_model
 from .mdp import MarkovPolicy, all_triples, as_fraction, complement_triples, enumerate_policies
 from .mechanism import (
@@ -47,7 +47,7 @@ from .oracle import (
     p_hal_audit,
     policy_selection_case,
 )
-from .priors import shared_tables
+from .priors import exact_lattice, shared_tables
 from .serialize import prior_from_dict
 
 DET_SUMMARY_COLUMNS = [
@@ -402,6 +402,15 @@ def verify_hygiene(table, phases: int) -> list[dict]:
 
 
 def _det_target_provider(prior):
+    """The one-step target of every node: the policies that visit U under
+    atom 0's transitions, which are every atom's only when the prior has
+    one transition table."""
+    lattice = exact_lattice(prior)
+    n_tables = len({lattice.transition_key(i) for i in range(prior.n)})
+    if n_tables > 1:
+        raise PreconditionViolated(
+            f"the det one-step target reads atom 0's transitions, but the prior has "
+            f"{n_tables} transition tables")
     model0 = prior.atoms[0]
 
     def provider(U, _nodes):

@@ -4,8 +4,13 @@ Everything here runs in exact arithmetic: posteriors, branch masses,
 agent choices, argmax sets and trajectory masses on the prior's integer
 lattice (``priors.ExactLattice``), whose count signatures and reward
 features address its int columns, and each node's joint masses as ints
-over one denominator per node, with Fractions only where a mass or a
-value enters a query result. Each policy's trajectories are
+over one denominator per node. The queries keep those ints: the hygiene
+TVs join a ledger's nodes over the lcm of their dens, and the one-step
+and p_hal audits read per revealed ledger its hallucinated and honest
+joints as ints over one group denominator, built once per phase and kept
+on the table; a Fraction is built only where a value leaves a query.
+``mechanism_posterior_from_table`` is the independent Fraction reference
+of those joints. Each policy's trajectories are
 enumerated once for all atoms and checked, in integers, to carry every
 atom's full mass; so the last phase, whose trajectories only feed the
 model marginal, adds each node's masses times its branches' total
@@ -20,7 +25,6 @@ mechanisms act as negative controls for the hygiene checker.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import Counter
@@ -81,7 +85,7 @@ class PhaseNode:
 
     ``masses[atom]`` over ``den`` is the joint mass Pr[true model = atom
     and the raw hallucination history equals this node's history], an
-    int; ``weights`` is the same as Fractions.
+    int.
     """
 
     ell: int
@@ -95,10 +99,6 @@ class PhaseNode:
     branches: list
     exploit_policy: MarkovPolicy | None
 
-    @functools.cached_property
-    def weights(self) -> dict:
-        return {i: Fraction(v, self.den) for i, v in self.masses.items()}
-
     def mass(self) -> Fraction:
         return Fraction(sum(self.masses.values()), self.den)
 
@@ -111,6 +111,8 @@ class JointTable:
     phases: int
     nodes: dict = field(default_factory=dict)  # ell -> list[PhaseNode]
     model_marginal: dict = field(default_factory=dict)  # atom -> Fraction
+    # ell -> _hal_ledgers(table, ell), built on first use
+    hal_ledgers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def total_mass(self) -> Fraction:
         return sum(self.model_marginal.values())
@@ -261,14 +263,28 @@ def _normalize(d: dict) -> dict:
 
 
 def hygiene_tv(table: JointTable, ledger_kind: str, ell: int) -> Fraction:
-    """max over realizable ledgers of TV(true posterior, canonical posterior)."""
+    """max over realizable ledgers of TV(true posterior, canonical posterior).
+
+    The phase's nodes are grouped by ledger value, and each group's joint
+    is its nodes' masses as ints over the lcm of their dens, for
+    ``hygiene_tv_pairs``' integer TV.
+    """
     if ledger_kind not in ("censored", "honest"):
         raise ValueError("ledger_kind must be 'censored' or 'honest'")
-    return hygiene_tv_pairs(table.prior, [
-        (w, i, node.lam_cens if ledger_kind == "censored" else node.lam_hon)
-        for node in table.nodes[ell]
-        for i, w in node.weights.items()
-    ])
+    groups: dict = {}
+    for node in table.nodes[ell]:
+        ledger = node.lam_cens if ledger_kind == "censored" else node.lam_hon
+        groups.setdefault(ledger.key(), (ledger, []))[1].append(node)
+    joints = []
+    for ledger, nodes in groups.values():
+        lcm = math.lcm(*(node.den for node in nodes))
+        joint = [0] * table.prior.n
+        for node in nodes:
+            scale = lcm // node.den
+            for i, v in node.masses.items():
+                joint[i] += v * scale
+        joints.append((ledger, joint))
+    return _max_tv(table.prior, joints)
 
 
 def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
@@ -324,51 +340,61 @@ class OneStepReport:
         return not self.violations
 
 
-def _mech_joint(nodes) -> dict:
-    """Per revealed-ledger value v: (joint over atoms, Pr[hal=v], Pr[hon=v])."""
-    group_mass = sum(n.mass() for n in nodes)
-    out: dict = {}
-    for node in nodes:
-        for br in node.branches:
-            ent = out.setdefault(br.ledger.key(), {"hal": Fraction(0), "hon": Fraction(0),
-                                                   "hal_atoms": {}, "hon_atoms": {},
-                                                   "ledger": br.ledger})
-            ent["hal"] += br.prob * node.mass() / group_mass
-            for i, w in node.weights.items():
-                ent["hal_atoms"][i] = ent["hal_atoms"].get(i, Fraction(0)) + br.prob * w
-        key = node.lam_hon.key()
-        ent = out.setdefault(key, {"hal": Fraction(0), "hon": Fraction(0),
-                                   "hal_atoms": {}, "hon_atoms": {},
-                                   "ledger": node.lam_hon})
-        ent["hon"] += node.mass() / group_mass
-        for i, w in node.weights.items():
-            ent["hon_atoms"][i] = ent["hon_atoms"].get(i, Fraction(0)) + w
+def _mech_joint(table: JointTable, ell: int) -> list:
+    """Per censored-ledger group of phase ell: its nodes and, per revealed
+    ledger value v, in first-seen order, [ledger, hal, hon] with hal[i]
+    (hon[i]) the joint mass Pr[true model = i, this censored ledger,
+    hallucinated (honest) ledger = v], as ints over one group denominator:
+    the lcm of the nodes' dens times the lcm of the branch denominators."""
+    out = []
+    for nodes in table.groups_by_cens(ell).values():
+        den = math.lcm(*(node.den for node in nodes))
+        q = math.lcm(*(br.prob.denominator for node in nodes for br in node.branches))
+        joint: dict = {}
+        for node in nodes:
+            scale = den // node.den
+            masses = [(i, v * scale) for i, v in node.masses.items()]
+            for br in node.branches:
+                c = br.prob.numerator * (q // br.prob.denominator)
+                hal = joint.setdefault(br.ledger.key(), [br.ledger, {}, {}])[1]
+                for i, v in masses:
+                    hal[i] = hal.get(i, 0) + c * v
+            hon = joint.setdefault(node.lam_hon.key(), [node.lam_hon, {}, {}])[2]
+            for i, v in masses:
+                hon[i] = hon.get(i, 0) + q * v
+        out.append((nodes, joint))
     return out
 
 
-def _mech_masses(ent: dict, p0) -> dict:
-    """Unnormalized exact mechanism posterior of one revealed-ledger value:
-    p0 x (hallucination-branch joint) + (1 - p0) x (honest-branch joint)."""
-    return {
-        i: p0 * ent["hal_atoms"].get(i, Fraction(0))
-        + (1 - p0) * ent["hon_atoms"].get(i, Fraction(0))
-        for i in set(ent["hal_atoms"]) | set(ent["hon_atoms"])
-    }
+def _mech_masses(prior: DiscretePrior, hal: dict, hon: dict, p0: Fraction) -> Posterior:
+    """Exact mechanism posterior of one revealed-ledger value:
+    p0 x (hallucination-branch joint) + (1 - p0) x (honest-branch joint),
+    on ``_mech_joint``'s ints."""
+    a, b = p0.numerator, p0.denominator
+    nums = [a * hal.get(i, 0) + (b - a) * hon.get(i, 0) for i in range(prior.n)]
+    return Posterior(prior, (nums, sum(nums)))
 
 
-def _hal_ledgers(table: JointTable, ell: int):
+def _hal_ledgers(table: JointTable, ell: int) -> list:
     """Per censored-ledger group of phase ell: its nodes and, for every
-    realizable hallucinated ledger value, (key, joint entry, p_hal) with
-    the exact p_hal = Pr[hallucination episode | ledger]."""
-    p0 = hallucination_prior_prob(table.config, ell)
-    for nodes in table.groups_by_cens(ell).values():
-        rows = []
-        for key, ent in _mech_joint(nodes).items():
-            if ent["hal"] == 0:
-                continue  # not a realizable hallucinated ledger
-            p_hal = p0 * ent["hal"] / (p0 * ent["hal"] + (1 - p0) * ent["hon"])
-            rows.append((key, ent, p_hal))
-        yield nodes, rows
+    realizable hallucinated ledger value, (key, ledger, hal, hon, p_hal)
+    with the exact p_hal = Pr[hallucination episode | ledger]. Built once
+    per phase from ``_mech_joint`` and kept on the table."""
+    if ell not in table.hal_ledgers:
+        p0 = hallucination_prior_prob(table.config, ell)
+        a, b = p0.numerator, p0.denominator
+        out = []
+        for nodes, joint in _mech_joint(table, ell):
+            rows = []
+            for key, (ledger, hal, hon) in joint.items():
+                t_hal = sum(hal.values())
+                if not t_hal:
+                    continue  # not a realizable hallucinated ledger
+                p_hal = Fraction(a * t_hal, a * t_hal + (b - a) * sum(hon.values()))
+                rows.append((key, ledger, hal, hon, p_hal))
+            out.append((nodes, rows))
+        table.hal_ledgers[ell] = out
+    return table.hal_ledgers[ell]
 
 
 def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
@@ -398,16 +424,14 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             enc = policy_encodings(target(nodes[0].U, nodes))
         vacuous = not enc or len(enc) >= n_all
         q = nodes[0].pr_punish_given_cens
-        for key, ent, p_hal in rows:
+        for key, ledger, hal, hon, p_hal in rows:
             # exact mechanism posterior at an episode of this phase
-            mech = _mech_masses(ent, p0)
-            nums, _ = over_common_den([mech.get(i, 0) for i in range(prior.n)])
-            arg = greedy_set(Posterior(prior, (nums, sum(nums))))
+            arg = greedy_set(_mech_masses(prior, hal, hon, p0))
             gap = None
             rhs = None
             holds = False
             if not vacuous:
-                can = canonical_posterior(prior, ent["ledger"])
+                can = canonical_posterior(prior, ledger)
                 gap = canonical_gap(can, enc)
                 holds, _, rhs = hh_condition_holds(n_episodes, q, gap, H)
             entries.append(
@@ -437,9 +461,8 @@ def p_hal_audit(table: JointTable, ell: int) -> list:
     k_agent = phase_episodes(table.config, ell)[0]
     for nodes, rows in _hal_ledgers(table, ell):
         limit = p_hal_bound(p0, nodes[0].pr_punish_given_cens)
-        for key, ent, p_hal in rows:
-            _, p_hal_agent = mechanism_posterior(table.prior, table.config, k_agent,
-                                                 ent["ledger"])
+        for key, ledger, _, _, p_hal in rows:
+            _, p_hal_agent = mechanism_posterior(table.prior, table.config, k_agent, ledger)
             out.append({
                 "ledger_key": key,
                 "p_hal": p_hal,
@@ -454,16 +477,24 @@ def mechanism_posterior_from_table(table: JointTable, ell: int, revealed: Ledger
     """Exact Pr[true model | revealed ledger at an episode of phase ell].
 
     Independent recomputation of the agent's mechanism posterior from the
-    joint table (used to validate the agent-side formula).
+    joint table (used to validate the agent-side formula and the audits'
+    integer joints): the first censored-ledger group that reveals the
+    ledger with positive mass, marginalized in Fractions.
     """
     p0 = hallucination_prior_prob(table.config, ell)
     key = revealed.key()
-    for _, nodes in table.groups_by_cens(ell).items():
-        joint = _mech_joint(nodes)
-        if key in joint:
-            mech = _mech_masses(joint[key], p0)
-            if sum(mech.values()):
-                return _normalize(mech)
+    for nodes in table.groups_by_cens(ell).values():
+        mech: dict = {}
+        for node in nodes:
+            hal = sum(br.prob for br in node.branches if br.ledger.key() == key)
+            hon = node.lam_hon.key() == key
+            if not hal and not hon:
+                continue
+            for i, v in node.masses.items():
+                w = Fraction(v, node.den)
+                mech[i] = mech.get(i, Fraction(0)) + p0 * hal * w + (1 - p0) * hon * w
+        if sum(mech.values()):
+            return _normalize(mech)
     raise ValueError("revealed ledger is not realizable at this phase")
 
 
@@ -492,22 +523,32 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
             reps[key] = ledger
             members = groups.setdefault(key, [])
         members.append((atom, prob))
+    joints = []
+    for key, members in groups.items():
+        lcm = math.lcm(*(prob.denominator for _, prob in members))
+        joint = [0] * prior.n
+        for atom, prob in members:
+            joint[atom] += prob.numerator * (lcm // prob.denominator)
+        joints.append((reps[key], joint))
+    return _max_tv(prior, joints)
+
+
+def _max_tv(prior: DiscretePrior, joints) -> Fraction:
+    """max over (ledger, joint) of TV(joint normalized, canonical
+    posterior of the ledger): the joint as per-atom ints, the canonical
+    posterior as lattice masses, one per count signature."""
     lattice = exact_lattice(prior)
     canonical: dict = {}
     worst, worst_den = 0, 1
-    for key, members in groups.items():
-        sig = lattice.count_signature(reps[key])
+    for ledger, joint in joints:
+        sig = lattice.count_signature(ledger)
         if sig not in canonical:
             can = lattice.masses(lattice.weights, sig)
             if not any(can):
                 raise ZeroEvidence(f"ledger/event inconsistent with the prior "
-                                   f"(|entries|={len(reps[key])}, |event|={prior.n})")
+                                   f"(|entries|={len(ledger)}, |event|={prior.n})")
             canonical[sig] = can, sum(can)
         can, t_can = canonical[sig]
-        lcm = math.lcm(*(prob.denominator for _, prob in members))
-        joint = [0] * lattice.n
-        for atom, prob in members:
-            joint[atom] += prob.numerator * (lcm // prob.denominator)
         t_joint = sum(joint)
         diff = sum(abs(n * t_can - c * t_joint) for n, c in zip(joint, can))
         den = 2 * t_joint * t_can

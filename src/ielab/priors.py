@@ -716,7 +716,8 @@ class ExactLattice:
     - ``value_cols[j][i]``: policy_value(atom i, policy with encoding j)
       over ``value_den``, filled on first use: per transition table (by
       ``transition_key``) and policy, one ``mdp.absorbing_steps`` walk's
-      visit masses times the table's atoms' mean rewards. They are the
+      visit masses times the mean rewards of each distinct per-x reward
+      sub-tuple among the table's atoms. They are the
       exact route's values and, rounded once, ``PriorTables``'
       ``value_matrix``; the float route never builds ``columns``.
     - ``paths(policy)``: the policy's trajectories over the atoms' union
@@ -746,6 +747,7 @@ class ExactLattice:
         subs, sub_ix = _distinct([sub for m in atoms for sub in m.rewards])
         laws, ix = _distinct([d for sub in subs for by_h in sub for d in by_h])
         self.law_ix = _repeat(ix, sub_ix, A * H)
+        self._sub_ix, self._sub_laws = sub_ix, ix
         masses = [[d.mass(v) for v in self.support] for d in laws]
         flat, self.den = over_common_den([p for row in vecs + masses for p in row])
         flat = iter(flat)
@@ -836,10 +838,15 @@ class ExactLattice:
         under an atom is the sum over its steps of the step's visit mass
         times the atom's mean reward there. The visit masses depend only
         on the transition table, so each table and policy takes one
-        ``mdp.absorbing_steps`` walk, with nothing absorbing, and the sum
-        is vectorized over the table's atoms."""
-        T = self.S * self.A * self.H
-        means = [[self.law_means[j] for j in self.law_ix[t::T]] for t in range(T)]
+        ``mdp.absorbing_steps`` walk, with nothing absorbing; the steps
+        at state x then meet only the atom's reward sub-tuple of x, so
+        their sum is taken once per distinct sub-tuple, and each atom's
+        value adds up its S sub-tuples' sums."""
+        S, AH, H = self.S, self.A * self.H, self.H
+        # per distinct reward sub-tuple: its laws' means, in (a, h) order
+        laws = self._sub_laws
+        sub_means = [[self.law_means[j] for j in laws[k:k + AH]]
+                     for k in range(0, len(laws), AH)]
         tables: dict = {}
         for i in range(self.n):
             tables.setdefault(self.transition_key(i), []).append(i)
@@ -848,14 +855,28 @@ class ExactLattice:
             model = self._atoms[members[0]]
             # the walk's masses are over the table's own den ** H; that den
             # divides the lattice's, the lcm over every row
-            scale = (self.den // int_parts(model)[0]) ** self.H
-            table_means = [[col[i] for i in members] for col in means]
+            scale = (self.den // int_parts(model)[0]) ** H
+            # per x: each member's position among the distinct sub-tuples
+            # of x, and their means per (a, h) position
+            pos, means = [], []
+            for x in range(S):
+                first: dict = {}
+                pos.append([first.setdefault(self._sub_ix[i * S + x], len(first))
+                            for i in members])
+                means.append([[sub_means[k][t] for k in first] for t in range(AH)])
             for pol, out in zip(self.policies, cols):
-                values = [0] * len(members)
+                sums = [None] * S  # per x: each distinct sub-tuple's sum
                 for x, a, h, mass in absorbing_steps(model, pol, frozenset())[0]:
                     m = mass * scale
-                    values = [v + m * r for v, r in zip(values, table_means[self._triple(x, a, h)])]
-                for i, v in zip(members, values):
+                    terms = [m * r for r in means[x - 1][(a - 1) * H + h - 1]]
+                    prev = sums[x - 1]
+                    sums[x - 1] = terms if prev is None else list(map(operator.add, prev, terms))
+                values = None
+                for x_sums, x_pos in zip(sums, pos):
+                    if x_sums is not None:
+                        part = map(x_sums.__getitem__, x_pos)
+                        values = list(part if values is None else map(operator.add, values, part))
+                for i, v in zip(members, values):  # init gives some x mass
                     out[i] = v
         return [tuple(out) for out in cols]
 

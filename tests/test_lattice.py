@@ -6,8 +6,10 @@ from ``prior_strategies.small_priors``) feed:
   ledger_probability, normalized in Fractions;
 - bayes_greedy, greedy_set, conditional_value and canonical_gap vs
   Fraction sums of policy_value, ties included;
-- one_step_audit's argmax sets vs the Fraction argmax of the table's
-  mechanism posterior;
+- one_step_audit's argmax sets and p_hal vs the Fraction argmax of the
+  table's mechanism posterior and a Fraction marginalization of p_hal;
+- hygiene_tv's integer joints vs hygiene_tv_pairs over the nodes'
+  Fraction masses;
 - the float mechanism posterior of the run loop
   (agents._mechanism_weights_float) vs the exact mechanism_posterior;
 - low_reward_table vs per-atom exact mean rewards;
@@ -23,6 +25,7 @@ and a corrupted lattice column must stop enumerate_game.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -67,9 +70,9 @@ from ielab import (
 from ielab.agents import _mechanism_weights_float
 from ielab.analysis import sufficiently_visiting_policies
 from ielab.mechanism import hallucination_prior_prob, phase_episodes
-from ielab.oracle import _mech_joint, _normalize, _tv, mechanism_posterior_from_table
+from ielab.oracle import _normalize, _tv, hygiene_tv, mechanism_posterior_from_table
 from ielab import priors
-from ielab.priors import Posterior, exact_lattice, greedy_set, over_common_den
+from ielab.priors import Posterior, exact_lattice, greedy_set
 from ielab.rng import cumulative_row
 from prior_strategies import mixed_reward_order_prior, small_priors
 
@@ -404,30 +407,64 @@ def test_greedy_exact_tie_constructed():
     assert canonical_gap(post, {1}) == 0
 
 
-def _audit_against_reference(table, ell, target):
-    entries = iter(one_step_audit(table, ell, target).entries)
-    for _, nodes in table.groups_by_cens(ell).items():
-        for key, ent in _mech_joint(nodes).items():
-            if ent["hal"] == 0:
-                continue
-            entry = next(entries)
-            assert entry.lam_hal_key == key
-            mech = mechanism_posterior_from_table(table, ell, ent["ledger"])
-            post = Posterior(table.prior, over_common_den([mech.get(i, 0)
-                                                           for i in range(table.prior.n)]))
-            assert entry.argmax == reference_argmax(post)
-    assert next(entries, None) is None
+def node_weights(node) -> dict:
+    """A node's joint masses as Fractions."""
+    return {i: Fraction(v, node.den) for i, v in node.masses.items()}
 
 
-def test_one_step_argmax_matches_fraction_reference(det_prior, det_config):
-    table = enumerate_game(det_config, det_prior, 3)
-    model0 = det_prior.atoms[0]
+def reference_hal_ledgers(table, ell) -> list:
+    """(ledger, p_hal) of every realizable hallucinated ledger of phase
+    ell, in the audits' order: per censored-ledger group, in first-seen
+    order over each node's branches, then its honest ledger, with
+    Pr[hallucinated = v | group] and Pr[honest = v | group] marginalized
+    in Fractions from each node's masses."""
+    p0 = hallucination_prior_prob(table.config, ell)
+    out = []
+    for nodes in table.groups_by_cens(ell).values():
+        group_mass = sum(sum(node_weights(n).values()) for n in nodes)
+        joint = {}
+        for node in nodes:
+            mass = sum(node_weights(node).values()) / group_mass
+            for br in node.branches:
+                joint.setdefault(br.ledger.key(), [br.ledger, 0, 0])[1] += br.prob * mass
+            joint.setdefault(node.lam_hon.key(), [node.lam_hon, 0, 0])[2] += mass
+        out.extend((ledger, p0 * hal / (p0 * hal + (1 - p0) * hon))
+                   for ledger, hal, hon in joint.values() if hal)
+    return out
 
-    def target(U, _nodes):
-        return sufficiently_visiting_policies(model0, U, 1)
 
-    for ell in (1, 2, 3):
-        _audit_against_reference(table, ell, target)
+def _audit_against_reference(table, target):
+    """At every phase of the table, one_step_audit's entries, one per
+    realizable hallucinated ledger in order, carry the Fraction argmax of
+    mechanism_posterior_from_table and the Fraction p_hal of
+    reference_hal_ledgers. Each policy's value under each atom is one
+    exact policy_value, taken once."""
+    prior = table.prior
+    policies = enumerate_policies(*prior.shape)
+    values = [[policy_value(m, p) for p in policies] for m in prior.atoms]
+    for ell in table.nodes:
+        entries = one_step_audit(table, ell, target).entries
+        reference = reference_hal_ledgers(table, ell)
+        assert [e.lam_hal_key for e in entries] == [ledger.key() for ledger, _ in reference]
+        for entry, (ledger, p_hal) in zip(entries, reference):
+            mech = mechanism_posterior_from_table(table, ell, ledger)
+            weights = [mech.get(i, 0) for i in range(prior.n)]
+            vals = [sum((w * row[j] for w, row in zip(weights, values) if w), Fraction(0))
+                    for j in range(len(policies))]
+            assert entry.argmax == frozenset(j for j, v in enumerate(vals) if v == max(vals))
+            assert entry.p_hal == p_hal
+
+
+def test_one_step_argmax_matches_fraction_reference(det_prior, det_config, stoch_prior):
+    """The det 3-phase table, and the stoch 2-phase table of
+    test_stochastic_micro_table, with the policies that visit U under
+    atom 0 as the target."""
+    stoch_cfg = MechanismConfig(40, 1, Fraction(7, 2880), 2, rho=Fraction(1, 4))
+    for prior, table in ((det_prior, enumerate_game(det_config, det_prior, 3)),
+                         (stoch_prior, enumerate_game(stoch_cfg, stoch_prior, 2,
+                                                      cap=40_000))):
+        _audit_against_reference(
+            table, lambda U, _nodes: sufficiently_visiting_policies(prior.atoms[0], U, 1))
 
 
 @settings(max_examples=15, deadline=None)
@@ -438,8 +475,7 @@ def test_one_step_argmax_random_priors(prior):
         return  # a single policy admits no strict target
     cfg = MechanismConfig(n_phase=2, n_lrn=1, eps_pun=Fraction(1, 10), total_phases=2)
     table = enumerate_game(cfg, prior, 2)
-    for ell in (1, 2):
-        _audit_against_reference(table, ell, {0})
+    _audit_against_reference(table, {0})
 
 
 class RecordingAgent(AgentSpec):
@@ -664,19 +700,34 @@ def test_lattice_paths_cap(det_prior, det_config, monkeypatch):
 
 
 def _table_pairs(table, kind: str, ell: int) -> list:
-    """hygiene_tv's (probability, atom, revealed ledger) list for one phase."""
+    """The (probability, atom, revealed ledger) list of one phase's nodes,
+    each node's masses as Fractions."""
     return [(w, i, node.lam_cens if kind == "censored" else node.lam_hon)
-            for node in table.nodes[ell] for i, w in node.weights.items()]
+            for node in table.nodes[ell] for i, w in node_weights(node).items()]
 
 
 def test_integer_hygiene_tv_matches_fraction_reference_tables(det_prior, det_config,
                                                              stoch_prior):
-    """Ledger by ledger on the det 3-phase and the stoch 2-phase tables."""
+    """Ledger by ledger on the det 3-phase and the stoch 2-phase tables;
+    there hygiene_tv's joints over the nodes' dens also give
+    hygiene_tv_pairs' value over the nodes' Fraction masses. Both TVs are
+    0 on the tables, so each table is also checked with its node masses
+    skewed per atom and its dens per node, where they are not."""
     stoch_cfg = MechanismConfig(40, 1, Fraction(7, 2880), 2, rho=Fraction(1, 4))
     for prior, table in ((det_prior, enumerate_game(det_config, det_prior, 3)),
                          (stoch_prior, enumerate_game(stoch_cfg, stoch_prior, 2,
                                                       cap=40_000))):
+        skewed = dataclasses.replace(table, nodes={
+            ell: [dataclasses.replace(node, masses={i: v * (1 + i % 3)
+                                                    for i, v in node.masses.items()},
+                                      den=node.den * (k + 1))
+                  for k, node in enumerate(nodes)]
+            for ell, nodes in table.nodes.items()})
         for ell in table.nodes:
             for kind in ("censored", "honest"):
-                assert_hygiene_matches_fraction_reference(prior,
-                                                          _table_pairs(table, kind, ell))
+                pairs = _table_pairs(table, kind, ell)
+                assert_hygiene_matches_fraction_reference(prior, pairs)
+                assert hygiene_tv(table, kind, ell) == hygiene_tv_pairs(prior, pairs) == 0
+                tv = hygiene_tv(skewed, kind, ell)
+                assert tv == hygiene_tv_pairs(prior, _table_pairs(skewed, kind, ell))
+                assert tv > 0 or ell == 1  # phase 1 has one node

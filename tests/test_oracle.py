@@ -6,6 +6,7 @@ import pytest
 
 from ielab import (
     CapExceeded,
+    PreconditionViolated,
     DegenerateSplit,
     DiscreteDist,
     FactoredRewardPrior,
@@ -20,6 +21,7 @@ from ielab import (
     p_hal_audit,
     policy_selection_case,
 )
+from ielab import harness, oracle
 from ielab.harness import _det_target_provider
 
 
@@ -164,3 +166,33 @@ def test_enumerate_game_zero_evidence_names_the_assumption():
     )
     with pytest.raises(ZeroEvidence, match="punish event has zero posterior mass"):
         enumerate_game(MechanismConfig(4, 1, "0.1", 3), fp.expand(), 3)
+
+
+def test_verify_builds_each_phases_integer_joint_once(det_prior, det_config, monkeypatch):
+    """verify_hygiene and verify_one_step on a fresh det table build the
+    audits' integer joint (oracle._mech_joint) once per phase, though
+    one_step_audit and p_hal_audit both read it, and give no node a
+    Fraction view of its masses."""
+    table = enumerate_game(det_config, det_prior, 3)
+    built = []
+    mech_joint = oracle._mech_joint
+    monkeypatch.setattr(oracle, "_mech_joint", lambda t, ell: built.append(ell) or mech_joint(t, ell))
+    harness.verify_hygiene(table, 2)
+    harness.verify_one_step(table, 3)
+    assert built == [1, 2, 3]
+    assert not any(hasattr(node, "weights") for nodes in table.nodes.values() for node in nodes)
+
+
+def test_det_target_provider_refuses_several_transition_tables():
+    """The det one-step target is read off atom 0's transitions, so a det
+    prior with two transition tables is refused, naming the count."""
+    marginals = {(x, a, h): DiscreteDist.of([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+                 for x in (1, 2) for a in (1, 2) for h in (1, 2)}
+    stay = {(1, 1, 1): [1, 0], (1, 2, 1): [0, 1], (2, 1, 1): [0, 1], (2, 2, 1): [0, 1]}
+    swap = {**stay, (1, 1, 1): [0, 1], (1, 2, 1): [1, 0]}
+    fp = FactoredRewardPrior(2, 2, 2, transition_atoms=(([1, 0], stay, Fraction(1, 2)),
+                                                        ([1, 0], swap, Fraction(1, 2))),
+                             reward_marginals=marginals)
+    assert fp.is_deterministic()
+    with pytest.raises(PreconditionViolated, match="2 transition tables"):
+        _det_target_provider(fp.expand())
