@@ -405,8 +405,7 @@ def _det_target_provider(prior):
     """The one-step target of every node: the policies that visit U under
     atom 0's transitions, which are every atom's only when the prior has
     one transition table."""
-    lattice = exact_lattice(prior)
-    n_tables = len({lattice.transition_key(i) for i in range(prior.n)})
+    n_tables = len(exact_lattice(prior).table_members())
     if n_tables > 1:
         raise PreconditionViolated(
             f"the det one-step target reads atom 0's transitions, but the prior has "

@@ -5,13 +5,11 @@ probability of ``random_model`` is k / GRID, and ``perturb_model`` shifts
 a base model's ``int_parts``. TabularModel's and DiscreteDist's checks
 run on those ints, once per vector, and once per call on what all the
 vectors share (the shape, the reward support, the stage-H row); the
-models are then assembled through the checked constructors of ``mdp``,
-with their ``int_parts`` filled from the same ints.
+models are then assembled through the checked constructors of ``mdp``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import islice
@@ -106,32 +104,13 @@ def grid_widths(cuts, negative: str, not_one: str) -> list[int]:
     return widths
 
 
-def _sink_widths(S: int, H: int) -> list[int]:
+def _sink_row(S: int, H: int) -> tuple[Fraction, ...]:
     """The stage-H transition row of every triple, a point mass on state
-    1, as widths over GRID, checked once for all of them."""
+    1, checked once for all of them."""
     widths = [GRID] + [0] * (S - 1)
     check_int_vector(widths, GRID, f"transitions(1,1,{H}): negative entry",
                      f"transitions(1,1,{H}): does not sum to 1")
-    return widths
-
-
-def _grid_row(widths) -> tuple[Fraction, ...]:
-    return tuple(map(_GRID_FRACTIONS.__getitem__, widths))
-
-
-def _fill_int_parts(model: TabularModel, den: int, rows: list) -> TabularModel:
-    """Set the model's ``int_parts`` from the rows it was cut from: its init
-    vector, then its transition rows in (x, a, h) order, as ints over den.
-    One gcd reduces them to ``int_parts``' own denominator, the lcm of the
-    entries' reduced denominators, which ``ExactLattice`` needs to divide
-    its own."""
-    g = math.gcd(den, *[p for row in rows for p in row])
-    if g > 1:
-        rows = [[p // g for p in row] for row in rows]
-    triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
-               for h in range(1, model.H + 1)]
-    model._cache["ints"] = den // g, rows[0], dict(zip(triples, rows[1:]))
-    return model
+    return tuple(_GRID_FRACTIONS[w] for w in widths)
 
 
 def random_model(rng: np.random.Generator, S: int, A: int, H: int,
@@ -148,8 +127,7 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
     is cut from: each vector's widths over GRID (``grid_widths``), and
     once per call the shape and the one support every law shares, which
     is the model's sorted ``reward_support``. The lengths hold by
-    construction: n - 1 cuts cut [0, GRID] into n widths. The same widths
-    fill the model's ``int_parts``.
+    construction: n - 1 cuts cut [0, GRID] into n widths.
     """
     check_shape(S, A, H)
     support = tuple(as_fraction(v) for v in support)
@@ -167,15 +145,14 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
     n_cuts = (S - 1) + S * A * ((H - 1) * (S - 1) + H * (k - 1))
     cuts = iter(rng.integers(0, GRID + 1, size=n_cuts).tolist())
 
-    def vector(order, negative: str, not_one: str) -> list[int]:
-        """The next vector's widths over GRID, checked, in ``order``."""
+    def vector(order, negative: str, not_one: str) -> tuple[Fraction, ...]:
+        """The next vector, checked on its widths, its entries in ``order``."""
         widths = grid_widths(islice(cuts, len(order) - 1), negative, not_one)
-        return list(map(widths.__getitem__, order))
+        return tuple(map(_GRID_FRACTIONS.__getitem__, map(widths.__getitem__, order)))
 
     states = range(S)
-    rows = [vector(states, "init: negative entry", "init: does not sum to 1")]
-    sink_widths = _sink_widths(S, H)
-    sink = _grid_row(sink_widths)
+    init = vector(states, "init: negative entry", "init: does not sum to 1")
+    sink = _sink_row(S, H)
     trans, rewards = [], []
     for x in range(1, S + 1):
         t_x, r_x = [], []
@@ -184,21 +161,17 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
             for h in range(1, H + 1):
                 if h < H:
                     what = f"transitions({x},{a},{h})"
-                    rows.append(vector(states, f"{what}: negative entry",
+                    t_xa.append(vector(states, f"{what}: negative entry",
                                        f"{what}: does not sum to 1"))
-                    t_xa.append(_grid_row(rows[-1]))
                 else:
-                    rows.append(sink_widths)
                     t_xa.append(sink)
-                r_xa.append(checked_dist(law_support, _grid_row(vector(
-                    order, "negative probability", "probabilities must sum to 1 exactly"))))
+                r_xa.append(checked_dist(law_support, vector(
+                    order, "negative probability", "probabilities must sum to 1 exactly")))
             t_x.append(tuple(t_xa))
             r_x.append(tuple(r_xa))
         trans.append(tuple(t_x))
         rewards.append(tuple(r_x))
-    model = checked_parts_model(S, A, H, _grid_row(rows[0]), tuple(trans), tuple(rewards),
-                                law_support)
-    return _fill_int_parts(model, GRID, rows)
+    return checked_parts_model(S, A, H, init, tuple(trans), tuple(rewards), law_support)
 
 
 def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction,
@@ -213,19 +186,14 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
     The shift runs on the base's ``int_parts``, and only the rows it
     changes, and the stage-H point mass on state 1, are checked again, as
     ints; the reward laws are the base's, checked against the same support.
-    Every row, over one denominator, fills the new model's ``int_parts``.
     """
     budget = as_fraction(scale) / 2
     b, c = budget.numerator, budget.denominator
     D, init_ints, trans_ints = int_parts(model)
-    # every row is over E: the base's D, budget's c, the amount's grid
+    # a shifted row is over E: the base's D, budget's c, the amount's grid
     E = D * c * grid
-    rows = []
 
     def shift(vec, ints, t=None):
-        """The shifted vector; its entries over E go to ``rows``."""
-        row = [n * c * grid for n in ints]
-        rows.append(row)
         n = len(vec)
         if n == 1:
             return vec
@@ -234,6 +202,7 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
             return vec
         # min(budget, vec[i]) * k / grid, over E
         moved = min(b * D, ints[i] * c) * int(rng.integers(0, grid + 1))
+        row = [n * c * grid for n in ints]
         row[i] -= moved
         row[j] += moved
         what = "init" if t is None else "transitions({},{},{})".format(*t)
@@ -242,17 +211,12 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
         vec[i], vec[j] = Fraction(row[i], E), Fraction(row[j], E)
         return tuple(vec)
 
-    def trans_row(x, a, h):
-        if h < H:
-            return shift(model.transition(x, a, h), trans_ints[x, a, h], (x, a, h))
-        rows.append([E] + [0] * (S - 1))
-        return sink
-
     S, A, H = model.S, model.A, model.H
     init = shift(model.init, init_ints)
-    sink = _grid_row(_sink_widths(S, H))
-    trans = tuple(tuple(tuple(trans_row(x, a, h) for h in range(1, H + 1))
+    sink = _sink_row(S, H)
+    trans = tuple(tuple(tuple(shift(model.transition(x, a, h), trans_ints[x, a, h], (x, a, h))
+                              if h < H else sink
+                              for h in range(1, H + 1))
                         for a in range(1, A + 1)) for x in range(1, S + 1))
-    perturbed = checked_parts_model(S, A, H, init, trans, model.rewards,
-                                    tuple(sorted(model.reward_support)))
-    return _fill_int_parts(perturbed, E, rows)
+    return checked_parts_model(S, A, H, init, trans, model.rewards,
+                               tuple(sorted(model.reward_support)))

@@ -111,8 +111,9 @@ class JointTable:
     phases: int
     nodes: dict = field(default_factory=dict)  # ell -> list[PhaseNode]
     model_marginal: dict = field(default_factory=dict)  # atom -> Fraction
-    # ell -> _hal_ledgers(table, ell), built on first use
-    hal_ledgers: dict = field(default_factory=dict, compare=False, repr=False)
+    # ell -> _hal_ledgers(table, ell), built on first use; not an init
+    # field, so a dataclasses.replace copy starts with an empty cache
+    hal_ledgers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def total_mass(self) -> Fraction:
         return sum(self.model_marginal.values())

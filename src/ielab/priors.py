@@ -770,6 +770,14 @@ class ExactLattice:
         n, T = self.n, self.S * self.A * self.H
         return (self.vec_ix[atom], *self.vec_ix[n + atom * T:n + (atom + 1) * T])
 
+    def table_members(self) -> list[list[int]]:
+        """The atoms of each distinct transition table (by
+        ``transition_key``), in first-seen order."""
+        tables: dict = {}
+        for i in range(self.n):
+            tables.setdefault(self.transition_key(i), []).append(i)
+        return list(tables.values())
+
     def trans_feature(self, x: int, a: int, h: int, y: int) -> int:
         """The feature of the transition from (x, a, h) to state y."""
         return self.S * (self._triple(x, a, h) + 1) + y - 1
@@ -847,11 +855,8 @@ class ExactLattice:
         laws = self._sub_laws
         sub_means = [[self.law_means[j] for j in laws[k:k + AH]]
                      for k in range(0, len(laws), AH)]
-        tables: dict = {}
-        for i in range(self.n):
-            tables.setdefault(self.transition_key(i), []).append(i)
         cols = [[0] * self.n for _ in self.policies]
-        for members in tables.values():
+        for members in self.table_members():
             model = self._atoms[members[0]]
             # the walk's masses are over the table's own den ** H; that den
             # divides the lattice's, the lcm over every row
@@ -865,18 +870,17 @@ class ExactLattice:
                             for i in members])
                 means.append([[sub_means[k][t] for k in first] for t in range(AH)])
             for pol, out in zip(self.policies, cols):
-                sums = [None] * S  # per x: each distinct sub-tuple's sum
+                # per x: each distinct sub-tuple's sum
+                sums = [[0] * len(x_means[0]) for x_means in means]
                 for x, a, h, mass in absorbing_steps(model, pol, frozenset())[0]:
-                    m = mass * scale
-                    terms = [m * r for r in means[x - 1][(a - 1) * H + h - 1]]
-                    prev = sums[x - 1]
-                    sums[x - 1] = terms if prev is None else list(map(operator.add, prev, terms))
-                values = None
+                    terms = map((mass * scale).__mul__, means[x - 1][(a - 1) * H + h - 1])
+                    sums[x - 1] = list(map(operator.add, sums[x - 1], terms))
+                # each member's value: its S sub-tuples' sums
+                values = [0] * len(members)
                 for x_sums, x_pos in zip(sums, pos):
-                    if x_sums is not None:
-                        part = map(x_sums.__getitem__, x_pos)
-                        values = list(part if values is None else map(operator.add, values, part))
-                for i, v in zip(members, values):  # init gives some x mass
+                    if any(x_sums):  # an all-zero x, one the policy never visits, adds nothing
+                        values = list(map(operator.add, values, map(x_sums.__getitem__, x_pos)))
+                for i, v in zip(members, values):
                     out[i] = v
         return [tuple(out) for out in cols]
 

@@ -34,9 +34,8 @@ from ielab import (
 )
 from ielab.analysis import eps_p_bound, eps_r_bound
 from ielab.harness import PERF_PAIRS, SIM_PAIRS, sample_similar_pair
-from ielab.instances import GRID, grid_widths, perturb_model, random_model
-from ielab.mdp import (DiscreteDist, TabularModel, check_int_vector, check_model_parts,
-                       check_prob_vector, int_parts)
+from ielab.instances import GRID, grid_widths, random_model
+from ielab.mdp import DiscreteDist, check_int_vector, check_model_parts, check_prob_vector
 
 
 def test_is_punished(det_prior):
@@ -438,28 +437,3 @@ def test_grid_int_checks_raise_the_fraction_messages():
     with pytest.raises(ValueError, match=f"^{negative}$"):
         grid_widths([GRID + 1], negative, not_one)
     assert grid_widths([GRID, 0, 5], negative, not_one) == [0, 5, GRID - 5, 0]
-
-
-def recomputed_int_parts(model) -> tuple:
-    """``int_parts`` of the same parts on a fresh cache."""
-    return int_parts(TabularModel(model.S, model.A, model.H, model.init, model.trans,
-                                  model.rewards, model.reward_support))
-
-
-def test_filled_int_parts_equal_recomputed_int_parts():
-    """random_model and perturb_model fill ``int_parts`` from the ints they
-    cut: it equals int_parts recomputed from the model's Fractions, over
-    every shape verify_sim_lemma draws (S in 2..3, A in 1..2, H in 2..3),
-    at the perturbation scales 1/8 (the sim lemma's), 1/3 and 2, a
-    perturbation of a perturbation, and a grid of 3."""
-    rng = np.random.default_rng(5)
-    for S in (2, 3):
-        for A in (1, 2):
-            for H in (2, 3):
-                for _ in range(10):
-                    base = random_model(rng, S, A, H)
-                    models = [base, perturb_model(rng, base, Fraction(1, 3), grid=3)]
-                    for scale in (Fraction(1, 8), Fraction(1, 3), Fraction(2)):
-                        models.append(perturb_model(rng, models[-1], scale))
-                    for model in models:
-                        assert model._cache["ints"] == recomputed_int_parts(model)
