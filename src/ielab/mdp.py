@@ -18,6 +18,7 @@ indexed by the flat (x, a, h) index; the float posterior route lives in
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -187,8 +188,9 @@ class MarkovPolicy:
     def action(self, x: int, h: int) -> int:
         return self.actions[x - 1][h - 1]
 
-    @property
+    @functools.cached_property
     def encoding(self) -> int:
+        """Computed on first use and kept."""
         code = 0
         for row in self.actions:
             for a in row:

@@ -438,6 +438,9 @@ class EpisodeBlock:
         star_line = (f'{head}true,"k":{self.k_star},"policy":{self.hal_policy},'
                      f'"revealed_kind":"hallucinated","trajectory":'
                      f'{_trajectory_text(self.hal_steps)},"type":"episode"}}\n')
+        if not self.trajs:  # one episode, the hallucination episode
+            yield star_line.encode()
+            return
         tails = [f',"policy":{self.honest_policy},"revealed_kind":"honest",'
                  f'"trajectory":{_trajectory_text(t)},"type":"episode"}}\n' for t in self.trajs]
         if len(tails) == 1:
@@ -502,10 +505,14 @@ class PhaseRecord:
             "hh_slack": self.hh_slack,
         }
 
-    def text(self) -> str:
+    def text(self, U_text: str | None = None) -> str:
         """The phase line, ``_dumps(self.to_dict()) + "\\n"``, rendered
-        directly with the keys in sorted order."""
-        return (f'{{"U":{_triples_text(self.U)},"ell":{self.ell},'
+        directly with the keys in sorted order; ``U_text``, when given, is
+        ``_triples_text(self.U)``, rendered once for the phases that share
+        it."""
+        if U_text is None:
+            U_text = _triples_text(self.U)
+        return (f'{{"U":{U_text},"ell":{self.ell},'
                 f'"first_episode":{self.first_episode},"hal_atom":{self.hal_atom},'
                 f'"hal_policy":{self.hal_policy},"hh_condition":{_scalar_text(self.hh_condition)},'
                 f'"hh_slack":{_scalar_text(self.hh_slack)},'
@@ -542,8 +549,13 @@ class GameLog:
                        "episode_log": self.episode_log, "config": self.config.to_dict(),
                        "prior_digest": self.prior_digest, "true_atom": self.true_atom})
                + "\n").encode()
+        U = U_text = None
         for p, b in zip(self.phases, self.blocks):
-            yield p.text().encode()
+            if p.U is not U:
+                # run_game gives every phase of one U the same list, so U's
+                # text is rendered once per change of U
+                U, U_text = p.U, _triples_text(p.U)
+            yield p.text(U_text).encode()
             yield from b.chunks()
         yield (_dumps({"type": "summary", **self.summary}) + "\n").encode()
 
@@ -734,9 +746,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     whose rows are bit for bit the one-seed results. What depends only on
     U (its sorted list and set, the punish mask and size, and per true
     transition table the hh-exploring policies) is computed once per U in
-    the call. Per seed remain the general hallucinated-reward draws, the
-    rollouts, records and hooks.
-    U, new triples, coverage and visits are read from ``LedgerState.visits``.
+    the call; a seed's punish mask is written, when its U changes, into
+    the batch's one (2, R, n) array of posterior masks. Per seed remain
+    the general hallucinated-reward draws, the rollouts, records and hooks.
+    U, new triples, coverage and visits are read from ``LedgerState.visits``:
+    the explored set once a phase, after the push, and U and coverage
+    again only where it grew.
     ``replay_signals`` rebuilds the signal ledgers from the log for an
     exact check of the float choices after the run.
     ``phase_hook(ctx, log)`` runs for each seed after each phase's
@@ -793,9 +808,18 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     # array below is seed live[r]
     live = list(range(len(seeds)))
     fast = LedgerState(tables, len(seeds))
-    targets = np.stack([mask for _, mask, _ in statics])
-    n_explored = np.full(len(seeds), -1)
-    punish_mask = np.zeros((len(seeds), prior.n), dtype=bool)
+    untargeted = ~np.stack([mask for _, mask, _ in statics])
+    # the explored set and its size, taken before phase 1 and after each
+    # push; visits only grow, so a seed's explored set changes exactly
+    # when its size does, and its U and coverage change only then
+    explored_mask = fast.visits >= config.n_lrn
+    sizes = explored_mask.reshape(len(seeds), -1).sum(axis=1)
+    n_explored = np.full(len(seeds), -1)  # the size at the seed's last U
+    grown = list(range(len(seeds)))
+    # the posteriors' masks: row 0 all true, row 1 each seed's punish mask,
+    # written when its U changes
+    masks = np.ones((2, len(seeds), prior.n), dtype=bool)
+    punish_mask = masks[1]
     U_sorted, U, punish_size, hh_inside = ([None] * len(seeds) for _ in range(4))
     covered_at = [None] * len(seeds)
     read_phases = max(1, _DRAW_ROWS // len(seeds))
@@ -820,12 +844,11 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
         if (ell - 1) % read_phases == 0:
             ells = range(ell, min(ell + read_phases, config.total_phases + 1))
             drawn = _phase_draws(config, keys, ells, 2 * H)
-        u_hal, k_star, u_traj = (d[(ell - 1) % read_phases][live] for d in drawn)
+        u_hal, k_star, u_traj = (d[(ell - 1) % read_phases] for d in drawn)
+        if len(live) < len(seeds):
+            u_hal, k_star, u_traj = u_hal[live], k_star[live], u_traj[live]
         k_star = k_star.tolist()
-        explored_mask = fast.visits >= config.n_lrn
-        # visits only grow, so a seed's explored set changes exactly when its size does
-        sizes = explored_mask.reshape(len(live), -1).sum(axis=1)
-        for r in (sizes != n_explored).nonzero()[0].tolist():
+        for r in grown:
             b = live[r]
             n_explored[r] = sizes[r]
             u_key = explored_mask[r].tobytes()
@@ -844,7 +867,7 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
                     hh_by[hh_key] = _hh_exploring_policies(statics[b][2], U[b])
                 hh_inside[b] = hh_by[hh_key]
         try:
-            cens_w, hal_w = fast.posteriors(punish_mask)
+            cens_w, hal_w = fast.posteriors(masks)
         except ZeroEvidence as e:
             # the first seed with no mass left in its punish event
             r = int(np.argmin((np.where(punish_mask, fast.translog, -np.inf) > -np.inf)
@@ -937,12 +960,13 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
             # the hooks see the ledger the phase's posteriors and draws were of
             ctx.fast = fast.snapshot()
         fast.push_entries(hal_steps)
-
-        if None in (covered_at[b] for b in live):
-            covered = ((fast.visits >= config.n_lrn) | ~targets).reshape(len(live), -1).all(axis=1)
-            for r in covered.nonzero()[0].tolist():
-                if covered_at[live[r]] is None:
-                    covered_at[live[r]] = ell
+        explored_mask = fast.visits >= config.n_lrn
+        sizes = explored_mask.reshape(len(live), -1).sum(axis=1)
+        grown = (sizes != n_explored).nonzero()[0].tolist()
+        # phase 1 checks every seed, as an empty target is covered there
+        for r in grown if ell > 1 else range(len(live)):
+            if covered_at[live[r]] is None and (explored_mask[r] | untargeted[r]).all():
+                covered_at[live[r]] = ell
         if phase_hook is not None:
             stop = []
             for r, b in enumerate(live):
@@ -954,7 +978,10 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
             if stop:
                 keep = [r for r in range(len(live)) if r not in stop]
                 fast.keep(keep)
-                targets, n_explored, punish_mask = targets[keep], n_explored[keep], punish_mask[keep]
+                untargeted, masks = untargeted[keep], masks[:, keep]
+                explored_mask, sizes, n_explored = explored_mask[keep], sizes[keep], n_explored[keep]
+                punish_mask = masks[1]
+                grown = (sizes != n_explored).nonzero()[0].tolist()
                 live = [live[r] for r in keep]
 
     for r, b in enumerate(live):

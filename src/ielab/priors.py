@@ -135,9 +135,16 @@ class Posterior:
             return tuple(Fraction(v, den) for v in nums)
         return self.masses
 
-    def support(self) -> ModelEvent:
-        return frozenset(i for i, w in enumerate(self.masses[0] if self.exact else self.masses)
-                         if w > 0)
+    def support(self) -> ModelEvent | list:
+        """The atoms of positive weight; a stacked float posterior gives
+        one per row, its leading axes flattened as in ``bayes_greedy``."""
+        if self.exact:
+            return frozenset(i for i, w in enumerate(self.masses[0]) if w > 0)
+        positive = self.masses > 0
+        if positive.ndim == 1:
+            return frozenset(np.flatnonzero(positive).tolist())
+        return [frozenset(np.flatnonzero(row).tolist())
+                for row in positive.reshape(-1, positive.shape[-1])]
 
 
 def _sum_error_bound(n: int) -> float:
@@ -456,7 +463,11 @@ class PriorTables:
     ``int / den`` of the lattice's ints (each distinct row converts once),
     which is correctly rounded: the float nearest the atom's own Fraction,
     within half an ulp of it. ``weights`` holds the float of each prior
-    weight, for the run's truth draw.
+    weight, for the run's truth draw. Every array that is a product
+    operand (``log_mass`` and ``zero_mass``, their init-and-transition
+    rows and their reward rows, ``value_matrix``) is C-contiguous, so
+    numpy hands each product to BLAS: on a strided operand it falls back
+    to its own slower loop, with other last bits.
     """
 
     def __init__(self, prior: DiscretePrior):
@@ -468,9 +479,11 @@ class PriorTables:
         vecs = np.array([[p / den for p in row] for row in lattice.vec_rows])[lattice.vec_ix]
         laws = np.array(lattice.law_ix).reshape(n, S, A, H)
         law_rows = [[p / den for p in row] for row in lattice.law_rows]
-        # the feature index: init, transitions, rewards, the zero column
-        mass = np.concatenate([vecs[:n].T, vecs[n:].reshape(n, -1).T,
-                               np.array(law_rows)[laws].reshape(n, -1).T, np.zeros((1, n))])
+        # the feature index: init, transitions, rewards, the zero column;
+        # C order, so that every product operand sliced off it is too
+        mass = np.ascontiguousarray(np.concatenate(
+            [vecs[:n].T, vecs[n:].reshape(n, -1).T,
+             np.array(law_rows)[laws].reshape(n, -1).T, np.zeros((1, n))]))
         self.zero_mass = mass == 0
         self.log_mass = np.log(np.where(self.zero_mass, 1.0, mass))
         # entry_translog's rows (init, transitions, zero column), reward_loglik's
@@ -526,9 +539,9 @@ class PriorTables:
         if mask is not None:
             ll = np.where(mask, ll, -np.inf)
         top = ll.max(axis=-1, keepdims=True)
-        if (top == -np.inf).any():
+        if top.min() == -np.inf:
             raise ZeroEvidence("all atoms have zero likelihood")
-        w = np.exp(ll - top)
+        w = np.exp(np.subtract(ll, top, out=ll), out=ll)
         w /= w.sum(axis=-1, keepdims=True)
         return Posterior(self.prior, w)
 
@@ -606,7 +619,7 @@ class LedgerState:
             feats += [r * F + i for i in f]
             ts.append(t)
         # a feature can repeat within an entry (the zero column)
-        np.add.at(self.counts.reshape(-1), feats, 1)
+        self.counts += np.bincount(feats, minlength=self.counts.size).reshape(self.counts.shape)
         self.translog[...] = self.tables.entry_translog(self.counts)
         t = np.array(ts)
         R, L = t.shape
@@ -620,13 +633,15 @@ class LedgerState:
     def occurrences(self) -> np.ndarray:
         return self._occ[..., :self._n_occ]
 
-    def posteriors(self, mask: np.ndarray) -> np.ndarray:
+    def posteriors(self, masks: np.ndarray) -> np.ndarray:
         """The weights of the canonical posterior of the entries'
-        transitions alone (the censored ledger's), and of the same
-        restricted to ``mask``, stacked in that order: both normalize the
-        one sum of the prior's log weights and ``translog``, in one stacked
+        transitions alone (the censored ledger's) restricted to each of
+        ``masks`` (2, ..., n), stacked in that order: the caller keeps
+        ``masks[0]`` all true, for the censored posterior itself, and
+        ``masks[1]`` the punish event, for the hallucination posterior, so
+        no phase builds the pair afresh. Both normalize the one sum of the
+        prior's log weights and ``translog``, in one stacked
         normalization."""
-        masks = np.stack([np.ones_like(mask), mask])
         return self.tables.posterior_from_loglik(self.translog, masks).weights
 
     def revealed_posterior(self, counts: np.ndarray) -> Posterior:

@@ -527,3 +527,84 @@ def test_stacked_policy_values_equal_their_rows(R, monkeypatch, stoch_prior):
         assert np.array_equal(got, priors.policy_values(Posterior(stoch_prior, row))[0])
     assert priors.bayes_greedy(Posterior(stoch_prior, w)) == [
         priors.bayes_greedy(Posterior(stoch_prior, row)) for row in w]
+
+
+def _stacked_state(prior, R: int, seed: int):
+    """A stack of R ledgers of 6 random entries each, row r's rolled out
+    under its own atom and policies; and per row a punish-like mask that
+    keeps the row's own atom, so no masked posterior is empty."""
+    tables = shared_tables(prior)
+    rng = np.random.default_rng(seed)
+    atoms = rng.integers(prior.n, size=R).tolist()
+    fast = LedgerState(tables, R)
+    for _ in range(6):
+        fast.push_entries([rollout(prior.atoms[j],
+                                   tables.policies[int(rng.integers(len(tables.policies)))],
+                                   rng.random(2 * prior.shape[2]).tolist()) for j in atoms])
+    masks = np.ones((2, R, prior.n), dtype=bool)
+    masks[1] = rng.random((R, prior.n)) < 0.5
+    masks[1, range(R), atoms] = True
+    return tables, fast, masks
+
+
+@pytest.mark.parametrize("R", [1, 2, 4, 17])
+@pytest.mark.parametrize("instance", ["det", "stoch"])
+def test_stacked_logliks_and_posteriors_equal_their_rows(instance, R, det_prior, stoch_prior):
+    """At the run loop's call sites, on micro_det_1 and micro_stoch_1: a
+    stack's ``PriorTables.entry_translog`` and ``reward_loglik`` and its
+    ``LedgerState.posteriors`` equal, row for row and bit for bit, each
+    row's own result. The -inf entries (zero masses met, the zero column)
+    are among them: row 0 of ``odd`` counts a reward outside the
+    support."""
+    prior = det_prior if instance == "det" else stoch_prior
+    tables, fast, masks = _stacked_state(prior, R, seed=R)
+    translog = tables.entry_translog(fast.counts)
+    odd = fast.counts.copy()
+    odd[0, -1] += 1
+    odd_translog = tables.entry_translog(odd)
+    assert np.isneginf(odd_translog[0]).all() and np.isfinite(translog).any()
+    # two signals' reward counts per row, as choose_signal stacks them
+    counts = np.stack([fast.reward_counts, fast.reward_counts[::-1]])
+    reward = tables.reward_loglik(counts)
+    assert np.isneginf(reward).any()
+    both = fast.posteriors(masks)
+    assert both.shape == (2, R, prior.n)
+    for r in range(R):
+        one = fast.row(r)
+        assert np.array_equal(translog[r], tables.entry_translog(fast.counts[r]))
+        assert np.array_equal(odd_translog[r], tables.entry_translog(odd[r]))
+        assert np.array_equal(one.translog, tables.entry_translog(one.counts))
+        for k in range(2):
+            assert np.array_equal(reward[k, r], tables.reward_loglik(counts[k, r]))
+        assert np.array_equal(both[:, r], one.posteriors(masks[:, r]))
+
+
+@pytest.mark.parametrize("instance", ["det", "stoch"])
+def test_prior_tables_product_operands_are_c_contiguous(instance, det_prior, stoch_prior):
+    """Every array of ``PriorTables`` that is an operand of a product is
+    C-contiguous, so numpy hands the products to BLAS. Built by
+    ``np.concatenate`` of transposed blocks, ``mass`` comes out F-ordered,
+    and then ``log_mass``, ``zero_mass`` and the reward rows sliced off
+    them were strided views, on which numpy's matmul skips BLAS for its
+    own loop (about 1.5x the time of ``_loglik`` at a run's shape)."""
+    tables = shared_tables(det_prior if instance == "det" else stoch_prior)
+    operands = {"log_mass": tables.log_mass, "zero_mass": tables.zero_mass,
+                "path log_mass": tables._path[1], "path zero": tables._path[2],
+                "reward log_mass": tables._rewards[0], "reward zero": tables._rewards[1],
+                "value_matrix": tables.value_matrix}
+    assert [name for name, a in operands.items() if not a.flags.c_contiguous] == []
+
+
+def test_stacked_float_support_is_one_set_per_row(det_prior):
+    """``Posterior.support()`` of a stacked float posterior is one
+    frozenset per row, leading axes flattened as ``bayes_greedy``'s
+    choices are, each the support of that row alone."""
+    rng = np.random.default_rng(0)
+    w = rng.random((2, 3, det_prior.n))
+    w[rng.random(w.shape) < 0.5] = 0.0
+    w /= w.sum(axis=-1, keepdims=True)
+    rows = w.reshape(-1, det_prior.n)
+    want = [Posterior(det_prior, row).support() for row in rows]
+    assert want[0] == frozenset(np.flatnonzero(rows[0]).tolist())
+    assert Posterior(det_prior, w).support() == want
+    assert Posterior(det_prior, w[0]).support() == want[:3]
