@@ -582,11 +582,12 @@ def test_stacked_logliks_and_posteriors_equal_their_rows(instance, R, det_prior,
 @pytest.mark.parametrize("instance", ["det", "stoch"])
 def test_prior_tables_product_operands_are_c_contiguous(instance, det_prior, stoch_prior):
     """Every array of ``PriorTables`` that is an operand of a product is
-    C-contiguous, so numpy hands the products to BLAS. Built by
-    ``np.concatenate`` of transposed blocks, ``mass`` comes out F-ordered,
-    and then ``log_mass``, ``zero_mass`` and the reward rows sliced off
-    them were strided views, on which numpy's matmul skips BLAS for its
-    own loop (about 1.5x the time of ``_loglik`` at a run's shape)."""
+    C-contiguous, so numpy hands the products to BLAS. It guards against
+    a ``mass`` built by ``np.concatenate`` of transposed blocks, which
+    comes out F-ordered: ``log_mass``, ``zero_mass`` and the reward rows
+    sliced off them are then strided views, on which numpy's matmul skips
+    BLAS for its own loop (about 1.5x the time of ``_loglik`` at a run's
+    shape)."""
     tables = shared_tables(det_prior if instance == "det" else stoch_prior)
     operands = {"log_mass": tables.log_mass, "zero_mass": tables.zero_mass,
                 "path log_mass": tables._path[1], "path zero": tables._path[2],
