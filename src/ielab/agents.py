@@ -28,6 +28,7 @@ from .priors import (
     PriorTables,
     bayes_greedy,
     canonical_posterior,
+    check_weight_sums,
     exact_lattice,
 )
 
@@ -102,7 +103,8 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     masses: the log-masses are shifted by their largest finite value
     first, which cancels in the weights and p_hal and keeps B from
     underflowing on long ledgers. The sums over the punish event are
-    masked full-length row sums, one stacked sum per quantity.
+    masked full-length row sums, one stacked sum per quantity. The
+    weights pass ``check_weight_sums``.
     """
     logB = tables.reward_loglik(counts)
     finite = np.isfinite(logB)
@@ -120,7 +122,7 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     denom = p0 * A + (1.0 - p0) * (can * B).sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_hal = np.where(denom != 0, p0 * A / denom, 0.0)[..., 0]
-    return w / total, p_hal
+    return check_weight_sums(w / total), p_hal
 
 
 @dataclass
@@ -130,7 +132,7 @@ class AgentSpec:
 
     In a run the agent chooses through ``choose_signal``, once per phase
     and signal for a whole lockstep batch of seeds, on the run loop's
-    stacked float posteriors. ``choose`` is the exact choice for a ledger,
+    stacked float weights. ``choose`` is the exact choice for a ledger,
     as on the ledgers ``mechanism.replay_signals`` rebuilds from a log.
     """
 
@@ -167,17 +169,17 @@ class AgentSpec:
     def choose_signal(self, ell: int, kinds: tuple, ctx: PhaseContext) -> list[list]:
         """The in-run choices of every seed of a batch at phase ell: per
         kind of signal in ``kinds``, one policy per row of the run loop's
-        stacked per-phase state ``ctx``. The kinds' posteriors are
-        normalized and compared as one stack."""
+        stacked per-phase state ``ctx``. The kinds' posterior weights are
+        normalized and compared as one stack (``PriorTables.greedy``)."""
         counts = np.array([ctx.counts_of(kind) for kind in kinds])
+        tables = ctx.fast.tables
         if self.mode == "canonical_truster":
-            post = ctx.fast.revealed_posterior(counts)
+            weights = ctx.fast.revealed_weights(counts)
         else:
             p0 = float(hallucination_prior_prob(self.config, ell))
-            weights, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights, counts,
+            weights, _ = _mechanism_weights_float(tables, ctx.cens_weights, counts,
                                                   ctx.punish_mask, p0)
-            post = Posterior(self.prior, weights)
-        policies = bayes_greedy(post)
+        policies = tables.greedy(weights)
         R = len(policies) // len(kinds)
         return [policies[i * R:(i + 1) * R] for i in range(len(kinds))]
 

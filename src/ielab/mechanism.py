@@ -53,7 +53,6 @@ from .priors import (
     Posterior,
     canonical_posterior,
     low_reward_table,
-    policy_values,
     shared_tables,
     split_gap,
 )
@@ -149,20 +148,15 @@ def p_hal_bound(p0: Fraction, q: Fraction) -> Fraction:
 
 
 def hh_condition_holds(n_episodes: int, punish_prob, gap, horizon: int):
-    """Evaluate 1/n_episodes <= punish_prob * gap / (3 H).
+    """Evaluate 1/n_episodes <= punish_prob * gap / (3 H) exactly, for
+    rational ``punish_prob`` and ``gap`` (Fractions or ints).
 
     ``n_episodes`` is the phase's episode count (1 up to n_lrn, else
-    n_phase), so lhs is the hallucination prior p0; the float branch
-    computes it as 1.0 / n_episodes, which equals float(p0). Returns
-    (holds, lhs, rhs) so callers can log both sides.
+    n_phase), so lhs is the hallucination prior p0. Returns
+    (holds, lhs, rhs) as Fractions so callers can log both sides.
     """
-    exact = isinstance(punish_prob, Fraction) and isinstance(gap, Fraction)
-    if exact:
-        lhs = Fraction(1, n_episodes)
-        rhs = punish_prob * gap / (3 * horizon)
-    else:
-        lhs = 1.0 / n_episodes
-        rhs = float(punish_prob) * float(gap) / (3.0 * horizon)
+    lhs = Fraction(1, n_episodes)
+    rhs = Fraction(punish_prob) * gap / (3 * horizon)
     return lhs <= rhs, lhs, rhs
 
 
@@ -699,7 +693,7 @@ def _phase_draws(config: MechanismConfig, keys: dict, ells: range, n_uniforms: i
     late = [ell for ell in ells if ell > config.n_lrn]  # the last phases, which draw k*
     offsets = rngmod.integer_rows(keys["kstar"] * len(late),
                                   [ell for ell in late for _ in range(R)], config.n_phase)
-    k_star = np.array([phase_episodes(config, ell)[0] for ell in row_ells])
+    k_star = np.repeat([phase_episodes(config, ell)[0] for ell in ells], R)
     k_star[len(k_star) - len(offsets):] += np.array(offsets, dtype=int)
     u_hal = rngmod.uniform_rows(keys["hal-model"] * len(ells), row_ells, 1)
     u_traj = rngmod.uniform_rows(keys["traj"] * len(ells), k_star, n_uniforms)
@@ -891,12 +885,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
         split = [r for r, b in enumerate(live) if hh_inside[b] is not None]
         if split:
             # one stacked revealed posterior and one stacked policy_values,
-            # whose rows are bit for bit the one-row ones, so each gap is its
-            # row's canonical_gap. The stack raises no ZeroEvidence that a row
-            # alone would not: every row's hallucinated atom has positive mass
-            # by construction, drawn from its hallucination posterior with
-            # rewards drawn from its own laws.
-            vals, _ = policy_values(fast.revealed_posterior(hal_counts))
+            # whose rows are bit for bit the one-row ones. The stack raises
+            # no ZeroEvidence that a row alone would not: every row's
+            # hallucinated atom has positive mass by construction, drawn
+            # from its hallucination posterior with rewards drawn from its
+            # own laws.
+            vals = tables.policy_values(fast.revealed_weights(hal_counts))
             inside = np.stack([hh_inside[live[r]] for r in split])
             gaps = dict(zip(split, split_gap(vals[split], inside).tolist()))
 
@@ -935,8 +929,9 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
 
             hh_holds = hh_slack = None
             if r in gaps:
-                hh_holds, lhs, rhs = hh_condition_holds(len(episodes), punish_prob[r], gaps[r], H)
-                hh_slack = rhs - lhs
+                # hh_condition_holds in floats: lhs is float(p0)
+                lhs, rhs = 1.0 / len(episodes), punish_prob[r] * gaps[r] / (3.0 * H)
+                hh_holds, hh_slack = lhs <= rhs, rhs - lhs
             new_triples = sorted((x, a, h) for x, a, h, _ in steps
                                  if not visited[r][((x - 1) * A + a - 1) * H + h - 1])
             logs[b].phases.append(

@@ -12,18 +12,20 @@ products; the policy values are ints too, built on first use from one
 forward walk per transition table and policy. The lattice also lists
 each policy's trajectories once over the atoms' union support, with
 every atom's path masses as ints, for the oracle's game enumeration.
-An exact ``Posterior`` stores its lattice masses as they come,
+A ``Posterior`` is exact: it stores its lattice masses as they come,
 ``(nums, den)``: ints over one positive denominator. Fractions appear
 only at the boundary, in its ``weights`` view and in the values and gaps
 these functions return.
 
-Floats live only in the run loop. ``PriorTables`` (``shared_tables``)
-reads its float arrays off the lattice: a log-mass matrix over the
-feature index from the distinct int rows, and the value matrix from the
-exact policy values, each rounded once; ``LedgerState`` holds a ledger's
-counts in that index, so every float log-likelihood is one product of
-counts with log-masses. ``policy_values``, ``canonical_gap`` and
-``bayes_greedy`` take these float posteriors as well as exact ones.
+Floats live only in the run loop, as plain weight arrays, never in a
+``Posterior``. ``PriorTables`` (``shared_tables``) reads its float arrays
+off the lattice: a log-mass matrix over the feature index from the
+distinct int rows, and the value matrix from the exact policy values,
+each rounded once; ``LedgerState`` holds a ledger's counts in that
+index, so every float log-likelihood is one product of counts with
+log-masses. ``PriorTables.posterior_from_loglik`` normalizes them into
+weights, and ``PriorTables.policy_values`` and ``greedy`` are the float
+value product and the float Bayes-greedy choice.
 """
 
 from __future__ import annotations
@@ -101,66 +103,56 @@ class DiscretePrior:
 
 @dataclass(frozen=True)
 class Posterior:
-    """A prior's atoms reweighted, aligned to prior.atoms.
+    """A prior's atoms reweighted exactly, aligned to prior.atoms.
 
-    ``masses`` is the stored form. An exact posterior, from the
-    ledger-level functions, stores ``(nums, den)``: the lattice's
+    ``masses`` is the stored form, ``(nums, den)``: the lattice's
     nonnegative integer masses over one positive denominator, with
-    sum(nums) == den. The run loop's ``PriorTables.posterior_from_loglik``
-    stores a float ndarray of weights, or for a stack of ledgers one row
-    of weights per ledger. ``weights`` is the Fraction view of an exact
-    posterior, or the float weights themselves.
+    sum(nums) == den. ``weights`` is its Fraction view. The run loop's
+    float weights are plain arrays (``PriorTables.posterior_from_loglik``).
     """
 
     prior: DiscretePrior
-    masses: tuple | np.ndarray = field(compare=False)
+    masses: tuple = field(compare=False)
 
     def __post_init__(self):
-        if self.exact:
-            nums, den = self.masses
-            if len(nums) != self.prior.n or min(nums) < 0 or not 0 < den == sum(nums):
-                raise ValueError("posterior masses must be n nonnegative ints summing to den")
-        elif (abs(self.masses.sum(axis=-1) - 1.0)
-              > _sum_error_bound(self.masses.shape[-1])).any():
-            raise ValueError("posterior weights must sum to 1")
+        nums, den = self.masses
+        if len(nums) != self.prior.n or min(nums) < 0 or not 0 < den == sum(nums):
+            raise ValueError("posterior masses must be n nonnegative ints summing to den")
 
     @property
-    def exact(self) -> bool:
-        return not isinstance(self.masses, np.ndarray)
+    def weights(self) -> tuple:
+        nums, den = self.masses
+        return tuple(Fraction(v, den) for v in nums)
 
-    @property
-    def weights(self) -> tuple | np.ndarray:
-        if self.exact:
-            nums, den = self.masses
-            return tuple(Fraction(v, den) for v in nums)
-        return self.masses
+    def support(self) -> ModelEvent:
+        """The atoms of positive weight."""
+        return frozenset(i for i, w in enumerate(self.masses[0]) if w > 0)
 
-    def support(self) -> ModelEvent | list:
-        """The atoms of positive weight; a stacked float posterior gives
-        one per row, its leading axes flattened as in ``bayes_greedy``."""
-        if self.exact:
-            return frozenset(i for i, w in enumerate(self.masses[0]) if w > 0)
-        positive = self.masses > 0
-        if positive.ndim == 1:
-            return frozenset(np.flatnonzero(positive).tolist())
-        return [frozenset(np.flatnonzero(row).tolist())
-                for row in positive.reshape(-1, positive.shape[-1])]
+
+def check_weight_sums(w: np.ndarray) -> np.ndarray:
+    """Float weights ``w`` (..., n), returned once every row sums to 1
+    within ``_sum_error_bound(n)``; raises ValueError otherwise. Both
+    makers of float weights, ``PriorTables.posterior_from_loglik`` and
+    the fully rational agent's ``_mechanism_weights_float``, check them."""
+    if (abs(w.sum(axis=-1) - 1.0) > _sum_error_bound(w.shape[-1])).any():
+        raise ValueError("posterior weights must sum to 1")
+    return w
 
 
 def _sum_error_bound(n: int) -> float:
     """Largest |fl(sum w) - 1| for n float weights normalized as v / fl(sum v).
 
-    Every float posterior is made that way from nonnegative v
-    (``posterior_from_loglik``, the float mechanism weights), or is the
-    correctly rounded prior weights. With unit roundoff u = 2**-53, a sum
-    of n nonnegative floats in any order, numpy's pairwise one included,
-    carries relative error at most gamma(n-1), gamma(k) = k u / (1 - k u),
-    and each quotient at most u. So the normalizing sum, the quotients
-    and the check's own sum together stay within gamma(2n - 1) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2
-    and Lemma 3.3). Quotients that underflow add at most n * 2**-1075 in
-    all, far below the float spacing at this bound. A weight vector that
-    was never normalized misses 1 by far more.
+    Every float weight vector is made that way from nonnegative v
+    (``posterior_from_loglik``, the float mechanism weights). With unit
+    roundoff u = 2**-53, a sum of n nonnegative floats in any order,
+    numpy's pairwise one included, carries relative error at most
+    gamma(n-1), gamma(k) = k u / (1 - k u), and each quotient at most u.
+    So the normalizing sum, the quotients and the check's own sum together
+    stay within gamma(2n - 1) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2 and Lemma 3.3). Quotients that
+    underflow add at most n * 2**-1075 in all, far below the float spacing
+    at this bound. A weight vector that was never normalized misses 1 by
+    far more.
     """
     k = (2 * n - 1) * 2.0 ** -53
     return k / (1 - k)
@@ -360,46 +352,34 @@ def canonical_posterior(
     return Posterior(prior, (raw, total))
 
 
-def policy_values(posterior: Posterior) -> tuple:
-    """(vals, den): the conditional value of every policy, in encoding order.
-
-    An exact posterior gives ints on its lattice over one positive
-    denominator; a float posterior gives its weights times the
-    PriorTables value matrix, the exact values rounded once, with den
-    None: for a stack of rows, the stacked (..., 1, n) @ (n, P) product,
-    whose rows' bits do not depend on the other rows, where a plain
-    (R, n) @ (n, P) product's would.
-    """
-    if posterior.exact:
-        lattice = exact_lattice(posterior.prior)
-        nums, den = posterior.masses
-        return lattice.policy_values(nums), den * lattice.value_den
-    value_matrix = shared_tables(posterior.prior).value_matrix
-    return (posterior.weights[..., None, :] @ value_matrix)[..., 0, :], None
+def policy_values(posterior: Posterior) -> tuple[list[int], int]:
+    """(vals, den): the conditional value of every policy, in encoding
+    order, as ints on the posterior's lattice over one positive
+    denominator."""
+    lattice = exact_lattice(posterior.prior)
+    nums, den = posterior.masses
+    return lattice.policy_values(nums), den * lattice.value_den
 
 
-def conditional_value(posterior: Posterior, policy: MarkovPolicy):
+def conditional_value(posterior: Posterior, policy: MarkovPolicy) -> Fraction:
     """E over posterior atoms of policy_value(atom, policy): the policy's
     entry of the posterior's policy values."""
     vals, den = policy_values(posterior)
-    v = vals[policy.encoding]
-    return float(v) if den is None else Fraction(v, den)
+    return Fraction(vals[policy.encoding], den)
 
 
-def canonical_gap(posterior: Posterior, Pi):
+def canonical_gap(posterior: Posterior, Pi) -> Fraction:
     """Best conditional value inside Pi minus best outside it.
 
     Pi is a collection of MarkovPolicy or encodings; must be a nonempty
-    strict subset of the enumerated policy space. Exact posteriors compare
-    integer conditional values and return the gap as a Fraction.
+    strict subset of the enumerated policy space. Compares integer
+    conditional values and returns the gap as a Fraction.
     """
     vals, den = policy_values(posterior)
     enc = policy_encodings(Pi)
     inside = np.array([j in enc for j in range(len(vals))])
     if inside.all() or not inside.any():
         raise DegenerateSplit("gap needs a nonempty strict subset of policies")
-    if den is None:
-        return split_gap(vals, inside)
     return Fraction(split_gap(np.array(vals, dtype=object), inside), den)
 
 
@@ -418,29 +398,19 @@ def policy_encodings(Pi) -> frozenset:
     return frozenset(p.encoding if isinstance(p, MarkovPolicy) else int(p) for p in Pi)
 
 
+# The float greedy's tie tolerance (``PriorTables.greedy``). It stays
+# because the float values are rounded: policies whose exact values tie
+# can differ in their last bits, and an exact comparison would then pick
+# by rounding, not by the smallest encoding. Replacing it with an exact
+# check of the near-ties is ROADMAP item 2.
 GREEDY_TIE_TOL = 1e-9
 
 
-def bayes_greedy(posterior: Posterior):
-    """argmax of conditional value; ties broken by smallest encoding.
-
-    Exact posteriors compare integer conditional values exactly. Float
-    paths treat values within GREEDY_TIE_TOL (relative) of the max as
-    tied, so that mathematically tied policies resolve to the same
-    canonical winner regardless of summation order. A stacked float
-    posterior gives the list of its rows' choices, its leading axes
-    flattened, each from its row's ``policy_values``.
-    """
+def bayes_greedy(posterior: Posterior) -> MarkovPolicy:
+    """argmax of conditional value, compared exactly on the lattice's
+    ints; ties broken by smallest encoding."""
     vals, _ = policy_values(posterior)
-    if posterior.exact:
-        return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
-    tables = shared_tables(posterior.prior)
-    vmax = vals.max(axis=-1, keepdims=True)
-    tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
-    best = (vals >= vmax - tol).argmax(axis=-1)  # the first index within tol of the max
-    if best.ndim == 0:
-        return tables.policies[int(best)]
-    return [tables.policies[j] for j in best.ravel().tolist()]
+    return exact_lattice(posterior.prior).policies[vals.index(max(vals))]
 
 
 def greedy_set(posterior: Posterior) -> frozenset:
@@ -530,11 +500,12 @@ class PriorTables:
         mask[list(event)] = True
         return mask
 
-    def posterior_from_loglik(self, loglik: np.ndarray, mask=None) -> Posterior:
-        """Normalize prior-weighted log-likelihoods into a float Posterior,
-        restricted to ``mask`` when one is given; a stack of log-likelihood
-        rows (and masks, which broadcast against them) gives a stacked
-        Posterior, each row normalized as it would be alone."""
+    def posterior_from_loglik(self, loglik: np.ndarray, mask=None) -> np.ndarray:
+        """Normalize prior-weighted log-likelihoods into float posterior
+        weights (n,), restricted to ``mask`` when one is given, with the
+        sum check; a stack of log-likelihood rows (and masks, which
+        broadcast against them) gives a stack of weights, each row
+        normalized as it would be alone."""
         ll = self.log_weights + loglik
         if mask is not None:
             ll = np.where(mask, ll, -np.inf)
@@ -543,7 +514,30 @@ class PriorTables:
             raise ZeroEvidence("all atoms have zero likelihood")
         w = np.exp(np.subtract(ll, top, out=ll), out=ll)
         w /= w.sum(axis=-1, keepdims=True)
-        return Posterior(self.prior, w)
+        return check_weight_sums(w)
+
+    def policy_values(self, w: np.ndarray) -> np.ndarray:
+        """The conditional value of every policy, in encoding order, under
+        float weights ``w`` (n,), or per row of a stack of them: (..., P),
+        the stacked (..., 1, n) @ (n, P) product with the value matrix,
+        whose rows' bits do not depend on the other rows, where a plain
+        (R, n) @ (n, P) product's would."""
+        return (w[..., None, :] @ self.value_matrix)[..., 0, :]
+
+    def greedy(self, w: np.ndarray):
+        """The float Bayes-greedy policy under weights ``w`` (n,): values
+        within GREEDY_TIE_TOL (relative) of the max count as tied, so that
+        exactly tied policies resolve to the smallest encoding whatever
+        the summation order. A stack of weights gives the list of its
+        rows' choices, its leading axes flattened, each from its row's
+        ``policy_values``."""
+        vals = self.policy_values(w)
+        vmax = vals.max(axis=-1, keepdims=True)
+        tol = GREEDY_TIE_TOL * (1.0 + abs(vmax))
+        best = (vals >= vmax - tol).argmax(axis=-1)  # the first index within tol of the max
+        if best.ndim == 0:
+            return self.policies[int(best)]
+        return [self.policies[j] for j in best.ravel().tolist()]
 
 
 class LedgerState:
@@ -642,12 +636,12 @@ class LedgerState:
         no phase builds the pair afresh. Both normalize the one sum of the
         prior's log weights and ``translog``, in one stacked
         normalization."""
-        return self.tables.posterior_from_loglik(self.translog, masks).weights
+        return self.tables.posterior_from_loglik(self.translog, masks)
 
-    def revealed_posterior(self, counts: np.ndarray) -> Posterior:
-        """The canonical posterior of the entries with the revealed-reward
-        ``counts``; counts stacked on leading axes before a stack's rows
-        give one posterior per stacked count."""
+    def revealed_weights(self, counts: np.ndarray) -> np.ndarray:
+        """The canonical posterior weights of the entries with the
+        revealed-reward ``counts``; counts stacked on leading axes before
+        a stack's rows give one row of weights per stacked count."""
         ll = self.translog + self.tables.reward_loglik(counts)
         return self.tables.posterior_from_loglik(ll)
 

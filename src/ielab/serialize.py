@@ -43,24 +43,13 @@ def dist_from_dict(d: dict) -> DiscreteDist:
     return DiscreteDist.of(zip(d["support"], d["probs"]))
 
 
-def _model_to_dict(m: TabularModel, rendered: dict) -> dict:
-    """The model's JSON form. ``rendered`` maps id to the JSON form of each
-    init vector, transition row and reward law already rendered, so a
-    caller walking many atoms that share them renders each once."""
-
-    def once(obj, render):
-        if id(obj) not in rendered:
-            rendered[id(obj)] = render(obj)
-        return rendered[id(obj)]
-
-    def vector(vec):
-        return [_num_out(p) for p in vec]
-
+def _model_to_dict(m: TabularModel) -> dict:
+    """The model's JSON form, field by field."""
     out = {
         "S": m.S,
         "A": m.A,
         "H": m.H,
-        "init": once(m.init, vector),
+        "init": [_num_out(p) for p in m.init],
         "transitions": {},
         "rewards": {},
     }
@@ -68,8 +57,8 @@ def _model_to_dict(m: TabularModel, rendered: dict) -> dict:
         for a in range(1, m.A + 1):
             for h in range(1, m.H + 1):
                 key = _triple_key((x, a, h))
-                out["transitions"][key] = once(m.transition(x, a, h), vector)
-                out["rewards"][key] = once(m.reward_dist(x, a, h), dist_to_dict)
+                out["transitions"][key] = [_num_out(p) for p in m.transition(x, a, h)]
+                out["rewards"][key] = dist_to_dict(m.reward_dist(x, a, h))
     return out
 
 
@@ -85,12 +74,10 @@ def model_from_dict(d: dict, reward_support=None) -> TabularModel:
 
 
 def prior_to_dict(prior: DiscretePrior) -> dict:
-    """The prior's JSON form. Atoms share the rendered lists and dicts of the
-    objects they share, so treat the result as read-only."""
-    rendered: dict = {}
+    """The prior's JSON form: the reference ``prior_text`` renders directly."""
     return {
         "atoms": [
-            {"model": _model_to_dict(m, rendered), "weight": _num_out(w)}
+            {"model": _model_to_dict(m), "weight": _num_out(w)}
             for m, w in zip(prior.atoms, prior.weights)
         ]
     }

@@ -264,10 +264,10 @@ def test_criterion_9_probabilistic_properties(stoch_factored, stoch_prior):
 
         def hook(ctx, log):
             if (8 - len(ctx.U)) >= 4 or ctx.ell == cfg_n.total_phases:
-                post = ctx.fast.revealed_posterior(ctx.hal_counts)
+                weights = ctx.fast.revealed_weights(ctx.hal_counts)
                 m_star = stoch_prior.atoms[log.true_atom]
                 out[log.seed] = sum(
-                    w for i, w in enumerate(post.weights)
+                    w for i, w in enumerate(weights)
                     if w > 1e-15 and good_model_predicate(
                         stoch_prior.atoms[i], m_star, ctx.U, cfg_n.eps_pun, er_fix, ep_fix)
                 )

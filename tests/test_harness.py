@@ -339,8 +339,8 @@ def test_prior_json_roundtrip(tmp_path, det_prior):
 
 
 def test_prior_to_dict_renders_shared_objects_as_each_atom_alone(stoch_prior):
-    """Rendering each shared row and law once gives every atom the JSON a
-    field-by-field rendering of the atom alone gives."""
+    """Every atom of a prior whose atoms share rows and laws gets the JSON
+    a field-by-field rendering of the atom alone gives."""
     from ielab.serialize import prior_to_dict
 
     def num(v):

@@ -564,6 +564,32 @@ def test_sweep_reads_each_draw_family_once(monkeypatch, stoch_factored, stoch_pr
         assert max(rows) <= draw_rows
 
 
+def test_phase_draws_take_each_phase_first_episode_once(monkeypatch):
+    """``_phase_draws`` takes each phase's first episode once and repeats
+    it over the batch's seeds: for 4 seeds and 6 phases, 3 of them past
+    n_lrn, ``phase_episodes`` runs 6 times, not once per (phase, seed)
+    row. Each k* is its phase's first episode, plus past n_lrn the seed's
+    ("kstar", ell) draw."""
+    from ielab import rng
+
+    cfg = MechanismConfig(n_phase=5, n_lrn=3, eps_pun=Fraction(1, 10), total_phases=6)
+    keys = {family: [rng.family_key(s, family) for s in range(4)] for family in rng.FAMILIES}
+    calls = []
+
+    def counted(config, ell):
+        calls.append(ell)
+        return phase_episodes(config, ell)
+
+    monkeypatch.setattr(mechanism, "phase_episodes", counted)
+    ells = range(1, 7)
+    _, k_star, _ = mechanism._phase_draws(cfg, keys, ells, 4)
+    assert sorted(calls) == list(ells)
+    for ell, row in zip(ells, k_star.tolist()):
+        offsets = (rng.integer_rows(keys["kstar"], [ell] * 4, cfg.n_phase)
+                   if ell > cfg.n_lrn else [0] * 4)
+        assert row == [phase_episodes(cfg, ell)[0] + o for o in offsets]
+
+
 def test_run_game_takes_int_seeds(det_prior, det_config):
     """A seed is an int, or a list of ints: numpy's ints play as the int
     they equal, and a range, a float, a bool, a string or a list holding
@@ -1047,7 +1073,7 @@ def test_in_run_float_posteriors_equal_exact_posteriors(instance, det_prior, det
             seen = {}
 
             def hook(ctx, log):
-                revealed = {kind: ctx.fast.revealed_posterior(ctx.counts_of(kind)).weights
+                revealed = {kind: ctx.fast.revealed_weights(ctx.counts_of(kind))
                             for kind in ("hallucinated", "honest")}
                 seen[ctx.ell] = (ctx.cens_weights.copy(), ctx.punish_mask.copy(), revealed, ctx.U)
 

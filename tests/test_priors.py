@@ -300,13 +300,13 @@ def test_out_of_support_reward_has_mass_zero_on_both_routes(det_prior):
         canonical_posterior(det_prior, lam)
     state = folded_state(det_prior, lam)
     with pytest.raises(ZeroEvidence):
-        state.revealed_posterior(state.reward_counts)
+        state.revealed_weights(state.reward_counts)
     censored = censor_ledger(lam, frozenset({(s.x, s.a, s.h)}))
     state = folded_state(det_prior, censored)
     counts = state.reward_counts
     assert not counts[s.x - 1, s.a - 1, s.h - 1].any() and np.isfinite(state.translog).any()
     exact = canonical_posterior(det_prior, censored).weights
-    assert state.revealed_posterior(counts).weights == pytest.approx(
+    assert state.revealed_weights(counts) == pytest.approx(
         [float(w) for w in exact], abs=1e-12)
 
 
@@ -318,9 +318,9 @@ def test_float_posterior_sum_check_is_the_rounding_bound(det_prior):
         v = np.exp(rng.uniform(-700, 0, det_prior.n) * rng.random())
         v[rng.random(det_prior.n) < 0.3] = 0.0
         v[0] = 1.0
-        Posterior(det_prior, v / v.sum())
+        priors.check_weight_sums(v / v.sum())
     with pytest.raises(ValueError, match="sum to 1"):
-        Posterior(det_prior, v / v.sum() * (1 + 1e-12))
+        priors.check_weight_sums(v / v.sum() * (1 + 1e-12))
 
 
 def test_conditional_value_linearity(det_prior):
@@ -341,7 +341,8 @@ def test_conditional_value_linearity(det_prior):
     tables = shared_tables(det_prior)
     two_f = tables.posterior_from_loglik(np.zeros(det_prior.n),
                                          tables.event_mask(frozenset({10, 20})))
-    assert conditional_value(two_f, pol) == pytest.approx(float(expected), abs=1e-12)
+    assert tables.policy_values(two_f)[pol.encoding] == pytest.approx(float(expected),
+                                                                      abs=1e-12)
 
 
 def test_canonical_gap_properties(stoch_prior, stoch_tables):
@@ -391,8 +392,8 @@ def test_bayes_greedy_tie_break_smallest_encoding(det_prior):
     # tie-break must return encoding 0
     post = prior_as_posterior(det_prior)
     assert bayes_greedy(post).encoding == 0
-    post_f = shared_tables(det_prior).posterior_from_loglik(np.zeros(det_prior.n))
-    assert bayes_greedy(post_f).encoding == 0
+    tables = shared_tables(det_prior)
+    assert tables.greedy(tables.posterior_from_loglik(np.zeros(det_prior.n))).encoding == 0
 
 
 def test_bayes_greedy_brute_force(stoch_prior, stoch_tables):
@@ -512,21 +513,21 @@ def test_stacked_float_operations_equal_their_rows(n):
 
 @pytest.mark.parametrize("R", [2, 4, 17])
 def test_stacked_policy_values_equal_their_rows(R, monkeypatch, stoch_prior):
-    """On micro_stoch_1, ``policy_values`` of a stacked float posterior is,
-    row for row and bit for bit, ``policy_values`` of that row alone, and
-    ``bayes_greedy`` of the stack is the per-row choices, also with
-    GREEDY_TIE_TOL at 0, where any bit that differed could flip a choice.
-    A plain (R, n) @ (n, P) product fails the first check."""
+    """On micro_stoch_1, ``PriorTables.policy_values`` of a stack of float
+    weights is, row for row and bit for bit, ``policy_values`` of that row
+    alone, and ``PriorTables.greedy`` of the stack is the per-row choices,
+    also with GREEDY_TIE_TOL at 0, where any bit that differed could flip
+    a choice. A plain (R, n) @ (n, P) product fails the first check."""
     monkeypatch.setattr(priors, "GREEDY_TIE_TOL", 0.0)
+    tables = shared_tables(stoch_prior)
     rng = np.random.default_rng(R)
     w = np.exp(rng.uniform(-700, 0, (R, stoch_prior.n)) * rng.random((R, 1)))
     w[rng.random(w.shape) < 0.2] = 0.0
     w /= w.sum(axis=-1, keepdims=True)
-    stacked, _ = priors.policy_values(Posterior(stoch_prior, w))
+    stacked = tables.policy_values(w)
     for got, row in zip(stacked, w):
-        assert np.array_equal(got, priors.policy_values(Posterior(stoch_prior, row))[0])
-    assert priors.bayes_greedy(Posterior(stoch_prior, w)) == [
-        priors.bayes_greedy(Posterior(stoch_prior, row)) for row in w]
+        assert np.array_equal(got, tables.policy_values(row))
+    assert tables.greedy(w) == [tables.greedy(row) for row in w]
 
 
 def _stacked_state(prior, R: int, seed: int):
@@ -579,6 +580,32 @@ def test_stacked_logliks_and_posteriors_equal_their_rows(instance, R, det_prior,
         assert np.array_equal(both[:, r], one.posteriors(masks[:, r]))
 
 
+@pytest.mark.parametrize("R", [1, 2, 4])
+def test_stacked_det_values_greedy_and_gaps_equal_their_rows(R, monkeypatch, det_prior):
+    """On micro_det_1, a (2, R, n) stack of the run loop's float weights
+    (``LedgerState.posteriors``: censored, and restricted to a mask) gives,
+    row for row and bit for bit, each row's own ``PriorTables.policy_values``,
+    ``greedy`` (with GREEDY_TIE_TOL at 0) and ``split_gap``, also with its
+    leading axes flattened to (2R, n). Only these take float weights: the
+    exact ``conditional_value`` and ``canonical_gap`` take a ``Posterior``,
+    which holds no stack whose rows they could misread as policies."""
+    monkeypatch.setattr(priors, "GREEDY_TIE_TOL", 0.0)
+    tables, fast, masks = _stacked_state(det_prior, R, seed=R)
+    w = fast.posteriors(masks)
+    vals = tables.policy_values(w)
+    inside = np.random.default_rng(R).random(vals.shape) < 0.5
+    inside[..., 0], inside[..., -1] = True, False
+    gaps = priors.split_gap(vals, inside)
+    rows = [(k, r) for k in range(2) for r in range(R)]
+    want = [tables.greedy(w[k, r]) for k, r in rows]
+    assert tables.greedy(w) == want
+    assert tables.greedy(w.reshape(2 * R, det_prior.n)) == want
+    for k, r in rows:
+        one = tables.policy_values(w[k, r])
+        assert np.array_equal(vals[k, r], one)
+        assert np.array_equal(gaps[k, r], priors.split_gap(one, inside[k, r]))
+
+
 @pytest.mark.parametrize("instance", ["det", "stoch"])
 def test_prior_tables_product_operands_are_c_contiguous(instance, det_prior, stoch_prior):
     """Every array of ``PriorTables`` that is an operand of a product is
@@ -594,18 +621,3 @@ def test_prior_tables_product_operands_are_c_contiguous(instance, det_prior, sto
                 "reward log_mass": tables._rewards[0], "reward zero": tables._rewards[1],
                 "value_matrix": tables.value_matrix}
     assert [name for name, a in operands.items() if not a.flags.c_contiguous] == []
-
-
-def test_stacked_float_support_is_one_set_per_row(det_prior):
-    """``Posterior.support()`` of a stacked float posterior is one
-    frozenset per row, leading axes flattened as ``bayes_greedy``'s
-    choices are, each the support of that row alone."""
-    rng = np.random.default_rng(0)
-    w = rng.random((2, 3, det_prior.n))
-    w[rng.random(w.shape) < 0.5] = 0.0
-    w /= w.sum(axis=-1, keepdims=True)
-    rows = w.reshape(-1, det_prior.n)
-    want = [Posterior(det_prior, row).support() for row in rows]
-    assert want[0] == frozenset(np.flatnonzero(rows[0]).tolist())
-    assert Posterior(det_prior, w).support() == want
-    assert Posterior(det_prior, w[0]).support() == want[:3]
