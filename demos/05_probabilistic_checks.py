@@ -41,10 +41,11 @@ print("     runs below override n_lrn downward and keep the exact n_phase.\n")
 rng = np.random.default_rng(1)
 worst_ratio = Fraction(0)
 for _ in range(50):
-    base, other, U, rt, pol, eps = sample_similar_pair(rng)
+    base, other, U, rt, pol, rep = sample_similar_pair(rng)
+    eps = rep.max_distance()
     if eps == 0:
         continue
-    lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
+    lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps, rep)
     if bound:
         worst_ratio = max(worst_ratio, lhs / bound)
 print(f"simulation lemma on 50 random eps-similar pairs: "

@@ -1,9 +1,10 @@
 """Numerical verifiers for the analysis-side identities: similarity,
 simulation gaps, performance differences, good-model sets, estimators.
 
-The exact ones run on the models' grid ints: similarity's l1 distances,
-the truncated sums and the performance-difference terms read
-``mdp.int_parts`` and ``mdp.int_means``, ints over one denominator per
+The exact ones run on the models' int rows, their stored form:
+similarity's l1 distances, the truncated sums and the
+performance-difference terms read each model's ``den``, ``init_nums`` and
+``trans_nums`` and its ``mdp.int_means``, ints over one denominator per
 model, and return Fractions."""
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .mdp import (
     enumerate_policies,
     event_visit_probability,
     int_means,
-    int_parts,
     policy_value,
 )
 
@@ -59,17 +59,17 @@ def similarity(model1: TabularModel, model2: TabularModel,
     """l1 closeness of initial distributions and of transitions on the set.
 
     Similarity concerns transitions only, never rewards. Each distance is
-    taken on both models' ``int_parts``, as ints over the product of
-    their denominators; callers query ``report.is_similar(eps)``.
+    taken on both models' int rows, as ints over the product of their
+    denominators; callers query ``report.is_similar(eps)``.
     """
-    D1, init1, trans1 = int_parts(model1)
-    D2, init2, trans2 = int_parts(model2)
+    D1, D2 = model1.den, model2.den
 
     def l1(p, q) -> Fraction:
         return Fraction(sum([abs(a * D2 - b * D1) for a, b in zip(p, q)]), D1 * D2)
 
-    return SimilarityReport(l1(init1, init2),
-                            {t: l1(trans1[t], trans2[t]) for t in fully_explored})
+    return SimilarityReport(l1(model1.init_nums, model2.init_nums),
+                            {t: l1(model1.transition_nums(*t), model2.transition_nums(*t))
+                             for t in fully_explored})
 
 
 def truncated_expected_sum(model: TabularModel, policy: MarkovPolicy, U: TripleSet,
@@ -125,8 +125,7 @@ def performance_difference(model1: TabularModel, model2: TabularModel, policy: M
     decomposition dict) with per-stage reward and transition terms.
     """
     H = model1.H
-    D1, init1, trans1 = int_parts(model1)
-    D2, init2, trans2 = int_parts(model2)
+    D1, init1, D2, init2 = model1.den, model1.init_nums, model2.den, model2.init_nums
     (M1, means1), (M2, means2) = int_means(model1), int_means(model2)
     V2, W = _stage_values(model2, policy)  # stage h over W[h-1]
     lhs = policy_value(model1, policy) - Fraction(sum(map(operator.mul, init2, V2[0])),
@@ -141,7 +140,7 @@ def performance_difference(model1: TabularModel, model2: TabularModel, policy: M
         t = (x, a, h)
         reward_nums[h - 1] += mass * (means1[t] * M2 - means2[t] * M1)
         if h < H:
-            rows = zip(trans1[t], trans2[t], V2[h])
+            rows = zip(model1.transition_nums(*t), model2.transition_nums(*t), V2[h])
             trans_nums[h - 1] += mass * sum((p1 * D2 - p2 * D1) * v for p1, p2, v in rows)
     reward_terms = [Fraction(n, occ_den * M1 * M2) for n in reward_nums]
     trans_terms = [Fraction(n, occ_den * D1 * D2 * W[h]) for h, n in enumerate(trans_nums, 1)]
@@ -222,8 +221,5 @@ def sufficiently_visiting_policies(model_star: TabularModel, U: TripleSet,
                                    rho_0) -> list[MarkovPolicy]:
     """Policies whose exact probability of visiting U is at least rho_0."""
     rho_0 = as_fraction(rho_0)
-    out = []
-    for pol in enumerate_policies(model_star.S, model_star.A, model_star.H):
-        if event_visit_probability(model_star, pol, U) >= rho_0:
-            out.append(pol)
-    return out
+    return [pol for pol in enumerate_policies(model_star.S, model_star.A, model_star.H)
+            if event_visit_probability(model_star, pol, U) >= rho_0]

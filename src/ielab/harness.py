@@ -460,14 +460,9 @@ _QUARTERS = tuple(Fraction(k, 4) for k in range(5))  # the reward values of the 
 
 
 def sample_similar_pair(rng: np.random.Generator):
-    """(model, perturbed model, U, reward fn, policy, tight eps) for the lemma."""
-    *draw, rep = _similar_pair(rng)
-    return (*draw, rep.max_distance())
-
-
-def _similar_pair(rng: np.random.Generator):
-    """``sample_similar_pair``'s draw with the pair's ``similarity`` on the
-    complement of U in place of its tight eps, the report's max distance."""
+    """(model, perturbed model, U, reward fn, policy, report) for the lemma:
+    the report is the pair's ``similarity`` on the complement of U, for
+    ``simulation_gap``, and its max distance is the tight eps."""
     S = int(rng.integers(2, 4))
     A = int(rng.integers(1, 3))
     H = int(rng.integers(2, 4))
@@ -490,7 +485,7 @@ def verify_sim_lemma() -> list[dict]:
     violations = 0
     tested = 0
     while tested < SIM_PAIRS:
-        base, other, U, rt, pol, rep = _similar_pair(rng)
+        base, other, U, rt, pol, rep = sample_similar_pair(rng)
         eps = rep.max_distance()
         if eps == 0:
             continue

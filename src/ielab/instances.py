@@ -2,10 +2,11 @@
 
 The random families are built and checked on the grid's integers: every
 probability of ``random_model`` is k / GRID, and ``perturb_model`` shifts
-a base model's ``int_parts``. TabularModel's and DiscreteDist's checks
-run on those ints, once per vector, and once per call on what all the
-vectors share (the shape, the reward support, the stage-H row); the
-models are then assembled through the checked constructors of ``mdp``.
+a base model's int rows. TabularModel's and DiscreteDist's checks run on
+those ints, once per vector, and once per call on what all the vectors
+share (the shape, the reward support, the stage-H row); ``mdp.int_model``
+stores those int rows as the model, with no Fraction built for them. The
+reward laws' probabilities are Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .mdp import (DiscreteDist, TabularModel, as_fraction, check_int_vector, check_shape,
-                  checked_dist, checked_parts_model, int_parts)
+                  checked_dist, int_model)
 from .priors import FactoredRewardPrior
 
 
@@ -104,13 +105,13 @@ def grid_widths(cuts, negative: str, not_one: str) -> list[int]:
     return widths
 
 
-def _sink_row(S: int, H: int) -> tuple[Fraction, ...]:
+def _sink_row(S: int, H: int, den: int) -> tuple[int, ...]:
     """The stage-H transition row of every triple, a point mass on state
-    1, checked once for all of them."""
-    widths = [GRID] + [0] * (S - 1)
-    check_int_vector(widths, GRID, f"transitions(1,1,{H}): negative entry",
+    1, over den, checked once for all of them."""
+    row = (den,) + (0,) * (S - 1)
+    check_int_vector(row, den, f"transitions(1,1,{H}): negative entry",
                      f"transitions(1,1,{H}): does not sum to 1")
-    return tuple(_GRID_FRACTIONS[w] for w in widths)
+    return row
 
 
 def random_model(rng: np.random.Generator, S: int, A: int, H: int,
@@ -143,16 +144,11 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
     if any(not 0 <= v.numerator <= v.denominator for v in law_support):
         raise ValueError("reward support outside [0,1]")
     n_cuts = (S - 1) + S * A * ((H - 1) * (S - 1) + H * (k - 1))
+    # each vector's widths are cut at the next n - 1 cuts, n its length
     cuts = iter(rng.integers(0, GRID + 1, size=n_cuts).tolist())
-
-    def vector(order, negative: str, not_one: str) -> tuple[Fraction, ...]:
-        """The next vector, checked on its widths, its entries in ``order``."""
-        widths = grid_widths(islice(cuts, len(order) - 1), negative, not_one)
-        return tuple(map(_GRID_FRACTIONS.__getitem__, map(widths.__getitem__, order)))
-
-    states = range(S)
-    init = vector(states, "init: negative entry", "init: does not sum to 1")
-    sink = _sink_row(S, H)
+    init = tuple(grid_widths(islice(cuts, S - 1), "init: negative entry",
+                             "init: does not sum to 1"))
+    sink = _sink_row(S, H, GRID)
     trans, rewards = [], []
     for x in range(1, S + 1):
         t_x, r_x = [], []
@@ -161,17 +157,20 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
             for h in range(1, H + 1):
                 if h < H:
                     what = f"transitions({x},{a},{h})"
-                    t_xa.append(vector(states, f"{what}: negative entry",
-                                       f"{what}: does not sum to 1"))
+                    t_xa.append(tuple(grid_widths(islice(cuts, S - 1), f"{what}: negative entry",
+                                                  f"{what}: does not sum to 1")))
                 else:
                     t_xa.append(sink)
-                r_xa.append(checked_dist(law_support, vector(
-                    order, "negative probability", "probabilities must sum to 1 exactly")))
+                probs = grid_widths(islice(cuts, k - 1), "negative probability",
+                                    "probabilities must sum to 1 exactly")
+                r_xa.append(checked_dist(law_support, tuple(_GRID_FRACTIONS[probs[i]]
+                                                            for i in order)))
             t_x.append(tuple(t_xa))
             r_x.append(tuple(r_xa))
         trans.append(tuple(t_x))
         rewards.append(tuple(r_x))
-    return checked_parts_model(S, A, H, init, tuple(trans), tuple(rewards), law_support)
+    return int_model(S, A, H, GRID, init, tuple(trans), tuple(rewards), law_support,
+                     checked=True)
 
 
 def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction,
@@ -183,40 +182,36 @@ def perturb_model(rng: np.random.Generator, model: TabularModel, scale: Fraction
     each in a scalar call: the stream of one size-2 call for the indices,
     without numpy's cost of a sized call.
 
-    The shift runs on the base's ``int_parts``, and only the rows it
-    changes, and the stage-H point mass on state 1, are checked again, as
-    ints; the reward laws are the base's, checked against the same support.
+    The shift runs on the base's int rows, and only the rows it changes,
+    and the stage-H point mass on state 1, are checked again, as ints; the
+    reward laws are the base's, checked against the same support.
     """
     budget = as_fraction(scale) / 2
     b, c = budget.numerator, budget.denominator
-    D, init_ints, trans_ints = int_parts(model)
-    # a shifted row is over E: the base's D, budget's c, the amount's grid
+    D = model.den
+    # every row is over E: the base's D, budget's c, the amount's grid
     E = D * c * grid
 
-    def shift(vec, ints, t=None):
-        n = len(vec)
-        if n == 1:
-            return vec
-        i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if i == j:
-            return vec
-        # min(budget, vec[i]) * k / grid, over E
-        moved = min(b * D, ints[i] * c) * int(rng.integers(0, grid + 1))
-        row = [n * c * grid for n in ints]
-        row[i] -= moved
-        row[j] += moved
-        what = "init" if t is None else "transitions({},{},{})".format(*t)
-        check_int_vector(row, E, f"{what}: negative entry", f"{what}: does not sum to 1")
-        vec = list(vec)
-        vec[i], vec[j] = Fraction(row[i], E), Fraction(row[j], E)
-        return tuple(vec)
+    def shift(ints, t=None) -> tuple[int, ...]:
+        row = [p * c * grid for p in ints]
+        n = len(ints)
+        # a one-state vector draws nothing
+        i, j = (int(rng.integers(0, n)), int(rng.integers(0, n))) if n > 1 else (0, 0)
+        if i != j:
+            # min(budget, ints[i] / D) * k / grid, over E
+            moved = min(b * D, ints[i] * c) * int(rng.integers(0, grid + 1))
+            row[i] -= moved
+            row[j] += moved
+            what = "init" if t is None else "transitions({},{},{})".format(*t)
+            check_int_vector(row, E, f"{what}: negative entry", f"{what}: does not sum to 1")
+        return tuple(row)
 
     S, A, H = model.S, model.A, model.H
-    init = shift(model.init, init_ints)
-    sink = _sink_row(S, H)
-    trans = tuple(tuple(tuple(shift(model.transition(x, a, h), trans_ints[x, a, h], (x, a, h))
+    init = shift(model.init_nums)
+    sink = _sink_row(S, H, E)
+    trans = tuple(tuple(tuple(shift(model.transition_nums(x, a, h), (x, a, h))
                               if h < H else sink
                               for h in range(1, H + 1))
                         for a in range(1, A + 1)) for x in range(1, S + 1))
-    return checked_parts_model(S, A, H, init, trans, model.rewards,
-                               tuple(sorted(model.reward_support)))
+    return int_model(S, A, H, E, init, trans, model.rewards, tuple(sorted(model.reward_support)),
+                     checked=True)

@@ -1,16 +1,17 @@
 """Tabular MDP hypotheses and exact dynamic-programming primitives.
 
 States, actions and stages are 1-based everywhere (x in [S], a in [A],
-h in [H]). All probabilities and reward values are stored as exact
-`Fraction`s. The value and absorbing DPs run on a model's ints over one
-common denominator (``int_parts``, ``int_means``, built once per model),
-so no operation pays a gcd, and return Fractions. A model's checks come
-in parts (``check_model_parts``), so a builder whose models share
-transition rows and reward laws can check each once, and a builder that
-holds a vector as ints over a known denominator checks it on those
-(``check_int_vector``). One forward recursion walks a policy's visits,
-``absorbing_steps``; the visit events, occupancy weights and reachable
-triples are read off it.
+h in [H]). A model stores its probabilities as int rows over one
+denominator, and reward values and laws as exact `Fraction`s; its
+`Fraction` rows are views, built on first read. The value, reach and
+absorbing DPs run on the int rows and the mean rewards' ints over one
+denominator (``int_means``, built once per model), so no operation pays
+a gcd, and return Fractions. A model's checks run on the int rows, in
+parts (``check_model_parts``), and ``int_model`` builds a model from int
+rows: a builder whose models share rows and reward laws checks each once
+and builds its models with ``checked=True``. One forward recursion walks
+a policy's visits, ``absorbing_steps``; the visit events, occupancy
+weights and reachable triples are read off it.
 Sampling reads one table of ``rng.cumulative_row`` rows per model,
 indexed by the flat (x, a, h) index; the float posterior route lives in
 ``priors.PriorTables``.
@@ -217,32 +218,51 @@ class MarkovPolicy:
         return self.actions < other.actions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TabularModel:
     """One MDP hypothesis: initial distribution, transitions, reward laws.
 
-    ``trans[x-1][a-1][h-1]`` is the next-state probability vector; the
-    stage-H row exists but only feeds the inconsequential terminal state
+    Stored as int rows over ``den``, the lcm of their reduced
+    denominators, so models are equal exactly when their probabilities
+    are: ``init_nums`` and ``trans_nums[x-1][a-1][h-1]``, the next-state
+    row; ``init``, ``trans`` and ``transition`` are their Fraction views.
+    The stage-H row only feeds the inconsequential terminal state
     (builders default it to a point mass on state 1). ``rewards`` maps the
     same index to a DiscreteDist over [0,1] supported inside the shared
     ``reward_support`` of the experiment's model class.
+    ``TabularModel(...)`` takes Fraction rows, ``int_model`` int rows.
     """
 
     S: int
     A: int
     H: int
-    init: tuple[Fraction, ...]
-    trans: tuple  # [x][a][h] -> tuple[Fraction,...] over next states
+    den: int
+    init_nums: tuple[int, ...]
+    trans_nums: tuple  # [x][a][h] -> tuple[int, ...] over next states, over den
     rewards: tuple  # [x][a][h] -> DiscreteDist
     reward_support: tuple[Fraction, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        check_model_parts(self.S, self.A, self.H, self.init, self.trans, self.rewards,
-                          self.reward_support)
+    def __init__(self, S, A, H, init, trans, rewards, reward_support):
+        den, init, trans = _int_rows(init, trans)
+        check_model_parts(S, A, H, den, init, trans, rewards, reward_support)
+        _fill(self, S, A, H, den, init, trans, rewards, reward_support)
+
+    @functools.cached_property
+    def init(self) -> tuple[Fraction, ...]:
+        """The Fraction view of ``init_nums``."""
+        return tuple(Fraction(p, self.den) for p in self.init_nums)
+
+    @functools.cached_property
+    def trans(self) -> tuple:
+        """The Fraction view of ``trans_nums``: [x][a][h] -> tuple[Fraction, ...]."""
+        return _map_rows(lambda row: tuple(Fraction(p, self.den) for p in row), self.trans_nums)
 
     def transition(self, x: int, a: int, h: int) -> tuple[Fraction, ...]:
         return self.trans[x - 1][a - 1][h - 1]
+
+    def transition_nums(self, x: int, a: int, h: int) -> tuple[int, ...]:
+        return self.trans_nums[x - 1][a - 1][h - 1]
 
     def reward_dist(self, x: int, a: int, h: int) -> DiscreteDist:
         return self.rewards[x - 1][a - 1][h - 1]
@@ -253,20 +273,20 @@ class TabularModel:
             self._cache[key] = self.reward_dist(x, a, h).mean()
         return self._cache[key]
 
-    @property
+    @functools.cached_property
     def is_deterministic(self) -> bool:
-        if "det" not in self._cache:
-            det = all(p in (0, 1) for p in self.init)
-            if det:
-                for x in range(self.S):
-                    for a in range(self.A):
-                        for h in range(self.H):
-                            if any(p not in (0, 1) for p in self.trans[x][a][h]):
-                                det = False
-                            if not self.rewards[x][a][h].is_point():
-                                det = False
-            self._cache["det"] = det
-        return self._cache["det"]
+        """Every probability 0 or 1 (so den is 1) and every reward law a point mass."""
+        return self.den == 1 and all(d.is_point() for d in _rows(self.rewards))
+
+
+def _rows(table) -> list:
+    """The entries of an [x][a][h] table, in the C order of (x, a, h)."""
+    return [v for by_a in table for by_h in by_a for v in by_h]
+
+
+def _map_rows(f, table) -> tuple:
+    """An [x][a][h] table of f of each entry."""
+    return tuple(tuple(tuple(map(f, by_h)) for by_h in by_a) for by_a in table)
 
 
 def check_shape(S, A, H) -> None:
@@ -275,13 +295,14 @@ def check_shape(S, A, H) -> None:
         raise ValueError("S, A, H must be positive")
 
 
-def check_model_parts(S, A, H, init, trans, rewards, reward_support) -> None:
+def check_model_parts(S, A, H, den, init, trans, rewards, reward_support) -> None:
     """TabularModel's checks, in its order: the shape, the init vector,
-    then per (x, a, h) the transition row and the reward law."""
+    then per (x, a, h) the transition row and the reward law. The rows are
+    ints over den, read by ``check_int_vector``."""
     check_shape(S, A, H)
     if len(init) != S:
         raise ValueError("init length != S")
-    check_prob_vector(init, "init: negative entry", "init: does not sum to 1")
+    check_int_vector(init, den, "init: negative entry", "init: does not sum to 1")
     support = support_pairs(reward_support)
     for x in range(S):
         for a in range(A):
@@ -290,8 +311,8 @@ def check_model_parts(S, A, H, init, trans, rewards, reward_support) -> None:
                 if len(vec) != S:
                     raise ValueError("transition row length != S")
                 what = f"transitions({x+1},{a+1},{h+1})"
-                check_prob_vector(vec, f"{what}: negative entry",
-                                   f"{what}: does not sum to 1")
+                check_int_vector(vec, den, f"{what}: negative entry",
+                                 f"{what}: does not sum to 1")
                 check_reward_law(rewards[x][a][h], support)
 
 
@@ -314,16 +335,37 @@ def check_reward_law(dist: DiscreteDist, support: set) -> None:
 _MODEL_FIELDS = tuple(f.name for f in fields(TabularModel))
 
 
-def checked_parts_model(S, A, H, init, trans, rewards, reward_support) -> TabularModel:
-    """A TabularModel from parts its caller has already run through
-    ``check_model_parts``; skips the per-model checks of ``__post_init__``."""
-    model = object.__new__(TabularModel)
-    # field by field, as the generated __init__ sets them, so the instance
-    # keeps its compact attribute storage instead of a dict of its own
-    values = (S, A, H, init, trans, rewards, reward_support, {})
-    for name, value in zip(_MODEL_FIELDS, values, strict=True):
-        object.__setattr__(model, name, value)
+def _fill(model: TabularModel, S, A, H, den, init, trans, rewards,
+          reward_support) -> TabularModel:
+    """Set the model's fields, and an empty cache. The rows are stored
+    divided by their gcd with den, over the canonical den; rows already
+    over it are stored as the given objects, so models built from one
+    init and trans share them."""
+    g = math.gcd(den, *init)
+    if g > 1:  # else already canonical, with no row read
+        g = math.gcd(g, *[p for row in _rows(trans) for p in row])
+    if g > 1:
+        den //= g
+        init = tuple([p // g for p in init])
+        trans = _map_rows(lambda row: tuple([p // g for p in row]), trans)
+    values = (S, A, H, den, init, trans, rewards, reward_support, {})
+    # key by key, in field order, as a generated __init__ sets them, so the
+    # instance dict shares its keys with every model's (a dict of keywords
+    # would be merged into a dict of its own)
+    model.__dict__.update(zip(_MODEL_FIELDS, values))
     return model
+
+
+def int_model(S, A, H, den, init, trans, rewards, reward_support,
+              checked: bool = False) -> TabularModel:
+    """The TabularModel of int rows over ``den``: init[x-1] and
+    trans[x-1][a-1][h-1][y-1], checked by ``check_model_parts`` unless
+    ``checked``: the caller has run those checks on the parts, once for
+    every model that shares them."""
+    if not checked:
+        check_model_parts(S, A, H, den, init, trans, rewards, reward_support)
+    return _fill(object.__new__(TabularModel), S, A, H, den, init, trans, rewards,
+                 reward_support)
 
 
 def checked_dist(support: tuple, probs: tuple) -> DiscreteDist:
@@ -343,38 +385,42 @@ def build_model(S, A, H, init, transitions, rewards, reward_support=None):
     and default to a point mass on state 1. ``rewards``:
     {(x,a,h): DiscreteDist | value} (bare values become point masses).
     """
-    init_t, trans = transition_table(S, A, H, init, transitions)
+    rows = transition_table(S, A, H, init, transitions)
     rews = reward_table(S, A, H, rewards)
     if reward_support is None:
-        reward_support = tuple(sorted({v for by_a in rews for by_h in by_a for d in by_h
+        reward_support = tuple(sorted({v for d in _rows(rews)
                                        for v, p in zip(d.support, d.probs) if p > 0}))
     else:
         reward_support = tuple(sorted(as_fraction(v) for v in reward_support))
-    return TabularModel(S, A, H, init_t, trans, rews, reward_support)
+    return int_model(S, A, H, *rows, rews, reward_support)
 
 
 def transition_table(S, A, H, init, transitions) -> tuple:
-    """The (init, trans) fields of ``build_model``'s TabularModel, as
-    Fractions; models that share them can share these tuples. An omitted
-    stage-H row is a point mass on state 1."""
-    init_t = tuple(as_fraction(p) for p in init)
-    sink = (Fraction(1),) + (Fraction(0),) * (S - 1)
-    trans = []
-    for x in range(1, S + 1):
-        tx = []
-        for a in range(1, A + 1):
-            ta = []
-            for h in range(1, H + 1):
-                vec = transitions.get((x, a, h))
-                if vec is None:
-                    if h < H:
-                        raise ValueError(f"missing transition ({x},{a},{h})")
-                    ta.append(sink)
-                else:
-                    ta.append(tuple(as_fraction(p) for p in vec))
-            tx.append(tuple(ta))
-        trans.append(tuple(tx))
-    return init_t, tuple(trans)
+    """The rows of ``build_model``'s TabularModel, unchecked: (den, init,
+    trans) as ``int_model`` takes them, over the canonical den; models
+    that share them can share these tuples. An omitted stage-H row is a
+    point mass on state 1."""
+    def row(x: int, a: int, h: int) -> list:
+        vec = transitions.get((x, a, h))
+        if vec is None and h < H:
+            raise ValueError(f"missing transition ({x},{a},{h})")
+        return sink if vec is None else [as_fraction(p) for p in vec]
+
+    sink = [1] + [0] * (S - 1)
+    trans = [[[row(x, a, h) for h in range(1, H + 1)] for a in range(1, A + 1)]
+             for x in range(1, S + 1)]
+    return _int_rows([as_fraction(p) for p in init], trans)
+
+
+def _int_rows(init, trans) -> tuple:
+    """Rational rows as ints over the lcm of their denominators, the
+    canonical den: (den, init, trans)."""
+    den = math.lcm(*[p.denominator for row in (init, *_rows(trans)) for p in row])
+
+    def nums(row) -> tuple[int, ...]:
+        return tuple([p.numerator * (den // p.denominator) for p in row])
+
+    return den, nums(init), _map_rows(nums, trans)
 
 
 def reward_table(S, A, H, rewards) -> tuple:
@@ -390,24 +436,6 @@ def reward_table(S, A, H, rewards) -> tuple:
 # exact DP primitives
 
 
-def int_parts(model: TabularModel) -> tuple:
-    """The model's init and transition entries as ints over one common
-    denominator, built once per model: (den, init, trans), with init[x-1]
-    and trans[x, a, h][y-1] over den.
-
-    The exact DPs below run on these, so a product or a sum costs no gcd;
-    each returns its result over a power of the denominators.
-    """
-    if "ints" not in model._cache:
-        triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
-                   for h in range(1, model.H + 1)]
-        rows = [model.init] + [model.transition(*t) for t in triples]
-        den = math.lcm(*[p.denominator for row in rows for p in row])
-        rows = [[p.numerator * (den // p.denominator) for p in row] for row in rows]
-        model._cache["ints"] = den, rows[0], dict(zip(triples, rows[1:]))
-    return model._cache["ints"]
-
-
 def int_means(model: TabularModel) -> tuple:
     """The model's mean rewards as ints over one common denominator, built
     once per model: (mean_den, means), with means[x, a, h] over mean_den."""
@@ -416,7 +444,7 @@ def int_means(model: TabularModel) -> tuple:
                    for h in range(1, model.H + 1)]
         terms = [[(v.numerator * p.numerator, v.denominator * p.denominator)
                   for v, p in zip(d.support, d.probs)]
-                 for d in (model.reward_dist(*t) for t in triples)]
+                 for d in _rows(model.rewards)]
         mean_den = math.lcm(*[d for law in terms for _, d in law])
         means = [sum(n * (mean_den // d) for n, d in law) for law in terms]
         model._cache["int_means"] = mean_den, dict(zip(triples, means))
@@ -428,24 +456,18 @@ def _stage_values(model: TabularModel, policy: MarkovPolicy) -> tuple[list, list
 
     Returns (values, dens): values[h-1][x-1] / dens[h-1] is E^pi[sum of
     rewards from stage h on | x_h = x], for h = 1..H+1, with dens[h-1] =
-    mean_den * den ** (H - h) (``int_parts``, ``int_means``); stage H+1
-    is all zeros.
+    mean_den * den ** (H - h) (the model's ``den``, ``int_means``); stage
+    H+1 is all zeros.
     """
-    den, _, trans = int_parts(model)
+    den, trans, H = model.den, model.trans_nums, model.H
     mean_den, means = int_means(model)
-    S, H = model.S, model.H
-    values = [[0] * S]
+    values = [[0] * model.S]
     for h in range(H, 0, -1):
-        togo = values[-1]
-        scale = den ** (H - h)
-        nxt = []
-        for x in range(1, S + 1):
-            a = policy.action(x, h)
-            v = means[x, a, h] * scale
-            if h < H:
-                v += sum(map(operator.mul, trans[x, a, h], togo))
-            nxt.append(v)
-        values.append(nxt)
+        togo, scale = values[-1], den ** (H - h)
+        # stage H's row meets the zero values, so it adds nothing
+        values.append([means[x, a, h] * scale
+                       + sum(map(operator.mul, trans[x - 1][a - 1][h - 1], togo))
+                       for x, a in enumerate([row[h - 1] for row in policy.actions], 1)])
     values.reverse()
     return values, [mean_den * den ** (H - h) for h in range(1, H + 1)] + [mean_den]
 
@@ -453,27 +475,21 @@ def _stage_values(model: TabularModel, policy: MarkovPolicy) -> tuple[list, list
 def policy_value(model: TabularModel, policy: MarkovPolicy) -> Fraction:
     """E^pi[sum of rewards] by backward DP over mean rewards; in [0, H]."""
     values, dens = _stage_values(model, policy)
-    den, init, _ = int_parts(model)
-    return Fraction(sum(map(operator.mul, init, values[0])), den * dens[0])
+    return Fraction(sum(map(operator.mul, model.init_nums, values[0])), model.den * dens[0])
 
 
 def optimal_value(model: TabularModel) -> Fraction:
-    """max over Markov policies of policy_value, by backward max-DP."""
-    S, A, H = model.S, model.A, model.H
-    value = [Fraction(0)] * S
+    """max over Markov policies of policy_value, by backward max-DP on the
+    model's int rows and ``int_means``."""
+    mean_den, means = int_means(model)
+    den, H = model.den, model.H
+    value = [0] * model.S  # stage-h values over mean_den * den ** (H - h)
     for h in range(H, 0, -1):
-        nxt = []
-        for x in range(1, S + 1):
-            best = None
-            for a in range(1, A + 1):
-                v = model.mean_reward(x, a, h)
-                if h < H:
-                    row = model.transition(x, a, h)
-                    v = v + sum(row[y] * value[y] for y in range(S))
-                best = v if best is None or v > best else best
-            nxt.append(best)
-        value = nxt
-    return sum(model.init[x] * value[x] for x in range(S))
+        # stage H's row meets the zero values, so it adds nothing
+        value = [max(means[x, a, h] * den ** (H - h) + sum(map(operator.mul, by_h[h - 1], value))
+                     for a, by_h in enumerate(by_a, 1))
+                 for x, by_a in enumerate(model.trans_nums, 1)]
+    return Fraction(sum(map(operator.mul, model.init_nums, value)), mean_den * den ** H)
 
 
 def trajectory_probability(model, policy, trajectory: Trajectory) -> Fraction:
@@ -520,15 +536,17 @@ def _sampling_rows(model: TabularModel) -> tuple:
     if "sampling" not in model._cache:
         triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
                    for h in range(1, model.H + 1)]
-        laws = [model.reward_dist(*t) for t in triples]
+        laws = _rows(model.rewards)
         width = max(len(d.probs) for d in laws)
         step_table, reward_rows = [], []
         for t, d in zip(triples, laws):
             pad = width - len(d.probs)
             step_table += [Step(*t, v) for v in d.support] + [None] * pad
             reward_rows.append(cumulative_row(d.probs) + [math.inf] * pad)
-        lists = (cumulative_row(model.init), reward_rows,
-                 [cumulative_row(model.transition(*t)) for t in triples])
+        # an int quotient p / den is the float of Fraction(p, den): both round it once
+        rows = [cumulative_row([p / model.den for p in row])
+                for row in (model.init_nums, *_rows(model.trans_nums))]
+        lists = (rows[0], reward_rows, rows[1:])
         model._cache["sampling"] = (lists, tuple(map(np.array, lists)), step_table, width)
     return model._cache["sampling"]
 
@@ -625,20 +643,13 @@ def enumerate_trajectories(model, policy, cap: int = TRAJECTORY_CAP) -> Iterator
 
 
 def reach_probability(model, x: int, h: int) -> Fraction:
-    """max over policies of P^pi[x_h = x], by backward max-DP."""
-    S = model.S
-    g = [Fraction(1 if y == x - 1 else 0) for y in range(S)]
+    """max over policies of P^pi[x_h = x], by backward max-DP on the
+    model's int rows."""
+    g = [int(y == x - 1) for y in range(model.S)]  # stage-tau values over den ** (h - tau)
     for tau in range(h - 1, 0, -1):
-        nxt = []
-        for s in range(1, S + 1):
-            best = None
-            for a in range(1, model.A + 1):
-                row = model.transition(s, a, tau)
-                v = sum(row[y] * g[y] for y in range(S))
-                best = v if best is None or v > best else best
-            nxt.append(best)
-        g = nxt
-    return sum(model.init[y] * g[y] for y in range(S))
+        g = [max(sum(map(operator.mul, by_h[tau - 1], g)) for by_h in by_a)
+             for by_a in model.trans_nums]
+    return Fraction(sum(map(operator.mul, model.init_nums, g)), model.den ** h)
 
 
 def reach_set(model, rho) -> TripleSet:
@@ -650,12 +661,8 @@ def reach_set(model, rho) -> TripleSet:
     rho = as_fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    out = set()
-    for x in range(1, model.S + 1):
-        for h in range(1, model.H + 1):
-            if reach_probability(model, x, h) >= rho:
-                out.update((x, a, h) for a in range(1, model.A + 1))
-    return frozenset(out)
+    return frozenset((x, a, h) for x in range(1, model.S + 1) for h in range(1, model.H + 1)
+                     if reach_probability(model, x, h) >= rho for a in range(1, model.A + 1))
 
 
 def absorbing_steps(model, policy, U: TripleSet) -> tuple[list, int]:
@@ -666,9 +673,8 @@ def absorbing_steps(model, policy, U: TripleSet) -> tuple[list, int]:
     denominator; a U-visit absorbs its mass. Steps of zero mass are left
     out.
     """
-    den, init, trans = int_parts(model)
-    H = model.H
-    alpha = init  # stage-h masses are over den ** h
+    den, trans, H = model.den, model.trans_nums, model.H
+    alpha = model.init_nums  # stage-h masses are over den ** h
     steps = []
     for h in range(1, H + 1):
         scale = den ** (H - h)
@@ -680,7 +686,7 @@ def absorbing_steps(model, policy, U: TripleSet) -> tuple[list, int]:
             steps.append((x, a, h, mass * scale))
             if (x, a, h) in U or h == H:
                 continue
-            for y, p in enumerate(trans[x, a, h]):
+            for y, p in enumerate(trans[x - 1][a - 1][h - 1]):
                 if p:
                     nxt[y] += mass * p
         alpha = nxt

@@ -54,9 +54,8 @@ from .mdp import (
     check_model_parts,
     check_prob_vector,
     check_reward_law,
-    checked_parts_model,
     enumerate_policies,
-    int_parts,
+    int_model,
     reward_table,
     support_pairs,
     transition_table,
@@ -116,7 +115,9 @@ class Posterior:
 
     def __post_init__(self):
         nums, den = self.masses
-        if len(nums) != self.prior.n or min(nums) < 0 or not 0 < den == sum(nums):
+        total = sum(nums)  # an int only when every mass is: a float or a Fraction makes it one
+        if (len(nums) != self.prior.n or type(total) is not int or type(den) is not int
+                or min(nums) < 0 or not 0 < den == total):
             raise ValueError("posterior masses must be n nonnegative ints summing to den")
 
     @property
@@ -229,11 +230,12 @@ class FactoredRewardPrior:
         """Cartesian product of transition atoms and reward assignments.
 
         Atoms of zero weight are left out. The checks of TabularModel run
-        once per transition table and once per reward law, not per atom,
-        and raise what building the atoms one by one would raise first.
-        An atom's rewards field is one sub-tuple per state x, the laws of
-        x's triples: each choice of those laws is combined once, and every
-        atom that makes it shares that sub-tuple.
+        once per transition table, on its int rows, and once per reward
+        law, not per atom, and raise what building the atoms one by one
+        would raise first. The atoms of one transition atom share its int
+        rows. An atom's rewards field is one sub-tuple per state x, the
+        laws of x's triples: each choice of those laws is combined once,
+        and every atom that makes it shares that sub-tuple.
         """
         triples = sorted(self.reward_marginals)
         sizes = [len(self.reward_marginals[t].support) for t in triples]
@@ -253,12 +255,12 @@ class FactoredRewardPrior:
         atoms, weights = [], []
         for init, transitions, tw in self.transition_atoms:
             # coerced once per transition atom; its reward combinations share them
-            init_t, trans = transition_table(S, A, H, init, transitions)
+            D, init_n, trans_n = transition_table(S, A, H, init, transitions)
             tw = as_fraction(tw)
             if not tw:
                 continue
             first = reward_table(S, A, H, {t: c[0][2] for t, c in zip(triples, choice_sets)})
-            check_model_parts(S, A, H, init_t, trans, first, support)
+            check_model_parts(S, A, H, D, init_n, trans_n, first, support)
             if parts is None:
                 # the first atom to fail varies the last triple with a
                 # failing law, at its first failing choice
@@ -274,7 +276,7 @@ class FactoredRewardPrior:
                 # a marginal of a state outside 1..S multiplies the atoms
                 # but has no sub-tuple, as reward_table ignores it
                 rewards = tuple([sub for _, _, sub in combo if sub is not None])
-                atoms.append(checked_parts_model(S, A, H, init_t, trans, rewards, support))
+                atoms.append(int_model(S, A, H, D, init_n, trans_n, rewards, support, checked=True))
                 weights.append(Fraction(num, den))
         return DiscretePrior(tuple(atoms), tuple(weights))
 
@@ -749,8 +751,8 @@ class ExactLattice:
         atoms = self._atoms = prior.atoms
         # each distinct transition table and per-x reward sub-tuple is
         # walked once; the atoms that share it repeat its positions
-        tables, table_ix = _distinct([m.trans for m in atoms])
-        vecs, ix = _distinct([m.init for m in atoms] + [
+        tables, table_ix = _distinct([m.trans_nums for m in atoms])
+        vecs, ix = _distinct([m.init_nums for m in atoms] + [
             vec for table in tables for by_a in table for by_h in by_a for vec in by_h])
         self.vec_ix = ix[:self.n] + _repeat(ix[self.n:], table_ix, S * A * H)
         subs, sub_ix = _distinct([sub for m in atoms for sub in m.rewards])
@@ -758,10 +760,12 @@ class ExactLattice:
         self.law_ix = _repeat(ix, sub_ix, A * H)
         self._sub_ix, self._sub_laws = sub_ix, ix
         masses = [[d.mass(v) for v in self.support] for d in laws]
-        flat, self.den = over_common_den([p for row in vecs + masses for p in row])
-        flat = iter(flat)
-        self.vec_rows = [[next(flat) for _ in row] for row in vecs]
-        self.law_rows = [[next(flat) for _ in row] for row in masses]
+        # the lcm of every law mass's and row entry's denominator: an
+        # atom's den is its rows', and each int row sums to it
+        self.den = math.lcm(*{m.den for m in atoms},
+                            *[p.denominator for row in masses for p in row])
+        self.vec_rows = [[p * (self.den // sum(row)) for p in row] for row in vecs]
+        self.law_rows = [[p.numerator * (self.den // p.denominator) for p in row] for row in masses]
         self.law_means, self.mean_den = over_common_den([d.mean() for d in laws])
         self.value_den = self.mean_den * self.den ** H
         self.reward_start = S + S * A * H * S
@@ -869,7 +873,7 @@ class ExactLattice:
             model = self._atoms[members[0]]
             # the walk's masses are over the table's own den ** H; that den
             # divides the lattice's, the lcm over every row
-            scale = (self.den // int_parts(model)[0]) ** H
+            scale = (self.den // model.den) ** H
             # per x: each member's position among the distinct sub-tuples
             # of x, and their means per (a, h) position
             pos, means = [], []

@@ -105,6 +105,9 @@ def prior_text(prior: DiscretePrior) -> str:
     def vector(vec) -> str:
         return "[" + ",".join(map(num, vec)) + "]"
 
+    def nums(row, den: int) -> str:
+        return vector([Fraction(p, den) for p in row])
+
     def law(d: DiscreteDist) -> str:
         return f'{{"probs":{vector(d.probs)},"support":{vector(d.support)}}}'
 
@@ -117,8 +120,8 @@ def prior_text(prior: DiscretePrior) -> str:
         return ",".join(f'"{x},{a},{h}":{once(id(d), law, d)}'
                         for a, h in ahs for d in [sub[a - 1][h - 1]])
 
-    def transitions(trans) -> str:
-        return ",".join(f'"{x},{a},{h}":{once(id(vec), vector, vec)}'
+    def transitions(trans, den: int) -> str:
+        return ",".join(f'"{x},{a},{h}":{once(id(vec), nums, vec, den)}'
                         for x in xs for a, h in ahs for vec in [trans[x - 1][a - 1][h - 1]])
 
     atoms = []
@@ -126,8 +129,8 @@ def prior_text(prior: DiscretePrior) -> str:
         # a sub-tuple's text holds its x, so it is kept per (x, sub-tuple)
         rews = ",".join([once((x, id(sub)), rewards, x, sub)
                          for x in xs for sub in [m.rewards[x - 1]]])
-        init = once(id(m.init), vector, m.init)
-        trans = once(id(m.trans), transitions, m.trans)
+        init = once(id(m.init_nums), nums, m.init_nums, m.den)
+        trans = once(id(m.trans_nums), transitions, m.trans_nums, m.den)
         atoms.append(f'{{"model":{{"A":{A},"H":{H},"S":{S},"init":{init},"rewards":{{{rews}}},'
                      f'"transitions":{{{trans}}}}},"weight":{num(w)}}}')
     return '{"atoms":[' + ",".join(atoms) + "]}"

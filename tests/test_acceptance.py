@@ -155,11 +155,12 @@ def test_criterion_6_simulation_and_performance_difference():
     sim_violations = 0
     tested = 0
     while tested < 200:
-        base, other, U, rt, pol, eps = sample_similar_pair(rng)
+        base, other, U, rt, pol, rep = sample_similar_pair(rng)
+        eps = rep.max_distance()
         if eps == 0:
             continue
         tested += 1
-        lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
+        lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps, rep)
         if lhs > bound:
             sim_violations += 1
     worst = Fraction(0)

@@ -35,7 +35,7 @@ from ielab import (
 from ielab.analysis import eps_p_bound, eps_r_bound
 from ielab.harness import PERF_PAIRS, SIM_PAIRS, sample_similar_pair
 from ielab.instances import GRID, grid_widths, random_model
-from ielab.mdp import DiscreteDist, check_int_vector, check_model_parts, check_prob_vector
+from ielab.mdp import DiscreteDist, TabularModel, check_int_vector, check_prob_vector
 
 
 def test_is_punished(det_prior):
@@ -144,11 +144,12 @@ def test_simulation_gap_randomized_bound():
     rng = np.random.default_rng(13)
     done = 0
     while done < 200:
-        base, other, U, rt, pol, eps = sample_similar_pair(rng)
+        base, other, U, rt, pol, rep = sample_similar_pair(rng)
+        eps = rep.max_distance()
         if eps == 0:
             continue
         done += 1
-        lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps)
+        lhs, bound = simulation_gap(base, other, U, lambda t: rt[t], pol, eps, rep)
         assert isinstance(lhs, Fraction) and isinstance(bound, Fraction)
         assert lhs <= bound
 
@@ -373,7 +374,7 @@ weight = st.fractions(min_value=0, max_value=1, max_denominator=40)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(weight, weight, weight), min_size=1, max_size=3))
 def test_l1_over_common_denominator_matches_fraction_sum(rows):
-    """similarity's l1, taken on both models' int_parts over the product
+    """similarity's l1, taken on both models' int rows over the product
     of their denominators, equals the plain Fraction sum of |p - q|: two
     one-action models whose init vectors and transition rows have
     unrelated denominators (up to 40 before normalizing)."""
@@ -388,21 +389,35 @@ def test_l1_over_common_denominator_matches_fraction_sum(rows):
         assert d == (_fraction_l1(q, r) if h == 1 else 0)
 
 
+def fraction_view_ints(m) -> tuple:
+    """(den, init, trans) of the model's Fraction views: every entry as an
+    int over the lcm of their denominators."""
+    rows = [m.init, *[row for by_a in m.trans for by_h in by_a for row in by_h]]
+    den = math.lcm(*[p.denominator for row in rows for p in row])
+
+    def ints(row):
+        return tuple(p.numerator * (den // p.denominator) for p in row)
+
+    return den, ints(m.init), tuple(tuple(tuple(ints(row) for row in by_h) for by_h in by_a)
+                                    for by_a in m.trans)
+
+
 def test_int_side_checks_equal_fraction_checks():
     """Every model of ``verify_sim_lemma``'s own stream, ``default_rng(7)``
     (its 212 similar-pair draws, base and perturbed model each, also the
     eps = 0 draws it skips, then its 200 performance-difference models),
-    built and checked on the grid's ints, passes three references: the
-    Fraction checks of ``check_model_parts``; each law equals the
-    DiscreteDist the public constructor builds from its support and
-    probabilities; and ``similarity`` equals the plain Fraction sum of
-    |p - q| on every vector."""
+    built and checked on the grid's ints, passes four references: its
+    stored int rows are the ints of its Fraction views over their lcm;
+    the public constructor accepts those views and builds an equal model;
+    each law equals the DiscreteDist the public constructor builds from
+    its support and probabilities; and ``similarity`` equals the plain
+    Fraction sum of |p - q| on every vector."""
     rng = np.random.default_rng(7)
     pairs = []
     tested = 0
     while tested < SIM_PAIRS:
-        base, other, _, _, _, eps = sample_similar_pair(rng)
-        tested += eps != 0
+        base, other, _, _, _, rep = sample_similar_pair(rng)
+        tested += rep.max_distance() != 0
         pairs.append((base, other))
     n_similar = len(pairs)
     for _ in range(PERF_PAIRS):
@@ -413,7 +428,9 @@ def test_int_side_checks_equal_fraction_checks():
     for m1, m2 in pairs:
         everything = all_triples(m1.S, m1.A, m1.H)
         for m in (m1, m2):
-            check_model_parts(m.S, m.A, m.H, m.init, m.trans, m.rewards, m.reward_support)
+            assert (m.den, m.init_nums, m.trans_nums) == fraction_view_ints(m)
+            assert TabularModel(m.S, m.A, m.H, m.init, m.trans, m.rewards,
+                                m.reward_support) == m
             for t in everything:
                 law = m.reward_dist(*t)
                 assert law == DiscreteDist(law.support, law.probs)
@@ -421,6 +438,13 @@ def test_int_side_checks_equal_fraction_checks():
         assert rep.init_distance == _fraction_l1(m1.init, m2.init)
         assert rep.transition_distances == {
             t: _fraction_l1(m1.transition(*t), m2.transition(*t)) for t in everything}
+
+
+def test_prior_atoms_store_their_fraction_views_over_the_lcm(det_prior, stoch_prior):
+    """Every atom of both bundled priors stores the ints of its Fraction
+    views over their lcm."""
+    for m in (*det_prior.atoms, *stoch_prior.atoms):
+        assert (m.den, m.init_nums, m.trans_nums) == fraction_view_ints(m)
 
 
 def test_grid_int_checks_raise_the_fraction_messages():

@@ -159,7 +159,8 @@ def sim_lemma_instances() -> dict:
     digest = hashlib.sha256()
     draws = tested = 0
     while tested < SIM_PAIRS:
-        base, other, U, rt, pol, eps = sample_similar_pair(rng)
+        base, other, U, rt, pol, rep = sample_similar_pair(rng)
+        eps = rep.max_distance()
         draws += 1
         tested += eps != 0
         for line in (_model_text(base), _model_text(other), json.dumps(sorted(U)),

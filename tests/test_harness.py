@@ -398,7 +398,7 @@ def test_prior_text_is_the_canonical_json(det_prior, stoch_prior):
             "rewards": {t: {"support": [0, "1/2"], "probs": [0, 1]}
                         for t in ("1,1,1", "1,1,2", "2,1,1", "2,1,2")}}}]})
     a, b = listed.atoms
-    assert a.trans is not b.trans and all(
+    assert a.trans_nums is not b.trans_nums and all(
         sa is not sb and all(d is not e for ra, rb in zip(sa, sb) for d, e in zip(ra, rb))
         for sa, sb in zip(a.rewards, b.rewards))
     for prior in (det_prior, stoch_prior, wide, long, listed):

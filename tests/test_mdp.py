@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -18,6 +19,7 @@ from ielab import (
     enumerate_trajectories,
     event_visit_probability,
     occupancy_omega,
+    optimal_value,
     policy_value,
     reach_probability,
     reach_set,
@@ -185,6 +187,24 @@ def test_reach_probability_brute_force(stoch_prior):
             for h in (1, 2):
                 brute = max(forward_visit_probability(atom, p, x, h) for p in pols)
                 assert reach_probability(atom, x, h) == brute
+
+
+def test_int_row_max_dps_match_fraction_brute_force():
+    """optimal_value and reach_probability, max-DPs on the int rows, equal
+    the max over every policy of the Fraction references (trajectory
+    enumeration, the forward recursion on the Fraction views) on random
+    models of each shape up to 3 x 2 x 3."""
+    rng = np.random.default_rng(11)
+    for S in (1, 2, 3):
+        for A in (1, 2):
+            for H in (1, 2, 3):
+                m = random_model(rng, S, A, H)
+                pols = enumerate_policies(S, A, H)
+                assert optimal_value(m) == max(brute_force_value(m, p) for p in pols)
+                for x in range(1, S + 1):
+                    for h in range(1, H + 1):
+                        assert reach_probability(m, x, h) == max(
+                            forward_visit_probability(m, p, x, h) for p in pols)
 
 
 def test_reach_set_deterministic_is_trajectory_union(det_prior):
@@ -533,3 +553,57 @@ def test_integer_model_check_matches_fraction_check(data):
                     for _ in range(S))
     args = (S, A, H, init, trans, rewards, reward_support)
     assert outcome(TabularModel, *args) == outcome(fraction_model_check, *args)
+
+
+def _two_state_parts(row_21):
+    """A 2-state, 1-action, 2-stage model's parts as Fractions, with
+    ``row_21`` the transition row of (2, 1, 1): (init, trans, rewards,
+    reward_support)."""
+    sink = (Fraction(1), Fraction(0))
+    trans = (((Fraction(1, 3), Fraction(2, 3)), sink),), ((tuple(row_21), sink),)
+    rewards = ((DiscreteDist.point(0),) * 2,), ((DiscreteDist.point(0),) * 2,)
+    return (Fraction(1, 4), Fraction(3, 4)), trans, rewards, (Fraction(0),)
+
+
+def _over(den, init, trans):
+    """Fraction rows as ints over den."""
+    def ints(row):
+        return tuple(int(p * den) for p in row)
+
+    return ints(init), tuple(tuple(tuple(ints(row) for row in by_h) for by_h in by_a)
+                             for by_a in trans)
+
+
+def test_int_model_of_unreduced_rows_equals_the_fraction_model():
+    """A model built from int rows over a multiple of the canonical den
+    equals, and hashes like, the one built from the same Fraction rows:
+    both store the rows over the lcm of their reduced denominators."""
+    from ielab.mdp import TabularModel, int_model
+
+    init, trans, rewards, support = _two_state_parts((Fraction(1, 2), Fraction(1, 2)))
+    want = TabularModel(2, 1, 2, init, trans, rewards, support)
+    assert want.den == 12 and want.init_nums == (3, 9)
+    for den in (12, 24, 120):
+        got = int_model(2, 1, 2, den, *_over(den, init, trans), rewards, support)
+        assert got == want and hash(got) == hash(want)
+        assert (got.den, got.init_nums, got.trans_nums) == (12, (3, 9), want.trans_nums)
+        assert got.init == init and got.trans == trans
+
+
+def test_int_model_raises_the_fraction_check_messages():
+    """On a transition row with a negative entry, or one that does not
+    sum to 1, ``int_model`` over an unreduced den and the public
+    constructor both raise the ValueError ``check_prob_vector`` raises on
+    the row as Fractions."""
+    from ielab.mdp import TabularModel, check_prob_vector, int_model
+
+    what = "transitions(2,1,1)"
+    for row in ((Fraction(-1, 4), Fraction(5, 4)), (Fraction(1, 2), Fraction(1, 4))):
+        with pytest.raises(ValueError) as want:
+            check_prob_vector(row, f"{what}: negative entry", f"{what}: does not sum to 1")
+        init, trans, rewards, support = _two_state_parts(row)
+        message = f"^{re.escape(str(want.value))}$"
+        with pytest.raises(ValueError, match=message):
+            int_model(2, 1, 2, 24, *_over(24, init, trans), rewards, support)
+        with pytest.raises(ValueError, match=message):
+            TabularModel(2, 1, 2, init, trans, rewards, support)

@@ -84,19 +84,23 @@ def test_expansion_atoms_equal_build_model(det_factored, det_prior, stoch_factor
                             reward_support=support) == atom
                 for init, transitions, _ in fp.transition_atoms
             )
-        per_transition_atom = {id(atom.trans) for atom in prior.atoms}
+        per_transition_atom = {id(atom.trans_nums) for atom in prior.atoms}
         assert len(per_transition_atom) == len(fp.transition_atoms)
 
 
 def expand_atom_by_atom(fp: FactoredRewardPrior) -> DiscretePrior:
     """The expansion as each atom used to be built: every TabularModel
-    through its own checks, every weight a product of Fractions."""
+    from Fraction rows, through its own Fraction checks, every weight a
+    product of Fractions."""
     triples = sorted(fp.reward_marginals)
     lifted = fp._lifted()
     support = tuple(sorted(as_fraction(v) for v in fp.global_support(lifted)))
     atoms, weights = [], []
     for init, transitions, tw in fp.transition_atoms:
-        init_t, trans = transition_table(fp.S, fp.A, fp.H, init, transitions)
+        den, init_n, trans_n = transition_table(fp.S, fp.A, fp.H, init, transitions)
+        init_t = tuple(Fraction(p, den) for p in init_n)
+        trans = tuple(tuple(tuple(tuple(Fraction(p, den) for p in row) for row in by_h)
+                            for by_h in by_a) for by_a in trans_n)
         for combo in product(*(lifted[t] for t in triples)):
             w = as_fraction(tw)
             for _, p, _ in combo:
@@ -429,7 +433,8 @@ def test_bayes_greedy_rescaling_invariance(stoch_prior):
 def test_exact_posterior_masses_are_checked(det_prior):
     """An exact posterior stores n nonnegative ints over a positive den
     equal to their sum; a negative mass is rejected even when the sum
-    holds."""
+    holds, and so are float or Fraction masses, or a float den, whose sum
+    equals den."""
     n = det_prior.n
     post = Posterior(det_prior, ((3, 1) + (0,) * (n - 2), 4))
     assert post.weights[:3] == (Fraction(3, 4), Fraction(1, 4), 0)
@@ -437,7 +442,10 @@ def test_exact_posterior_masses_are_checked(det_prior):
     for masses in [((2, -1) + (0,) * (n - 2), 1),
                    ((1,) * n, n + 1),
                    ((0,) * n, 0),
-                   ((1,), 1)]:
+                   ((1,), 1),
+                   ([1 / n] * n, 1.0),
+                   ((Fraction(1, n),) * n, 1),
+                   ((1,) * n, float(n))]:
         with pytest.raises(ValueError, match="nonnegative ints"):
             Posterior(det_prior, masses)
 
