@@ -95,13 +95,21 @@ GRID = 64  # random probabilities are multiples of 1/GRID
 _GRID_FRACTIONS = tuple(Fraction(k, GRID) for k in range(GRID + 1))
 
 
-def grid_widths(cuts, negative: str, not_one: str) -> list[int]:
+def grid_widths(cuts, where=None) -> list[int]:
     """The widths of [0, GRID] cut at the sorted cuts: the numerators over
     GRID of a probability vector, checked as ints by check_prob_vector's
-    rule, with its messages."""
+    rule, with its messages for the vector ``where`` names: "init", a
+    transition row's (x, a, h), or None for a reward law. Cuts in
+    [0, GRID] always pass, so the messages are built only on failure."""
     cuts = [0, *sorted(cuts), GRID]
     widths = list(map(operator.sub, cuts[1:], cuts))
-    check_int_vector(widths, GRID, negative, not_one)
+    if min(widths) < 0 or sum(widths) != GRID:
+        if where is None:
+            negative, not_one = "negative probability", "probabilities must sum to 1 exactly"
+        else:
+            what = where if isinstance(where, str) else "transitions({},{},{})".format(*where)
+            negative, not_one = f"{what}: negative entry", f"{what}: does not sum to 1"
+        check_int_vector(widths, GRID, negative, not_one)
     return widths
 
 
@@ -146,8 +154,7 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
     n_cuts = (S - 1) + S * A * ((H - 1) * (S - 1) + H * (k - 1))
     # each vector's widths are cut at the next n - 1 cuts, n its length
     cuts = iter(rng.integers(0, GRID + 1, size=n_cuts).tolist())
-    init = tuple(grid_widths(islice(cuts, S - 1), "init: negative entry",
-                             "init: does not sum to 1"))
+    init = tuple(grid_widths(islice(cuts, S - 1), "init"))
     sink = _sink_row(S, H, GRID)
     trans, rewards = [], []
     for x in range(1, S + 1):
@@ -156,13 +163,10 @@ def random_model(rng: np.random.Generator, S: int, A: int, H: int,
             t_xa, r_xa = [], []
             for h in range(1, H + 1):
                 if h < H:
-                    what = f"transitions({x},{a},{h})"
-                    t_xa.append(tuple(grid_widths(islice(cuts, S - 1), f"{what}: negative entry",
-                                                  f"{what}: does not sum to 1")))
+                    t_xa.append(tuple(grid_widths(islice(cuts, S - 1), (x, a, h))))
                 else:
                     t_xa.append(sink)
-                probs = grid_widths(islice(cuts, k - 1), "negative probability",
-                                    "probabilities must sum to 1 exactly")
+                probs = grid_widths(islice(cuts, k - 1))
                 r_xa.append(checked_dist(law_support, tuple(_GRID_FRACTIONS[probs[i]]
                                                             for i in order)))
             t_x.append(tuple(t_xa))

@@ -10,7 +10,11 @@ and p_hal audits read per revealed ledger its hallucinated and honest
 joints as ints over one group denominator, built once per phase and kept
 on the table; a Fraction is built only where a value leaves a query.
 ``mechanism_posterior_from_table`` is the independent Fraction reference
-of those joints. Each policy's trajectories are
+of those joints. A node's censored posterior, Pr[punish | censored] and
+hallucination branches are computed once per (phase, censored count
+signature, revealed occurrences in entry order, U) in one
+``enumerate_game`` call, and each node still gets its own ledgers and
+branch ledgers. Each policy's trajectories are
 enumerated once for all atoms and checked, in integers, to carry every
 atom's full mass; so the last phase, whose trajectories only feed the
 model marginal, adds each node's masses times its branches' total
@@ -98,6 +102,7 @@ class PhaseNode:
     pr_punish_given_cens: Fraction
     branches: list
     exploit_policy: MarkovPolicy | None
+    signature: tuple  # count_signature(lam_cens), carried from the parent
 
     def mass(self) -> Fraction:
         return Fraction(sum(self.masses.values()), self.den)
@@ -173,6 +178,15 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     ``variant`` is "standard" or "hallucinate_unconditioned" (a mutated
     mechanism that skips the punish-event conditioning when drawing the
     hallucinated model; used as a negative control).
+
+    A node's censored posterior and hallucination branches depend on its
+    history only through the phase, its censored count signature, U and
+    the triples of its revealed occurrences in entry order (the
+    signature has no feature for a stage-H action, and the branches
+    assign and reveal rewards in entry order). So they are computed once
+    per such key, and the punish event once per U; a node whose key was
+    seen builds only its own branch ledgers. Each child carries its
+    signature from its parent plus its trajectory's path features.
     """
     if variant not in ("standard", "hallucinate_unconditioned"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -185,36 +199,52 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
 
     marginal = table.model_marginal
     last_terms: dict = {}  # den -> {atom: int}: the marginal's terms by denominator
+    events: dict = {}  # U -> (punish event, hallucination event)
+    # (ell, signature, revealed occurrences, U) -> (Pr[punish | censored],
+    # per branch: its revealed rewards in entry order, probability, policy;
+    # the branches' total probability)
+    laws: dict = {}
 
-    def recurse(masses: dict, den: int, history: list, ell: int):
-        """masses[atom] over den: the node's joint masses, as ints."""
+    def recurse(masses: dict, den: int, history: list, sig: tuple, triples: tuple, ell: int):
+        """masses[atom] over den: the node's joint masses, as ints; sig:
+        its censored ledger's count signature; triples: its steps'
+        (x, a, h), in entry order."""
         nonlocal n_nodes
         n_nodes += 1
         if n_nodes > cap:
             raise CapExceeded(f"game tree exceeds {cap} nodes")
         lam_raw = raw_ledger(S, A, H, history)
         U = underexplored_set(lam_raw, config.n_lrn)
-        explored = complement_triples(U, S, A, H)
         lam_cens = totally_censor(lam_raw)
         lam_hon = censor_ledger(lam_raw, U)
-        punish = punish_event(prior, explored, config.eps_pun)
-        hal_event = punish if variant == "standard" else prior.full_event()
-        nums, cens_den = canonical_posterior(prior, lam_cens).masses
-        on_punish = [v if i in punish else 0 for i, v in enumerate(nums)]
-        q = Fraction(sum(on_punish), cens_den)
-        branches = _hal_branches(prior, on_punish if variant == "standard" else nums,
-                                 lam_cens, U, hal_event, agent, config, ell, cap)
+        if U not in events:
+            punish = punish_event(prior, complement_triples(U, S, A, H), config.eps_pun)
+            events[U] = punish, punish if variant == "standard" else prior.full_event()
+        punish, hal_event = events[U]
+        key = (ell, sig, tuple(t for t in triples if t not in U), U)
+        if key in laws:
+            q, rows, total = laws[key]
+            branches = [HalBranch(reveal_rewards(lam_cens, U, rewards), prob, policy)
+                        for rewards, prob, policy in rows]
+        else:
+            nums = lattice.masses(lattice.weights, sig)
+            on_punish = [v if i in punish else 0 for i, v in enumerate(nums)]
+            branches = _hal_branches(prior, on_punish if variant == "standard" else nums,
+                                     lam_cens, U, hal_event, agent, config, ell, cap)
+            q, total = Fraction(sum(on_punish), sum(nums)), sum(br.prob for br in branches)
+            laws[key] = q, [
+                ([s.r for _, traj in br.ledger.entries for s in traj.steps if s.r is not None],
+                 br.prob, br.policy) for br in branches], total
         exploit_policy = None
         episodes = phase_episodes(config, ell)
         if len(episodes) > 1:
             exploit_policy = agent.choose(episodes[0], ell, lam_hon)
         node = PhaseNode(ell, masses, den, U, lam_cens, lam_hon, punish, q,
-                         branches, exploit_policy)
+                         branches, exploit_policy, sig)
         table.nodes[ell].append(node)
         if ell == phases:
             # the last phase's trajectories only feed the marginal, which
             # gets each atom's mass times the branches' total probability
-            total = sum(br.prob for br in branches)
             terms = last_terms.setdefault(den * total.denominator, {})
             for i, v in masses.items():
                 terms[i] = terms.get(i, 0) + v * total.numerator
@@ -226,8 +256,9 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
                 continue
             child_den = den * br.prob.denominator * paths.den
             children: dict = {}  # path index -> {atom: joint mass}, atom-major order
+            num = br.prob.numerator
             for i, v in masses.items():
-                v *= br.prob.numerator
+                v *= num
                 # an atom yields each trajectory once, so its mass is set, not summed
                 for k in paths.of_atom[i]:
                     child = children.get(k)
@@ -235,12 +266,18 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
                         child = children[k] = {}
                     child[i] = v * paths.masses[k][i]
             for k, atom_masses in children.items():
-                recurse(atom_masses, child_den, history + [(br.policy, paths.trajectories[k])],
-                        ell + 1)
+                traj = paths.trajectories[k]
+                counts = dict(sig)
+                for f in lattice.entry_features(traj.steps)[0]:
+                    if f < lattice.reward_start:  # the censored ledger reveals no reward
+                        counts[f] = counts.get(f, 0) + 1
+                recurse(atom_masses, child_den, history + [(br.policy, traj)],
+                        tuple(sorted(counts.items())),
+                        triples + tuple((s.x, s.a, s.h) for s in traj.steps), ell + 1)
 
     if phases:
         weights, den = over_common_den(prior.weights)
-        recurse(dict(enumerate(weights)), den, [], 1)
+        recurse(dict(enumerate(weights)), den, [], (), (), 1)
         for term_den, terms in last_terms.items():
             for i, v in terms.items():
                 marginal[i] = marginal.get(i, 0) + Fraction(v, term_den)

@@ -451,13 +451,19 @@ def test_grid_int_checks_raise_the_fraction_messages():
     """Negative control: int widths with a negative entry, or summing to
     GRID - 1, raise the ValueError that check_prob_vector raises on the
     same vector as Fractions over GRID; so does a cut outside [0, GRID]
-    in ``grid_widths``."""
+    in ``grid_widths``, which builds its message only then and names the
+    vector as TabularModel and DiscreteDist do: init, a transition row by
+    its (x, a, h), a reward law by the law's own text."""
     negative, not_one = "init: negative entry", "init: does not sum to 1"
     for widths in ([-1, GRID + 1], [0, GRID - 1], [GRID - 2, 1, 0]):
         with pytest.raises(ValueError) as want:
             check_prob_vector([Fraction(w, GRID) for w in widths], negative, not_one)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             check_int_vector(widths, GRID, negative, not_one)
-    with pytest.raises(ValueError, match=f"^{negative}$"):
-        grid_widths([GRID + 1], negative, not_one)
-    assert grid_widths([GRID, 0, 5], negative, not_one) == [0, 5, GRID - 5, 0]
+    for where, message in (("init", negative),
+                           ((2, 1, 1), "transitions(2,1,1): negative entry"),
+                           (None, "negative probability")):
+        for cuts in ([GRID + 1], [-1, 5]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                grid_widths(cuts, where)
+    assert grid_widths([GRID, 0, 5], "init") == [0, 5, GRID - 5, 0]

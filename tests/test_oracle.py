@@ -22,6 +22,10 @@ from ielab import (
     policy_selection_case,
 )
 from ielab import harness, oracle
+from ielab.agents import make_agent
+from ielab.mdp import complement_triples
+from ielab.mechanism import punish_event
+from ielab.priors import canonical_posterior, exact_lattice
 from ielab.harness import _det_target_provider
 
 
@@ -152,6 +156,46 @@ def test_stochastic_micro_table(stoch_prior):
     assert hallucination_distribution_check(table, 2) == 0
     with pytest.raises(CapExceeded):
         enumerate_game(cfg, stoch_prior, 3, cap=60)
+
+
+def test_memoized_node_laws_equal_each_nodes_own(det_prior, det_table3, stoch_prior):
+    """enumerate_game computes Pr[punish | censored] and the hallucination
+    branches once per (phase, censored signature, revealed occurrences,
+    U). On the det table at 3 phases and the stoch n_lrn 1 tables at 3
+    phases, each node's q, punish event and branches (probability,
+    policy, ledger) equal those recomputed from its own ledgers, and its
+    carried signature is its censored ledger's count signature.
+
+    Both stoch tables have (phase, signature, U) groups with several
+    occurrence orders. On the standard one every revealed reward of a
+    branch is the punish event's 0 whatever the order; the unconditioned
+    variant draws them from the whole posterior, so there a key without
+    the order would give nodes another node's rewards."""
+    cfg = MechanismConfig(40, 1, Fraction(7, 2880), 2, rho=Fraction(1, 4))
+    tables = [(det_prior, det_table3, "standard")] + [
+        (stoch_prior, enumerate_game(cfg, stoch_prior, 3, variant=variant, cap=40_000), variant)
+        for variant in ("standard", "hallucinate_unconditioned")]
+    for prior, table, variant in tables:
+        lattice = exact_lattice(prior)
+        config = table.config
+        agent = make_agent(table.agent_mode, prior, config)
+        orders: dict = {}
+        for ell, nodes in table.nodes.items():
+            for node in nodes:
+                assert node.signature == lattice.count_signature(node.lam_cens)
+                explored = complement_triples(node.U, *prior.shape)
+                assert node.punish == punish_event(prior, explored, config.eps_pun)
+                nums, den = canonical_posterior(prior, node.lam_cens).masses
+                on_punish = [v if i in node.punish else 0 for i, v in enumerate(nums)]
+                assert node.pr_punish_given_cens == Fraction(sum(on_punish), den)
+                event = node.punish if variant == "standard" else prior.full_event()
+                assert node.branches == oracle._hal_branches(
+                    prior, on_punish if variant == "standard" else nums, node.lam_cens, node.U,
+                    event, agent, config, ell, oracle.ORACLE_LEAF_CAP)
+                occurrences = tuple((s.x, s.a, s.h) for _, traj in node.lam_cens.entries
+                                    for s in traj.steps if (s.x, s.a, s.h) not in node.U)
+                orders.setdefault((ell, node.signature, node.U), set()).add(occurrences)
+        assert max(map(len, orders.values())) >= (1 if prior is det_prior else 2)
 
 
 def test_enumerate_game_zero_evidence_names_the_assumption():
