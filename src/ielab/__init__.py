@@ -80,7 +80,7 @@ from .mechanism import (
     run_game,
     run_games,
 )
-from .agents import AgentSpec, episode_phase, make_agent, mechanism_posterior
+from .agents import AgentSpec, make_agent, mechanism_posterior
 from .oracle import (
     JointTable,
     enumerate_game,

@@ -35,26 +35,20 @@ from .priors import (
 AGENT_MODES = ("canonical_truster", "fully_rational")
 
 
-def episode_phase(config: MechanismConfig, k: int) -> int:
-    """Phase index containing episode k."""
-    if k <= config.n_lrn:
-        return k
-    return config.n_lrn + 1 + (k - config.n_lrn - 1) // config.n_phase
-
-
-def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, k: int,
+def mechanism_posterior(prior: DiscretePrior, config: MechanismConfig, ell: int,
                         revealed: Ledger, p0=None):
     """Exact posterior over the true model given the revealed ledger.
 
-    Mixes the two ways episode k could have seen this ledger: it is the
-    phase's hallucination episode (prior probability p0) and the ledger
-    was fabricated from the punish posterior, or it is an exploitation
-    episode and the ledger is the honest one. Returns (Posterior, p_hal)
-    where p_hal = Pr[k is the hallucination episode | ledger]. Passing
-    p0=0 gives the infinite-phase-length limit (pure honest branch).
+    Mixes the two ways an episode of phase ell could have seen this
+    ledger: it is the phase's hallucination episode (prior probability
+    p0, phase ell's by default) and the ledger was fabricated from the
+    punish posterior, or it is an exploitation episode and the ledger is
+    the honest one. Returns (Posterior, p_hal) where p_hal = Pr[the
+    episode is the hallucination episode | ledger]. Passing p0=0 gives
+    the infinite-phase-length limit (pure honest branch).
     """
     if p0 is None:
-        p0 = hallucination_prior_prob(config, episode_phase(config, k))
+        p0 = hallucination_prior_prob(config, ell)
     U = revealed.censor_set
     punish = punish_event(prior, complement_triples(U, *prior.shape), config.eps_pun)
     masses, p_hal = _mechanism_weights_exact(prior, revealed, punish, Fraction(p0))
@@ -91,8 +85,8 @@ def _mechanism_weights_exact(prior, revealed: Ledger, punish, p0: Fraction):
 
 
 def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.ndarray,
-                             punish: np.ndarray, p0: float):
-    """The mechanism posterior weights and p_hal on the prior's PriorTables.
+                             punish: np.ndarray, p0: float) -> np.ndarray:
+    """The mechanism posterior weights on the prior's PriorTables.
 
     ``can`` is the canonical posterior of the censored ledger (the
     normalized weights of its per-atom log transition mass), ``counts``
@@ -101,7 +95,7 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     ``can`` and ``punish`` broadcast against the counts' stack. The closed
     form of ``_mechanism_weights_exact``, with B the revealed-reward
     masses: the log-masses are shifted by their largest finite value
-    first, which cancels in the weights and p_hal and keeps B from
+    first, which cancels in the weights and keeps B from
     underflowing on long ledgers. The sums over the punish event are
     masked full-length row sums, one stacked sum per quantity. The
     weights pass ``check_weight_sums``.
@@ -119,10 +113,7 @@ def _mechanism_weights_float(tables: PriorTables, can: np.ndarray, counts: np.nd
     total = w.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ZeroEvidence("revealed ledger impossible under both branches")
-    denom = p0 * A + (1.0 - p0) * (can * B).sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_hal = np.where(denom != 0, p0 * A / denom, 0.0)[..., 0]
-    return check_weight_sums(w / total), p_hal
+    return check_weight_sums(w / total)
 
 
 @dataclass
@@ -145,8 +136,9 @@ class AgentSpec:
         if self.mode not in AGENT_MODES:
             raise ValueError(f"unknown agent mode {self.mode!r}")
 
-    def choose(self, k: int, ell: int, revealed: Ledger) -> MarkovPolicy:
-        """Bayes-greedy policy for a revealed ledger, on its exact posterior."""
+    def choose(self, ell: int, revealed: Ledger) -> MarkovPolicy:
+        """Bayes-greedy policy for a revealed ledger at phase ell, on its
+        exact posterior."""
         # a canonical ledger mass is a product of i.i.d. entry masses, so both
         # modes' posteriors depend on the ledger only through U and its counts;
         # ell fixes the fully rational agent's hallucination prior p0
@@ -157,7 +149,7 @@ class AgentSpec:
             pol = bayes_greedy(canonical_posterior(self.prior, revealed))
         else:
             try:
-                post, _ = mechanism_posterior(self.prior, self.config, k, revealed)
+                post, _ = mechanism_posterior(self.prior, self.config, ell, revealed)
                 pol = bayes_greedy(post)
             except CapExceeded as e:
                 raise OracleUnavailable(
@@ -177,8 +169,8 @@ class AgentSpec:
             weights = ctx.fast.revealed_weights(counts)
         else:
             p0 = float(hallucination_prior_prob(self.config, ell))
-            weights, _ = _mechanism_weights_float(tables, ctx.cens_weights, counts,
-                                                  ctx.punish_mask, p0)
+            weights = _mechanism_weights_float(tables, ctx.cens_weights, counts,
+                                               ctx.punish_mask, p0)
         policies = tables.greedy(weights)
         R = len(policies) // len(kinds)
         return [policies[i * R:(i + 1) * R] for i in range(len(kinds))]

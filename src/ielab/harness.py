@@ -320,7 +320,7 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     rho = _parsed(cfg.get("rho", "1/4"), "rho", as_fraction)
     delta = _parsed(cfg.get("delta", 0.1), "delta", float)
     mech_ov = _mechanism_fields(cfg)
-    base, report = prob_parameters(
+    base, _ = prob_parameters(
         factored, rho, delta,
         n_lrn_override=mech_ov.get("n_lrn"),
         n_phase_override=mech_ov.get("n_phase"),
@@ -335,8 +335,11 @@ def cmd_run_prob(cfg: ExperimentConfig) -> int:
     _run_seeds(cfg, prior, config, "prob-run",
                cfg.get("agent", {}).get("mode", "canonical_truster"), "hallucination",
                PROB_SUMMARY_COLUMNS, row)
-    print(f"# theory scale: n_lrn={report['n_lrn_theory']} "
-          f"n_phase={report['n_phase_theory']} L_0={report['L_0']} K={report['K']}")
+    # the theory-scale L_0 and K, as ``params`` reports them, not the
+    # overridden run's
+    _, theory = prob_parameters(factored, rho, delta)
+    print(f"# theory scale: n_lrn={theory['n_lrn_theory']} "
+          f"n_phase={theory['n_phase_theory']} L_0={theory['L_0']} K={theory['K']}")
     return 0
 
 

@@ -12,9 +12,9 @@ rows: a builder whose models share rows and reward laws checks each once
 and builds its models with ``checked=True``. One forward recursion walks
 a policy's visits, ``absorbing_steps``; the visit events, occupancy
 weights and reachable triples are read off it.
-Sampling reads one table of ``rng.cumulative_row`` rows per model,
-indexed by the flat (x, a, h) index; the float posterior route lives in
-``priors.PriorTables``.
+One trajectory sampler, ``rollout``, reads one table of
+``rng.cumulative_row`` rows per model, indexed by the flat (x, a, h)
+index; the float posterior route lives in ``priors.PriorTables``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .errors import CapExceeded
 from .rng import cumulative_row, sample_index
@@ -524,30 +522,21 @@ def path_mass(model, steps) -> Fraction:
 
 def _sampling_rows(model: TabularModel) -> tuple:
     """The model's sampling rows, built once: ``rng.cumulative_row`` of the
-    init vector, then per flat (x, a, h) index (C order over (S, A, H)) of
-    the reward law and of the transition row, and one table of Steps with
-    the reward value at position k of triple t's law at t * width + k.
-
-    Reward rows are padded with inf to one width, and the table with None;
-    no uniform reaches an inf, so the padding is never drawn. Returns
-    (lists, arrays, step_table, width): ``rollout`` bisects the rows as
-    lists, and ``rollout_rows`` counts against the same rows as arrays.
+    init vector, then per flat (x, a, h) index (C order over (S, A, H))
+    that of the reward law and of the transition row, and the law's Steps,
+    one per support value. Returns (init, reward_rows, trans_rows,
+    step_rows), lists that ``rollout`` indexes directly.
     """
     if "sampling" not in model._cache:
         triples = [(x, a, h) for x in range(1, model.S + 1) for a in range(1, model.A + 1)
                    for h in range(1, model.H + 1)]
         laws = _rows(model.rewards)
-        width = max(len(d.probs) for d in laws)
-        step_table, reward_rows = [], []
-        for t, d in zip(triples, laws):
-            pad = width - len(d.probs)
-            step_table += [Step(*t, v) for v in d.support] + [None] * pad
-            reward_rows.append(cumulative_row(d.probs) + [math.inf] * pad)
+        step_rows = [[Step(*t, v) for v in d.support] for t, d in zip(triples, laws)]
+        reward_rows = [cumulative_row(d.probs) for d in laws]
         # an int quotient p / den is the float of Fraction(p, den): both round it once
         rows = [cumulative_row([p / model.den for p in row])
                 for row in (model.init_nums, *_rows(model.trans_nums))]
-        lists = (rows[0], reward_rows, rows[1:])
-        model._cache["sampling"] = (lists, tuple(map(np.array, lists)), step_table, width)
+        model._cache["sampling"] = (rows[0], reward_rows, rows[1:], step_rows)
     return model._cache["sampling"]
 
 
@@ -555,46 +544,20 @@ def rollout(model, policy, u) -> tuple[Step, ...]:
     """The steps of one trajectory, driven by 2H uniforms in [0, 1).
 
     ``u[0]`` draws the initial state; stage h draws its reward with
-    ``u[2h-1]`` and, below stage H, its next state with ``u[2h]``.
+    ``u[2h-1]`` and, below stage H, its next state with ``u[2h]``. Each
+    draw's index is the ``bisect_right`` of its uniform in the triple's
+    ``_sampling_rows`` row: the count of cumulative entries <= u.
     """
-    (init, reward_rows, trans_rows), _, step_table, width = _sampling_rows(model)
+    init, reward_rows, trans_rows, step_rows = _sampling_rows(model)
     actions, A, H = policy.actions, model.A, model.H
     x = 1 + bisect_right(init, u[0])
     steps = []
     for h in range(1, H + 1):
         t = ((x - 1) * A + actions[x - 1][h - 1] - 1) * H + h - 1
-        steps.append(step_table[t * width + bisect_right(reward_rows[t], u[2 * h - 1])])
+        steps.append(step_rows[t][bisect_right(reward_rows[t], u[2 * h - 1])])
         if h < H:
             x = 1 + bisect_right(trans_rows[t], u[2 * h])
     return tuple(steps)
-
-
-def rollout_rows(model, policy, u: np.ndarray) -> tuple[list[tuple[Step, ...]], np.ndarray]:
-    """``rollout`` of every row of an (n, 2H) array of uniforms, as one
-    array operation per draw.
-
-    Returns the distinct trajectories, each as ``rollout`` returns it, and
-    per row the index of its trajectory among them. A draw's index is the
-    count of cumulative entries <= u, which is what ``bisect_right``
-    returns: the same float comparisons as ``rollout``. A single row is
-    faster through ``rollout``.
-    """
-    _, (init_row, reward_rows, trans_rows), step_table, width = _sampling_rows(model)
-    A, H = model.A, model.H
-    actions = np.array(policy.actions) - 1
-    x = np.count_nonzero(init_row <= u[:, :1], axis=1)  # 0-based states
-    step_ids = np.empty((len(u), H), dtype=np.intp)
-    which = np.zeros(len(u), dtype=np.intp)  # the rows' distinct prefixes so far
-    for h in range(H):
-        xah = (x * A + actions[x, h]) * H + h
-        step_ids[:, h] = xah * width + np.count_nonzero(
-            reward_rows[xah] <= u[:, 2 * h + 1, None], axis=1)
-        # numbering the prefixes densely keeps the codes below n * len(step_table)
-        _, first, which = np.unique(which * len(step_table) + step_ids[:, h],
-                                    return_index=True, return_inverse=True)
-        if h + 1 < H:
-            x = np.count_nonzero(trans_rows[xah] <= u[:, 2 * h + 2, None], axis=1)
-    return [tuple(step_table[i] for i in row) for row in step_ids[first].tolist()], which
 
 
 def sample_trajectory(model, policy, rng) -> Trajectory:

@@ -42,7 +42,6 @@ from .mdp import (
     reach_set,
     reachable_triples,
     rollout,
-    rollout_rows,
 )
 from .priors import (
     DiscretePrior,
@@ -399,7 +398,7 @@ class EpisodeBlock:
     """One phase's simulated episodes ``ks``: its range with the full log,
     else ``(k_star,)``. Episode k_star rolled out ``hal_steps``; row i of
     the others ``trajs[traj_of_row[i]]``, ``trajs`` being the distinct
-    rollouts of ``mdp.rollout_rows`` (both empty with one episode). A
+    ``mdp.rollout``s of the honest rows (both empty with one episode). A
     full-log block under a deterministic true model has one trajectory,
     and ``chunks`` renders its honest lines from one byte template."""
 
@@ -725,13 +724,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
     phase, and only where some explored occurrence's law under the
     hallucinated atom is not a point mass. A full-log phase of several
     episodes reads a seed's episode rows as one ``rng.uniform_rows``
-    array and rolls out its honest rows in one block
-    (``mdp.rollout_rows``), except where the seed's true model is
+    array, rolls out each honest row with ``mdp.rollout`` and keeps each
+    distinct trajectory once, except where the seed's true model is
     deterministic: no uniform moves its trajectory, so its honest rows
-    read no uniforms and share one scalar ``mdp.rollout``. The
-    hallucination episode's trajectory comes from the scalar
-    ``mdp.rollout`` of its k* row. Each phase appends one
-    ``EpisodeBlock`` per seed, no object per episode.
+    read no uniforms and share one ``mdp.rollout``. The hallucination
+    episode's trajectory is the ``mdp.rollout`` of its k* row. Each
+    phase appends one ``EpisodeBlock`` per seed, no object per episode.
 
     The seeds' ledgers are one stacked ``LedgerState`` of feature counts;
     a phase's posteriors, ``punish_prob`` and the fully rational agent's
@@ -918,10 +916,12 @@ def run_game(config: MechanismConfig, prior: DiscretePrior, agent, seed,
             elif len(simulated) > 1:
                 rows = rngmod.uniform_rows(keys["traj"][b],
                                            np.arange(simulated.start, simulated.stop,
-                                                     dtype=np.uint64), 2 * H)
-                # the honest rows in one block; the k* row's entry is unused
-                hon_trajs, traj_of_row = rollout_rows(model, pi_hon[r], rows)
-                traj_of_row = traj_of_row.tolist()
+                                                     dtype=np.uint64), 2 * H).tolist()
+                # each distinct trajectory once; the k* row's entry is unused
+                index = {}
+                traj_of_row = [index.setdefault(rollout(model, pi_hon[r], u), len(index))
+                               for u in rows]
+                hon_trajs = list(index)
             steps = rollout(model, pi_hal[r], u_traj[r].tolist())
             hal_steps.append(steps)
             logs[b].blocks.append(EpisodeBlock(ell, simulated, k_star[r], pi_hal[r].encoding,

@@ -157,7 +157,6 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
     if n_assign > cap:
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 
-    k_agent = phase_episodes(config, ell)[0]
     branches = []
     for assignment in product(*cand):
         rewards = Counter(f for _, f in assignment)
@@ -166,7 +165,7 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
         if not prob:
             continue
         lam_hal = reveal_rewards(lam_cens, U, [v for v, _ in assignment])
-        branches.append(HalBranch(lam_hal, prob, agent.choose(k_agent, ell, lam_hal)))
+        branches.append(HalBranch(lam_hal, prob, agent.choose(ell, lam_hal)))
     return branches
 
 
@@ -238,7 +237,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
         exploit_policy = None
         episodes = phase_episodes(config, ell)
         if len(episodes) > 1:
-            exploit_policy = agent.choose(episodes[0], ell, lam_hon)
+            exploit_policy = agent.choose(ell, lam_hon)
         node = PhaseNode(ell, masses, den, U, lam_cens, lam_hon, punish, q,
                          branches, exploit_policy, sig)
         table.nodes[ell].append(node)
@@ -496,11 +495,10 @@ def p_hal_audit(table: JointTable, ell: int) -> list:
     """
     out = []
     p0 = hallucination_prior_prob(table.config, ell)
-    k_agent = phase_episodes(table.config, ell)[0]
     for nodes, rows in _hal_ledgers(table, ell):
         limit = p_hal_bound(p0, nodes[0].pr_punish_given_cens)
         for key, ledger, _, _, p_hal in rows:
-            _, p_hal_agent = mechanism_posterior(table.prior, table.config, k_agent, ledger)
+            _, p_hal_agent = mechanism_posterior(table.prior, table.config, ell, ledger)
             out.append({
                 "ledger_key": key,
                 "p_hal": p_hal,

@@ -23,19 +23,9 @@ from ielab import (
     run_game,
     totally_censor,
 )
-from ielab.agents import episode_phase
 from ielab.mdp import DiscreteDist
 from ielab.oracle import mechanism_posterior_from_table, p_hal_audit
 from ielab.priors import DiscretePrior
-
-
-def test_episode_phase_inverse():
-    cfg = MechanismConfig(n_phase=10, n_lrn=3, eps_pun="0.1", total_phases=6)
-    for ell in range(1, 7):
-        from ielab import phase_episodes
-
-        for k in phase_episodes(cfg, ell):
-            assert episode_phase(cfg, k) == ell
 
 
 def test_empty_ledger_both_modes_prior_greedy(det_prior, det_config):
@@ -47,7 +37,7 @@ def test_empty_ledger_both_modes_prior_greedy(det_prior, det_config):
     prior_pol = bayes_greedy(prior_as_posterior(det_prior))
     for mode in ("canonical_truster", "fully_rational"):
         agent = make_agent(mode, det_prior, det_config)
-        assert agent.choose(1, episode_phase(det_config, 1), empty) == prior_pol
+        assert agent.choose(1, empty) == prior_pol
     assert empty_hal.entries == ()
 
 
@@ -57,11 +47,10 @@ def test_mechanism_posterior_weights_and_limit(det_prior, det_config):
     table = enumerate_game(det_config, det_prior, 2)
     node = table.nodes[2][0]
     lam = node.lam_hon
-    k = det_config.n_lrn + 1  # an episode of phase 2
-    post, p_hal = mechanism_posterior(det_prior, det_config, k, lam)
+    post, p_hal = mechanism_posterior(det_prior, det_config, 2, lam)
     assert sum(post.weights) == 1
     assert 0 <= p_hal <= 1
-    limit, p0_hal = mechanism_posterior(det_prior, det_config, k, lam, p0=0)
+    limit, p0_hal = mechanism_posterior(det_prior, det_config, 2, lam, p0=0)
     can = canonical_posterior(det_prior, lam)
     assert limit.weights == can.weights
     assert p0_hal == 0
@@ -72,8 +61,7 @@ def test_mechanism_posterior_matches_table(det_prior, det_config):
     table = enumerate_game(det_config, det_prior, 2)
     for node in table.nodes[2]:
         for br in node.branches:
-            k = det_config.n_lrn + 1
-            post, _ = mechanism_posterior(det_prior, det_config, k, br.ledger)
+            post, _ = mechanism_posterior(det_prior, det_config, 2, br.ledger)
             from_table = mechanism_posterior_from_table(table, 2, br.ledger)
             for i, w in enumerate(post.weights):
                 assert w == from_table.get(i, Fraction(0))
@@ -122,7 +110,7 @@ def test_exploitation_agreement_theory_scale(stoch_prior):
         for p, (_, signals) in zip(log.phases, replay_signals(log, stoch_prior)):
             if p.honest_policy is None:
                 continue
-            pol = a_r.choose(p.first_episode, p.ell, signals["honest"])
+            pol = a_r.choose(p.ell, signals["honest"])
             assert pol.encoding == p.honest_policy
 
 
@@ -144,7 +132,7 @@ def test_fully_rational_oracle_unavailable():
     agent = make_agent("fully_rational", prior, cfg)
     lam = totally_censor(raw_ledger(S, A, H, []))
     with pytest.raises(OracleUnavailable):
-        agent.choose(2, episode_phase(cfg, 2), lam)
+        agent.choose(2, lam)
 
 
 def replayed_choices(agent, log, prior):
@@ -153,12 +141,11 @@ def replayed_choices(agent, log, prior):
     the exact ``agent.choose`` of its signal ledger from ``replay_signals``."""
     checked, mismatched = 0, []
     for p, (ell, signals) in zip(log.phases, replay_signals(log, prior)):
-        want = [(p.k_star, "hallucinated", p.hal_policy)]
+        want = [("hallucinated", p.hal_policy)]
         if p.last_episode > p.first_episode:
-            want.append((p.first_episode, "honest", p.honest_policy))
+            want.append(("honest", p.honest_policy))
         checked += len(want)
-        if any(agent.choose(k, ell, signals[kind]).encoding != code
-               for k, kind, code in want):
+        if any(agent.choose(ell, signals[kind]).encoding != code for kind, code in want):
             mismatched.append(ell)
     return checked, mismatched
 

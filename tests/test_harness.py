@@ -329,6 +329,23 @@ def test_cli_run_prob(tmp_path, capsys):
     assert (out / "run-0" / "game.jsonl").exists()
 
 
+def test_run_prob_theory_trailer_reports_params_values(capsys):
+    """The ``# theory scale:`` trailer of a run with overridden n_lrn and
+    total_phases prints the theory-scale L_0 and K, those ``params``
+    reports, not the overridden run's."""
+    prior = ["--override", 'prior={"micro":"stoch1"}']
+    assert main(["params", *prior]) == 0
+    params = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+    assert main(["run-prob", *prior, "--override", "mechanism.n_lrn=64",
+                 "--override", "mechanism.total_phases=2", "--seeds", "0..0"]) == 0
+    trailer = capsys.readouterr().out.splitlines()[-1]
+    assert trailer.startswith("# theory scale: ")
+    fields = dict(item.split("=") for item in trailer.removeprefix("# theory scale: ").split())
+    assert fields["L_0"] == params["prob.L_0"] and fields["K"] == params["prob.K"]
+    assert fields["n_lrn"] == params["prob.n_lrn_theory"]
+    assert fields["n_phase"] == params["prob.n_phase_theory"]
+
+
 def test_prior_json_roundtrip(tmp_path, det_prior):
     from ielab.serialize import prior_from_dict, prior_to_dict
 

@@ -69,7 +69,7 @@ from ielab import (
 )
 from ielab.agents import _mechanism_weights_float
 from ielab.analysis import sufficiently_visiting_policies
-from ielab.mechanism import hallucination_prior_prob, phase_episodes
+from ielab.mechanism import hallucination_prior_prob
 from ielab.oracle import _normalize, _tv, hygiene_tv, mechanism_posterior_from_table
 from ielab import priors
 from ielab.priors import Posterior, exact_lattice, greedy_set
@@ -480,17 +480,14 @@ def test_one_step_argmax_random_priors(prior):
 
 class RecordingAgent(AgentSpec):
     """A float fully-rational agent that records, at every in-run choice of
-    a one-seed run, an episode of the phase (every episode of a phase has
-    the same hallucination prior) and its fast posterior weights under
-    (ell, kind)."""
+    a one-seed run, its fast posterior weights under (ell, kind)."""
 
     def choose_signal(self, ell, kinds, ctx):
         p0 = float(hallucination_prior_prob(self.config, ell))
         for kind in kinds:
-            fast, _ = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
-                                               ctx.counts_of(kind), ctx.punish_mask, p0)
-            (row,) = fast  # the batch's one seed
-            self.weights[ell, kind] = (phase_episodes(self.config, ell)[0], row)
+            fast = _mechanism_weights_float(ctx.fast.tables, ctx.cens_weights,
+                                            ctx.counts_of(kind), ctx.punish_mask, p0)
+            (self.weights[ell, kind],) = fast  # the batch's one seed
         return super().choose_signal(ell, kinds, ctx)
 
 
@@ -509,8 +506,8 @@ def test_rational_fast_matches_exact_mechanism_posterior(prior, seed, n_lrn, n_p
     for ell, signals in replay_signals(log, prior):
         for kind in ("hallucinated", "honest"):
             if (ell, kind) in agent.weights:
-                k, fast = agent.weights[ell, kind]
-                exact, _ = mechanism_posterior(prior, cfg, k, signals[kind])
+                fast = agent.weights[ell, kind]
+                exact, _ = mechanism_posterior(prior, cfg, ell, signals[kind])
                 want = np.array([float(w) for w in exact.weights])
                 errors.append(float(np.abs(fast - want).max()))
     assert errors and max(errors) <= 1e-12

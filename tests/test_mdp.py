@@ -27,7 +27,7 @@ from ielab import (
     trajectory_probability,
 )
 from ielab.instances import random_model
-from ielab.mdp import deterministic_trajectory, path_mass, rollout, rollout_rows
+from ielab.mdp import deterministic_trajectory, path_mass, rollout
 from ielab.rng import sample_index, stream
 
 
@@ -328,16 +328,12 @@ def test_sample_trajectory_never_returns_zero_mass(top_draw_rng):
     tau = sample_trajectory(model, pol, top_draw_rng)
     assert [tuple(s) for s in tau.steps] == [(10, 1, 1, support[9]), (10, 1, 2, support[9])]
     assert rollout(model, pol, [1 - 2**-53] * (2 * H)) == tau.steps
-    trajs, which = rollout_rows(model, pol, np.full((3, 2 * H), 1 - 2**-53))
-    assert trajs == [tau.steps] and which.tolist() == [0, 0, 0]
 
 
 def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
-    """rollout, and rollout_rows on the stacked draws, read the draws as
-    sequential sample_index calls would."""
+    """rollout reads the draws as sequential sample_index calls would."""
     m = stoch_prior.atoms[300]
     for pol in enumerate_policies(2, 2, 2):
-        expected = []
         for seed in range(8):
             rng = stream(seed, "order")
             x = 1 + sample_index(m.init, rng)
@@ -349,10 +345,6 @@ def test_rollout_consumes_2h_draws_in_sample_index_order(stoch_prior):
                     x = 1 + sample_index(m.transition(x, a, h), rng)
             u = stream(seed, "order").random(4)
             assert [tuple(s) for s in rollout(m, pol, u)] == steps
-            expected.append(steps)
-        trajs, which = rollout_rows(m, pol, np.array([stream(seed, "order").random(4)
-                                                      for seed in range(8)]))
-        assert [[tuple(s) for s in trajs[i]] for i in which] == expected
 
 
 def edge_uniform_rows(model, rng, n_random=16) -> np.ndarray:
@@ -373,28 +365,25 @@ def edge_uniform_rows(model, rng, n_random=16) -> np.ndarray:
                       rng.random((n_random, 2 * H))])
 
 
-def assert_rollout_rows_match_rollout(model, policy, u):
-    trajs, which = rollout_rows(model, policy, u)
-    assert len(set(trajs)) == len(trajs) and len(which) == len(u)
-    for row, i in zip(u.tolist(), which.tolist()):
-        steps = rollout(model, policy, row)
-        assert trajs[i] == steps
-        assert all(s is t for s, t in zip(trajs[i], steps))  # the model's Step objects
-    assert all(path_mass(model, steps) > 0 for steps in trajs)
+def assert_rollouts_have_mass(model, policy, u):
+    """Every row of u rolls out to a path of positive mass: sampling never
+    returns a zero-probability outcome."""
+    for row in u.tolist():
+        assert path_mass(model, rollout(model, policy, row)) > 0
 
 
-def test_rollout_rows_match_rollout_on_micro_stoch_atoms(stoch_prior):
-    """Every row's trajectory is rollout's, on the edge values of every
-    atom's float cumulative rows, and never has a zero-mass step."""
+def test_rollout_of_edge_rows_has_mass_on_micro_stoch_atoms(stoch_prior):
+    """On the edge values of every atom's float cumulative rows, and on
+    random rows, rollout never takes a zero-mass step."""
     rng = np.random.default_rng(12)
     pols = enumerate_policies(2, 2, 2)
     for i, m in enumerate(stoch_prior.atoms):
         u = edge_uniform_rows(m, rng)
         for pol in (pols[i % 16], pols[(7 * i + 3) % 16]):
-            assert_rollout_rows_match_rollout(m, pol, u)
+            assert_rollouts_have_mass(m, pol, u)
 
 
-def test_rollout_rows_match_rollout_on_random_models():
+def test_rollout_of_edge_rows_has_mass_on_random_models():
     """S = 3, A = 2, H = 3 with a 3-value reward support: wider step and
     state indices than the micro instances."""
     rng = np.random.default_rng(2103)
@@ -403,14 +392,14 @@ def test_rollout_rows_match_rollout_on_random_models():
         m = random_model(rng, 3, 2, 3)
         u = edge_uniform_rows(m, rng, n_random=64)
         for code in rng.choice(len(pols), size=6, replace=False):
-            assert_rollout_rows_match_rollout(m, pols[code], u)
+            assert_rollouts_have_mass(m, pols[code], u)
 
 
-def test_deterministic_rollout_rows_are_one_trajectory(det_prior):
+def test_deterministic_rollout_is_one_trajectory(det_prior):
     """No uniform moves a deterministic model's trajectory, which lets a
     full-log phase roll out its honest rows once on 2H zeros: on every
-    micro_det_1 atom and policy, the edge-value and random rows (seed 29)
-    give one trajectory, which is ``rollout``'s on the zeros and
+    micro_det_1 atom and policy, every edge-value and random row (seed 29)
+    gives ``rollout``'s trajectory on the zeros, which is
     ``deterministic_trajectory``'s."""
     rng = np.random.default_rng(29)
     zeros = [0.0] * (2 * det_prior.shape[2])
@@ -419,9 +408,9 @@ def test_deterministic_rollout_rows_are_one_trajectory(det_prior):
         assert m.is_deterministic
         u = edge_uniform_rows(m, rng)
         for pol in pols:
-            trajs, which = rollout_rows(m, pol, u)
-            assert len(trajs) == 1 and len(which) == len(u) and not which.any()
-            assert trajs[0] == rollout(m, pol, zeros) == deterministic_trajectory(m, pol).steps
+            steps = rollout(m, pol, zeros)
+            assert steps == deterministic_trajectory(m, pol).steps
+            assert all(rollout(m, pol, row) == steps for row in u.tolist())
 
 
 # ---------------------------------------------------------------------------
