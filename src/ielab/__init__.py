@@ -38,7 +38,6 @@ from .mdp import (
     trajectory_probability,
 )
 from .ledgers import (
-    CensoredTrajectory,
     Ledger,
     censor_ledger,
     censor_trajectory,

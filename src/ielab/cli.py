@@ -88,10 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     except AssumptionViolated as e:
         print(f"assumption violated: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except IELabError as e:
+    except (IELabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

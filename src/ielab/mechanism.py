@@ -134,7 +134,7 @@ def hallucinate_ledger(lam_cens: Ledger, mu_hal: TabularModel, U: TripleSet, rng
     U-ledger over the same entries.
     """
     draws = (mu_hal.reward_dist(s.x, s.a, s.h).sample(rng)
-             for _, traj in lam_cens.entries for s in traj.steps if (s.x, s.a, s.h) not in U)
+             for _, steps in lam_cens.entries for s in steps if (s.x, s.a, s.h) not in U)
     return reveal_rewards(lam_cens, U, draws)
 
 

@@ -4,17 +4,18 @@ Everything here runs in exact arithmetic: posteriors, branch masses,
 agent choices, argmax sets and trajectory masses on the prior's integer
 lattice (``priors.ExactLattice``), whose count signatures and reward
 features address its int columns, and each node's joint masses as ints
-over one denominator per node. The queries keep those ints: the hygiene
-TVs join a ledger's nodes over the lcm of their dens, and the one-step
-and p_hal audits read per revealed ledger its hallucinated and honest
-joints as ints over one group denominator, built once per phase and kept
-on the table; a Fraction is built only where a value leaves a query.
-``mechanism_posterior_from_table`` is the independent Fraction reference
-of those joints. A node's censored posterior, Pr[punish | censored] and
-hallucination branches are computed once per (phase, censored count
-signature, revealed occurrences in entry order, U) in one
-``enumerate_game`` call, and each node still gets its own ledgers and
-branch ledgers. Each policy's trajectories are
+over one denominator per node. The queries group nodes and branches by
+ledger value, each ``Ledger`` its own dictionary key, and keep those
+ints: the hygiene TVs join a ledger's nodes over the lcm of their dens,
+and the one-step and p_hal audits read per revealed ledger its
+hallucinated and honest joints as ints over one group denominator, built
+once per phase and kept on the table; a Fraction is built only where a
+value leaves a query. ``mechanism_posterior_from_table`` is the
+independent Fraction reference of those joints. A node's censored
+posterior, Pr[punish | censored] and hallucination branches are computed
+once per (phase, censored count signature, revealed occurrences in entry
+order, U) in one ``enumerate_game`` call, and each node still gets its
+own ledgers and branch ledgers. Each policy's trajectories are
 enumerated once for all atoms and checked, in integers, to carry every
 atom's full mass; so the last phase, whose trajectories only feed the
 model marginal, adds each node's masses times its branches' total
@@ -126,13 +127,17 @@ class JointTable:
     def groups_by_cens(self, ell: int) -> dict:
         out: dict = {}
         for node in self.nodes[ell]:
-            out.setdefault(node.lam_cens.key(), []).append(node)
+            out.setdefault(node.lam_cens, []).append(node)
         return out
 
 
-def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
-                  cap) -> list[HalBranch]:
-    """Enumerate realizable hallucinated-ledger values with exact masses.
+def _hal_branches(prior, nums, lam_cens, U, occurrences, event, agent, ell,
+                  cap) -> list[tuple]:
+    """Enumerate realizable hallucinated-ledger values with exact masses,
+    as rows (revealed rewards in entry order, prob, policy): the rewards
+    that ``reveal_rewards`` writes at ``occurrences``, the triples of
+    ``lam_cens``'s occurrences outside U in entry order, and the agent's
+    choice on that ledger.
 
     ``nums`` are the censored ledger's canonical masses restricted to the
     event: the masses of ``hallucination_posterior``, the same lattice
@@ -142,9 +147,6 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
     if not den:
         hallucination_posterior(prior, lam_cens, event)  # raises its ZeroEvidence
     lattice = exact_lattice(prior)
-    # the triples of the revealed occurrences, in entry order
-    occurrences = [(s.x, s.a, s.h) for _, traj in lam_cens.entries for s in traj.steps
-                   if (s.x, s.a, s.h) not in U]
     # candidate (reward value, feature) pairs per triple: the values some
     # support atom gives mass, in increasing order
     values = {t: [(v, f) for v, f in zip(lattice.support, lattice.reward_features(*t))
@@ -157,16 +159,16 @@ def _hal_branches(prior, nums, lam_cens, U, event, agent, config, ell,
     if n_assign > cap:
         raise CapExceeded(f"hallucination branch factor {n_assign} exceeds cap {cap}")
 
-    branches = []
+    rows = []
     for assignment in product(*cand):
-        rewards = Counter(f for _, f in assignment)
-        prob = Fraction(sum(lattice.masses(nums, rewards.items())),
+        features = Counter(f for _, f in assignment)
+        prob = Fraction(sum(lattice.masses(nums, features.items())),
                         den * lattice.den ** len(occurrences))
         if not prob:
             continue
-        lam_hal = reveal_rewards(lam_cens, U, [v for v, _ in assignment])
-        branches.append(HalBranch(lam_hal, prob, agent.choose(ell, lam_hal)))
-    return branches
+        rewards = [v for v, _ in assignment]
+        rows.append((rewards, prob, agent.choose(ell, reveal_rewards(lam_cens, U, rewards))))
+    return rows
 
 
 def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
@@ -183,8 +185,8 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     the triples of its revealed occurrences in entry order (the
     signature has no feature for a stage-H action, and the branches
     assign and reveal rewards in entry order). So they are computed once
-    per such key, and the punish event once per U; a node whose key was
-    seen builds only its own branch ledgers. Each child carries its
+    per such key, and the punish event once per U; every node builds its
+    own branch ledgers from its key's rows. Each child carries its
     signature from its parent plus its trajectory's path features.
     """
     if variant not in ("standard", "hallucinate_unconditioned"):
@@ -200,8 +202,7 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
     last_terms: dict = {}  # den -> {atom: int}: the marginal's terms by denominator
     events: dict = {}  # U -> (punish event, hallucination event)
     # (ell, signature, revealed occurrences, U) -> (Pr[punish | censored],
-    # per branch: its revealed rewards in entry order, probability, policy;
-    # the branches' total probability)
+    # _hal_branches' rows, the branches' total probability)
     laws: dict = {}
 
     def recurse(masses: dict, den: int, history: list, sig: tuple, triples: tuple, ell: int):
@@ -220,20 +221,18 @@ def enumerate_game(config: MechanismConfig, prior: DiscretePrior, phases: int,
             punish = punish_event(prior, complement_triples(U, S, A, H), config.eps_pun)
             events[U] = punish, punish if variant == "standard" else prior.full_event()
         punish, hal_event = events[U]
-        key = (ell, sig, tuple(t for t in triples if t not in U), U)
-        if key in laws:
-            q, rows, total = laws[key]
-            branches = [HalBranch(reveal_rewards(lam_cens, U, rewards), prob, policy)
-                        for rewards, prob, policy in rows]
-        else:
+        occurrences = tuple(t for t in triples if t not in U)
+        key = (ell, sig, occurrences, U)
+        if key not in laws:
             nums = lattice.masses(lattice.weights, sig)
             on_punish = [v if i in punish else 0 for i, v in enumerate(nums)]
-            branches = _hal_branches(prior, on_punish if variant == "standard" else nums,
-                                     lam_cens, U, hal_event, agent, config, ell, cap)
-            q, total = Fraction(sum(on_punish), sum(nums)), sum(br.prob for br in branches)
-            laws[key] = q, [
-                ([s.r for _, traj in br.ledger.entries for s in traj.steps if s.r is not None],
-                 br.prob, br.policy) for br in branches], total
+            rows = _hal_branches(prior, on_punish if variant == "standard" else nums,
+                                 lam_cens, U, occurrences, hal_event, agent, ell, cap)
+            laws[key] = (Fraction(sum(on_punish), sum(nums)), rows,
+                         sum(prob for _, prob, _ in rows))
+        q, rows, total = laws[key]
+        branches = [HalBranch(reveal_rewards(lam_cens, U, rewards), prob, policy)
+                    for rewards, prob, policy in rows]
         exploit_policy = None
         episodes = phase_episodes(config, ell)
         if len(episodes) > 1:
@@ -311,9 +310,9 @@ def hygiene_tv(table: JointTable, ledger_kind: str, ell: int) -> Fraction:
     groups: dict = {}
     for node in table.nodes[ell]:
         ledger = node.lam_cens if ledger_kind == "censored" else node.lam_hon
-        groups.setdefault(ledger.key(), (ledger, []))[1].append(node)
+        groups.setdefault(ledger, []).append(node)
     joints = []
-    for ledger, nodes in groups.values():
+    for ledger, nodes in groups.items():
         lcm = math.lcm(*(node.den for node in nodes))
         joint = [0] * table.prior.n
         for node in nodes:
@@ -328,18 +327,17 @@ def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
     """max over censored-ledger realizations of
     TV( law(honest ledger | censored, punish event), law(hallucinated | censored) )."""
     worst = Fraction(0)
-    for _, nodes in table.groups_by_cens(ell).items():
+    for nodes in table.groups_by_cens(ell).values():
         law_hal = {}
         for br in nodes[0].branches:
-            law_hal[br.ledger.key()] = law_hal.get(br.ledger.key(), Fraction(0)) + br.prob
+            law_hal[br.ledger] = law_hal.get(br.ledger, Fraction(0)) + br.prob
         law_hon = {}
         total = Fraction(0)
         for node in nodes:
             mass = Fraction(sum(v for i, v in node.masses.items() if i in node.punish),
                             node.den)
             if mass:
-                key = node.lam_hon.key()
-                law_hon[key] = law_hon.get(key, Fraction(0)) + mass
+                law_hon[node.lam_hon] = law_hon.get(node.lam_hon, Fraction(0)) + mass
                 total += mass
         if not total:
             continue
@@ -350,7 +348,9 @@ def hallucination_distribution_check(table: JointTable, ell: int) -> Fraction:
 
 @dataclass
 class OneStepEntry:
-    lam_hal_key: tuple
+    """One realizable hallucinated ledger of a one-step audit."""
+
+    ledger: Ledger
     condition_holds: bool
     condition_rhs: Fraction | None
     gap: Fraction | None
@@ -378,9 +378,9 @@ class OneStepReport:
 
 
 def _mech_joint(table: JointTable, ell: int) -> list:
-    """Per censored-ledger group of phase ell: its nodes and, per revealed
-    ledger value v, in first-seen order, [ledger, hal, hon] with hal[i]
-    (hon[i]) the joint mass Pr[true model = i, this censored ledger,
+    """Per censored-ledger group of phase ell: its nodes and a dict from
+    each revealed ledger value v, in first-seen order, to [hal, hon] with
+    hal[i] (hon[i]) the joint mass Pr[true model = i, this censored ledger,
     hallucinated (honest) ledger = v], as ints over one group denominator:
     the lcm of the nodes' dens times the lcm of the branch denominators."""
     out = []
@@ -393,10 +393,10 @@ def _mech_joint(table: JointTable, ell: int) -> list:
             masses = [(i, v * scale) for i, v in node.masses.items()]
             for br in node.branches:
                 c = br.prob.numerator * (q // br.prob.denominator)
-                hal = joint.setdefault(br.ledger.key(), [br.ledger, {}, {}])[1]
+                hal = joint.setdefault(br.ledger, [{}, {}])[0]
                 for i, v in masses:
                     hal[i] = hal.get(i, 0) + c * v
-            hon = joint.setdefault(node.lam_hon.key(), [node.lam_hon, {}, {}])[2]
+            hon = joint.setdefault(node.lam_hon, [{}, {}])[1]
             for i, v in masses:
                 hon[i] = hon.get(i, 0) + q * v
         out.append((nodes, joint))
@@ -414,7 +414,7 @@ def _mech_masses(prior: DiscretePrior, hal: dict, hon: dict, p0: Fraction) -> Po
 
 def _hal_ledgers(table: JointTable, ell: int) -> list:
     """Per censored-ledger group of phase ell: its nodes and, for every
-    realizable hallucinated ledger value, (key, ledger, hal, hon, p_hal)
+    realizable hallucinated ledger value, (ledger, hal, hon, p_hal)
     with the exact p_hal = Pr[hallucination episode | ledger]. Built once
     per phase from ``_mech_joint`` and kept on the table."""
     if ell not in table.hal_ledgers:
@@ -423,12 +423,12 @@ def _hal_ledgers(table: JointTable, ell: int) -> list:
         out = []
         for nodes, joint in _mech_joint(table, ell):
             rows = []
-            for key, (ledger, hal, hon) in joint.items():
+            for ledger, (hal, hon) in joint.items():
                 t_hal = sum(hal.values())
                 if not t_hal:
                     continue  # not a realizable hallucinated ledger
                 p_hal = Fraction(a * t_hal, a * t_hal + (b - a) * sum(hon.values()))
-                rows.append((key, ledger, hal, hon, p_hal))
+                rows.append((ledger, hal, hon, p_hal))
             out.append((nodes, rows))
         table.hal_ledgers[ell] = out
     return table.hal_ledgers[ell]
@@ -461,7 +461,7 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
             enc = policy_encodings(target(nodes[0].U, nodes))
         vacuous = not enc or len(enc) >= n_all
         q = nodes[0].pr_punish_given_cens
-        for key, ledger, hal, hon, p_hal in rows:
+        for ledger, hal, hon, p_hal in rows:
             # exact mechanism posterior at an episode of this phase
             arg = greedy_set(_mech_masses(prior, hal, hon, p0))
             gap = None
@@ -473,7 +473,7 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
                 holds, _, rhs = hh_condition_holds(n_episodes, q, gap, H)
             entries.append(
                 OneStepEntry(
-                    lam_hal_key=key,
+                    ledger=ledger,
                     condition_holds=holds,
                     condition_rhs=rhs,
                     gap=gap,
@@ -487,8 +487,9 @@ def one_step_audit(table: JointTable, ell: int, target) -> OneStepReport:
 
 
 def p_hal_audit(table: JointTable, ell: int) -> list:
-    """(ledger, p_hal, bound, slack) for every realizable hallucinated ledger,
-    with the bound p_hal_bound(p0, Pr[punish | censored ledger]).
+    """One dict per realizable hallucinated ledger: the ledger itself, its
+    p_hal, the agent-side p_hal_agent, the bound p_hal_bound(p0,
+    Pr[punish | censored ledger]) and the slack bound - p_hal.
 
     Also cross-checks the agent-side mechanism_posterior p_hal, which is
     computed by an independent formula; exact agreement is required.
@@ -497,10 +498,10 @@ def p_hal_audit(table: JointTable, ell: int) -> list:
     p0 = hallucination_prior_prob(table.config, ell)
     for nodes, rows in _hal_ledgers(table, ell):
         limit = p_hal_bound(p0, nodes[0].pr_punish_given_cens)
-        for key, ledger, _, _, p_hal in rows:
+        for ledger, _, _, p_hal in rows:
             _, p_hal_agent = mechanism_posterior(table.prior, table.config, ell, ledger)
             out.append({
-                "ledger_key": key,
+                "ledger": ledger,
                 "p_hal": p_hal,
                 "p_hal_agent": p_hal_agent,
                 "bound": limit,
@@ -518,12 +519,11 @@ def mechanism_posterior_from_table(table: JointTable, ell: int, revealed: Ledger
     ledger with positive mass, marginalized in Fractions.
     """
     p0 = hallucination_prior_prob(table.config, ell)
-    key = revealed.key()
     for nodes in table.groups_by_cens(ell).values():
         mech: dict = {}
         for node in nodes:
-            hal = sum(br.prob for br in node.branches if br.ledger.key() == key)
-            hon = node.lam_hon.key() == key
+            hal = sum(br.prob for br in node.branches if br.ledger == revealed)
+            hon = node.lam_hon == revealed
             if not hal and not hon:
                 continue
             for i, v in node.masses.items():
@@ -543,29 +543,27 @@ def hygiene_tv_pairs(prior: DiscretePrior, pairs) -> Fraction:
 
     ``pairs`` is a list of (probability, atom index, revealed Ledger)
     covering the joint law of (true model, revealed ledger) under some
-    mechanism. Per ledger, the true joint is taken as ints n over its lcm
-    and the canonical posterior as lattice masses c, one per count
+    mechanism; they are grouped by ledger value, each ``Ledger`` its own
+    dictionary key. Per ledger, the true joint is taken as ints n over its
+    lcm and the canonical posterior as lattice masses c, one per count
     signature, so TV = sum_i |n_i T_c - c_i T_n| / (2 T_n T_c) with T the
     totals; Fractions appear only in the returned maximum. Raises
     ZeroEvidence when a ledger has zero canonical mass.
     """
     groups: dict = {}
-    reps: dict = {}
     last = None
     for prob, atom, ledger in pairs:
-        if ledger is not last:  # a node's pairs share its ledger: one key each
+        if ledger is not last:  # a node's pairs share its ledger: one lookup each
             last = ledger
-            key = ledger.key()
-            reps[key] = ledger
-            members = groups.setdefault(key, [])
+            members = groups.setdefault(ledger, [])
         members.append((atom, prob))
     joints = []
-    for key, members in groups.items():
+    for ledger, members in groups.items():
         lcm = math.lcm(*(prob.denominator for _, prob in members))
         joint = [0] * prior.n
         for atom, prob in members:
             joint[atom] += prob.numerator * (lcm // prob.denominator)
-        joints.append((reps[key], joint))
+        joints.append((ledger, joint))
     return _max_tv(prior, joints)
 
 

@@ -828,8 +828,8 @@ class ExactLattice:
         signature.
         """
         counts: dict = {}
-        for _, traj in ledger.entries:
-            for f in self.entry_features(traj.steps)[0]:
+        for _, steps in ledger.entries:
+            for f in self.entry_features(steps)[0]:
                 counts[f] = counts.get(f, 0) + 1
         return tuple(sorted(counts.items()))
 

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .errors import ConfigError
-from .ledgers import CensoredTrajectory, Ledger
+from .ledgers import Ledger
 from .mdp import DiscreteDist, MarkovPolicy, Step, TabularModel, as_fraction, build_model
 from .priors import DiscretePrior, FactoredRewardPrior
 
@@ -178,12 +178,12 @@ def ledger_to_jsonl(ledger: Ledger) -> str:
         "censor_set": [list(t) for t in sorted(ledger.censor_set)],
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for pol, traj in ledger.entries:
+    for pol, steps in ledger.entries:
         rec = {
             "policy": [list(row) for row in pol.actions],
             "steps": [
                 [s.x, s.a, s.h, None if s.r is None else _num_out(s.r)]
-                for s in traj.steps
+                for s in steps
             ],
         }
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
@@ -203,5 +203,5 @@ def ledger_from_jsonl(text: str) -> Ledger:
             Step(x, a, h, None if r is None else as_fraction(r))
             for x, a, h, r in rec["steps"]
         )
-        entries.append((pol, CensoredTrajectory(steps, U)))
+        entries.append((pol, steps))
     return Ledger(header["S"], A, header["H"], U, tuple(entries))

@@ -114,9 +114,9 @@ def test_criterion_3_one_step_guarantee(det_table3, det_prior):
                 continue
             audited += 1
             if not e.condition_holds:
-                condition_failures.append((ell, e.lam_hal_key))
+                condition_failures.append((ell, e.ledger))
             elif e.in_target is False:
-                violations.append((ell, e.lam_hal_key))
+                violations.append((ell, e.ledger))
     ok = not violations and not condition_failures and audited > 0
     _report(3, ok,
             f"{audited} strict hallucinated-ledger realizations over 3 phases; "

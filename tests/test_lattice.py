@@ -365,11 +365,11 @@ def test_count_signature_follows_ledger_state_layout(data):
         assert sum(c for f, c in sig if f < S) == len(lam)
         state = priors.LedgerState(tables)
         for _, entry in lam.entries:
-            state.push_entry(entry)
+            state.push_entries([entry])
         counts = state.counts.tolist()
         assert len(counts) == lattice.n_features == len(lattice.columns)
         assert [dict(sig).get(f, 0) for f in range(len(counts))] == counts
-        assert counts[-1] == sum(s.r == outside for _, entry in lam.entries for s in entry.steps)
+        assert counts[-1] == sum(s.r == outside for _, entry in lam.entries for s in entry)
         assert state.reward_counts.ravel().tolist() == counts[lattice.reward_start:-1]
 
 
@@ -426,10 +426,10 @@ def reference_hal_ledgers(table, ell) -> list:
         for node in nodes:
             mass = sum(node_weights(node).values()) / group_mass
             for br in node.branches:
-                joint.setdefault(br.ledger.key(), [br.ledger, 0, 0])[1] += br.prob * mass
-            joint.setdefault(node.lam_hon.key(), [node.lam_hon, 0, 0])[2] += mass
+                joint.setdefault(br.ledger, [0, 0])[0] += br.prob * mass
+            joint.setdefault(node.lam_hon, [0, 0])[1] += mass
         out.extend((ledger, p0 * hal / (p0 * hal + (1 - p0) * hon))
-                   for ledger, hal, hon in joint.values() if hal)
+                   for ledger, (hal, hon) in joint.items() if hal)
     return out
 
 
@@ -445,7 +445,7 @@ def _audit_against_reference(table, target):
     for ell in table.nodes:
         entries = one_step_audit(table, ell, target).entries
         reference = reference_hal_ledgers(table, ell)
-        assert [e.lam_hal_key for e in entries] == [ledger.key() for ledger, _ in reference]
+        assert [e.ledger for e in entries] == [ledger for ledger, _ in reference]
         for entry, (ledger, p_hal) in zip(entries, reference):
             mech = mechanism_posterior_from_table(table, ell, ledger)
             weights = [mech.get(i, 0) for i in range(prior.n)]
@@ -604,17 +604,16 @@ def test_lattice_per_object_build_matches_per_atom_build_fixed(det_prior, stoch_
 
 
 def fraction_hygiene_tvs(prior, pairs) -> dict:
-    """Per revealed ledger key: TV(true posterior, canonical posterior) in
+    """Per revealed ledger: TV(true posterior, canonical posterior) in
     Fractions, normalizing the joint and the exact canonical posterior."""
-    groups, reps = {}, {}
+    groups = {}
     for prob, atom, ledger in pairs:
-        reps[ledger.key()] = ledger
-        acc = groups.setdefault(ledger.key(), {})
+        acc = groups.setdefault(ledger, {})
         acc[atom] = acc.get(atom, Fraction(0)) + prob
     out = {}
     for key, joint in groups.items():
         try:
-            can = canonical_posterior(prior, reps[key])
+            can = canonical_posterior(prior, key)
         except ZeroEvidence:
             out[key] = None
             continue
@@ -629,9 +628,9 @@ def assert_hygiene_matches_fraction_reference(prior, pairs):
     reference = fraction_hygiene_tvs(prior, pairs)
     by_key = {}
     for pair in pairs:
-        by_key.setdefault(pair[2].key(), []).append(pair)
+        by_key.setdefault(pair[2], []).append(pair)
     for key, group in [*by_key.items(), (None, pairs)]:
-        expected = reference[key] if key else (
+        expected = reference[key] if key is not None else (
             None if None in reference.values() else max(reference.values()))
         if expected is None:
             with pytest.raises(ZeroEvidence):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +32,10 @@ def test_censoring_extremes(det_prior):
     m = det_prior.atoms[11]
     pol = enumerate_policies(2, 2, 2)[5]
     traj = one_traj(m, pol)
-    raw = censor_trajectory(traj, frozenset())
-    assert [s.r for s in raw.steps] == [s.r for s in traj.steps]
-    full = censor_trajectory(traj, all_triples(2, 2, 2))
-    assert all(s.r is None for s in full.steps)
+    raw = censor_trajectory(traj.steps, frozenset())
+    assert [s.r for s in raw] == [s.r for s in traj.steps]
+    full = censor_trajectory(traj.steps, all_triples(2, 2, 2))
+    assert all(s.r is None for s in full)
 
 
 @settings(max_examples=40, deadline=None)
@@ -49,9 +50,27 @@ def test_censoring_absorption(master):
     m = micro_det_1().expand().atoms[int(rng.integers(0, 256))]
     pol = enumerate_policies(2, 2, 2)[int(rng.integers(0, 16))]
     traj = one_traj(m, pol)
-    once = censor_trajectory(censor_trajectory(traj, U), U2)
-    direct = censor_trajectory(traj, U2)
+    once = censor_trajectory(censor_trajectory(traj.steps, U), U2)
+    direct = censor_trajectory(traj.steps, U2)
     assert once == direct
+
+
+def test_ledger_checks_its_censoring(det_prior):
+    """A ledger's rewards are hidden exactly on its censor set, and
+    censor_ledger only coarsens: a revealed reward inside U, a censored
+    one outside U, and re-censoring to a set that misses a triple of the
+    old U each raise ValueError."""
+    pol = enumerate_policies(2, 2, 2)[5]
+    traj = one_traj(det_prior.atoms[11], pol)
+    steps = traj.steps
+    first = (steps[0].x, steps[0].a, steps[0].h)
+    with pytest.raises(ValueError, match="reward censoring must match the censor set"):
+        Ledger(2, 2, 2, frozenset({first}), ((pol, steps),))
+    with pytest.raises(ValueError, match="reward censoring must match the censor set"):
+        Ledger(2, 2, 2, frozenset(), ((pol, censor_trajectory(steps, {first})),))
+    lam = censor_ledger(raw_ledger(2, 2, 2, [(pol, traj)]), frozenset({first}))
+    with pytest.raises(ValueError, match="censoring only coarsens"):
+        censor_ledger(lam, all_triples(2, 2, 2) - {first})
 
 
 def test_ledger_probability_own_raw_ledger(det_prior):
@@ -85,9 +104,8 @@ def enumerate_censored_ledgers(model, policies, U):
     for pol in policies:
         outcomes: dict = {}
         for traj, p in enumerate_trajectories(model, pol):
-            c = censor_trajectory(traj, U)
-            key = tuple(c.steps)
-            outcomes[key] = (c, outcomes.get(key, (None, Fraction(0)))[1] + p)
+            c = censor_trajectory(traj.steps, U)
+            outcomes[c] = (c, outcomes.get(c, (None, Fraction(0)))[1] + p)
         per_policy.append([(c, p) for c, p in outcomes.values()])
     for combo in product(*per_policy):
         entries = tuple((pol, c) for pol, (c, _) in zip(policies, combo))
@@ -115,10 +133,10 @@ def test_censoring_is_pushforward(stoch_prior):
     U = frozenset({(1, 2, 1), (1, 1, 2)})
     raw_masses: dict = {}
     for raw_lam, prob in enumerate_censored_ledgers(m, policies, frozenset()):
-        key = censor_ledger(raw_lam, U).key()
+        key = censor_ledger(raw_lam, U)
         raw_masses[key] = raw_masses.get(key, Fraction(0)) + prob
     for lam, _ in enumerate_censored_ledgers(m, policies, U):
-        assert ledger_probability(m, lam) == raw_masses.get(lam.key(), Fraction(0))
+        assert ledger_probability(m, lam) == raw_masses.get(lam, Fraction(0))
 
 
 def test_visit_counts_additive_and_censoring_invariant(det_prior):
@@ -159,5 +177,5 @@ def test_ledger_jsonl_roundtrip(stoch_prior):
     )
     text = ledger_to_jsonl(lam)
     back = ledger_from_jsonl(text)
-    assert back.key() == lam.key()
+    assert back == lam
     assert ledger_to_jsonl(back) == text

@@ -101,8 +101,8 @@ def test_hallucinate_ledger_deterministic_model(det_prior):
     mu_hal = det_prior.atoms[128]
     out = hallucinate_ledger(lam_cens, mu_hal, U, stream(3, "hal"))
     assert out.censor_set == U
-    for _, ctraj in out.entries:
-        for s in ctraj.steps:
+    for _, steps in out.entries:
+        for s in steps:
             if (s.x, s.a, s.h) in U:
                 assert s.r is None
             else:
@@ -115,7 +115,7 @@ def test_hallucinate_ledger_all_censored_equals_input(det_prior):
     traj = next(iter(enumerate_trajectories(m, pol)))[0]
     lam_cens = totally_censor(raw_ledger(2, 2, 2, [(pol, traj)]))
     out = hallucinate_ledger(lam_cens, det_prior.atoms[0], all_triples(2, 2, 2), stream(1, "h"))
-    assert out.key() == lam_cens.key()
+    assert out == lam_cens
 
 
 def test_hallucinate_ledger_reward_law(stoch_prior):
@@ -137,7 +137,7 @@ def test_hallucinate_ledger_reward_law(stoch_prior):
     counts: dict = {}
     for _ in range(n):
         out = hallucinate_ledger(lam_cens, mu_hal, U, rng)
-        key = tuple(s.r for s in out.entries[0][1].steps)
+        key = tuple(s.r for s in out.entries[0][1])
         counts[key] = counts.get(key, 0) + 1
     for key, p in pmf.items():
         se = (p * (1 - p) / n) ** 0.5
@@ -153,13 +153,13 @@ def test_honest_ledger(det_prior):
     U = all_triples(2, 2, 2) - frozenset(traj.triples())
     hon = censor_ledger(lam_raw, U)
     for (_, raw_t), (_, hon_t) in zip(lam_raw.entries, hon.entries):
-        for rs, hs in zip(raw_t.steps, hon_t.steps):
+        for rs, hs in zip(raw_t, hon_t):
             assert hs.r == rs.r
     full = censor_ledger(lam_raw, all_triples(2, 2, 2))
-    assert all(s.r is None for _, t in full.entries for s in t.steps)
+    assert all(s.r is None for _, t in full.entries for s in t)
     # revealed rewards sit exactly on the complement of U
     for _, t in hon.entries:
-        for s in t.steps:
+        for s in t:
             assert (s.r is None) == ((s.x, s.a, s.h) in U)
 
 
@@ -964,8 +964,8 @@ def test_in_run_hallucinated_ledgers_equal_hallucinate_ledger(mode, stoch_factor
                            episode_log="hallucination", phase_hook=hook)
             for ell, signals in replay_signals(log, prior):
                 want = np.zeros_like(in_run[ell])
-                for _, traj in signals["hallucinated"].entries:
-                    for s in traj.steps:
+                for _, steps in signals["hallucinated"].entries:
+                    for s in steps:
                         if s.r is not None:
                             want[s.x - 1, s.a - 1, s.h - 1, support.index(s.r)] += 1
                         nonzero += bool(s.r)

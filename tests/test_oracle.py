@@ -20,6 +20,7 @@ from ielab import (
     one_step_audit,
     p_hal_audit,
     policy_selection_case,
+    reveal_rewards,
 )
 from ielab import harness, oracle
 from ielab.agents import make_agent
@@ -189,11 +190,14 @@ def test_memoized_node_laws_equal_each_nodes_own(det_prior, det_table3, stoch_pr
                 on_punish = [v if i in node.punish else 0 for i, v in enumerate(nums)]
                 assert node.pr_punish_given_cens == Fraction(sum(on_punish), den)
                 event = node.punish if variant == "standard" else prior.full_event()
-                assert node.branches == oracle._hal_branches(
+                occurrences = tuple((s.x, s.a, s.h) for _, steps in node.lam_cens.entries
+                                    for s in steps if (s.x, s.a, s.h) not in node.U)
+                rows = oracle._hal_branches(
                     prior, on_punish if variant == "standard" else nums, node.lam_cens, node.U,
-                    event, agent, config, ell, oracle.ORACLE_LEAF_CAP)
-                occurrences = tuple((s.x, s.a, s.h) for _, traj in node.lam_cens.entries
-                                    for s in traj.steps if (s.x, s.a, s.h) not in node.U)
+                    occurrences, event, agent, ell, oracle.ORACLE_LEAF_CAP)
+                assert node.branches == [
+                    oracle.HalBranch(reveal_rewards(node.lam_cens, node.U, rewards), prob, policy)
+                    for rewards, prob, policy in rows]
                 orders.setdefault((ell, node.signature, node.U), set()).add(occurrences)
         assert max(map(len, orders.values())) >= (1 if prior is det_prior else 2)
 

@@ -283,8 +283,8 @@ def test_zero_evidence(det_prior):
 def folded_state(prior, ledger) -> LedgerState:
     """The run loop's float state of a ledger, its entries pushed in order."""
     state = LedgerState(shared_tables(prior))
-    for _, traj in ledger.entries:
-        state.push_entry(traj)
+    for _, steps in ledger.entries:
+        state.push_entries([steps])
     return state
 
 
